@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates bench-test bench-smoke fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
 
 all: check
 
@@ -93,6 +93,23 @@ bench-gates:
 	go run ./cmd/bench -only P10,P11,P12 -json $$tmp/current.json >/dev/null && \
 	go run ./tools/benchcheck -gatesonly $$tmp/current.json; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
+
+# bench-test vets and tests the benchmark itself (benchmark/, the served-
+# request ladder BENCHMARK.json declares). It is a Go module of its own, so
+# `go build ./... && go test ./...`, vet, doccheck and the coverage floor do
+# not see it; this target is what keeps the instrument compiling against the
+# repository and its own tests green — generator goldens, references,
+# statistics, every workload at toy size, one workload against a spawned
+# algrecd — under the race detector.
+bench-test:
+	go -C benchmark vet ./...
+	go -C benchmark test -race ./...
+
+# bench-smoke runs the benchmark end to end at toy sizes against an
+# in-process server: all five workloads, the traced run and the report, with
+# every answer checked against the plain-Go references (~4 s).
+bench-smoke:
+	go run -C benchmark algrec/benchmark -smoke
 
 # bench-storage reruns just the pluggable-storage experiment (P12): the
 # serving path against the memory and disk backends plus the bulk-load

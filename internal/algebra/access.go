@@ -1,0 +1,284 @@
+package algebra
+
+import (
+	"algrec/internal/obsv"
+	"algrec/internal/value"
+)
+
+// This file chooses access paths. The algebra has no join and no index
+// operator — every lookup arrives as σ, every join as σ over × — but a
+// value.Set is kept sorted with tuples in lexicographic order, so every set
+// is already a clustered index on its leading components
+// (value.Set.PrefixRange). Three places read a set through that order instead
+// of scanning or hashing all of it:
+//
+//   - a selection whose test starts with conjuncts fixing .1, .2, … to
+//     constants (probeSelect);
+//   - a join leaf whose pushed conjuncts start that way (planLeaf.narrow);
+//   - a hash-join step whose build keys are exactly the leading components of
+//     an unfiltered leaf (planStep.probe, see planner.go): the leaf's range is
+//     probed per bound row and no index is built.
+//
+// A probe must be indistinguishable from the scan it replaces, errors
+// included. Skipping an element is what the scan's short-circuit evaluation
+// does — without error — exactly when the conjunct's projection applies to
+// the element and the compared values differ, so a probe on .j is legal only
+// when .j applies to every element it would skip (hasField, O(1) on a
+// canonical set), and only a prefix of the conjunct list, in evaluation
+// order, may be consumed: whatever follows runs on the candidates as before.
+// Everything else — `p.2 = d and p.1 = c`, a set holding a scalar — falls
+// back to the scan and raises what it always raised. Budget.NoStreaming
+// selects the scan-everything reference path, so the stream oracles pin all
+// of this.
+
+// EvalSelect evaluates a selection for a host evaluator — the two-valued
+// Evaluator and internal/core's dual evaluator share it, closing their
+// environment (database, local IFP bindings, polarity) into leaf. It picks,
+// in order: the streaming pipeline when the operator spine reaches a product
+// (streameval.go); with streaming off, the materialized hash equi-join
+// (join.go) for σ directly over a product; a prefix probe when the test fixes
+// leading components to constants; the element-by-element scan.
+func EvalSelect(e Select, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
+	if !b.NoStreaming && StreamEligible(e) {
+		return StreamEval(e, b, obs, leaf)
+	}
+	if prod, isProd := e.Of.(Product); isProd && !b.NoHashJoin {
+		if lks, rks, ok := EquiJoinKeys(e.Var, e.Test); ok {
+			l, err := leaf(prod.L)
+			if err != nil {
+				return value.Set{}, err
+			}
+			r, err := leaf(prod.R)
+			if err != nil {
+				return value.Set{}, err
+			}
+			out, done, err := HashJoin(l, r, e.Var, e.Test, lks, rks, b.MaxSetSize)
+			if err != nil {
+				return value.Set{}, err
+			}
+			if done {
+				return out, nil
+			}
+			// a key path failed to apply: fall through to the naive product
+			// so kind errors surface exactly as without the fast path
+		}
+	}
+	of, err := leaf(e.Of)
+	if err != nil {
+		return value.Set{}, err
+	}
+	if !b.NoStreaming {
+		if out, ok, err := probeSelect(of, e.Var, e.Test, obs); ok || err != nil {
+			return out, err
+		}
+	}
+	return of.Select(func(v value.Value) (bool, error) {
+		return EvalTest(e.Test, FEnv{e.Var: v})
+	})
+}
+
+// EvalMap is EvalSelect's counterpart for MAP: the streaming pipeline when
+// the spine reaches a product, the element-by-element map otherwise.
+func EvalMap(e Map, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
+	if !b.NoStreaming && StreamEligible(e) {
+		return StreamEval(e, b, obs, leaf)
+	}
+	of, err := leaf(e.Of)
+	if err != nil {
+		return value.Set{}, err
+	}
+	return of.Map(func(v value.Value) (value.Value, error) {
+		return EvalF(e.Out, FEnv{e.Var: v})
+	})
+}
+
+// conjuncts splits a test into its conjuncts in evaluation order: `and`
+// evaluates left to right and stops at the first false one, whatever the
+// nesting.
+func conjuncts(test FExpr) []FExpr {
+	if and, isAnd := test.(FAnd); isAnd {
+		return append(conjuncts(and.L), conjuncts(and.R)...)
+	}
+	return []FExpr{test}
+}
+
+// constProbe recognises the conjuncts a prefix probe can answer: v.j = c,
+// c = v.j and v.j in {literal set}, for the element variable v. keys holds
+// the admitted values of component j.
+func constProbe(a FExpr, v string) (field int, keys value.Set, ok bool) {
+	varField := func(e FExpr) (int, bool) {
+		f, isField := e.(FField)
+		if !isField {
+			return 0, false
+		}
+		of, isVar := f.Of.(FVar)
+		return f.Idx, isVar && of.Name == v
+	}
+	switch aa := a.(type) {
+	case FCmp:
+		if aa.Op != OpEq {
+			return 0, value.Set{}, false
+		}
+		l, r := aa.L, aa.R
+		if _, isConst := l.(FConst); isConst {
+			l, r = r, l
+		}
+		c, isConst := r.(FConst)
+		if field, ok = varField(l); ok && isConst {
+			return field, value.NewSet(c.V), true
+		}
+	case FMem:
+		c, isConst := aa.Set.(FConst)
+		if field, ok = varField(aa.Elem); ok && isConst {
+			keys, ok = c.V.(value.Set)
+			return field, keys, ok
+		}
+	}
+	return 0, value.Set{}, false
+}
+
+// hasField reports whether the projection .j applies to every element of
+// run, which must be a whole canonical set when j = 1 and a PrefixRange on
+// j−1 components otherwise. Both cases are O(1): kinds sort scalars < tuples
+// < sets and the empty tuple first among tuples, so a set whose first element
+// is a non-empty tuple and whose last element is a tuple holds nothing else;
+// inside a (j−1)-prefix range every element is a tuple of at least j−1
+// components and the one of exactly j−1, if present, comes first.
+func hasField(run value.Set, j int) bool {
+	if run.IsEmpty() {
+		return true
+	}
+	first, ok := run.At(0).(value.Tuple)
+	if !ok || first.Len() < j {
+		return false
+	}
+	_, ok = run.At(run.Len() - 1).(value.Tuple)
+	return ok
+}
+
+// narrowed is what the leading constant conjuncts leave of a set: the
+// surviving runs in set order (so their concatenation is sorted) and their
+// total size, how many conjuncts they answer, and the binary-search probes it
+// took.
+type narrowed struct {
+	runs   []value.Set
+	size   int
+	used   int
+	probes int
+}
+
+// narrow consumes the longest legal prefix of atoms — conjuncts over the
+// element variable v, in evaluation order — that fixes components 1, 2, … of
+// s's elements to constants, replacing the scan by prefix ranges. With
+// nothing consumed the single run is s itself.
+func narrow(s value.Set, v string, atoms []FExpr) narrowed {
+	type run struct {
+		set    value.Set
+		prefix []value.Value
+	}
+	runs := []run{{set: s}}
+	n := narrowed{}
+	for n.used < len(atoms) {
+		field, keys, ok := constProbe(atoms[n.used], v)
+		if !ok || field != n.used+1 {
+			break
+		}
+		rows := 0
+		for _, r := range runs {
+			ok = ok && hasField(r.set, field)
+			rows += r.set.Len()
+		}
+		// One probe per (run, key): a literal set with more keys than there
+		// are rows left is cheaper to test row by row.
+		if !ok || len(runs)*keys.Len() > rows {
+			break
+		}
+		var next []run
+		for _, r := range runs {
+			for i := 0; i < keys.Len(); i++ {
+				prefix := append(r.prefix[:len(r.prefix):len(r.prefix)], keys.At(i))
+				n.probes++
+				if sub := r.set.PrefixRange(prefix...); !sub.IsEmpty() {
+					next = append(next, run{set: sub, prefix: prefix})
+				}
+			}
+		}
+		runs = next
+		n.used++
+	}
+	for _, r := range runs {
+		n.runs = append(n.runs, r.set)
+		n.size += r.set.Len()
+	}
+	return n
+}
+
+// probeSelect evaluates σ_test(s) through a prefix probe when the test
+// starts with constant conjuncts on the leading components: the rest of the
+// test runs on the candidates only. ok=false means no conjunct could be
+// consumed and the caller scans. One obsv.Stream event reports the rows
+// actually read.
+func probeSelect(s value.Set, v string, test FExpr, obs obsv.Collector) (out value.Set, ok bool, err error) {
+	atoms := conjuncts(test)
+	n := narrow(s, v, atoms)
+	if n.used == 0 {
+		return value.Set{}, false, nil
+	}
+	rest := atoms[n.used:]
+	if len(rest) == 0 && len(n.runs) == 1 {
+		out = n.runs[0] // the range itself: nothing is copied
+	} else {
+		b := value.NewSetBuilder(n.size)
+		env := FEnv{}
+		for _, r := range n.runs {
+			for i := 0; i < r.Len(); i++ {
+				env[v] = r.At(i)
+				keep, err := allTrue(rest, env)
+				if err != nil {
+					return value.Set{}, true, err
+				}
+				if keep {
+					b.Add(r.At(i))
+				}
+			}
+		}
+		out = b.Set()
+	}
+	if obs != nil {
+		st := obsv.StreamStats{Op: "select", Leaves: 1, Scanned: n.size, Probes: n.probes, Emitted: out.Len(), Result: out.Len()}
+		if len(rest) > 0 {
+			st.Tested = st.Scanned
+		}
+		obs.Stream(st)
+	}
+	return out, true, nil
+}
+
+// allTrue evaluates conjuncts left to right, stopping at the first false
+// one, as the `and` they were split from does.
+func allTrue(atoms []FExpr, env FEnv) (bool, error) {
+	for _, a := range atoms {
+		keep, err := EvalTest(a, env)
+		if err != nil || !keep {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// rows is a read-only run of one leaf's elements, as a join step iterates
+// it: a set — a whole leaf or a probed range of one, never copied — or a
+// list, for a filtered leaf or a hash bucket.
+type rows struct {
+	set  value.Set
+	list []value.Value
+}
+
+func (r rows) len() int { return r.set.Len() + len(r.list) }
+
+func (r rows) at(i int) value.Value {
+	if n := r.set.Len(); i >= n {
+		return r.list[i-n]
+	}
+	return r.set.At(i)
+}

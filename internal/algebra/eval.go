@@ -202,52 +202,12 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		}
 		return l.Product(r), nil
 	case Select:
-		if !ev.Budget.NoStreaming && StreamEligible(e) {
-			return StreamEval(e, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
-				return ev.eval(sub, local)
-			})
-		}
-		if prod, isProd := ee.Of.(Product); isProd && !ev.Budget.NoHashJoin {
-			if lks, rks, ok := EquiJoinKeys(ee.Var, ee.Test); ok {
-				l, err := ev.eval(prod.L, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				r, err := ev.eval(prod.R, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				out, done, err := HashJoin(l, r, ee.Var, ee.Test, lks, rks, ev.Budget.MaxSetSize)
-				if err != nil {
-					return value.Set{}, err
-				}
-				if done {
-					return out, nil
-				}
-				// a key path failed to apply: fall through to the naive
-				// product so kind errors surface exactly as without the
-				// fast path
-			}
-		}
-		of, err := ev.eval(ee.Of, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return of.Select(func(v value.Value) (bool, error) {
-			return EvalTest(ee.Test, FEnv{ee.Var: v})
+		return EvalSelect(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+			return ev.eval(sub, local)
 		})
 	case Map:
-		if !ev.Budget.NoStreaming && StreamEligible(e) {
-			return StreamEval(e, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
-				return ev.eval(sub, local)
-			})
-		}
-		of, err := ev.eval(ee.Of, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return of.Map(func(v value.Value) (value.Value, error) {
-			return EvalF(ee.Out, FEnv{ee.Var: v})
+		return EvalMap(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+			return ev.eval(sub, local)
 		})
 	case IFP:
 		useDelta := !ev.Budget.NoSemiNaive && DeltaDistributive(ee.Body, ee.Var)

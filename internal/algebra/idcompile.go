@@ -160,18 +160,7 @@ func (c *idCompiler) compileJoin(prod Product, v string, test FExpr, outs []proj
 // test is completely decided by join-key equality and, where the key paths
 // apply, cannot error (Compare is total), so the ID join needs no re-check.
 func allEquiKeys(v string, test FExpr) (lks, rks []KeyPath, ok bool) {
-	var atoms []FExpr
-	var conjuncts func(e FExpr)
-	conjuncts = func(e FExpr) {
-		if and, isAnd := e.(FAnd); isAnd {
-			conjuncts(and.L)
-			conjuncts(and.R)
-			return
-		}
-		atoms = append(atoms, e)
-	}
-	conjuncts(test)
-	for _, a := range atoms {
+	for _, a := range conjuncts(test) {
 		cmp, isCmp := a.(FCmp)
 		if !isCmp || cmp.Op != OpEq {
 			return nil, nil, false

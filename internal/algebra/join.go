@@ -32,18 +32,7 @@ type KeyPath []int
 // var v) and extracts equi-join key paths: conjuncts of the form
 // side1-path = side2-path. It returns ok=false when no such conjunct exists.
 func EquiJoinKeys(v string, test FExpr) (lks, rks []KeyPath, ok bool) {
-	var conjuncts func(e FExpr)
-	var atoms []FExpr
-	conjuncts = func(e FExpr) {
-		if and, isAnd := e.(FAnd); isAnd {
-			conjuncts(and.L)
-			conjuncts(and.R)
-			return
-		}
-		atoms = append(atoms, e)
-	}
-	conjuncts(test)
-	for _, a := range atoms {
+	for _, a := range conjuncts(test) {
 		cmp, isCmp := a.(FCmp)
 		if !isCmp || cmp.Op != OpEq {
 			continue

@@ -15,11 +15,16 @@ import (
 //
 //   - flattens the product tree into leaves,
 //   - splits the test into conjuncts, pushes single-leaf conjuncts into the
-//     leaf scans, and turns leaf-to-leaf equality conjuncts into hash-join
-//     edges (keyed by interned IDs when interning is on, reusing the PR 6
-//     fast path),
-//   - orders the leaves greedily by estimated cardinality (exact leaf sizes
-//     × selectivity defaults — see docs/planner.md for the model),
+//     leaf scans, and turns leaf-to-leaf equality conjuncts into join edges,
+//   - once the leaves are evaluated, picks each leaf's access path (access.go):
+//     pushed conjuncts that fix leading components to constants narrow the
+//     leaf by prefix range, an edge on the leading components of an
+//     unfiltered leaf probes its range per bound row, and every other edge
+//     builds a hash index (keyed by interned IDs when interning is on,
+//     reusing the PR 6 fast path) on first use,
+//   - orders the leaves greedily by estimated cardinality plus what a step
+//     must build (exact leaf sizes × selectivity defaults — see
+//     docs/planner.md for the model),
 //   - and re-checks the complete original test on every reconstructed
 //     element, so the result set is exactly σ_test(product).
 //
@@ -51,13 +56,20 @@ type prodNode struct {
 	l, r *prodNode
 }
 
-// planLeaf is one scan of the join pipeline: an opaque subexpression, the
-// conjuncts pushed into its scan (rewritten onto the bare leaf element),
-// and its post-filter cardinality estimate (filled during ordering).
+// planLeaf is one scan of the join pipeline: an opaque subexpression and the
+// conjuncts pushed into its scan (rewritten onto the bare leaf element, in
+// conjunct order). bind adds what is known once the leaf is evaluated: the
+// set, what the leading constant conjuncts leave of it (narrowed.used of the
+// filters are answered by prefix range, the rest run on the candidates), and
+// the post-filter cardinality estimate.
 type planLeaf struct {
 	expr    Expr
 	filters []FExpr
-	est     float64
+
+	set value.Set
+	narrowed
+	est   float64
+	width int // memo for hasFields: the least tuple width, 0 while unknown
 }
 
 // leafPath addresses a projection of one leaf's element: leaf index plus a
@@ -73,13 +85,18 @@ type joinEdge struct {
 }
 
 // planStep binds one more leaf into the pipeline. With keys present the
-// step is a hash join: probe with probeKeys computed over already-bound
-// leaves, build on buildKeys over the new leaf. Without keys it is a
-// nested-loop cross step.
+// step is a join: the values of probeKeys, computed over already-bound
+// leaves, select the new leaf's elements agreeing on buildKeys — from a hash
+// index built on first use or, when probe is set, straight from the leaf's
+// sorted order. Without keys it is a nested-loop cross step.
 type planStep struct {
 	leaf      int
 	probeKeys []leafPath
 	buildKeys []KeyPath
+	// probe: buildKeys are .1 … .m, in that order, of an unfiltered leaf
+	// all of whose elements have them, so the candidates of a bound row are
+	// one PrefixRange of the leaf and nothing is built.
+	probe bool
 }
 
 // joinPlan is the compiled strategy for one σ-over-product pipeline.
@@ -148,19 +165,8 @@ func (p *joinPlan) resolve(path []int) (lp leafPath, ok bool) {
 // equalities of pure projection chains become join edges, everything else
 // is left to the final re-check.
 func (p *joinPlan) analyze(test FExpr, noHash bool) []joinEdge {
-	var atoms []FExpr
-	var split func(e FExpr)
-	split = func(e FExpr) {
-		if and, isAnd := e.(FAnd); isAnd {
-			split(and.L)
-			split(and.R)
-			return
-		}
-		atoms = append(atoms, e)
-	}
-	split(test)
 	var edges []joinEdge
-	for _, a := range atoms {
+	for _, a := range conjuncts(test) {
 		if f, leaf, ok := p.rewriteAtom(a); ok {
 			p.leaves[leaf].filters = append(p.leaves[leaf].filters, f)
 			continue
@@ -336,17 +342,89 @@ func estimate(n int, filters []FExpr) float64 {
 	return est
 }
 
+// bind hands the plan its evaluated leaves and fixes every access path:
+// each leaf's leading constant filters are answered by prefix range
+// (narrow), then reorder picks the visit order and, per step, range probe or
+// hash index. It reports whether some leaf is empty — then so is the join,
+// and no order is needed.
+func (p *joinPlan) bind(sets []value.Set) (empty bool) {
+	for i := range p.leaves {
+		l := &p.leaves[i]
+		l.set = sets[i]
+		l.narrowed = narrow(l.set, p.v, l.filters)
+		if l.size == 0 {
+			empty = true
+		}
+	}
+	if !empty {
+		p.reorder()
+	}
+	return empty
+}
+
+// hasFields reports whether every element of the leaf is a tuple of at least
+// m components. One component is an O(1) question (hasField); more takes one
+// pass over the leaf, made at most once. The leaf is not empty: bind orders
+// no plan that has an empty leaf.
+func (l *planLeaf) hasFields(m int) bool {
+	if !hasField(l.set, 1) {
+		return false
+	}
+	if m > 1 && l.width == 0 {
+		l.width = l.set.At(0).(value.Tuple).Len()
+		for i := 1; i < l.set.Len(); i++ {
+			l.width = min(l.width, l.set.At(i).(value.Tuple).Len())
+		}
+	}
+	return m == 1 || l.width >= m
+}
+
+// probeable decides whether a keyed step can read its leaf through the sorted
+// order instead of a hash index, and if so puts the keys in component order.
+// The build keys must be exactly .1 … .m; the leaf must be unfiltered (a
+// filtered leaf is a short list, cheap to hash) and every element must have
+// all m components: the hash index joins an element whose key does not apply
+// with every bound row, to let the complete test raise what the materialized
+// path would, and a range can only stand in for the index when there is no
+// such element.
+func (p *joinPlan) probeable(st *planStep) bool {
+	l := &p.leaves[st.leaf]
+	m := len(st.buildKeys)
+	if len(l.filters) > 0 {
+		return false
+	}
+	probeKeys := make([]leafPath, m)
+	seen := make([]bool, m)
+	for i, k := range st.buildKeys {
+		if len(k) != 1 || k[0] < 1 || k[0] > m || seen[k[0]-1] {
+			return false
+		}
+		seen[k[0]-1] = true
+		probeKeys[k[0]-1] = st.probeKeys[i]
+	}
+	if !l.hasFields(m) {
+		return false
+	}
+	for i := range st.buildKeys {
+		st.buildKeys[i] = KeyPath{i + 1}
+	}
+	st.probeKeys = probeKeys
+	return true
+}
+
 // reorder fixes the leaf visit order greedily from exact leaf sizes: start
-// at the leaf with the smallest estimate (size × pushed-filter
-// selectivities), then repeatedly bind the leaf minimizing the estimated
-// intermediate size — joining over available edges when possible (each key
-// multiplies by selEq), crossing otherwise. Ties break on the lower leaf
-// index, so plans are deterministic. The executor calls this after
-// evaluating the leaf sets, which is when exact cardinalities exist.
-func (p *joinPlan) reorder(sizes []int) {
+// at the leaf with the smallest estimate (candidate rows × residual-filter
+// selectivities), then repeatedly bind the leaf with the lowest price — the
+// estimated intermediate size, joining over available edges when possible
+// (each key multiplies by selEq) and crossing otherwise, plus the rows a
+// hash step must index first; a step that probes the leaf's sorted order
+// builds nothing. Ties break on the lower leaf index, so plans are
+// deterministic.
+func (p *joinPlan) reorder() {
 	n := len(p.leaves)
 	for i := range p.leaves {
-		p.leaves[i].est = estimate(sizes[i], p.leaves[i].filters)
+		l := &p.leaves[i]
+		l.est = estimate(l.size, l.filters[l.used:])
 	}
 	bound := make([]bool, n)
 	start := 0
@@ -359,14 +437,14 @@ func (p *joinPlan) reorder(sizes []int) {
 	p.steps = []planStep{{leaf: start}}
 	cur := p.leaves[start].est
 	for len(p.steps) < n {
-		best, bestCost := -1, 0.0
+		best, bestPrice, bestOut := -1, 0.0, 0.0
 		var bestStep planStep
 		for cand := 0; cand < n; cand++ {
 			if bound[cand] {
 				continue
 			}
 			step := planStep{leaf: cand}
-			cost := cur * p.leaves[cand].est
+			out := cur * p.leaves[cand].est
 			for _, e := range p.edges {
 				var here, there leafPath
 				switch {
@@ -379,15 +457,21 @@ func (p *joinPlan) reorder(sizes []int) {
 				}
 				step.buildKeys = append(step.buildKeys, here.path)
 				step.probeKeys = append(step.probeKeys, there)
-				cost *= selEq
+				out *= selEq
 			}
-			if best == -1 || cost < bestCost {
-				best, bestCost, bestStep = cand, cost, step
+			price := out
+			if len(step.buildKeys) > 0 {
+				if step.probe = p.probeable(&step); !step.probe {
+					price += p.leaves[cand].est
+				}
+			}
+			if best == -1 || price < bestPrice {
+				best, bestPrice, bestOut, bestStep = cand, price, out, step
 			}
 		}
 		bound[best] = true
 		p.steps = append(p.steps, bestStep)
-		cur = bestCost
+		cur = bestOut
 		if cur < 1 {
 			cur = 1
 		}
@@ -395,8 +479,9 @@ func (p *joinPlan) reorder(sizes []int) {
 }
 
 // Explain renders the plan one step per line, for tests and docs: the
-// driving scan, then each join/cross step with its keys and pushed-filter
-// counts.
+// driving scan, then each step with its access path — a range probe of the
+// leaf's sorted order, a hash join, or a cross step — and how many pushed
+// filters the leaf carries, of which how many a prefix range answers.
 func (p *joinPlan) Explain() string {
 	var sb strings.Builder
 	for i, st := range p.steps {
@@ -404,12 +489,20 @@ func (p *joinPlan) Explain() string {
 		switch {
 		case i == 0:
 			fmt.Fprintf(&sb, "scan leaf %d", st.leaf)
+		case st.probe:
+			fmt.Fprintf(&sb, "probe leaf %d on prefix .1", st.leaf)
+			for k := 2; k <= len(st.buildKeys); k++ {
+				fmt.Fprintf(&sb, ",.%d", k)
+			}
 		case len(st.buildKeys) > 0:
 			fmt.Fprintf(&sb, "hash-join leaf %d on %d key(s)", st.leaf, len(st.buildKeys))
 		default:
 			fmt.Fprintf(&sb, "cross leaf %d", st.leaf)
 		}
-		if len(l.filters) > 0 {
+		switch {
+		case l.used > 0:
+			fmt.Fprintf(&sb, " [%d pushed filter(s), %d by range]", len(l.filters), l.used)
+		case len(l.filters) > 0:
 			fmt.Fprintf(&sb, " [%d pushed filter(s)]", len(l.filters))
 		}
 		fmt.Fprintf(&sb, " est=%.1f\n", l.est)
@@ -425,4 +518,3 @@ func reconstruct(n *prodNode, row []value.Value) value.Value {
 	}
 	return value.Pair(reconstruct(n.l, row), reconstruct(n.r, row))
 }
-

@@ -70,11 +70,12 @@ func spineHasProduct(e Expr) bool {
 // pipeProfile accumulates the counters of one streamed pipeline, emitted as
 // a single obsv.Stream event by StreamEval.
 type pipeProfile struct {
-	leaves    int // leaf scans feeding the pipeline
-	scanned   int // elements read from leaf scans
+	leaves    int // leaf sets feeding the pipeline
+	scanned   int // elements read from leaves: scanned, or returned by a probe
+	probes    int // prefix-range probes of a leaf's sorted order
 	tested    int // complete-test evaluations (post pushdown and join keys)
 	emitted   int // elements surviving their selection tests
-	hashJoins int // hash-join steps built
+	hashJoins int // hash-join indexes built
 	pushed    int // conjuncts pushed into leaf scans
 }
 
@@ -99,7 +100,7 @@ func StreamEval(e Expr, budget Budget, obs obsv.Collector, leaf LeafEval) (value
 	}
 	if obs != nil {
 		obs.Stream(obsv.StreamStats{
-			Op: opName(e), Leaves: prof.leaves, Scanned: prof.scanned,
+			Op: opName(e), Leaves: prof.leaves, Scanned: prof.scanned, Probes: prof.probes,
 			Tested: prof.tested, Emitted: prof.emitted, Result: out.Len(),
 			HashJoins: prof.hashJoins, Pushed: prof.pushed,
 		})
@@ -138,6 +139,12 @@ func (c *streamCompiler) compile(e Expr) (stream.Iterator, error) {
 			if ok || err != nil {
 				return it, err
 			}
+		}
+		if !spineHasProduct(ee.Of) {
+			// Nothing below to pipeline: the host's selection (EvalSelect)
+			// can answer from the operand's sorted order; a filter here
+			// could only scan it.
+			return c.scanLeaf(e)
 		}
 		in, err := c.compile(ee.Of)
 		if err != nil {
@@ -210,67 +217,49 @@ func (c *streamCompiler) compileJoin(v string, test FExpr, prod Product) (stream
 	}
 	// Evaluate every leaf in tree (in-)order — the order the materialized
 	// path evaluates them, so leaf errors surface identically.
-	n := len(plan.leaves)
-	sets := make([]value.Set, n)
-	sizes := make([]int, n)
+	sets := make([]value.Set, len(plan.leaves))
 	for i, l := range plan.leaves {
 		s, err := c.leaf(l.expr)
 		if err != nil {
 			return nil, true, err
 		}
 		sets[i] = s
-		sizes[i] = s.Len()
 	}
-	c.prof.leaves += n
-	plan.reorder(sizes)
-	// Apply the pushed filters while materializing each leaf's scan. A
-	// filter error keeps the element: the complete re-check reproduces
-	// whatever the materialized evaluation would have raised for the pairs
-	// it actually forms.
-	elems := make([][]value.Value, n)
-	for i := range plan.leaves {
-		l := &plan.leaves[i]
-		c.prof.scanned += sets[i].Len()
+	c.prof.leaves += len(sets)
+	if plan.bind(sets) {
+		// An empty leaf empties the product: read nothing. This is round 0
+		// of every semi-naive IFP, whose delta starts empty.
+		return stream.FromSlice(nil), true, nil
+	}
+	for _, l := range plan.leaves {
 		c.prof.pushed += len(l.filters)
-		if len(l.filters) == 0 {
-			elems[i] = sets[i].Elems()
-			continue
-		}
-		kept := make([]value.Value, 0, sets[i].Len())
-		env := FEnv{}
-		for j := 0; j < sets[i].Len(); j++ {
-			el := sets[i].At(j)
-			env[plan.v] = el
-			keep := true
-			for _, f := range l.filters {
-				ok, err := EvalTest(f, env)
-				if err != nil {
-					keep = true
-					break
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				kept = append(kept, el)
-			}
-		}
-		elems[i] = kept
+		c.prof.probes += l.probes
 	}
-	it := &joinIter{plan: plan, elems: elems, prof: c.prof}
-	it.idx = make([]*hashIndex, len(plan.steps))
-	for si := 1; si < len(plan.steps); si++ {
-		st := plan.steps[si]
-		if len(st.buildKeys) == 0 {
-			continue
-		}
-		it.idx[si] = buildIndex(elems[st.leaf], st.buildKeys)
-		c.prof.hashJoins++
+	return newJoinIter(plan, c.prof), true, nil
+}
+
+// scan reads the leaf through its pushed filters: the candidates the prefix
+// ranges left, minus those a remaining filter rejects. A filter error keeps
+// the element: the complete re-check reproduces whatever the materialized
+// evaluation would have raised for the pairs it actually forms. A leaf that
+// needs no element-wise filtering is returned as a view, not a copy.
+func (l *planLeaf) scan(v string, prof *pipeProfile) rows {
+	prof.scanned += l.size
+	rest := l.filters[l.used:]
+	if len(rest) == 0 && len(l.runs) == 1 {
+		return rows{set: l.runs[0]}
 	}
-	it.init()
-	return it, true, nil
+	kept := make([]value.Value, 0, l.size)
+	env := FEnv{}
+	for _, run := range l.runs {
+		for j := 0; j < run.Len(); j++ {
+			env[v] = run.At(j)
+			if keep, err := allTrue(rest, env); keep || err != nil {
+				kept = append(kept, run.At(j))
+			}
+		}
+	}
+	return rows{list: kept}
 }
 
 // hashIndex buckets one leaf's elements by their composite join key. The
@@ -288,13 +277,14 @@ type hashIndex struct {
 }
 
 // buildIndex hashes elems on the composite key paths.
-func buildIndex(elems []value.Value, keys []KeyPath) *hashIndex {
+func buildIndex(elems rows, keys []KeyPath) *hashIndex {
 	idx := &hashIndex{interned: value.InterningEnabled()}
 	if idx.interned {
-		idx.byID = make(map[intern.ID][]value.Value, len(elems))
+		idx.byID = make(map[intern.ID][]value.Value, elems.len())
 		in := intern.Global()
 		var buf []intern.ID
-		for _, e := range elems {
+		for i := 0; i < elems.len(); i++ {
+			e := elems.at(i)
 			id, ok := joinKeyID(in, e, keys, &buf)
 			if !ok {
 				idx.loose = append(idx.loose, e)
@@ -304,8 +294,9 @@ func buildIndex(elems []value.Value, keys []KeyPath) *hashIndex {
 		}
 		return idx
 	}
-	idx.byStr = make(map[string][]value.Value, len(elems))
-	for _, e := range elems {
+	idx.byStr = make(map[string][]value.Value, elems.len())
+	for i := 0; i < elems.len(); i++ {
+		e := elems.at(i)
 		k, ok := joinKey(e, keys)
 		if !ok {
 			idx.loose = append(idx.loose, e)
@@ -316,29 +307,18 @@ func buildIndex(elems []value.Value, keys []KeyPath) *hashIndex {
 	return idx
 }
 
-// probe looks up the candidates matching the row's probe keys, appending
-// the loose bucket. ok=false when a probe key fails to apply to the bound
-// row, in which case the caller must fall back to the full leaf scan.
-func (idx *hashIndex) probe(row []value.Value, keys []leafPath, parts *[]value.Value, ids *[]intern.ID) ([]value.Value, bool) {
-	ps := (*parts)[:0]
-	for _, k := range keys {
-		v, ok := applyPath(row[k.leaf], k.path)
-		if !ok {
-			*parts = ps
-			return nil, false
-		}
-		ps = append(ps, v)
-	}
-	*parts = ps
+// lookup returns the candidates whose composite key equals parts, followed
+// by the loose bucket.
+func (idx *hashIndex) lookup(parts []value.Value, ids *[]intern.ID) []value.Value {
 	var bucket []value.Value
 	if idx.interned {
 		in := intern.Global()
 		var id intern.ID
-		if len(ps) == 1 {
-			id = in.Intern(ps[0])
+		if len(parts) == 1 {
+			id = in.Intern(parts[0])
 		} else {
 			is := (*ids)[:0]
-			for _, v := range ps {
+			for _, v := range parts {
 				is = append(is, in.Intern(v))
 			}
 			*ids = is
@@ -347,34 +327,37 @@ func (idx *hashIndex) probe(row []value.Value, keys []leafPath, parts *[]value.V
 		bucket = idx.byID[id]
 	} else {
 		var key string
-		if len(ps) == 1 {
-			key = ps[0].String()
+		if len(parts) == 1 {
+			key = parts[0].String()
 		} else {
-			key = value.NewTuple(ps...).String()
+			key = value.NewTuple(parts...).String()
 		}
 		bucket = idx.byStr[key]
 	}
 	if len(idx.loose) == 0 {
-		return bucket, true
+		return bucket
 	}
 	out := make([]value.Value, 0, len(bucket)+len(idx.loose))
 	out = append(out, bucket...)
 	out = append(out, idx.loose...)
-	return out, true
+	return out
 }
 
 // joinIter enumerates the join pipeline's rows with a cursor stack — one
 // level per plan step — reconstructing the original nested product element
-// and re-checking the complete test before emitting.
+// and re-checking the complete test before emitting. A step reads its leaf
+// when the first bound row reaches it, not before: a pipeline whose driving
+// scan comes up empty has filtered and indexed nothing.
 type joinIter struct {
-	plan  *joinPlan
-	elems [][]value.Value
-	idx   []*hashIndex
-	prof  *pipeProfile
+	plan *joinPlan
+	prof *pipeProfile
 
-	row   []value.Value   // current element per leaf
-	cand  [][]value.Value // candidate list per step depth
-	pos   []int           // cursor per step depth
+	ready []bool        // per step: scanned and, for a hash step, indexed
+	all   []rows        // per step: the leaf after its pushed filters (unused by probe steps)
+	idx   []*hashIndex  // per step: the index of a hash step
+	row   []value.Value // current element per leaf
+	cand  []rows        // candidates per step depth
+	pos   []int         // cursor per step depth
 	depth int
 	done  bool
 	env   FEnv          // complete-test environment, reused per row
@@ -382,25 +365,75 @@ type joinIter struct {
 	ids   []intern.ID   // probe scratch
 }
 
-func (it *joinIter) init() {
-	it.row = make([]value.Value, len(it.plan.leaves))
-	it.cand = make([][]value.Value, len(it.plan.steps))
-	it.pos = make([]int, len(it.plan.steps))
-	it.cand[0] = it.elems[it.plan.steps[0].leaf]
-	it.env = FEnv{}
+func newJoinIter(plan *joinPlan, prof *pipeProfile) *joinIter {
+	n := len(plan.steps)
+	return &joinIter{
+		plan: plan, prof: prof,
+		ready: make([]bool, n), all: make([]rows, n), idx: make([]*hashIndex, n),
+		row: make([]value.Value, len(plan.leaves)), cand: make([]rows, n), pos: make([]int, n),
+		env: FEnv{},
+	}
+}
+
+// candidates returns the elements step d offers the currently bound row:
+// the probed range or hash bucket of its join keys, or — for the driving
+// scan, a cross step, and a bound row to which a probe key does not apply —
+// the whole filtered leaf.
+func (it *joinIter) candidates(d int) rows {
+	st := &it.plan.steps[d]
+	l := &it.plan.leaves[st.leaf]
+	if !it.ready[d] && !st.probe {
+		it.ready[d] = true
+		it.all[d] = l.scan(it.plan.v, it.prof)
+		if len(st.buildKeys) > 0 {
+			it.idx[d] = buildIndex(it.all[d], st.buildKeys)
+			it.prof.hashJoins++
+		}
+	}
+	if len(st.probeKeys) > 0 && it.keyValues(st.probeKeys) {
+		if !st.probe {
+			return rows{list: it.idx[d].lookup(it.parts, &it.ids)}
+		}
+		r := l.set.PrefixRange(it.parts...)
+		it.prof.probes++
+		it.prof.scanned += r.Len()
+		return rows{set: r}
+	}
+	if st.probe {
+		it.prof.scanned += l.set.Len()
+		return rows{set: l.set}
+	}
+	return it.all[d]
+}
+
+// keyValues projects the bound row onto the probe keys, into it.parts.
+// ok=false when a key path does not apply to the row.
+func (it *joinIter) keyValues(keys []leafPath) (ok bool) {
+	it.parts = it.parts[:0]
+	for _, k := range keys {
+		v, ok := applyPath(it.row[k.leaf], k.path)
+		if !ok {
+			return false
+		}
+		it.parts = append(it.parts, v)
+	}
+	return true
 }
 
 // Next implements stream.Iterator: it advances the join odometer to the
-// next row of the reordered leaves whose hash-probed candidates survive the
+// next row of the reordered leaves whose probed candidates survive the
 // complete selection test, reconstructing the original product shape before
 // testing so pruning can never change the result.
 func (it *joinIter) Next() (value.Value, bool, error) {
 	if it.done {
 		return nil, false, nil
 	}
+	if !it.ready[0] {
+		it.cand[0] = it.candidates(0)
+	}
 	d := it.depth
 	for {
-		if it.pos[d] >= len(it.cand[d]) {
+		if it.pos[d] >= it.cand[d].len() {
 			d--
 			if d < 0 {
 				it.done = true
@@ -409,19 +442,10 @@ func (it *joinIter) Next() (value.Value, bool, error) {
 			continue
 		}
 		st := it.plan.steps[d]
-		it.row[st.leaf] = it.cand[d][it.pos[d]]
+		it.row[st.leaf] = it.cand[d].at(it.pos[d])
 		it.pos[d]++
 		if d+1 < len(it.plan.steps) {
-			next := it.plan.steps[d+1]
-			if it.idx[d+1] != nil {
-				c, ok := it.idx[d+1].probe(it.row, next.probeKeys, &it.parts, &it.ids)
-				if !ok {
-					c = it.elems[next.leaf]
-				}
-				it.cand[d+1] = c
-			} else {
-				it.cand[d+1] = it.elems[next.leaf]
-			}
+			it.cand[d+1] = it.candidates(d + 1)
 			it.pos[d+1] = 0
 			d++
 			continue

@@ -107,7 +107,7 @@ func TestPlanJoinPushdownAndEdges(t *testing.T) {
 	if len(plan.edges) != 1 {
 		t.Fatalf("got %d join edges, want 1", len(plan.edges))
 	}
-	plan.reorder([]int{10, 10})
+	plan.bind([]value.Set{rangeSet(10), rangeSet(10)})
 	// The filtered leaf estimates 10×selEq = 1 < 10, so it drives the scan
 	// and the other leaf is bound by a one-key hash join.
 	want := "scan leaf 0 [1 pushed filter(s)] est=1.0\nhash-join leaf 1 on 1 key(s) est=10.0\n"
@@ -134,9 +134,11 @@ func TestPlanJoinNestedPaths(t *testing.T) {
 	if e.b.leaf != 1 || len(e.b.path) != 1 || e.b.path[0] != 1 {
 		t.Fatalf("edge right side = leaf %d path %v, want leaf 1 path [1]", e.b.leaf, e.b.path)
 	}
-	plan.reorder([]int{3, 100})
-	if !strings.Contains(plan.Explain(), "hash-join leaf 1 on 1 key(s)") {
-		t.Fatalf("Explain lacks the hash-join step:\n%s", plan.Explain())
+	// E is a set of pairs and the key is its first component: the step reads
+	// E's sorted order, no index.
+	plan.bind([]value.Set{chainSet(3), chainSet(100)})
+	if !strings.Contains(plan.Explain(), "probe leaf 1 on prefix .1") {
+		t.Fatalf("Explain lacks the range-probe step:\n%s", plan.Explain())
 	}
 }
 

@@ -167,53 +167,16 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		}
 		return l.Product(r), nil
 	case algebra.Select:
-		// The streaming runtime's spine operators are polarity-transparent
-		// (σ/MAP/∪/× preserve polarity); polarity-sensitive subexpressions
-		// (Flip, defined constants) are leaves evaluated at the current
-		// polarity through the closure.
-		if !de.budget.NoStreaming && algebra.StreamEligible(e) {
-			return algebra.StreamEval(e, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
-				return de.eval(sub, positive, local)
-			})
-		}
-		if prod, isProd := ee.Of.(algebra.Product); isProd && !de.budget.NoHashJoin {
-			if lks, rks, ok := algebra.EquiJoinKeys(ee.Var, ee.Test); ok {
-				l, err := de.eval(prod.L, positive, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				r, err := de.eval(prod.R, positive, local)
-				if err != nil {
-					return value.Set{}, err
-				}
-				out, done, err := algebra.HashJoin(l, r, ee.Var, ee.Test, lks, rks, de.budget.MaxSetSize)
-				if err != nil {
-					return value.Set{}, err
-				}
-				if done {
-					return out, nil
-				}
-			}
-		}
-		of, err := de.eval(ee.Of, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return of.Select(func(v value.Value) (bool, error) {
-			return algebra.EvalTest(ee.Test, algebra.FEnv{ee.Var: v})
+		// σ and MAP are polarity-transparent, as is the whole spine the
+		// streaming runtime pipelines (σ/MAP/∪/× preserve polarity): the
+		// shared dispatch evaluates polarity-sensitive subexpressions (Flip,
+		// defined constants) at the current polarity through the closure.
+		return algebra.EvalSelect(ee, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
+			return de.eval(sub, positive, local)
 		})
 	case algebra.Map:
-		if !de.budget.NoStreaming && algebra.StreamEligible(e) {
-			return algebra.StreamEval(e, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
-				return de.eval(sub, positive, local)
-			})
-		}
-		of, err := de.eval(ee.Of, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return of.Map(func(v value.Value) (value.Value, error) {
-			return algebra.EvalF(ee.Out, algebra.FEnv{ee.Var: v})
+		return algebra.EvalMap(ee, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
+			return de.eval(sub, positive, local)
 		})
 	case algebra.IFP:
 		// IFP is an operator with its own inflationary semantics: the

@@ -201,29 +201,36 @@ type SubscriptionStats struct {
 	WallNS int64
 }
 
-// StreamStats describes one streamed pipeline evaluation by the streaming
-// execution runtime (internal/algebra StreamEval): one σ/MAP pipeline over a
-// product compiled into lazy iterators, with pushdown and hash-join steps.
-// One event per pipeline, emitted after the result set is collected.
+// StreamStats describes one evaluation by the planned runtime of
+// internal/algebra: a σ/MAP pipeline over a product compiled into lazy
+// iterators, with pushdown, range-probe and hash-join steps (StreamEval), or
+// a selection answered by a prefix probe of its operand's sorted order
+// (EvalSelect). One event per pipeline, emitted after the result set is
+// collected.
 type StreamStats struct {
 	// Op names the pipeline's root operator: "select", "map", "union",
 	// "product".
 	Op string
-	// Leaves counts the materialized leaf scans feeding the pipeline.
+	// Leaves counts the evaluated leaf sets feeding the pipeline.
 	Leaves int
-	// Scanned counts elements read from leaf scans — the unit the pushdown
-	// tests assert on: pushing a selective conjunct below a join shrinks the
-	// candidate lists without changing Scanned, while Tested shrinks because
-	// fewer full rows reach the complete test.
+	// Scanned counts the elements actually read from the leaves: a leaf that
+	// is scanned, filtered or hash-indexed counts every candidate its pushed
+	// constant conjuncts left, once; a leaf read through its sorted order
+	// counts what each probe returned. A pipeline whose driving scan is empty
+	// reads nothing.
 	Scanned int
+	// Probes counts binary-search prefix-range probes (value.Set.PrefixRange)
+	// of a leaf's sorted order: one per constant key of a narrowed scan, one
+	// per bound row of a range-probe join step.
+	Probes int
 	// Tested counts complete-test evaluations on assembled elements; Emitted
 	// counts elements that passed.
 	Tested  int
 	Emitted int
 	// Result is the cardinality of the collected (deduplicated) output.
 	Result int
-	// HashJoins counts hash-join steps in the chosen plan; Pushed counts
-	// conjuncts pushed into leaf scans.
+	// HashJoins counts hash-join indexes built (on first use — a step no row
+	// reaches builds none); Pushed counts conjuncts pushed into leaf scans.
 	HashJoins int
 	Pushed    int
 }

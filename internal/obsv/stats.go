@@ -148,6 +148,7 @@ func (s *Stats) Stream(v StreamStats) {
 	s.add(
 		"stream.pipelines", int64(1),
 		"stream.scanned", int64(v.Scanned),
+		"stream.probes", int64(v.Probes),
 		"stream.tested", int64(v.Tested),
 		"stream.emitted", int64(v.Emitted),
 		"stream.hashJoins", int64(v.HashJoins),
@@ -170,7 +171,7 @@ func (s *Stats) Stream(v StreamStats) {
 //	server.cache.hits|misses, server.compiles
 //	server.subscriptions, server.subscription.events|coalesced|wallNS,
 //	server.subscription.ends.<reason>
-//	stream.pipelines|scanned|tested|emitted|hashJoins|pushed
+//	stream.pipelines|scanned|probes|tested|emitted|hashJoins|pushed
 type Snapshot map[string]int64
 
 // Snapshot returns a copy of the current counters.

@@ -177,7 +177,7 @@ func (x *exprGen) expr(sh shape, depth int, scope []scopeEntry) algebra.Expr {
 	// Operator weights: binary set operators and σ dominate; × only builds
 	// pairs; IFP appears often enough to exercise every fixpoint path.
 	for {
-		switch x.g.intn(7) {
+		switch x.g.intn(9) {
 		case 0:
 			return algebra.Union{L: x.expr(sh, depth-1, scope), R: x.expr(sh, depth-1, scope)}
 		case 1:
@@ -201,10 +201,135 @@ func (x *exprGen) expr(sh shape, depth int, scope []scopeEntry) algebra.Expr {
 			v := x.fresh()
 			inner := append(append([]scopeEntry{}, scope...), scopeEntry{v, sh})
 			return algebra.IFP{Var: v, Body: x.expr(sh, depth-1, inner)}
+		case 6, 7:
+			if sh != shPair {
+				continue
+			}
+			if x.g.chance(2) {
+				return x.pointJoin(depth-1, scope)
+			}
+			return x.pointSelect(depth-1, scope, false)
 		default:
 			return x.leaf(sh, scope)
 		}
 	}
+}
+
+// conj folds atoms into a left-nested conjunction.
+func conj(atoms []algebra.FExpr) algebra.FExpr {
+	t := atoms[0]
+	for _, a := range atoms[1:] {
+		t = algebra.FAnd{L: t, R: a}
+	}
+	return t
+}
+
+// misfit returns an element that is not a pair, for planting in the operand
+// of a root point select: a scalar (a string — nothing else generates one,
+// so tests can tell a planted misfit from an integer literal), the empty
+// tuple or a set — .1 applies to none of them — or a 1-tuple, on which only
+// .2 fails, and only where the test gets that far.
+func (x *exprGen) misfit() value.Value {
+	switch x.g.intn(4) {
+	case 0:
+		return value.String("misfit")
+	case 1:
+		return value.NewTuple()
+	case 2:
+		return value.NewSet(x.randInt())
+	default:
+		return value.NewTuple(x.randInt())
+	}
+}
+
+// pointAtom emits a conjunct fixing a component of the projection to
+// constants: field = c, c = field, or field in {literal set}.
+func (x *exprGen) pointAtom(field algebra.FExpr) algebra.FExpr {
+	c := algebra.FConst{V: x.randInt()}
+	switch x.g.intn(3) {
+	case 0:
+		return algebra.FCmp{Op: algebra.OpEq, L: field, R: c}
+	case 1:
+		return algebra.FCmp{Op: algebra.OpEq, L: c, R: field}
+	default:
+		return algebra.FMem{Elem: field, Set: algebra.FConst{V: x.randSet(shInt)}}
+	}
+}
+
+// pointSelect emits the access-path shape: σ over a pair-shaped operand
+// whose test is one to three conjuncts, each fixing .1 or .2 to constants or
+// (one in four) being an ordinary atom — so a test may start with a
+// probe-able run on .1 (the first conjunct leans that way), continue it on
+// .2, start on .2 (no probe), or bury the constant behind another conjunct.
+// With misfit set, one operand in three also holds an element that is not a
+// pair: whether a projection applies to every element is exactly what
+// decides if the selection may be answered from the sorted order, and the
+// evaluator pairs must fail alike when it does not. The result shape is
+// shPair.
+func (x *exprGen) pointSelect(depth int, scope []scopeEntry, misfit bool) algebra.Expr {
+	v := x.fresh()
+	atoms := make([]algebra.FExpr, 1+x.g.intn(3))
+	for i := range atoms {
+		if x.g.chance(4) {
+			atoms[i] = x.test(shPair, v, 0)
+			continue
+		}
+		field := 1 + x.g.intn(2)
+		if i == 0 && x.g.chance(2) {
+			field = 1
+		}
+		atoms[i] = x.pointAtom(algebra.FField{Of: algebra.FVar{Name: v}, Idx: field})
+	}
+	of := x.expr(shPair, depth, scope)
+	if misfit && x.g.chance(3) {
+		of = algebra.Union{L: of, R: algebra.Lit{Set: value.NewSet(x.misfit())}}
+	}
+	return algebra.Select{Of: of, Var: v, Test: conj(atoms)}
+}
+
+// pointJoin emits the two-hop shape: σ over a product of two pair-shaped
+// leaves — the left one usually a pointSelect — joined on components of the
+// right leaf (.1, .2 or both, so the step can read the right leaf's sorted
+// order), sometimes with a constant conjunct on either leaf for the planner
+// to push, then MAP back onto a pair.
+func (x *exprGen) pointJoin(depth int, scope []scopeEntry) algebra.Expr {
+	v := x.fresh()
+	path := func(side, field int) algebra.FExpr {
+		return algebra.FField{Of: algebra.FField{Of: algebra.FVar{Name: v}, Idx: side}, Idx: field}
+	}
+	var atoms []algebra.FExpr
+	switch x.g.intn(4) {
+	case 0:
+		atoms = append(atoms, algebra.FCmp{Op: algebra.OpEq, L: path(1, 1), R: path(2, 2)})
+	case 1:
+		atoms = append(atoms,
+			algebra.FCmp{Op: algebra.OpEq, L: path(1, 1), R: path(2, 1)},
+			algebra.FCmp{Op: algebra.OpEq, L: path(2, 2), R: path(1, 2)})
+	default:
+		atoms = append(atoms, algebra.FCmp{Op: algebra.OpEq, L: path(1, 2), R: path(2, 1)})
+	}
+	if x.g.chance(2) {
+		a := x.pointAtom(path(1+x.g.intn(2), 1+x.g.intn(2)))
+		if x.g.chance(2) {
+			atoms = append([]algebra.FExpr{a}, atoms...)
+		} else {
+			atoms = append(atoms, a)
+		}
+	}
+	left := x.expr(shPair, depth-1, scope)
+	if !x.g.chance(3) {
+		left = x.pointSelect(depth-1, scope, false)
+	}
+	sel := algebra.Select{
+		Of:   algebra.Product{L: left, R: x.expr(shPair, depth-1, scope)},
+		Var:  v,
+		Test: conj(atoms),
+	}
+	w := x.fresh()
+	return algebra.Map{Of: sel, Var: w, Out: algebra.FTuple{Elems: []algebra.FExpr{
+		algebra.FField{Of: algebra.FField{Of: algebra.FVar{Name: w}, Idx: 1}, Idx: 1},
+		algebra.FField{Of: algebra.FField{Of: algebra.FVar{Name: w}, Idx: 2}, Idx: 2},
+	}}}
 }
 
 // joinPipeline emits the streaming runtime's target shape — σ over a
@@ -231,13 +356,6 @@ func (x *exprGen) joinPipeline(depth int, scope []scopeEntry) algebra.Expr {
 		return algebra.FCmp{Op: algebra.OpEq,
 			L: algebra.FArith{Op: algebra.OpMod, L: e, R: algebra.FConst{V: value.Int(2)}},
 			R: algebra.FConst{V: value.Int(0)}}
-	}
-	conj := func(atoms []algebra.FExpr) algebra.FExpr {
-		t := atoms[0]
-		for _, a := range atoms[1:] {
-			t = algebra.FAnd{L: t, R: a}
-		}
-		return t
 	}
 	leaf := func() algebra.Expr { return x.expr(shInt, depth-1, scope) }
 	if depth >= 1 && x.g.chance(3) {
@@ -286,13 +404,30 @@ func (g *Gen) newExprGen() *exprGen {
 // depth returns the expression depth budget for the configured size.
 func (g *Gen) depth() int { return 2 + g.cfg.Size/2 }
 
-// ExprInstance generates a database and a well-kinded expression over it, of
-// a random element shape. Expressions may contain IFP (including non-positive
-// bodies — IFP is inflationary regardless) but no Call and no Flip.
+// ExprInstance generates a database and an expression over it, of a random
+// element shape. Expressions may contain IFP (including non-positive bodies —
+// IFP is inflationary regardless) but no Call and no Flip. They are
+// well-kinded with one exception: a quarter of the instances are rooted at a
+// point shape, so the access paths are reached on every such draw rather
+// than only where the generic recursion happens to emit one, and a root
+// point select may hold a misfit in its operand — at the root only, where no
+// operator above can see the ill-kinded element: the oracles of this family
+// pair two evaluators, which must fail alike, while join pipelines promise
+// equal results on error-free evaluations only, and the families that feed
+// translation oracles must stay well-kinded altogether (deduction drops a
+// non-matching element where the algebra raises a kind error).
 func (g *Gen) ExprInstance() *ExprInstance {
 	x := g.newExprGen()
 	db, scope := x.db()
-	return &ExprInstance{DB: db, Expr: x.expr(shape(g.intn(2)), g.depth(), scope)}
+	sh := shape(g.intn(2))
+	switch {
+	case sh != shPair || g.chance(2):
+		return &ExprInstance{DB: db, Expr: x.expr(sh, g.depth(), scope)}
+	case g.chance(2):
+		return &ExprInstance{DB: db, Expr: x.pointJoin(g.depth()-1, scope)}
+	default:
+		return &ExprInstance{DB: db, Expr: x.pointSelect(g.depth()-1, scope, true)}
+	}
 }
 
 // IFPExprInstance generates a database and an expression guaranteed to

@@ -14,13 +14,18 @@
 // Construction is type-directed. Expressions carry an element shape (int or
 // pair-of-ints); each operator is only emitted where its operand shapes make
 // the result well-kinded, so generated expressions never fail evaluation
-// with kind errors. All integer arithmetic is passed through mod-c with a
-// small positive c, which keeps the active domain finite and every IFP
-// convergent within modest budgets (the paper's framework allows divergent
-// fixpoints; finite instances keep the differential harness fast). Datalog
-// rules are safe by construction in the sense of Definition 4.1: bodies
-// start with positive atoms binding every variable, and comparisons, negated
-// atoms and head arguments use bound variables only.
+// with kind errors — with one deliberate exception: an ExprInstance rooted
+// at a point select sometimes holds a non-pair in the selection's operand
+// (expr.go, misfit), because whether a projection applies to every element
+// is exactly what decides if a selection may be answered from the sorted
+// order, and the evaluator pairs must fail alike when it does not. All
+// integer arithmetic is passed through mod-c with a small positive c, which
+// keeps the active domain finite and every IFP convergent within modest
+// budgets (the paper's framework allows divergent fixpoints; finite
+// instances keep the differential harness fast). Datalog rules are safe by
+// construction in the sense of Definition 4.1: bodies start with positive
+// atoms binding every variable, and comparisons, negated atoms and head
+// arguments use bound variables only.
 package randgen
 
 import (

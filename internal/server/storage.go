@@ -12,6 +12,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/ivm"
 	"algrec/internal/storage"
 	"algrec/internal/value"
 	"algrec/internal/value/intern"
@@ -146,7 +147,10 @@ func (r *registry) openDisk() ([]string, error) {
 // concurrent readers; the cache is guarded by mu, which is never held while
 // scanning the store — a cache miss materializes unlocked and publishes
 // under an epoch check, so a mutation landing mid-scan simply discards the
-// stale result instead of blocking.
+// stale result instead of blocking. Writers keep the cache warm: a wholesale
+// load seeds it with the sets it stored (reseed) and a fact mutation advances
+// the cached copies of the relations it touched (advance), so reads after a
+// write find a current set to probe instead of re-materializing it.
 type entryStore struct {
 	st      storage.Store
 	in      *intern.Interner
@@ -240,25 +244,68 @@ func (es *entryStore) invalidate(names []string) {
 	defer es.mu.Unlock()
 	es.epoch++
 	for _, n := range names {
+		es.drop(n)
+	}
+}
+
+// drop removes one relation from the cache. Called with mu held.
+func (es *entryStore) drop(name string) {
+	if s, ok := es.mat[name]; ok {
+		es.matRows -= s.Len()
+		delete(es.mat, name)
+	}
+}
+
+// advance carries the cached copies of the touched relations across a fact
+// mutation the store has just applied, instead of dropping them: each becomes
+// ivm.ApplyDB of itself — the function the memory-resident path keeps its
+// whole database current with — so the next read finds the post-mutation set
+// cached rather than paying storage.MaterializeSet again. Relations that were
+// not cached stay uncached; one that outgrows the row budget is dropped. The
+// epoch moves as in invalidate.
+func (es *entryStore) advance(touched []string, ins, del []datalog.Fact) {
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	es.epoch++
+	cached := algebra.DB{}
+	for _, n := range touched {
 		if s, ok := es.mat[n]; ok {
-			es.matRows -= s.Len()
-			delete(es.mat, n)
+			cached[n] = s
+		}
+	}
+	if len(cached) == 0 {
+		return
+	}
+	next := ivm.ApplyDB(cached, ins, del)
+	for n, old := range cached {
+		es.mat[n] = next[n]
+		es.matRows += next[n].Len() - old.Len()
+		if es.matRows > es.budget {
+			es.drop(n)
 		}
 	}
 }
 
-// invalidateAll empties the cache and bumps the epoch.
-func (es *entryStore) invalidateAll() {
+// reseed replaces the cache with the sets a wholesale load just stored, as
+// far as the row budget goes, and bumps the epoch: the first query after a
+// PUT or a restore reads what was loaded, not a re-materialization of it.
+func (es *entryStore) reseed(db algebra.DB, names []string) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	es.epoch++
 	es.mat = map[string]value.Set{}
 	es.matRows = 0
+	for _, n := range names {
+		if s := db[n]; es.matRows+s.Len() <= es.budget {
+			es.mat[n] = s
+			es.matRows += s.Len()
+		}
+	}
 }
 
 // replace swaps the store's entire contents for db in one atomic batch:
 // relations not in db are dropped, the rest reset to their new rows, sorted
-// so the log is deterministic.
+// so the log is deterministic. The cache is reseeded from db.
 func (es *entryStore) replace(db algebra.DB) error {
 	infos, err := es.st.Rels()
 	if err != nil {
@@ -282,14 +329,16 @@ func (es *entryStore) replace(db algebra.DB) error {
 	if err := es.st.Apply(b); err != nil {
 		return err
 	}
-	es.invalidateAll()
+	es.reseed(db, names)
 	return nil
 }
 
 // applyFacts applies one fact mutation (deletes before inserts, matching
 // ivm.ApplyDB) to the store. Facts whose shape disagrees with the stored
 // relation's arity fall back to storage.RearityBatch, which re-encodes the
-// relation in the heterogeneous arity-1 form. Called under the entry mutex.
+// relation in the heterogeneous arity-1 form; cached copies of the touched
+// relations are dropped then, and advanced in place otherwise. Called under
+// the entry mutex.
 func (es *entryStore) applyFacts(ins, del []datalog.Fact) error {
 	b, touched, err := es.factsBatch(ins, del)
 	if err != nil {
@@ -309,8 +358,11 @@ func (es *entryStore) applyFacts(ins, del []datalog.Fact) error {
 		if err := es.st.Apply(rb); err != nil {
 			return err
 		}
+		// The relation was re-encoded wholesale; re-read it on demand.
+		es.invalidate(touched)
+		return nil
 	}
-	es.invalidate(touched)
+	es.advance(touched, ins, del)
 	return nil
 }
 

@@ -77,6 +77,57 @@ func (s Set) Has(v Value) bool {
 	return false
 }
 
+// PrefixRange returns the elements of s that are tuples whose first
+// len(prefix) components equal prefix, as a set sharing s's storage: no
+// element is copied. Tuples order lexicographically, so those elements are
+// one contiguous run of the canonical order — the sorted form is a clustered
+// index on the leading components — and a binary search for its start plus
+// a galloping search for its end (runs are short next to the set) find it in
+// O(len(prefix)·log |s|) comparisons, whatever else s holds: scalars, sets
+// and tuples shorter than the prefix simply fall outside the run. With no
+// prefix the run is every tuple of s.
+func (s Set) PrefixRange(prefix ...Value) Set {
+	n := len(s.elems)
+	lo := sort.Search(n, func(i int) bool { return comparePrefix(s.elems[i], prefix) >= 0 })
+	// Double w until s.elems[lo+w-1] is past the run (or past the set): the
+	// run ends between lo+w/2, the last index seen inside plus one, and there.
+	w := 1
+	for lo+w <= n && comparePrefix(s.elems[lo+w-1], prefix) == 0 {
+		w *= 2
+	}
+	from, to := lo+w/2, min(lo+w-1, n)
+	hi := from + sort.Search(to-from, func(i int) bool { return comparePrefix(s.elems[from+i], prefix) > 0 })
+	switch {
+	case lo == hi:
+		return Set{}
+	case lo == 0 && hi == len(s.elems):
+		return s
+	default:
+		return setFromSorted(s.elems[lo:hi:hi])
+	}
+}
+
+// comparePrefix places e relative to the run of tuples starting with prefix:
+// −1 when e sorts before the run, 0 inside it, +1 after it.
+func comparePrefix(e Value, prefix []Value) int {
+	t, ok := e.(Tuple)
+	if !ok {
+		if e.Kind() < KindTuple {
+			return -1
+		}
+		return 1
+	}
+	for i, p := range prefix {
+		if i == len(t.elems) {
+			return -1 // a proper prefix of the prefix sorts before every extension
+		}
+		if c := t.elems[i].Compare(p); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // Insert returns s ∪ {v} (the paper's INS).
 func (s Set) Insert(v Value) Set {
 	at := sort.Search(len(s.elems), func(i int) bool { return s.elems[i].Compare(v) >= 0 })
@@ -252,10 +303,10 @@ func (s Set) Subset(t Set) bool {
 
 // Compare implements Value.
 func (s Set) Compare(other Value) int {
-	if c := compareKinds(s, other); c != 0 {
-		return c
+	o, same := other.(Set)
+	if !same {
+		return compareKinds(KindSet, other.Kind())
 	}
-	o := other.(Set)
 	if cachedEqual(s.c, o.c) {
 		return 0
 	}

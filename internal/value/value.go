@@ -217,10 +217,10 @@ func (t Tuple) Elems() []Value {
 
 // Compare implements Value.
 func (b Bool) Compare(other Value) int {
-	if c := compareKinds(b, other); c != 0 {
-		return c
+	o, same := other.(Bool)
+	if !same {
+		return compareKinds(KindBool, other.Kind())
 	}
-	o := other.(Bool)
 	switch {
 	case b == o:
 		return 0
@@ -233,10 +233,10 @@ func (b Bool) Compare(other Value) int {
 
 // Compare implements Value.
 func (i Int) Compare(other Value) int {
-	if c := compareKinds(i, other); c != 0 {
-		return c
+	o, same := other.(Int)
+	if !same {
+		return compareKinds(KindInt, other.Kind())
 	}
-	o := other.(Int)
 	switch {
 	case i < o:
 		return -1
@@ -249,34 +249,33 @@ func (i Int) Compare(other Value) int {
 
 // Compare implements Value.
 func (s String) Compare(other Value) int {
-	if c := compareKinds(s, other); c != 0 {
-		return c
+	o, same := other.(String)
+	if !same {
+		return compareKinds(KindString, other.Kind())
 	}
-	return strings.Compare(string(s), string(other.(String)))
+	return strings.Compare(string(s), string(o))
 }
 
 // Compare implements Value.
 func (t Tuple) Compare(other Value) int {
-	if c := compareKinds(t, other); c != 0 {
-		return c
+	o, same := other.(Tuple)
+	if !same {
+		return compareKinds(KindTuple, other.Kind())
 	}
-	o := other.(Tuple)
 	if cachedEqual(t.c, o.c) {
 		return 0
 	}
 	return compareSlices(t.elems, o.elems)
 }
 
-func compareKinds(a, b Value) int {
-	ka, kb := a.Kind(), b.Kind()
-	switch {
-	case ka < kb:
+// compareKinds orders values of different kinds. It takes the kinds, not
+// the values: passing a scalar receiver as a Value would box it on every
+// comparison.
+func compareKinds(ka, kb Kind) int {
+	if ka < kb {
 		return -1
-	case ka > kb:
-		return 1
-	default:
-		return 0
 	}
+	return 1
 }
 
 func compareSlices(a, b []Value) int {
