@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates bench-test bench-smoke fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates bench-test bench-smoke bench-runs fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
 
 all: check
 
@@ -111,6 +111,14 @@ bench-test:
 bench-smoke:
 	go run -C benchmark algrec/benchmark -smoke
 
+# bench-runs records one point of the per-PR curve: the benchmark's five
+# workloads end to end plus the traced run, five times, into BENCH_<pr>.json
+# at the repository root (commit it with the change it measures; compare two
+# of them with `go run -C benchmark algrec/benchmark -compare OLD NEW`).
+# About a quarter of an hour.
+bench-runs:
+	go run -C benchmark algrec/benchmark -seed 1 -runs 5 -out ../BENCH_19.json
+
 # bench-storage reruns just the pluggable-storage experiment (P12): the
 # serving path against the memory and disk backends plus the bulk-load
 # round-trip, printed as a table.
@@ -149,9 +157,13 @@ bench-idsets:
 
 # bench-ivm measures incremental view maintenance alone: the P11 macro A/B
 # (counting/DRed delta maintenance vs the -noivm from-scratch recompute
-# baseline, per-view Budget switch).
+# baseline, per-view Budget switch) — which measures inserts only — and the
+# delete side as Go benchmarks with allocation counts: the write workload's
+# leaf-churn batch and a delete that over-deletes a 64-row cone, both over a
+# 10^4-edge hierarchy.
 bench-ivm:
 	go run ./cmd/bench -only P11
+	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete' -benchmem
 
 clean:
 	go clean ./...

@@ -1,27 +1,30 @@
 package ivm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/ground"
+	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
 	"algrec/internal/value/intern"
 )
 
 // engine is the incremental maintenance state of one stratified datalog
-// plan. Facts are stored as interned row IDs (InternTuple over the interned
-// arguments — the idset kernels' representation), one relation per
-// predicate, and the predicate dependency graph is condensed into strongly
-// connected components processed in topological order. Each batch flows
-// through the components bottom-up, so when a component runs, every lower
-// predicate already has its final new state and its batch membership delta.
+// plan. Facts live in flat ID tables (table.go), one per predicate and
+// arity; rules are compiled into one join plan per entry pattern
+// (compile.go) and executed over frames of IDs (exec.go). The predicate
+// dependency graph is condensed into strongly connected components processed
+// in topological order: each batch flows through the components bottom-up,
+// so when a component runs, every lower predicate already has its final new
+// state and its batch membership delta.
 type engine struct {
 	plan   *query.Plan
-	rules  []compiledRule
+	rules  []*compiledRule
 	rels   map[string]*relation
 	units  []*unit
 	unitOf map[string]*unit
@@ -30,75 +33,20 @@ type engine struct {
 	budget   algebra.Budget // WithDefaults applied; Stop polled between phases
 	maxFacts int            // total stored rows (from ground.Budget.MaxAtoms)
 	maxWork  int            // per-batch join work (from ground.Budget.MaxRules)
-	work     int
 	nfacts   int
-}
 
-// compiledRule is one non-fact rule with its executable body plan and the
-// combined literal order used for delta pivoting: the positive atoms by plan
-// position, then the negated atoms.
-type compiledRule struct {
-	rule datalog.Rule
-	plan datalog.BodyPlan
-	lits []litRef
-}
+	run    run // the one rule execution in flight
+	lookup func(datalog.Var) (value.Value, bool)
+	rowBuf []intern.ID
 
-type litRef struct {
-	neg  bool
-	atom datalog.Atom
-}
-
-// relKind says what supports a derived row's membership.
-type relKind uint8
-
-const (
-	relBase     relKind = iota // no rules: membership is base membership
-	relCounting                // non-recursive: support counts
-	relDRed                    // recursive: derivable flag, DRed-maintained
-)
-
-// relation is the stored state of one predicate. Current membership is
-// exactly the rows map; added/removed track the in-flight batch's membership
-// delta (removed keeps the row arguments so the pre-batch state stays
-// enumerable); progBase/dbBase are the program's fact rules and the
-// database's facts; count and derived are the per-kind support state.
-type relation struct {
-	name string
-	kind relKind
-
-	rows    map[intern.ID][]value.Value
-	added   map[intern.ID]bool
-	removed map[intern.ID][]value.Value
-
-	progBase map[intern.ID]bool
-	dbBase   map[intern.ID]bool
-
-	count   map[intern.ID]int64 // relCounting: derivation counts
-	derived map[intern.ID]bool  // relDRed: derivable flag
-
-	// idx are lazily built per-position indexes: argument ID → row IDs. An
-	// index always covers rows ∪ removed (so the old state is probeable) and
-	// is kept exact by addRow/removeRow plus an end-of-batch purge.
-	idx map[int]map[intern.ID][]intern.ID
-
-	// pendingBase are the rows whose base membership this batch touched,
-	// consumed when the predicate's unit runs.
-	pendingBase map[intern.ID][]value.Value
-}
-
-// member reports current membership from the support state (the rows map is
-// kept in sync with it at unit boundaries).
-func (r *relation) member(id intern.ID) bool {
-	if r.progBase[id] || r.dbBase[id] {
-		return true
-	}
-	switch r.kind {
-	case relCounting:
-		return r.count[id] > 0
-	case relDRed:
-		return r.derived[id]
-	}
-	return false
+	// Per-batch accounting, reset by apply: join steps charged against
+	// maxWork, index probes and full scans, whether the batch was answered by
+	// a rebuild, and — only when the view reports to a collector (observed) —
+	// what each unit did.
+	work, probes, scans int
+	rebuilt             bool
+	observed            bool
+	unitStats           []obsv.IVMUnit
 }
 
 // unit is one strongly connected component of the predicate dependency
@@ -107,41 +55,18 @@ type unit struct {
 	preds     map[string]bool
 	order     []string // sorted
 	recursive bool
-	rules     []int // indices into engine.rules with head in the unit
+	rules     []*compiledRule // rules with their head in the unit
 }
 
-// signedRow is one entry of a relation's batch membership delta.
-type signedRow struct {
-	id   intern.ID
-	args []value.Value
-	sign int // +1 added, -1 removed
+// rowRef names one row of one table: a worklist entry.
+type rowRef struct {
+	t *table
+	r int32
 }
 
-func (r *relation) deltaRows() []signedRow {
-	if len(r.added)+len(r.removed) == 0 {
-		return nil
-	}
-	out := make([]signedRow, 0, len(r.added)+len(r.removed))
-	for id := range r.added {
-		out = append(out, signedRow{id, r.rows[id], +1})
-	}
-	for id, args := range r.removed {
-		out = append(out, signedRow{id, args, -1})
-	}
-	return out
-}
-
-// baseFact is one base-level insertion: a database fact or (during the
-// initial build) a program fact rule.
-type baseFact struct {
-	f    datalog.Fact
-	prog bool
-}
-
-// newEngine compiles the plan's program and runs the initial evaluation as a
-// mutation batch from the empty state — insertion maintenance from nothing
-// is exactly a from-scratch semi-naive evaluation.
-func newEngine(plan *query.Plan, db algebra.DB, opts query.Options) (*engine, error) {
+// newEngine compiles the plan's program, loads the base facts and runs the
+// initial evaluation.
+func newEngine(plan *query.Plan, db algebra.DB, opts query.Options, observed bool) (*engine, error) {
 	gb := opts.Ground
 	if gb.MaxAtoms <= 0 {
 		gb.MaxAtoms = ground.DefaultBudget.MaxAtoms
@@ -157,59 +82,63 @@ func newEngine(plan *query.Plan, db algebra.DB, opts query.Options) (*engine, er
 		budget:   opts.Budget.WithDefaults(),
 		maxFacts: gb.MaxAtoms,
 		maxWork:  gb.MaxRules,
+		observed: observed,
 	}
-	var ins []baseFact
+	e.lookup = e.run.lookup
+	var progFacts []datalog.Fact
 	for _, r := range plan.Program.Rules {
 		if r.IsFact() {
 			f, err := datalog.EvalGroundAtom(r.Head, nil)
 			if err != nil {
 				return nil, err
 			}
-			ins = append(ins, baseFact{f: f, prog: true})
+			progFacts = append(progFacts, f)
 			continue
 		}
-		bp, err := datalog.PlanRule(r)
+		cr, err := e.compileRule(r)
 		if err != nil {
 			return nil, err // incrementalOK pre-checked; defensive
-		}
-		cr := compiledRule{rule: r, plan: bp}
-		for _, st := range bp.Steps {
-			if st.Kind == datalog.StepMatch {
-				cr.lits = append(cr.lits, litRef{atom: st.Atom})
-			}
-		}
-		// Positive atoms in PosIdx order: plan steps emit them in that order.
-		for _, na := range bp.Negs {
-			cr.lits = append(cr.lits, litRef{neg: true, atom: na})
 		}
 		e.rules = append(e.rules, cr)
 	}
 	e.buildUnits()
-	for _, f := range query.DBFacts(db) {
-		ins = append(ins, baseFact{f: f})
+	for _, f := range progFacts {
+		t, r := e.factRow(f, true)
+		t.flags[r] |= fProg
 	}
-	if _, err := e.applyBatch(ins, nil); err != nil {
+	for name, s := range db {
+		rel := e.relFor(name)
+		for i := 0; i < s.Len(); i++ {
+			t, r := e.elemRow(rel, s.At(i))
+			if t.flags[r]&fDB == 0 {
+				t.flags[r] |= fDB
+				rel.ndb++
+			}
+		}
+	}
+	if err := e.build(); err != nil {
 		return nil, err
 	}
+	e.finishBatch()
 	return e, nil
 }
 
 // buildUnits condenses the predicate dependency graph (head → body, positive
 // and negative edges) into SCCs via Tarjan's algorithm, which emits
-// components in dependency order (bodies before heads), and creates the
-// relations.
+// components in dependency order (bodies before heads), and fixes each
+// relation's maintenance strategy.
 func (e *engine) buildUnits() {
 	preds := e.plan.Program.Preds()
 	adj := map[string][]string{}
 	self := map[string]bool{}
 	hasRules := map[string]bool{}
-	for i := range e.rules {
-		cr := &e.rules[i]
+	for _, cr := range e.rules {
 		h := cr.rule.Head.Pred
 		hasRules[h] = true
-		for _, lr := range cr.lits {
-			adj[h] = append(adj[h], lr.atom.Pred)
-			if lr.atom.Pred == h {
+		for _, l := range cr.lits {
+			p := l.t.rel.name
+			adj[h] = append(adj[h], p)
+			if p == h {
 				self[h] = true
 			}
 		}
@@ -267,35 +196,19 @@ func (e *engine) buildUnits() {
 		for _, p := range comp {
 			u.preds[p] = true
 			e.unitOf[p] = u
-			kind := relBase
 			if hasRules[p] {
-				kind = relCounting
+				e.relFor(p).kind = relCounting
 				if u.recursive {
-					kind = relDRed
+					e.relFor(p).kind = relDRed
 				}
 			}
-			e.rels[p] = newRelation(p, kind)
 		}
-		for i := range e.rules {
-			if u.preds[e.rules[i].rule.Head.Pred] {
-				u.rules = append(u.rules, i)
+		for _, cr := range e.rules {
+			if u.preds[cr.rule.Head.Pred] {
+				u.rules = append(u.rules, cr)
 			}
 		}
 		e.units = append(e.units, u)
-	}
-}
-
-func newRelation(name string, kind relKind) *relation {
-	return &relation{
-		name:     name,
-		kind:     kind,
-		rows:     map[intern.ID][]value.Value{},
-		added:    map[intern.ID]bool{},
-		removed:  map[intern.ID][]value.Value{},
-		progBase: map[intern.ID]bool{},
-		dbBase:   map[intern.ID]bool{},
-		count:    map[intern.ID]int64{},
-		derived:  map[intern.ID]bool{},
 	}
 }
 
@@ -305,39 +218,71 @@ func (e *engine) relFor(pred string) *relation {
 	if r, ok := e.rels[pred]; ok {
 		return r
 	}
-	r := newRelation(pred, relBase)
+	r := &relation{name: pred}
 	e.rels[pred] = r
 	return r
 }
 
-// rowID interns a row as a tuple of interned argument IDs.
-func (e *engine) rowID(args []value.Value) intern.ID {
-	ids := make([]intern.ID, len(args))
-	for i, a := range args {
-		ids[i] = e.in.Intern(a)
+// factRow maps a fact to its table and row. With create unset, a fact the
+// engine holds no row for yields noRow (and possibly a nil table).
+func (e *engine) factRow(f datalog.Fact, create bool) (*table, int32) {
+	rel, ok := e.rels[f.Pred]
+	if !ok {
+		if !create {
+			return nil, noRow
+		}
+		rel = e.relFor(f.Pred)
 	}
-	return e.in.InternTuple(ids...)
+	e.rowBuf = e.rowBuf[:0]
+	for _, a := range f.Args {
+		e.rowBuf = append(e.rowBuf, e.in.Intern(a))
+	}
+	if create {
+		t := rel.tableFor(len(f.Args))
+		return t, t.intern(e.rowBuf)
+	}
+	t := rel.table(len(f.Args))
+	if t == nil {
+		return nil, noRow
+	}
+	return t, t.find(e.rowBuf)
 }
 
-// addRow makes id a current member. The index invariant (lists cover
-// rows ∪ removed exactly once) makes re-adding a row removed earlier in the
-// batch a pure map move.
-func (e *engine) addRow(r *relation, id intern.ID, args []value.Value) error {
-	if _, ok := r.rows[id]; ok {
-		return nil
-	}
-	r.rows[id] = args
-	if _, wasRemoved := r.removed[id]; wasRemoved {
-		delete(r.removed, id)
+// elemRow maps a database set element to its row under query.DBFacts'
+// convention — a tuple is an n-ary fact, anything else a unary one —
+// creating the row. An element the interner has already seen whole gives up
+// its component IDs without a lookup per component.
+func (e *engine) elemRow(rel *relation, elem value.Value) (*table, int32) {
+	tup, ok := elem.(value.Tuple)
+	if !ok {
+		e.rowBuf = append(e.rowBuf[:0], e.in.Intern(elem))
+	} else if id := value.InternID(elem); id != 0 {
+		e.rowBuf = append(e.rowBuf[:0], e.in.Elems(intern.ID(id))...)
 	} else {
-		r.added[id] = true
-		for pos, m := range r.idx {
-			if pos < len(args) {
-				aid := e.in.Intern(args[pos])
-				m[aid] = append(m[aid], id)
-			}
+		e.rowBuf = e.rowBuf[:0]
+		for i := 0; i < tup.Len(); i++ {
+			e.rowBuf = append(e.rowBuf, e.in.Intern(tup.At(i)))
 		}
 	}
+	t := rel.tableFor(len(e.rowBuf))
+	return t, t.intern(e.rowBuf)
+}
+
+// addRow makes row r a member. Re-adding a row removed earlier in the batch
+// is a pure flag flip: its slot and index entries never left.
+func (e *engine) addRow(t *table, r int32) error {
+	f := t.flags[r]
+	if f&fLive != 0 {
+		return nil
+	}
+	f |= fLive
+	if f&fRemoved != 0 {
+		f &^= fRemoved
+	} else {
+		f |= fAdded
+	}
+	t.flags[r] = f
+	t.touch(r)
 	e.nfacts++
 	if e.nfacts > e.maxFacts {
 		return fmt.Errorf("%w: ivm stores more than %d facts", algebra.ErrBudget, e.maxFacts)
@@ -345,134 +290,137 @@ func (e *engine) addRow(r *relation, id intern.ID, args []value.Value) error {
 	return nil
 }
 
-// removeRow makes id a non-member; its index entries stay until the
-// end-of-batch purge so the old state remains probeable.
-func (e *engine) removeRow(r *relation, id intern.ID) {
-	args, ok := r.rows[id]
-	if !ok {
+// removeRow makes row r a non-member; its slot and index entries stay until
+// the batch ends so the old state remains probeable.
+func (e *engine) removeRow(t *table, r int32) {
+	f := t.flags[r]
+	if f&fLive == 0 {
 		return
 	}
-	delete(r.rows, id)
-	if r.added[id] {
-		delete(r.added, id)
+	f &^= fLive
+	if f&fAdded != 0 {
+		f &^= fAdded
 	} else {
-		r.removed[id] = args
+		f |= fRemoved
 	}
+	t.flags[r] = f
+	t.touch(r)
 	e.nfacts--
 }
 
-// index returns the relation's per-position index, building it on first use
-// over rows ∪ removed.
-func (e *engine) index(r *relation, pos int) map[intern.ID][]intern.ID {
-	if r.idx == nil {
-		r.idx = map[int]map[intern.ID][]intern.ID{}
+// settle brings row r's membership in line with its support.
+func (e *engine) settle(t *table, r int32) error {
+	want, have := t.supported(r), t.flags[r]&fLive != 0
+	switch {
+	case want && !have:
+		return e.addRow(t, r)
+	case have && !want:
+		e.removeRow(t, r)
 	}
-	m, ok := r.idx[pos]
-	if ok {
-		return m
-	}
-	m = map[intern.ID][]intern.ID{}
-	fill := func(id intern.ID, args []value.Value) {
-		if pos < len(args) {
-			aid := e.in.Intern(args[pos])
-			m[aid] = append(m[aid], id)
-		}
-	}
-	for id, args := range r.rows {
-		fill(id, args)
-	}
-	for id, args := range r.removed {
-		fill(id, args)
-	}
-	r.idx[pos] = m
-	return m
+	return nil
 }
 
-// apply runs one database mutation batch.
+// apply runs one database mutation batch: deletions before insertions (View.
+// Apply documents the order). A batch that outruns its work budget is not an
+// error: the engine rebuilds from its post-batch base facts, and the batch's
+// delta is the difference to the pre-batch membership, which the in-flight
+// bookkeeping still describes.
 func (e *engine) apply(insert, del []datalog.Fact) (*ResultDelta, error) {
-	ins := make([]baseFact, len(insert))
-	for i, f := range insert {
-		ins[i] = baseFact{f: f}
-	}
-	return e.applyBatch(ins, del)
-}
-
-// applyBatch updates base membership, then processes the units bottom-up,
-// and finally collects the membership delta and resets the batch state.
-// Deletions apply before insertions (View.Apply documents the order).
-func (e *engine) applyBatch(ins []baseFact, del []datalog.Fact) (*ResultDelta, error) {
-	e.work = 0
-	noteBase := func(r *relation, id intern.ID, args []value.Value) {
-		if r.pendingBase == nil {
-			r.pendingBase = map[intern.ID][]value.Value{}
-		}
-		r.pendingBase[id] = args
-	}
+	e.work, e.probes, e.scans, e.rebuilt = 0, 0, 0, false
+	e.unitStats = e.unitStats[:0]
 	for _, f := range del {
-		r, ok := e.rels[f.Pred]
-		if !ok {
-			continue // deleting from an unknown predicate is a no-op
-		}
-		id := e.rowID(f.Args)
-		if r.dbBase[id] {
-			delete(r.dbBase, id)
-			noteBase(r, id, f.Args)
+		t, r := e.factRow(f, false)
+		if r != noRow && t.flags[r]&fDB != 0 {
+			t.flags[r] &^= fDB
+			t.rel.ndb--
+			t.pending = append(t.pending, r)
 		}
 	}
-	for _, bf := range ins {
-		r := e.relFor(bf.f.Pred)
-		id := e.rowID(bf.f.Args)
-		base := r.dbBase
-		if bf.prog {
-			base = r.progBase
-		}
-		if !base[id] {
-			base[id] = true
-			noteBase(r, id, bf.f.Args)
+	for _, f := range insert {
+		t, r := e.factRow(f, true)
+		if t.flags[r]&fDB == 0 {
+			t.flags[r] |= fDB
+			t.rel.ndb++
+			t.pending = append(t.pending, r)
 		}
 	}
-	// Predicates outside every unit (database-only) have no rules: their
-	// membership is their base membership.
-	for _, r := range e.rels {
-		if e.unitOf[r.name] != nil {
-			continue
-		}
-		if err := e.finalizeBase(r); err != nil {
-			return nil, err
-		}
+	err := e.maintain()
+	if errors.Is(err, algebra.ErrBudget) {
+		e.rebuilt = true
+		e.reset()
+		err = e.build()
 	}
-	for _, u := range e.units {
-		if err := e.budget.Stop(); err != nil {
-			return nil, err
-		}
-		var err error
-		if u.recursive {
-			err = e.applyDRed(u)
-		} else {
-			err = e.applyCounting(u)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return e.finishBatch(), nil
 }
 
-// finalizeBase syncs a no-rules relation's rows with its base membership.
-func (e *engine) finalizeBase(r *relation) error {
-	for id, args := range r.pendingBase {
-		m := r.member(id)
-		if _, have := r.rows[id]; m != have {
-			if m {
-				if err := e.addRow(r, id, args); err != nil {
+// fillStats adds the last batch's accounting to its event.
+func (e *engine) fillStats(st *obsv.IVMStats) {
+	st.Units = append([]obsv.IVMUnit(nil), e.unitStats...)
+	st.Steps, st.Probes, st.Scans, st.Rebuilt = e.work, e.probes, e.scans, e.rebuilt
+}
+
+// maintain propagates the pending base changes through the units, bottom-up.
+func (e *engine) maintain() error {
+	// Predicates outside every unit (database-only) have no rules: their
+	// membership is their base membership.
+	for _, rel := range e.rels {
+		if e.unitOf[rel.name] != nil {
+			continue
+		}
+		for _, t := range rel.tables {
+			for _, r := range t.pending {
+				if err := e.settle(t, r); err != nil {
 					return err
 				}
-			} else {
-				e.removeRow(r, id)
 			}
+			t.pending = t.pending[:0]
 		}
 	}
-	r.pendingBase = nil
+	for _, u := range e.units {
+		if err := e.budget.Stop(); err != nil {
+			return err
+		}
+		before, strategy := e.work, "counting"
+		var overDeleted, rederived int
+		var err error
+		if u.recursive {
+			strategy = "dred"
+			overDeleted, rederived, err = e.applyDRed(u)
+		} else {
+			err = e.applyCounting(u)
+		}
+		if err != nil {
+			return err
+		}
+		if e.observed && e.work > before {
+			e.unitStats = append(e.unitStats, obsv.IVMUnit{
+				Preds: u.order, Strategy: strategy, OverDeleted: overDeleted, Rederived: rederived, Steps: e.work - before,
+			})
+		}
+	}
+	return nil
+}
+
+// deltaRows calls f for every row of t whose membership the batch changed so
+// far, with the direction: +1 added, -1 removed.
+func deltaRows(t *table, f func(r int32, sign int) error) error {
+	for _, r := range t.touched {
+		sign := 0
+		switch fl := t.flags[r]; {
+		case fl&fAdded != 0:
+			sign = +1
+		case fl&fRemoved != 0:
+			sign = -1
+		default:
+			continue
+		}
+		if err := f(r, sign); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -483,72 +431,46 @@ func (e *engine) finalizeBase(r *relation) error {
 // old state, so each derivation's appearance or disappearance is counted
 // exactly once; a negated pivot contributes with the opposite sign.
 func (e *engine) applyCounting(u *unit) error {
-	r := e.rels[u.order[0]]
-	touched := map[intern.ID][]value.Value{}
-	for id, args := range r.pendingBase {
-		touched[id] = args
+	rel := e.rels[u.order[0]]
+	var moved []rowRef
+	for _, t := range rel.tables {
+		for _, r := range t.pending {
+			moved = append(moved, rowRef{t, r})
+		}
+		t.pending = t.pending[:0]
 	}
-	for _, ri := range u.rules {
-		cr := &e.rules[ri]
+	sign := int32(0)
+	count := func(t *table, row []intern.ID) error {
+		r := t.intern(row)
+		t.touch(r) // a row whose count returns to zero is released with the batch
+		// Membership can only flip where a count leaves or reaches zero.
+		if t.count[r] == 0 || t.count[r]+sign == 0 {
+			moved = append(moved, rowRef{t, r})
+		}
+		t.count[r] += sign
+		return nil
+	}
+	for _, cr := range u.rules {
 		for li := range cr.lits {
-			lit := cr.lits[li]
-			d := e.rels[lit.atom.Pred]
-			rows := d.deltaRows()
-			if len(rows) == 0 {
-				continue
-			}
-			views := make([]viewKind, len(cr.lits))
-			for j := range views {
-				if j > li {
-					views[j] = viewOld
-				} else {
-					views[j] = viewCur
-				}
-			}
-			for _, sr := range rows {
-				sign := sr.sign
-				if lit.neg {
+			lit := &cr.lits[li]
+			err := deltaRows(lit.t, func(r int32, s int) error {
+				if sign = int32(s); lit.neg {
 					sign = -sign
 				}
-				err := e.runRule(cr, li, sr.args, views, func(f datalog.Fact) error {
-					id := e.rowID(f.Args)
-					if _, ok := touched[id]; !ok {
-						touched[id] = f.Args
-					}
-					if c := r.count[id] + int64(sign); c == 0 {
-						delete(r.count, id)
-					} else {
-						r.count[id] = c
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
+				_, err := e.exec(cr, lit.pivot, lit.t.row(r), viewSplit, li, count)
+				return err
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
-	for id, args := range touched {
-		m := r.member(id)
-		if _, have := r.rows[id]; m != have {
-			if m {
-				if err := e.addRow(r, id, args); err != nil {
-					return err
-				}
-			} else {
-				e.removeRow(r, id)
-			}
+	for _, m := range moved {
+		if err := e.settle(m.t, m.r); err != nil {
+			return err
 		}
 	}
-	r.pendingBase = nil
 	return nil
-}
-
-// predRow is a worklist entry during DRed maintenance.
-type predRow struct {
-	pred string
-	id   intern.ID
-	args []value.Value
 }
 
 // applyDRed maintains a recursive unit in the classical three phases:
@@ -558,139 +480,133 @@ type predRow struct {
 //     base row, or a cascading same-unit deletion) loses its derivable flag,
 //     and its membership when no base supports it — evaluated over the old
 //     state, where all those derivations are visible;
-//  2. re-derive: over-deleted rows still derivable from the surviving facts
-//     are restored, to fixpoint (head-bound rule execution);
-//  3. insert: constructively changed lower facts, new base rows, and
-//     cascading same-unit insertions propagate semi-naively over the
-//     current state — sound under set semantics because derivations are
+//  2. re-derive: each over-deleted row is tested once, head-bound, for a
+//     derivation from the surviving facts; the rows that have one are
+//     restored and queued for phase 3, which restores what follows from them;
+//  3. insert: constructively changed lower facts, new base rows, re-derived
+//     rows and cascading same-unit insertions propagate semi-naively over
+//     the current state — sound under set semantics because derivations are
 //     monotone within the phase.
-func (e *engine) applyDRed(u *unit) error {
-	var delWork, insWork []predRow
-	overDeleted := map[string]map[intern.ID][]value.Value{}
-	note := func(p string, id intern.ID, args []value.Value) {
-		m, ok := overDeleted[p]
-		if !ok {
-			m = map[intern.ID][]value.Value{}
-			overDeleted[p] = m
-		}
-		m[id] = args
-	}
+//
+// It reports how many rows phase 1 over-deleted and how many of those phase
+// 2 found a surviving derivation for.
+func (e *engine) applyDRed(u *unit) (overDeleted, rederived int, err error) {
+	var delWork, insWork, suspects []rowRef
 
 	// Base membership changes.
 	for _, p := range u.order {
-		r := e.rels[p]
-		for id, args := range r.pendingBase {
-			m := r.member(id)
-			_, have := r.rows[id]
-			switch {
-			case have && !m:
-				e.removeRow(r, id)
-				delWork = append(delWork, predRow{p, id, args})
-				note(p, id, args)
-			case have && m && !r.progBase[id] && !r.dbBase[id]:
-				// Base support vanished but a derivation keeps the row; the
-				// derivation is suspect — it may only be self-supporting
-				// (p(X) :- p(X)) — so over-delete it and let phase 2
-				// rederive from the surviving facts.
-				delete(r.derived, id)
-				e.removeRow(r, id)
-				delWork = append(delWork, predRow{p, id, args})
-				note(p, id, args)
-			case !have && m:
-				if err := e.addRow(r, id, args); err != nil {
-					return err
+		for _, t := range e.rels[p].tables {
+			for _, r := range t.pending {
+				want, have := t.supported(r), t.flags[r]&fLive != 0
+				switch {
+				case have && t.flags[r]&(fDB|fProg) == 0:
+					// Base support vanished. If a derivation keeps the row it
+					// is suspect — it may only be self-supporting
+					// (p(X) :- p(X)) — so over-delete it and let phase 2
+					// re-derive it from the surviving facts.
+					t.flags[r] &^= fDerived
+					e.removeRow(t, r)
+					delWork = append(delWork, rowRef{t, r})
+					suspects = append(suspects, rowRef{t, r})
+				case !have && want:
+					if err := e.addRow(t, r); err != nil {
+						return 0, 0, err
+					}
+					insWork = append(insWork, rowRef{t, r})
 				}
-				insWork = append(insWork, predRow{p, id, args})
 			}
+			t.pending = t.pending[:0]
 		}
-		r.pendingBase = nil
 	}
 
 	// Phase 1: over-delete. All non-pivot literals read the old state.
-	overDelete := func(f datalog.Fact) error {
-		r := e.rels[f.Pred]
-		id := e.rowID(f.Args)
-		if !r.derived[id] {
+	overDelete := func(t *table, row []intern.ID) error {
+		r := t.find(row)
+		if r == noRow || t.flags[r]&fDerived == 0 {
 			return nil
 		}
-		delete(r.derived, id)
-		note(f.Pred, id, f.Args)
-		if !r.member(id) {
-			e.removeRow(r, id)
-			delWork = append(delWork, predRow{f.Pred, id, f.Args})
+		t.flags[r] &^= fDerived
+		suspects = append(suspects, rowRef{t, r})
+		if !t.supported(r) {
+			e.removeRow(t, r)
+			delWork = append(delWork, rowRef{t, r})
 		}
 		return nil
 	}
 	if err := e.pivotLower(u, false, overDelete); err != nil {
-		return err
+		return 0, 0, err
 	}
 	for len(delWork) > 0 {
 		if err := e.budget.Stop(); err != nil {
-			return err
+			return 0, 0, err
 		}
 		rw := delWork[len(delWork)-1]
 		delWork = delWork[:len(delWork)-1]
 		if err := e.pivotUnit(u, rw, false, overDelete); err != nil {
-			return err
+			return 0, 0, err
 		}
 	}
 
-	// Phase 2: re-derive over the surviving facts, to fixpoint.
-	for changed := true; changed; {
-		changed = false
-		if err := e.budget.Stop(); err != nil {
-			return err
+	// Phase 2: re-derive over the surviving facts.
+	if err := e.budget.Stop(); err != nil {
+		return 0, 0, err
+	}
+	for _, s := range suspects {
+		if s.t.flags[s.r]&fDerived != 0 {
+			continue
 		}
-		for p, m := range overDeleted {
-			r := e.rels[p]
-			for id, args := range m {
-				if r.derived[id] {
-					delete(m, id)
-					continue
-				}
-				ok, err := e.rederive(u, p, id, args)
-				if err != nil {
-					return err
-				}
-				if ok {
-					r.derived[id] = true
-					if _, have := r.rows[id]; !have {
-						if err := e.addRow(r, id, args); err != nil {
-							return err
-						}
-					}
-					delete(m, id)
-					changed = true
-				}
+		ok, err := e.rederive(u, s)
+		if err != nil {
+			return 0, 0, err
+		}
+		if !ok {
+			continue
+		}
+		rederived++
+		s.t.flags[s.r] |= fDerived
+		if s.t.flags[s.r]&fLive == 0 {
+			if err := e.addRow(s.t, s.r); err != nil {
+				return 0, 0, err
 			}
+			insWork = append(insWork, s)
 		}
 	}
 
 	// Phase 3: insert, semi-naively over the current state.
-	insert := func(f datalog.Fact) error {
-		r := e.rels[f.Pred]
-		id := e.rowID(f.Args)
-		if r.derived[id] {
+	insert := e.inserter(&insWork)
+	if err := e.pivotLower(u, true, insert); err != nil {
+		return 0, 0, err
+	}
+	return len(suspects), rederived, e.propagate(u, &insWork, insert)
+}
+
+// inserter returns the consumer of the insert phase: a derived head becomes
+// derivable, and — when that makes it a member — joins the worklist.
+func (e *engine) inserter(work *[]rowRef) func(*table, []intern.ID) error {
+	return func(t *table, row []intern.ID) error {
+		r := t.intern(row)
+		if t.flags[r]&fDerived != 0 {
 			return nil
 		}
-		r.derived[id] = true
-		if _, have := r.rows[id]; !have {
-			if err := e.addRow(r, id, f.Args); err != nil {
+		t.flags[r] |= fDerived
+		if t.flags[r]&fLive == 0 {
+			if err := e.addRow(t, r); err != nil {
 				return err
 			}
-			insWork = append(insWork, predRow{f.Pred, id, f.Args})
+			*work = append(*work, rowRef{t, r})
 		}
 		return nil
 	}
-	if err := e.pivotLower(u, true, insert); err != nil {
-		return err
-	}
-	for len(insWork) > 0 {
+}
+
+// propagate drains the insert worklist through the unit's rules.
+func (e *engine) propagate(u *unit, work *[]rowRef, insert func(*table, []intern.ID) error) error {
+	for len(*work) > 0 {
 		if err := e.budget.Stop(); err != nil {
 			return err
 		}
-		rw := insWork[len(insWork)-1]
-		insWork = insWork[:len(insWork)-1]
+		rw := (*work)[len(*work)-1]
+		*work = (*work)[:len(*work)-1]
 		if err := e.pivotUnit(u, rw, true, insert); err != nil {
 			return err
 		}
@@ -704,41 +620,29 @@ func (e *engine) applyDRed(u *unit) error {
 // (insert phase), removed positives / added negatives when false
 // (over-delete phase). Non-pivot literals read the phase's state: old for
 // over-delete, current for insert.
-func (e *engine) pivotLower(u *unit, constructive bool, emit func(datalog.Fact) error) error {
-	view := viewOld
+func (e *engine) pivotLower(u *unit, constructive bool, emit func(*table, []intern.ID) error) error {
+	mode, want := viewOld, -1
 	if constructive {
-		view = viewCur
+		mode, want = viewCur, +1
 	}
-	for _, ri := range u.rules {
-		cr := &e.rules[ri]
+	for _, cr := range u.rules {
 		for li := range cr.lits {
-			lit := cr.lits[li]
-			if u.preds[lit.atom.Pred] {
+			lit := &cr.lits[li]
+			if u.preds[lit.t.rel.name] {
 				continue // same-unit changes cascade through the worklist
 			}
-			d := e.rels[lit.atom.Pred]
-			rows := d.deltaRows()
-			if len(rows) == 0 {
-				continue
-			}
-			views := make([]viewKind, len(cr.lits))
-			for j := range views {
-				views[j] = view
-			}
-			for _, sr := range rows {
-				want := +1
+			err := deltaRows(lit.t, func(r int32, sign int) error {
 				if lit.neg {
-					want = -1
+					sign = -sign
 				}
-				if !constructive {
-					want = -want
+				if sign != want {
+					return nil
 				}
-				if sr.sign != want {
-					continue
-				}
-				if err := e.runRule(cr, li, sr.args, views, emit); err != nil {
-					return err
-				}
+				_, err := e.exec(cr, lit.pivot, lit.t.row(r), mode, li, emit)
+				return err
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -746,25 +650,20 @@ func (e *engine) pivotLower(u *unit, constructive bool, emit func(datalog.Fact) 
 }
 
 // pivotUnit propagates one same-unit row change through every positive
-// occurrence of its predicate in the unit's rules. Negated same-unit
-// occurrences cannot exist: the program is stratified.
-func (e *engine) pivotUnit(u *unit, rw predRow, constructive bool, emit func(datalog.Fact) error) error {
-	view := viewOld
+// occurrence of its table in the unit's rules. Negated same-unit occurrences
+// cannot exist: the program is stratified.
+func (e *engine) pivotUnit(u *unit, rw rowRef, constructive bool, emit func(*table, []intern.ID) error) error {
+	mode := viewOld
 	if constructive {
-		view = viewCur
+		mode = viewCur
 	}
-	for _, ri := range u.rules {
-		cr := &e.rules[ri]
+	for _, cr := range u.rules {
 		for li := range cr.lits {
-			lit := cr.lits[li]
-			if lit.neg || lit.atom.Pred != rw.pred {
+			lit := &cr.lits[li]
+			if lit.neg || lit.t != rw.t {
 				continue
 			}
-			views := make([]viewKind, len(cr.lits))
-			for j := range views {
-				views[j] = view
-			}
-			if err := e.runRule(cr, li, rw.args, views, emit); err != nil {
+			if _, err := e.exec(cr, lit.pivot, rw.t.row(rw.r), mode, li, emit); err != nil {
 				return err
 			}
 		}
@@ -773,119 +672,164 @@ func (e *engine) pivotUnit(u *unit, rw predRow, constructive bool, emit func(dat
 }
 
 // rederive reports whether the row is derivable from the current state by
-// some unit rule. Head variable and constant arguments are pre-bound to the
-// row; computed head arguments are settled by the final row-identity check,
-// which also makes the check uniform.
-func (e *engine) rederive(u *unit, pred string, id intern.ID, args []value.Value) (bool, error) {
-	views := []viewKind{} // extended per rule below
-	for _, ri := range u.rules {
-		cr := &e.rules[ri]
-		if cr.rule.Head.Pred != pred || len(cr.rule.Head.Args) != len(args) {
+// some unit rule: the rule's head is unified with the row — variables bound,
+// constants compared, computed arguments checked as soon as their variables
+// are — and the body runs from those bindings until its first solution.
+func (e *engine) rederive(u *unit, rw rowRef) (bool, error) {
+	for _, cr := range u.rules {
+		if cr.head != rw.t {
 			continue
 		}
-		binding := datalog.Binding{}
-		feasible := true
-		for i, t := range cr.rule.Head.Args {
-			switch tt := t.(type) {
-			case datalog.Var:
-				if v, ok := binding[tt]; ok {
-					if v.Compare(args[i]) != 0 {
-						feasible = false
-					}
-				} else {
-					binding[tt] = args[i]
-				}
-			case datalog.Const:
-				if tt.V.Compare(args[i]) != 0 {
-					feasible = false
-				}
-			}
-			if !feasible {
-				break
-			}
-		}
-		if !feasible {
-			continue
-		}
-		views = views[:0]
-		for range cr.lits {
-			views = append(views, viewCur)
-		}
-		found := false
-		err := e.runRuleBound(cr, binding, views, func(f datalog.Fact) error {
-			if e.rowID(f.Args) == id {
-				found = true
-				return errStop
-			}
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return true, nil
+		if found, err := e.exec(cr, cr.bound, rw.t.row(rw.r), viewCur, -1, nil); found || err != nil {
+			return found, err
 		}
 	}
 	return false, nil
 }
 
+// reset prepares a rebuild: every derived support is dropped, and every row
+// that was a member when the batch started is marked removed — so as the
+// build re-adds rows, the bookkeeping converges on the batch's true delta.
+func (e *engine) reset() {
+	e.nfacts = 0
+	for _, rel := range e.rels {
+		for _, t := range rel.tables {
+			for r := int32(0); r < t.rows(); r++ {
+				f := t.flags[r]
+				if f&fFree != 0 {
+					continue
+				}
+				was := t.has(r, true)
+				f &^= fLive | fDerived | fAdded | fRemoved
+				if was {
+					f |= fRemoved
+				}
+				t.flags[r] = f
+				if t.count != nil {
+					t.count[r] = 0
+				}
+				t.touch(r)
+			}
+			t.pending = t.pending[:0]
+		}
+	}
+}
+
+// build evaluates the program from the base facts the tables carry, unit by
+// unit, entering every rule from scratch. It serves the initial evaluation
+// and the rebuild after a budget overrun alike, under a fresh work budget.
+func (e *engine) build() error {
+	e.work = 0
+	e.unitStats = e.unitStats[:0]
+	for _, rel := range e.rels {
+		for _, t := range rel.tables {
+			for r := int32(0); r < t.rows(); r++ {
+				if t.flags[r]&(fDB|fProg) != 0 {
+					if err := e.addRow(t, r); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	for _, u := range e.units {
+		if err := e.budget.Stop(); err != nil {
+			return err
+		}
+		before := e.work
+		var work []rowRef
+		emit := e.inserter(&work)
+		if !u.recursive {
+			// Every derivation is one support count; membership follows once
+			// the unit's rules have all run.
+			emit = func(t *table, row []intern.ID) error {
+				r := t.intern(row)
+				if t.count[r]++; t.count[r] == 1 {
+					work = append(work, rowRef{t, r})
+				}
+				return nil
+			}
+		}
+		for _, cr := range u.rules {
+			if _, err := e.exec(cr, cr.scratch, nil, viewCur, -1, emit); err != nil {
+				return err
+			}
+		}
+		if u.recursive {
+			if err := e.propagate(u, &work, emit); err != nil {
+				return err
+			}
+		} else {
+			for _, w := range work {
+				if err := e.addRow(w.t, w.r); err != nil {
+					return err
+				}
+			}
+		}
+		if e.observed && e.work > before {
+			e.unitStats = append(e.unitStats, obsv.IVMUnit{Preds: u.order, Strategy: "rebuild", Steps: e.work - before})
+		}
+	}
+	return nil
+}
+
 // finishBatch collects the batch's membership delta in deterministic order,
-// purges removed rows from the indexes, and resets the batch state.
+// releases the rows the batch left without support, and resets the batch
+// state.
 func (e *engine) finishBatch() *ResultDelta {
 	d := &ResultDelta{}
 	var names []string
-	for name, r := range e.rels {
-		if len(r.added)+len(r.removed) > 0 {
-			names = append(names, name)
+	for name, rel := range e.rels {
+		for _, t := range rel.tables {
+			if len(t.touched) > 0 {
+				names = append(names, name)
+				break
+			}
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		r := e.rels[name]
-		pd := PredDelta{Pred: name}
-		pd.Added = sortedKeys(name, r.added, r.rows)
-		rem := make(map[intern.ID]bool, len(r.removed))
-		for id := range r.removed {
-			rem[id] = true
-		}
-		pd.Removed = sortedKeys(name, rem, r.removed)
-		d.Preds = append(d.Preds, pd)
-
-		for id, args := range r.removed {
-			for pos, m := range r.idx {
-				if pos >= len(args) {
-					continue
-				}
-				aid := e.in.Intern(args[pos])
-				lst := m[aid]
-				for i, rid := range lst {
-					if rid == id {
-						lst[i] = lst[len(lst)-1]
-						lst = lst[:len(lst)-1]
-						break
-					}
-				}
-				if len(lst) == 0 {
-					delete(m, aid)
-				} else {
-					m[aid] = lst
+		var added, removed []rowRef
+		for _, t := range e.rels[name].tables {
+			for _, r := range t.touched {
+				switch f := t.flags[r]; {
+				case f&fAdded != 0:
+					added = append(added, rowRef{t, r})
+				case f&fRemoved != 0:
+					removed = append(removed, rowRef{t, r})
 				}
 			}
 		}
-		r.added = map[intern.ID]bool{}
-		r.removed = map[intern.ID][]value.Value{}
+		if len(added)+len(removed) > 0 {
+			d.Preds = append(d.Preds, PredDelta{Pred: name, Added: e.sortedKeys(name, added), Removed: e.sortedKeys(name, removed)})
+		}
+		for _, t := range e.rels[name].tables {
+			for _, r := range t.touched {
+				t.flags[r] &^= fAdded | fRemoved | fTouched
+				if t.flags[r] == 0 && (t.count == nil || t.count[r] == 0) {
+					t.release(r)
+				}
+			}
+			t.touched = t.touched[:0]
+		}
 	}
 	return d
 }
 
-// sortedKeys renders the ids' facts in the outcome's order.
-func sortedKeys(pred string, ids map[intern.ID]bool, args map[intern.ID][]value.Value) []string {
-	if len(ids) == 0 {
+// sortedKeys renders the rows' facts in the outcome's order — the one place
+// rows become values again.
+func (e *engine) sortedKeys(pred string, rows []rowRef) []string {
+	if len(rows) == 0 {
 		return nil
 	}
-	facts := make([]datalog.Fact, 0, len(ids))
-	for id := range ids {
-		facts = append(facts, datalog.Fact{Pred: pred, Args: args[id]})
+	facts := make([]datalog.Fact, len(rows))
+	for i, rw := range rows {
+		ids := rw.t.row(rw.r)
+		args := make([]value.Value, len(ids))
+		for k, id := range ids {
+			args[k] = e.in.Lookup(id)
+		}
+		facts[i] = datalog.Fact{Pred: pred, Args: args}
 	}
 	datalog.SortFacts(facts)
 	out := make([]string, len(facts))
@@ -910,24 +854,25 @@ func (e *engine) outcome() *query.Outcome {
 	for _, p := range preds {
 		seen[p] = true
 	}
-	for name, r := range e.rels {
-		if !seen[name] && len(r.dbBase) > 0 {
+	for name, rel := range e.rels {
+		if !seen[name] && rel.ndb > 0 {
 			preds = append(preds, name)
-			seen[name] = true
 		}
 	}
 	sort.Strings(preds)
 	m := &query.DatalogModel{}
 	for _, p := range preds {
-		pf := query.PredFacts{Pred: p}
-		if r := e.rels[p]; r != nil && len(r.rows) > 0 {
-			all := make(map[intern.ID]bool, len(r.rows))
-			for id := range r.rows {
-				all[id] = true
+		var members []rowRef
+		if rel := e.rels[p]; rel != nil {
+			for _, t := range rel.tables {
+				for r := int32(0); r < t.rows(); r++ {
+					if t.flags[r]&fLive != 0 {
+						members = append(members, rowRef{t, r})
+					}
+				}
 			}
-			pf.True = sortedKeys(p, all, r.rows)
 		}
-		m.Preds = append(m.Preds, pf)
+		m.Preds = append(m.Preds, query.PredFacts{Pred: p, True: e.sortedKeys(p, members)})
 	}
 	out.Datalog = m
 	return out

@@ -10,311 +10,263 @@ import (
 	"algrec/internal/value/intern"
 )
 
-// viewKind selects which state of a relation a body literal reads.
-type viewKind uint8
+// viewMode assigns each body literal the state of its relation it reads.
+type viewMode uint8
 
 const (
-	// viewOld is the membership at the start of the batch: current rows
-	// minus this batch's additions, plus its removals.
-	viewOld viewKind = iota
-	// viewCur is the membership right now (mid-phase working state for
-	// same-unit predicates, final state for lower ones).
-	viewCur
+	// viewCur: every literal reads the membership right now (mid-phase
+	// working state for same-unit predicates, final state for lower ones).
+	viewCur viewMode = iota
+	// viewOld: every literal reads the membership at the start of the batch:
+	// current rows minus this batch's additions, plus its removals.
+	viewOld
+	// viewSplit is the counting strategy's exactly-once discipline: literals
+	// before the pivot read the new state, literals after it the old state.
+	viewSplit
 )
 
 // errStop aborts a rule execution early (re-derivation found its target).
 var errStop = errors.New("ivm: stop")
 
-// residual is a deferred pivot argument check: a non-variable pivot argument
-// whose term may reference variables bound only later in the plan, so it is
-// evaluated once the whole body is bound.
-type residual struct {
-	term datalog.Term
-	want value.Value
+// run is one execution of an entry plan: the frame of variable slots, the
+// entry row, the view assignment and the consumer of completed bodies.
+type run struct {
+	e     *engine
+	cr    *compiledRule
+	plan  *entryPlan
+	entry []intern.ID // the row the entry atom was unified with
+	mode  viewMode
+	pivot int // index into cr.lits of the skipped literal; -1 when none
+	// emit receives the instantiated head of every satisfying binding; nil
+	// for a head-bound run, where reaching the end is the answer.
+	emit func(t *table, row []intern.ID) error
 }
 
-// runCtx executes one rule body plan with a pivot literal pre-bound to a
-// delta row (or a head binding pre-installed), each literal reading the view
-// its phase assigned.
-type runCtx struct {
-	e        *engine
-	cr       *compiledRule
-	views    []viewKind // per combined-literal index
-	pivot    int        // combined-literal index, -1 when head-bound
-	binding  datalog.Binding
-	residual []residual
-	emit     func(datalog.Fact) error
-}
-
-// runRule executes cr with the combined literal at index pivot unified
-// against pivotArgs and skipped during execution; every satisfying binding
-// of the remaining body reaches emit with the instantiated head. The
-// unification binds bare variables directly; non-variable pivot arguments
-// become residual checks. An arity mismatch simply matches nothing.
-func (e *engine) runRule(cr *compiledRule, pivot int, pivotArgs []value.Value, views []viewKind, emit func(datalog.Fact) error) error {
-	atom := cr.lits[pivot].atom
-	if len(atom.Args) != len(pivotArgs) {
-		return nil
+// old reports whether literal lit reads the pre-batch state.
+func (x *run) old(lit int) bool {
+	switch x.mode {
+	case viewOld:
+		return true
+	case viewSplit:
+		return lit > x.pivot
 	}
-	rc := &runCtx{e: e, cr: cr, views: views, pivot: pivot, binding: datalog.Binding{}, emit: emit}
-	for i, t := range atom.Args {
-		if v, isVar := t.(datalog.Var); isVar {
-			if old, ok := rc.binding[v]; ok {
-				if old.Compare(pivotArgs[i]) != 0 {
-					return nil
-				}
-				continue
+	return false
+}
+
+// exec runs plan over cr's frame, entered from row (nil for the from-scratch
+// entry). It reports whether the run was stopped early by errStop.
+func (e *engine) exec(cr *compiledRule, plan *entryPlan, row []intern.ID, mode viewMode, pivot int, emit func(*table, []intern.ID) error) (stopped bool, err error) {
+	x := &e.run
+	*x = run{e: e, cr: cr, plan: plan, entry: row, mode: mode, pivot: pivot, emit: emit}
+	for k, a := range plan.entry {
+		switch a.kind {
+		case argBind:
+			cr.frame[a.slot] = row[k]
+		case argSlot:
+			if cr.frame[a.slot] != row[k] {
+				return false, nil
 			}
-			rc.binding[v] = pivotArgs[i]
-			continue
+		case argConst:
+			if a.id != row[k] {
+				return false, nil
+			}
 		}
-		rc.residual = append(rc.residual, residual{term: t, want: pivotArgs[i]})
 	}
-	err := rc.step(0)
+	err = x.step(0)
 	if err == errStop {
-		return nil
+		return true, nil
 	}
-	return err
-}
-
-// runRuleBound executes cr with an initial binding (re-derivation's
-// head-bound mode) and no pivot: every body literal is evaluated against
-// its assigned view. errStop from emit is not swallowed mid-plan but is not
-// an error for the caller.
-func (e *engine) runRuleBound(cr *compiledRule, binding datalog.Binding, views []viewKind, emit func(datalog.Fact) error) error {
-	rc := &runCtx{e: e, cr: cr, views: views, pivot: -1, binding: binding, emit: emit}
-	err := rc.step(0)
-	if err == errStop {
-		return nil
-	}
-	return err
+	return false, err
 }
 
 // charge accounts one unit of join work against the batch budget.
-func (rc *runCtx) charge() error {
-	rc.e.work++
-	if rc.e.work > rc.e.maxWork {
-		return fmt.Errorf("%w: ivm batch exceeds %d join steps", algebra.ErrBudget, rc.e.maxWork)
+func (e *engine) charge() error {
+	e.work++
+	if e.work > e.maxWork {
+		return fmt.Errorf("%w: ivm batch exceeds %d join steps", algebra.ErrBudget, e.maxWork)
 	}
 	return nil
 }
 
-// step executes the plan from step i, backtracking through matches.
-func (rc *runCtx) step(i int) error {
-	if i == len(rc.cr.plan.Steps) {
-		return rc.finish()
+// lookup resolves a variable for datalog.EvalTermFn — the one place a frame
+// slot is turned back into a value.
+func (x *run) lookup(v datalog.Var) (value.Value, bool) {
+	slot, ok := x.cr.slots[v]
+	if !ok {
+		return nil, false
 	}
-	st := rc.cr.plan.Steps[i]
-	switch st.Kind {
-	case datalog.StepMatch:
-		if st.PosIdx == rc.pivot {
-			return rc.step(i + 1) // the pivot is pre-bound
-		}
-		return rc.match(st, i)
-	case datalog.StepAssign:
-		v, err := datalog.EvalTerm(st.Term, rc.binding)
-		if err != nil {
-			return err
-		}
-		if old, ok := rc.binding[st.AssignVar]; ok {
-			// Head-bound mode may have pre-bound the variable.
-			if old.Compare(v) != 0 {
-				return nil
-			}
-			return rc.step(i + 1)
-		}
-		rc.binding[st.AssignVar] = v
-		err = rc.step(i + 1)
-		delete(rc.binding, st.AssignVar)
-		return err
-	case datalog.StepTest:
-		l, err := datalog.EvalTerm(st.Cmp.L, rc.binding)
-		if err != nil {
-			return err
-		}
-		r, err := datalog.EvalTerm(st.Cmp.R, rc.binding)
-		if err != nil {
-			return err
-		}
-		ok, err := datalog.EvalCmp(st.Cmp.Op, l, r)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		return rc.step(i + 1)
-	default:
-		return fmt.Errorf("ivm: unknown plan step kind %v", st.Kind)
-	}
+	return x.e.in.Lookup(x.cr.frame[slot]), true
 }
 
-// match enumerates the atom's view, preferring the smallest index bucket
-// among the argument positions already determined by the binding, and
-// recurses with the atom's bare variables bound.
-func (rc *runCtx) match(st datalog.PlanStep, i int) error {
-	rel := rc.e.relFor(st.Atom.Pred)
-	view := rc.views[st.PosIdx]
-
-	// Determined positions: non-variable arguments are evaluable here by
-	// plan construction; variables may have been bound by earlier steps.
-	type probe struct {
-		pos int
-		id  intern.ID
+// eval evaluates a term under the frame and interns the result.
+func (x *run) eval(t datalog.Term) (intern.ID, error) {
+	v, err := datalog.EvalTermFn(t, x.e.lookup)
+	if err != nil {
+		return 0, err
 	}
-	var best *probe
-	bestLen := -1
-	for pos, t := range st.Atom.Args {
-		var tv value.Value
-		if v, isVar := t.(datalog.Var); isVar {
-			b, ok := rc.binding[v]
-			if !ok {
-				continue
-			}
-			tv = b
-		} else {
-			var err error
-			tv, err = datalog.EvalTerm(t, rc.binding)
+	return x.e.in.Intern(v), nil
+}
+
+// instantiate fills buf with the IDs of an atom's determined arguments —
+// all of them, for a head or a negated atom; free variables are left alone.
+func (x *run) instantiate(args []argSpec, buf []intern.ID) error {
+	for k, a := range args {
+		switch a.kind {
+		case argSlot:
+			buf[k] = x.cr.frame[a.slot]
+		case argConst:
+			buf[k] = a.id
+		case argTerm:
+			id, err := x.eval(a.term)
 			if err != nil {
 				return err
 			}
-		}
-		aid := rc.e.in.Intern(tv)
-		n := len(rc.e.index(rel, pos)[aid])
-		if bestLen < 0 || n < bestLen {
-			best, bestLen = &probe{pos: pos, id: aid}, n
+			buf[k] = id
 		}
 	}
+	return nil
+}
 
-	try := func(id intern.ID, args []value.Value) error {
-		if err := rc.charge(); err != nil {
+// step executes the plan from op i, backtracking through matches.
+func (x *run) step(i int) error {
+	if i == len(x.plan.ops) {
+		if err := x.e.charge(); err != nil {
 			return err
 		}
-		if len(args) != len(st.Atom.Args) {
+		if x.emit == nil {
+			return errStop
+		}
+		if err := x.instantiate(x.cr.headArgs, x.cr.headBuf); err != nil {
+			return err
+		}
+		return x.emit(x.cr.head, x.cr.headBuf)
+	}
+	o := &x.plan.ops[i]
+	switch o.kind {
+	case opMatch:
+		return x.match(i, o)
+	case opNeg:
+		if err := x.instantiate(o.args, o.buf); err != nil {
+			return err
+		}
+		x.e.probes++
+		if r := o.t.find(o.buf); r != noRow && o.t.has(r, x.old(o.lit)) {
 			return nil
 		}
-		var bound []datalog.Var
-		ok := true
-		for k, t := range st.Atom.Args {
-			if v, isVar := t.(datalog.Var); isVar {
-				if old, has := rc.binding[v]; has {
-					if old.Compare(args[k]) != 0 {
-						ok = false
-					}
-				} else {
-					rc.binding[v] = args[k]
-					bound = append(bound, v)
-				}
-			} else {
-				tv, err := datalog.EvalTerm(t, rc.binding)
-				if err != nil {
-					for _, v := range bound {
-						delete(rc.binding, v)
-					}
-					return err
-				}
-				if tv.Compare(args[k]) != 0 {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
+		return x.step(i + 1)
+	case opAssign:
+		id, err := x.eval(o.term)
+		if err != nil {
+			return err
 		}
-		var err error
-		if ok {
-			err = rc.step(i + 1)
+		x.cr.frame[o.slot] = id
+		return x.step(i + 1)
+	case opTest:
+		l, err := datalog.EvalTermFn(o.cmp.L, x.e.lookup)
+		if err != nil {
+			return err
 		}
-		for _, v := range bound {
-			delete(rc.binding, v)
+		r, err := datalog.EvalTermFn(o.cmp.R, x.e.lookup)
+		if err != nil {
+			return err
 		}
+		ok, err := datalog.EvalCmp(o.cmp.Op, l, r)
+		if err != nil || !ok {
+			return err
+		}
+		return x.step(i + 1)
+	case opCheck:
+		id, err := x.eval(o.term)
+		if err != nil || id != x.entry[o.col] {
+			return err
+		}
+		return x.step(i + 1)
+	default:
+		return fmt.Errorf("ivm: unknown op kind %v", o.kind)
+	}
+}
+
+// match enumerates the rows of the atom's view that agree with the frame on
+// the determined columns and continues the plan under each. A fully
+// determined atom is one hash probe; otherwise the shortest posting chain
+// among the determined columns is walked; with nothing determined the table
+// is scanned.
+func (x *run) match(i int, o *op) error {
+	t, old := o.t, x.old(o.lit)
+	// The determined columns' IDs. (A variable the atom repeats also lands in
+	// buf, stale; try compares such a column with the frame, never with buf.)
+	if err := x.instantiate(o.args, o.buf); err != nil {
 		return err
 	}
-
-	if best != nil {
-		for _, id := range rc.e.index(rel, best.pos)[best.id] {
-			if !viewHas(rel, view, id) {
-				continue
+	switch {
+	case len(o.keys) == len(o.args):
+		x.e.probes++
+		if err := x.e.charge(); err != nil {
+			return err
+		}
+		if r := t.find(o.buf); r != noRow && t.has(r, old) {
+			return x.step(i + 1)
+		}
+		return nil
+	case len(o.keys) > 0:
+		x.e.probes++
+		var col *colIndex
+		var chain posting
+		for _, k := range o.keys {
+			p := t.cols[k].head[o.buf[k]]
+			if p.n == 0 {
+				return nil
 			}
-			if err := try(id, viewArgs(rel, id)); err != nil {
+			if col == nil || p.n < chain.n {
+				col, chain = t.cols[k], p
+			}
+		}
+		for r, n := chain.first, chain.n; n > 0; n-- {
+			// Read the link first: the consumer may insert, which relinks
+			// only at the chain's head, behind this walk.
+			next := col.next[r]
+			if err := x.try(i, o, r, old); err != nil {
+				return err
+			}
+			r = next
+		}
+		return nil
+	default:
+		x.e.scans++
+		// Rows appended while the scan runs are the consumer's own output;
+		// delta propagation reaches them through its worklist.
+		for r, n := int32(0), t.rows(); r < n; r++ {
+			if err := x.try(i, o, r, old); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for id, args := range rel.rows {
-		if view == viewOld && rel.added[id] {
-			continue
-		}
-		if err := try(id, args); err != nil {
-			return err
-		}
+}
+
+// try unifies row r with the atom and, when it is a member of the view and
+// agrees with the frame, continues the plan.
+func (x *run) try(i int, o *op, r int32, old bool) error {
+	if err := x.e.charge(); err != nil {
+		return err
 	}
-	if view == viewOld {
-		for id, args := range rel.removed {
-			if err := try(id, args); err != nil {
-				return err
+	if !o.t.has(r, old) {
+		return nil
+	}
+	row := o.t.row(r)
+	for k := range o.args {
+		switch a := &o.args[k]; a.kind {
+		case argBind:
+			x.cr.frame[a.slot] = row[k]
+		case argSlot:
+			if x.cr.frame[a.slot] != row[k] {
+				return nil
+			}
+		default:
+			if o.buf[k] != row[k] {
+				return nil
 			}
 		}
 	}
-	return nil
-}
-
-// viewHas reports membership of a row in the given view.
-func viewHas(r *relation, view viewKind, id intern.ID) bool {
-	if view == viewOld {
-		if r.added[id] {
-			return false
-		}
-		if _, ok := r.removed[id]; ok {
-			return true
-		}
-	}
-	_, ok := r.rows[id]
-	return ok
-}
-
-// viewArgs returns a row's arguments; a row visible in any view is in rows
-// or in this batch's removed map.
-func viewArgs(r *relation, id intern.ID) []value.Value {
-	if args, ok := r.rows[id]; ok {
-		return args
-	}
-	return r.removed[id]
-}
-
-// finish runs once the whole body is bound: residual pivot checks first
-// (they decide whether the pivot row actually matches), then the negated
-// atoms against their views, then the head instantiation.
-func (rc *runCtx) finish() error {
-	if err := rc.charge(); err != nil {
-		return err
-	}
-	for _, rd := range rc.residual {
-		v, err := datalog.EvalTerm(rd.term, rc.binding)
-		if err != nil {
-			return err
-		}
-		if v.Compare(rd.want) != 0 {
-			return nil
-		}
-	}
-	for ni, na := range rc.cr.plan.Negs {
-		if rc.cr.plan.NumPos+ni == rc.pivot {
-			continue // the negated pivot is the delta source, not a filter
-		}
-		f, err := datalog.EvalGroundAtom(na, rc.binding)
-		if err != nil {
-			return err
-		}
-		rel := rc.e.relFor(f.Pred)
-		if viewHas(rel, rc.views[rc.cr.plan.NumPos+ni], rc.e.rowID(f.Args)) {
-			return nil
-		}
-	}
-	f, err := datalog.EvalGroundAtom(rc.cr.rule.Head, rc.binding)
-	if err != nil {
-		return err
-	}
-	return rc.emit(f)
+	return x.step(i + 1)
 }

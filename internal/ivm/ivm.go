@@ -21,6 +21,17 @@
 //     programs, the stable semantics, or Budget.NoIVM — by re-executing the
 //     plan and diffing the outcomes.
 //
+// The delta engine evaluates rules relationally, in ID space: facts are rows
+// of interned IDs in flat per-(predicate, arity) tables with a row hash and
+// per-column posting chains (table.go), and every rule is compiled once into
+// one join plan per entry pattern — from scratch, pivoted on a delta literal,
+// head-bound for re-derivation — each ordered by what its entry binds
+// (compile.go, datalog.PlanRuleFrom), so a batch probes the indexes from its
+// delta instead of scanning the relations. Values are materialized only to
+// evaluate interpreted functions and comparisons and to render deltas. A
+// batch that outruns its work budget falls back to rebuilding the view from
+// its base facts; the delta it reports is exact either way.
+//
 // Either way a successful Apply returns the ResultDelta between the previous
 // and the new Outcome, and the maintained Outcome is bit-for-bit the outcome
 // query.Execute would produce against the mutated database — the equivalence
@@ -35,6 +46,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
 )
@@ -92,6 +104,8 @@ type View struct {
 	db  algebra.DB     // ModeRecompute: current database snapshot
 	out *query.Outcome // ModeRecompute: last outcome
 
+	obs obsv.Collector // the process default when the view was built; nil: none
+
 	broken error // a failed incremental batch poisons the view
 }
 
@@ -102,11 +116,13 @@ type View struct {
 // fragments where those semantics agree on the stratified model — provided
 // interning is on and opts.Budget does not set NoIVM; every other plan gets
 // the recompute fallback. The initial evaluation honors opts' budgets; its
-// error is returned as-is (query.ErrorCode classifies it).
+// error is returned as-is (query.ErrorCode classifies it). A view reports one
+// obsv.IVMStats event per Apply to the collector that is the process default
+// when it is built.
 func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
-	v := &View{plan: plan, opts: opts, mode: ModeRecompute}
+	v := &View{plan: plan, opts: opts, mode: ModeRecompute, obs: obsv.Default()}
 	if incrementalOK(plan, opts) {
-		eng, err := newEngine(plan, db, opts)
+		eng, err := newEngine(plan, db, opts, v.obs != nil)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +170,7 @@ func incrementalOK(plan *query.Plan, opts query.Options) bool {
 		if r.IsFact() {
 			continue
 		}
-		if _, err := datalog.PlanRule(r); err != nil {
+		if _, err := datalog.PlanRuleFrom(r, nil, -1); err != nil {
 			return false
 		}
 	}
@@ -182,8 +198,13 @@ func (v *View) Outcome() (*query.Outcome, error) {
 // Apply applies one mutation batch — deletions first, then insertions, so a
 // fact in both ends up present — and returns the outcome delta. A failed
 // recompute leaves the view unchanged (the error is returned and the next
-// Apply may succeed); a failed incremental batch poisons the view, because
-// its state may be half-maintained, and every later call returns the error.
+// Apply may succeed). An incremental batch that outruns its work budget
+// (Options.Ground.MaxRules join steps) is not a failure: the view is rebuilt
+// from its base facts under a fresh budget and the delta is the difference
+// to the previous outcome, exactly as if the batch had been maintained. Only
+// a batch that fails outright — an interrupt, an evaluation error, a rebuild
+// that itself exceeds a budget — poisons the view, because its state may be
+// half-maintained, and every later call returns the error.
 func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 	if v.broken != nil {
 		return nil, v.broken
@@ -205,6 +226,16 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 		d = diffOutcomes(v.plan, v.out, out)
 		v.db, v.out = db, out
 	}
+	if v.obs != nil {
+		st := obsv.IVMStats{Mode: string(v.mode), Inserted: len(insert), Deleted: len(del)}
+		for _, p := range d.Preds {
+			st.DeltaFacts += len(p.Added) + len(p.Removed) + len(p.UndefAdded) + len(p.UndefRemoved)
+		}
+		if v.eng != nil {
+			v.eng.fillStats(&st)
+		}
+		v.obs.IVM(st)
+	}
 	v.version++
 	d.Version = v.version
 	return d, nil
@@ -214,28 +245,33 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 // same fact↔element mapping as query.DBFacts: a unary fact is a scalar
 // element, an n-ary fact a tuple. Deletions apply before insertions;
 // deleting from an unknown relation is a no-op, inserting into one creates
-// it. db itself is never mutated (relations are immutable sets, so the copy
-// is cheap and copy-on-write).
+// it. db itself is never mutated: relations are immutable sets, and a
+// relation the batch touches is copied once per direction — one Diff with
+// everything the batch deletes from it, one Union with everything it inserts
+// — however many facts the batch holds.
 func ApplyDB(db algebra.DB, insert, del []datalog.Fact) algebra.DB {
 	out := make(algebra.DB, len(db)+1)
 	for k, s := range db {
 		out[k] = s
 	}
-	for _, f := range del {
-		s, ok := out[f.Pred]
-		if !ok {
-			continue
+	for pred, elems := range elemsByPred(del) {
+		if s, ok := out[pred]; ok {
+			out[pred] = s.Diff(value.NewSet(elems...))
 		}
-		out[f.Pred] = s.Diff(value.NewSet(factElem(f)))
 	}
-	for _, f := range insert {
-		s, ok := out[f.Pred]
-		if !ok {
-			s = value.EmptySet
-		}
-		out[f.Pred] = s.Union(value.NewSet(factElem(f)))
+	for pred, elems := range elemsByPred(insert) {
+		out[pred] = out[pred].Union(value.NewSet(elems...))
 	}
 	return out
+}
+
+// elemsByPred groups a fact list's database elements by predicate.
+func elemsByPred(facts []datalog.Fact) map[string][]value.Value {
+	by := make(map[string][]value.Value, 1)
+	for _, f := range facts {
+		by[f.Pred] = append(by[f.Pred], factElem(f))
+	}
+	return by
 }
 
 // factElem maps a fact to its database element (the query.DBFacts inverse).

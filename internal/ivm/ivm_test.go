@@ -272,6 +272,9 @@ func TestApplyDBMapping(t *testing.T) {
 	}
 }
 
+// TestIncrementalBudgetPoisonsView: an overrun is answered by a rebuild
+// (TestBudgetOverrunRebuilds), so what still poisons a view is a budget the
+// rebuild cannot meet either — here 50 join steps for an 820-fact closure.
 func TestIncrementalBudgetPoisonsView(t *testing.T) {
 	plan := mustPlan(t, query.SemStratified, `
 		tc(X, Y) :- e(X, Y).

@@ -67,3 +67,6 @@ func (j *JSONL) Subscription(s SubscriptionStats) { j.emit("subscription", s) }
 
 // Stream implements Collector.
 func (j *JSONL) Stream(s StreamStats) { j.emit("stream", s) }
+
+// IVM implements Collector.
+func (j *JSONL) IVM(s IVMStats) { j.emit("ivm", s) }

@@ -1,7 +1,7 @@
 // Package obsv is the observability layer of the repository: a small event
 // vocabulary describing what the engines did — fixpoint passes, delta sizes,
 // scratch-buffer reuse, grounding passes and delta-window hits, translation
-// sizes, experiment run cost — plus collectors that aggregate or stream
+// sizes, view maintenance batches, experiment run cost — plus collectors that aggregate or stream
 // those events.
 //
 // Instrumented code holds a Collector and reports events at *call*
@@ -235,6 +235,50 @@ type StreamStats struct {
 	Pushed    int
 }
 
+// IVMStats describes one mutation batch applied to a maintained view
+// (internal/ivm View.Apply): how the view is maintained, what each component
+// of the program had to do, and what the batch cost. One event per Apply.
+type IVMStats struct {
+	// Mode is the view's maintenance mode: "incremental" or "recompute".
+	Mode string
+	// Inserted and Deleted are the sizes of the batch's fact lists.
+	Inserted int
+	Deleted  int
+	// Units lists, for an incremental view, the components of the predicate
+	// dependency graph the batch gave work to, bottom-up. After a fallback
+	// (Rebuilt) they are the rebuild's.
+	Units []IVMUnit
+	// Steps counts join steps charged against the batch's work budget — rows
+	// tried against an atom plus completed rule bodies; Probes counts index
+	// probes (row hash or column postings), Scans full-table scans. After a
+	// fallback Steps is the rebuild's; Probes and Scans cover both attempts.
+	Steps  int
+	Probes int
+	Scans  int
+	// Rebuilt reports the fallback: the batch outran its work budget and the
+	// view was rebuilt from its base facts instead.
+	Rebuilt bool
+	// DeltaFacts is the number of fact changes in the resulting delta.
+	DeltaFacts int
+}
+
+// IVMUnit is one component's share of a maintained batch.
+type IVMUnit struct {
+	// Preds are the component's predicates, sorted.
+	Preds []string
+	// Strategy is "counting" (non-recursive: signed support counts), "dred"
+	// (recursive: over-delete, re-derive, insert) or "rebuild" (evaluated
+	// from scratch — the fallback).
+	Strategy string
+	// OverDeleted and Rederived are DRed's phase counts: rows that lost their
+	// derivable flag, and rows among them a surviving derivation was found
+	// for head-bound (the rest are re-derived forward, or gone).
+	OverDeleted int
+	Rederived   int
+	// Steps is the component's share of IVMStats.Steps.
+	Steps int
+}
+
 // ExperimentStats describes one experiment (or one shard of one) run by the
 // internal/expt harness.
 type ExperimentStats struct {
@@ -262,6 +306,7 @@ type Collector interface {
 	Server(ServerStats)
 	Subscription(SubscriptionStats)
 	Stream(StreamStats)
+	IVM(IVMStats)
 }
 
 // Nop is a Collector that discards every event. Embed it to implement only
@@ -299,6 +344,9 @@ func (Nop) Subscription(SubscriptionStats) {}
 
 // Stream implements Collector.
 func (Nop) Stream(StreamStats) {}
+
+// IVM implements Collector.
+func (Nop) IVM(IVMStats) {}
 
 // multi fans events out to several collectors in order.
 type multi []Collector
@@ -379,6 +427,12 @@ func (m multi) Subscription(s SubscriptionStats) {
 func (m multi) Stream(s StreamStats) {
 	for _, c := range m {
 		c.Stream(s)
+	}
+}
+
+func (m multi) IVM(s IVMStats) {
+	for _, c := range m {
+		c.IVM(s)
 	}
 }
 

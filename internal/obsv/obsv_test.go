@@ -16,6 +16,12 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 	s.Ground(GroundStats{Atoms: 10, Rules: 20, Passes: 3, DeltaHits: 7, DeltaSkips: 2})
 	s.Translate(TranslateStats{Op: "stepindex", InSize: 4, OutSize: 12, Steps: 3})
 	s.StableSearch(StableSearchStats{Undef: 4, Candidates: 16, Models: 4, Workers: 1, Chunks: 1})
+	s.IVM(IVMStats{Mode: "incremental", Inserted: 4, Deleted: 4, Steps: 24, Probes: 9, DeltaFacts: 10, Units: []IVMUnit{
+		{Preds: []string{"r"}, Strategy: "dred", OverDeleted: 4, Rederived: 1, Steps: 20},
+		{Preds: []string{"gp"}, Strategy: "counting", Steps: 4},
+	}})
+	s.IVM(IVMStats{Mode: "incremental", Deleted: 1, Steps: 7, Scans: 2, Rebuilt: true, Units: []IVMUnit{{Preds: []string{"r"}, Strategy: "rebuild", Steps: 7}}})
+	s.IVM(IVMStats{Mode: "recompute", Inserted: 1, DeltaFacts: 3})
 
 	snap := s.Snapshot()
 	want := map[string]int64{
@@ -40,6 +46,18 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"stable.candidates":                16,
 		"stable.models":                    4,
 		"stable.chunks":                    1,
+		"ivm.applies.incremental":          2,
+		"ivm.applies.recompute":            1,
+		"ivm.steps":                        31,
+		"ivm.probes":                       9,
+		"ivm.scans":                        2,
+		"ivm.deltaFacts":                   13,
+		"ivm.fallbacks":                    1,
+		"ivm.units.dred":                   1,
+		"ivm.units.counting":               1,
+		"ivm.units.rebuild":                1,
+		"ivm.overDeleted":                  4,
+		"ivm.rederived":                    1,
 	}
 	for k, v := range want {
 		if snap[k] != v {

@@ -156,6 +156,28 @@ func (s *Stats) Stream(v StreamStats) {
 	)
 }
 
+// IVM implements Collector.
+func (s *Stats) IVM(v IVMStats) {
+	kvs := []any{
+		"ivm.applies." + v.Mode, int64(1),
+		"ivm.steps", int64(v.Steps),
+		"ivm.probes", int64(v.Probes),
+		"ivm.scans", int64(v.Scans),
+		"ivm.deltaFacts", int64(v.DeltaFacts),
+	}
+	if v.Rebuilt {
+		kvs = append(kvs, "ivm.fallbacks", int64(1))
+	}
+	for _, u := range v.Units {
+		kvs = append(kvs,
+			"ivm.units."+u.Strategy, int64(1),
+			"ivm.overDeleted", int64(u.OverDeleted),
+			"ivm.rederived", int64(u.Rederived),
+		)
+	}
+	s.add(kvs...)
+}
+
 // Snapshot is an immutable copy of a Stats collector's counters. The
 // counter vocabulary:
 //
@@ -172,6 +194,8 @@ func (s *Stats) Stream(v StreamStats) {
 //	server.subscriptions, server.subscription.events|coalesced|wallNS,
 //	server.subscription.ends.<reason>
 //	stream.pipelines|scanned|probes|tested|emitted|hashJoins|pushed
+//	ivm.applies.<mode>, ivm.steps|probes|scans|deltaFacts,
+//	ivm.fallbacks, ivm.units.<strategy>, ivm.overDeleted|rederived
 type Snapshot map[string]int64
 
 // Snapshot returns a copy of the current counters.

@@ -51,8 +51,9 @@ type pred struct {
 }
 
 // Datalog generates a safe deductive program of the given kind: EDB facts
-// over a small integer domain, and rules whose bodies open with positive
-// atoms binding every variable, followed by optional comparison literals, an
+// over a small integer domain, and rules whose bodies open with one to three
+// positive atoms binding every variable — some of their argument positions
+// holding a constant instead — followed by optional comparison literals, an
 // optional guarded arithmetic assignment (exercising interpreted functions
 // while keeping the active domain finite), and negated atoms per the kind's
 // discipline. Safety in the sense of Definition 4.1 holds by construction;
@@ -103,10 +104,20 @@ func (g *Gen) Datalog(kind DatalogKind) *datalog.Program {
 		var body []datalog.Literal
 		bound := map[datalog.Var]bool{}
 		var boundList []datalog.Var
-		for j := 0; j < 1+g.intn(2); j++ {
+		for j := 0; j < 1+g.intn(3); j++ {
 			rel := posPool[g.intn(len(posPool))]
 			args := make([]datalog.Term, rel.arity)
 			for k := range args {
+				// One position in five holds a constant: a position that is
+				// bound whatever the rule is entered from, so with up to
+				// three atoms a body has entry patterns (incremental
+				// maintenance compiles one join order per entry) whose best
+				// order is not the textual one. The body's first position
+				// stays a variable — the head needs something bound.
+				if (j > 0 || k > 0) && g.chance(5) {
+					args[k] = datalog.CInt(int64(g.intn(nConst)))
+					continue
+				}
 				v := vars[g.intn(len(vars))]
 				args[k] = v
 				if !bound[v] {

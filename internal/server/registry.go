@@ -14,7 +14,7 @@ import (
 )
 
 // registry is the store of named databases. Each entry carries a version
-// counter and the set of live subscriptions watching it: mutations
+// counter and the live views its subscriptions watch: mutations
 // (POST /v1/dbs/{name}/facts), wholesale replacements (PUT /v1/dbs/{name})
 // and restores bump the version and notify subscribers under the entry's
 // writer mutex, so every subscription observes the same totally-ordered
@@ -50,8 +50,8 @@ type dbState struct {
 }
 
 // dbEntry is one named database. The entry outlives any particular database
-// value: replacing the database keeps the entry (and its subscriber set)
-// while swapping cur and bumping the version.
+// value: replacing the database keeps the entry while swapping cur and
+// bumping the version (the views over the old contents are closed).
 type dbEntry struct {
 	name string
 
@@ -60,12 +60,13 @@ type dbEntry struct {
 	cur atomic.Pointer[dbState]
 
 	// mu serializes writers (mutations, replacement, snapshot, restore) and
-	// subscription registration, and guards subs and snaps. Incremental view
-	// maintenance for each subscriber runs under it, which makes the delta
-	// sequence each client sees a deterministic function of the mutation
-	// order.
-	mu    sync.Mutex
-	subs  map[*subscriber]bool
+	// subscription registration, and guards views and snaps. Incremental
+	// maintenance of every view runs under it, which makes the delta sequence
+	// each client sees a deterministic function of the mutation order.
+	mu sync.Mutex
+	// views are the maintained views with live subscriptions, one per
+	// distinct (plan, effective budgets): identical subscriptions share one.
+	views map[viewKey]*liveView
 	snaps map[string]algebra.DB
 	store *entryStore // nil: memory-resident
 }
@@ -75,7 +76,7 @@ func newRegistry() *registry {
 }
 
 func newDBEntry(name string) *dbEntry {
-	e := &dbEntry{name: name, subs: map[*subscriber]bool{}, snaps: map[string]algebra.DB{}}
+	e := &dbEntry{name: name, views: map[viewKey]*liveView{}, snaps: map[string]algebra.DB{}}
 	e.cur.Store(&dbState{})
 	return e
 }
@@ -175,9 +176,7 @@ func (r *registry) set(name string, db algebra.DB) error {
 		db = nil // the store holds the data; keep nothing resident
 	}
 	e.cur.Store(&dbState{db: db, version: e.cur.Load().version + 1})
-	for sub := range e.subs {
-		sub.close(reasonReplaced)
-	}
+	e.closeViews(reasonReplaced)
 	return nil
 }
 
@@ -227,9 +226,7 @@ func (r *registry) restore(name, label string) (version uint64, err error) {
 	}
 	v := e.cur.Load().version + 1
 	e.cur.Store(&dbState{db: db, version: v})
-	for sub := range e.subs {
-		sub.close(reasonRestored)
-	}
+	e.closeViews(reasonRestored)
 	return v, nil
 }
 

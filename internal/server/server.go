@@ -391,7 +391,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts := s.requestOptions(&req, ctx)
+	opts := s.requestOptions(&req, ctx.Done())
 
 	if s.testHookEval != nil {
 		s.testHookEval()
@@ -417,9 +417,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // requestOptions merges the request's budget overrides over the server
-// defaults and wires the request context's cancellation into both engines'
-// Interrupt channels (polled between fixpoint rounds).
-func (s *Server) requestOptions(req *queryRequest, ctx context.Context) query.Options {
+// defaults and wires interrupt — a query's request context, a subscription's
+// view — into both engines' Interrupt channels (polled between fixpoint
+// rounds).
+func (s *Server) requestOptions(req *queryRequest, interrupt <-chan struct{}) query.Options {
 	opts := query.Options{Budget: s.cfg.Budget, Ground: s.cfg.Ground, MaxUndef: s.cfg.MaxUndef}
 	if req.MaxUndef > 0 {
 		opts.MaxUndef = req.MaxUndef
@@ -441,8 +442,8 @@ func (s *Server) requestOptions(req *queryRequest, ctx context.Context) query.Op
 			opts.Ground.MaxRules = b.MaxRules
 		}
 	}
-	opts.Budget.Interrupt = ctx.Done()
-	opts.Ground.Interrupt = ctx.Done()
+	opts.Budget.Interrupt = interrupt
+	opts.Ground.Interrupt = interrupt
 	return opts
 }
 

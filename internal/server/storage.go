@@ -475,7 +475,9 @@ func (es *entryStore) predArity(name string, ins []value.Value) int {
 
 // rowOfElem encodes one set element as a row of the given arity, matching
 // storage.RowsOfSet's encoding; ok=false when the element does not fit
-// (not a tuple of that width).
+// (not a tuple of that width). A tuple's components are interned one by one:
+// interning the tuple itself would leave every fact a mutation ever mentions
+// in the append-only arena, long after the fact is deleted.
 func rowOfElem(in *intern.Interner, v value.Value, arity int) ([]intern.ID, bool) {
 	if arity == 1 {
 		return []intern.ID{in.Intern(v)}, true
@@ -484,9 +486,10 @@ func rowOfElem(in *intern.Interner, v value.Value, arity int) ([]intern.ID, bool
 	if !ok || t.Len() != arity {
 		return nil, false
 	}
-	id := in.Intern(v)
 	row := make([]intern.ID, arity)
-	copy(row, in.Elems(id))
+	for i := range row {
+		row[i] = in.Intern(t.At(i))
+	}
 	return row, true
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,8 +9,10 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"algrec/internal/algebra"
 	"algrec/internal/datalog"
 	"algrec/internal/ivm"
 	"algrec/internal/obsv"
@@ -25,13 +28,72 @@ const (
 	reasonSlowConsumer = "slow-consumer" // the pending delta outgrew SubMaxPending
 	reasonReplaced     = "db-replaced"   // PUT /v1/dbs/{name} swapped the database
 	reasonRestored     = "db-restored"   // POST /v1/dbs/{name}/restore swapped the database
-	reasonError        = "error"         // view maintenance failed (budget, interrupt)
+	reasonError        = "error"         // view maintenance failed (interrupt, evaluation error, failed rebuild)
 )
 
+// viewKey identifies a maintained view within one database: the plan-cache
+// key of its query and the effective budgets it runs under — the request's
+// overrides merged over the server defaults, with no interrupt wired.
+type viewKey struct {
+	plan cacheKey
+	opts query.Options
+}
+
+// liveView is one maintained view (ivm.View) and the subscriptions it feeds.
+// Subscriptions with the same viewKey share one: the view is built once, a
+// mutation maintains it once, and the resulting delta is fanned out.
+type liveView struct {
+	view *ivm.View
+	subs map[*subscriber]bool // guarded by the entry mutex
+
+	// stop is the view's Interrupt; interest counts the subscriptions whose
+	// client is still there. Whoever takes interest to zero closes stop, so
+	// work nobody is waiting for is abandoned, while one subscriber leaving
+	// never cancels what the others share. A stopped view takes no new
+	// subscriptions.
+	stop     chan struct{}
+	interest atomic.Int32
+}
+
+// join registers one more interested subscription; it fails on a view whose
+// last subscriber has already gone.
+func (lv *liveView) join() bool {
+	for {
+		n := lv.interest.Load()
+		if n == 0 {
+			return false
+		}
+		if lv.interest.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// release withdraws one subscription's interest; each subscription calls it
+// exactly once, when its client disconnects or its handler returns, whichever
+// comes first.
+func (lv *liveView) release() {
+	if lv.interest.Add(-1) == 0 {
+		close(lv.stop)
+	}
+}
+
+// closeViews ends every subscription of the entry with the given reason and
+// forgets the views: they describe contents the entry no longer has. Called
+// with the entry mutex held.
+func (e *dbEntry) closeViews(reason string) {
+	for key, lv := range e.views {
+		for sub := range lv.subs {
+			sub.close(reason)
+		}
+		delete(e.views, key)
+	}
+}
+
 // subscriber is one live subscription: a compiled query registered against a
-// named database, whose incremental view (ivm.View) is maintained on the
-// mutator's goroutine under the dbEntry mutex while a writer goroutine (the
-// HTTP handler) streams the resulting events to the client.
+// named database, whose view is maintained on the mutator's goroutine under
+// the dbEntry mutex while a writer goroutine (the HTTP handler) streams the
+// resulting events to the client.
 //
 // Backpressure accounting: at most one undelivered event is held per
 // subscriber. Deltas arriving while the previous one is still pending are
@@ -39,8 +101,7 @@ const (
 // entries the subscription is closed with reason "slow-consumer" instead of
 // buffering without bound.
 type subscriber struct {
-	entry *dbEntry
-	view  *ivm.View
+	lv *liveView
 
 	mu        sync.Mutex
 	pending   *subEventJSON // coalesced undelivered event, nil when none
@@ -105,7 +166,8 @@ func (sub *subscriber) stats() (events, coalesced int64, reason string) {
 }
 
 // push folds one maintenance result into the pending slot. Called on the
-// mutator's goroutine under the dbEntry mutex (so sub.view is safe to read).
+// mutator's goroutine under the dbEntry mutex (so the view is safe to read).
+// The delta is shared by every subscriber of the view and never modified.
 // Snapshot deltas — and any delta arriving while a snapshot is pending — are
 // delivered as a fresh full-result snapshot: a rendered snapshot cannot be
 // patched, and the view already holds the current outcome.
@@ -120,7 +182,7 @@ func (sub *subscriber) push(version uint64, d *ivm.ResultDelta, maxPending int) 
 	}
 	switch {
 	case d.Snapshot, sub.pending != nil && sub.pending.Event == "snapshot":
-		out, err := sub.view.Outcome()
+		out, err := sub.lv.view.Outcome()
 		if err != nil {
 			sub.reason = reasonError
 			sub.pending = nil
@@ -306,8 +368,9 @@ func valueFromJSON(a any) (value.Value, error) {
 
 // handleMutateFacts serves POST /v1/dbs/{name}/facts: an incremental fact
 // mutation of a registered database. Deletions apply before insertions; the
-// database version is bumped once per batch and every live subscription's
-// view is maintained (and its clients notified) before the response returns.
+// database version is bumped once per batch and every live view is maintained
+// — once, however many subscriptions share it — and its subscribers notified
+// before the response returns.
 func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ev := obsv.ServerStats{Route: "facts"}
@@ -362,16 +425,24 @@ func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
 	} else {
 		entry.cur.Store(&dbState{db: ivm.ApplyDB(st.db, ins, del), version: version})
 	}
-	for sub := range entry.subs {
-		d, applyErr := sub.view.Apply(ins, del)
+	for key, lv := range entry.views {
+		d, applyErr := lv.view.Apply(ins, del)
 		if applyErr != nil {
-			sub.close(reasonError)
+			// Beyond repair — its interrupt fired, or the batch failed where
+			// even a rebuild could not help. Drop it, so that an identical
+			// subscription arriving later builds a fresh one.
+			for sub := range lv.subs {
+				sub.close(reasonError)
+			}
+			delete(entry.views, key)
 			continue
 		}
 		if d.Empty() {
 			continue
 		}
-		sub.push(version, d, s.cfg.SubMaxPending)
+		for sub := range lv.subs {
+			sub.push(version, d, s.cfg.SubMaxPending)
+		}
 	}
 	entry.mu.Unlock()
 
@@ -455,7 +526,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ev.CacheLookup = true
-	plan, hit, compiled, err := s.cache.get(cacheKey{lang: lang, sem: sem, src: req.Query})
+	ck := cacheKey{lang: lang, sem: sem, src: req.Query}
+	plan, hit, compiled, err := s.cache.get(ck)
 	ev.CacheHit, ev.Compiled = hit, compiled
 	if err != nil {
 		fail(query.ErrorCode(err, true), err.Error())
@@ -463,30 +535,51 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	opts := s.requestOptions(&req.queryRequest, ctx)
+	key := viewKey{plan: ck, opts: s.requestOptions(&req.queryRequest, nil)}
 
 	// Register under the entry mutex: the initial snapshot and every later
 	// delta observe the same totally-ordered mutation sequence, with no
 	// window for a lost update between view construction and registration.
+	// An identical subscription already live shares its view; otherwise this
+	// one builds it, interruptible through the view's own stop channel.
 	entry.mu.Lock()
-	db, verr := entry.planDB(plan)
-	var view *ivm.View
-	if verr == nil {
-		view, verr = ivm.New(plan, db, opts)
+	lv := entry.views[key]
+	shared := lv != nil && lv.join()
+	if !shared {
+		lv = &liveView{subs: map[*subscriber]bool{}, stop: make(chan struct{})}
+		lv.interest.Store(1)
+	}
+	unwatch := context.AfterFunc(ctx, lv.release)
+	var verr error
+	if !shared {
+		var db algebra.DB
+		if db, verr = entry.planDB(plan); verr == nil {
+			opts := key.opts
+			opts.Budget.Interrupt, opts.Ground.Interrupt = lv.stop, lv.stop
+			lv.view, verr = ivm.New(plan, db, opts)
+		}
 	}
 	var sub *subscriber
 	if verr == nil {
 		var out *query.Outcome
-		out, verr = view.Outcome()
-		if verr == nil {
+		if out, verr = lv.view.Outcome(); verr == nil {
 			res := renderResult(out)
-			sub = &subscriber{entry: entry, view: view, notify: make(chan struct{}, 1)}
+			sub = &subscriber{lv: lv, notify: make(chan struct{}, 1)}
 			sub.pending = &subEventJSON{Event: "snapshot", Version: entry.cur.Load().version, Result: &res}
-			entry.subs[sub] = true
+			lv.subs[sub] = true
+			entry.views[key] = lv
 		}
 	}
 	entry.mu.Unlock()
+	// leave withdraws this subscription's interest unless the client's
+	// disconnect already did.
+	leave := func() {
+		if unwatch() {
+			lv.release()
+		}
+	}
 	if verr != nil {
+		leave()
 		fail(query.ErrorCode(verr, false), verr.Error())
 		return
 	}
@@ -494,14 +587,18 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.activeSubs.Add(1)
 	defer func() {
 		entry.mu.Lock()
-		delete(entry.subs, sub)
+		delete(lv.subs, sub)
+		if len(lv.subs) == 0 && entry.views[key] == lv {
+			delete(entry.views, key)
+		}
 		entry.mu.Unlock()
+		leave()
 		s.activeSubs.Add(-1)
 		events, coalesced, reason := sub.stats()
 		s.col.Subscription(obsv.SubscriptionStats{
 			Language:  string(lang),
 			Semantics: string(sem),
-			Mode:      string(view.Mode()),
+			Mode:      string(lv.view.Mode()),
 			Events:    int(events),
 			Coalesced: int(coalesced),
 			Reason:    reason,

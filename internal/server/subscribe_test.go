@@ -442,9 +442,10 @@ func TestSubscribeDBReplaced(t *testing.T) {
 }
 
 // TestSubscribeInterruptOnDisconnect wires the client's disappearance into
-// view maintenance: with the writer parked, a disconnected client's context
-// cancels through the Budget/Ground Interrupt hooks, so the next mutation's
-// maintenance fails and closes the subscription with reason "error".
+// view maintenance: with the writer parked, the disconnect of a view's last
+// interested client closes the view's stop channel — its Budget/Ground
+// Interrupt — so the next mutation's maintenance fails and closes the
+// subscription with reason "error".
 func TestSubscribeInterruptOnDisconnect(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	gate := make(chan struct{})
@@ -455,15 +456,17 @@ func TestSubscribeInterruptOnDisconnect(t *testing.T) {
 	// The writer is parked in its first iteration's hook, before even the
 	// snapshot write — it can never reach its own disconnect check, so the
 	// only way the subscription can close is maintenance observing the
-	// canceled request context through the Budget/Ground Interrupt hooks.
+	// stopped view through the Budget/Ground Interrupt hooks.
 	entry, ok := s.reg.entry("g")
 	if !ok {
 		t.Fatal("entry g missing")
 	}
 	entry.mu.Lock()
 	var sub *subscriber
-	for candidate := range entry.subs {
-		sub = candidate
+	for _, lv := range entry.views {
+		for candidate := range lv.subs {
+			sub = candidate
+		}
 	}
 	entry.mu.Unlock()
 	if sub == nil {

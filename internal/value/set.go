@@ -221,6 +221,9 @@ func (s Set) Diff(t Set) Set {
 		}
 		return setFromSorted(out)
 	}
+	if len(s.elems) >= gallopFactor*len(t.elems) {
+		return diffGallop(s, t.elems)
+	}
 	out := make([]Value, 0, len(s.elems))
 	i, j := 0, 0
 	for i < len(s.elems) {
@@ -240,6 +243,37 @@ func (s Set) Diff(t Set) Set {
 			j++
 		}
 	}
+	return setFromSorted(out)
+}
+
+// diffGallop is large minus small, the mirror of unionGallop (a mutation
+// batch's deletions leaving a stored relation): binary-search each element of
+// small in the unconsumed tail of big, then copy the gaps between the hits
+// wholesale. Cost is |small| searches of O(log |big|) Compares plus one pass
+// of copying; when nothing is hit, big itself is the answer.
+func diffGallop(big Set, small []Value) Set {
+	hits := make([]int, 0, len(small))
+	lo := 0
+	for _, v := range small {
+		lo += sort.Search(len(big.elems)-lo, func(i int) bool { return big.elems[lo+i].Compare(v) >= 0 })
+		if lo == len(big.elems) {
+			break
+		}
+		if big.elems[lo].Compare(v) == 0 {
+			hits = append(hits, lo)
+			lo++
+		}
+	}
+	if len(hits) == 0 {
+		return big
+	}
+	out := make([]Value, 0, len(big.elems)-len(hits))
+	lo = 0
+	for _, at := range hits {
+		out = append(out, big.elems[lo:at]...)
+		lo = at + 1
+	}
+	out = append(out, big.elems[lo:]...)
 	return setFromSorted(out)
 }
 

@@ -64,7 +64,9 @@ func TestPropertyUnionDiffGallop(t *testing.T) {
 }
 
 // TestUnionGallopEdgeCases pins the slab-copy boundaries the property test
-// may miss: small entirely before, after, interleaved with, and inside big.
+// may miss: small entirely before, after, interleaved with, and inside big —
+// for the union and for the mirrored large-minus-small difference, which
+// must hand back big itself when small hits nothing.
 func TestUnionGallopEdgeCases(t *testing.T) {
 	big := make([]Value, 0, 100)
 	for i := 10; i < 110; i++ {
@@ -89,6 +91,16 @@ func TestUnionGallopEdgeCases(t *testing.T) {
 		}
 		if got2 := c.small.Union(b); !Equal(got2, want) {
 			t.Errorf("%s flipped: got %d elems, want %d", c.name, got2.Len(), want.Len())
+		}
+		diff, wantDiff := b.Diff(c.small), referenceDiff(b, c.small)
+		if !Equal(diff, wantDiff) {
+			t.Errorf("%s: big − %v: got %d elems, want %d", c.name, c.small, diff.Len(), wantDiff.Len())
+		}
+		if wantDiff.Len() == b.Len() && &diff.elems[0] != &b.elems[0] {
+			t.Errorf("%s: a difference that removes nothing copied the set", c.name)
+		}
+		if !Equal(b, NewSet(big...)) {
+			t.Errorf("%s: Diff mutated its receiver", c.name)
 		}
 	}
 }
