@@ -18,11 +18,13 @@ test:
 # test-server runs just the serving stack: the query compiler shared by the
 # CLIs and the daemon, the HTTP service (e2e matrix, singleflight, eviction,
 # cancellation, drain, fact mutations, subscription streams) and the
-# incremental maintenance engine behind the subscriptions, plus the three
-# front-ends' golden tests — under the race detector, twice, because the
-# subscription writer/maintainer handoff is where races would live.
+# incremental maintenance engine behind the subscriptions and the relational
+# rule kernel under both (its fact base is shared by concurrent requests),
+# plus the three front-ends' golden tests — under the race detector, twice,
+# because the subscription writer/maintainer handoff and the lazily built
+# per-version fact base are where races would live.
 test-server:
-	go test -race -count=2 ./internal/query ./internal/server ./internal/storage ./internal/ivm ./cmd/algrecd ./cmd/algq ./cmd/dlog
+	go test -race -count=2 ./internal/query ./internal/server ./internal/storage ./internal/ivm ./internal/datalog/rel ./cmd/algrecd ./cmd/algq ./cmd/dlog
 
 # test-storage runs the pluggable-storage engine's own suite — the
 # backend-agnostic conformance tests against both backends, the disk
@@ -44,7 +46,7 @@ serve:
 # packages (algebra and its stream iterator layer, core) must document every
 # exported declaration. doccheck is stdlib-only (tools/doccheck).
 lint: vet
-	go run ./tools/doccheck -strict internal/semantics,internal/translate,internal/algebra,internal/algebra/stream,internal/core,internal/randgen,internal/diffcheck,internal/query,internal/server,internal/ivm,internal/storage,internal/value/intern,internal/value/idset .
+	go run ./tools/doccheck -strict internal/semantics,internal/translate,internal/algebra,internal/algebra/stream,internal/core,internal/randgen,internal/diffcheck,internal/query,internal/server,internal/ivm,internal/datalog/rel,internal/storage,internal/value/intern,internal/value/idset .
 
 # docs-fresh regenerates EXPERIMENTS.md's tables from the committed record
 # (internal/expt/recorded/run.json) and fails if the committed document was
@@ -61,7 +63,7 @@ docs-fresh:
 # under the race detector; diffcheck rides along because its clean-sweep
 # test drives every engine from parallel subtests.
 race:
-	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/query ./internal/storage ./internal/value ./internal/value/intern ./internal/value/idset
+	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/datalog/rel ./internal/query ./internal/storage ./internal/value ./internal/value/intern ./internal/value/idset
 
 # bench runs the full benchmark suite once per target (see also cmd/bench).
 bench:
@@ -112,12 +114,13 @@ bench-smoke:
 	go run -C benchmark algrec/benchmark -smoke
 
 # bench-runs records one point of the per-PR curve: the benchmark's five
-# workloads end to end plus the traced run, five times, into BENCH_<pr>.json
-# at the repository root (commit it with the change it measures; compare two
-# of them with `go run -C benchmark algrec/benchmark -compare OLD NEW`).
-# About a quarter of an hour.
+# workloads end to end plus the traced run, five times, into BENCH_<PR>.json
+# at the repository root — `make bench-runs PR=20` (commit the file with the
+# change it measures; compare two of them with `go run -C benchmark
+# algrec/benchmark -compare OLD NEW`). About a quarter of an hour.
 bench-runs:
-	go run -C benchmark algrec/benchmark -seed 1 -runs 5 -out ../BENCH_19.json
+	@test -n "$(PR)" || { echo "usage: make bench-runs PR=<number of the PR being measured>"; exit 2; }
+	go run -C benchmark algrec/benchmark -seed 1 -runs 5 -out ../BENCH_$(PR).json
 
 # bench-storage reruns just the pluggable-storage experiment (P12): the
 # serving path against the memory and disk backends plus the bulk-load
@@ -132,7 +135,7 @@ fuzz-smoke:
 	@for t in ExprSemiNaive ExprIFPElim CoreValid CoreInflationary CoreWellFounded \
 	          DlogTheorem62 DlogTheorem43 DlogMinimal DlogStratified DlogStable \
 	          ExprIntern DlogIntern ExprStream DlogStream ExprIDSet DlogIDSet \
-	          DlogIVM DlogStorage; do \
+	          DlogIVM DlogStorage DlogRelational; do \
 		go test ./internal/diffcheck -run '^$$' -fuzz "^Fuzz$$t\$$" -fuzztime 10s || exit 1; \
 	done
 

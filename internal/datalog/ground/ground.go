@@ -106,6 +106,7 @@ type Program struct {
 	index    map[string]int           // string mode: Fact.Key -> atom id
 	tables   map[predArity]*predTable // ID mode: argument-ID rows per predicate
 	byPred   map[string][]int         // atom ids per predicate, in interning order
+	rows     [][]intern.ID            // ID mode: argument-ID row per atom id (views into tables)
 	Rules    []Rule
 	// atomsOnce/keysOnce guard the ID mode's lazy materialization of atoms
 	// and keys from the relation rows: grounding itself never builds a
@@ -210,6 +211,17 @@ func (g *Program) Lookup(f datalog.Fact) (int, bool) {
 		return 0, false
 	}
 	return t.atomIDs[idx], true
+}
+
+// AtomRow returns the argument-ID row of the interned atom with the given id
+// — a read-only view — and true, when the program was ground in ID mode;
+// false in string mode, where atoms have no rows. It lets a caller sort and
+// render a few atoms without materializing every atom of the program.
+func (g *Program) AtomRow(id int) ([]intern.ID, bool) {
+	if !g.interned {
+		return nil, false
+	}
+	return g.rows[id], true
 }
 
 // AtomsOf returns the ids of all interned atoms of the given predicate.
@@ -1250,6 +1262,7 @@ func Ground(p *datalog.Program, budget Budget) (*Program, error) {
 			DeltaSkips: deltaSkips,
 		})
 	}
+	g.prog.rows = g.rows
 	return g.prog, nil
 }
 

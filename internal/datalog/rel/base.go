@@ -1,0 +1,272 @@
+package rel
+
+import (
+	"sort"
+	"strconv"
+	"sync"
+
+	"algrec/internal/algebra"
+	"algrec/internal/datalog"
+	"algrec/internal/value"
+	"algrec/internal/value/intern"
+)
+
+// Base is the fact base of one database version: what datalog evaluation
+// derives from an algebra.DB before the first rule runs. Per stored relation
+// it holds the frozen ID tables the relational engine joins on (one per arity,
+// column postings added on first probe), the relation's facts in CompareFacts
+// order — as facts, as bodyless rules for the grounder — and their rendered
+// keys, the form a predicate the program does not add to takes in an outcome.
+//
+// Everything is derived lazily, the first time a request needs it, exactly
+// once, and never changed afterwards: a Base is safe for any number of
+// concurrent requests, which share what it holds read-only. It is immutable
+// in the sense that matters — it describes the database it was made from,
+// which must not be modified while the Base is in use — so a serving layer
+// keeps one per database version and drops it with the version.
+//
+// A nil *Base is the empty database.
+type Base struct {
+	db    algebra.DB
+	once  sync.Once
+	rels  map[string]*baseRel
+	names []string
+}
+
+// BaseUse counts what one request made a Base derive — work an earlier
+// request on the same version would have found done. All zero is a base hit.
+type BaseUse struct {
+	Rows    int // database rows converted: into ID tables, or into sorted facts
+	Indexes int // column posting indexes built
+	Keys    int // fact keys rendered
+}
+
+// baseRel is one stored relation's derived forms.
+type baseRel struct {
+	name string
+	set  value.Set
+
+	tabOnce sync.Once
+	rel     *Relation // frozen tables
+
+	factOnce sync.Once
+	facts    []datalog.Fact
+
+	ruleOnce sync.Once
+	rules    []datalog.Rule
+
+	keyOnce sync.Once
+	keys    []string
+}
+
+// NewBase returns the fact base of db. It does no work until a request asks
+// for something.
+func NewBase(db algebra.DB) *Base { return &Base{db: db} }
+
+// DB returns the database the base describes.
+func (b *Base) DB() algebra.DB {
+	if b == nil {
+		return nil
+	}
+	return b.db
+}
+
+// load lists the stored relations, once.
+func (b *Base) load() {
+	b.once.Do(func() {
+		b.rels = make(map[string]*baseRel, len(b.db))
+		for name, s := range b.db {
+			if s.Len() > 0 {
+				b.rels[name] = &baseRel{name: name, set: s}
+				b.names = append(b.names, name)
+			}
+		}
+		sort.Strings(b.names)
+	})
+}
+
+// relation returns the derived forms of the named relation, or nil when the
+// database stores no fact under that name.
+func (b *Base) relation(name string) *baseRel {
+	if b == nil {
+		return nil
+	}
+	b.load()
+	return b.rels[name]
+}
+
+// Names returns the names of the relations holding at least one fact,
+// sorted. The slice is shared: read-only.
+func (b *Base) Names() []string {
+	if b == nil {
+		return nil
+	}
+	b.load()
+	return b.names
+}
+
+// Keys returns the relation's fact keys ("e(1, 2)") in CompareFacts order —
+// nil for a relation the database does not store. The slice is shared by
+// every request on this database version: read-only.
+func (b *Base) Keys(name string, use *BaseUse) []string {
+	br := b.relation(name)
+	if br == nil {
+		return nil
+	}
+	br.keyOnce.Do(func() {
+		facts := br.sortedFacts(use)
+		br.keys = make([]string, len(facts))
+		for i, f := range facts {
+			br.keys[i] = f.Key()
+		}
+		use.Keys += len(facts)
+	})
+	return br.keys
+}
+
+// FactRules returns the relation's facts as bodyless rules in CompareFacts
+// order, for merging into a program that is to be grounded. Shared:
+// read-only.
+func (b *Base) FactRules(name string, use *BaseUse) []datalog.Rule {
+	br := b.relation(name)
+	if br == nil {
+		return nil
+	}
+	br.ruleOnce.Do(func() {
+		facts := br.sortedFacts(use)
+		br.rules = make([]datalog.Rule, len(facts))
+		for i, f := range facts {
+			br.rules[i] = datalog.FactRule(f)
+		}
+	})
+	return br.rules
+}
+
+// sortedFacts returns the relation's facts, sorted and duplicate-free.
+func (br *baseRel) sortedFacts(use *BaseUse) []datalog.Fact {
+	br.factOnce.Do(func() {
+		facts := make([]datalog.Fact, br.set.Len())
+		for i := range facts {
+			facts[i] = ElemFact(br.name, br.set.At(i))
+		}
+		// A set of tuples of one width, or of scalars, is in fact order as it
+		// stands; only a heterogeneous one interleaves — and may hold a scalar
+		// beside its 1-tuple, the same fact twice.
+		if !sort.SliceIsSorted(facts, func(i, j int) bool { return datalog.CompareFacts(facts[i], facts[j]) < 0 }) {
+			datalog.SortFacts(facts)
+		}
+		n := 0
+		for i, f := range facts {
+			if i == 0 || datalog.CompareFacts(facts[n-1], f) != 0 {
+				facts[n] = f
+				n++
+			}
+		}
+		facts = facts[:n]
+		br.facts = facts
+		use.Rows += len(facts)
+	})
+	return br.facts
+}
+
+// tables returns the relation's frozen tables, loading them on first use.
+func (br *baseRel) tables(use *BaseUse) *Relation {
+	br.tabOnce.Do(func() {
+		rel := &Relation{Name: br.name}
+		in := intern.Global()
+		var buf []intern.ID
+		for i := 0; i < br.set.Len(); i++ {
+			buf = elemIDs(in, buf, br.set.At(i))
+			t := rel.tableFor(len(buf))
+			if r := t.Intern(buf); t.Flags[r] == 0 {
+				t.Flags[r] = FlagLive | FlagDB
+				rel.NDB++
+			}
+		}
+		for _, t := range rel.Tables {
+			t.freeze()
+		}
+		br.rel = rel
+		use.Rows += rel.NDB
+	})
+	return br.rel
+}
+
+// ElemFact maps a database set element to the fact it stands for in the
+// relational idiom: a tuple is an n-ary fact of its components, anything else
+// a unary one. Every path from a database to datalog goes through this
+// mapping or its row form.
+func ElemFact(pred string, elem value.Value) datalog.Fact {
+	if t, ok := elem.(value.Tuple); ok {
+		return datalog.Fact{Pred: pred, Args: t.Elems()}
+	}
+	return datalog.Fact{Pred: pred, Args: []value.Value{elem}}
+}
+
+// elemIDs is ElemFact in ID space: the element's row, built in buf. An
+// element the interner has already seen whole gives up its component IDs
+// without a lookup per component.
+func elemIDs(in *intern.Interner, buf []intern.ID, elem value.Value) []intern.ID {
+	tup, ok := elem.(value.Tuple)
+	if !ok {
+		return append(buf[:0], in.Intern(elem))
+	}
+	if id := value.InternID(elem); id != 0 {
+		return append(buf[:0], in.Elems(intern.ID(id))...)
+	}
+	buf = buf[:0]
+	for i := 0; i < tup.Len(); i++ {
+		buf = append(buf, in.Intern(tup.At(i)))
+	}
+	return buf
+}
+
+// SortedKeys renders rows of one predicate as fact keys ("tc(1, 2)") in
+// CompareFacts order — argument-wise by the values behind the IDs, a shorter
+// row before its extensions. It is the one place rows become text: outcomes
+// and deltas of both clients, and the grounder's interpretations, all render
+// through it. rows is sorted in place; the rows themselves are only read.
+func SortedKeys(pred string, rows [][]intern.ID) []string {
+	if len(rows) == 0 {
+		return nil
+	}
+	in := intern.Global()
+	sort.Slice(rows, func(i, j int) bool { return compareRows(in, rows[i], rows[j]) < 0 })
+	out := make([]string, len(rows))
+	buf := make([]byte, 0, 64)
+	for i, row := range rows {
+		buf = append(buf[:0], pred...)
+		buf = append(buf, '(')
+		for k, id := range row {
+			if k > 0 {
+				buf = append(buf, ", "...)
+			}
+			if v, ok := in.Lookup(id).(value.Int); ok {
+				buf = strconv.AppendInt(buf, int64(v), 10)
+			} else {
+				buf = append(buf, in.Lookup(id).String()...)
+			}
+		}
+		buf = append(buf, ')')
+		out[i] = string(buf)
+	}
+	return out
+}
+
+// compareRows is datalog.CompareFacts on the rows of one predicate. Equal IDs
+// are equal values, so only differing positions are looked up.
+func compareRows(in *intern.Interner, a, b []intern.ID) int {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for k := 0; k < n; k++ {
+		if a[k] == b[k] {
+			continue
+		}
+		if c := in.Lookup(a[k]).Compare(in.Lookup(b[k])); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
+}

@@ -1,4 +1,4 @@
-package ivm
+package rel
 
 import (
 	"fmt"
@@ -7,7 +7,7 @@ import (
 	"algrec/internal/value/intern"
 )
 
-// A rule is compiled once, when the engine is built, into one join plan per
+// A rule is compiled once, when its engine is built, into one join plan per
 // entry pattern — the way a rule execution starts decides what is bound, and
 // what is bound decides the order worth running the body in:
 //
@@ -16,6 +16,9 @@ import (
 //     delta row and skipped, the rest runs from its bindings;
 //   - head-bound (DRed re-derivation): the head is unified with the row whose
 //     derivability is in question, and the body runs as an existence test.
+//
+// An engine that only builds (Config.Maintain unset) compiles the first, and
+// of the second what semi-naive propagation inside a recursive unit enters.
 //
 // datalog.PlanRuleFrom chooses each order from the binding pattern. Which
 // state of a relation a literal reads — old or new — is decided by the
@@ -56,8 +59,8 @@ type op struct {
 	kind opKind
 
 	// opMatch, opNeg
-	lit  int // index into compiledRule.lits: selects the view
-	t    *table
+	lit  int // index into Rule.Lits: selects the view
+	t    *Table
 	args []argSpec
 	keys []int       // opMatch: columns determined before the row is read
 	buf  []intern.ID // the determined columns' IDs (opNeg: the whole instance)
@@ -68,44 +71,45 @@ type op struct {
 	cmp  datalog.LitCmp // opTest
 }
 
-// entryPlan is the compiled plan of one entry pattern: how the entry atom
-// (nil for the from-scratch entry) binds the frame, then the steps.
-type entryPlan struct {
+// EntryPlan is the compiled plan of one entry pattern: how the entry atom
+// (nil for the from-scratch entry) binds the frame, then the steps. It is
+// opaque outside the package: a client hands one back to Engine.Exec.
+type EntryPlan struct {
 	entry []argSpec
 	ops   []op
 }
 
-// compiledLit is one atom literal of a rule body, in textual order.
-type compiledLit struct {
-	neg   bool
-	t     *table
-	pivot *entryPlan // the plan entered from a delta row of this literal
+// Lit is one atom literal of a rule body, in textual order.
+type Lit struct {
+	Neg   bool
+	T     *Table
+	Pivot *EntryPlan // the plan entered from a delta row of this literal
 }
 
-// compiledRule is one non-fact rule: its head, its atom literals, and a plan
-// per entry pattern.
-type compiledRule struct {
+// Rule is one compiled non-fact rule: its head, its atom literals, and a
+// plan per entry pattern.
+type Rule struct {
 	rule     datalog.Rule
-	head     *table
+	Head     *Table
 	headArgs []argSpec
 	headBuf  []intern.ID
-	lits     []compiledLit
+	Lits     []Lit
 	slots    map[datalog.Var]int
 	frame    []intern.ID
 
-	scratch *entryPlan // from scratch
-	bound   *entryPlan // head-bound
+	scratch *EntryPlan // from scratch
+	Bound   *EntryPlan // head-bound
 }
 
 // compileRule compiles r. Tables for every (predicate, arity) the rule
 // mentions are created on the way, and the columns its plans probe indexed.
-func (e *engine) compileRule(r datalog.Rule) (*compiledRule, error) {
-	cr := &compiledRule{rule: r, slots: map[datalog.Var]int{}}
+func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
+	cr := &Rule{rule: r, slots: map[datalog.Var]int{}}
 	for v := range datalog.VarsOfRule(r) {
 		cr.slots[v] = len(cr.slots)
 	}
 	cr.frame = make([]intern.ID, len(cr.slots))
-	cr.head = e.tableOf(r.Head)
+	cr.Head = e.tableOf(r.Head)
 	cr.headBuf = make([]intern.ID, len(r.Head.Args))
 
 	// litOf maps a body index to the literal's index among the atoms.
@@ -113,8 +117,8 @@ func (e *engine) compileRule(r datalog.Rule) (*compiledRule, error) {
 	for i, l := range r.Body {
 		litOf[i] = -1
 		if la, ok := l.(datalog.LitAtom); ok {
-			litOf[i] = len(cr.lits)
-			cr.lits = append(cr.lits, compiledLit{neg: la.Neg, t: e.tableOf(la.Atom)})
+			litOf[i] = len(cr.Lits)
+			cr.Lits = append(cr.Lits, Lit{Neg: la.Neg, T: e.tableOf(la.Atom)})
 		}
 	}
 
@@ -122,14 +126,21 @@ func (e *engine) compileRule(r datalog.Rule) (*compiledRule, error) {
 	if cr.scratch, err = e.compileEntry(cr, nil, -1, litOf); err != nil {
 		return nil, err
 	}
-	if cr.bound, err = e.compileEntry(cr, &r.Head, -1, litOf); err != nil {
-		return nil, err
+	if e.maintain {
+		if cr.Bound, err = e.compileEntry(cr, &r.Head, -1, litOf); err != nil {
+			return nil, err
+		}
 	}
+	// A build only ever pivots on a positive literal of the rule's own
+	// recursive unit (Propagate); maintenance pivots on every literal.
+	unit := e.UnitOf[r.Head.Pred]
 	for i, l := range r.Body {
-		if la, ok := l.(datalog.LitAtom); ok {
-			if cr.lits[litOf[i]].pivot, err = e.compileEntry(cr, &la.Atom, i, litOf); err != nil {
-				return nil, err
-			}
+		la, ok := l.(datalog.LitAtom)
+		if !ok || !(e.maintain || (!la.Neg && unit.Preds[la.Atom.Pred])) {
+			continue
+		}
+		if cr.Lits[litOf[i]].Pivot, err = e.compileEntry(cr, &la.Atom, i, litOf); err != nil {
+			return nil, err
 		}
 	}
 	// The head is instantiated when every variable is bound.
@@ -143,8 +154,8 @@ func (e *engine) compileRule(r datalog.Rule) (*compiledRule, error) {
 
 // compileEntry compiles the plan entered by unifying atom (nil: nothing)
 // with a row, with body literal skip left out.
-func (e *engine) compileEntry(cr *compiledRule, atom *datalog.Atom, skip int, litOf []int) (*entryPlan, error) {
-	p := &entryPlan{}
+func (e *Engine) compileEntry(cr *Rule, atom *datalog.Atom, skip int, litOf []int) (*EntryPlan, error) {
+	p := &EntryPlan{}
 	bound := make([]bool, len(cr.slots))
 	// Computed arguments of the entry atom cannot bind anything; each becomes
 	// a check against the entry row, run once its variables are bound.
@@ -181,7 +192,7 @@ func (e *engine) compileEntry(cr *compiledRule, atom *datalog.Atom, skip int, li
 	for _, st := range bp.Steps {
 		switch st.Kind {
 		case datalog.StepMatch:
-			o := op{kind: opMatch, lit: litOf[st.Lit], t: cr.lits[litOf[st.Lit]].t}
+			o := op{kind: opMatch, lit: litOf[st.Lit], t: cr.Lits[litOf[st.Lit]].T}
 			for k, b := range st.Bound {
 				if b {
 					o.keys = append(o.keys, k)
@@ -193,7 +204,9 @@ func (e *engine) compileEntry(cr *compiledRule, atom *datalog.Atom, skip int, li
 			// the postings of the columns it may choose among.
 			if len(o.keys) < len(o.args) {
 				for _, k := range o.keys {
-					o.t.index(k)
+					if o.t.index(k) {
+						e.Use.Indexes++
+					}
 				}
 			}
 			p.ops = append(p.ops, o)
@@ -204,25 +217,25 @@ func (e *engine) compileEntry(cr *compiledRule, atom *datalog.Atom, skip int, li
 		case datalog.StepTest:
 			p.ops = append(p.ops, op{kind: opTest, cmp: st.Cmp})
 		default:
-			return nil, fmt.Errorf("ivm: unknown plan step kind %v", st.Kind)
+			return nil, fmt.Errorf("rel: unknown plan step kind %v", st.Kind)
 		}
 		flush()
 	}
 	for i, na := range bp.Negs {
 		li := litOf[bp.NegLits[i]]
-		o := op{kind: opNeg, lit: li, t: cr.lits[li].t, args: e.compileArgs(cr, na.Args, bound)}
+		o := op{kind: opNeg, lit: li, t: cr.Lits[li].T, args: e.compileArgs(cr, na.Args, bound)}
 		o.buf = make([]intern.ID, len(o.args))
 		p.ops = append(p.ops, o)
 	}
 	if len(checks) > 0 {
-		return nil, fmt.Errorf("ivm: rule %s: entry argument %s is never evaluable", cr.rule, checks[0].term)
+		return nil, fmt.Errorf("rel: rule %s: entry argument %s is never evaluable", cr.rule, checks[0].term)
 	}
 	return p, nil
 }
 
 // compileArgs compiles an atom's argument positions against the slots bound
 // so far, marking the variables the atom binds.
-func (e *engine) compileArgs(cr *compiledRule, args []datalog.Term, bound []bool) []argSpec {
+func (e *Engine) compileArgs(cr *Rule, args []datalog.Term, bound []bool) []argSpec {
 	out := make([]argSpec, len(args))
 	for k, t := range args {
 		switch tt := t.(type) {
@@ -244,7 +257,7 @@ func (e *engine) compileArgs(cr *compiledRule, args []datalog.Term, bound []bool
 }
 
 // termBound reports whether every variable of t has a bound slot.
-func termBound(cr *compiledRule, t datalog.Term, bound []bool) bool {
+func termBound(cr *Rule, t datalog.Term, bound []bool) bool {
 	for v := range datalog.VarsOfTerm(t) {
 		if !bound[cr.slots[v]] {
 			return false
@@ -254,6 +267,6 @@ func termBound(cr *compiledRule, t datalog.Term, bound []bool) bool {
 }
 
 // tableOf returns the table an atom's instances live in.
-func (e *engine) tableOf(a datalog.Atom) *table {
+func (e *Engine) tableOf(a datalog.Atom) *Table {
 	return e.relFor(a.Pred).tableFor(len(a.Args))
 }

@@ -1,0 +1,555 @@
+// Package rel is the relational rule kernel: stratified datalog evaluated
+// straight on ID tables, with no ground program in between. It is the one
+// executor under both clients that run rules to a fixpoint over stored
+// relations — query.Execute, which evaluates a program from scratch against a
+// database, and internal/ivm, which keeps such an evaluation current under
+// fact mutations — so "from scratch" and "maintained" are the same join code
+// entered differently: a build enters every rule with nothing bound, a delta
+// batch enters it from the changed row.
+//
+// The pieces:
+//
+//   - Table (table.go): one flat arity-strided store of interned-ID rows per
+//     (predicate, arity), with a row hash for membership and per-column posting
+//     chains for joins;
+//   - Rule (compile.go): a rule compiled once into one join plan per entry
+//     pattern, each ordered by what its entry binds (datalog.PlanRuleFrom);
+//   - Engine (this file, exec.go): the tables and compiled rules of one
+//     program, condensed into strongly connected components and evaluated
+//     bottom-up — non-recursive components by counting derivations, recursive
+//     ones semi-naively from a worklist — under a row budget, a join-step
+//     budget and interrupts polled every few thousand steps;
+//   - Base (base.go): what a database version contributes — frozen tables of
+//     its relations, their sorted facts and rendered keys — derived lazily,
+//     once, and shared read-only by every engine built over that version.
+//
+// Values are materialized only to evaluate interpreted functions and
+// comparisons and to render results (SortedKeys).
+package rel
+
+import (
+	"fmt"
+	"sort"
+
+	"algrec/internal/algebra"
+	"algrec/internal/datalog"
+	"algrec/internal/obsv"
+	"algrec/internal/value"
+	"algrec/internal/value/intern"
+)
+
+// Limits bound one engine. The zero value of a count means "none may be
+// used": callers resolve their defaults before building an engine.
+type Limits struct {
+	// MaxRows caps the rows stored as members, over all tables the engine
+	// reads — database facts included.
+	MaxRows int
+	// MaxSteps caps the join steps — rows tried against an atom plus completed
+	// rule bodies — of one Build or one maintenance batch.
+	MaxSteps int
+	// Interrupts cancel the evaluation once either is closed: they are polled
+	// between components, per worklist row, and every pollEvery join steps.
+	// A nil channel never fires.
+	Interrupts [2]<-chan struct{}
+}
+
+// Config says what an engine is built over and for.
+type Config struct {
+	// Base is the database version the program reads; nil means every
+	// relation is private to the engine and loaded with LoadSet.
+	Base   *Base
+	Limits Limits
+	// Maintain also compiles the entry patterns mutation batches need — a
+	// pivot plan per body literal, a head-bound plan per rule. A Build needs
+	// only the from-scratch entries and the pivots inside a recursive
+	// component, and indexes correspondingly fewer columns.
+	Maintain bool
+	// Observed makes Build record per-component statistics (UnitStats).
+	Observed bool
+}
+
+// Engine is the evaluation state of one stratified datalog program: its
+// relations as flat ID tables, its rules compiled to join plans, and the
+// predicate dependency graph condensed into strongly connected components
+// (Units) in dependency order, so that when a component runs every predicate
+// below it is final. An Engine is not safe for concurrent use; the frozen
+// tables of its Base are shared with other engines and only ever read.
+type Engine struct {
+	Rels   map[string]*Relation
+	Units  []*Unit
+	UnitOf map[string]*Unit
+
+	// Accounting, reset by Build (clients reset it per maintenance batch):
+	// join steps charged against Limits.MaxSteps, index probes — row hash or
+	// column postings — and full-table scans.
+	Steps, Probes, Scans int
+	// UnitStats is what each component with work did in the last Build
+	// (Config.Observed only).
+	UnitStats []obsv.RelUnit
+	// Use is what the engine had its Base derive that no earlier request had.
+	Use BaseUse
+	// Observed is Config.Observed: someone will read the statistics.
+	Observed bool
+
+	derives  map[string]bool // predicates with a rule or a program fact
+	base     *Base
+	in       *intern.Interner
+	lim      Limits
+	nrows    int
+	maintain bool
+	scanned  map[string]bool // relations full-scanned since the unit began (observed only)
+
+	run    run // the one rule execution in flight
+	lookup func(datalog.Var) (value.Value, bool)
+	rowBuf []intern.ID
+}
+
+// Unit is one strongly connected component of the predicate dependency
+// graph: the unit of evaluation, and of maintenance strategy choice.
+type Unit struct {
+	Preds     map[string]bool
+	Order     []string // sorted
+	Recursive bool
+	Rules     []*Rule // rules with their head in the unit
+}
+
+// RowRef names one row of one table: a worklist entry.
+type RowRef struct {
+	T *Table
+	R int32
+}
+
+// NewEngine compiles the program over the configured base and loads the
+// program's own facts; Build then evaluates it. Relations the program only
+// reads are the base's frozen tables, shared; a relation it derives into — a
+// rule head or a program fact — is private to the engine, and starts as a
+// copy of the base's when the database stores that predicate too. The program
+// must be stratified and every rule plannable (datalog.PlanRuleFrom); an
+// unplannable rule is reported as an error.
+func NewEngine(prog *datalog.Program, cfg Config) (*Engine, error) {
+	e := &Engine{
+		Rels:     map[string]*Relation{},
+		UnitOf:   map[string]*Unit{},
+		derives:  map[string]bool{},
+		base:     cfg.Base,
+		in:       intern.Global(),
+		lim:      cfg.Limits,
+		maintain: cfg.Maintain,
+		Observed: cfg.Observed,
+	}
+	if e.Observed {
+		e.scanned = map[string]bool{}
+	}
+	e.lookup = e.run.lookup
+	var progFacts []datalog.Fact
+	var rules []datalog.Rule
+	for _, r := range prog.Rules {
+		e.derives[r.Head.Pred] = true
+		if r.IsFact() {
+			f, err := datalog.EvalGroundAtom(r.Head, nil)
+			if err != nil {
+				return nil, err
+			}
+			progFacts = append(progFacts, f)
+			continue
+		}
+		rules = append(rules, r)
+	}
+	e.buildUnits(prog.Preds(), rules)
+	for _, r := range rules {
+		cr, err := e.compileRule(r)
+		if err != nil {
+			return nil, err
+		}
+		u := e.UnitOf[r.Head.Pred]
+		u.Rules = append(u.Rules, cr)
+	}
+	for _, f := range progFacts {
+		t, r := e.FactRow(f, true)
+		t.Flags[r] |= FlagProg
+	}
+	// The private copies of what the database stores under a derived name. A
+	// name first met later (a mutation's) has no stored content to copy.
+	for pred := range e.derives {
+		if br := e.base.relation(pred); br != nil {
+			e.LoadSet(pred, br.set)
+		}
+	}
+	return e, nil
+}
+
+// buildUnits condenses the predicate dependency graph (head → body, positive
+// and negative edges) into SCCs via Tarjan's algorithm, which emits
+// components in dependency order (bodies before heads), and fixes what
+// supports each derived relation's rows: counts below recursion, the
+// derivable flag inside it.
+func (e *Engine) buildUnits(preds []string, rules []datalog.Rule) {
+	adj := map[string][]string{}
+	self := map[string]bool{}
+	hasRules := map[string]bool{}
+	for _, r := range rules {
+		h := r.Head.Pred
+		hasRules[h] = true
+		for _, l := range r.Body {
+			la, ok := l.(datalog.LitAtom)
+			if !ok {
+				continue
+			}
+			p := la.Atom.Pred
+			adj[h] = append(adj[h], p)
+			if p == h {
+				self[h] = true
+			}
+		}
+	}
+	for p := range adj {
+		sort.Strings(adj[p])
+	}
+
+	index := map[string]int{}
+	low := map[string]int{}
+	onStack := map[string]bool{}
+	var stack []string
+	next := 0
+	var comps [][]string
+	var connect func(v string)
+	connect = func(v string) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range adj[v] {
+			if _, seen := index[w]; !seen {
+				connect(w)
+				if low[w] < low[v] {
+					low[v] = low[w]
+				}
+			} else if onStack[w] && index[w] < low[v] {
+				low[v] = index[w]
+			}
+		}
+		if low[v] == index[v] {
+			var comp []string
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp = append(comp, w)
+				if w == v {
+					break
+				}
+			}
+			sort.Strings(comp)
+			comps = append(comps, comp)
+		}
+	}
+	for _, p := range preds {
+		if _, seen := index[p]; !seen {
+			connect(p)
+		}
+	}
+
+	for _, comp := range comps {
+		u := &Unit{Preds: map[string]bool{}, Order: comp}
+		u.Recursive = len(comp) > 1 || self[comp[0]]
+		for _, p := range comp {
+			u.Preds[p] = true
+			e.UnitOf[p] = u
+			if hasRules[p] {
+				e.relFor(p).Kind = KindCounting
+				if u.Recursive {
+					e.relFor(p).Kind = KindDRed
+				}
+			}
+		}
+		e.Units = append(e.Units, u)
+	}
+}
+
+// relFor returns the predicate's relation, creating it on first mention: the
+// base's frozen tables when the program only reads the predicate and the
+// database stores it, an empty private relation otherwise (mutations may
+// introduce predicates the program never mentions).
+func (e *Engine) relFor(pred string) *Relation {
+	if r, ok := e.Rels[pred]; ok {
+		return r
+	}
+	r := &Relation{Name: pred}
+	if !e.derives[pred] {
+		if br := e.base.relation(pred); br != nil {
+			shared := br.tables(&e.Use)
+			r.Tables = append(r.Tables, shared.Tables...)
+			r.NDB = shared.NDB
+		}
+	}
+	e.Rels[pred] = r
+	return r
+}
+
+// NumRows returns the number of rows stored as members right now, over all
+// tables the engine reads — what Limits.MaxRows bounds.
+func (e *Engine) NumRows() int { return e.nrows }
+
+// Derives reports whether the program adds to the predicate — it heads a rule
+// or a program fact — so that its content is the engine's to report; every
+// other predicate's content is exactly what the database stores.
+func (e *Engine) Derives(pred string) bool { return e.derives[pred] }
+
+// FactRow maps a fact to its table and row. With create unset, a fact the
+// engine holds no row for yields NoRow (and possibly a nil table).
+func (e *Engine) FactRow(f datalog.Fact, create bool) (*Table, int32) {
+	rel, ok := e.Rels[f.Pred]
+	if !ok {
+		if !create {
+			return nil, NoRow
+		}
+		rel = e.relFor(f.Pred)
+	}
+	e.rowBuf = e.rowBuf[:0]
+	for _, a := range f.Args {
+		e.rowBuf = append(e.rowBuf, e.in.Intern(a))
+	}
+	if create {
+		t := rel.tableFor(len(f.Args))
+		return t, t.Intern(e.rowBuf)
+	}
+	t := rel.table(len(f.Args))
+	if t == nil {
+		return nil, NoRow
+	}
+	return t, t.Find(e.rowBuf)
+}
+
+// LoadSet stores a database relation's elements as database facts of the
+// predicate, in the engine's own tables.
+func (e *Engine) LoadSet(pred string, s value.Set) {
+	rel := e.relFor(pred)
+	for i := 0; i < s.Len(); i++ {
+		e.rowBuf = elemIDs(e.in, e.rowBuf, s.At(i))
+		t := rel.tableFor(len(e.rowBuf))
+		if r := t.Intern(e.rowBuf); t.Flags[r]&FlagDB == 0 {
+			t.Flags[r] |= FlagDB
+			rel.NDB++
+		}
+	}
+}
+
+// AddRow makes row r a member. Re-adding a row removed earlier in the batch
+// is a pure flag flip: its slot and index entries never left.
+func (e *Engine) AddRow(t *Table, r int32) error {
+	f := t.Flags[r]
+	if f&FlagLive != 0 {
+		return nil
+	}
+	f |= FlagLive
+	if f&FlagRemoved != 0 {
+		f &^= FlagRemoved
+	} else {
+		f |= FlagAdded
+	}
+	t.Flags[r] = f
+	t.Touch(r)
+	e.nrows++
+	return e.checkRows()
+}
+
+func (e *Engine) checkRows() error {
+	if e.nrows > e.lim.MaxRows {
+		return fmt.Errorf("%w: evaluation stores more than %d facts", algebra.ErrBudget, e.lim.MaxRows)
+	}
+	return nil
+}
+
+// RemoveRow makes row r a non-member; its slot and index entries stay until
+// the batch ends so the old state remains probeable.
+func (e *Engine) RemoveRow(t *Table, r int32) {
+	f := t.Flags[r]
+	if f&FlagLive == 0 {
+		return
+	}
+	f &^= FlagLive
+	if f&FlagAdded != 0 {
+		f &^= FlagAdded
+	} else {
+		f |= FlagRemoved
+	}
+	t.Flags[r] = f
+	t.Touch(r)
+	e.nrows--
+}
+
+// Settle brings row r's membership in line with its support.
+func (e *Engine) Settle(t *Table, r int32) error {
+	want, have := t.Supported(r), t.Flags[r]&FlagLive != 0
+	switch {
+	case want && !have:
+		return e.AddRow(t, r)
+	case have && !want:
+		e.RemoveRow(t, r)
+	}
+	return nil
+}
+
+// Stop reports a fired interrupt as an error wrapping algebra.ErrCanceled.
+func (e *Engine) Stop() error {
+	for _, ch := range e.lim.Interrupts {
+		select {
+		case <-ch:
+			return fmt.Errorf("%w (interrupt fired during rule evaluation)", algebra.ErrCanceled)
+		default:
+		}
+	}
+	return nil
+}
+
+// Inserter returns the consumer of an insert phase: a derived head becomes
+// derivable, and — when that makes it a member — joins the worklist.
+func (e *Engine) Inserter(work *[]RowRef) Emit {
+	return func(t *Table, row []intern.ID) error {
+		r := t.Intern(row)
+		if t.Flags[r]&FlagDerived != 0 {
+			return nil
+		}
+		t.Flags[r] |= FlagDerived
+		if t.Flags[r]&FlagLive == 0 {
+			if err := e.AddRow(t, r); err != nil {
+				return err
+			}
+			*work = append(*work, RowRef{t, r})
+		}
+		return nil
+	}
+}
+
+// Propagate drains the insert worklist through the unit's rules.
+func (e *Engine) Propagate(u *Unit, work *[]RowRef, insert Emit) error {
+	for len(*work) > 0 {
+		if err := e.Stop(); err != nil {
+			return err
+		}
+		rw := (*work)[len(*work)-1]
+		*work = (*work)[:len(*work)-1]
+		if err := e.PivotUnit(u, rw, true, insert); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PivotUnit propagates one same-unit row change through every positive
+// occurrence of its table in the unit's rules. Non-pivot literals read the
+// current state when constructive (an insert phase), the pre-batch state
+// otherwise (an over-delete phase). Negated same-unit occurrences cannot
+// exist: the program is stratified.
+func (e *Engine) PivotUnit(u *Unit, rw RowRef, constructive bool, emit Emit) error {
+	mode := ViewOld
+	if constructive {
+		mode = ViewCur
+	}
+	for _, cr := range u.Rules {
+		for li := range cr.Lits {
+			lit := &cr.Lits[li]
+			if lit.Neg || lit.T != rw.T {
+				continue
+			}
+			if _, err := e.Exec(cr, lit.Pivot, rw.T.Row(rw.R), mode, li, emit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Build evaluates the program from the base facts the tables carry, unit by
+// unit, entering every rule from scratch: every derivation of a non-recursive
+// unit is one support count and membership follows once the unit's rules have
+// all run; a recursive unit is closed semi-naively from the worklist of what
+// its rules derived. It serves the initial evaluation and a maintained view's
+// rebuild alike, under a fresh step budget. The batch bookkeeping it leaves
+// on private tables (FlagAdded, Touched) is the client's to read or clear.
+func (e *Engine) Build() error {
+	e.Steps, e.nrows = 0, 0
+	e.UnitStats = e.UnitStats[:0]
+	for _, rel := range e.Rels {
+		for _, t := range rel.Tables {
+			if t.frozen {
+				e.nrows += int(t.Rows())
+				continue
+			}
+			for r := int32(0); r < t.Rows(); r++ {
+				if t.Flags[r]&(FlagDB|FlagProg) != 0 {
+					if err := e.AddRow(t, r); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	if err := e.checkRows(); err != nil {
+		return err
+	}
+	for _, u := range e.Units {
+		if err := e.Stop(); err != nil {
+			return err
+		}
+		steps, probes, scans, rows := e.Steps, e.Probes, e.Scans, e.nrows
+		var work []RowRef
+		emit := e.Inserter(&work)
+		if !u.Recursive {
+			emit = func(t *Table, row []intern.ID) error {
+				r := t.Intern(row)
+				if t.Count[r]++; t.Count[r] == 1 {
+					work = append(work, RowRef{t, r})
+				}
+				return nil
+			}
+		}
+		for _, cr := range u.Rules {
+			if _, err := e.Exec(cr, cr.scratch, nil, ViewCur, -1, emit); err != nil {
+				return err
+			}
+		}
+		if u.Recursive {
+			if err := e.Propagate(u, &work, emit); err != nil {
+				return err
+			}
+		} else {
+			for _, w := range work {
+				if err := e.AddRow(w.T, w.R); err != nil {
+					return err
+				}
+			}
+		}
+		if e.Observed && e.Steps > steps {
+			st := obsv.RelUnit{
+				Preds: u.Order, Recursive: u.Recursive,
+				Steps: e.Steps - steps, Probes: e.Probes - probes, Scans: e.Scans - scans, Rows: e.nrows - rows,
+			}
+			for name := range e.scanned {
+				st.Scanned = append(st.Scanned, name)
+				delete(e.scanned, name)
+			}
+			sort.Strings(st.Scanned)
+			e.UnitStats = append(e.UnitStats, st)
+		}
+	}
+	return nil
+}
+
+// Keys renders the predicate's current members as fact keys in the
+// outcome's order (SortedKeys).
+func (e *Engine) Keys(pred string) []string {
+	rel := e.Rels[pred]
+	if rel == nil {
+		return nil
+	}
+	var rows [][]intern.ID
+	for _, t := range rel.Tables {
+		for r := int32(0); r < t.Rows(); r++ {
+			if t.Flags[r]&FlagLive != 0 {
+				rows = append(rows, t.Row(r))
+			}
+		}
+	}
+	return SortedKeys(pred, rows)
+}

@@ -1,4 +1,4 @@
-package ivm
+package rel
 
 import (
 	"errors"
@@ -10,52 +10,60 @@ import (
 	"algrec/internal/value/intern"
 )
 
-// viewMode assigns each body literal the state of its relation it reads.
-type viewMode uint8
+// ViewMode assigns each body literal the state of its relation it reads.
+type ViewMode uint8
 
+// The view modes.
 const (
-	// viewCur: every literal reads the membership right now (mid-phase
+	// ViewCur: every literal reads the membership right now (mid-phase
 	// working state for same-unit predicates, final state for lower ones).
-	viewCur viewMode = iota
-	// viewOld: every literal reads the membership at the start of the batch:
+	ViewCur ViewMode = iota
+	// ViewOld: every literal reads the membership at the start of the batch:
 	// current rows minus this batch's additions, plus its removals.
-	viewOld
-	// viewSplit is the counting strategy's exactly-once discipline: literals
+	ViewOld
+	// ViewSplit is the counting strategy's exactly-once discipline: literals
 	// before the pivot read the new state, literals after it the old state.
-	viewSplit
+	ViewSplit
 )
 
+// Emit consumes the instantiated head of one satisfying binding. The row is
+// a scratch buffer: a consumer that keeps it interns it.
+type Emit func(t *Table, row []intern.ID) error
+
 // errStop aborts a rule execution early (re-derivation found its target).
-var errStop = errors.New("ivm: stop")
+var errStop = errors.New("rel: stop")
 
 // run is one execution of an entry plan: the frame of variable slots, the
 // entry row, the view assignment and the consumer of completed bodies.
 type run struct {
-	e     *engine
-	cr    *compiledRule
-	plan  *entryPlan
+	e     *Engine
+	cr    *Rule
+	plan  *EntryPlan
 	entry []intern.ID // the row the entry atom was unified with
-	mode  viewMode
-	pivot int // index into cr.lits of the skipped literal; -1 when none
+	mode  ViewMode
+	pivot int // index into cr.Lits of the skipped literal; -1 when none
 	// emit receives the instantiated head of every satisfying binding; nil
 	// for a head-bound run, where reaching the end is the answer.
-	emit func(t *table, row []intern.ID) error
+	emit Emit
 }
 
 // old reports whether literal lit reads the pre-batch state.
 func (x *run) old(lit int) bool {
 	switch x.mode {
-	case viewOld:
+	case ViewOld:
 		return true
-	case viewSplit:
+	case ViewSplit:
 		return lit > x.pivot
 	}
 	return false
 }
 
-// exec runs plan over cr's frame, entered from row (nil for the from-scratch
-// entry). It reports whether the run was stopped early by errStop.
-func (e *engine) exec(cr *compiledRule, plan *entryPlan, row []intern.ID, mode viewMode, pivot int, emit func(*table, []intern.ID) error) (stopped bool, err error) {
+// Exec runs plan over cr's frame, entered from row (nil for the from-scratch
+// entry): mode and pivot (the index into cr.Lits of the literal row was taken
+// from, -1 for none) say which state each literal reads, and emit receives
+// every derived head. With a nil emit the run is an existence test, and found
+// reports that the body has a solution.
+func (e *Engine) Exec(cr *Rule, plan *EntryPlan, row []intern.ID, mode ViewMode, pivot int, emit Emit) (found bool, err error) {
 	x := &e.run
 	*x = run{e: e, cr: cr, plan: plan, entry: row, mode: mode, pivot: pivot, emit: emit}
 	for k, a := range plan.entry {
@@ -79,13 +87,22 @@ func (e *engine) exec(cr *compiledRule, plan *entryPlan, row []intern.ID, mode v
 	return false, err
 }
 
-// charge accounts one unit of join work against the batch budget.
-func (e *engine) charge() error {
-	e.work++
-	if e.work > e.maxWork {
-		return fmt.Errorf("%w: ivm batch exceeds %d join steps", algebra.ErrBudget, e.maxWork)
+// pollEvery is how many join steps may pass between two looks at the
+// interrupts: what bounds the time a cancelled evaluation keeps running to
+// the cost of that many steps, however large the product it is in.
+const pollEvery = 1 << 12
+
+// charge accounts one unit of join work against the step budget, and every
+// pollEvery steps polls the interrupts.
+func (e *Engine) charge() error {
+	e.Steps++
+	if e.Steps&(pollEvery-1) != 0 && e.Steps <= e.lim.MaxSteps {
+		return nil
 	}
-	return nil
+	if e.Steps > e.lim.MaxSteps {
+		return fmt.Errorf("%w: evaluation exceeds %d join steps", algebra.ErrBudget, e.lim.MaxSteps)
+	}
+	return e.Stop()
 }
 
 // lookup resolves a variable for datalog.EvalTermFn — the one place a frame
@@ -139,7 +156,7 @@ func (x *run) step(i int) error {
 		if err := x.instantiate(x.cr.headArgs, x.cr.headBuf); err != nil {
 			return err
 		}
-		return x.emit(x.cr.head, x.cr.headBuf)
+		return x.emit(x.cr.Head, x.cr.headBuf)
 	}
 	o := &x.plan.ops[i]
 	switch o.kind {
@@ -149,8 +166,8 @@ func (x *run) step(i int) error {
 		if err := x.instantiate(o.args, o.buf); err != nil {
 			return err
 		}
-		x.e.probes++
-		if r := o.t.find(o.buf); r != noRow && o.t.has(r, x.old(o.lit)) {
+		x.e.Probes++
+		if r := o.t.Find(o.buf); r != NoRow && o.t.Has(r, x.old(o.lit)) {
 			return nil
 		}
 		return x.step(i + 1)
@@ -182,7 +199,7 @@ func (x *run) step(i int) error {
 		}
 		return x.step(i + 1)
 	default:
-		return fmt.Errorf("ivm: unknown op kind %v", o.kind)
+		return fmt.Errorf("rel: unknown op kind %v", o.kind)
 	}
 }
 
@@ -200,16 +217,16 @@ func (x *run) match(i int, o *op) error {
 	}
 	switch {
 	case len(o.keys) == len(o.args):
-		x.e.probes++
+		x.e.Probes++
 		if err := x.e.charge(); err != nil {
 			return err
 		}
-		if r := t.find(o.buf); r != noRow && t.has(r, old) {
+		if r := t.Find(o.buf); r != NoRow && t.Has(r, old) {
 			return x.step(i + 1)
 		}
 		return nil
 	case len(o.keys) > 0:
-		x.e.probes++
+		x.e.Probes++
 		var col *colIndex
 		var chain posting
 		for _, k := range o.keys {
@@ -232,10 +249,13 @@ func (x *run) match(i int, o *op) error {
 		}
 		return nil
 	default:
-		x.e.scans++
+		x.e.Scans++
+		if x.e.Observed {
+			x.e.scanned[t.Rel.Name] = true
+		}
 		// Rows appended while the scan runs are the consumer's own output;
 		// delta propagation reaches them through its worklist.
-		for r, n := int32(0), t.rows(); r < n; r++ {
+		for r, n := int32(0), t.Rows(); r < n; r++ {
 			if err := x.try(i, o, r, old); err != nil {
 				return err
 			}
@@ -250,10 +270,10 @@ func (x *run) try(i int, o *op, r int32, old bool) error {
 	if err := x.e.charge(); err != nil {
 		return err
 	}
-	if !o.t.has(r, old) {
+	if !o.t.Has(r, old) {
 		return nil
 	}
-	row := o.t.row(r)
+	row := o.t.Row(r)
 	for k := range o.args {
 		switch a := &o.args[k]; a.kind {
 		case argBind:

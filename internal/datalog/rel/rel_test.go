@@ -1,0 +1,354 @@
+package rel
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"algrec/internal/algebra"
+	"algrec/internal/datalog"
+	"algrec/internal/value"
+	"algrec/internal/value/intern"
+)
+
+func ints(vs ...int64) []value.Value {
+	out := make([]value.Value, len(vs))
+	for i, v := range vs {
+		out[i] = value.Int(v)
+	}
+	return out
+}
+
+func pair(a, b int64) value.Value { return value.NewTuple(value.Int(a), value.Int(b)) }
+
+func mustProgram(t testing.TB, src string) *datalog.Program {
+	t.Helper()
+	p, err := datalog.ParseProgram(src)
+	if err != nil {
+		t.Fatalf("ParseProgram: %v", err)
+	}
+	return p
+}
+
+var roomy = Limits{MaxRows: 1 << 30, MaxSteps: 1 << 40}
+
+// evaluate builds an engine for src over base and returns what it derives,
+// keyed by predicate.
+func evaluate(t testing.TB, src string, base *Base) (map[string][]string, *Engine) {
+	t.Helper()
+	prog := mustProgram(t, src)
+	e, err := NewEngine(prog, Config{Base: base, Limits: roomy, Observed: true})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if err := e.Build(); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	out := map[string][]string{}
+	for _, p := range prog.Preds() {
+		if e.Derives(p) {
+			out[p] = e.Keys(p)
+		}
+	}
+	return out, e
+}
+
+// TestSortedKeysIsCompareFactsOrder: rows rendered by SortedKeys come out in
+// datalog.CompareFacts order with Fact.Key's text, for rows of mixed width
+// over every kind of value.
+func TestSortedKeysIsCompareFactsOrder(t *testing.T) {
+	in := intern.Global()
+	pool := []value.Value{
+		value.Int(-3), value.Int(0), value.Int(7), value.Int(10), value.Int(100),
+		value.String("a"), value.String("b c"), value.Bool(false), value.Bool(true),
+		pair(1, 2), pair(1, 10), value.NewTuple(value.Int(1)), value.NewSet(ints(2, 1)...), value.NewSet(),
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seen := map[string]bool{}
+		var facts []datalog.Fact
+		var rows [][]intern.ID
+		for i := 0; i < 40; i++ {
+			args := make([]value.Value, rng.Intn(4))
+			row := make([]intern.ID, len(args))
+			for k := range args {
+				args[k] = pool[rng.Intn(len(pool))]
+				row[k] = in.Intern(args[k])
+			}
+			f := datalog.Fact{Pred: "p", Args: args}
+			if seen[f.Key()] {
+				continue
+			}
+			seen[f.Key()] = true
+			facts = append(facts, f)
+			rows = append(rows, row)
+		}
+		datalog.SortFacts(facts)
+		want := make([]string, len(facts))
+		for i, f := range facts {
+			want[i] = f.Key()
+		}
+		if got := SortedKeys("p", rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d:\n got %v\nwant %v", seed, got, want)
+		}
+	}
+	if SortedKeys("p", nil) != nil {
+		t.Fatal("no rows must render as nil, the outcome's form of an empty predicate")
+	}
+}
+
+// TestBaseForms: what a base derives from a heterogeneous relation — scalars
+// beside tuples of several widths, a scalar beside its own 1-tuple — is the
+// sorted, duplicate-free fact list in all three forms; empty relations are
+// not there at all; and a nil base is the empty database.
+func TestBaseForms(t *testing.T) {
+	db := algebra.DB{
+		"d": value.NewSet(value.Int(5), value.Int(1), value.NewTuple(value.Int(5)), pair(1, 7), pair(0, 9),
+			value.NewTuple(ints(1, 7, 0)...), value.String("x")),
+		"e":     value.NewSet(pair(2, 3), pair(1, 2), pair(10, 1)),
+		"empty": value.NewSet(),
+	}
+	b := NewBase(db)
+	if got, want := b.Names(), []string{"d", "e"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names = %v, want %v", got, want)
+	}
+	var use BaseUse
+	for name, s := range db {
+		var facts []datalog.Fact
+		for _, el := range s.Elems() {
+			facts = append(facts, ElemFact(name, el))
+		}
+		datalog.SortFacts(facts)
+		var want []string
+		for _, f := range facts {
+			if n := len(want); n == 0 || want[n-1] != f.Key() {
+				want = append(want, f.Key())
+			}
+		}
+		if got := b.Keys(name, &use); !reflect.DeepEqual(got, want) {
+			t.Errorf("Keys(%s) = %v, want %v", name, got, want)
+		}
+		var rules []string
+		for _, r := range b.FactRules(name, &use) {
+			rules = append(rules, r.String())
+		}
+		for i := range want {
+			want[i] += "."
+		}
+		if !reflect.DeepEqual(rules, want) {
+			t.Errorf("FactRules(%s) = %v, want %v", name, rules, want)
+		}
+	}
+	if use.Rows != 6+3 || use.Keys != 6+3 || use.Indexes != 0 {
+		t.Errorf("first use derived %+v, want 9 rows and 9 keys", use)
+	}
+	use = BaseUse{}
+	b.Keys("d", &use)
+	b.FactRules("e", &use)
+	if use != (BaseUse{}) {
+		t.Errorf("second use derived %+v again", use)
+	}
+	if rel := b.relation("d").tables(&use); rel.NDB != 6 || len(rel.Tables) != 3 {
+		t.Errorf("tables of d: %d facts in %d tables, want 6 in 3 (arities 1, 2, 3)", rel.NDB, len(rel.Tables))
+	}
+
+	var none *Base
+	if none.DB() != nil || none.Names() != nil || none.Keys("e", &use) != nil || none.FactRules("e", &use) != nil {
+		t.Error("a nil base is the empty database")
+	}
+}
+
+// TestEngineLayersOverBase: relations a program only reads are the base's
+// frozen tables; one it also derives into is copied, so the base — and every
+// other engine over it — never sees what a request derived.
+func TestEngineLayersOverBase(t *testing.T) {
+	base := NewBase(algebra.DB{
+		"e": value.NewSet(pair(1, 2), pair(2, 3), pair(3, 4)),
+		"r": value.NewSet(value.Int(9), pair(9, 9)), // stored and derived, two arities
+	})
+	const src = `
+		r(1).
+		r(Y) :- r(X), e(X, Y).
+		twice(X, times(X, 2)) :- r(X), not e(X, 2).
+	`
+	want := map[string][]string{
+		"r":     {"r(1)", "r(2)", "r(3)", "r(4)", "r(9)", "r(9, 9)"},
+		"twice": {"twice(2, 4)", "twice(3, 6)", "twice(4, 8)", "twice(9, 18)"},
+	}
+	for round := 0; round < 2; round++ {
+		got, e := evaluate(t, src, base)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: derived %v, want %v", round, got, want)
+		}
+		if e.Rels["e"].Tables[0] != base.relation("e").rel.Tables[0] {
+			t.Fatal("e is read-only to the program: its table must be the base's")
+		}
+		for _, tab := range e.Rels["r"].Tables {
+			if tab.frozen {
+				t.Fatal("r is derived into: its tables must be private")
+			}
+		}
+		if hit := e.Use == (BaseUse{}); hit != (round == 1) {
+			t.Fatalf("round %d: base use %+v", round, e.Use)
+		}
+	}
+	var use BaseUse
+	if got, want := base.Keys("r", &use), []string{"r(9)", "r(9, 9)"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the base's r after two evaluations = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inserting into a frozen table must panic")
+		}
+	}()
+	base.relation("e").rel.Tables[0].Intern([]intern.ID{1, 1})
+}
+
+// TestBuildCompilesOnlyWhatItEnters: an engine that will only Build indexes
+// the columns its from-scratch and in-unit pivot plans probe; one that will
+// maintain indexes the head-bound and lower-literal pivots' too (here: who
+// points at Y, for re-deriving r(Y)).
+func TestBuildCompilesOnlyWhatItEnters(t *testing.T) {
+	prog := mustProgram(t, `r(X) :- e(0, X). r(Y) :- r(X), e(X, Y).`)
+	indexed := func(maintain bool) map[string][]int {
+		e, err := NewEngine(prog, Config{Limits: roomy, Maintain: maintain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]int{}
+		for name, rel := range e.Rels {
+			for _, tab := range rel.Tables {
+				for k, c := range tab.cols {
+					if c != nil {
+						out[name] = append(out[name], k)
+					}
+				}
+			}
+		}
+		return out
+	}
+	if got, want := indexed(false), map[string][]int{"e": {0}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("build-only engine indexes %v, want %v", got, want)
+	}
+	if got, want := indexed(true), map[string][]int{"e": {0, 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("maintaining engine indexes %v, want %v", got, want)
+	}
+}
+
+// TestBaseSharedByConcurrentEngines: engines built at once over one base give
+// the same answer, and between them derive each table and each column index
+// exactly once (run under -race).
+func TestBaseSharedByConcurrentEngines(t *testing.T) {
+	var edges []value.Value
+	for i := int64(0); i < 300; i++ {
+		edges = append(edges, pair(i, (i*7+1)%300), pair(i, (i*11+5)%300))
+	}
+	base := NewBase(algebra.DB{"e": value.NewSet(edges...)})
+	const src = `
+		r(X) :- e(0, X).
+		r(Y) :- r(X), e(X, Y).
+		pred(X) :- e(X, 5).
+	`
+	want, _ := evaluate(t, src, NewBase(base.DB()))
+	const workers = 8
+	uses := make([]BaseUse, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got, e := evaluate(t, src, base)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("worker %d diverged", w)
+			}
+			uses[w] = e.Use
+		}(w)
+	}
+	wg.Wait()
+	var total BaseUse
+	for _, u := range uses {
+		total.Rows += u.Rows
+		total.Indexes += u.Indexes
+	}
+	if total.Rows != base.DB()["e"].Len() || total.Indexes != 2 {
+		t.Fatalf("%d engines derived %+v between them, want the %d rows once and the two column indexes of e once",
+			workers, total, base.DB()["e"].Len())
+	}
+}
+
+// TestLimits: rows and join steps are budgeted with algebra.ErrBudget, and a
+// fired interrupt ends a single product rule — one Exec, no unit boundary or
+// worklist row in sight — within pollEvery join steps.
+func TestLimits(t *testing.T) {
+	var as []value.Value
+	for i := int64(0); i < 100; i++ {
+		as = append(as, value.Int(i))
+	}
+	base := NewBase(algebra.DB{"a": value.NewSet(as...)})
+	prog := mustProgram(t, `p(X, Y, Z) :- a(X), a(Y), a(Z).`)
+	build := func(lim Limits) (*Engine, error) {
+		e, err := NewEngine(prog, Config{Base: base, Limits: lim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, e.Build()
+	}
+	if _, err := build(Limits{MaxRows: 50, MaxSteps: 1 << 40}); !errors.Is(err, algebra.ErrBudget) {
+		t.Errorf("100 stored facts under MaxRows 50: %v", err)
+	}
+	if _, err := build(Limits{MaxRows: 5000, MaxSteps: 1 << 40}); !errors.Is(err, algebra.ErrBudget) {
+		t.Errorf("10^6 derived facts under MaxRows 5000: %v", err)
+	}
+	if e, err := build(Limits{MaxRows: 1 << 30, MaxSteps: 1000}); !errors.Is(err, algebra.ErrBudget) || e.Steps != 1001 {
+		t.Errorf("MaxSteps 1000: stopped after %d steps with %v", e.Steps, err)
+	}
+	fired := make(chan struct{})
+	close(fired)
+	for slot := 0; slot < 2; slot++ {
+		lim := roomy
+		lim.Interrupts[slot] = fired
+		e, err := NewEngine(prog, Config{Base: base, Limits: lim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Enter the rule directly: Build would notice the interrupt before its
+		// first unit.
+		_, err = e.Exec(e.Units[len(e.Units)-1].Rules[0], e.Units[len(e.Units)-1].Rules[0].scratch, nil, ViewCur, -1,
+			func(*Table, []intern.ID) error { return nil })
+		if !errors.Is(err, algebra.ErrCanceled) || e.Steps != pollEvery {
+			t.Errorf("interrupt %d: stopped after %d steps with %v, want ErrCanceled after %d", slot, e.Steps, err, pollEvery)
+		}
+	}
+}
+
+// TestUnitStats: an observed Build says per component what it did, and which
+// relations it read by scanning.
+func TestUnitStats(t *testing.T) {
+	base := NewBase(algebra.DB{"e": value.NewSet(pair(0, 1), pair(1, 2), pair(2, 0), pair(5, 6))})
+	_, e := evaluate(t, `
+		r(X) :- e(0, X).
+		r(Y) :- r(X), e(X, Y).
+		far(X) :- e(X, Y), not r(X).
+	`, base)
+	if len(e.UnitStats) != 2 {
+		t.Fatalf("UnitStats = %+v, want the units of r and far", e.UnitStats)
+	}
+	r, far := e.UnitStats[0], e.UnitStats[1]
+	if !reflect.DeepEqual(r.Preds, []string{"r"}) || !r.Recursive || r.Rows != 3 || !sort.StringsAreSorted(r.Scanned) {
+		t.Errorf("unit r: %+v", r)
+	}
+	for _, name := range r.Scanned {
+		if name == "e" {
+			t.Errorf("the recursive unit scanned e: %+v", r)
+		}
+	}
+	if !reflect.DeepEqual(far.Preds, []string{"far"}) || far.Recursive || far.Rows != 1 || !reflect.DeepEqual(far.Scanned, []string{"e"}) {
+		t.Errorf("unit far: %+v", far)
+	}
+	if e.Steps != r.Steps+far.Steps || e.NumRows() != 4+3+1 {
+		t.Errorf("totals: %d steps, %d rows", e.Steps, e.NumRows())
+	}
+}

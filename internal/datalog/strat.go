@@ -106,6 +106,19 @@ func IsStratified(p *Program) bool {
 	return err == nil
 }
 
+// IsPositive reports whether no rule of the program negates an atom — the
+// programs the minimal-model semantics is defined on.
+func IsPositive(p *Program) bool {
+	for _, r := range p.Rules {
+		for _, l := range r.Body {
+			if la, ok := l.(LitAtom); ok && la.Neg {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Strata groups the program's rules by the stratum of their head predicate,
 // lowest first. Facts for EDB predicates land in stratum 0.
 func Strata(p *Program) ([][]Rule, map[string]int, error) {

@@ -25,7 +25,10 @@
 //   - incremental view maintenance: replaying a random insert/delete
 //     schedule through the counting/DRed delta engine (internal/ivm) must
 //     match from-scratch recompute (Budget.NoIVM) bit-for-bit, per-step
-//     deltas and outcomes alike (dlog-ivm).
+//     deltas and outcomes alike (dlog-ivm);
+//   - the engine choice inside query.Execute: a stratified program over
+//     stored relations, evaluated relationally, must match the grounded
+//     reference bit-for-bit (dlog-relational).
 //
 // A disagreement is reported as a *Divergence. Resource exhaustion (a
 // budget error from either pipeline) skips the instance: the budgets turn
@@ -104,6 +107,10 @@ const (
 	// KindDatalogIVM is a stratifiable deductive program plus a random
 	// insert/delete schedule over its extensional schema.
 	KindDatalogIVM
+	// KindDatalogStored is a stratifiable (one time in four negation-free)
+	// deductive program with part of its facts stored in a database
+	// (randgen.StoredDatalog).
+	KindDatalogStored
 )
 
 // Oracle is one differential oracle pair: a named equivalence with the
@@ -120,6 +127,7 @@ type Oracle struct {
 	checkCore    func(p *core.Program, db algebra.DB) error
 	checkDatalog func(p *datalog.Program) error
 	checkDlogIVM func(p *datalog.Program, sched []randgen.FactBatch) error
+	checkDlogDB  func(p *datalog.Program, db algebra.DB) error
 }
 
 // Oracles is the oracle matrix, in stable presentation order.
@@ -178,6 +186,9 @@ var Oracles = []*Oracle{
 	{Name: "dlog-storage", Kind: KindDatalogIVM,
 		Doc:          "memory and disk storage backends stay bit-for-bit identical under a mutation schedule, through evaluation and reopen",
 		checkDlogIVM: checkDlogStorage},
+	{Name: "dlog-relational", Kind: KindDatalogStored,
+		Doc:         "stratified programs over stored relations: relational evaluation is bit-for-bit the grounded reference, under every semantics that reads them",
+		checkDlogDB: checkDlogRelational},
 }
 
 // ByName returns the oracle with the given name.
@@ -283,7 +294,8 @@ type Instance struct {
 	Dlog *datalog.Program
 	// Sched is the mutation schedule for KindDatalogIVM.
 	Sched []randgen.FactBatch
-	// DB is the database for the expression and algebra= kinds.
+	// DB is the database for the expression and algebra= kinds, and the
+	// stored part of a KindDatalogStored instance.
 	DB algebra.DB
 }
 
@@ -314,6 +326,9 @@ func Generate(o *Oracle, g *randgen.Gen) *Instance {
 		// the deterministic stream without touching other kinds' output.
 		in.Dlog = g.Datalog(randgen.DlogStratified)
 		in.Sched = g.FactSchedule()
+	case KindDatalogStored:
+		si := g.StoredDatalog()
+		in.Dlog, in.DB = si.Prog, si.DB
 	default:
 		panic(fmt.Sprintf("diffcheck: unknown kind %d", o.Kind))
 	}
@@ -331,6 +346,8 @@ func (in *Instance) Check() error {
 		return in.Oracle.checkCore(in.Core, in.DB)
 	case in.Oracle.checkDlogIVM != nil:
 		return in.Oracle.checkDlogIVM(in.Dlog, in.Sched)
+	case in.Oracle.checkDlogDB != nil:
+		return in.Oracle.checkDlogDB(in.Dlog, in.DB)
 	default:
 		return in.Oracle.checkDatalog(in.Dlog)
 	}
@@ -338,7 +355,8 @@ func (in *Instance) Check() error {
 
 // Size is the instance's size in atoms: expression AST nodes plus database
 // elements for the algebraic kinds, rules plus body literals for the
-// deductive kinds. Shrinking minimizes this metric.
+// deductive kinds (plus schedule facts and stored elements where the kind has
+// them). Shrinking minimizes this metric.
 func (in *Instance) Size() int {
 	switch {
 	case in.Expr != nil:
@@ -357,7 +375,7 @@ func (in *Instance) Size() int {
 		for _, b := range in.Sched {
 			n += len(b.Insert) + len(b.Delete)
 		}
-		return n
+		return n + dbElems(in.DB)
 	}
 }
 

@@ -32,6 +32,9 @@ func TestOracleRegistry(t *testing.T) {
 		if o.checkDlogIVM != nil {
 			n++
 		}
+		if o.checkDlogDB != nil {
+			n++
+		}
 		if n != 1 {
 			t.Errorf("oracle %q: %d check functions, want exactly 1", o.Name, n)
 		}
@@ -62,6 +65,10 @@ func TestGenerateMatchesKind(t *testing.T) {
 		case KindDatalogIVM:
 			if in.Dlog == nil || len(in.Sched) == 0 || in.Expr != nil || in.Core != nil {
 				t.Errorf("oracle %q: wrong fields for an ivm instance", o.Name)
+			}
+		case KindDatalogStored:
+			if in.Dlog == nil || in.DB == nil || in.Expr != nil || in.Core != nil || in.Sched != nil {
+				t.Errorf("oracle %q: wrong fields for a stored instance", o.Name)
 			}
 		default:
 			if in.Dlog == nil || in.Expr != nil || in.Core != nil || in.Sched != nil {

@@ -55,3 +55,4 @@ func FuzzExprIDSet(f *testing.F)        { fuzzOracle(f, "expr-idset") }
 func FuzzDlogIDSet(f *testing.F)        { fuzzOracle(f, "dlog-idset") }
 func FuzzDlogIVM(f *testing.F)          { fuzzOracle(f, "dlog-ivm") }
 func FuzzDlogStorage(f *testing.F)      { fuzzOracle(f, "dlog-storage") }
+func FuzzDlogRelational(f *testing.F)   { fuzzOracle(f, "dlog-relational") }

@@ -16,9 +16,18 @@ import (
 // counting/DRed delta engine must leave the maintained outcome — and every
 // per-step ResultDelta — bit-for-bit identical to a view that re-executes
 // the plan from scratch on each batch (Budget.NoIVM, the cmd/bench -noivm
-// ablation). The A/B is per-view, so no process-wide flip or serialization
-// lock is involved; when interning is disabled process-wide both sides run
-// the recompute fallback and the oracle degrades to a (still sound)
+// ablation) and diffs the outcomes.
+//
+// What it pins is maintained == from-scratch, deltas included — not that
+// from-scratch is right: the recompute side is query.Execute, which evaluates
+// these stratified programs on the same relational kernel the delta engine
+// maintains on, so a fault in the kernel's joins would move both sides alike.
+// The independent reference — the grounded evaluation — is dlog-relational's
+// side of the triangle.
+//
+// The A/B is per-view, so no process-wide flip or serialization lock is
+// involved; when interning is disabled process-wide both sides run the
+// recompute fallback and the oracle degrades to a (still sound)
 // self-comparison.
 
 // checkDlogIVM builds one incremental and one recompute view of the same

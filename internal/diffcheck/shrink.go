@@ -12,7 +12,8 @@ import (
 
 // Shrink greedily minimizes a diverging instance: it repeatedly tries
 // one-step reductions (replace an expression node by a child or by EMPTY,
-// drop a database element, drop a definition, drop a rule or body literal)
+// drop a database element, drop a definition, drop a rule or body literal,
+// drop a schedule batch or fact)
 // and keeps any strictly smaller candidate that still diverges. The result
 // still fails Check; instances that do not diverge are returned unchanged.
 //
@@ -72,10 +73,13 @@ func (in *Instance) candidates() []*Instance {
 		}
 	default:
 		for _, p := range dlogCandidates(in.Dlog) {
-			add(&Instance{Oracle: in.Oracle, Dlog: p, Sched: in.Sched})
+			add(&Instance{Oracle: in.Oracle, Dlog: p, Sched: in.Sched, DB: in.DB})
 		}
 		for _, s := range schedCandidates(in.Sched) {
 			add(&Instance{Oracle: in.Oracle, Dlog: in.Dlog, Sched: s})
+		}
+		for _, db := range dbCandidates(in.DB) {
+			add(&Instance{Oracle: in.Oracle, Dlog: in.Dlog, DB: db})
 		}
 	}
 	return out

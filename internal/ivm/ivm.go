@@ -21,16 +21,16 @@
 //     programs, the stable semantics, or Budget.NoIVM — by re-executing the
 //     plan and diffing the outcomes.
 //
-// The delta engine evaluates rules relationally, in ID space: facts are rows
-// of interned IDs in flat per-(predicate, arity) tables with a row hash and
-// per-column posting chains (table.go), and every rule is compiled once into
-// one join plan per entry pattern — from scratch, pivoted on a delta literal,
-// head-bound for re-derivation — each ordered by what its entry binds
-// (compile.go, datalog.PlanRuleFrom), so a batch probes the indexes from its
-// delta instead of scanning the relations. Values are materialized only to
-// evaluate interpreted functions and comparisons and to render deltas. A
-// batch that outruns its work budget falls back to rebuilding the view from
-// its base facts; the delta it reports is exact either way.
+// The delta engine owns no tables, rule compiler or plan executor: it is a
+// client of the relational rule kernel (internal/datalog/rel), the same one
+// query.Execute evaluates stratified programs from scratch on. Facts are rows
+// of interned IDs in flat per-(predicate, arity) tables, every rule is
+// compiled once into one join plan per entry pattern — from scratch, pivoted
+// on a delta literal, head-bound for re-derivation — and a view's initial
+// state, and its rebuild when a batch outruns its work budget, are the
+// kernel's own from-scratch Build. What lives here is what only mutation
+// needs: the strategies above, the batch bookkeeping on the kernel's row
+// flags, the rebuild fallback, and the ResultDelta.
 //
 // Either way a successful Apply returns the ResultDelta between the previous
 // and the new Outcome, and the maintained Outcome is bit-for-bit the outcome
@@ -138,43 +138,10 @@ func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
 }
 
 // incrementalOK reports whether the plan is in the incrementally
-// maintainable fragment under the given options.
+// maintainable fragment under the given options: what query.Execute would
+// evaluate on the relational kernel, unless Budget.NoIVM asks for recompute.
 func incrementalOK(plan *query.Plan, opts query.Options) bool {
-	if plan.Language != query.LangDatalog || plan.Program == nil {
-		return false
-	}
-	if opts.Budget.WithDefaults().NoIVM || !value.InterningEnabled() {
-		return false
-	}
-	switch plan.Semantics {
-	case query.SemStratified, query.SemValid, query.SemWellFounded:
-		// Stratified programs: the three semantics compute the same total
-		// model (the dlog-stratified oracle pins the agreement).
-		if !datalog.IsStratified(plan.Program) {
-			return false
-		}
-	case query.SemMinimal:
-		// The minimal model is only defined engine-side for positive
-		// programs; those are trivially stratified.
-		for _, r := range plan.Program.Rules {
-			for _, l := range r.Body {
-				if la, ok := l.(datalog.LitAtom); ok && la.Neg {
-					return false
-				}
-			}
-		}
-	default: // stable, inflationary
-		return false
-	}
-	for _, r := range plan.Program.Rules {
-		if r.IsFact() {
-			continue
-		}
-		if _, err := datalog.PlanRuleFrom(r, nil, -1); err != nil {
-			return false
-		}
-	}
-	return true
+	return !opts.Budget.WithDefaults().NoIVM && query.RelationalOK(plan)
 }
 
 // Mode returns the view's maintenance mode.
@@ -242,7 +209,7 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 }
 
 // ApplyDB returns a copy of db with the mutation batch applied, under the
-// same fact↔element mapping as query.DBFacts: a unary fact is a scalar
+// same fact↔element mapping as query.DBFacts (rel.ElemFact): a unary fact is a scalar
 // element, an n-ary fact a tuple. Deletions apply before insertions;
 // deleting from an unknown relation is a no-op, inserting into one creates
 // it. db itself is never mutated: relations are immutable sets, and a

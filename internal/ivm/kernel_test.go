@@ -1,10 +1,12 @@
 package ivm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
@@ -197,9 +199,9 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 		return ins, del
 	}
 	slots := func() (n int) {
-		for _, rel := range v.eng.rels {
-			for _, tab := range rel.tables {
-				n += int(tab.rows())
+		for _, rel := range v.eng.Rels {
+			for _, tab := range rel.Tables {
+				n += int(tab.Rows())
 			}
 		}
 		return n
@@ -514,5 +516,74 @@ func BenchmarkInteriorDelete(b *testing.B) {
 				b.Fatal(fmt.Errorf("iteration %d: %w", i, err))
 			}
 		}
+	}
+}
+
+// TestFreshViewReportsOnlyWhatChanges: the initial build's bookkeeping is
+// dropped, not rendered — a fresh view's first Apply reports the batch's
+// changes and nothing of the initial state, its Outcome is the from-scratch
+// one, and both are what a recompute view answers.
+func TestFreshViewReportsOnlyWhatChanges(t *testing.T) {
+	plan := mustPlan(t, query.SemStratified, reachProgram+`
+		orphan(Y) :- e(X, Y), not r(X).
+		e(0, 7).
+	`)
+	db := hierarchy(50)
+	inc, err := New(plan, db, query.Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec, err := New(plan, db, query.Options{Budget: algebra.Budget{NoIVM: true}})
+	if err != nil {
+		t.Fatalf("New(recompute): %v", err)
+	}
+	if inc.Mode() != ModeIncremental || rec.Mode() != ModeRecompute {
+		t.Fatalf("modes %v, %v", inc.Mode(), rec.Mode())
+	}
+	checkAgainstExecute(t, inc, plan, db)
+	ins := []datalog.Fact{fact("e", 3, 777)}
+	got, err := inc.Apply(ins, nil)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	want, err := rec.Apply(ins, nil)
+	if err != nil {
+		t.Fatalf("recompute Apply: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("first delta of a fresh view\n got: %+v\nwant: %+v", got, want)
+	}
+	if n := len(got.Preds); n != 2 || len(got.Preds[0].Added) != 1 || len(got.Preds[1].Added) != 1 {
+		t.Fatalf("first delta = %+v, want e(3, 777) and r(777) and nothing else", got)
+	}
+	checkAgainstExecute(t, inc, plan, ApplyDB(db, ins, nil))
+}
+
+// TestApplyIsCancelledInsideOneRule: one batch that makes a non-recursive
+// product rule enumerate 10^9 combinations — a single rule execution, no unit
+// boundary or worklist row for 10^9 join steps — ends with the interrupt's
+// error soon after it fires, because the kernel polls it on its step counter.
+func TestApplyIsCancelledInsideOneRule(t *testing.T) {
+	plan := mustPlan(t, query.SemStratified, `p(X, Y, Z) :- a(X), a(Y), a(Z), X > Y, Y > Z, Z > X.`)
+	stop := make(chan struct{})
+	var opts query.Options
+	opts.Budget.Interrupt = stop
+	opts.Ground.MaxRules = 1 << 40 // only the interrupt can end it
+	v, err := New(plan, nil, opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var ins []datalog.Fact
+	for i := int64(0); i < 1000; i++ {
+		ins = append(ins, fact("a", i))
+	}
+	time.AfterFunc(20*time.Millisecond, func() { close(stop) })
+	start := time.Now()
+	_, err = v.Apply(ins, nil)
+	if took := time.Since(start); !errors.Is(err, algebra.ErrCanceled) || took > 5*time.Second {
+		t.Fatalf("Apply returned %v after %s, want the interrupt's error within moments of 20ms", err, took)
+	}
+	if _, err := v.Outcome(); err == nil {
+		t.Fatal("an interrupted batch leaves the view half-maintained: it must be poisoned")
 	}
 }

@@ -70,3 +70,6 @@ func (j *JSONL) Stream(s StreamStats) { j.emit("stream", s) }
 
 // IVM implements Collector.
 func (j *JSONL) IVM(s IVMStats) { j.emit("ivm", s) }
+
+// Rel implements Collector.
+func (j *JSONL) Rel(s RelStats) { j.emit("rel", s) }

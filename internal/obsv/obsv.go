@@ -1,8 +1,8 @@
 // Package obsv is the observability layer of the repository: a small event
 // vocabulary describing what the engines did — fixpoint passes, delta sizes,
 // scratch-buffer reuse, grounding passes and delta-window hits, translation
-// sizes, view maintenance batches, experiment run cost — plus collectors that aggregate or stream
-// those events.
+// sizes, view maintenance batches, which engine evaluated a datalog request,
+// experiment run cost — plus collectors that aggregate or stream those events.
 //
 // Instrumented code holds a Collector and reports events at *call*
 // granularity (one event per fixpoint computation, one per grounding, one
@@ -279,6 +279,58 @@ type IVMUnit struct {
 	Steps int
 }
 
+// RelStats describes how one datalog evaluation by query.Execute ran: on the
+// relational rule kernel (internal/datalog/rel), straight over ID tables, or
+// through grounding — and then why — and what it had the database version's
+// fact base derive. One event per datalog evaluation.
+type RelStats struct {
+	// Engine is "relational" or "grounded".
+	Engine string
+	// Fallback says why a grounded evaluation could not run relationally:
+	// "unstratified" (negation through recursion — or, under minimal, any
+	// negation), "semantics" (inflationary and stable have no relational
+	// reading), "unplannable rule", or "interning off". Empty for a
+	// relational evaluation.
+	Fallback string
+	// BaseHit reports that the fact base already held everything the request
+	// needed of it; otherwise BaseRows, BaseIndexes and BaseKeys count what
+	// this request derived first: database rows converted (into ID tables or
+	// sorted facts), column posting indexes built, fact keys rendered.
+	BaseHit     bool
+	BaseRows    int
+	BaseIndexes int
+	BaseKeys    int
+	// Units lists the components of the predicate dependency graph that did
+	// work, bottom-up (relational only).
+	Units []RelUnit
+	// Steps counts join steps — rows tried against an atom plus completed rule
+	// bodies, the unit Options.Ground.MaxRules bounds on this path; Probes
+	// counts index probes (row hash or column postings), Scans full-table
+	// scans; Rows is the number of facts the evaluation holds as members when
+	// it ends, database facts it read included (what MaxAtoms bounds).
+	Steps  int
+	Probes int
+	Scans  int
+	Rows   int
+}
+
+// RelUnit is one component's share of a relational evaluation.
+type RelUnit struct {
+	// Preds are the component's predicates, sorted.
+	Preds []string
+	// Recursive reports a component closed semi-naively from a worklist; a
+	// non-recursive one runs each of its rules once.
+	Recursive bool
+	// Steps, Probes and Scans are the component's shares of the evaluation's;
+	// Rows is the number of facts it derived.
+	Steps  int
+	Probes int
+	Scans  int
+	Rows   int
+	// Scanned names the relations the component read by a full scan, sorted.
+	Scanned []string
+}
+
 // ExperimentStats describes one experiment (or one shard of one) run by the
 // internal/expt harness.
 type ExperimentStats struct {
@@ -307,6 +359,7 @@ type Collector interface {
 	Subscription(SubscriptionStats)
 	Stream(StreamStats)
 	IVM(IVMStats)
+	Rel(RelStats)
 }
 
 // Nop is a Collector that discards every event. Embed it to implement only
@@ -347,6 +400,9 @@ func (Nop) Stream(StreamStats) {}
 
 // IVM implements Collector.
 func (Nop) IVM(IVMStats) {}
+
+// Rel implements Collector.
+func (Nop) Rel(RelStats) {}
 
 // multi fans events out to several collectors in order.
 type multi []Collector
@@ -433,6 +489,12 @@ func (m multi) Stream(s StreamStats) {
 func (m multi) IVM(s IVMStats) {
 	for _, c := range m {
 		c.IVM(s)
+	}
+}
+
+func (m multi) Rel(s RelStats) {
+	for _, c := range m {
+		c.Rel(s)
 	}
 }
 

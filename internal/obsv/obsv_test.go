@@ -22,6 +22,12 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 	}})
 	s.IVM(IVMStats{Mode: "incremental", Deleted: 1, Steps: 7, Scans: 2, Rebuilt: true, Units: []IVMUnit{{Preds: []string{"r"}, Strategy: "rebuild", Steps: 7}}})
 	s.IVM(IVMStats{Mode: "recompute", Inserted: 1, DeltaFacts: 3})
+	s.Rel(RelStats{Engine: "relational", BaseRows: 20, BaseIndexes: 1, BaseKeys: 20, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{
+		{Preds: []string{"r"}, Recursive: true, Steps: 50, Probes: 30, Rows: 10},
+		{Preds: []string{"far"}, Steps: 40, Scans: 1, Rows: 5, Scanned: []string{"e"}},
+	}})
+	s.Rel(RelStats{Engine: "relational", BaseHit: true, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{{Preds: []string{"r"}, Recursive: true}}})
+	s.Rel(RelStats{Engine: "grounded", Fallback: "unstratified", BaseRows: 20})
 
 	snap := s.Snapshot()
 	want := map[string]int64{
@@ -58,6 +64,20 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"ivm.units.rebuild":                1,
 		"ivm.overDeleted":                  4,
 		"ivm.rederived":                    1,
+		"rel.evals.relational":             2,
+		"rel.evals.grounded":               1,
+		"rel.fallbacks.unstratified":       1,
+		"rel.base.hits":                    1,
+		"rel.base.misses":                  2,
+		"rel.base.rows":                    40,
+		"rel.base.indexes":                 1,
+		"rel.base.keys":                    20,
+		"rel.steps":                        180,
+		"rel.probes":                       60,
+		"rel.scans":                        2,
+		"rel.rows":                         70,
+		"rel.units.recursive":              2,
+		"rel.units.nonrecursive":           1,
 	}
 	for k, v := range want {
 		if snap[k] != v {

@@ -178,6 +178,36 @@ func (s *Stats) IVM(v IVMStats) {
 	s.add(kvs...)
 }
 
+// Rel implements Collector.
+func (s *Stats) Rel(v RelStats) {
+	kvs := []any{
+		"rel.evals." + v.Engine, int64(1),
+		"rel.base.rows", int64(v.BaseRows),
+		"rel.base.indexes", int64(v.BaseIndexes),
+		"rel.base.keys", int64(v.BaseKeys),
+		"rel.steps", int64(v.Steps),
+		"rel.probes", int64(v.Probes),
+		"rel.scans", int64(v.Scans),
+		"rel.rows", int64(v.Rows),
+	}
+	if v.Fallback != "" {
+		kvs = append(kvs, "rel.fallbacks."+v.Fallback, int64(1))
+	}
+	if v.BaseHit {
+		kvs = append(kvs, "rel.base.hits", int64(1))
+	} else {
+		kvs = append(kvs, "rel.base.misses", int64(1))
+	}
+	for _, u := range v.Units {
+		kind := "rel.units.nonrecursive"
+		if u.Recursive {
+			kind = "rel.units.recursive"
+		}
+		kvs = append(kvs, kind, int64(1))
+	}
+	s.add(kvs...)
+}
+
 // Snapshot is an immutable copy of a Stats collector's counters. The
 // counter vocabulary:
 //
@@ -196,6 +226,9 @@ func (s *Stats) IVM(v IVMStats) {
 //	stream.pipelines|scanned|probes|tested|emitted|hashJoins|pushed
 //	ivm.applies.<mode>, ivm.steps|probes|scans|deltaFacts,
 //	ivm.fallbacks, ivm.units.<strategy>, ivm.overDeleted|rederived
+//	rel.evals.<engine>, rel.fallbacks.<reason>, rel.base.hits|misses,
+//	rel.base.rows|indexes|keys, rel.steps|probes|scans|rows,
+//	rel.units.recursive|nonrecursive
 type Snapshot map[string]int64
 
 // Snapshot returns a copy of the current counters.

@@ -3,11 +3,14 @@ package query
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/ground"
+	"algrec/internal/datalog/rel"
+	"algrec/internal/obsv"
 	"algrec/internal/semantics"
 	"algrec/internal/translate"
 	"algrec/internal/value"
@@ -21,9 +24,13 @@ type Options struct {
 	// call depth) and carries the Interrupt cancellation channel polled
 	// between fixpoint rounds.
 	Budget algebra.Budget
-	// Ground caps grounding for the deductive pipelines (datalog, and the
-	// translation-based wellfounded/stable readings of algebra=); its
-	// Interrupt channel also cancels the stable-model search.
+	// Ground caps the deductive pipelines (datalog, and the translation-based
+	// wellfounded/stable readings of algebra=); its Interrupt channel also
+	// cancels the stable-model search. Where a datalog program is grounded,
+	// MaxAtoms and MaxRules bound the ground program's atoms and rules; where
+	// it is evaluated relationally (see Execute) they bound the facts the
+	// evaluation stores — database facts it reads included — and its join
+	// steps. Either way exceeding one is "budget-exceeded".
 	Ground ground.Budget
 	// MaxUndef bounds the residual size of a stable-model search
 	// (0 = the CLIs' default of 24).
@@ -51,7 +58,10 @@ type QueryAnswer struct {
 }
 
 // PredFacts is one predicate's content in a datalog Outcome, as fact keys
-// ("tc(a, b)") in the engines' deterministic order.
+// ("tc(a, b)") in the engines' deterministic order (datalog.CompareFacts).
+// The slices are read-only: for a predicate the program does not add to, True
+// is the database version's own key list (rel.Base.Keys), shared by every
+// outcome computed over that version.
 type PredFacts struct {
 	Pred  string
 	True  []string
@@ -64,8 +74,10 @@ type DatalogModel struct {
 	Preds []PredFacts
 }
 
-// Outcome is the structured result of one Execute call. Which fields are
-// populated depends on the plan's language and semantics:
+// Outcome is the structured result of one Execute call; it may share memory
+// with the database it was computed over and with other outcomes (see
+// PredFacts), so callers treat it as read-only. Which fields are populated
+// depends on the plan's language and semantics:
 //
 //   - expression languages: Value (HasValue true);
 //   - algebra= under valid/inflationary/wellfounded: Defs, Queries,
@@ -103,7 +115,31 @@ type Outcome struct {
 // db may be nil (an empty database); the plan is never mutated, so one plan
 // can execute concurrently against many databases. For algebra= scripts the
 // script's own rel statements overlay the database on name collisions.
+//
+// A datalog plan is evaluated by one of two engines, chosen by the program
+// and the semantics alone (RelationalOK): relationally, straight on ID
+// tables, when the program is stratified — under the stratified, valid and
+// well-founded semantics, which agree on its one total model; negation-free
+// under minimal — or by grounding it and running the semantics' fixpoint over
+// the ground program otherwise. The outcomes are bit-for-bit the same where
+// both apply. Execute is ExecuteBase on a fact base made for this one call; a
+// caller that evaluates many plans over one database makes the base once.
 func Execute(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
+	return execute(plan, db, nil, opts, false)
+}
+
+// ExecuteBase is Execute against the database a fact base describes (nil:
+// the empty database). What datalog evaluation derives from the database
+// before the first rule runs — ID tables, sorted facts, rendered keys — is
+// taken from the base, which derives each once and shares it with every
+// concurrent and later call; the other languages only read base.DB().
+func ExecuteBase(plan *Plan, base *rel.Base, opts Options) (*Outcome, error) {
+	return execute(plan, base.DB(), base, opts, false)
+}
+
+// execute is the one path behind the exported entries: base is nil when the
+// caller has none for db, and grounded takes the datalog engine choice away.
+func execute(plan *Plan, db algebra.DB, base *rel.Base, opts Options, grounded bool) (*Outcome, error) {
 	if opts.MaxUndef <= 0 {
 		opts.MaxUndef = DefaultMaxUndef
 	}
@@ -121,10 +157,25 @@ func Execute(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
 	case LangAlgebraEq:
 		return executeScript(plan, db, opts, out)
 	case LangDatalog:
-		return executeDatalog(plan, db, opts, out)
+		if base == nil {
+			base = rel.NewBase(db)
+		}
+		return executeDatalog(plan, base, opts, out, grounded)
 	default:
 		return nil, fmt.Errorf("query: unknown language %q", plan.Language)
 	}
+}
+
+// ExecuteGrounded is Execute for a datalog plan with the engine choice taken
+// away: the program is grounded whatever its shape. It is the reference the
+// relational engine is checked against (the dlog-relational oracle), and the
+// very path Execute itself takes for programs outside the relational
+// fragment.
+func ExecuteGrounded(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
+	if plan.Language != LangDatalog {
+		return nil, fmt.Errorf("query: ExecuteGrounded wants a datalog plan, not %s", plan.Language)
+	}
+	return execute(plan, db, nil, opts, true)
 }
 
 // executeScript evaluates an algebra= script under the plan's semantics.
@@ -233,16 +284,192 @@ func executeScript(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outc
 	}
 }
 
-// executeDatalog evaluates a datalog program under the plan's semantics,
-// appending the database's relations as facts (translate.DBFacts).
-func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outcome, error) {
+// groundingReason says why Execute grounds the plan's program instead of
+// evaluating it relationally — "" when it does evaluate it relationally. The
+// relational engine computes the one total model of a stratified program,
+// which is what the stratified, valid and well-founded semantics all assign
+// it (the dlog-stratified oracle pins the agreement) and, for a negation-free
+// program, the minimal model; everything else needs the ground program: a
+// three-valued reading (negation through recursion), the inflationary and
+// stable semantics, a rule no join order exists for (grounding reports it),
+// or the string-keyed representation.
+func groundingReason(plan *Plan) string {
+	switch plan.Semantics {
+	case SemStratified, SemValid, SemWellFounded:
+		if !datalog.IsStratified(plan.Program) {
+			return "unstratified"
+		}
+	case SemMinimal:
+		// The minimal model is only defined engine-side for positive
+		// programs; those are trivially stratified.
+		if !datalog.IsPositive(plan.Program) {
+			return "unstratified"
+		}
+	default: // stable, inflationary
+		return "semantics"
+	}
+	for _, r := range plan.Program.Rules {
+		if r.IsFact() {
+			continue
+		}
+		if _, err := datalog.PlanRuleFrom(r, nil, -1); err != nil {
+			return "unplannable rule"
+		}
+	}
+	if !value.InterningEnabled() {
+		return "interning off"
+	}
+	return ""
+}
+
+// RelationalOK reports whether Execute evaluates the datalog plan on the
+// relational rule kernel (internal/datalog/rel) — a property of the program,
+// the semantics and the process-wide interning switch, never of an option. It
+// is also exactly the fragment internal/ivm maintains incrementally.
+func RelationalOK(plan *Plan) bool {
+	return plan.Language == LangDatalog && plan.Program != nil && groundingReason(plan) == ""
+}
+
+// KernelLimits maps the options' budgets onto the relational kernel's: Ground.
+// MaxAtoms bounds the stored facts, Ground.MaxRules the join steps (of one
+// evaluation, or of one maintenance batch), with the grounder's defaults for
+// zero fields; either interrupt channel cancels.
+func KernelLimits(opts Options) rel.Limits {
+	lim := rel.Limits{
+		MaxRows:    opts.Ground.MaxAtoms,
+		MaxSteps:   opts.Ground.MaxRules,
+		Interrupts: [2]<-chan struct{}{opts.Budget.Interrupt, opts.Ground.Interrupt},
+	}
+	if lim.MaxRows <= 0 {
+		lim.MaxRows = ground.DefaultBudget.MaxAtoms
+	}
+	if lim.MaxSteps <= 0 {
+		lim.MaxSteps = ground.DefaultBudget.MaxRules
+	}
+	return lim
+}
+
+// executeDatalog evaluates a datalog program over the base's database under
+// the plan's semantics: relationally when it can (groundingReason), grounded
+// otherwise or when the caller insists. Whichever engine runs reports itself
+// — and what it cost, even when it failed — to the process-default collector,
+// when there is one.
+func executeDatalog(plan *Plan, base *rel.Base, opts Options, out *Outcome, grounded bool) (*Outcome, error) {
+	obs := obsv.Default()
+	reason := groundingReason(plan)
+	if reason == "" && !grounded {
+		return executeRelational(plan, base, opts, out, obs)
+	}
+	var use rel.BaseUse
+	out, err := executeGrounded(plan, base, opts, out, &use)
+	if obs != nil {
+		st := obsv.RelStats{Engine: "grounded", Fallback: reason}
+		fillBaseUse(&st, use)
+		obs.Rel(st)
+	}
+	return out, err
+}
+
+func fillBaseUse(st *obsv.RelStats, use rel.BaseUse) {
+	st.BaseHit = use == rel.BaseUse{}
+	st.BaseRows, st.BaseIndexes, st.BaseKeys = use.Rows, use.Indexes, use.Keys
+}
+
+// outcomePreds lists the predicates a datalog outcome reports: every
+// predicate of the program plus every relation the database stores a fact
+// under, sorted.
+func outcomePreds(prog *datalog.Program, base *rel.Base) []string {
+	preds := prog.Preds()
+	stored := base.Names()
+	if len(stored) == 0 {
+		return preds
+	}
+	seen := make(map[string]bool, len(preds))
+	for _, p := range preds {
+		seen[p] = true
+	}
+	for _, name := range stored {
+		if !seen[name] {
+			preds = append(preds, name)
+		}
+	}
+	sort.Strings(preds)
+	return preds
+}
+
+// executeRelational evaluates a stratified program on the relational kernel:
+// the relations it only reads are the base's frozen tables, the ones it
+// derives into are private to this call, and the components of its
+// dependency graph are evaluated bottom-up, semi-naively where recursive. The
+// model is total, so the outcome has no undefined part.
+func executeRelational(plan *Plan, base *rel.Base, opts Options, out *Outcome, obs obsv.Collector) (*Outcome, error) {
+	eng, err := rel.NewEngine(plan.Program, rel.Config{Base: base, Limits: KernelLimits(opts), Observed: obs != nil})
+	if err != nil {
+		return nil, err
+	}
+	if obs != nil {
+		defer func() {
+			st := obsv.RelStats{
+				Engine: "relational", Units: eng.UnitStats,
+				Steps: eng.Steps, Probes: eng.Probes, Scans: eng.Scans, Rows: eng.NumRows(),
+			}
+			fillBaseUse(&st, eng.Use)
+			obs.Rel(st)
+		}()
+	}
+	if err := eng.Build(); err != nil {
+		return nil, err
+	}
+	out.IDB = plan.Program.IDB()
+	m := &DatalogModel{}
+	for _, pred := range outcomePreds(plan.Program, base) {
+		pf := PredFacts{Pred: pred}
+		if eng.Derives(pred) {
+			pf.True = eng.Keys(pred)
+		} else {
+			pf.True = base.Keys(pred, &eng.Use)
+		}
+		m.Preds = append(m.Preds, pf)
+	}
+	out.Datalog = m
+	return out, nil
+}
+
+// executeGrounded evaluates a datalog program by grounding: the database's
+// facts are merged into the program as bodyless rules (the base keeps them,
+// sorted, per database version), the merged program is grounded, and the
+// semantics' engine runs over the ground program.
+func executeGrounded(plan *Plan, base *rel.Base, opts Options, out *Outcome, use *rel.BaseUse) (*Outcome, error) {
 	prog := plan.Program
-	if len(db) > 0 {
+	if stored := base.Names(); len(stored) > 0 {
 		merged := &datalog.Program{Rules: append([]datalog.Rule{}, prog.Rules...)}
-		merged.AddFacts(DBFacts(db)...)
+		for _, name := range stored {
+			merged.Rules = append(merged.Rules, base.FactRules(name, use)...)
+		}
 		prog = merged
 	}
-	out.IDB = prog.IDB()
+	out.IDB = plan.Program.IDB()
+	// A predicate the plan's program does not add to is, in every model of
+	// every semantics, exactly the database's facts: its keys are the base's.
+	adds := map[string]bool{}
+	for _, r := range plan.Program.Rules {
+		adds[r.Head.Pred] = true
+	}
+	preds := outcomePreds(plan.Program, base)
+	snapshot := func(in *semantics.Interp) DatalogModel {
+		var m DatalogModel
+		for _, pred := range preds {
+			pf := PredFacts{Pred: pred}
+			if adds[pred] {
+				pf.True = in.FactKeysWith(pred, semantics.True)
+				pf.Undef = in.FactKeysWith(pred, semantics.Undef)
+			} else {
+				pf.True = base.Keys(pred, use)
+			}
+			m.Preds = append(m.Preds, pf)
+		}
+		return m
+	}
 	if plan.Semantics == SemStable {
 		g, err := ground.Ground(prog, opts.Ground)
 		if err != nil {
@@ -255,7 +482,7 @@ func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Out
 			return nil, err
 		}
 		for _, m := range models {
-			out.DatalogModels = append(out.DatalogModels, snapshotInterp(prog, m))
+			out.DatalogModels = append(out.DatalogModels, snapshot(m))
 		}
 		return out, nil
 	}
@@ -267,7 +494,7 @@ func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Out
 	if err != nil {
 		return nil, err
 	}
-	m := snapshotInterp(prog, in)
+	m := snapshot(in)
 	out.Datalog = &m
 	for _, pf := range m.Preds {
 		if len(pf.Undef) > 0 {
@@ -279,38 +506,21 @@ func executeDatalog(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Out
 
 // DBFacts converts a database to datalog facts in the relational idiom:
 // each tuple element becomes one fact with the tuple's components as
-// arguments (an n-ary relation), each scalar element a unary fact. This
-// differs from translate.DBFacts, whose unary complex-object encoding
-// serves the paper's simulation theorems — a user writing `edge(X, Y)`
-// against a database relation of pairs expects the relational reading.
-// It is exported because the incremental engine (internal/ivm) and the
-// server's mutation surface must agree with Execute on this mapping.
+// arguments (an n-ary relation), each scalar element a unary fact
+// (rel.ElemFact). This differs from translate.DBFacts, whose unary
+// complex-object encoding serves the paper's simulation theorems — a user
+// writing `edge(X, Y)` against a database relation of pairs expects the
+// relational reading. It is exported because the server's mutation surface
+// must agree with Execute on this mapping.
 func DBFacts(db algebra.DB) []datalog.Fact {
 	var out []datalog.Fact
 	for name, s := range db {
-		for _, e := range s.Elems() {
-			if t, ok := e.(value.Tuple); ok {
-				out = append(out, datalog.Fact{Pred: name, Args: t.Elems()})
-				continue
-			}
-			out = append(out, datalog.Fact{Pred: name, Args: []value.Value{e}})
+		for i := 0; i < s.Len(); i++ {
+			out = append(out, rel.ElemFact(name, s.At(i)))
 		}
 	}
 	datalog.SortFacts(out)
 	return out
-}
-
-// snapshotInterp converts an interpretation into the Outcome's wire form:
-// per-predicate fact keys, every predicate of the program, sorted.
-func snapshotInterp(p *datalog.Program, in *semantics.Interp) DatalogModel {
-	var m DatalogModel
-	for _, pred := range p.Preds() {
-		pf := PredFacts{Pred: pred}
-		pf.True = append(pf.True, in.FactKeysWith(pred, semantics.True)...)
-		pf.Undef = append(pf.Undef, in.FactKeysWith(pred, semantics.Undef)...)
-		m.Preds = append(m.Preds, pf)
-	}
-	return m
 }
 
 // ErrorCode classifies an error from Compile or Execute into the structured

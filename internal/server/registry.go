@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"algrec/internal/algebra"
+	"algrec/internal/datalog/rel"
 	"algrec/internal/query"
 	"algrec/internal/value"
 	"algrec/internal/value/intern"
@@ -28,7 +29,7 @@ import (
 // reason: no database value is ever mutated in place.
 //
 // With a disk backend configured (Config.Storage), an entry's relation data
-// lives in its storage.Store instead of cur.db (which stays nil); readers
+// lives in its storage.Store instead of cur.base (which stays nil); readers
 // materialize only the relations a plan needs, through the entry's
 // materialization cache. storage.Store serializes writers internally and
 // never blocks concurrent readers, preserving the same property.
@@ -41,12 +42,27 @@ type registry struct {
 	dbs map[string]*dbEntry
 }
 
-// dbState is one immutable (database, version) pair. For disk-backed entries
-// db is nil — the data lives in the entry's store — and only version is
-// meaningful.
+// dbState is one immutable (database, version) pair. The database is held as
+// its fact base: the database itself (base.DB()) plus what datalog evaluation
+// derives from it before the first rule runs (ID tables, sorted facts,
+// rendered keys), built lazily by the first request that needs it and shared
+// read-only by every request that loads this state. Nothing else refers to a
+// base, so it goes when its state is superseded and the last request on it
+// returns. For disk-backed entries base is nil — the data lives in the
+// entry's store — and only version is meaningful.
 type dbState struct {
-	db      algebra.DB
+	base    *rel.Base
 	version uint64
+}
+
+// newDBState wraps a memory-resident database; a nil db is a disk-backed
+// entry's state.
+func newDBState(db algebra.DB, version uint64) *dbState {
+	st := &dbState{version: version}
+	if db != nil {
+		st.base = rel.NewBase(db)
+	}
+	return st
 }
 
 // dbEntry is one named database. The entry outlives any particular database
@@ -93,13 +109,14 @@ func (r *registry) entry(name string) (*dbEntry, bool) {
 	return e, ok
 }
 
-// dbForPlan returns the database state the plan should execute against:
-// ok=false when no database of that name exists (the empty name is always
-// present and empty). For memory entries this is the lock-free current
-// snapshot; for disk entries, a materialization of exactly the relations the
-// plan can read (all of them for datalog, which folds the whole database
-// into its fact base).
-func (r *registry) dbForPlan(name string, plan *query.Plan) (db algebra.DB, ok bool, err error) {
+// baseForPlan returns the fact base of the database state the plan should
+// execute against: ok=false when no database of that name exists (the empty
+// name is always present and empty — a nil base). For memory entries this is
+// the lock-free current state's own base; for disk entries, a base made for
+// this request over a materialization of exactly the relations the plan can
+// read (all of them for datalog, which folds the whole database into its fact
+// base).
+func (r *registry) baseForPlan(name string, plan *query.Plan) (base *rel.Base, ok bool, err error) {
 	if name == "" {
 		return nil, true, nil
 	}
@@ -107,14 +124,18 @@ func (r *registry) dbForPlan(name string, plan *query.Plan) (db algebra.DB, ok b
 	if !ok {
 		return nil, false, nil
 	}
-	db, err = e.planDB(plan)
-	return db, true, err
+	if e.store == nil {
+		return e.cur.Load().base, true, nil
+	}
+	db, err := e.planDB(plan)
+	return rel.NewBase(db), true, err
 }
 
-// planDB is dbForPlan for one entry; safe without the entry mutex.
+// planDB returns the database a view of the plan is built over; safe without
+// the entry mutex.
 func (e *dbEntry) planDB(plan *query.Plan) (algebra.DB, error) {
 	if e.store == nil {
-		return e.cur.Load().db, nil
+		return e.cur.Load().base.DB(), nil
 	}
 	names, all := plan.Relations()
 	return e.store.materialize(names, all)
@@ -125,7 +146,7 @@ func (e *dbEntry) planDB(plan *query.Plan) (algebra.DB, error) {
 // a consistent copy call it under mu.
 func (e *dbEntry) fullDB() (algebra.DB, error) {
 	if e.store == nil {
-		return e.cur.Load().db, nil
+		return e.cur.Load().base.DB(), nil
 	}
 	return e.store.materialize(nil, true)
 }
@@ -175,7 +196,7 @@ func (r *registry) set(name string, db algebra.DB) error {
 		}
 		db = nil // the store holds the data; keep nothing resident
 	}
-	e.cur.Store(&dbState{db: db, version: e.cur.Load().version + 1})
+	e.cur.Store(newDBState(db, e.cur.Load().version+1))
 	e.closeViews(reasonReplaced)
 	return nil
 }
@@ -225,7 +246,7 @@ func (r *registry) restore(name, label string) (version uint64, err error) {
 		db = nil
 	}
 	v := e.cur.Load().version + 1
-	e.cur.Store(&dbState{db: db, version: v})
+	e.cur.Store(newDBState(db, v))
 	e.closeViews(reasonRestored)
 	return v, nil
 }
@@ -268,7 +289,7 @@ func (r *registry) list() []dbInfo {
 				info.Relations[ri.Name] = ri.Len
 			}
 		} else {
-			for rel, set := range e.cur.Load().db {
+			for rel, set := range e.cur.Load().base.DB() {
 				info.Relations[rel] = set.Len()
 			}
 		}

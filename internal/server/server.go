@@ -371,7 +371,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The plan determines which relations a disk-backed database must
 	// materialize, so the database is resolved after plan lookup.
-	db, ok, err := s.reg.dbForPlan(req.DB, plan)
+	base, ok, err := s.reg.baseForPlan(req.DB, plan)
 	if !ok {
 		fail(codeUnknownDB, fmt.Sprintf("no database named %q is registered", req.DB))
 		return
@@ -396,7 +396,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.testHookEval != nil {
 		s.testHookEval()
 	}
-	out, err := query.Execute(plan, db, opts)
+	out, err := query.ExecuteBase(plan, base, opts)
 	if err != nil {
 		code := query.ErrorCode(err, false)
 		if code == codeCanceled && errors.Is(ctx.Err(), context.DeadlineExceeded) {

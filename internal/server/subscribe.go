@@ -423,7 +423,7 @@ func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
 		}
 		entry.cur.Store(&dbState{version: version})
 	} else {
-		entry.cur.Store(&dbState{db: ivm.ApplyDB(st.db, ins, del), version: version})
+		entry.cur.Store(newDBState(ivm.ApplyDB(st.base.DB(), ins, del), version))
 	}
 	for key, lv := range entry.views {
 		d, applyErr := lv.view.Apply(ins, del)
