@@ -76,23 +76,28 @@ bench-delta:
 
 # bench-check reruns the experiment suite at the baseline's scale and
 # compares the fresh record against the committed BENCH_baseline.json
-# (tools/benchcheck): advisory perf-regression gate, generous tolerance.
+# (tools/benchcheck): advisory perf-regression gate, generous tolerance. It
+# also judges the P12 storageMemServe(96) >= 0.95x ratio, which flaps too much
+# on shared cores to block anything (see bench-gates).
 # Refresh the baseline with: go run ./cmd/bench -scale 1 -json BENCH_baseline.json
 bench-check:
 	@tmp=$$(mktemp -d) && \
 	go run ./cmd/bench -scale 1 -json $$tmp/current.json >/dev/null && \
-	go run ./tools/benchcheck -baseline BENCH_baseline.json $$tmp/current.json; \
+	go run ./tools/benchcheck -baseline BENCH_baseline.json \
+		-gates 'P10:ifpTCChain:2.0,P11:ivmInsertChain:5.0,P12:storageMemServe(96):0.95' $$tmp/current.json; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
 # bench-gates reruns only the gated ablation suites and enforces the
 # -gates speedup floors (default P10 ifpTCChain >= 2x, P11 ivmInsertChain
-# >= 5x, P12 storageMemServe(96) >= 0.95x — the memory backend may cost
-# the serving path at most 5% over direct evaluation). Speedups are
-# within-run A/B ratios, so machine noise cancels and this gate can block
-# merges where the absolute-wall bench-check stays advisory.
+# >= 5x). Speedups are within-run A/B ratios of sides that differ by a large
+# factor, so machine noise cancels and this gate can block merges where the
+# absolute-wall bench-check stays advisory. P12's storageMemServe(96) >= 0.95x
+# was a third floor until it failed two runs in three on unchanged code — a
+# best-of-N ratio of two near-equal latencies; the storage path is guarded by
+# the benchmark's write-stream and bulk-cycle workloads instead.
 bench-gates:
 	@tmp=$$(mktemp -d) && \
-	go run ./cmd/bench -only P10,P11,P12 -json $$tmp/current.json >/dev/null && \
+	go run ./cmd/bench -only P10,P11 -json $$tmp/current.json >/dev/null && \
 	go run ./tools/benchcheck -gatesonly $$tmp/current.json; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
@@ -117,7 +122,12 @@ bench-smoke:
 # workloads end to end plus the traced run, five times, into BENCH_<PR>.json
 # at the repository root — `make bench-runs PR=20` (commit the file with the
 # change it measures; compare two of them with `go run -C benchmark
-# algrec/benchmark -compare OLD NEW`). About a quarter of an hour.
+# algrec/benchmark -compare OLD NEW`). About a quarter of an hour. Two
+# records made in different sessions drift apart by up to 25-30 % on unchanged
+# code (BENCH_20.json against its own tree re-run beside PR 22 shows three
+# `regressed` rows), so a PR whose -compare against the previous file is not
+# clean also records the parent, from a clone, in the same session — the same
+# command run there with -out BENCH_<PR>_parent.json — and compares the pair.
 bench-runs:
 	@test -n "$(PR)" || { echo "usage: make bench-runs PR=<number of the PR being measured>"; exit 2; }
 	go run -C benchmark algrec/benchmark -seed 1 -runs 5 -out ../BENCH_$(PR).json

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+
 	"algrec/internal/obsv"
 	"algrec/internal/value"
 )
@@ -9,15 +11,19 @@ import (
 // operator — every lookup arrives as σ, every join as σ over × — but a
 // value.Set is kept sorted with tuples in lexicographic order, so every set
 // is already a clustered index on its leading components
-// (value.Set.PrefixRange). Three places read a set through that order instead
-// of scanning or hashing all of it:
+// (value.Set.PrefixRange) and answers membership by binary search. Four places
+// read a set through that order instead of scanning, hashing or building all
+// of it:
 //
 //   - a selection whose test starts with conjuncts fixing .1, .2, … to
 //     constants (probeSelect);
 //   - a join leaf whose pushed conjuncts start that way (planLeaf.narrow);
 //   - a hash-join step whose build keys are exactly the leading components of
 //     an unfiltered leaf (planStep.probe, see planner.go): the leaf's range is
-//     probed per bound row and no index is built.
+//     probed per bound row and no index is built;
+//   - a difference whose subtrahend is built from products (EvalDiff): whether
+//     (x, y) lies in A × B is a lookup in A and one in B, so the minuend is
+//     filtered by lookups and the product is never built.
 //
 // A probe must be indistinguishable from the scan it replaces, errors
 // included. Skipping an element is what the scan's short-circuit evaluation
@@ -90,6 +96,127 @@ func EvalMap(e Map, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, err
 	return of.Map(func(v value.Value) (value.Value, error) {
 		return EvalF(e.Out, FEnv{e.Var: v})
 	})
+}
+
+// pollEvery is how many elements a product or difference loop handles between
+// two looks at Budget.Interrupt — the datalog kernel's interval (rel.pollEvery).
+const pollEvery = 1 << 12
+
+// EvalProduct materializes l × r for a host evaluator, within the budget:
+// every product the two evaluators still build goes through here.
+func EvalProduct(l, r value.Set, b Budget) (value.Set, error) {
+	// Division-based comparison: l.Len()*r.Len() can overflow int and
+	// silently skip the guard.
+	if l.Len() > 0 && r.Len() > b.MaxSetSize/l.Len() {
+		return value.Set{}, fmt.Errorf("%w: product of %d x %d elements exceeds MaxSetSize %d", ErrBudget, l.Len(), r.Len(), b.MaxSetSize)
+	}
+	return l.ProductPolled(r, pollEvery, b.Stop)
+}
+
+// spine is a subtrahend as EvalDiff probes it: the ∪/× operators above its
+// evaluated leaves. A leaf has neither child.
+type spine struct {
+	product bool // l × r; otherwise l ∪ r
+	l, r    *spine
+	leaf    value.Set
+}
+
+// reachesProduct reports whether the ∪/× spine of e reaches a product.
+func reachesProduct(e Expr) bool {
+	switch ee := e.(type) {
+	case Product:
+		return true
+	case Union:
+		return reachesProduct(ee.L) || reachesProduct(ee.R)
+	}
+	return false
+}
+
+// evalSpine evaluates the leaves under e's ∪/× spine — everything that is not
+// itself a union or a product — whole and left to right, the order in which
+// materializing e would reach them, and counts them.
+func evalSpine(e Expr, leaf LeafEval, leaves *int) (node *spine, err error) {
+	node = &spine{}
+	var l, r Expr
+	switch ee := e.(type) {
+	case Union:
+		l, r = ee.L, ee.R
+	case Product:
+		l, r, node.product = ee.L, ee.R, true
+	default:
+		*leaves++
+		node.leaf, err = leaf(e)
+		return node, err
+	}
+	if node.l, err = evalSpine(l, leaf, leaves); err != nil {
+		return nil, err
+	}
+	node.r, err = evalSpine(r, leaf, leaves)
+	return node, err
+}
+
+// has reports whether v is a member of the set the spine denotes, counting
+// the set lookups it takes: a product holds exactly the pairs of a member of
+// each factor, a union what either side holds.
+func (s *spine) has(v value.Value, lookups *int) bool {
+	switch {
+	case s.l == nil:
+		*lookups++
+		return s.leaf.Has(v)
+	case s.product:
+		t, ok := v.(value.Tuple)
+		return ok && t.Len() == 2 && s.l.has(t.At(0), lookups) && s.r.has(t.At(1), lookups)
+	default:
+		return s.l.has(v, lookups) || s.r.has(v, lookups)
+	}
+}
+
+// EvalDiff evaluates a difference for a host evaluator; left and right
+// evaluate subexpressions of the minuend and of the subtrahend (the dual
+// evaluator reads them at opposite polarities). When the subtrahend's ∪/×
+// spine reaches a product, the spine's leaves are evaluated — always, so
+// every leaf error surfaces whether or not anything is left to subtract from
+// — and the minuend is filtered by membership in the spine: no product is
+// built, and a filter of a canonical set needs no sort. Otherwise, and on the
+// Budget.NoStreaming reference path, the subtrahend is materialized and
+// merged against.
+func EvalDiff(e Diff, b Budget, obs obsv.Collector, left, right LeafEval) (value.Set, error) {
+	l, err := left(e.L)
+	if err != nil {
+		return value.Set{}, err
+	}
+	var out value.Set
+	var probed, lookups int
+	path, leaves := "materialized", 1
+	if b.NoStreaming || !reachesProduct(e.R) {
+		r, err := right(e.R)
+		if err != nil {
+			return value.Set{}, err
+		}
+		out = l.Diff(r)
+	} else {
+		path, leaves = "probing", 0
+		sub, err := evalSpine(e.R, right, &leaves)
+		if err != nil {
+			return value.Set{}, err
+		}
+		out, err = l.Select(func(v value.Value) (bool, error) {
+			if probed%pollEvery == 0 {
+				if err := b.Stop(); err != nil {
+					return false, err
+				}
+			}
+			probed++
+			return !sub.has(v, &lookups), nil
+		})
+		if err != nil {
+			return value.Set{}, err
+		}
+	}
+	if obs != nil {
+		obs.Diff(obsv.DiffStats{Path: path, Probed: probed, Lookups: lookups, Kept: out.Len(), Leaves: leaves})
+	}
+	return out, nil
 }
 
 // conjuncts splits a test into its conjuncts in evaluation order: `and`

@@ -2,6 +2,7 @@ package algebra_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -217,6 +218,135 @@ func TestPointQueryCounts(t *testing.T) {
 		}
 		if snap["stream.scanned"] > 4*c.result {
 			t.Errorf("%s: read %d rows for %d results", c.name, snap["stream.scanned"], c.result)
+		}
+	}
+}
+
+// diffElem draws an element from a domain small enough that random sets
+// overlap and random pairs land in random products: scalars of two kinds,
+// pairs of those and of pairs (what product(product(a, b), c) holds), the
+// empty tuple and 3-tuples, and sets.
+func diffElem(r *rand.Rand, depth int) value.Value {
+	switch k := r.Intn(10); {
+	case k < 3 || depth == 0:
+		if r.Intn(4) == 0 {
+			return value.String([]string{"a", "b"}[r.Intn(2)])
+		}
+		return value.Int(int64(r.Intn(3)))
+	case k < 8:
+		return value.Pair(diffElem(r, depth-1), diffElem(r, depth-1))
+	case k == 8:
+		if r.Intn(2) == 0 {
+			return value.NewTuple()
+		}
+		return value.NewTuple(diffElem(r, depth-1), diffElem(r, depth-1), diffElem(r, 0))
+	default:
+		return value.NewSet(diffElem(r, depth-1))
+	}
+}
+
+func diffSet(r *rand.Rand, n, depth int) value.Set {
+	b := value.NewSetBuilder(n)
+	for i := r.Intn(n + 1); i > 0; i-- {
+		b.Add(diffElem(r, depth))
+	}
+	return b.Set()
+}
+
+// TestPropertyDiffProbesLikeItMaterializes: over random heterogeneous sets,
+// for every shape of ∪/× spine, filtering the minuend by lookups gives the set
+// — equal and rendered identically — that building the subtrahend and merging
+// against it gives, and never the other way round.
+func TestPropertyDiffProbesLikeItMaterializes(t *testing.T) {
+	spines := []string{
+		`product(a, b)`,
+		`product(product(a, b), c)`,
+		`product(a, product(b, c))`,
+		`union(product(a, b), product(c, a))`,
+		`union(c, product(a, b))`,
+		`product(union(a, c), b)`,
+		`product(a, diff(b, product(c, c)))`,
+		`union(product(a, {}), product(b, {0, (0, 1)}))`,
+		`product(map(a, \x -> (x, x)), select(b, \x -> x = x))`,
+	}
+	r := rand.New(rand.NewSource(22))
+	removed := 0
+	for i := 0; i < 400; i++ {
+		db := algebra.DB{"a": diffSet(r, 4, 1), "b": diffSet(r, 4, 1), "c": diffSet(r, 4, 1)}
+		spine := spines[i%len(spines)]
+		// The minuend: random elements beside a random half of the subtrahend's
+		// and near misses of the other half — a pair widened, narrowed, swapped.
+		sub, err := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: true}).Eval(mustExpr(t, spine))
+		if err != nil {
+			t.Fatalf("%s: %v", spine, err)
+		}
+		l := value.NewSetBuilder(0)
+		for j := 0; j < sub.Len(); j++ {
+			if r.Intn(2) == 0 {
+				l.Add(sub.At(j))
+			} else if p, ok := sub.At(j).(value.Tuple); ok && p.Len() == 2 {
+				l.Add(value.NewTuple(p.At(0), p.At(1), p.At(1)))
+				l.Add(value.NewTuple(p.At(0)))
+				l.Add(value.Pair(p.At(1), p.At(0)))
+			}
+		}
+		db["l"] = l.Set().Union(diffSet(r, 20, 3))
+
+		src := "diff(l, " + spine + ")"
+		got, err, snap := evalCounted(t, src, db)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		want := db["l"].Diff(sub)
+		if !value.Equal(got, want) || got.String() != want.String() {
+			t.Fatalf("%s over %v:\n  probing:      %v\n  materialized: %v", src, db, got, want)
+		}
+		// (the nested difference of one spine probes too)
+		if snap["diff.paths.materialized"] != 0 || snap["diff.probed"] < int64(db["l"].Len()) || snap["diff.kept"] < int64(got.Len()) {
+			t.Fatalf("%s: counters %v", src, snap)
+		}
+		if got.Len() < db["l"].Len() {
+			removed++
+		}
+	}
+	if removed < 200 {
+		t.Errorf("only %d of 400 instances subtracted anything: the generator no longer reaches the spine", removed)
+	}
+}
+
+// TestDiffPathAndErrors pins which differences probe, and that a subtrahend
+// leaf that raises, raises on both paths, in the same order, whether or not
+// the minuend holds anything.
+func TestDiffPathAndErrors(t *testing.T) {
+	db := algebra.DB{"e": value.NewSet(tup(1, 2), tup(2, 3), value.Int(5)), "none": value.EmptySet}
+	cases := []struct {
+		src    string
+		probes bool
+	}{
+		{`diff(e, product({1}, {2}))`, true},
+		{`diff(e, union({5}, product({1, 2}, {2, 3})))`, true},
+		{`diff(none, product(e, e))`, true},
+		{`diff(e, e)`, false},
+		{`diff(e, union(e, {5}))`, false},
+		{`diff(e, map(product({1}, {2}), \x -> x))`, false}, // a MAP is a leaf: its product is the pipeline's
+		{`diff(product(e, e), e)`, false},                   // the minuend's product is built
+		// errors: the leaf that raises first decides, also under an empty minuend
+		{`diff(none, product(map(e, \x -> x.1), e))`, true},
+		{`diff(none, product(e, nosuch))`, true},
+		{`diff(e, product(map(e, \x -> x.1), nosuch))`, true},
+		{`diff(nosuch, product(map(e, \x -> x.1), e))`, true},
+	}
+	for _, c := range cases {
+		got, errGot, snap := evalCounted(t, c.src, db)
+		want, errWant := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: true}).Eval(mustExpr(t, c.src))
+		switch {
+		case (errGot == nil) != (errWant == nil), errGot != nil && errGot.Error() != errWant.Error():
+			t.Errorf("%s:\n  production: %v\n  reference:  %v", c.src, errGot, errWant)
+		case errGot == nil && !value.Equal(got, want):
+			t.Errorf("%s:\n  production: %v\n  reference:  %v", c.src, got, want)
+		}
+		if errGot == nil && (snap["diff.evals"] != 1 || (snap["diff.paths.probing"] == 1) != c.probes) {
+			t.Errorf("%s: probes = %v, want %v (counters %v)", c.src, !c.probes, c.probes, snap)
 		}
 	}
 }

@@ -29,11 +29,15 @@ type Budget struct {
 	// NoStreaming disables the streaming execution runtime (see
 	// streameval.go): σ/MAP pipelines over products are fully materialized
 	// operator by operator instead of planned into lazy hash-join iterators.
-	// Results are identical either way on error-free evaluations; only
-	// budget boundaries differ (the materialized path also bounds
-	// intermediate products). WithDefaults ORs in
-	// DefaultBudget.NoStreaming, so cmd/bench -nostreaming can disable the
-	// runtime process-wide; the P9 experiment measures the cost.
+	// It is the scan-everything reference: prefix probes are off too
+	// (access.go), and a diff materializes its subtrahend even where that
+	// means building the products it subtracts (EvalDiff), instead of
+	// probing their factors. Results are identical either way on error-free
+	// evaluations, and for diff on failing ones too; only budget boundaries
+	// differ (the materialized path also bounds intermediate products).
+	// WithDefaults ORs in DefaultBudget.NoStreaming, so cmd/bench
+	// -nostreaming can disable the runtime process-wide; the P9 experiment
+	// measures the cost.
 	NoStreaming bool
 	// NoIDSets disables the ID-native semi-naive fixpoint engine (see
 	// idfixpoint.go): delta rounds union/diff materialized value.Sets
@@ -52,12 +56,14 @@ type Budget struct {
 	// maintenance process-wide; the P11 experiment measures the cost. Like
 	// NoIDSets, the incremental engine also requires value.InterningEnabled.
 	NoIVM bool
-	// Interrupt, when non-nil, is polled between fixpoint rounds (never
-	// inside one): once the channel is closed, evaluation stops with an
-	// error wrapping ErrCanceled. Callers with a context map ctx.Done()
-	// here, which turns a deadline or client disconnect into a structured
-	// outcome instead of a wedged evaluation. Round granularity bounds the
-	// reaction time by the cost of one body evaluation.
+	// Interrupt, when non-nil, is polled between fixpoint rounds and, inside
+	// one, every 4 096 pairs of a product being built and every 4 096
+	// elements a difference probes (EvalProduct, EvalDiff): once the channel
+	// is closed, evaluation stops with an error wrapping ErrCanceled. Callers
+	// with a context map ctx.Done() here, which turns a deadline or client
+	// disconnect into a structured outcome instead of a wedged evaluation.
+	// What is still uninterruptible inside a round is a σ/MAP scan or join
+	// pipeline, whose output MaxSetSize bounds.
 	Interrupt <-chan struct{}
 }
 
@@ -93,14 +99,15 @@ var ErrCanceled = errors.New("algebra: evaluation canceled")
 
 // Stop returns a non-nil error wrapping ErrCanceled once Interrupt has
 // fired, and nil otherwise (including when no Interrupt is set). Fixpoint
-// loops call it once per round.
+// loops call it once per round, product and difference loops every pollEvery
+// elements.
 func (b Budget) Stop() error {
 	if b.Interrupt == nil {
 		return nil
 	}
 	select {
 	case <-b.Interrupt:
-		return fmt.Errorf("%w (interrupt fired during a fixpoint round)", ErrCanceled)
+		return fmt.Errorf("%w (interrupt fired during evaluation)", ErrCanceled)
 	default:
 		return nil
 	}
@@ -177,15 +184,8 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		}
 		return ev.checkSize(l.Union(r))
 	case Diff:
-		l, err := ev.eval(ee.L, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		r, err := ev.eval(ee.R, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return l.Diff(r), nil
+		leaf := func(sub Expr) (value.Set, error) { return ev.eval(sub, local) }
+		return EvalDiff(ee, ev.Budget, ev.obs, leaf, leaf)
 	case Product:
 		l, err := ev.eval(ee.L, local)
 		if err != nil {
@@ -195,12 +195,7 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		if err != nil {
 			return value.Set{}, err
 		}
-		// Division-based comparison: l.Len()*r.Len() can overflow int and
-		// silently skip the guard.
-		if l.Len() > 0 && r.Len() > ev.Budget.MaxSetSize/l.Len() {
-			return value.Set{}, fmt.Errorf("%w: product of %d x %d elements exceeds MaxSetSize %d", ErrBudget, l.Len(), r.Len(), ev.Budget.MaxSetSize)
-		}
-		return l.Product(r), nil
+		return EvalProduct(l, r, ev.Budget)
 	case Select:
 		return EvalSelect(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
 			return ev.eval(sub, local)

@@ -139,18 +139,15 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		}
 		return de.checkSize(l.Union(r))
 	case algebra.Diff:
-		l, err := de.eval(ee.L, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
 		// Subtraction inverts membership: the subtrahend is evaluated at the
 		// opposite polarity. This is the paper's "inversion of T and F for
-		// membership" in executable form.
-		r, err := de.eval(ee.R, !positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return l.Diff(r), nil
+		// membership" in executable form. ∪ and × preserve polarity, so every
+		// leaf of the subtrahend's spine is read at that one polarity too.
+		return algebra.EvalDiff(ee, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
+			return de.eval(sub, positive, local)
+		}, func(sub algebra.Expr) (value.Set, error) {
+			return de.eval(sub, !positive, local)
+		})
 	case algebra.Product:
 		l, err := de.eval(ee.L, positive, local)
 		if err != nil {
@@ -160,12 +157,7 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		if err != nil {
 			return value.Set{}, err
 		}
-		// Division-based comparison: l.Len()*r.Len() can overflow int and
-		// silently skip the guard.
-		if l.Len() > 0 && r.Len() > de.budget.MaxSetSize/l.Len() {
-			return value.Set{}, fmt.Errorf("%w: product of %d x %d elements exceeds MaxSetSize %d", algebra.ErrBudget, l.Len(), r.Len(), de.budget.MaxSetSize)
-		}
-		return l.Product(r), nil
+		return algebra.EvalProduct(l, r, de.budget)
 	case algebra.Select:
 		// σ and MAP are polarity-transparent, as is the whole spine the
 		// streaming runtime pipelines (σ/MAP/∪/× preserve polarity): the
@@ -190,7 +182,8 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 			// The leaf closure carries the current polarity and locals, so
 			// the compiled constants read the same pos/neg environments the
 			// value path would.
-			out, ok, err := algebra.RunIFPIDSets(ee.Var, de.budget, de.obs, ee.Body, func(sub algebra.Expr) (value.Set, error) {
+			body, _ := flipSubtrahends(ee.Body, ee.Var)
+			out, ok, err := algebra.RunIFPIDSets(ee.Var, de.budget, de.obs, body, func(sub algebra.Expr) (value.Set, error) {
 				return de.eval(sub, positive, local)
 			})
 			if ok {
@@ -209,6 +202,38 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 	default:
 		panic(fmt.Sprintf("core: unknown Expr %T", e))
 	}
+}
+
+// flipSubtrahends returns e with every subtrahend the fixpoint variable v
+// passes by wrapped in Flip, and whether v occurs in e. The ID-set engine
+// freezes each variable-free subexpression through one leaf function — this
+// evaluator at the current polarity — but the subtrahend of a difference is
+// read at the opposite one; the Flip makes that one leaf evaluation invert.
+func flipSubtrahends(e algebra.Expr, v string) (algebra.Expr, bool) {
+	switch ee := e.(type) {
+	case algebra.Rel:
+		return e, ee.Name == v
+	case algebra.Union:
+		l, lv := flipSubtrahends(ee.L, v)
+		r, rv := flipSubtrahends(ee.R, v)
+		return algebra.Union{L: l, R: r}, lv || rv
+	case algebra.Product:
+		l, lv := flipSubtrahends(ee.L, v)
+		r, rv := flipSubtrahends(ee.R, v)
+		return algebra.Product{L: l, R: r}, lv || rv
+	case algebra.Diff:
+		if l, lv := flipSubtrahends(ee.L, v); lv {
+			return algebra.Diff{L: l, R: algebra.Flip{E: ee.R}}, true
+		}
+	case algebra.Select:
+		of, ov := flipSubtrahends(ee.Of, v)
+		return algebra.Select{Of: of, Var: ee.Var, Test: ee.Test}, ov
+	case algebra.Map:
+		of, ov := flipSubtrahends(ee.Of, v)
+		return algebra.Map{Of: of, Var: ee.Var, Out: ee.Out}, ov
+	}
+	// Anything else the variable occurs under is not ID-compiled at all.
+	return e, false
 }
 
 func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {

@@ -6,16 +6,17 @@ import (
 	"algrec/internal/translate"
 )
 
-// checkCoreValid evaluates an algebra= program under the valid semantics
-// with the scheduled semi-naive Γ and with the naive reference Γ, demanding
-// identical lower and upper bounds. The scheduled engine may itself decide
-// the program is unsafe for scheduling and fall back — that is fine; the
-// oracle checks the outcome, not the route.
+// checkCoreValid evaluates an algebra= program under the valid semantics on
+// the production path — scheduled semi-naive Γ, streamed pipelines, probed
+// differences — and on the reference: the naive Γ over fully materialized
+// operators. Lower and upper bounds must be identical. The scheduled engine
+// may itself decide the program is unsafe for scheduling and fall back — that
+// is fine; the oracle checks the outcome, not the route.
 func checkCoreValid(p *core.Program, db algebra.DB) error {
 	const oracle = "core-valid"
-	ref, errR := core.EvalValid(p, db, noSemiNaive(ExprBudget))
+	ref, errR := core.EvalValid(p, db, noStreaming(noSemiNaive(ExprBudget)))
 	opt, errO := core.EvalValid(p, db, ExprBudget)
-	if done, err := pairErr(oracle, "naive", "scheduled", errR, errO); done {
+	if done, err := pairErr(oracle, "reference", "production", errR, errO); done {
 		return err
 	}
 	if err := diffSetMaps(oracle, "lower bound", ref.Lower, opt.Lower); err != nil {

@@ -73,3 +73,6 @@ func (j *JSONL) IVM(s IVMStats) { j.emit("ivm", s) }
 
 // Rel implements Collector.
 func (j *JSONL) Rel(s RelStats) { j.emit("rel", s) }
+
+// Diff implements Collector.
+func (j *JSONL) Diff(s DiffStats) { j.emit("diff", s) }

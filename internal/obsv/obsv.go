@@ -2,7 +2,8 @@
 // vocabulary describing what the engines did — fixpoint passes, delta sizes,
 // scratch-buffer reuse, grounding passes and delta-window hits, translation
 // sizes, view maintenance batches, which engine evaluated a datalog request,
-// experiment run cost — plus collectors that aggregate or stream those events.
+// what a difference probed, experiment run cost — plus collectors that
+// aggregate or stream those events.
 //
 // Instrumented code holds a Collector and reports events at *call*
 // granularity (one event per fixpoint computation, one per grounding, one
@@ -235,6 +236,26 @@ type StreamStats struct {
 	Pushed    int
 }
 
+// DiffStats describes one difference evaluated by internal/algebra's EvalDiff,
+// for either evaluator. One event per evaluation — a difference inside a
+// fixpoint body reports once per round.
+type DiffStats struct {
+	// Path is "probing" when the subtrahend's ∪/× spine reaches a product and
+	// the minuend was filtered by membership lookups in the spine's leaves, so
+	// that no product was built; "materialized" when the subtrahend was
+	// evaluated to a set and merged against.
+	Path string
+	// Probed counts the elements of the minuend tested against the spine and
+	// Lookups the binary-search set lookups that took (probing only).
+	Probed  int
+	Lookups int
+	// Kept is the cardinality of the result.
+	Kept int
+	// Leaves counts the subtrahend sets evaluated: the leaves under the spine
+	// when probing, the one materialized subtrahend otherwise.
+	Leaves int
+}
+
 // IVMStats describes one mutation batch applied to a maintained view
 // (internal/ivm View.Apply): how the view is maintained, what each component
 // of the program had to do, and what the batch cost. One event per Apply.
@@ -360,6 +381,7 @@ type Collector interface {
 	Stream(StreamStats)
 	IVM(IVMStats)
 	Rel(RelStats)
+	Diff(DiffStats)
 }
 
 // Nop is a Collector that discards every event. Embed it to implement only
@@ -403,6 +425,9 @@ func (Nop) IVM(IVMStats) {}
 
 // Rel implements Collector.
 func (Nop) Rel(RelStats) {}
+
+// Diff implements Collector.
+func (Nop) Diff(DiffStats) {}
 
 // multi fans events out to several collectors in order.
 type multi []Collector
@@ -495,6 +520,12 @@ func (m multi) IVM(s IVMStats) {
 func (m multi) Rel(s RelStats) {
 	for _, c := range m {
 		c.Rel(s)
+	}
+}
+
+func (m multi) Diff(s DiffStats) {
+	for _, c := range m {
+		c.Diff(s)
 	}
 }
 

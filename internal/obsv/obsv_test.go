@@ -28,6 +28,9 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 	}})
 	s.Rel(RelStats{Engine: "relational", BaseHit: true, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{{Preds: []string{"r"}, Recursive: true}}})
 	s.Rel(RelStats{Engine: "grounded", Fallback: "unstratified", BaseRows: 20})
+	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 900, Kept: 400, Leaves: 2})
+	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 950, Kept: 398, Leaves: 2})
+	s.Diff(DiffStats{Path: "materialized", Kept: 3, Leaves: 1})
 
 	snap := s.Snapshot()
 	want := map[string]int64{
@@ -78,6 +81,13 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"rel.rows":                         70,
 		"rel.units.recursive":              2,
 		"rel.units.nonrecursive":           1,
+		"diff.evals":                       3,
+		"diff.paths.probing":               2,
+		"diff.paths.materialized":          1,
+		"diff.probed":                      1138,
+		"diff.lookups":                     1850,
+		"diff.kept":                        801,
+		"diff.leaves":                      5,
 	}
 	for k, v := range want {
 		if snap[k] != v {
@@ -119,9 +129,13 @@ func TestJSONLEmitsOneObjectPerEvent(t *testing.T) {
 	j := NewJSONL(&buf)
 	j.Fixpoint(FixpointStats{Semantics: "valid", Passes: 2, Derived: 7})
 	j.Ground(GroundStats{Atoms: 3, Rules: 4})
+	j.Diff(DiffStats{Path: "probing", Probed: 5, Lookups: 9, Kept: 2, Leaves: 2})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
+	}
+	if want := `"event":"diff"`; !strings.Contains(lines[2], want) || !strings.Contains(lines[2], `"Path":"probing"`) || !strings.Contains(lines[2], `"Lookups":9`) {
+		t.Errorf("diff event line = %s", lines[2])
 	}
 	var ev struct {
 		Kind string          `json:"event"`

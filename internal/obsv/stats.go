@@ -208,6 +208,18 @@ func (s *Stats) Rel(v RelStats) {
 	s.add(kvs...)
 }
 
+// Diff implements Collector.
+func (s *Stats) Diff(v DiffStats) {
+	s.add(
+		"diff.evals", int64(1),
+		"diff.paths."+v.Path, int64(1),
+		"diff.probed", int64(v.Probed),
+		"diff.lookups", int64(v.Lookups),
+		"diff.kept", int64(v.Kept),
+		"diff.leaves", int64(v.Leaves),
+	)
+}
+
 // Snapshot is an immutable copy of a Stats collector's counters. The
 // counter vocabulary:
 //
@@ -229,6 +241,7 @@ func (s *Stats) Rel(v RelStats) {
 //	rel.evals.<engine>, rel.fallbacks.<reason>, rel.base.hits|misses,
 //	rel.base.rows|indexes|keys, rel.steps|probes|scans|rows,
 //	rel.units.recursive|nonrecursive
+//	diff.evals, diff.paths.<path>, diff.probed|lookups|kept|leaves
 type Snapshot map[string]int64
 
 // Snapshot returns a copy of the current counters.

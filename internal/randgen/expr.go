@@ -430,6 +430,32 @@ func (g *Gen) ExprInstance() *ExprInstance {
 	}
 }
 
+// SubtractProduct extends an ExprInstance's draw stream by one decision, taken
+// after the instance is complete — so no instance drawn before it moves and
+// the pinned goldens stand, the way FactSchedule extends a program's. One time
+// in eight the expression e becomes diff(e, s) for a subtrahend s whose ∪/×
+// spine reaches a product of the database's integer relations: the shape that
+// decides how a difference is evaluated (algebra.EvalDiff probes such a spine
+// instead of building it), which the generic recursion emits in under half a
+// percent of instances. e stays the minuend, evaluated whole, so whatever the
+// instance exercised before, it still does.
+func (g *Gen) SubtractProduct(ei *ExprInstance) {
+	if !g.chance(8) {
+		return
+	}
+	a, b := algebra.Rel{Name: "a"}, algebra.Rel{Name: "b"}
+	var sub algebra.Expr = algebra.Product{L: a, R: b}
+	switch g.intn(4) {
+	case 0: // an integer-shaped minuend loses something too
+		sub = algebra.Union{L: sub, R: a}
+	case 1:
+		sub = algebra.Union{L: algebra.Product{L: b, R: b}, R: sub}
+	case 2: // a factor that is itself a difference
+		sub = algebra.Product{L: algebra.Diff{L: a, R: b}, R: algebra.Union{L: a, R: b}}
+	}
+	ei.Expr = algebra.Diff{L: ei.Expr, R: sub}
+}
+
 // IFPExprInstance generates a database and an expression guaranteed to
 // contain at least one IFP operator: the top level is an IFP whose body is
 // generated normally. This is the instance family for the Theorem 3.5

@@ -314,6 +314,24 @@ func (s Set) Product(t Set) Set {
 	return setFromSorted(out)
 }
 
+// ProductPolled is Product for a caller that must stay cancellable: it calls
+// poll before the first pair and after every `every` pairs built, and
+// abandons the build with poll's error once that is non-nil.
+func (s Set) ProductPolled(t Set, every int, poll func() error) (Set, error) {
+	out := make([]Value, 0, len(s.elems)*len(t.elems))
+	for _, a := range s.elems {
+		for _, b := range t.elems {
+			if len(out)%every == 0 {
+				if err := poll(); err != nil {
+					return Set{}, err
+				}
+			}
+			out = append(out, tupleFromOwned([]Value{a, b}))
+		}
+	}
+	return setFromSorted(out), nil
+}
+
 // Subset reports whether every element of s is in t.
 func (s Set) Subset(t Set) bool {
 	if len(s.elems) > len(t.elems) {

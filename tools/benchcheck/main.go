@@ -12,7 +12,10 @@
 // above a floor in the CURRENT run. A speedup is a within-run ratio — both
 // sides share the runner, so machine noise largely cancels — which is what
 // makes these rows gateable where absolute walls are only advisory. A gated
-// row falling under its floor (or disappearing) is a regression.
+// row falling under its floor (or disappearing) is a regression. P12's
+// storageMemServe(96) >= 0.95x is not among the defaults: it is a best-of-N
+// latency ratio of two near-equal sides and fell under its floor two runs in
+// three on unchanged code; the advisory bench-check names it explicitly.
 //
 // Usage:
 //
@@ -50,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer, gh bool) int {
 	fs.SetOutput(stderr)
 	baseline := fs.String("baseline", "BENCH_baseline.json", "committed baseline record")
 	tol := fs.Float64("tol", 3.0, "wall-clock slowdown factor that counts as a regression")
-	gates := fs.String("gates", "P10:ifpTCChain:2.0,P11:ivmInsertChain:5.0,P12:storageMemServe(96):0.95",
+	gates := fs.String("gates", "P10:ifpTCChain:2.0,P11:ivmInsertChain:5.0",
 		"comma-separated suite:rowprefix:minspeedup floors the current run's speedup rows must meet (empty disables)")
 	gatesOnly := fs.Bool("gatesonly", false,
 		"check only the -gates floors, skipping the baseline wall comparison (the current record may then hold just the gated suites)")
