@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates bench-test bench-smoke bench-runs fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
 
 all: check
 
@@ -120,17 +120,41 @@ bench-smoke:
 
 # bench-runs records one point of the per-PR curve: the benchmark's five
 # workloads end to end plus the traced run, five times, into BENCH_<PR>.json
-# at the repository root — `make bench-runs PR=20` (commit the file with the
-# change it measures; compare two of them with `go run -C benchmark
-# algrec/benchmark -compare OLD NEW`). About a quarter of an hour. Two
-# records made in different sessions drift apart by up to 25-30 % on unchanged
-# code (BENCH_20.json against its own tree re-run beside PR 22 shows three
-# `regressed` rows), so a PR whose -compare against the previous file is not
-# clean also records the parent, from a clone, in the same session — the same
-# command run there with -out BENCH_<PR>_parent.json — and compares the pair.
+# at the repository root — `make bench-runs PR=20` (compare two of them with
+# `go run -C benchmark algrec/benchmark -compare OLD NEW`). About a quarter of
+# an hour. Two records made in different sessions drift apart by up to 25-30 %
+# on unchanged code, so the file a PR commits and cites is bench-pair's.
 bench-runs:
 	@test -n "$(PR)" || { echo "usage: make bench-runs PR=<number of the PR being measured>"; exit 2; }
 	go run -C benchmark algrec/benchmark -seed 1 -runs 5 -out ../BENCH_$(PR).json
+
+# bench-pair records a PR's point of the curve together with its own baseline:
+# the parent commit — HEAD while the change is uncommitted, HEAD^ once it is —
+# is checked out beside the change (a git worktree in a temporary directory,
+# removed on every way out), both trees run the benchmark — all five workloads
+# and the traced run — once per seed 1..5, alternately, whichever went first on
+# one seed going second on the next, and the runs are stored per side in
+# BENCH_<PR>_parent.json and BENCH_<PR>.json at the repository root
+# (tools/benchjoin), which -compare then judges: the pair shares a session, so
+# it resolves ~3 % where two sessions' files resolve ~15. `make bench-pair
+# PR=23`, about 35 minutes; commit both files.
+bench-pair:
+	@test -n "$(PR)" || { echo "usage: make bench-pair PR=<number of the PR being measured>"; exit 2; }
+	@tmp=$$(mktemp -d) || exit 1; parent="$$tmp/parent"; \
+	trap 'git worktree remove --force "$$parent" 2>/dev/null; rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
+	rev=HEAD^; git diff --quiet HEAD || rev=HEAD; \
+	git worktree add --detach "$$parent" $$rev >/dev/null || exit 1; \
+	for seed in 1 2 3 4 5; do \
+		sides="parent change"; test $$((seed % 2)) = 1 || sides="change parent"; \
+		for side in $$sides; do \
+			tree="$(CURDIR)"; test $$side = change || tree="$$parent"; \
+			echo "seed $$seed: $$side"; \
+			(cd "$$tree" && go run -C benchmark algrec/benchmark -seed $$seed -runs 1 -out "$$tmp/$$side-$$seed.json") >"$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; \
+		done; \
+	done; \
+	go run ./tools/benchjoin -out BENCH_$(PR)_parent.json "$$tmp"/parent-*.json && \
+	go run ./tools/benchjoin -out BENCH_$(PR).json "$$tmp"/change-*.json && \
+	go run -C benchmark algrec/benchmark -compare ../BENCH_$(PR)_parent.json ../BENCH_$(PR).json
 
 # bench-storage reruns just the pluggable-storage experiment (P12): the
 # serving path against the memory and disk backends plus the bulk-load
@@ -145,7 +169,7 @@ fuzz-smoke:
 	@for t in ExprSemiNaive ExprIFPElim CoreValid CoreInflationary CoreWellFounded \
 	          DlogTheorem62 DlogTheorem43 DlogMinimal DlogStratified DlogStable \
 	          ExprIntern DlogIntern ExprStream DlogStream ExprIDSet DlogIDSet \
-	          DlogIVM DlogStorage DlogRelational; do \
+	          DlogIVM DlogStorage DlogRelational DlogRelationalFree; do \
 		go test ./internal/diffcheck -run '^$$' -fuzz "^Fuzz$$t\$$" -fuzztime 10s || exit 1; \
 	done
 

@@ -126,17 +126,23 @@ func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
 	if cr.scratch, err = e.compileEntry(cr, nil, -1, litOf); err != nil {
 		return nil, err
 	}
-	if e.maintain {
+	// A build only ever pivots on a positive literal of the rule's own
+	// recursive unit (Propagate) — and, in half of an alternating component,
+	// on every literal of the component, re-deriving head-bound what a
+	// recursive half over-deletes; maintenance pivots on every literal.
+	unit := e.UnitOf[r.Head.Pred]
+	if e.maintain || (unit.group != nil && unit.Recursive) {
 		if cr.Bound, err = e.compileEntry(cr, &r.Head, -1, litOf); err != nil {
 			return nil, err
 		}
 	}
-	// A build only ever pivots on a positive literal of the rule's own
-	// recursive unit (Propagate); maintenance pivots on every literal.
-	unit := e.UnitOf[r.Head.Pred]
 	for i, l := range r.Body {
 		la, ok := l.(datalog.LitAtom)
-		if !ok || !(e.maintain || (!la.Neg && unit.Preds[la.Atom.Pred])) {
+		if !ok {
+			continue
+		}
+		p := la.Atom.Pred
+		if !(e.maintain || (!la.Neg && unit.Preds[p]) || (unit.group != nil && unit.group.Preds[p])) {
 			continue
 		}
 		if cr.Lits[litOf[i]].Pivot, err = e.compileEntry(cr, &la.Atom, i, litOf); err != nil {

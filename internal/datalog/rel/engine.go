@@ -1,11 +1,13 @@
-// Package rel is the relational rule kernel: stratified datalog evaluated
-// straight on ID tables, with no ground program in between. It is the one
-// executor under both clients that run rules to a fixpoint over stored
-// relations — query.Execute, which evaluates a program from scratch against a
-// database, and internal/ivm, which keeps such an evaluation current under
-// fact mutations — so "from scratch" and "maintained" are the same join code
-// entered differently: a build enters every rule with nothing bound, a delta
-// batch enters it from the changed row.
+// Package rel is the relational rule kernel: datalog evaluated straight on
+// ID tables, with no ground program in between — the one total model of a
+// stratified program, the three-valued valid / well-founded model of one with
+// negation through recursion. It is the one executor under both clients that
+// run rules to a fixpoint over stored relations — query.Execute, which
+// evaluates a program from scratch against a database, and internal/ivm,
+// which keeps such an evaluation current under fact mutations — so "from
+// scratch" and "maintained" are the same join code entered differently: a
+// build enters every rule with nothing bound, a delta batch enters it from
+// the changed row.
 //
 // The pieces:
 //
@@ -19,6 +21,9 @@
 //     bottom-up — non-recursive components by counting derivations, recursive
 //     ones semi-naively from a worklist — under a row budget, a join-step
 //     budget and interrupts polled every few thousand steps;
+//   - maintenance (maintain.go): counting and delete-and-rederive bring a
+//     component in line with changed rows below it — ivm's mutation batch, or
+//     a three-valued component's other half (alternate);
 //   - Base (base.go): what a database version contributes — frozen tables of
 //     its relations, their sorted facts and rendered keys — derived lazily,
 //     once, and shared read-only by every engine built over that version.
@@ -68,8 +73,8 @@ type Config struct {
 	Observed bool
 }
 
-// Engine is the evaluation state of one stratified datalog program: its
-// relations as flat ID tables, its rules compiled to join plans, and the
+// Engine is the evaluation state of one datalog program: its relations as
+// flat ID tables, its rules compiled to join plans, and the
 // predicate dependency graph condensed into strongly connected components
 // (Units) in dependency order, so that when a component runs every predicate
 // below it is final. An Engine is not safe for concurrent use; the frozen
@@ -92,6 +97,7 @@ type Engine struct {
 	Observed bool
 
 	derives  map[string]bool // predicates with a rule or a program fact
+	three    map[string]bool // three-valued predicates (buildUnits)
 	base     *Base
 	in       *intern.Interner
 	lim      Limits
@@ -111,6 +117,14 @@ type Unit struct {
 	Order     []string // sorted
 	Recursive bool
 	Rules     []*Rule // rules with their head in the unit
+
+	// A three-valued component (buildUnits) holds its rules, twice, in the
+	// units of its halves — lower derives the true rows, upper the possible
+	// ones — and Preds names the relations of both. alternates: it negates one
+	// of its own predicates; group then points from a half's unit back at it.
+	lower, upper []*Unit
+	alternates   bool
+	group        *Unit
 }
 
 // RowRef names one row of one table: a worklist entry.
@@ -123,14 +137,15 @@ type RowRef struct {
 // program's own facts; Build then evaluates it. Relations the program only
 // reads are the base's frozen tables, shared; a relation it derives into — a
 // rule head or a program fact — is private to the engine, and starts as a
-// copy of the base's when the database stores that predicate too. The program
-// must be stratified and every rule plannable (datalog.PlanRuleFrom); an
-// unplannable rule is reported as an error.
+// copy of the base's when the database stores that predicate too. Every rule
+// must be plannable (datalog.PlanRuleFrom); an unplannable rule is reported as
+// an error.
 func NewEngine(prog *datalog.Program, cfg Config) (*Engine, error) {
 	e := &Engine{
 		Rels:     map[string]*Relation{},
 		UnitOf:   map[string]*Unit{},
 		derives:  map[string]bool{},
+		three:    map[string]bool{},
 		base:     cfg.Base,
 		in:       intern.Global(),
 		lim:      cfg.Limits,
@@ -155,8 +170,7 @@ func NewEngine(prog *datalog.Program, cfg Config) (*Engine, error) {
 		}
 		rules = append(rules, r)
 	}
-	e.buildUnits(prog.Preds(), rules)
-	for _, r := range rules {
+	for _, r := range e.buildUnits(prog.Preds(), rules) {
 		cr, err := e.compileRule(r)
 		if err != nil {
 			return nil, err
@@ -164,61 +178,172 @@ func NewEngine(prog *datalog.Program, cfg Config) (*Engine, error) {
 		u := e.UnitOf[r.Head.Pred]
 		u.Rules = append(u.Rules, cr)
 	}
+	// A fact is true, and so possible: it goes into both halves of a
+	// three-valued predicate.
 	for _, f := range progFacts {
-		t, r := e.FactRow(f, true)
-		t.Flags[r] |= FlagProg
+		for _, f.Pred = range e.halves(f.Pred) {
+			t, r := e.FactRow(f, true)
+			t.Flags[r] |= FlagProg
+		}
 	}
 	// The private copies of what the database stores under a derived name. A
 	// name first met later (a mutation's) has no stored content to copy.
 	for pred := range e.derives {
 		if br := e.base.relation(pred); br != nil {
-			e.LoadSet(pred, br.set)
+			for _, half := range e.halves(pred) {
+				e.LoadSet(half, br.set)
+			}
 		}
 	}
 	return e, nil
 }
 
+// possible names the relation holding the possible rows of a three-valued
+// predicate; the predicate's own name holds the true ones. No program can
+// spell it, and the base is never asked for it (buildUnits makes it).
+func possible(pred string) string { return pred + "?" }
+
+// halves lists the relations a predicate's facts are stored in.
+func (e *Engine) halves(pred string) []string {
+	if e.three[pred] {
+		return []string{pred, possible(pred)}
+	}
+	return []string{pred}
+}
+
+// half returns one half of a rule of a three-valued component: the lower half
+// derives true rows from true ones and negates possible ones, the upper half
+// derives possible rows from possible ones and negates true ones.
+func (e *Engine) half(r datalog.Rule, upper bool) datalog.Rule {
+	h := datalog.Rule{Head: r.Head, Body: make([]datalog.Literal, len(r.Body))}
+	if upper {
+		h.Head.Pred = possible(h.Head.Pred)
+	}
+	for i, l := range r.Body {
+		if la, ok := l.(datalog.LitAtom); ok && e.three[la.Atom.Pred] && la.Neg != upper {
+			la.Atom.Pred = possible(la.Atom.Pred)
+			l = la
+		}
+		h.Body[i] = l
+	}
+	return h
+}
+
 // buildUnits condenses the predicate dependency graph (head → body, positive
-// and negative edges) into SCCs via Tarjan's algorithm, which emits
-// components in dependency order (bodies before heads), and fixes what
-// supports each derived relation's rows: counts below recursion, the
-// derivable flag inside it.
-func (e *Engine) buildUnits(preds []string, rules []datalog.Rule) {
-	adj := map[string][]string{}
-	self := map[string]bool{}
-	hasRules := map[string]bool{}
+// and negative edges) into SCCs, in dependency order (bodies before heads),
+// and fixes what supports each derived relation's rows: counts below
+// recursion, the derivable flag inside it. From a component that negates one
+// of its own predicates upward — it, and every component that reads a
+// three-valued one — predicates are three-valued, a component is one unit
+// holding two halves, and each of its rules becomes two (half). The halves
+// negate each other and never themselves, so an alternating component is
+// condensed again over its positive edges. It returns the rules to compile.
+func (e *Engine) buildUnits(preds []string, rules []datalog.Rule) []datalog.Rule {
+	adj, pos := map[string][]string{}, map[string][]string{}
+	self := map[string]bool{} // a positive edge to itself
+	byHead := map[string][]datalog.Rule{}
 	for _, r := range rules {
 		h := r.Head.Pred
-		hasRules[h] = true
+		byHead[h] = append(byHead[h], r)
 		for _, l := range r.Body {
 			la, ok := l.(datalog.LitAtom)
 			if !ok {
 				continue
 			}
-			p := la.Atom.Pred
-			adj[h] = append(adj[h], p)
-			if p == h {
-				self[h] = true
+			adj[h] = append(adj[h], la.Atom.Pred)
+			if !la.Neg {
+				pos[h] = append(pos[h], la.Atom.Pred)
+				self[h] = self[h] || la.Atom.Pred == h
 			}
 		}
 	}
 	for p := range adj {
 		sort.Strings(adj[p])
+		sort.Strings(pos[p])
+	}
+	// unit makes the evaluation unit of one component, or of one half of it.
+	same := func(p string) string { return p }
+	unit := func(comp []string, name func(string) string) *Unit {
+		u := &Unit{Preds: map[string]bool{}, Recursive: len(comp) > 1 || self[comp[0]]}
+		for _, p := range comp {
+			q := name(p)
+			u.Order = append(u.Order, q)
+			u.Preds[q] = true
+			e.UnitOf[q] = u
+			if len(byHead[p]) > 0 {
+				e.relFor(q).Kind = KindCounting
+				if u.Recursive {
+					e.relFor(q).Kind = KindDRed
+				}
+			}
+		}
+		return u
 	}
 
+	var out []datalog.Rule
+	for _, comp := range sccs(preds, adj, nil) {
+		both := map[string]bool{} // the component's relations, true and possible
+		var own []datalog.Rule
+		for _, p := range comp {
+			both[p], both[possible(p)] = true, true
+			own = append(own, byHead[p]...)
+		}
+		alternates, above := false, false
+		for _, r := range own {
+			for _, l := range r.Body {
+				if la, ok := l.(datalog.LitAtom); ok {
+					alternates = alternates || la.Neg && both[la.Atom.Pred]
+					above = above || e.three[la.Atom.Pred]
+				}
+			}
+		}
+		if !alternates && !above {
+			e.Units = append(e.Units, unit(comp, same))
+			out = append(out, own...)
+			continue
+		}
+		u := &Unit{Preds: both, Order: comp, Recursive: alternates || len(comp) > 1 || self[comp[0]], alternates: alternates}
+		subs := [][]string{comp}
+		if alternates {
+			subs = sccs(comp, pos, both)
+		}
+		for _, p := range comp {
+			e.three[p] = true
+			e.Rels[possible(p)] = &Relation{Name: possible(p)}
+		}
+		for _, sub := range subs {
+			lo, up := unit(sub, same), unit(sub, possible)
+			if alternates {
+				lo.group, up.group = u, u
+			}
+			u.lower, u.upper = append(u.lower, lo), append(u.upper, up)
+		}
+		for _, r := range own {
+			out = append(out, e.half(r, false), e.half(r, true))
+		}
+		e.Units = append(e.Units, u)
+	}
+	return out
+}
+
+// sccs returns the strongly connected components of the graph over nodes —
+// restricted to the nodes in within, when that is non-nil — by Tarjan's
+// algorithm, which emits them in dependency order; each is sorted.
+func sccs(nodes []string, adj map[string][]string, within map[string]bool) [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
 	var stack []string
-	next := 0
 	var comps [][]string
 	var connect func(v string)
 	connect = func(v string) {
-		index[v], low[v] = next, next
-		next++
+		index[v], low[v] = len(index), len(index)
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, w := range adj[v] {
+			if within != nil && !within[w] {
+				continue
+			}
 			if _, seen := index[w]; !seen {
 				connect(w)
 				if low[w] < low[v] {
@@ -243,27 +368,12 @@ func (e *Engine) buildUnits(preds []string, rules []datalog.Rule) {
 			comps = append(comps, comp)
 		}
 	}
-	for _, p := range preds {
+	for _, p := range nodes {
 		if _, seen := index[p]; !seen {
 			connect(p)
 		}
 	}
-
-	for _, comp := range comps {
-		u := &Unit{Preds: map[string]bool{}, Order: comp}
-		u.Recursive = len(comp) > 1 || self[comp[0]]
-		for _, p := range comp {
-			u.Preds[p] = true
-			e.UnitOf[p] = u
-			if hasRules[p] {
-				e.relFor(p).Kind = KindCounting
-				if u.Recursive {
-					e.relFor(p).Kind = KindDRed
-				}
-			}
-		}
-		e.Units = append(e.Units, u)
-	}
+	return comps
 }
 
 // relFor returns the predicate's relation, creating it on first mention: the
@@ -440,7 +550,8 @@ func (e *Engine) Propagate(u *Unit, work *[]RowRef, insert Emit) error {
 // occurrence of its table in the unit's rules. Non-pivot literals read the
 // current state when constructive (an insert phase), the pre-batch state
 // otherwise (an over-delete phase). Negated same-unit occurrences cannot
-// exist: the program is stratified.
+// exist: a component that negates itself is split into halves that negate
+// each other.
 func (e *Engine) PivotUnit(u *Unit, rw RowRef, constructive bool, emit Emit) error {
 	mode := ViewOld
 	if constructive {
@@ -464,14 +575,57 @@ func (e *Engine) PivotUnit(u *Unit, rw RowRef, constructive bool, emit Emit) err
 // unit, entering every rule from scratch: every derivation of a non-recursive
 // unit is one support count and membership follows once the unit's rules have
 // all run; a recursive unit is closed semi-naively from the worklist of what
-// its rules derived. It serves the initial evaluation and a maintained view's
+// its rules derived; a three-valued component is closed half by half
+// (alternate). It serves the initial evaluation and a maintained view's
 // rebuild alike, under a fresh step budget. The batch bookkeeping it leaves
 // on private tables (FlagAdded, Touched) is the client's to read or clear.
 func (e *Engine) Build() error {
 	e.Steps, e.nrows = 0, 0
 	e.UnitStats = e.UnitStats[:0]
-	for _, rel := range e.Rels {
-		for _, t := range rel.Tables {
+	for name := range e.Rels {
+		if e.three[name] {
+			continue // true rows are not counted: alternate loads them
+		}
+		if err := e.loadFacts(name); err != nil {
+			return err
+		}
+	}
+	if err := e.checkRows(); err != nil {
+		return err
+	}
+	for _, u := range e.Units {
+		if err := e.Stop(); err != nil {
+			return err
+		}
+		steps, probes, scans, rows := e.Steps, e.Probes, e.Scans, e.nrows
+		var st obsv.RelUnit
+		var err error
+		if u.upper == nil {
+			err = e.buildUnit(u)
+		} else {
+			st.Alternations, st.Flips, err = e.alternate(u)
+		}
+		if err != nil {
+			return err
+		}
+		if e.Observed && (e.Steps > steps || st.Alternations > 0) {
+			st.Preds, st.Recursive = u.Order, u.Recursive
+			st.Steps, st.Probes, st.Scans, st.Rows = e.Steps-steps, e.Probes-probes, e.Scans-scans, e.nrows-rows
+			for name := range e.scanned {
+				st.Scanned = append(st.Scanned, name)
+				delete(e.scanned, name)
+			}
+			sort.Strings(st.Scanned)
+			e.UnitStats = append(e.UnitStats, st)
+		}
+	}
+	return nil
+}
+
+// loadFacts makes the relations' database and program facts members.
+func (e *Engine) loadFacts(preds ...string) error {
+	for _, p := range preds {
+		for _, t := range e.Rels[p].Tables {
 			if t.frozen {
 				e.nrows += int(t.Rows())
 				continue
@@ -485,71 +639,161 @@ func (e *Engine) Build() error {
 			}
 		}
 	}
-	if err := e.checkRows(); err != nil {
-		return err
+	return nil
+}
+
+// buildUnit closes one unit from scratch over the final state of everything
+// below it.
+func (e *Engine) buildUnit(u *Unit) error {
+	var work []RowRef
+	emit := e.Inserter(&work)
+	if !u.Recursive {
+		emit = func(t *Table, row []intern.ID) error {
+			r := t.Intern(row)
+			if t.Count[r]++; t.Count[r] == 1 {
+				work = append(work, RowRef{t, r})
+			}
+			return nil
+		}
 	}
-	for _, u := range e.Units {
-		if err := e.Stop(); err != nil {
+	for _, cr := range u.Rules {
+		if _, err := e.Exec(cr, cr.scratch, nil, ViewCur, -1, emit); err != nil {
 			return err
 		}
-		steps, probes, scans, rows := e.Steps, e.Probes, e.Scans, e.nrows
-		var work []RowRef
-		emit := e.Inserter(&work)
-		if !u.Recursive {
-			emit = func(t *Table, row []intern.ID) error {
-				r := t.Intern(row)
-				if t.Count[r]++; t.Count[r] == 1 {
-					work = append(work, RowRef{t, r})
-				}
-				return nil
-			}
-		}
-		for _, cr := range u.Rules {
-			if _, err := e.Exec(cr, cr.scratch, nil, ViewCur, -1, emit); err != nil {
-				return err
-			}
-		}
-		if u.Recursive {
-			if err := e.Propagate(u, &work, emit); err != nil {
-				return err
-			}
-		} else {
-			for _, w := range work {
-				if err := e.AddRow(w.T, w.R); err != nil {
-					return err
-				}
-			}
-		}
-		if e.Observed && e.Steps > steps {
-			st := obsv.RelUnit{
-				Preds: u.Order, Recursive: u.Recursive,
-				Steps: e.Steps - steps, Probes: e.Probes - probes, Scans: e.Scans - scans, Rows: e.nrows - rows,
-			}
-			for name := range e.scanned {
-				st.Scanned = append(st.Scanned, name)
-				delete(e.scanned, name)
-			}
-			sort.Strings(st.Scanned)
-			e.UnitStats = append(e.UnitStats, st)
+	}
+	if u.Recursive {
+		return e.Propagate(u, &work, emit)
+	}
+	for _, w := range work {
+		if err := e.AddRow(w.T, w.R); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Keys renders the predicate's current members as fact keys in the
-// outcome's order (SortedKeys).
+// alternate evaluates a three-valued component: the possible rows are closed
+// reading "not a" as "a is not true" — so far, only facts are — then the true
+// rows reading it as "a is not possible". Where the component negates only
+// predicates below it, both are final. Where it negates its own (PAPER.md
+// §2.2's iteration, the alternating fixpoint), the halves take turns, each
+// maintained (Maintain) under the rows the other's last turn moved as under a
+// mutation batch, until a turn moves none. True rows only ever appear and
+// possible rows only ever disappear, so no turn closes anything again: the
+// work follows the rows that flip, whatever the number of turns. It reports
+// the pairs of turns begun and the rows they moved.
+func (e *Engine) alternate(u *Unit) (pairs, flips int, err error) {
+	halves := [2][]*Unit{u.upper, u.lower}
+	// turn runs f over one half's units, bottom-up. A true row is a possible
+	// row and counted as one (Limits.MaxRows bounds the possible rows): the
+	// lower half counts what it adds from zero, which cannot pass what the
+	// possible rows stayed under, and the count is dropped.
+	turn := func(half int, f func(*Unit) error) error {
+		if n := e.nrows; half == 1 {
+			e.nrows = 0
+			defer func() { e.nrows = n }()
+		}
+		for _, h := range halves[half] {
+			if err := f(h); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := turn(1, func(h *Unit) error { return e.loadFacts(h.Order...) }); err != nil {
+		return 0, 0, err
+	}
+	if u.alternates {
+		// From here on a batch flag means "moved in the half's last turn":
+		// what the builds so far left on any table is no delta.
+		for _, rel := range e.Rels {
+			for _, t := range rel.Tables {
+				if !t.frozen {
+					t.EndBatch()
+				}
+			}
+		}
+	}
+	for half := range halves {
+		if err := turn(half, e.buildUnit); err != nil {
+			return 0, 0, err
+		}
+	}
+	if !u.alternates {
+		return 0, 0, nil
+	}
+	// The lower half's build was its first turn: the upper half had been
+	// closed before it.
+	var tables [2][]*Table
+	for i, half := range halves {
+		for _, h := range half {
+			for _, p := range h.Order {
+				tables[i] = append(tables[i], e.Rels[p].Tables...)
+			}
+		}
+	}
+	for n := 0; ; n++ {
+		if err := e.Stop(); err != nil {
+			return 0, 0, err
+		}
+		for _, t := range tables[n&1] {
+			t.EndBatch() // the other half has seen what the last turn moved
+		}
+		err := turn(n&1, func(h *Unit) error {
+			_, _, err := e.Maintain(h)
+			return err
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		moved := 0
+		for _, t := range tables[n&1] {
+			_ = deltaRows(t, func(int32, int) error { moved++; return nil })
+		}
+		if moved == 0 {
+			return n/2 + 1, flips, nil
+		}
+		flips += moved
+	}
+}
+
+// Keys renders the predicate's current members — of a three-valued predicate
+// the true ones — as fact keys in the outcome's order (SortedKeys).
 func (e *Engine) Keys(pred string) []string {
-	rel := e.Rels[pred]
+	return SortedKeys(pred, e.members(e.Rels[pred], nil))
+}
+
+// UndefKeys renders the undefined rows of a three-valued predicate — possible
+// but not true — as Keys renders the true ones; nil for any other predicate.
+func (e *Engine) UndefKeys(pred string) []string {
+	if !e.three[pred] {
+		return nil
+	}
+	return SortedKeys(pred, e.members(e.Rels[possible(pred)], e.Rels[pred]))
+}
+
+// members lists the rows that are members of rel and not of except.
+func (e *Engine) members(rel, except *Relation) [][]intern.ID {
 	if rel == nil {
 		return nil
 	}
 	var rows [][]intern.ID
 	for _, t := range rel.Tables {
+		var not *Table
+		if except != nil {
+			not = except.table(t.Arity)
+		}
 		for r := int32(0); r < t.Rows(); r++ {
-			if t.Flags[r]&FlagLive != 0 {
-				rows = append(rows, t.Row(r))
+			if t.Flags[r]&FlagLive == 0 {
+				continue
 			}
+			if not != nil {
+				if nr := not.Find(t.Row(r)); nr != NoRow && not.Has(nr, false) {
+					continue
+				}
+			}
+			rows = append(rows, t.Row(r))
 		}
 	}
-	return SortedKeys(pred, rows)
+	return rows
 }

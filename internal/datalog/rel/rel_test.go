@@ -352,3 +352,69 @@ func TestUnitStats(t *testing.T) {
 		t.Errorf("totals: %d steps, %d rows", e.Steps, e.NumRows())
 	}
 }
+
+// TestThreeValuedUnits: from the lowest component that negates itself upward
+// a predicate has true and possible rows. The component is one unit of two
+// halves — each condensed over its positive edges alone, so a negative cycle
+// is counted, not over-deleted — that alternate; a stratified component above
+// it closes each half once; everything else stays total. Rows are budgeted
+// and reported as possible, once.
+func TestThreeValuedUnits(t *testing.T) {
+	base := NewBase(algebra.DB{"e": value.NewSet(pair(1, 2), pair(2, 3), pair(3, 3), pair(4, 1))})
+	const src = `
+		t(X) :- e(X, Y).
+		p(X) :- t(X), not q(X).
+		q(X) :- t(X), not p(X).
+		q(1). p(4) :- q(1).
+		up(X) :- t(X), not p(X).
+		alone(X) :- e(X, X).
+	`
+	got, e := evaluate(t, src, base)
+	want := map[string][]string{"t": {"t(1)", "t(2)", "t(3)", "t(4)"}, "p": {"p(4)"}, "q": {"q(1)"}, "up": {"up(1)"}, "alone": {"alone(3)"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("true rows %v, want %v", got, want)
+	}
+	undef := map[string][]string{}
+	for _, p := range []string{"t", "p", "q", "up", "alone"} {
+		undef[p] = e.UndefKeys(p)
+	}
+	if want := map[string][]string{"t": nil, "p": {"p(2)", "p(3)"}, "q": {"q(2)", "q(3)"}, "up": {"up(2)", "up(3)"}, "alone": nil}; !reflect.DeepEqual(undef, want) {
+		t.Fatalf("undefined rows %v, want %v", undef, want)
+	}
+	var shape [][]string
+	for _, u := range e.Units {
+		desc := append([]string{}, u.Order...)
+		for _, half := range [2][]*Unit{u.upper, u.lower} {
+			for _, h := range half {
+				if h.Recursive || (h.group != nil) != u.alternates {
+					t.Errorf("half %v of %v: recursive %v, group %v", h.Order, u.Order, h.Recursive, h.group != nil)
+				}
+				desc = append(desc, h.Order...)
+			}
+		}
+		shape = append(shape, desc)
+	}
+	sort.Slice(shape, func(i, j int) bool { return shape[i][0] < shape[j][0] })
+	if want := [][]string{{"alone"}, {"e"}, {"p", "q", "q?", "p?", "q", "p"}, {"t"}, {"up", "up?", "up"}}; !reflect.DeepEqual(shape, want) {
+		t.Errorf("units %v, want %v", shape, want)
+	}
+	for _, st := range e.UnitStats {
+		if alternates := st.Preds[0] == "p"; (st.Alternations > 0) != alternates || (st.Flips > 0) != alternates {
+			t.Errorf("unit %v: %d alternations, %d flips", st.Preds, st.Alternations, st.Flips)
+		}
+	}
+	// e 4, t 4, alone 1; possible: p 3, q 3, up 3.
+	if e.NumRows() != 4+4+1+3+3+3 {
+		t.Errorf("NumRows = %d", e.NumRows())
+	}
+	prog := mustProgram(t, src)
+	for rows, ok := range map[int]bool{e.NumRows(): true, e.NumRows() - 1: false} {
+		tight, err := NewEngine(prog, Config{Base: base, Limits: Limits{MaxRows: rows, MaxSteps: 1 << 40}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tight.Build(); (err == nil) != ok || (err != nil && !errors.Is(err, algebra.ErrBudget)) {
+			t.Errorf("MaxRows %d: %v", rows, err)
+		}
+	}
+}

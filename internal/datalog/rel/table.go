@@ -265,6 +265,19 @@ func (t *Table) Release(r int32) {
 	t.free = append(t.free, r)
 }
 
+// EndBatch makes the current state the old state: the batch bookkeeping of
+// every touched row is dropped, and a row the batch left with no membership
+// and no support gives its slot back.
+func (t *Table) EndBatch() {
+	for _, r := range t.Touched {
+		t.Flags[r] &^= FlagAdded | FlagRemoved | FlagTouched
+		if t.Flags[r] == 0 && (t.Count == nil || t.Count[r] == 0) {
+			t.Release(r)
+		}
+	}
+	t.Touched = t.Touched[:0]
+}
+
 // allocated returns the number of row slots in use.
 func (t *Table) allocated() int { return len(t.Flags) - len(t.free) }
 

@@ -26,9 +26,10 @@
 //     schedule through the counting/DRed delta engine (internal/ivm) must
 //     match from-scratch recompute (Budget.NoIVM) bit-for-bit, per-step
 //     deltas and outcomes alike (dlog-ivm);
-//   - the engine choice inside query.Execute: a stratified program over
-//     stored relations, evaluated relationally, must match the grounded
-//     reference bit-for-bit (dlog-relational).
+//   - the engine choice inside query.Execute: a program over stored
+//     relations, evaluated relationally, must match the grounded reference
+//     bit-for-bit — stratified (dlog-relational) or with negation through
+//     recursion and a three-valued model (dlog-relational-free).
 //
 // A disagreement is reported as a *Divergence. Resource exhaustion (a
 // budget error from either pipeline) skips the instance: the budgets turn
@@ -111,6 +112,10 @@ const (
 	// deductive program with part of its facts stored in a database
 	// (randgen.StoredDatalog).
 	KindDatalogStored
+	// KindDatalogStoredFree is a deductive program with unrestricted safe
+	// negation, so possibly negation through recursion, with part of its
+	// facts stored in a database (randgen.StoredFreeDatalog).
+	KindDatalogStoredFree
 )
 
 // Oracle is one differential oracle pair: a named equivalence with the
@@ -188,7 +193,10 @@ var Oracles = []*Oracle{
 		checkDlogIVM: checkDlogStorage},
 	{Name: "dlog-relational", Kind: KindDatalogStored,
 		Doc:         "stratified programs over stored relations: relational evaluation is bit-for-bit the grounded reference, under every semantics that reads them",
-		checkDlogDB: checkDlogRelational},
+		checkDlogDB: checkDlogRelational("dlog-relational")},
+	{Name: "dlog-relational-free", Kind: KindDatalogStoredFree,
+		Doc:         "programs with negation through recursion over stored relations: the relational three-valued evaluation is bit-for-bit the grounded reference, undefined facts included, under valid and well-founded",
+		checkDlogDB: checkDlogRelational("dlog-relational-free")},
 }
 
 // ByName returns the oracle with the given name.
@@ -295,7 +303,7 @@ type Instance struct {
 	// Sched is the mutation schedule for KindDatalogIVM.
 	Sched []randgen.FactBatch
 	// DB is the database for the expression and algebra= kinds, and the
-	// stored part of a KindDatalogStored instance.
+	// stored part of a KindDatalogStored or KindDatalogStoredFree instance.
 	DB algebra.DB
 }
 
@@ -329,6 +337,9 @@ func Generate(o *Oracle, g *randgen.Gen) *Instance {
 		in.Sched = g.FactSchedule()
 	case KindDatalogStored:
 		si := g.StoredDatalog()
+		in.Dlog, in.DB = si.Prog, si.DB
+	case KindDatalogStoredFree:
+		si := g.StoredFreeDatalog()
 		in.Dlog, in.DB = si.Prog, si.DB
 	default:
 		panic(fmt.Sprintf("diffcheck: unknown kind %d", o.Kind))

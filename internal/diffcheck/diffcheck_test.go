@@ -1,9 +1,14 @@
 package diffcheck
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"algrec/internal/datalog"
+	"algrec/internal/query"
 	"algrec/internal/randgen"
 )
 
@@ -66,7 +71,7 @@ func TestGenerateMatchesKind(t *testing.T) {
 			if in.Dlog == nil || len(in.Sched) == 0 || in.Expr != nil || in.Core != nil {
 				t.Errorf("oracle %q: wrong fields for an ivm instance", o.Name)
 			}
-		case KindDatalogStored:
+		case KindDatalogStored, KindDatalogStoredFree:
 			if in.Dlog == nil || in.DB == nil || in.Expr != nil || in.Core != nil || in.Sched != nil {
 				t.Errorf("oracle %q: wrong fields for a stored instance", o.Name)
 			}
@@ -152,5 +157,37 @@ func TestFaultRoundTrip(t *testing.T) {
 	restore()
 	if CurrentFault() != FaultNone {
 		t.Error("restore did not reset the fault")
+	}
+}
+
+// TestThreeValuedCorpusSeeds: the dlog-relational-free corpus entries named
+// after shapes of negation through recursion still generate them — an
+// unstratified program whose model has undefined facts, evaluated by
+// alternation — so a generator change that re-rolls them is seen here, not
+// silently.
+func TestThreeValuedCorpusSeeds(t *testing.T) {
+	o, _ := ByName("dlog-relational-free")
+	for name, c := range map[string]struct {
+		seed int64
+		size byte
+	}{
+		"win-on-an-odd-cycle":                          {1801, 3},
+		"win-with-a-draw-tail":                         {187, 1},
+		"p-not-p-beside-program-facts":                 {16, 1},
+		"negation-through-positive-recursion":          {75, 1},
+		"three-valued-unit-read-negatively-from-above": {9, 2},
+		"stored-and-derived-under-one-name":            {101, 3},
+		"empty-database":                               {386, 0},
+	} {
+		entry, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDlogRelationalFree", name))
+		if want := fmt.Sprintf("go test fuzz v1\nint64(%d)\nbyte(%d)\n", c.seed, c.size); err != nil || string(entry) != want {
+			t.Errorf("%s: corpus entry %q (%v), want %q", name, entry, err, want)
+		}
+		in := Generate(o, randgen.New(c.seed, randgen.Config{Size: 1 + int(c.size)%4}))
+		plan := &query.Plan{Language: query.LangDatalog, Semantics: query.SemValid, Source: in.Dlog.String(), Program: in.Dlog}
+		out, err := query.Execute(plan, in.DB, query.Options{Budget: ExprBudget, Ground: GroundBudget})
+		if err != nil || datalog.IsStratified(in.Dlog) || out.WellDefined {
+			t.Errorf("%s: no longer three-valued (%v):\n%s", name, err, in.Render())
+		}
 	}
 }

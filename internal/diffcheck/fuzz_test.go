@@ -56,3 +56,6 @@ func FuzzDlogIDSet(f *testing.F)        { fuzzOracle(f, "dlog-idset") }
 func FuzzDlogIVM(f *testing.F)          { fuzzOracle(f, "dlog-ivm") }
 func FuzzDlogStorage(f *testing.F)      { fuzzOracle(f, "dlog-storage") }
 func FuzzDlogRelational(f *testing.F)   { fuzzOracle(f, "dlog-relational") }
+func FuzzDlogRelationalFree(f *testing.F) {
+	fuzzOracle(f, "dlog-relational-free")
+}

@@ -17,20 +17,25 @@
 //     not finitely maintainable: over-delete everything reachable from a
 //     deletion, re-derive survivors from the remaining facts, then propagate
 //     insertions semi-naively;
-//   - recompute for everything else — non-datalog languages, non-stratified
-//     programs, the stable semantics, or Budget.NoIVM — by re-executing the
-//     plan and diffing the outcomes.
+//   - recompute for everything else — the other languages; datalog with
+//     negation through recursion (three-valued under valid and well-founded:
+//     each recompute is the kernel's alternation from scratch, but no batch is
+//     propagated into one), under the inflationary or stable semantics, with a
+//     rule no join order exists for, or with interning off; and Budget.NoIVM —
+//     by re-executing the plan and diffing the outcomes.
 //
-// The delta engine owns no tables, rule compiler or plan executor: it is a
-// client of the relational rule kernel (internal/datalog/rel), the same one
-// query.Execute evaluates stratified programs from scratch on. Facts are rows
-// of interned IDs in flat per-(predicate, arity) tables, every rule is
+// The delta engine owns no tables, rule compiler, plan executor or strategy
+// code: it is a client of the relational rule kernel (internal/datalog/rel),
+// the same one query.Execute evaluates programs from scratch on. Facts are
+// rows of interned IDs in flat per-(predicate, arity) tables, every rule is
 // compiled once into one join plan per entry pattern — from scratch, pivoted
-// on a delta literal, head-bound for re-derivation — and a view's initial
-// state, and its rebuild when a batch outruns its work budget, are the
-// kernel's own from-scratch Build. What lives here is what only mutation
-// needs: the strategies above, the batch bookkeeping on the kernel's row
-// flags, the rebuild fallback, and the ResultDelta.
+// on a delta literal, head-bound for re-derivation — a view's initial state,
+// and its rebuild when a batch outruns its work budget, are the kernel's own
+// from-scratch Build, and counting and DRed are the kernel's too
+// (rel.Engine.Maintain), because a three-valued evaluation maintains its two
+// halves against each other with them. What lives here is what only mutation
+// needs: the batch's intake and its bookkeeping on the kernel's row flags,
+// the walk over the components, the rebuild fallback, and the ResultDelta.
 //
 // Either way a successful Apply returns the ResultDelta between the previous
 // and the new Outcome, and the maintained Outcome is bit-for-bit the outcome
@@ -114,8 +119,9 @@ type View struct {
 // (negation-free for the minimal semantics), with every rule plannable,
 // under the stratified, valid, well-founded or minimal semantics — the
 // fragments where those semantics agree on the stratified model — provided
-// interning is on and opts.Budget does not set NoIVM; every other plan gets
-// the recompute fallback. The initial evaluation honors opts' budgets; its
+// interning is on and opts.Budget does not set NoIVM; every other plan, a
+// program with negation through recursion included, gets the recompute
+// fallback. The initial evaluation honors opts' budgets; its
 // error is returned as-is (query.ErrorCode classifies it). A view reports one
 // obsv.IVMStats event per Apply to the collector that is the process default
 // when it is built.
@@ -138,10 +144,12 @@ func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
 }
 
 // incrementalOK reports whether the plan is in the incrementally
-// maintainable fragment under the given options: what query.Execute would
-// evaluate on the relational kernel, unless Budget.NoIVM asks for recompute.
+// maintainable fragment under the given options: a stratified program that
+// query.Execute would evaluate on the relational kernel, unless Budget.NoIVM
+// asks for recompute. The kernel also evaluates negation through recursion,
+// three-valued; keeping such a model current under mutation is not done here.
 func incrementalOK(plan *query.Plan, opts query.Options) bool {
-	return !opts.Budget.WithDefaults().NoIVM && query.RelationalOK(plan)
+	return !opts.Budget.WithDefaults().NoIVM && query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
 }
 
 // Mode returns the view's maintenance mode.

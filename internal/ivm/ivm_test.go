@@ -7,6 +7,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
 )
@@ -249,6 +250,58 @@ func TestRecomputeModeForUnsupportedPlans(t *testing.T) {
 	db = step(t, v, plan, db, []datalog.Fact{fact("move", 1, 2), fact("move", 2, 3)}, nil)
 	db = step(t, v, plan, db, []datalog.Fact{fact("move", 3, 1)}, nil)
 	db = step(t, v, plan, db, nil, []datalog.Fact{fact("move", 2, 3)})
+}
+
+// TestUnstratifiedViewRecomputesOnKernel: a subscription on the WIN game is
+// not maintained incrementally — the program is not stratified — but each
+// recompute is the relational kernel's three-valued evaluation, and over a
+// schedule of inserts and deletes the view's outcome stays what a fresh
+// Execute and the grounded reference compute, undefined facts included.
+func TestUnstratifiedViewRecomputesOnKernel(t *testing.T) {
+	stats := obsv.NewStats()
+	prev := obsv.Default()
+	obsv.SetDefault(stats)
+	t.Cleanup(func() { obsv.SetDefault(prev) })
+	plan := mustPlan(t, query.SemValid, `
+		win(X) :- move(X, Y), not win(Y).
+		lose(X) :- move(X, Y), not win(X).`)
+	db := algebra.DB{}
+	v, err := New(plan, db, query.Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if v.Mode() != ModeRecompute {
+		t.Fatalf("Mode = %v, want recompute for a non-stratified program", v.Mode())
+	}
+	x, undefined := uint64(2463534242), 0
+	next := func() int64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int64(x % 9)
+	}
+	for batch := 0; batch < 50; batch++ {
+		ins := []datalog.Fact{fact("move", next(), next()), fact("move", next(), next())}
+		del := []datalog.Fact{fact("move", next(), next()), fact("move", next(), next()), fact("move", next(), next())}
+		db = step(t, v, plan, db, ins, del)
+		got, _ := v.Outcome()
+		want, err := query.ExecuteGrounded(plan, db, query.Options{})
+		if err != nil {
+			t.Fatalf("ExecuteGrounded: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: the view left the grounded reference\n got: %+v\nwant: %+v", batch, got.Datalog, want.Datalog)
+		}
+		if !got.WellDefined {
+			undefined++
+		}
+	}
+	if undefined == 0 || undefined == 50 {
+		t.Errorf("%d of 50 outcomes had undefined facts; the schedule should visit both kinds", undefined)
+	}
+	if snap := stats.Snapshot(); snap["rel.fallbacks.unstratified"] != 0 || snap["rel.units.alternating"] < 100 || snap["ivm.applies.recompute"] != 50 {
+		t.Errorf("the recomputes did not run on the kernel: %v", snap)
+	}
 }
 
 func TestApplyDBMapping(t *testing.T) {

@@ -308,8 +308,9 @@ type RelStats struct {
 	// Engine is "relational" or "grounded".
 	Engine string
 	// Fallback says why a grounded evaluation could not run relationally:
-	// "unstratified" (negation through recursion — or, under minimal, any
-	// negation), "semantics" (inflationary and stable have no relational
+	// "unstratified" (under stratified, negation through recursion; under
+	// minimal, any negation — either way the semantics' engine rejects the
+	// program), "semantics" (inflationary and stable have no relational
 	// reading), "unplannable rule", or "interning off". Empty for a
 	// relational evaluation.
 	Fallback string
@@ -350,6 +351,14 @@ type RelUnit struct {
 	Rows   int
 	// Scanned names the relations the component read by a full scan, sorted.
 	Scanned []string
+	// Alternations and Flips say how negation through recursion was evaluated:
+	// a component that negates its own predicates is three-valued, and after
+	// closing its possible and its true rows once, the two halves take turns
+	// maintaining each other — Alternations counts the pairs of turns begun, Flips
+	// the rows a turn made true or no longer possible. Both are zero for every
+	// other component.
+	Alternations int
+	Flips        int
 }
 
 // ExperimentStats describes one experiment (or one shard of one) run by the

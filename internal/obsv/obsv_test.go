@@ -26,8 +26,11 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		{Preds: []string{"r"}, Recursive: true, Steps: 50, Probes: 30, Rows: 10},
 		{Preds: []string{"far"}, Steps: 40, Scans: 1, Rows: 5, Scanned: []string{"e"}},
 	}})
-	s.Rel(RelStats{Engine: "relational", BaseHit: true, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{{Preds: []string{"r"}, Recursive: true}}})
-	s.Rel(RelStats{Engine: "grounded", Fallback: "unstratified", BaseRows: 20})
+	s.Rel(RelStats{Engine: "relational", BaseHit: true, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{
+		{Preds: []string{"r"}, Recursive: true},
+		{Preds: []string{"win"}, Recursive: true, Alternations: 9, Flips: 40},
+	}})
+	s.Rel(RelStats{Engine: "grounded", Fallback: "semantics", BaseRows: 20})
 	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 900, Kept: 400, Leaves: 2})
 	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 950, Kept: 398, Leaves: 2})
 	s.Diff(DiffStats{Path: "materialized", Kept: 3, Leaves: 1})
@@ -69,7 +72,7 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"ivm.rederived":                    1,
 		"rel.evals.relational":             2,
 		"rel.evals.grounded":               1,
-		"rel.fallbacks.unstratified":       1,
+		"rel.fallbacks.semantics":          1,
 		"rel.base.hits":                    1,
 		"rel.base.misses":                  2,
 		"rel.base.rows":                    40,
@@ -79,8 +82,11 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"rel.probes":                       60,
 		"rel.scans":                        2,
 		"rel.rows":                         70,
-		"rel.units.recursive":              2,
+		"rel.units.recursive":              3,
 		"rel.units.nonrecursive":           1,
+		"rel.units.alternating":            1,
+		"rel.alternations":                 9,
+		"rel.flips":                        40,
 		"diff.evals":                       3,
 		"diff.paths.probing":               2,
 		"diff.paths.materialized":          1,

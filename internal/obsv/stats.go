@@ -204,6 +204,9 @@ func (s *Stats) Rel(v RelStats) {
 			kind = "rel.units.recursive"
 		}
 		kvs = append(kvs, kind, int64(1))
+		if u.Alternations > 0 {
+			kvs = append(kvs, "rel.units.alternating", int64(1), "rel.alternations", int64(u.Alternations), "rel.flips", int64(u.Flips))
+		}
 	}
 	s.add(kvs...)
 }
@@ -240,7 +243,7 @@ func (s *Stats) Diff(v DiffStats) {
 //	ivm.fallbacks, ivm.units.<strategy>, ivm.overDeleted|rederived
 //	rel.evals.<engine>, rel.fallbacks.<reason>, rel.base.hits|misses,
 //	rel.base.rows|indexes|keys, rel.steps|probes|scans|rows,
-//	rel.units.recursive|nonrecursive
+//	rel.units.recursive|nonrecursive|alternating, rel.alternations|flips
 //	diff.evals, diff.paths.<path>, diff.probed|lookups|kept|leaves
 type Snapshot map[string]int64
 

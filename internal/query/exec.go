@@ -29,8 +29,10 @@ type Options struct {
 	// cancels the stable-model search. Where a datalog program is grounded,
 	// MaxAtoms and MaxRules bound the ground program's atoms and rules; where
 	// it is evaluated relationally (see Execute) they bound the facts the
-	// evaluation stores — database facts it reads included — and its join
-	// steps. Either way exceeding one is "budget-exceeded".
+	// evaluation stores — database facts it reads included; of a three-valued
+	// predicate the possible ones, true or undefined — and its join steps, all
+	// rounds of an alternation together. Either way exceeding one is
+	// "budget-exceeded".
 	Ground ground.Budget
 	// MaxUndef bounds the residual size of a stable-model search
 	// (0 = the CLIs' default of 24).
@@ -118,12 +120,15 @@ type Outcome struct {
 //
 // A datalog plan is evaluated by one of two engines, chosen by the program
 // and the semantics alone (RelationalOK): relationally, straight on ID
-// tables, when the program is stratified — under the stratified, valid and
-// well-founded semantics, which agree on its one total model; negation-free
-// under minimal — or by grounding it and running the semantics' fixpoint over
-// the ground program otherwise. The outcomes are bit-for-bit the same where
-// both apply. Execute is ExecuteBase on a fact base made for this one call; a
-// caller that evaluates many plans over one database makes the base once.
+// tables, under the valid and well-founded semantics — a stratified program's
+// one total model; with negation through recursion the three-valued model
+// both assign it, true and possible facts alternating until neither moves —
+// under stratified, and under minimal when the program is negation-free; or by
+// grounding it and running the semantics' fixpoint over the ground program
+// otherwise (inflationary, stable, interning off). The outcomes are
+// bit-for-bit the same where both apply: grounding is the reference. Execute
+// is ExecuteBase on a fact base made for this one call; a caller that
+// evaluates many plans over one database makes the base once.
 func Execute(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
 	return execute(plan, db, nil, opts, false)
 }
@@ -289,13 +294,16 @@ func executeScript(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outc
 // relational engine computes the one total model of a stratified program,
 // which is what the stratified, valid and well-founded semantics all assign
 // it (the dlog-stratified oracle pins the agreement) and, for a negation-free
-// program, the minimal model; everything else needs the ground program: a
-// three-valued reading (negation through recursion), the inflationary and
-// stable semantics, a rule no join order exists for (grounding reports it),
-// or the string-keyed representation.
+// program, the minimal model; and of a program with negation through
+// recursion the three-valued model the valid and well-founded semantics
+// share. Everything else goes to the ground program: a program its semantics
+// has no reading of ("unstratified": the semantics' engine rejects it), the
+// inflationary and stable semantics, a rule no join order exists for
+// (grounding reports it), or the string-keyed representation.
 func groundingReason(plan *Plan) string {
 	switch plan.Semantics {
-	case SemStratified, SemValid, SemWellFounded:
+	case SemValid, SemWellFounded:
+	case SemStratified:
 		if !datalog.IsStratified(plan.Program) {
 			return "unstratified"
 		}
@@ -324,8 +332,9 @@ func groundingReason(plan *Plan) string {
 
 // RelationalOK reports whether Execute evaluates the datalog plan on the
 // relational rule kernel (internal/datalog/rel) — a property of the program,
-// the semantics and the process-wide interning switch, never of an option. It
-// is also exactly the fragment internal/ivm maintains incrementally.
+// the semantics and the process-wide interning switch, never of an option.
+// The stratified programs among these are what internal/ivm maintains
+// incrementally.
 func RelationalOK(plan *Plan) bool {
 	return plan.Language == LangDatalog && plan.Program != nil && groundingReason(plan) == ""
 }
@@ -397,11 +406,13 @@ func outcomePreds(prog *datalog.Program, base *rel.Base) []string {
 	return preds
 }
 
-// executeRelational evaluates a stratified program on the relational kernel:
-// the relations it only reads are the base's frozen tables, the ones it
-// derives into are private to this call, and the components of its
-// dependency graph are evaluated bottom-up, semi-naively where recursive. The
-// model is total, so the outcome has no undefined part.
+// executeRelational evaluates a program on the relational kernel: the
+// relations it only reads are the base's frozen tables, the ones it derives
+// into are private to this call, and the components of its dependency graph
+// are evaluated bottom-up, semi-naively where recursive. A stratified
+// program's model is total; from a component with negation through recursion
+// upward a fact may be possible without being true, and is reported
+// undefined.
 func executeRelational(plan *Plan, base *rel.Base, opts Options, out *Outcome, obs obsv.Collector) (*Outcome, error) {
 	eng, err := rel.NewEngine(plan.Program, rel.Config{Base: base, Limits: KernelLimits(opts), Observed: obs != nil})
 	if err != nil {
@@ -425,7 +436,8 @@ func executeRelational(plan *Plan, base *rel.Base, opts Options, out *Outcome, o
 	for _, pred := range outcomePreds(plan.Program, base) {
 		pf := PredFacts{Pred: pred}
 		if eng.Derives(pred) {
-			pf.True = eng.Keys(pred)
+			pf.True, pf.Undef = eng.Keys(pred), eng.UndefKeys(pred)
+			out.WellDefined = out.WellDefined && len(pf.Undef) == 0
 		} else {
 			pf.True = base.Keys(pred, &eng.Use)
 		}

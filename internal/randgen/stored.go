@@ -6,11 +6,11 @@ import (
 	"algrec/internal/value"
 )
 
-// StoredInstance is a stratifiable deductive program whose facts are split
-// between the program text and a database, the way a served datalog request
-// meets them: the rules (and whatever facts stayed) in Prog, the rest as
-// relations of DB under the relational reading — a unary fact is a scalar
-// element, an n-ary fact a tuple.
+// StoredInstance is a deductive program whose facts are split between the
+// program text and a database, the way a served datalog request meets them:
+// the rules (and whatever facts stayed) in Prog, the rest as relations of DB
+// under the relational reading — a unary fact is a scalar element, an n-ary
+// fact a tuple.
 type StoredInstance struct {
 	Prog *datalog.Program
 	DB   algebra.DB
@@ -39,7 +39,39 @@ func (g *Gen) StoredDatalog() *StoredInstance {
 	if g.chance(4) {
 		kind = DlogPositive
 	}
-	p := g.Datalog(kind)
+	return g.stored(g.Datalog(kind))
+}
+
+// StoredFreeDatalog generates a StoredInstance from a DlogFree program —
+// safe negation of unrestricted polarity, so its valid / well-founded model
+// may be three-valued — stored the way StoredDatalog stores a stratified
+// one; one time in two the program also gets one of negationShapes, because
+// unrestricted polarity alone seldom draws them.
+func (g *Gen) StoredFreeDatalog() *StoredInstance {
+	p := g.Datalog(DlogFree)
+	if g.chance(2) {
+		p.Rules = append(p.Rules, datalog.MustParse(negationShapes[g.intn(len(negationShapes))]).Rules...)
+	}
+	return g.stored(p)
+}
+
+// negationShapes are the ways negation meets recursion that a three-valued
+// evaluation has to get right, over the generator's schema.
+var negationShapes = []string{
+	// The WIN game: positions of e are won, lost or — on and behind a cycle —
+	// drawn, and every round of the alternation settles one more layer.
+	"p(X) :- e(X, Y), not p(Y).",
+	// p :- not p: undefined, unless a fact says otherwise.
+	"q(X) :- d(X), not q(X).",
+	// Negation through positive recursion: the possible half of s is
+	// recursive, so what a new q takes from it is over-deleted and re-derived.
+	"s(X, Y) :- e(X, Y), not q(Y). s(X, Z) :- s(X, Y), e(Y, Z). q(X) :- s(X, X), d(X).",
+	// A three-valued component read negatively by a stratified one above it.
+	"p(X) :- e(X, Y), not p(Y). r(X) :- d(X), not p(X).",
+}
+
+// stored splits a generated program between text and database.
+func (g *Gen) stored(p *datalog.Program) *StoredInstance {
 	in := &StoredInstance{Prog: &datalog.Program{}, DB: algebra.DB{}}
 
 	store := func(pred string, elem value.Value) { in.DB[pred] = in.DB[pred].Insert(elem) }
