@@ -78,7 +78,11 @@ func EvalSelect(e Select, b Budget, obs obsv.Collector, leaf LeafEval) (value.Se
 			return out, err
 		}
 	}
+	poll := poller(b)
 	return of.Select(func(v value.Value) (bool, error) {
+		if err := poll(); err != nil {
+			return false, err
+		}
 		return EvalTest(e.Test, FEnv{e.Var: v})
 	})
 }
@@ -93,14 +97,31 @@ func EvalMap(e Map, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, err
 	if err != nil {
 		return value.Set{}, err
 	}
+	poll := poller(b)
 	return of.Map(func(v value.Value) (value.Value, error) {
+		if err := poll(); err != nil {
+			return nil, err
+		}
 		return EvalF(e.Out, FEnv{e.Var: v})
 	})
 }
 
-// pollEvery is how many elements a product or difference loop handles between
-// two looks at Budget.Interrupt — the datalog kernel's interval (rel.pollEvery).
+// pollEvery is how many elements a loop of an evaluation — a scan, a join
+// pipeline, a product or difference being built — handles between two looks at
+// Budget.Interrupt: the datalog kernel's interval (rel.pollEvery).
 const pollEvery = 1 << 12
+
+// poller returns the check a loop makes once per element: every pollEvery
+// calls, from the first, it looks at the interrupt.
+func poller(b Budget) func() error {
+	n := 0
+	return func() error {
+		if n++; n%pollEvery != 1 {
+			return nil
+		}
+		return b.Stop()
+	}
+}
 
 // EvalProduct materializes l × r for a host evaluator, within the budget:
 // every product the two evaluators still build goes through here.

@@ -57,13 +57,12 @@ type Budget struct {
 	// NoIDSets, the incremental engine also requires value.InterningEnabled.
 	NoIVM bool
 	// Interrupt, when non-nil, is polled between fixpoint rounds and, inside
-	// one, every 4 096 pairs of a product being built and every 4 096
-	// elements a difference probes (EvalProduct, EvalDiff): once the channel
-	// is closed, evaluation stops with an error wrapping ErrCanceled. Callers
-	// with a context map ctx.Done() here, which turns a deadline or client
-	// disconnect into a structured outcome instead of a wedged evaluation.
-	// What is still uninterruptible inside a round is a σ/MAP scan or join
-	// pipeline, whose output MaxSetSize bounds.
+	// one, every 4 096 elements of any loop over a set: the pairs of a product
+	// being built, the elements a difference probes, a σ or MAP scan, the rows
+	// a join pipeline tries. Once the channel is closed, evaluation stops with
+	// an error wrapping ErrCanceled. Callers with a context map ctx.Done()
+	// here, which turns a deadline or client disconnect into a structured
+	// outcome instead of a wedged evaluation.
 	Interrupt <-chan struct{}
 }
 

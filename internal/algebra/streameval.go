@@ -86,7 +86,7 @@ type pipeProfile struct {
 // intermediate-set checks).
 func StreamEval(e Expr, budget Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
 	prof := &pipeProfile{}
-	c := &streamCompiler{budget: budget, leaf: leaf, prof: prof}
+	c := &streamCompiler{budget: budget, leaf: leaf, prof: prof, poll: poller(budget)}
 	it, err := c.compile(e)
 	if err != nil {
 		return value.Set{}, err
@@ -129,6 +129,7 @@ type streamCompiler struct {
 	budget Budget
 	leaf   LeafEval
 	prof   *pipeProfile
+	poll   func() error // once per element any operator of the pipeline handles
 }
 
 func (c *streamCompiler) compile(e Expr) (stream.Iterator, error) {
@@ -154,6 +155,9 @@ func (c *streamCompiler) compile(e Expr) (stream.Iterator, error) {
 		// environment can be reused across elements.
 		env := FEnv{}
 		return stream.Filter(in, func(v value.Value) (bool, error) {
+			if err := c.poll(); err != nil {
+				return false, err
+			}
 			c.prof.tested++
 			env[ee.Var] = v
 			keep, err := EvalTest(ee.Test, env)
@@ -172,6 +176,9 @@ func (c *streamCompiler) compile(e Expr) (stream.Iterator, error) {
 		}
 		env := FEnv{}
 		return stream.Transform(in, func(v value.Value) (value.Value, error) {
+			if err := c.poll(); err != nil {
+				return nil, err
+			}
 			env[ee.Var] = v
 			return EvalF(ee.Out, env)
 		}), nil
@@ -235,7 +242,7 @@ func (c *streamCompiler) compileJoin(v string, test FExpr, prod Product) (stream
 		c.prof.pushed += len(l.filters)
 		c.prof.probes += l.probes
 	}
-	return newJoinIter(plan, c.prof), true, nil
+	return newJoinIter(plan, c.prof, c.poll), true, nil
 }
 
 // scan reads the leaf through its pushed filters: the candidates the prefix
@@ -351,6 +358,7 @@ func (idx *hashIndex) lookup(parts []value.Value, ids *[]intern.ID) []value.Valu
 type joinIter struct {
 	plan *joinPlan
 	prof *pipeProfile
+	poll func() error // once per candidate row tried
 
 	ready []bool        // per step: scanned and, for a hash step, indexed
 	all   []rows        // per step: the leaf after its pushed filters (unused by probe steps)
@@ -365,10 +373,10 @@ type joinIter struct {
 	ids   []intern.ID   // probe scratch
 }
 
-func newJoinIter(plan *joinPlan, prof *pipeProfile) *joinIter {
+func newJoinIter(plan *joinPlan, prof *pipeProfile, poll func() error) *joinIter {
 	n := len(plan.steps)
 	return &joinIter{
-		plan: plan, prof: prof,
+		plan: plan, prof: prof, poll: poll,
 		ready: make([]bool, n), all: make([]rows, n), idx: make([]*hashIndex, n),
 		row: make([]value.Value, len(plan.leaves)), cand: make([]rows, n), pos: make([]int, n),
 		env: FEnv{},
@@ -440,6 +448,10 @@ func (it *joinIter) Next() (value.Value, bool, error) {
 				return nil, false, nil
 			}
 			continue
+		}
+		if err := it.poll(); err != nil {
+			it.done = true
+			return nil, false, err
 		}
 		st := it.plan.steps[d]
 		it.row[st.leaf] = it.cand[d].at(it.pos[d])

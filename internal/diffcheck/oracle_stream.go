@@ -4,6 +4,7 @@ import (
 	"algrec/internal/algebra"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
+	"algrec/internal/query"
 	"algrec/internal/translate"
 )
 
@@ -22,17 +23,19 @@ func noStreaming(b algebra.Budget) algebra.Budget {
 	return b
 }
 
-// checkExprStream evaluates one expression through the streaming pipeline
-// runtime and through full operator-by-operator materialization; the
-// planned pushdown/hash-join iterators must not change the value.
+// checkExprStream evaluates one expression as it is served — query.Execute,
+// which runs a flat join on the relational rule kernel and everything else on
+// the planned value runtime (streaming pipelines, access paths) — and through
+// full operator-by-operator materialization, the reference: neither the
+// kernel nor the planned iterators may change the value.
 func checkExprStream(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-stream"
-	st, errSt := algebra.NewEvaluator(db, ExprBudget).Eval(e)
+	out, errSt := query.Execute(query.ExprPlan(e), db, query.Options{Budget: ExprBudget})
 	mat, errMat := algebra.NewEvaluator(db, noStreaming(ExprBudget)).Eval(e)
-	if done, err := pairErr(oracle, "streaming", "materialized", errSt, errMat); done {
+	if done, err := pairErr(oracle, "served", "materialized", errSt, errMat); done {
 		return err
 	}
-	return diffSets(oracle, "streaming vs materialized result", st, mat)
+	return diffSets(oracle, "served vs materialized result", out.Value, mat)
 }
 
 // checkDlogStream translates one free-polarity program to algebra=

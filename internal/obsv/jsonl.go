@@ -76,3 +76,6 @@ func (j *JSONL) Rel(s RelStats) { j.emit("rel", s) }
 
 // Diff implements Collector.
 func (j *JSONL) Diff(s DiffStats) { j.emit("diff", s) }
+
+// Algebra implements Collector.
+func (j *JSONL) Algebra(s AlgebraStats) { j.emit("algebra", s) }

@@ -303,9 +303,11 @@ type IVMUnit struct {
 // RelStats describes how one datalog evaluation by query.Execute ran: on the
 // relational rule kernel (internal/datalog/rel), straight over ID tables, or
 // through grounding — and then why — and what it had the database version's
-// fact base derive. One event per datalog evaluation.
+// fact base derive. One event per datalog evaluation, and one per algebra
+// expression evaluated on the kernel (see AlgebraStats).
 type RelStats struct {
-	// Engine is "relational" or "grounded".
+	// Engine is "relational" or "grounded" for datalog, "algebra" for an
+	// algebra expression compiled to rules.
 	Engine string
 	// Fallback says why a grounded evaluation could not run relationally:
 	// "unstratified" (under stratified, negation through recursion; under
@@ -361,6 +363,22 @@ type RelUnit struct {
 	Flips        int
 }
 
+// AlgebraStats says which engine answered one algebra or ifp-algebra
+// expression query.Execute evaluated: the relational rule kernel, or the
+// value-space evaluator of internal/algebra — and then why. One event per
+// evaluation; a kernel evaluation also reports a RelStats event (engine
+// "algebra") with its join work.
+type AlgebraStats struct {
+	// Engine is "kernel" or "value".
+	Engine string
+	// Fallback says why the value evaluator ran: "point" (a recursion-free
+	// plan selecting a leaf by a constant, which the access paths answer),
+	// "outside-fragment" (the expression is not a flat join), "shape" (a
+	// stored relation is absent or not of the width the plan reads),
+	// "reference" (Budget.NoStreaming) or "interning-off". Empty on the kernel.
+	Fallback string
+}
+
 // ExperimentStats describes one experiment (or one shard of one) run by the
 // internal/expt harness.
 type ExperimentStats struct {
@@ -391,6 +409,7 @@ type Collector interface {
 	IVM(IVMStats)
 	Rel(RelStats)
 	Diff(DiffStats)
+	Algebra(AlgebraStats)
 }
 
 // Nop is a Collector that discards every event. Embed it to implement only
@@ -437,6 +456,9 @@ func (Nop) Rel(RelStats) {}
 
 // Diff implements Collector.
 func (Nop) Diff(DiffStats) {}
+
+// Algebra implements Collector.
+func (Nop) Algebra(AlgebraStats) {}
 
 // multi fans events out to several collectors in order.
 type multi []Collector
@@ -535,6 +557,12 @@ func (m multi) Rel(s RelStats) {
 func (m multi) Diff(s DiffStats) {
 	for _, c := range m {
 		c.Diff(s)
+	}
+}
+
+func (m multi) Algebra(s AlgebraStats) {
+	for _, c := range m {
+		c.Algebra(s)
 	}
 }
 

@@ -223,6 +223,15 @@ func (s *Stats) Diff(v DiffStats) {
 	)
 }
 
+// Algebra implements Collector.
+func (s *Stats) Algebra(v AlgebraStats) {
+	kvs := []any{"algebra.engine." + v.Engine, int64(1)}
+	if v.Fallback != "" {
+		kvs = append(kvs, "algebra.fallback."+v.Fallback, int64(1))
+	}
+	s.add(kvs...)
+}
+
 // Snapshot is an immutable copy of a Stats collector's counters. The
 // counter vocabulary:
 //
@@ -245,6 +254,7 @@ func (s *Stats) Diff(v DiffStats) {
 //	rel.base.rows|indexes|keys, rel.steps|probes|scans|rows,
 //	rel.units.recursive|nonrecursive|alternating, rel.alternations|flips
 //	diff.evals, diff.paths.<path>, diff.probed|lookups|kept|leaves
+//	algebra.engine.<engine>, algebra.fallback.<reason>
 type Snapshot map[string]int64
 
 // Snapshot returns a copy of the current counters.

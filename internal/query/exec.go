@@ -126,9 +126,11 @@ type Outcome struct {
 // under stratified, and under minimal when the program is negation-free; or by
 // grounding it and running the semantics' fixpoint over the ground program
 // otherwise (inflationary, stable, interning off). The outcomes are
-// bit-for-bit the same where both apply: grounding is the reference. Execute
-// is ExecuteBase on a fact base made for this one call; a caller that
-// evaluates many plans over one database makes the base once.
+// bit-for-bit the same where both apply: grounding is the reference. An
+// expression plan that Compile found to be a flat join runs on the same
+// kernel when the database fits it, on the value evaluator otherwise
+// (kernel.go). Execute is ExecuteBase on a fact base made for this one call;
+// a caller that evaluates many plans over one database makes the base once.
 func Execute(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
 	return execute(plan, db, nil, opts, false)
 }
@@ -151,8 +153,7 @@ func execute(plan *Plan, db algebra.DB, base *rel.Base, opts Options, grounded b
 	out := &Outcome{Language: plan.Language, Semantics: plan.Semantics, WellDefined: true}
 	switch plan.Language {
 	case LangAlgebra, LangIFPAlgebra:
-		ev := algebra.NewEvaluator(db, opts.Budget)
-		v, err := ev.Eval(plan.Expr)
+		v, err := executeAlgebra(plan, db, base, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,732 @@
+package query
+
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+
+	"algrec/internal/algebra"
+	"algrec/internal/datalog"
+	"algrec/internal/datalog/rel"
+	"algrec/internal/obsv"
+	"algrec/internal/value"
+	"algrec/internal/value/intern"
+)
+
+// This file runs the algebra's flat joins on the relational rule kernel: §5's
+// translation (Prop 5.1, translate.AlgebraToDatalog) made column-aware. There
+// every subexpression is a unary predicate over whole elements; here a stored
+// relation of k-tuples is the k-ary predicate its fact base holds, and an
+// element is a row of columns. σ over × is one rule body whose variables the
+// test's equalities unify, MAP picks and nests the head's columns, ∪ gives a
+// head several rules, and an ifp that DeltaDistributive accepts is a recursive
+// predicate — for a body monotone in its variable the inflationary fixpoint is
+// the least one. Only fixpoints and literal sets become predicates of their
+// own. The plan's shape says which column builds which component of an
+// element: alg-triangle's (((a,b),(b,c)),(c,a)) is one row of 6 columns.
+//
+// The fragment is well-kinded by construction — leaves are stored relations
+// and literals of flat k-tuples; λ-bodies are paths, tuples of them and
+// constants, `=` and `in` a literal set under `and`; every product is joined
+// by an equality — so once the stored relations have the widths the plan reads
+// (fits), the value evaluator raises no error on it and the engines agree,
+// budget boundaries aside: MaxSetSize bounds the answer, and MaxIFPIters
+// nothing — the kernel's worklist has no rounds. A recursive unit is bounded
+// by Ground.MaxAtoms and Ground.MaxRules, and converges: its rows are tuples
+// of the active domain.
+
+// elemType is an element type under inference, a union-find cell: unknown, a
+// column (one ID of a row, whatever value it holds), or a tuple — left open by
+// a projection out of an unknown, widening to the largest field projected,
+// until a closed tuple fixes its width.
+type elemType struct {
+	link           *elemType
+	col, tup, open bool
+	kids           []*elemType
+}
+
+func (t *elemType) find() *elemType {
+	for t.link != nil {
+		t = t.link
+	}
+	return t
+}
+
+func (t *elemType) occurs(u *elemType) bool {
+	t = t.find()
+	return t == u || slices.ContainsFunc(t.kids, func(k *elemType) bool { return k.occurs(u) })
+}
+
+// widthIs reports whether every element of s is a tuple of width w.
+func widthIs(s value.Set, w int) bool {
+	for i := range s.Len() {
+		if t, ok := s.At(i).(value.Tuple); !ok || t.Len() != w {
+			return false
+		}
+	}
+	return true
+}
+
+// compiler is one compilation: infer types the expression, gen emits its rules,
+// replaying the types of literals and fixpoints in walk order. Whatever finds
+// the expression outside the fragment sets outside and returns a placeholder;
+// the compilation is then abandoned.
+type compiler struct {
+	outside bool
+	rels    map[string]*elemType // stored relation → its elements' type
+	typeOf  map[string]*elemType // fixpoint predicate → its elements' type
+	seen    []*elemType
+	next    int
+	prog    *datalog.Program
+	vars    int
+	fresh   []string
+}
+
+func (x *compiler) fail() *elemType { x.outside = true; return &elemType{} }
+
+func (x *compiler) record(t *elemType) *elemType { x.seen = append(x.seen, t); return t }
+
+func (x *compiler) replay() *elemType { x.next++; return x.seen[x.next-1] }
+
+func (x *compiler) pred() string {
+	x.fresh = append(x.fresh, "%"+strconv.Itoa(len(x.fresh)))
+	return x.fresh[len(x.fresh)-1]
+}
+
+func with[T any](env map[string]T, name string, v T) map[string]T {
+	out := map[string]T{name: v}
+	for k, w := range env {
+		if k != name {
+			out[k] = w
+		}
+	}
+	return out
+}
+
+func (x *compiler) unify(a, b *elemType) {
+	if a, b = a.find(), b.find(); a == b || x.outside {
+		return
+	}
+	if !a.col && !a.tup || !b.col && !b.tup {
+		if a.col || a.tup {
+			a, b = b, a
+		}
+		if b.occurs(a) { // ifp(s, product(s, e)) has no finite type
+			x.fail()
+			return
+		}
+		a.link = b
+		return
+	}
+	if len(a.kids) > len(b.kids) {
+		a, b = b, a
+	}
+	if a.col != b.col || len(a.kids) < len(b.kids) && !a.open {
+		x.fail()
+		return
+	}
+	a.link, b.open = b, a.open && b.open
+	for i, k := range a.kids {
+		x.unify(k, b.kids[i])
+	}
+}
+
+// field is the type of component j of t's elements.
+func (x *compiler) field(t *elemType, j int) *elemType {
+	if t = t.find(); !t.col && !t.tup {
+		t.tup, t.open = true, true
+	}
+	if t.col || j < 1 || j > len(t.kids) && !t.open {
+		return x.fail()
+	}
+	for len(t.kids) < j {
+		t.kids = append(t.kids, &elemType{})
+	}
+	return t.kids[j-1]
+}
+
+func (x *compiler) infer(e algebra.Expr, env map[string]*elemType) *elemType {
+	switch ee := e.(type) {
+	case algebra.Rel:
+		if t, ok := env[ee.Name]; ok {
+			return t
+		}
+		if x.rels[ee.Name] == nil {
+			x.rels[ee.Name] = &elemType{}
+		}
+		return x.rels[ee.Name]
+	case algebra.Lit:
+		t := &elemType{}
+		if w := 0; !ee.Set.IsEmpty() {
+			if t0, ok := ee.Set.At(0).(value.Tuple); ok {
+				w = t0.Len()
+			}
+			if w == 0 || !widthIs(ee.Set, w) {
+				return x.fail()
+			}
+			t.tup = true
+			for range w {
+				t.kids = append(t.kids, &elemType{col: true})
+			}
+		}
+		return x.record(t)
+	case algebra.Union:
+		t := x.infer(ee.L, env)
+		x.unify(t, x.infer(ee.R, env))
+		return t
+	case algebra.Product:
+		return &elemType{tup: true, kids: []*elemType{x.infer(ee.L, env), x.infer(ee.R, env)}}
+	case algebra.Select:
+		t := x.infer(ee.Of, env)
+		x.inferFn(ee.Test, ee.Var, t, true)
+		return t
+	case algebra.Map:
+		return x.inferFn(ee.Out, ee.Var, x.infer(ee.Of, env), false)
+	case algebra.IFP:
+		if !algebra.DeltaDistributive(ee.Body, ee.Var) {
+			return x.fail()
+		}
+		t := x.record(&elemType{})
+		x.unify(t, x.infer(ee.Body, with(env, ee.Var, t)))
+		return t
+	}
+	return x.fail()
+}
+
+// inferFn types a λ-body over an element of type t: a test, or a value — a
+// path, a constant or a tuple of values.
+func (x *compiler) inferFn(f algebra.FExpr, v string, t *elemType, test bool) *elemType {
+	switch ff := f.(type) {
+	case algebra.FVar:
+		if ff.Name == v && !test {
+			return t
+		}
+	case algebra.FField:
+		if !test {
+			return x.field(x.inferFn(ff.Of, v, t, false), ff.Idx)
+		}
+	case algebra.FConst:
+		if !test {
+			return &elemType{col: true}
+		}
+	case algebra.FTuple:
+		if !test && len(ff.Elems) > 0 {
+			out := &elemType{tup: true}
+			for _, el := range ff.Elems {
+				out.kids = append(out.kids, x.inferFn(el, v, t, false))
+			}
+			return out
+		}
+	case algebra.FAnd:
+		if test {
+			x.inferFn(ff.L, v, t, true)
+			return x.inferFn(ff.R, v, t, true)
+		}
+	case algebra.FCmp:
+		if test && ff.Op == algebra.OpEq {
+			x.unify(x.inferFn(ff.L, v, t, false), x.inferFn(ff.R, v, t, false))
+			return nil
+		}
+	case algebra.FMem:
+		if c, ok := ff.Set.(algebra.FConst); ok && test && c.V.Kind() == value.KindSet {
+			x.unify(x.inferFn(ff.Elem, v, t, false), &elemType{col: true})
+			return nil
+		}
+	}
+	return x.fail()
+}
+
+// node is an element of a rule under construction — a column's term, or a
+// tuple of nodes — and, in a plan's shape, a column's index.
+type node struct {
+	t    datalog.Term
+	col  int
+	kids []*node // nil for a column
+}
+
+// nodeOf builds a node of type t, making its columns with leaf.
+func nodeOf(t *elemType, leaf func() *node) *node {
+	if t = t.find(); !t.tup {
+		return leaf()
+	}
+	n := &node{}
+	for _, k := range t.kids {
+		n.kids = append(n.kids, nodeOf(k, leaf))
+	}
+	return n
+}
+
+func (n *node) leaves(out []datalog.Term) []datalog.Term {
+	if n.kids == nil {
+		return append(out, n.t)
+	}
+	for _, k := range n.kids {
+		out = k.leaves(out)
+	}
+	return out
+}
+
+// fn is the node a λ-body's value builds from the element.
+func fn(f algebra.FExpr, elem *node) *node {
+	switch ff := f.(type) {
+	case algebra.FConst:
+		return &node{t: datalog.C(ff.V)}
+	case algebra.FField:
+		return fn(ff.Of, elem).kids[ff.Idx-1]
+	case algebra.FTuple:
+		n := &node{}
+		for _, el := range ff.Elems {
+			n.kids = append(n.kids, fn(el, elem))
+		}
+		return n
+	}
+	return elem
+}
+
+// body is one rule body and the element it produces; sub is the unification
+// its selections' equalities made.
+type body struct {
+	atoms []datalog.Atom
+	out   *node
+	sub   map[datalog.Var]datalog.Term
+}
+
+func (b *body) find(t datalog.Term) datalog.Term {
+	for v, ok := t.(datalog.Var); ok && b.sub[v] != nil; v, ok = t.(datalog.Var) {
+		t = b.sub[v]
+	}
+	return t
+}
+
+// unify equates two elements of one type, reporting false when that equates
+// two different constants.
+func (b *body) unify(l, r *node) bool {
+	for i := range l.kids {
+		if !b.unify(l.kids[i], r.kids[i]) {
+			return false
+		}
+	}
+	if l.kids != nil {
+		return true
+	}
+	tl, tr := b.find(l.t), b.find(r.t)
+	if _, ok := tl.(datalog.Var); !ok {
+		tl, tr = tr, tl
+	}
+	if v, ok := tl.(datalog.Var); ok {
+		if w, ok := tr.(datalog.Var); !ok || v != w {
+			b.sub[v] = tr
+		}
+		return true
+	}
+	return value.Equal(tl.(datalog.Const).V, tr.(datalog.Const).V)
+}
+
+// test applies a selection's test to b, reporting false when it never holds.
+func (x *compiler) test(b *body, f algebra.FExpr, v string) bool {
+	switch ff := f.(type) {
+	case algebra.FAnd:
+		return x.test(b, ff.L, v) && x.test(b, ff.R, v)
+	case algebra.FCmp:
+		return b.unify(fn(ff.L, b.out), fn(ff.R, b.out))
+	}
+	m := f.(algebra.FMem)
+	p := x.facts(m.Set.(algebra.FConst).V.(value.Set), false)
+	// First in the body: the join planner starts from the earliest atom it
+	// can, and a literal is small.
+	b.atoms = slices.Insert(b.atoms, 0, datalog.Atom{Pred: p, Args: []datalog.Term{fn(m.Elem, b.out).t}})
+	return true
+}
+
+// facts introduces a predicate holding s's elements, or their components.
+func (x *compiler) facts(s value.Set, components bool) string {
+	p := x.pred()
+	for _, el := range s.Elems() {
+		args := []value.Value{el}
+		if components {
+			args = el.(value.Tuple).Elems()
+		}
+		head := datalog.Atom{Pred: p}
+		for _, a := range args {
+			head.Args = append(head.Args, datalog.C(a))
+		}
+		x.prog.Rules = append(x.prog.Rules, datalog.Rule{Head: head})
+	}
+	return p
+}
+
+// scan is the rule body reading all of a predicate of type t.
+func (x *compiler) scan(p string, t *elemType) []*body {
+	n := nodeOf(t, func() *node { x.vars++; return &node{t: datalog.Var("V" + strconv.Itoa(x.vars))} })
+	return []*body{{atoms: []datalog.Atom{{Pred: p, Args: n.leaves(nil)}}, out: n, sub: map[datalog.Var]datalog.Term{}}}
+}
+
+// gen is e as a union of rule bodies, emitting the rules of its literals and
+// fixpoints on the way.
+func (x *compiler) gen(e algebra.Expr, env map[string]string) []*body {
+	switch ee := e.(type) {
+	case algebra.Rel:
+		if p, ok := env[ee.Name]; ok {
+			return x.scan(p, x.typeOf[p])
+		}
+		return x.scan(ee.Name, x.rels[ee.Name])
+	case algebra.Lit:
+		return x.scan(x.facts(ee.Set, true), x.replay())
+	case algebra.Union:
+		return append(x.gen(ee.L, env), x.gen(ee.R, env)...)
+	case algebra.Product:
+		ls, rs := x.gen(ee.L, env), x.gen(ee.R, env)
+		if len(ls)*len(rs) > 64 { // a product of unions multiplies them out
+			x.fail()
+			return nil
+		}
+		var out []*body
+		for _, l := range ls {
+			for _, r := range rs {
+				b := &body{atoms: append(slices.Clone(l.atoms), r.atoms...), out: &node{kids: []*node{l.out, r.out}}, sub: maps.Clone(l.sub)}
+				maps.Copy(b.sub, r.sub)
+				out = append(out, b)
+			}
+		}
+		return out
+	case algebra.Select:
+		return slices.DeleteFunc(x.gen(ee.Of, env), func(b *body) bool { return !x.test(b, ee.Test, ee.Var) })
+	case algebra.Map:
+		bs := x.gen(ee.Of, env)
+		for _, b := range bs {
+			b.out = fn(ee.Out, b.out)
+		}
+		return bs
+	}
+	ifp := e.(algebra.IFP)
+	t, p := x.replay(), x.pred()
+	x.typeOf[p] = t
+	for _, b := range x.gen(ifp.Body, with(env, ifp.Var, p)) {
+		x.emit(p, b)
+	}
+	return x.scan(p, t)
+}
+
+// emit adds the rule p(b's columns) :- b's atoms. A body falling apart into
+// parts that share no variable is a cross product: the value evaluator's.
+func (x *compiler) emit(p string, b *body) {
+	lits := make([]datalog.Literal, len(b.atoms))
+	for i, a := range b.atoms {
+		args := make([]datalog.Term, len(a.Args))
+		for j, t := range a.Args {
+			args[j] = b.find(t)
+		}
+		lits[i] = datalog.Pos(a.Pred, args...)
+	}
+	joined, vars := map[int]bool{}, map[datalog.Var]bool{}
+	for grew := true; grew; {
+		grew = false
+		for i, l := range lits {
+			args := l.(datalog.LitAtom).Atom.Args
+			if !joined[i] && (len(joined) == 0 || slices.ContainsFunc(args, func(t datalog.Term) bool { v, ok := t.(datalog.Var); return ok && vars[v] })) {
+				joined[i], grew = true, true
+				for _, t := range args {
+					if v, ok := t.(datalog.Var); ok {
+						vars[v] = true
+					}
+				}
+			}
+		}
+	}
+	if len(joined) < len(lits) {
+		x.fail()
+		return
+	}
+	head := b.out.leaves(nil)
+	for i, t := range head {
+		head[i] = b.find(t)
+	}
+	x.prog.Rules = append(x.prog.Rules, datalog.Rule{Head: datalog.Atom{Pred: p, Args: head}, Body: lits})
+}
+
+// kernelPlan is an expression compiled for the kernel: the program, the
+// predicate holding the answer, the shape of its rows, and what the database
+// must hold for the program to mean what the expression does.
+type kernelPlan struct {
+	prog   *datalog.Program
+	result string
+	shape  *node
+	width  int            // the answer's columns
+	stored map[string]int // relation read → the width of its tuples
+	fresh  []string       // predicates introduced
+}
+
+// compileKernel compiles e for the kernel, or returns nil when e is outside
+// the fragment — a bare leaf too: there is nothing to join.
+func compileKernel(e algebra.Expr) *kernelPlan {
+	switch e.(type) {
+	case algebra.Select, algebra.Map, algebra.Union, algebra.Product, algebra.IFP:
+	default:
+		return nil
+	}
+	x := &compiler{rels: map[string]*elemType{}, typeOf: map[string]*elemType{}, prog: &datalog.Program{}}
+	t := x.infer(e, nil)
+	k := &kernelPlan{prog: x.prog, stored: map[string]int{}}
+	for name, rt := range x.rels {
+		if rt = rt.find(); !rt.tup || slices.ContainsFunc(rt.kids, func(c *elemType) bool { return c.find().tup }) {
+			return nil // a stored relation holds flat tuples
+		}
+		k.stored[name] = len(rt.kids)
+	}
+	if x.outside {
+		return nil
+	}
+	bs := x.gen(e, nil)
+	// A fixpoint read whole, in column order, is the answer as it stands.
+	if len(bs) == 1 && x.typeOf[bs[0].atoms[0].Pred] != nil && len(bs[0].atoms) == 1 && len(bs[0].sub) == 0 &&
+		slices.EqualFunc(bs[0].out.leaves(nil), bs[0].atoms[0].Args, func(a, b datalog.Term) bool { return a == b }) {
+		k.result = bs[0].atoms[0].Pred
+	} else {
+		k.result = x.pred()
+		for _, b := range bs {
+			x.emit(k.result, b)
+		}
+	}
+	if x.outside {
+		return nil
+	}
+	k.shape = nodeOf(t, func() *node { k.width++; return &node{col: k.width - 1} })
+	k.fresh = x.fresh
+	return k
+}
+
+// fits reports whether db holds what the program reads as the expression
+// does: every relation it names, with every element a tuple of the width the
+// plan reads, and nothing under a predicate the plan introduced.
+func (k *kernelPlan) fits(db algebra.DB) bool {
+	for name, w := range k.stored {
+		if s, ok := db[name]; !ok || !widthIs(s, w) {
+			return false
+		}
+	}
+	return !slices.ContainsFunc(k.fresh, func(p string) bool { _, ok := db[p]; return ok })
+}
+
+// run evaluates the program over the base and converts the answer, reporting
+// the join work to obs when there is one.
+func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (value.Set, error) {
+	eng, err := rel.NewEngine(k.prog, rel.Config{Base: base, Limits: KernelLimits(opts), Observed: obs != nil})
+	if err != nil {
+		return value.Set{}, err
+	}
+	if obs != nil {
+		defer func() {
+			st := obsv.RelStats{Engine: "algebra", Units: eng.UnitStats, Steps: eng.Steps, Probes: eng.Probes, Scans: eng.Scans, Rows: eng.NumRows()}
+			fillBaseUse(&st, eng.Use)
+			obs.Rel(st)
+		}()
+	}
+	if err := eng.Build(); err != nil {
+		return value.Set{}, err
+	}
+	var rows []intern.ID
+	if r := eng.Rels[k.result]; r != nil { // no rule derives an answer that is always empty
+		t := r.Tables[0]
+		rows = make([]intern.ID, 0, int(t.Rows())*t.Arity)
+		for i := range t.Rows() {
+			if t.Flags[i]&rel.FlagLive != 0 {
+				rows = append(rows, t.Row(i)...)
+			}
+		}
+	}
+	if max := opts.Budget.WithDefaults().MaxSetSize; len(rows) > max*k.width {
+		return value.Set{}, fmt.Errorf("%w: the answer's %d elements exceed MaxSetSize %d", algebra.ErrBudget, len(rows)/k.width, max)
+	}
+	return k.toSet(rows), nil
+}
+
+// toSet converts the answer's rows, back to back, to the canonical set at
+// once: sorted by the value order of the elements they build — the order of
+// their columns read left to right, the shape being every element's, by
+// radix when every column is an integer — and built in that order, their
+// tuples carved from one slab. Nothing is interned.
+func (k *kernelPlan) toSet(ids []intern.ID) value.Set {
+	if len(ids) == 0 {
+		return value.Set{}
+	}
+	n, in := k.width, intern.Global()
+	order, tmp := make([]int32, len(ids)/n), make([]int32, len(ids)/n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	keys := make([]int64, len(ids))
+	for i, id := range ids {
+		x, isInt := in.Lookup(id).(value.Int)
+		if keys[i] = int64(x); !isInt {
+			keys = nil
+			slices.SortFunc(order, func(a, b int32) int {
+				for j := range n {
+					if ia, ib := ids[int(a)*n+j], ids[int(b)*n+j]; ia != ib {
+						return in.Lookup(ia).Compare(in.Lookup(ib))
+					}
+				}
+				return 0
+			})
+			break
+		}
+	}
+	// Least significant digit first: column by column from the last, as many
+	// byte passes per column as the range of its values needs.
+	for col := n - 1; keys != nil && col >= 0; col-- {
+		lo, hi := keys[col], keys[col]
+		for i := col; i < len(keys); i += n {
+			lo, hi = min(lo, keys[i]), max(hi, keys[i])
+		}
+		for shift := 0; shift < 64 && uint64(hi-lo)>>shift != 0; shift += 8 {
+			var count [257]int
+			for _, o := range order {
+				count[uint64(keys[int(o)*n+col]-lo)>>shift&255+1]++
+			}
+			for d := 1; d < len(count); d++ {
+				count[d] += count[d-1]
+			}
+			for _, o := range order {
+				d := uint64(keys[int(o)*n+col]-lo) >> shift & 255
+				tmp[count[d]], count[d] = o, count[d]+1
+			}
+			order, tmp = tmp, order
+		}
+	}
+	tuples, slots := k.shape.size()
+	slab := value.NewTupleSlab(len(order)*tuples, len(order)*slots)
+	elems := make([]value.Value, len(order))
+	for i, o := range order {
+		elems[i] = k.shape.build(ids[int(o)*n:], in, slab)
+	}
+	return value.SetFromSorted(elems)
+}
+
+// size counts the tuples an element of this shape is built of, and their
+// components.
+func (n *node) size() (tuples, slots int) {
+	if n.kids != nil {
+		tuples, slots = 1, len(n.kids)
+	}
+	for _, c := range n.kids {
+		t, s := c.size()
+		tuples, slots = tuples+t, slots+s
+	}
+	return tuples, slots
+}
+
+// build makes the element a row stands for.
+func (n *node) build(row []intern.ID, in *intern.Interner, slab *value.TupleSlab) value.Value {
+	if n.kids == nil {
+		return in.Lookup(row[n.col])
+	}
+	var buf [8]value.Value
+	parts := buf[:0]
+	for _, c := range n.kids {
+		parts = append(parts, c.build(row, in, slab))
+	}
+	return slab.Tuple(parts...)
+}
+
+// planExpr decides at compile time where an expression runs. A point plan —
+// no fixpoint, and a leaf selected by `=` a constant — stays with the value
+// evaluator, whose access paths answer it by probing sorted sets, and no rule
+// is compiled for it; so does anything outside the fragment.
+func planExpr(e algebra.Expr) (*kernelPlan, string) {
+	var s survey
+	s.expr(e)
+	switch {
+	case !s.ifp && s.byConst:
+		return nil, "point"
+	case !s.outside:
+		if k := compileKernel(e); k != nil {
+			return k, ""
+		}
+	}
+	return nil, "outside-fragment"
+}
+
+// survey is what planExpr learns of an expression in one walk that builds
+// nothing, so that a point plan, or one plainly outside the fragment, costs
+// its compilation no more than that: whether it has a fixpoint, whether a
+// λ-body compares something with a constant by `=`, and whether an operator
+// or a λ-body outside the fragment occurs. compileKernel decides the rest.
+type survey struct{ ifp, byConst, outside bool }
+
+func (s *survey) expr(e algebra.Expr) {
+	switch ee := e.(type) {
+	case algebra.Rel, algebra.Lit:
+	case algebra.Union:
+		s.expr(ee.L)
+		s.expr(ee.R)
+	case algebra.Product:
+		s.expr(ee.L)
+		s.expr(ee.R)
+	case algebra.Select:
+		s.expr(ee.Of)
+		s.fn(ee.Test)
+	case algebra.Map:
+		s.expr(ee.Of)
+		s.fn(ee.Out)
+	case algebra.IFP:
+		s.ifp = true
+		s.expr(ee.Body)
+	default: // diff, call, flip
+		s.outside = true
+	}
+}
+
+func (s *survey) fn(f algebra.FExpr) {
+	switch ff := f.(type) {
+	case algebra.FAnd:
+		s.fn(ff.L)
+		s.fn(ff.R)
+	case algebra.FCmp:
+		_, l := ff.L.(algebra.FConst)
+		_, r := ff.R.(algebra.FConst)
+		s.byConst = s.byConst || ff.Op == algebra.OpEq && l != r
+		s.outside = s.outside || ff.Op != algebra.OpEq
+		s.fn(ff.L)
+		s.fn(ff.R)
+	case algebra.FTuple:
+		for _, el := range ff.Elems {
+			s.fn(el)
+		}
+	case algebra.FArith, algebra.FOr, algebra.FNot:
+		s.outside = true
+	}
+}
+
+// executeAlgebra evaluates an expression on the kernel when the plan compiled
+// for it and the database fits, on the value evaluator otherwise — always
+// under Budget.NoStreaming, the reference, and with interning off — and
+// reports which engine answered, and why, to the process-default collector.
+func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (value.Set, error) {
+	reason := plan.fallback
+	switch {
+	case opts.Budget.WithDefaults().NoStreaming:
+		reason = "reference"
+	case !value.InterningEnabled():
+		reason = "interning-off"
+	case plan.kernel == nil: // Compile said why; a plan built by hand is not compiled
+		reason = cmp.Or(reason, "outside-fragment")
+	case !plan.kernel.fits(db):
+		reason = "shape"
+	}
+	obs := obsv.Default()
+	if obs != nil {
+		st := obsv.AlgebraStats{Engine: "kernel", Fallback: reason}
+		if reason != "" {
+			st.Engine = "value"
+		}
+		obs.Algebra(st)
+	}
+	if reason != "" {
+		return algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)
+	}
+	if base == nil {
+		base = rel.NewBase(db)
+	}
+	return plan.kernel.run(base, opts, obs)
+}

@@ -1,0 +1,422 @@
+package query
+
+import (
+	"errors"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"algrec/internal/algebra"
+	"algrec/internal/algebra/parse"
+	"algrec/internal/datalog/rel"
+	"algrec/internal/obsv"
+	"algrec/internal/value"
+	"algrec/internal/value/intern"
+)
+
+// The read workloads' algebra texts (benchmark/workloads.go), with the
+// closure's sources and the points' constants fixed.
+const (
+	textReach4   = `ifp(s, union(select(e, \p -> p.1 in {1, 2, 3, 4}), map(select(product(s, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))))`
+	textTwoHop   = `map(select(product(e, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))`
+	textTriangle = `select(product(product(e, e), e), \p -> p.1.1.2 = p.1.2.1 and p.1.2.2 = p.2.1 and p.2.2 = p.1.1.1)`
+	textPointOut = `select(e, \p -> p.1 = 7)`
+	textPoint2   = `map(select(product(select(e, \p -> p.1 = 7), e), \p -> p.1.2 = p.2.1), \p -> p.2.2)`
+	textPointIFP = `ifp(s, union({(7, 0)}, map(select(product(s, e), \p -> p.1.1 = p.2.1 and p.1.2 < 2), \p -> (p.2.2, p.1.2 + 1))))`
+	textEqWin    = `def win = map(diff(e, product(map(e, \x -> x.1), win)), \x -> x.1); query win;`
+)
+
+// reference evaluates e on the value evaluator's reference path. The ID-space
+// fixpoint kernels are off too: they intern the tuples they build, and an
+// intern ID cached on a tuple is part of what reflect.DeepEqual compares.
+func reference(e algebra.Expr, db algebra.DB, b algebra.Budget) (value.Set, error) {
+	b.NoStreaming, b.NoIDSets = true, true
+	return algebra.NewEvaluator(db, b).Eval(e)
+}
+
+// withStats installs a fresh counter collector as the process default for
+// the test.
+func withStats(t *testing.T) *obsv.Stats {
+	t.Helper()
+	stats := obsv.NewStats()
+	prev := obsv.Default()
+	obsv.SetDefault(stats)
+	t.Cleanup(func() { obsv.SetDefault(prev) })
+	return stats
+}
+
+// TestAlgebraEngineChoice: which engine answers an expression is a function of
+// the plan, the database's shapes, NoStreaming and the interning switch, and
+// every evaluation says which, and why.
+func TestAlgebraEngineChoice(t *testing.T) {
+	small := algebra.DB{"e": digraph(40, 120)}
+	mixed := algebra.DB{"e": small["e"].Insert(value.Int(3))}
+	var reference Options
+	reference.Budget.NoStreaming = true
+	for _, c := range []struct {
+		name, lang, src string
+		db              algebra.DB
+		opts            Options
+		engine, why     string
+	}{
+		{"ifp-reach4", "ifp-algebra", textReach4, small, Options{}, "kernel", ""},
+		{"alg-2hop", "algebra", textTwoHop, small, Options{}, "kernel", ""},
+		{"alg-triangle", "algebra", textTriangle, small, Options{}, "kernel", ""},
+		{"pt-out", "ifp-algebra", textPointOut, small, Options{}, "value", "point"},
+		{"pt-2hop", "ifp-algebra", textPoint2, small, Options{}, "value", "point"},
+		{"pt-ifp", "ifp-algebra", textPointIFP, small, Options{}, "value", "outside-fragment"},
+		{"alg-2hop over pairs and scalars", "algebra", textTwoHop, mixed, Options{}, "value", "shape"},
+		{"ifp-reach4 under NoStreaming", "ifp-algebra", textReach4, small, reference, "value", "reference"},
+		{"alg-2hop under NoStreaming", "algebra", textTwoHop, small, reference, "value", "reference"},
+		{"pt-out under NoStreaming", "ifp-algebra", textPointOut, small, reference, "value", "reference"},
+	} {
+		lang, _ := ParseLanguage(c.lang)
+		plan := mustCompile(t, lang, SemValid, c.src)
+		stats := withStats(t)
+		_, err := Execute(plan, c.db, c.opts)
+		snap := stats.Snapshot()
+		want := obsv.Snapshot{"algebra.engine." + c.engine: 1}
+		if c.why != "" {
+			want["algebra.fallback."+c.why] = 1
+		}
+		for k := range snap {
+			if len(k) < 8 || k[:8] != "algebra." {
+				delete(snap, k)
+			}
+		}
+		if (err != nil) != (c.why == "shape") || !reflect.DeepEqual(snap, want) {
+			t.Errorf("%s: %v, counters %v, want %v", c.name, err, snap, want)
+		}
+	}
+
+	// eq-win is algebra=: internal/core evaluates it, as before.
+	stats := withStats(t)
+	if _, err := Execute(mustCompile(t, LangAlgebraEq, SemValid, textEqWin), small, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := stats.Snapshot(); snap["core.valid.calls"] != 1 || snap["algebra.engine.kernel"]+snap["algebra.engine.value"] != 0 {
+		t.Errorf("eq-win: counters %v", snap)
+	}
+
+	// With interning off there are no IDs to join on.
+	plan := mustCompile(t, LangAlgebra, SemValid, textTwoHop)
+	want := mustExecute(t, plan, small, Options{})
+	stats = withStats(t)
+	was := value.SetInterning(false)
+	got, err := Execute(plan, small, Options{})
+	value.SetInterning(was)
+	if snap := stats.Snapshot(); err != nil || snap["algebra.fallback.interning-off"] != 1 || got.Value.String() != want.Value.String() {
+		t.Errorf("interning off: %v, counters %v", err, snap)
+	}
+}
+
+// sameSet demands what reflect.DeepEqual demands of two sets — same elements,
+// same kinds, same representation — and the same rendering. (Empty sets are
+// only compared as such: the value path returns an empty set in more than one
+// representation.)
+func sameSet(t *testing.T, what string, got, want value.Set) {
+	t.Helper()
+	if got.IsEmpty() || want.IsEmpty() {
+		if !got.IsEmpty() || !want.IsEmpty() {
+			t.Fatalf("%s: got %v, want %v", what, got, want)
+		}
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: not deeply equal\n got: %v\nwant: %v", what, got, want)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("%s: renders %s, want %s", what, got, want)
+	}
+}
+
+// TestKernelMatchesValuePath: on every shape of the fragment the kernel's
+// answer is the reference evaluator's, element for element and byte for byte;
+// outside it, the value evaluator answers.
+func TestKernelMatchesValuePath(t *testing.T) {
+	set := func(src string) value.Set {
+		e, err := parse.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := algebra.Eval(e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Components no other test interns: the kernel returns the interned copy of
+	// a set-valued component, the value path the database's own.
+	sets := algebra.DB{
+		"g": set(`{(1, {7001, 7002}), (2, {7001, 7002}), (3, {7003}), (4, {})}`),
+		"h": set(`{({7001, 7002}, x), ({7003}, y), ({}, z), ({7004}, w)}`),
+	}
+	const tc = `ifp(s, union(e, map(select(product(s, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))))`
+	for _, c := range []struct {
+		name, src string
+		db        algebra.DB
+		kernel    bool
+	}{
+		{"a 2-way equi-join", textTwoHop, nil, true},
+		{"a 3-way equi-join", `map(select(product(product(e, f), e), \p -> p.1.1.2 = p.1.2.1 and p.1.2.2 = p.2.1), \p -> (p.1.1.1, p.2.2))`, nil, true},
+		{"the nested output shape", textTriangle, nil, true},
+		{"a union of joins", `union(map(select(product(e, f), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2)), select(product(f, e), \p -> p.1.1 = p.2.2 and p.1.2 = p.2.1))`, nil, false},
+		{"a union of joins of one shape", `union(map(select(product(e, f), \p -> p.1.2 = p.2.1), \p -> (p.2.2, p.1.1)), map(select(product(f, e), \p -> p.1.1 = p.2.2), \p -> (p.1.2, p.2.1)))`, nil, true},
+		{"a distributive closure", tc, nil, true},
+		{"a closure from a literal", textReach4, nil, true},
+		{"closures side by side", `map(select(product(` + tc + `, ` + tc + `), \p -> p.1.2 = p.2.1), \p -> (p.1, p.2.2, (p.1.1)))`, nil, true},
+		{"a join on a set-valued component", `map(select(product(g, h), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2, p.2.1))`, sets, true},
+		{"a key in a literal set", `select(product(g, h), \p -> p.1.2 = p.2.1 and p.2.1 in {{7003}, {}})`, sets, true},
+		{"an empty relation", textTwoHop, algebra.DB{"e": value.EmptySet}, true},
+		{"a cross product", `product(e, f)`, nil, false},
+		{"a select over a cross product", `select(product(e, f), \p -> p.1.1 = 1)`, nil, false},
+	} {
+		plan := mustCompile(t, LangIFPAlgebra, SemValid, c.src)
+		if (plan.kernel != nil) != c.kernel {
+			t.Fatalf("%s: compiled for the kernel %v (%s), want %v", c.name, plan.kernel != nil, plan.fallback, c.kernel)
+		}
+		for seed := 0; seed < 12; seed++ {
+			db := c.db
+			if db == nil {
+				db = algebra.DB{"e": digraph(5+3*seed, 4+5*seed), "f": digraph(3+2*seed, 9+4*seed)}
+			}
+			got, errK := Execute(plan, db, Options{})
+			want, errV := reference(plan.Expr, db, algebra.Budget{})
+			if errK != nil || errV != nil {
+				t.Fatalf("%s: kernel %v, reference %v", c.name, errK, errV)
+			}
+			sameSet(t, c.name, got.Value, want)
+			if c.db != nil {
+				break
+			}
+		}
+	}
+
+	// An absent relation is the value evaluator's to report.
+	plan := mustCompile(t, LangAlgebra, SemValid, textTwoHop)
+	_, errK := Execute(plan, algebra.DB{"f": digraph(4, 4)}, Options{})
+	_, errV := reference(plan.Expr, algebra.DB{}, algebra.Budget{})
+	if errK == nil || errV == nil || errK.Error() != errV.Error() {
+		t.Fatalf("an absent relation: kernel %v, reference %v", errK, errV)
+	}
+}
+
+// TestSameErrorClassOnBothAlgebraEngines: budgets and interrupts end a kernel
+// evaluation with the code they end a value evaluation with.
+func TestSameErrorClassOnBothAlgebraEngines(t *testing.T) {
+	db := algebra.DB{"e": digraph(200, 600)}
+	fired := make(chan struct{})
+	close(fired)
+	for _, c := range []struct {
+		name, src string
+		budget    algebra.Budget
+		code      string
+	}{
+		{"a result over MaxSetSize", textTwoHop, algebra.Budget{MaxSetSize: 100}, "budget-exceeded"},
+		{"a fixpoint over MaxSetSize", textReach4, algebra.Budget{MaxSetSize: 100}, "budget-exceeded"},
+		{"an interrupt", textTriangle, algebra.Budget{Interrupt: fired}, "canceled"},
+		{"an interrupt in a fixpoint", textReach4, algebra.Budget{Interrupt: fired}, "canceled"},
+	} {
+		plan := mustCompile(t, LangIFPAlgebra, SemValid, c.src)
+		rec := recordRel(t)
+		_, errK := Execute(plan, db, Options{Budget: c.budget})
+		_, errV := reference(plan.Expr, db, c.budget)
+		if ErrorCode(errK, false) != c.code || ErrorCode(errV, false) != c.code {
+			t.Errorf("%s: kernel %v, value %v, want both %s", c.name, errK, errV, c.code)
+		}
+		if evs := rec.take(); len(evs) != 1 || evs[0].Engine != "algebra" || c.code == "canceled" && evs[0].Steps > 1<<12 {
+			t.Errorf("%s: kernel events %+v, want one, within 4 096 join steps when cancelled", c.name, evs)
+		}
+	}
+
+	// Mid-join: the interrupt ends a join whose product is 10^9 rows.
+	var dense []value.Value
+	for i := int64(0); i < 1000; i++ {
+		dense = append(dense, value.NewTuple(value.Int(i%10), value.Int(i)))
+	}
+	plan := mustCompile(t, LangAlgebra, SemValid, `select(product(product(e, e), e), \p -> p.1.1.1 = p.1.2.1 and p.1.2.1 = p.2.1)`)
+	stop := make(chan struct{})
+	time.AfterFunc(10*time.Millisecond, func() { close(stop) })
+	start := time.Now()
+	opts := Options{Budget: algebra.Budget{Interrupt: stop}}
+	opts.Ground.MaxRules = 1 << 40
+	_, err := Execute(plan, algebra.DB{"e": value.NewSet(dense...)}, opts)
+	if took := time.Since(start); ErrorCode(err, false) != "canceled" || took > 5*time.Second {
+		t.Fatalf("a cancelled kernel join returned %v after %s", err, took)
+	}
+
+	// MaxIFPIters counts the value path's rounds; the kernel's worklist has
+	// none. A closure along a 40-edge chain takes 41 rounds: under a cap of 10
+	// the value path gives up, the kernel answers, and what bounds its
+	// recursive unit is the join-step budget.
+	var chain []value.Value
+	for i := int64(0); i < 40; i++ {
+		chain = append(chain, value.NewTuple(value.Int(i), value.Int(i+1)))
+	}
+	cdb := algebra.DB{"e": value.NewSet(chain...)}
+	closure := mustCompile(t, LangIFPAlgebra, SemValid, `ifp(s, union(e, map(select(product(s, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))))`)
+	capped := Options{Budget: algebra.Budget{MaxIFPIters: 10}}
+	got, errK := Execute(closure, cdb, capped)
+	_, errV := reference(closure.Expr, cdb, capped.Budget)
+	if errK != nil || got.Value.Len() != 40*41/2 || !errors.Is(errV, algebra.ErrBudget) {
+		t.Fatalf("under MaxIFPIters 10: kernel %v (%d pairs), value %v", errK, got.Value.Len(), errV)
+	}
+	capped.Ground.MaxRules = 500
+	if _, errK = Execute(closure, cdb, capped); ErrorCode(errK, false) != "budget-exceeded" {
+		t.Fatalf("under MaxRules 500: kernel %v", errK)
+	}
+}
+
+// TestKernelPlanConcurrent: one cached plan runs from many goroutines over one
+// shared fact base.
+func TestKernelPlanConcurrent(t *testing.T) {
+	base := rel.NewBase(algebra.DB{"e": digraph(300, 900)})
+	for _, src := range []string{textReach4, textTwoHop, textTriangle} {
+		plan := mustCompile(t, LangIFPAlgebra, SemValid, src)
+		want, err := ExecuteBase(plan, base, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					got, err := ExecuteBase(plan, base, Options{})
+					if err != nil || got.Value.String() != want.Value.String() {
+						t.Errorf("%s: %v", src, err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestKernelCountsRepeat: a served read workload class is one kernel
+// evaluation that streams nothing, takes the same join steps every time, and
+// leaves nothing behind in the intern arena.
+func TestKernelCountsRepeat(t *testing.T) {
+	base := rel.NewBase(algebra.DB{"e": digraph(1000, 2000)})
+	for _, src := range []string{textReach4, textTwoHop, textTriangle} {
+		plan := mustCompile(t, LangIFPAlgebra, SemValid, src)
+		var first obsv.Snapshot
+		var ids int
+		for i := 0; i < 100; i++ {
+			stats := withStats(t)
+			if _, err := ExecuteBase(plan, base, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			snap := stats.Snapshot()
+			delete(snap, "rel.base.hits")
+			delete(snap, "rel.base.misses")
+			delete(snap, "rel.base.rows")
+			delete(snap, "rel.base.indexes")
+			switch i {
+			case 0:
+				if snap["algebra.engine.kernel"] != 1 || snap["rel.evals.algebra"] != 1 || snap["stream.scanned"] != 0 || snap["stream.pipelines"] != 0 {
+					t.Fatalf("%s: counters %v", src, snap)
+				}
+				ids = intern.Global().Len()
+			case 1:
+				first = snap
+			default:
+				if !reflect.DeepEqual(snap, first) {
+					t.Fatalf("%s: counters do not repeat\n%v\n%v", src, first, snap)
+				}
+			}
+		}
+		if n := intern.Global().Len(); n != ids {
+			t.Fatalf("%s: the intern arena grew by %d over 99 evaluations", src, n-ids)
+		}
+	}
+}
+
+// The read workload's graph: 10 000 nodes, 20 000 edges.
+func g20k() *rel.Base { return rel.NewBase(algebra.DB{"e": digraph(10000, 20000)}) }
+
+var benchClasses = []struct{ name, src string }{{"2hop", textTwoHop}, {"triangle", textTriangle}, {"reach4", textReach4}}
+
+// BenchmarkAlgebraKernel: alg-read's classes on the kernel, over a shared fact
+// base as the server evaluates them — the answer converted to a set and
+// rendered, as a response renders it.
+func BenchmarkAlgebraKernel(b *testing.B) {
+	base := g20k()
+	for _, c := range benchClasses {
+		plan, err := Compile(LangIFPAlgebra, SemValid, c.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := ExecuteBase(plan, base, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = out.Value.String()
+			}
+		})
+	}
+}
+
+// BenchmarkAlgebraValue: the same plans on the value evaluator — planned, as
+// before the kernel, and the NoStreaming reference where it fits the budget.
+func BenchmarkAlgebraValue(b *testing.B) {
+	db := g20k().DB()
+	for _, c := range benchClasses {
+		e, err := parse.ParseExpr(c.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ref := range []bool{false, true} {
+			name := c.name + "/planned"
+			if ref {
+				name = c.name + "/nostreaming"
+			}
+			b.Run(name, func(b *testing.B) {
+				if ref && c.name == "triangle" {
+					b.Skip("the materialized 20 000 x 20 000 product exceeds MaxSetSize")
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: ref}).Eval(e)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = s.String()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKernelConvert: alg-2hop's answer on the read workload's graph —
+// about 40 000 pairs — converted from the kernel's rows to its set, and the
+// set rendered, as a response renders it.
+func BenchmarkKernelConvert(b *testing.B) {
+	plan, err := Compile(LangAlgebra, SemValid, textTwoHop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := plan.kernel
+	eng, err := rel.NewEngine(k.prog, rel.Config{Base: g20k(), Limits: KernelLimits(Options{})})
+	if err == nil {
+		err = eng.Build()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows []intern.ID
+	t := eng.Rels[k.result].Tables[0]
+	for i := range t.Rows() {
+		rows = append(rows, t.Row(i)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = k.toSet(rows).String()
+	}
+}

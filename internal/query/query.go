@@ -149,6 +149,10 @@ type Plan struct {
 
 	// Expr is the compiled expression for LangAlgebra and LangIFPAlgebra.
 	Expr algebra.Expr
+	// kernel is Expr compiled to rules for the relational kernel; nil when
+	// fallback says why the value evaluator answers it instead.
+	kernel   *kernelPlan
+	fallback string
 	// Script is the compiled script for LangAlgebraEq: inline relations,
 	// the program of defining equations, and query statements.
 	Script *parse.Script
@@ -179,11 +183,12 @@ func Compile(lang Language, sem Semantics, src string) (*Plan, error) {
 			return nil, err
 		}
 		if lang == LangAlgebra {
-			if bad := findIFP(e); bad {
+			if algebra.HasIFP(e) {
 				return nil, fmt.Errorf("query: the algebra language has no ifp operator; compile the query as ifp-algebra")
 			}
 		}
 		p.Expr = e
+		p.kernel, p.fallback = planExpr(e)
 	case LangAlgebraEq:
 		s, err := parse.ParseScript(src)
 		if err != nil {
@@ -207,35 +212,12 @@ func Compile(lang Language, sem Semantics, src string) (*Plan, error) {
 	return p, nil
 }
 
-// findIFP reports whether the expression contains an IFP operator.
-func findIFP(e algebra.Expr) bool {
-	switch ee := e.(type) {
-	case algebra.Rel, algebra.Lit:
-		return false
-	case algebra.Union:
-		return findIFP(ee.L) || findIFP(ee.R)
-	case algebra.Diff:
-		return findIFP(ee.L) || findIFP(ee.R)
-	case algebra.Product:
-		return findIFP(ee.L) || findIFP(ee.R)
-	case algebra.Select:
-		return findIFP(ee.Of)
-	case algebra.Map:
-		return findIFP(ee.Of)
-	case algebra.IFP:
-		return true
-	case algebra.Flip:
-		return findIFP(ee.E)
-	case algebra.Call:
-		for _, a := range ee.Args {
-			if findIFP(a) {
-				return true
-			}
-		}
-		return false
-	default:
-		panic(fmt.Sprintf("query: unknown Expr %T", e))
-	}
+// ExprPlan is the plan Compile makes of an ifp-algebra query text, for an
+// expression already parsed (or generated).
+func ExprPlan(e algebra.Expr) *Plan {
+	p := &Plan{Language: LangIFPAlgebra, Semantics: SemValid, Source: e.String(), Expr: e}
+	p.kernel, p.fallback = planExpr(e)
+	return p
 }
 
 // mapDatalogSemantics converts a query Semantics to the engine-level

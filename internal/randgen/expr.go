@@ -1,9 +1,11 @@
 package randgen
 
 import (
+	"fmt"
 	"strconv"
 
 	"algrec/internal/algebra"
+	"algrec/internal/algebra/parse"
 	"algrec/internal/core"
 	"algrec/internal/value"
 )
@@ -454,6 +456,57 @@ func (g *Gen) SubtractProduct(ei *ExprInstance) {
 		sub = algebra.Product{L: algebra.Diff{L: a, R: b}, R: algebra.Union{L: a, R: b}}
 	}
 	ei.Expr = algebra.Diff{L: ei.Expr, R: sub}
+}
+
+// flatJoins are FlatJoin's shapes: %[1]s and %[2]s are pair relations, %[3]s
+// and %[4]s literal sets of pairs with a set-valued second and first
+// component.
+var flatJoins = []string{
+	`map(select(product(%[1]s, %[2]s), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))`,
+	`select(product(product(%[1]s, %[2]s), %[1]s), \p -> p.1.1.2 = p.1.2.1 and p.1.2.2 = p.2.1 and p.2.2 = p.1.1.1)`,
+	`ifp(s, union(%[1]s, map(select(product(s, %[2]s), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))))`,
+	`union(map(select(product(%[1]s, %[2]s), \p -> p.1.1 = p.2.2), \p -> (p.2.1, p.1.2)), map(select(product(%[2]s, %[1]s), \p -> p.1.2 = p.2.1 and p.2.2 in {0, 1}), \p -> p.2))`,
+	`map(select(product(%[1]s, product(%[3]s, %[4]s)), \p -> p.1.1 = p.2.1.1 and p.2.1.2 = p.2.2.1), \p -> (p.1.2, p.2.1.2, p.2.2.2))`,
+}
+
+// FlatJoin extends an ExprInstance's draw stream by one more decision, taken
+// after SubtractProduct's and in the same way, so no instance drawn before it
+// moves. One time in eight the expression is replaced by a flat join over the
+// database — the fragment query.Execute evaluates on the relational rule
+// kernel, which the generic recursion reaches in under a tenth of instances:
+// an equi-join mapped back to pairs, a three-way join of nested shape, a
+// distributive closure, a union of joins, or a join on the set-valued
+// components of two literals. One such join in four also finds a triple
+// planted among the pairs of the relation it reads first: a heterogeneous
+// leaf, which sends it back to the value evaluator — a triple, not a scalar,
+// because the projections apply to it, so no evaluator errs (the streamed and
+// materialized joins agree on error-free evaluations only).
+func (g *Gen) FlatJoin(ei *ExprInstance) {
+	if !g.chance(8) {
+		return
+	}
+	l, r := string(rune('e'+g.intn(2))), string(rune('e'+g.intn(2)))
+	var lits [2]value.Set
+	for i := range lits {
+		b := value.NewSetBuilder(3)
+		for range 3 {
+			key, v := value.NewSet(value.Int(int64(g.intn(3))), value.Int(int64(g.intn(3)))), value.Int(int64(g.intn(4)))
+			if i == 0 {
+				b.Add(value.Pair(v, key))
+			} else {
+				b.Add(value.Pair(key, v))
+			}
+		}
+		lits[i] = b.Set()
+	}
+	e, err := parse.ParseExpr(fmt.Sprintf(flatJoins[g.intn(len(flatJoins))], l, r, lits[0], lits[1]))
+	if err != nil {
+		panic(err)
+	}
+	ei.Expr = e
+	if g.chance(4) {
+		ei.DB[l] = ei.DB[l].Insert(value.NewTuple(value.Int(int64(g.intn(4))), value.Int(int64(g.intn(4))), value.Int(int64(g.intn(4)))))
+	}
 }
 
 // IFPExprInstance generates a database and an expression guaranteed to

@@ -323,9 +323,12 @@ func TestE2EErrorPaths(t *testing.T) {
 		}
 	})
 	t.Run("budget-exceeded", func(t *testing.T) {
+		// The closure runs on the relational kernel, whose worklist has no
+		// rounds for maxIFPIters to count: the 6-pair closure is bounded by
+		// maxSetSize instead, on either engine.
 		status, _, bad := postQuery(t, ts, queryRequest{
 			DB: "g", Language: "ifp-algebra", Query: tcIFP,
-			Budget: &budgetJSON{MaxIFPIters: 1},
+			Budget: &budgetJSON{MaxSetSize: 5},
 		})
 		if status != http.StatusUnprocessableEntity || bad.Error.Code != codeBudgetExceed {
 			t.Fatalf("got %d %+v, want 422 budget-exceeded", status, bad)

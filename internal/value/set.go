@@ -374,14 +374,8 @@ func (s Set) String() string {
 		}
 	}
 	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, e := range s.elems {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(e.String())
-	}
-	sb.WriteByte('}')
+	sb.Grow(2 + 16*len(s.elems))
+	writeString(&sb, s)
 	out := sb.String()
 	if s.c != nil {
 		s.c.str.Store(&out)

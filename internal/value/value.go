@@ -350,19 +350,49 @@ func (t Tuple) String() string {
 		}
 	}
 	var sb strings.Builder
-	sb.WriteByte('(')
-	for i, e := range t.elems {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(e.String())
-	}
-	sb.WriteByte(')')
+	writeString(&sb, t)
 	s := sb.String()
 	if t.c != nil {
 		t.c.str.Store(&s)
 	}
 	return s
+}
+
+// writeString writes v's encoding to sb, one buffer for the whole value: the
+// components' encodings are used where cached, never built and cached one by
+// one, so rendering a large set makes one string.
+func writeString(sb *strings.Builder, v Value) {
+	var elems []Value
+	left, right := byte('('), byte(')')
+	switch vv := v.(type) {
+	case Int:
+		var digits [20]byte
+		sb.Write(strconv.AppendInt(digits[:0], int64(vv), 10))
+		return
+	case Tuple:
+		if vv.c != nil && vv.c.str.Load() != nil {
+			sb.WriteString(*vv.c.str.Load())
+			return
+		}
+		elems = vv.elems
+	case Set:
+		if vv.c != nil && vv.c.str.Load() != nil {
+			sb.WriteString(*vv.c.str.Load())
+			return
+		}
+		elems, left, right = vv.elems, '{', '}'
+	default:
+		sb.WriteString(v.String())
+		return
+	}
+	sb.WriteByte(left)
+	for i, e := range elems {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		writeString(sb, e)
+	}
+	sb.WriteByte(right)
 }
 
 // Key returns the canonical map key for v. It is v.String(); the alias exists
