@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-delta bench-intern bench-stream bench-idsets bench-ivm bench-storage bench-check bench-gates bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-ivm bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
 
 all: check
 
@@ -69,38 +69,6 @@ race:
 bench:
 	go test -run XXX -bench . -benchtime 1x -timeout 1200s
 
-# bench-delta measures just the semi-naive delta fixpoint engine: P6
-# (naive vs semi-naive IFP) and the A4 ablation.
-bench-delta:
-	go test -run XXX -bench 'BenchmarkP6DeltaIFP|BenchmarkA4SemiNaiveAblation' -benchtime 1x .
-
-# bench-check reruns the experiment suite at the baseline's scale and
-# compares the fresh record against the committed BENCH_baseline.json
-# (tools/benchcheck): advisory perf-regression gate, generous tolerance. It
-# also judges the P12 storageMemServe(96) >= 0.95x ratio, which flaps too much
-# on shared cores to block anything (see bench-gates).
-# Refresh the baseline with: go run ./cmd/bench -scale 1 -json BENCH_baseline.json
-bench-check:
-	@tmp=$$(mktemp -d) && \
-	go run ./cmd/bench -scale 1 -json $$tmp/current.json >/dev/null && \
-	go run ./tools/benchcheck -baseline BENCH_baseline.json \
-		-gates 'P10:ifpTCChain:2.0,P11:ivmInsertChain:5.0,P12:storageMemServe(96):0.95' $$tmp/current.json; \
-	rc=$$?; rm -rf $$tmp; exit $$rc
-
-# bench-gates reruns only the gated ablation suites and enforces the
-# -gates speedup floors (default P10 ifpTCChain >= 2x, P11 ivmInsertChain
-# >= 5x). Speedups are within-run A/B ratios of sides that differ by a large
-# factor, so machine noise cancels and this gate can block merges where the
-# absolute-wall bench-check stays advisory. P12's storageMemServe(96) >= 0.95x
-# was a third floor until it failed two runs in three on unchanged code — a
-# best-of-N ratio of two near-equal latencies; the storage path is guarded by
-# the benchmark's write-stream and bulk-cycle workloads instead.
-bench-gates:
-	@tmp=$$(mktemp -d) && \
-	go run ./cmd/bench -only P10,P11 -json $$tmp/current.json >/dev/null && \
-	go run ./tools/benchcheck -gatesonly $$tmp/current.json; \
-	rc=$$?; rm -rf $$tmp; exit $$rc
-
 # bench-test vets and tests the benchmark itself (benchmark/, the served-
 # request ladder BENCHMARK.json declares). It is a Go module of its own, so
 # `go build ./... && go test ./...`, vet, doccheck and the coverage floor do
@@ -156,50 +124,21 @@ bench-pair:
 	go run ./tools/benchjoin -out BENCH_$(PR).json "$$tmp"/change-*.json && \
 	go run -C benchmark algrec/benchmark -compare ../BENCH_$(PR)_parent.json ../BENCH_$(PR).json
 
-# bench-storage reruns just the pluggable-storage experiment (P12): the
-# serving path against the memory and disk backends plus the bulk-load
-# round-trip, printed as a table.
-bench-storage:
-	go run ./cmd/bench -only P12
-
 # fuzz-smoke gives every differential oracle (internal/diffcheck) a short
 # coverage-guided run; CI runs the same targets per-oracle in a matrix, and
 # plain `go test` already replays the committed corpora.
 fuzz-smoke:
 	@for t in ExprSemiNaive ExprIFPElim CoreValid CoreInflationary CoreWellFounded \
 	          DlogTheorem62 DlogTheorem43 DlogMinimal DlogStratified DlogStable \
-	          ExprIntern DlogIntern ExprStream DlogStream ExprIDSet DlogIDSet \
+	          ExprStream DlogStream ExprIDSet DlogIDSet \
 	          DlogIVM DlogStorage DlogRelational DlogRelationalFree; do \
 		go test ./internal/diffcheck -run '^$$' -fuzz "^Fuzz$$t\$$" -fuzztime 10s || exit 1; \
 	done
 
-# bench-intern measures the interning layer alone: the interner's hit/miss
-# and membership micro-benchmarks plus the P8 macro A/B (interning on vs the
-# -nointern string-keyed baseline).
-bench-intern:
-	go test ./internal/value/intern -run XXX -bench . -benchmem
-	go run ./cmd/bench -only P8
-
-# bench-stream measures the streaming execution runtime alone: the P9 macro
-# A/B (lazy pushdown/hash-join pipelines vs the -nostreaming materialized
-# baseline, per-call Budget switch).
-bench-stream:
-	go run ./cmd/bench -only P9
-
-# bench-idsets measures the ID-native delta fixpoint kernels alone: the P10
-# macro A/B (sorted-ID galloping kernels + per-fixpoint join index vs the
-# -noidsets value-space rounds, per-call Budget switch).
-bench-idsets:
-	go run ./cmd/bench -only P10
-
-# bench-ivm measures incremental view maintenance alone: the P11 macro A/B
-# (counting/DRed delta maintenance vs the -noivm from-scratch recompute
-# baseline, per-view Budget switch) — which measures inserts only — and the
-# delete side as Go benchmarks with allocation counts: the write workload's
-# leaf-churn batch and a delete that over-deletes a 64-row cone, both over a
-# 10^4-edge hierarchy.
+# bench-ivm measures incremental view maintenance alone, as Go benchmarks
+# with allocation counts: the write workload's leaf-churn batch and a delete
+# that over-deletes a 64-row cone, both over a 10^4-edge hierarchy.
 bench-ivm:
-	go run ./cmd/bench -only P11
 	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete' -benchmem
 
 clean:

@@ -1,6 +1,6 @@
 // Benchmarks: one testing.B target per experiment in DESIGN.md's
-// per-experiment index (E1–E11, P1–P10, ablations A1–A4), plus
-// micro-benchmarks of the individual engines. The experiment functions themselves verify agreement
+// per-experiment index (E1–E11, P1–P3), plus micro-benchmarks of the
+// individual engines. The experiment functions themselves verify agreement
 // (they are also run as tests in internal/expt); here they are measured.
 package algrec_test
 
@@ -88,66 +88,6 @@ func BenchmarkP3Stable(b *testing.B) {
 
 func BenchmarkE11IFPElimination(b *testing.B) {
 	runSuite(b, func() (*expt.Table, error) { return expt.RunE11([]int{3, 5}) })
-}
-
-func BenchmarkP4BitsetKernel(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP4([]int{2048}) })
-}
-
-func BenchmarkP5ParallelStable(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP5([]int{8, 10}) })
-}
-
-func BenchmarkA1FlipAblation(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunA1([]int{60}) })
-}
-
-func BenchmarkA2ValidVsWFS(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunA2([]int{16, 32}) })
-}
-
-func BenchmarkA3HashJoin(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunA3([]int{24}) })
-}
-
-// BenchmarkP6DeltaIFP runs P6 at its largest default size; the acceptance
-// bar for the delta engine is the semi-naive column beating the naive one by
-// >= 5x on the chain workload here.
-func BenchmarkP6DeltaIFP(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP6([]int{96}) })
-}
-
-func BenchmarkA4SemiNaiveAblation(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunA4([]int{24}) })
-}
-
-// BenchmarkP7PlanCache runs the server-mode benchmark at one size; the
-// acceptance bar for the serving layer is the cached column beating the
-// cold-compile one by >= 5x on the inline-literal closure workload.
-func BenchmarkP7PlanCache(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP7([]int{1500}) })
-}
-
-// BenchmarkP8Interning runs the interning A/B at one size; the acceptance
-// bar for the hash-consed representation is the intern column beating the
-// -nointern baseline by >= 2x on the Datalog chain-closure workload.
-func BenchmarkP8Interning(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP8([]int{256}) })
-}
-
-// BenchmarkP9Streaming runs the streaming-runtime A/B at one size; the
-// acceptance bar for the pipeline runtime is the streaming column beating
-// the -nostreaming baseline by >= 1.5x on the product-select workload.
-func BenchmarkP9Streaming(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP9([]int{256}) })
-}
-
-// BenchmarkP10IDSets runs the ID-native kernel A/B at one size; the
-// acceptance bar for the kernels is the idsets column beating the -noidsets
-// baseline by >= 2x on the IFP chain-closure workload (gated in CI by
-// tools/benchcheck -gates).
-func BenchmarkP10IDSets(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP10([]int{256}) })
 }
 
 // Micro-benchmarks of the individual engines.
@@ -295,15 +235,16 @@ query win;
 	}
 }
 
-// benchP4Workloads builds the P4 workload pair — the semi-naive minimal
-// model of a transitive-closure chain and the alternating-fixpoint
-// well-founded model of a win chain — warmed so the engines' scratch
-// buffers are allocated, and runs them under b.Run sub-benchmarks. It is
+// benchKernelWorkloads builds two fixpoint-kernel workloads — the
+// semi-naive minimal model of a transitive-closure chain and the
+// alternating-fixpoint well-founded model of a win chain — warmed so the
+// engines' scratch buffers are allocated, and runs them under b.Run
+// sub-benchmarks. It is
 // shared by the collector-overhead benchmarks: the disabled-collector run
 // must stay within noise of the bare kernel (the observability layer's
 // zero-overhead contract), which the enabled-collector run quantifies
 // against.
-func benchP4Workloads(b *testing.B, prep func(e *semantics.Engine)) {
+func benchKernelWorkloads(b *testing.B, prep func(e *semantics.Engine)) {
 	b.Helper()
 	budget := ground.Budget{MaxAtoms: 8_000_000, MaxRules: 16_000_000}
 	gTC, err := ground.Ground(expt.TCProgram(expt.ChainEdges("e", 1024)), budget)
@@ -344,19 +285,19 @@ func benchP4Workloads(b *testing.B, prep func(e *semantics.Engine)) {
 	})
 }
 
-// BenchmarkP4CollectorOff is the P4 workload with the observability layer
+// BenchmarkCollectorOff is the kernel workload with the observability layer
 // disabled (no collector attached) — the default state every other
 // benchmark and production path runs in. Its numbers must match the
 // pre-instrumentation kernel within noise (~2%).
-func BenchmarkP4CollectorOff(b *testing.B) {
-	benchP4Workloads(b, nil)
+func BenchmarkCollectorOff(b *testing.B) {
+	benchKernelWorkloads(b, nil)
 }
 
-// BenchmarkP4CollectorOn is the same workload with a counter-folding Stats
+// BenchmarkCollectorOn is the same workload with a counter-folding Stats
 // collector attached, quantifying the cost of enabled observability: one
 // event build and map fold per fixpoint call, nothing per pass or per atom.
-func BenchmarkP4CollectorOn(b *testing.B) {
-	benchP4Workloads(b, func(e *semantics.Engine) {
+func BenchmarkCollectorOn(b *testing.B) {
+	benchKernelWorkloads(b, func(e *semantics.Engine) {
 		e.SetCollector(obsv.NewStats())
 	})
 }

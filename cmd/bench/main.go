@@ -1,5 +1,5 @@
-// Command bench runs the experiment suite (DESIGN.md's E1–E11, P1–P9 and
-// A1–A4) and prints one table per experiment. With -markdown the output is
+// Command bench runs the experiment suite (DESIGN.md's E1–E11 and P1–P3)
+// and prints one table per experiment. With -markdown the output is
 // the GitHub-flavored markdown recorded in EXPERIMENTS.md. With -parallel
 // independent suites and workload sizes run concurrently on a
 // GOMAXPROCS-sized worker pool (tables keep their serial order and content;
@@ -10,38 +10,9 @@
 //
 // Usage:
 //
-//	bench [-scale N] [-markdown] [-only E9[,P11,...]] [-parallel] [-noseminaive]
-//	      [-nointern] [-nostreaming] [-noidsets] [-noivm] [-json path]
+//	bench [-scale N] [-markdown] [-only E9[,P3,...]] [-parallel] [-json path]
 //	      [-trace path] [-pprof dir]
 //	bench -render record.json [-update EXPERIMENTS.md]
-//
-// -noseminaive disables the semi-naive delta fixpoint engine process-wide
-// (algebra.DefaultBudget.NoSemiNaive): every IFP iterates naively and
-// internal/core uses its unscheduled sequential evaluators — the baseline of
-// the A4 ablation. Results are identical either way.
-//
-// -nointern disables hash-consed value interning process-wide
-// (value.SetInterning): the grounder deduplicates facts by canonical key
-// strings and the hash join keys its index by string encodings instead of
-// interned IDs — the baseline of the P8 ablation. Results are identical
-// either way.
-//
-// -nostreaming disables the streaming execution runtime process-wide
-// (algebra.DefaultBudget.NoStreaming): σ/MAP pipelines over products are
-// fully materialized operator by operator instead of planned into lazy
-// pushdown/hash-join iterators — the baseline of the P9 ablation. Results
-// are identical either way.
-//
-// -noidsets disables the ID-native delta fixpoint kernels process-wide
-// (algebra.DefaultBudget.NoIDSets): semi-naive IFP rounds run on value-space
-// sets with per-round set algebra instead of sorted-ID galloping kernels with
-// a per-fixpoint join index — the baseline of the P10 ablation. Results are
-// identical either way.
-//
-// -noivm disables incremental view maintenance process-wide
-// (algebra.DefaultBudget.NoIVM): every ivm.View falls back to re-evaluating
-// its plan from scratch on each mutation batch and diffing the outcomes —
-// the baseline of the P11 ablation. Results are identical either way.
 //
 // -json accepts either a file name or an existing directory; a directory
 // gets a BENCH_<stamp>.json file created inside it. Serial runs attribute
@@ -71,29 +42,22 @@ import (
 	"strings"
 	"time"
 
-	"algrec/internal/algebra"
 	"algrec/internal/expt"
 	"algrec/internal/obsv"
-	"algrec/internal/value"
 )
 
 func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	markdown := flag.Bool("markdown", false, "emit markdown tables for EXPERIMENTS.md")
-	only := flag.String("only", "", "run selected experiments by comma-separated ids (e.g. E9 or P10,P11)")
+	only := flag.String("only", "", "run selected experiments by comma-separated ids (e.g. E9 or P1,P3)")
 	parallel := flag.Bool("parallel", false, "run independent suites and workload sizes concurrently")
-	noSemiNaive := flag.Bool("noseminaive", false, "disable the semi-naive delta fixpoint engine (A4 ablation baseline)")
-	noIntern := flag.Bool("nointern", false, "disable hash-consed value interning (P8 ablation baseline)")
-	noStreaming := flag.Bool("nostreaming", false, "disable the streaming execution runtime (P9 ablation baseline)")
-	noIDSets := flag.Bool("noidsets", false, "disable the ID-native delta fixpoint kernels (P10 ablation baseline)")
-	noIVM := flag.Bool("noivm", false, "disable incremental view maintenance (P11 ablation baseline)")
 	jsonPath := flag.String("json", "", "write an expt.Record report to this file (or BENCH_<stamp>.json inside this directory)")
 	tracePath := flag.String("trace", "", "stream observability events as JSON lines to this file")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof for the run into this directory")
 	render := flag.String("render", "", "render EXPERIMENTS.md tables from this record file instead of running experiments")
 	update := flag.String("update", "", "with -render: splice the rendered section into this markdown file in place")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "Usage: bench [-scale N] [-markdown] [-only ID[,ID...]] [-parallel] [-noseminaive] [-nointern] [-nostreaming] [-noidsets] [-noivm] [-json path] [-trace path] [-pprof dir]")
+		fmt.Fprintln(os.Stderr, "Usage: bench [-scale N] [-markdown] [-only ID[,ID...]] [-parallel] [-json path] [-trace path] [-pprof dir]")
 		fmt.Fprintln(os.Stderr, "       bench -render record.json [-update EXPERIMENTS.md]")
 		flag.PrintDefaults()
 	}
@@ -109,36 +73,6 @@ func main() {
 	if *update != "" {
 		fmt.Fprintln(os.Stderr, "bench: -update requires -render")
 		os.Exit(2)
-	}
-	if *noSemiNaive {
-		// Budget.WithDefaults ORs this in, so every evaluator built during
-		// the run — including those constructed deep inside experiments —
-		// falls back to the naive fixpoint engines.
-		algebra.DefaultBudget.NoSemiNaive = true
-	}
-	if *noIntern {
-		// Process-wide: the grounder falls back to canonical-key-string fact
-		// dedup and the hash join to string-keyed indexes. Results are
-		// identical either way; P8 measures the difference.
-		value.SetInterning(false)
-	}
-	if *noStreaming {
-		// Budget.WithDefaults ORs this in, so every evaluator built during
-		// the run materializes its pipelines. Results are identical either
-		// way; P9 measures the difference.
-		algebra.DefaultBudget.NoStreaming = true
-	}
-	if *noIDSets {
-		// Budget.WithDefaults ORs this in, so every delta fixpoint runs its
-		// rounds on value-space sets instead of the sorted-ID kernels.
-		// Results are identical either way; P10 measures the difference.
-		algebra.DefaultBudget.NoIDSets = true
-	}
-	if *noIVM {
-		// Budget.WithDefaults ORs this in, so every incremental view built
-		// during the run recomputes from scratch per mutation batch.
-		// Results are identical either way; P11 measures the difference.
-		algebra.DefaultBudget.NoIVM = true
 	}
 
 	suites := expt.DefaultSuites(*scale)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
-	"algrec/internal/value"
 )
 
 // goldenCases are the committed example workloads whose stdout is pinned
@@ -51,17 +50,8 @@ func runGolden(t *testing.T) {
 // a single byte of output.
 func TestGolden(t *testing.T) { runGolden(t) }
 
-// TestGoldenNoIntern replays the same golden cases with hash-consed
-// interning disabled (the cmd/bench -nointern ablation): the string-keyed
-// representation must reproduce every byte of output.
-func TestGoldenNoIntern(t *testing.T) {
-	was := value.SetInterning(false)
-	defer value.SetInterning(was)
-	runGolden(t)
-}
-
 // TestGoldenNoStreaming replays the same golden cases with the streaming
-// execution runtime disabled (the cmd/bench -nostreaming ablation): full
+// execution runtime disabled (Budget.NoStreaming, the reference): full
 // operator-by-operator materialization must reproduce every byte of output.
 func TestGoldenNoStreaming(t *testing.T) {
 	was := algebra.DefaultBudget.NoStreaming
@@ -71,8 +61,8 @@ func TestGoldenNoStreaming(t *testing.T) {
 }
 
 // TestGoldenNoIDSets replays the same golden cases with the ID-native delta
-// fixpoint kernels disabled (the cmd/bench -noidsets ablation): the
-// value-space delta rounds must reproduce every byte of output.
+// fixpoint kernels disabled (Budget.NoIDSets): the value-space delta rounds
+// must reproduce every byte of output.
 func TestGoldenNoIDSets(t *testing.T) {
 	was := algebra.DefaultBudget.NoIDSets
 	algebra.DefaultBudget.NoIDSets = true

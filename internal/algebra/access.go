@@ -41,33 +41,12 @@ import (
 // Evaluator and internal/core's dual evaluator share it, closing their
 // environment (database, local IFP bindings, polarity) into leaf. It picks,
 // in order: the streaming pipeline when the operator spine reaches a product
-// (streameval.go); with streaming off, the materialized hash equi-join
-// (join.go) for σ directly over a product; a prefix probe when the test fixes
-// leading components to constants; the element-by-element scan.
+// (streameval.go); a prefix probe when the test fixes leading components to
+// constants; the element-by-element scan. Under Budget.NoStreaming only the
+// scan is left: a σ over a product builds the product first.
 func EvalSelect(e Select, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
 	if !b.NoStreaming && StreamEligible(e) {
 		return StreamEval(e, b, obs, leaf)
-	}
-	if prod, isProd := e.Of.(Product); isProd && !b.NoHashJoin {
-		if lks, rks, ok := EquiJoinKeys(e.Var, e.Test); ok {
-			l, err := leaf(prod.L)
-			if err != nil {
-				return value.Set{}, err
-			}
-			r, err := leaf(prod.R)
-			if err != nil {
-				return value.Set{}, err
-			}
-			out, done, err := HashJoin(l, r, e.Var, e.Test, lks, rks, b.MaxSetSize)
-			if err != nil {
-				return value.Set{}, err
-			}
-			if done {
-				return out, nil
-			}
-			// a key path failed to apply: fall through to the naive product
-			// so kind errors surface exactly as without the fast path
-		}
 	}
 	of, err := leaf(e.Of)
 	if err != nil {

@@ -19,8 +19,8 @@ import (
 // so the accumulator recurrence acc' = acc ∪ body(acc) collapses to
 // acc' = acc ∪ body(Δ). DeltaDistributive decides the condition statically;
 // RunIFP runs either engine. Both produce the identical fixpoint — that is
-// the point of the analysis — so Budget.NoSemiNaive (experiment A4's
-// ablation) only changes cost, never results.
+// the point of the analysis — so Budget.NoSemiNaive only changes cost,
+// never results.
 
 // DeltaDistributive reports whether e, read as a function of the relation
 // name (an enclosing IFP's fixpoint variable), distributes over union:
@@ -91,8 +91,8 @@ func DeltaDistributive(e Expr, name string) bool {
 //
 // With useDelta (the caller verified DeltaDistributive on the body),
 // varName is bound to the per-round delta instead of the whole accumulator;
-// results are identical, and the σ(×) hash equi-join fast path inside step
-// then probes only delta-sized inputs. The budget must already have defaults
+// results are identical, and the join pipelines inside step then probe only
+// delta-sized inputs. The budget must already have defaults
 // applied. obs, when non-nil, receives one IFPStats event for the completed
 // fixpoint.
 func RunIFP(varName string, outer map[string]value.Set, budget Budget, useDelta bool, obs obsv.Collector, step func(local map[string]value.Set) (value.Set, error)) (value.Set, error) {

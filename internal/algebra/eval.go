@@ -16,45 +16,36 @@ type Budget struct {
 	MaxIFPIters int // maximum iterations of any single IFP (0 = default)
 	MaxSetSize  int // maximum cardinality of any intermediate set (0 = default)
 	MaxDepth    int // maximum Call nesting depth (0 = default)
-	// NoHashJoin disables the σ(×) hash equi-join fast path (see join.go);
-	// used by the A3 ablation benchmark.
-	NoHashJoin bool
 	// NoSemiNaive disables the semi-naive delta fixpoint engine (see
 	// delta.go): every IFP iterates naively, and internal/core falls back to
 	// its unscheduled sequential evaluation of defining equations. Results
-	// are identical either way; the A4 ablation benchmark measures the cost.
-	// WithDefaults ORs in DefaultBudget.NoSemiNaive, so cmd/bench
-	// -noseminaive can disable the engine process-wide.
+	// are identical either way (the expr-seminaive, core-valid and
+	// core-inflationary oracles pin it).
 	NoSemiNaive bool
-	// NoStreaming disables the streaming execution runtime (see
-	// streameval.go): σ/MAP pipelines over products are fully materialized
-	// operator by operator instead of planned into lazy hash-join iterators.
-	// It is the scan-everything reference: prefix probes are off too
+	// NoStreaming selects the scan-everything reference evaluator: σ/MAP
+	// pipelines over products are fully materialized operator by operator
+	// instead of planned into lazy join iterators (streameval.go) — σ over a
+	// product builds the product and scans it — prefix probes are off too
 	// (access.go), and a diff materializes its subtrahend even where that
 	// means building the products it subtracts (EvalDiff), instead of
 	// probing their factors. Results are identical either way on error-free
 	// evaluations, and for diff on failing ones too; only budget boundaries
 	// differ (the materialized path also bounds intermediate products).
-	// WithDefaults ORs in DefaultBudget.NoStreaming, so cmd/bench
-	// -nostreaming can disable the runtime process-wide; the P9 experiment
-	// measures the cost.
+	// WithDefaults ORs in DefaultBudget.NoStreaming, so a process can select
+	// the reference for every evaluator it builds (the CLI golden tests do).
 	NoStreaming bool
 	// NoIDSets disables the ID-native semi-naive fixpoint engine (see
 	// idfixpoint.go): delta rounds union/diff materialized value.Sets
 	// instead of interned-ID sets. Results are identical either way on
 	// error-free evaluations; only budget boundaries can differ, as with
-	// NoStreaming. WithDefaults ORs in DefaultBudget.NoIDSets, so cmd/bench
-	// -noidsets can disable the engine process-wide; the P10 experiment
-	// measures the cost. The engine also requires value.InterningEnabled.
+	// NoStreaming. WithDefaults ORs in DefaultBudget.NoIDSets, as for
+	// NoStreaming.
 	NoIDSets bool
 	// NoIVM disables incremental view maintenance (internal/ivm): every
 	// ivm.View falls back to from-scratch re-evaluation on each mutation
 	// batch instead of counting/DRed delta maintenance. Results are
 	// identical either way — the maintained interpretation is pinned
-	// bit-for-bit against recomputation by the dlog-ivm oracle. WithDefaults
-	// ORs in DefaultBudget.NoIVM, so cmd/bench -noivm can disable
-	// maintenance process-wide; the P11 experiment measures the cost. Like
-	// NoIDSets, the incremental engine also requires value.InterningEnabled.
+	// bit-for-bit against recomputation by the dlog-ivm oracle.
 	NoIVM bool
 	// Interrupt, when non-nil, is polled between fixpoint rounds and, inside
 	// one, every 4 096 elements of any loop over a set: the pairs of a product
@@ -70,8 +61,8 @@ type Budget struct {
 var DefaultBudget = Budget{MaxIFPIters: 100_000, MaxSetSize: 5_000_000, MaxDepth: 1_000}
 
 // WithDefaults returns b with every zero-valued cap replaced by the
-// corresponding DefaultBudget value, and NoSemiNaive ORed with
-// DefaultBudget.NoSemiNaive (the process-wide ablation switch).
+// corresponding DefaultBudget value, and NoStreaming and NoIDSets ORed with
+// DefaultBudget's.
 func (b Budget) WithDefaults() Budget {
 	if b.MaxIFPIters <= 0 {
 		b.MaxIFPIters = DefaultBudget.MaxIFPIters
@@ -82,10 +73,8 @@ func (b Budget) WithDefaults() Budget {
 	if b.MaxDepth <= 0 {
 		b.MaxDepth = DefaultBudget.MaxDepth
 	}
-	b.NoSemiNaive = b.NoSemiNaive || DefaultBudget.NoSemiNaive
 	b.NoStreaming = b.NoStreaming || DefaultBudget.NoStreaming
 	b.NoIDSets = b.NoIDSets || DefaultBudget.NoIDSets
-	b.NoIVM = b.NoIVM || DefaultBudget.NoIVM
 	return b
 }
 
@@ -205,7 +194,7 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 		})
 	case IFP:
 		useDelta := !ev.Budget.NoSemiNaive && DeltaDistributive(ee.Body, ee.Var)
-		if useDelta && !ev.Budget.NoIDSets && value.InterningEnabled() {
+		if useDelta && !ev.Budget.NoIDSets {
 			out, ok, err := RunIFPIDSets(ee.Var, ev.Budget, ev.obs, ee.Body, func(sub Expr) (value.Set, error) {
 				return ev.eval(sub, local)
 			})

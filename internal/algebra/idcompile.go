@@ -234,8 +234,7 @@ func varPath(e FExpr, v string) (KeyPath, bool) {
 // or the engine aborted to preserve equivalence; the caller then runs the
 // value-space RunIFP. When ok is true the result (or the round-aligned
 // budget/interrupt error) is exactly what RunIFP would produce. The caller
-// has already checked DeltaDistributive, Budget.NoIDSets and
-// value.InterningEnabled.
+// has already checked DeltaDistributive and Budget.NoIDSets.
 func RunIFPIDSets(varName string, budget Budget, obs obsv.Collector, body Expr, leaf LeafEval) (value.Set, bool, error) {
 	in := intern.Global()
 	c := &idCompiler{in: in, varName: varName, leaf: leaf}

@@ -1,28 +1,19 @@
 package algebra
 
-import (
-	"fmt"
+import "algrec/internal/value"
 
-	"algrec/internal/value"
-	"algrec/internal/value/intern"
-)
-
-// This file implements a hash equi-join fast path. The algebra has no join
-// operator — the paper builds joins from ×, σ and MAP — so every join in a
-// translated program has the shape
+// This file recognises equi-joins. The algebra has no join operator — the
+// paper builds joins from ×, σ and MAP — so every join in a translated
+// program has the shape
 //
 //	σ_test(L × R)  with test containing conjuncts  p.1.⟨path⟩ = p.2.⟨path⟩.
 //
-// Materializing the full product makes that quadratic. When the shape is
-// detected, the evaluators instead hash R on its key paths and probe with
-// L's key paths, re-checking the *complete* original test on each candidate
-// pair, so results are identical to the naive evaluation. If any key path
-// fails to apply to an element (a kind or arity mismatch the naive product
-// would have surfaced as an error inside the test), the caller falls back
-// to the naive path, so error behaviour is preserved too.
-//
-// Budget.NoHashJoin disables the fast path; the A3 ablation benchmark
-// measures the difference.
+// Materializing the full product makes that quadratic, so the join planner
+// (planner.go) and the ID-native fixpoint compiler (idcompile.go) join on the
+// key paths instead and re-check the complete test on each candidate pair;
+// only the Budget.NoStreaming reference builds the product. EquiJoinKeys
+// reports the key paths of a test, sidePath decomposes one side's path and
+// applyPath follows a path into an element.
 
 // KeyPath is a sequence of 1-based tuple projections applied to one side of
 // a product element.
@@ -93,131 +84,4 @@ func applyPath(val value.Value, path KeyPath) (value.Value, bool) {
 		val = t.At(idx - 1)
 	}
 	return val, true
-}
-
-// HashJoin evaluates σ_test(l × r) by hashing r on rks and probing with
-// lks, re-checking the complete test on every candidate pair. It returns
-// ok=false (and no error) when a key path fails to apply, signalling the
-// caller to fall back to the naive product.
-//
-// With interning enabled the index is keyed by the hash-consed ID of each
-// key projection (integer map operations, no key string is ever built);
-// otherwise by the canonical string encoding. Both give the same buckets —
-// IDs are canonical and the encoding is injective — and the complete test is
-// re-checked either way, so results are bit-for-bit identical.
-func HashJoin(l, r value.Set, v string, test FExpr, lks, rks []KeyPath, maxSize int) (value.Set, bool, error) {
-	if value.InterningEnabled() {
-		return hashJoinID(l, r, v, test, lks, rks, maxSize)
-	}
-	index := make(map[string][]value.Value, r.Len())
-	for i := 0; i < r.Len(); i++ {
-		re := r.At(i)
-		key, ok := joinKey(re, rks)
-		if !ok {
-			return value.Set{}, false, nil
-		}
-		index[key] = append(index[key], re)
-	}
-	var out []value.Value
-	for i := 0; i < l.Len(); i++ {
-		le := l.At(i)
-		key, ok := joinKey(le, lks)
-		if !ok {
-			return value.Set{}, false, nil
-		}
-		for _, re := range index[key] {
-			pair := value.Pair(le, re)
-			keep, err := EvalTest(test, FEnv{v: pair})
-			if err != nil {
-				return value.Set{}, false, err
-			}
-			if keep {
-				out = append(out, pair)
-				if len(out) > maxSize {
-					return value.Set{}, false, fmt.Errorf("%w: join result exceeds MaxSetSize %d", ErrBudget, maxSize)
-				}
-			}
-		}
-	}
-	return value.NewSet(out...), true, nil
-}
-
-// hashJoinID is HashJoin's interned fast path: ID-keyed index, same shape.
-func hashJoinID(l, r value.Set, v string, test FExpr, lks, rks []KeyPath, maxSize int) (value.Set, bool, error) {
-	in := intern.Global()
-	index := make(map[intern.ID][]value.Value, r.Len())
-	var buf []intern.ID
-	for i := 0; i < r.Len(); i++ {
-		re := r.At(i)
-		key, ok := joinKeyID(in, re, rks, &buf)
-		if !ok {
-			return value.Set{}, false, nil
-		}
-		index[key] = append(index[key], re)
-	}
-	var out []value.Value
-	for i := 0; i < l.Len(); i++ {
-		le := l.At(i)
-		key, ok := joinKeyID(in, le, lks, &buf)
-		if !ok {
-			return value.Set{}, false, nil
-		}
-		for _, re := range index[key] {
-			pair := value.Pair(le, re)
-			keep, err := EvalTest(test, FEnv{v: pair})
-			if err != nil {
-				return value.Set{}, false, err
-			}
-			if keep {
-				out = append(out, pair)
-				if len(out) > maxSize {
-					return value.Set{}, false, fmt.Errorf("%w: join result exceeds MaxSetSize %d", ErrBudget, maxSize)
-				}
-			}
-		}
-	}
-	return value.NewSet(out...), true, nil
-}
-
-// joinKey builds the composite key string for an element.
-func joinKey(e value.Value, paths []KeyPath) (string, bool) {
-	if len(paths) == 1 {
-		v, ok := applyPath(e, paths[0])
-		if !ok {
-			return "", false
-		}
-		return v.String(), true
-	}
-	parts := make([]value.Value, len(paths))
-	for i, p := range paths {
-		v, ok := applyPath(e, p)
-		if !ok {
-			return "", false
-		}
-		parts[i] = v
-	}
-	return value.NewTuple(parts...).String(), true
-}
-
-// joinKeyID conses an element's composite key to its canonical ID. buf is
-// scratch reused across calls (InternTuple copies what it keeps).
-func joinKeyID(in *intern.Interner, e value.Value, paths []KeyPath, buf *[]intern.ID) (intern.ID, bool) {
-	if len(paths) == 1 {
-		v, ok := applyPath(e, paths[0])
-		if !ok {
-			return 0, false
-		}
-		return in.Intern(v), true
-	}
-	ids := (*buf)[:0]
-	for _, p := range paths {
-		v, ok := applyPath(e, p)
-		if !ok {
-			*buf = ids
-			return 0, false
-		}
-		ids = append(ids, in.Intern(v))
-	}
-	*buf = ids
-	return in.InternTuple(ids...), true
 }

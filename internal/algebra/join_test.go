@@ -1,9 +1,9 @@
 package algebra
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"algrec/internal/value"
 )
@@ -54,49 +54,35 @@ func TestEquiJoinKeys(t *testing.T) {
 	}
 }
 
-// TestHashJoinEqualsNaive: the fast path must compute exactly the naive
-// σ(×) result on random tuple relations.
+// TestHashJoinEqualsNaive: the streamed hash join computes exactly the
+// reference's σ over the built product, on random tuple relations.
 func TestHashJoinEqualsNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		mkRel := func(n int) value.Set {
-			elems := make([]value.Value, n)
-			for i := range elems {
-				elems[i] = value.Pair(value.Int(int64(r.Intn(5))), value.Int(int64(r.Intn(5))))
-			}
-			return value.NewSet(elems...)
+	r := rand.New(rand.NewSource(1))
+	mkRel := func(n int) value.Set {
+		elems := make([]value.Value, n)
+		for i := range elems {
+			elems[i] = value.Pair(value.Int(int64(r.Intn(5))), value.Int(int64(r.Intn(5))))
 		}
-		db := DB{"l": mkRel(r.Intn(12)), "r": mkRel(r.Intn(12))}
-		p := FVar{Name: "p"}
-		test := FAnd{
-			L: FCmp{Op: OpEq,
-				L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
-				R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
-			R: FCmp{Op: OpLe,
-				L: FField{Of: FField{Of: p, Idx: 1}, Idx: 1},
-				R: FConst{V: value.Int(3)}},
-		}
-		e := Select{Of: Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}}, Var: "p", Test: test}
-		fast, err := NewEvaluator(db, Budget{}).Eval(e)
-		if err != nil {
-			return false
-		}
-		slow, err := NewEvaluator(db, Budget{NoHashJoin: true}).Eval(e)
-		if err != nil {
-			return false
-		}
-		return value.Equal(fast, slow)
+		return value.NewSet(elems...)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	p := FVar{Name: "p"}
+	test := FAnd{
+		L: FCmp{Op: OpEq,
+			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
+			R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
+		R: FCmp{Op: OpLe,
+			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 1},
+			R: FConst{V: value.Int(3)}},
+	}
+	e := Select{Of: Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}}, Var: "p", Test: test}
+	for i := 0; i < 300; i++ {
+		assertStreamEq(t, e, DB{"l": mkRel(r.Intn(12)), "r": mkRel(r.Intn(12))})
 	}
 }
 
-// TestHashJoinFallback: elements where a key path does not apply force the
-// naive path, so kind errors surface exactly as before.
+// TestHashJoinFallback: an element a key path does not apply to joins every
+// probe, so the projection error surfaces exactly as the reference raises it.
 func TestHashJoinFallback(t *testing.T) {
-	// l contains a non-tuple: the key path .2 cannot apply, so evaluation
-	// falls back to the naive product, whose test errors on projection.
 	db := DB{
 		"l": value.NewSet(value.Int(7)),
 		"r": value.NewSet(value.Pair(value.Int(1), value.Int(2))),
@@ -109,16 +95,15 @@ func TestHashJoinFallback(t *testing.T) {
 			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
 			R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
 	}
-	_, errFast := NewEvaluator(db, Budget{}).Eval(e)
-	_, errSlow := NewEvaluator(db, Budget{NoHashJoin: true}).Eval(e)
-	if (errFast == nil) != (errSlow == nil) {
-		t.Errorf("error behaviour diverged: fast=%v slow=%v", errFast, errSlow)
+	assertStreamEq(t, e, db)
+	if _, err := NewEvaluator(db, Budget{}).Eval(e); err == nil {
+		t.Error("projecting .2 out of 7 did not fail")
 	}
 }
 
+// TestHashJoinTCEquivalence: end to end, the TC IFP expression evaluates
+// identically on the production path and on the fully naive reference.
 func TestHashJoinTCEquivalence(t *testing.T) {
-	// End to end: the TC IFP expression evaluates identically with and
-	// without the fast path.
 	elems := make([]value.Value, 0, 20)
 	for i := 0; i < 20; i++ {
 		elems = append(elems, value.Pair(value.Int(int64(i)), value.Int(int64(i+1))))
@@ -129,7 +114,7 @@ func TestHashJoinTCEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewEvaluator(db, Budget{NoHashJoin: true}).Eval(e)
+	slow, err := NewEvaluator(db, Budget{NoSemiNaive: true, NoStreaming: true, NoIDSets: true}).Eval(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,5 +123,25 @@ func TestHashJoinTCEquivalence(t *testing.T) {
 	}
 	if fast.Len() != 20*21/2 {
 		t.Errorf("|tc| = %d, want 210", fast.Len())
+	}
+}
+
+// TestReferenceBuildsTheProduct: the NoStreaming reference is the naive
+// evaluator, so a selective equi-join whose product exceeds MaxSetSize fails
+// there with ErrBudget while the streamed hash join answers it.
+func TestReferenceBuildsTheProduct(t *testing.T) {
+	db := DB{"A": chainSet(10), "B": chainSet(10)}
+	e := Select{
+		Of:   Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}},
+		Var:  "p",
+		Test: FCmp{Op: OpEq, L: fld("p", 1, 2), R: fld("p", 2, 1)},
+	}
+	budget := Budget{MaxSetSize: 50}
+	if got, err := NewEvaluator(db, budget).Eval(e); err != nil || got.Len() != 9 {
+		t.Fatalf("streamed: got %d pairs, err %v; want 9, nil", got.Len(), err)
+	}
+	budget.NoStreaming = true
+	if _, err := NewEvaluator(db, budget).Eval(e); !errors.Is(err, ErrBudget) {
+		t.Fatalf("reference: got %v, want ErrBudget (a 100-pair product over a 50 cap)", err)
 	}
 }

@@ -111,16 +111,15 @@ type joinPlan struct {
 
 // planJoin compiles σ_test(prod) — or, with v == "" and test == nil, a bare
 // product — into a joinPlan. ok=false means the shape is out of scope (too
-// many leaves) and the caller must materialize. noHash disables join edges
-// (Budget.NoHashJoin), leaving pushdown and the streaming cross product.
-func planJoin(v string, test FExpr, prod Product, noHash bool) (*joinPlan, bool) {
+// many leaves) and the caller must materialize.
+func planJoin(v string, test FExpr, prod Product) (*joinPlan, bool) {
 	p := &joinPlan{v: v, test: test}
 	p.shape = p.flatten(prod)
 	if len(p.leaves) > maxPlanLeaves {
 		return nil, false
 	}
 	if test != nil {
-		p.edges = p.analyze(test, noHash)
+		p.edges = p.analyze(test)
 	}
 	return p, true
 }
@@ -164,14 +163,11 @@ func (p *joinPlan) resolve(path []int) (lp leafPath, ok bool) {
 // conjuncts are rewritten and pushed into that leaf's filters, cross-leaf
 // equalities of pure projection chains become join edges, everything else
 // is left to the final re-check.
-func (p *joinPlan) analyze(test FExpr, noHash bool) []joinEdge {
+func (p *joinPlan) analyze(test FExpr) []joinEdge {
 	var edges []joinEdge
 	for _, a := range conjuncts(test) {
 		if f, leaf, ok := p.rewriteAtom(a); ok {
 			p.leaves[leaf].filters = append(p.leaves[leaf].filters, f)
-			continue
-		}
-		if noHash {
 			continue
 		}
 		cmp, isCmp := a.(FCmp)

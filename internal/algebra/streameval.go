@@ -28,8 +28,7 @@ import (
 // differ by design — the materialized path rejects a huge intermediate
 // product even when the output is small; the streaming path bounds only
 // buffered output — so a budget error on one path may be a success on the
-// other. Budget.NoStreaming (the cmd/bench -nostreaming ablation) restores
-// the materialized path bit-for-bit.
+// other. Budget.NoStreaming selects the materialized path, the reference.
 
 // LeafEval evaluates a subexpression the streaming compiler treats as an
 // opaque leaf. The host evaluator closes its environment (database, local
@@ -218,7 +217,7 @@ func (c *streamCompiler) scanLeaf(e Expr) (stream.Iterator, error) {
 // pipeline. ok=false means the planner refused the shape and the caller
 // should fall back to scanning the materialized subexpression.
 func (c *streamCompiler) compileJoin(v string, test FExpr, prod Product) (stream.Iterator, bool, error) {
-	plan, ok := planJoin(v, test, prod, c.budget.NoHashJoin)
+	plan, ok := planJoin(v, test, prod)
 	if !ok {
 		return nil, false, nil
 	}
@@ -269,78 +268,60 @@ func (l *planLeaf) scan(v string, prof *pipeProfile) rows {
 	return rows{list: kept}
 }
 
-// hashIndex buckets one leaf's elements by their composite join key. The
-// key representation — interned ID or canonical string, exactly the
-// encodings of join.go — is fixed at build time so a concurrent flip of the
-// process-wide interning switch cannot split build and probe across
-// representations. Elements whose key fails to apply (a kind or arity
+// hashIndex buckets one leaf's elements by the interned ID of their
+// composite join key. Elements whose key fails to apply (a kind or arity
 // mismatch) land in the loose bucket and join every probe, deferring the
 // error or mismatch to the complete-test re-check.
 type hashIndex struct {
-	interned bool
-	byID     map[intern.ID][]value.Value
-	byStr    map[string][]value.Value
-	loose    []value.Value
+	byID  map[intern.ID][]value.Value
+	loose []value.Value
 }
 
 // buildIndex hashes elems on the composite key paths.
 func buildIndex(elems rows, keys []KeyPath) *hashIndex {
-	idx := &hashIndex{interned: value.InterningEnabled()}
-	if idx.interned {
-		idx.byID = make(map[intern.ID][]value.Value, elems.len())
-		in := intern.Global()
-		var buf []intern.ID
-		for i := 0; i < elems.len(); i++ {
-			e := elems.at(i)
-			id, ok := joinKeyID(in, e, keys, &buf)
-			if !ok {
-				idx.loose = append(idx.loose, e)
-				continue
-			}
-			idx.byID[id] = append(idx.byID[id], e)
-		}
-		return idx
-	}
-	idx.byStr = make(map[string][]value.Value, elems.len())
+	idx := &hashIndex{byID: make(map[intern.ID][]value.Value, elems.len())}
+	in := intern.Global()
+	var parts []value.Value
+	var ids []intern.ID
 	for i := 0; i < elems.len(); i++ {
 		e := elems.at(i)
-		k, ok := joinKey(e, keys)
-		if !ok {
+		parts = parts[:0]
+		for _, k := range keys {
+			v, ok := applyPath(e, k)
+			if !ok {
+				break
+			}
+			parts = append(parts, v)
+		}
+		if len(parts) < len(keys) {
 			idx.loose = append(idx.loose, e)
 			continue
 		}
-		idx.byStr[k] = append(idx.byStr[k], e)
+		id := keyID(in, parts, &ids)
+		idx.byID[id] = append(idx.byID[id], e)
 	}
 	return idx
+}
+
+// keyID conses a composite join key to its canonical ID: the component's own
+// ID for a one-component key, the tuple of the components' IDs otherwise.
+// ids is scratch reused across calls (InternTuple copies what it keeps).
+func keyID(in *intern.Interner, parts []value.Value, ids *[]intern.ID) intern.ID {
+	if len(parts) == 1 {
+		return in.Intern(parts[0])
+	}
+	is := (*ids)[:0]
+	for _, v := range parts {
+		is = append(is, in.Intern(v))
+	}
+	*ids = is
+	return in.InternTuple(is...)
 }
 
 // lookup returns the candidates whose composite key equals parts, followed
 // by the loose bucket.
 func (idx *hashIndex) lookup(parts []value.Value, ids *[]intern.ID) []value.Value {
-	var bucket []value.Value
-	if idx.interned {
-		in := intern.Global()
-		var id intern.ID
-		if len(parts) == 1 {
-			id = in.Intern(parts[0])
-		} else {
-			is := (*ids)[:0]
-			for _, v := range parts {
-				is = append(is, in.Intern(v))
-			}
-			*ids = is
-			id = in.InternTuple(is...)
-		}
-		bucket = idx.byID[id]
-	} else {
-		var key string
-		if len(parts) == 1 {
-			key = parts[0].String()
-		} else {
-			key = value.NewTuple(parts...).String()
-		}
-		bucket = idx.byStr[key]
-	}
+	bucket := idx.byID[keyID(intern.Global(), parts, ids)]
 	if len(idx.loose) == 0 {
 		return bucket
 	}

@@ -178,7 +178,7 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		// in the variable — distributivity is polarity-independent, because
 		// the variable itself is a local binding.
 		useDelta := !de.budget.NoSemiNaive && algebra.DeltaDistributive(ee.Body, ee.Var)
-		if useDelta && !de.budget.NoIDSets && value.InterningEnabled() {
+		if useDelta && !de.budget.NoIDSets {
 			// The leaf closure carries the current polarity and locals, so
 			// the compiled constants read the same pos/neg environments the
 			// value path would.
@@ -251,9 +251,9 @@ func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {
 // subtrahend, so the result is the set of possible members; with neg = the
 // possible sets, the result is the certain members.
 //
-// This is the reference engine, kept for Budget.NoSemiNaive (the A4
-// ablation): sequential Gauss-Seidel rounds over all definitions, no
-// schedule. gammaScheduled computes the identical sets.
+// This is the reference engine, selected by Budget.NoSemiNaive: sequential
+// Gauss-Seidel rounds over all definitions, no schedule. gammaScheduled
+// computes the identical sets.
 func gammaNaive(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, obs obsv.Collector, ctr *coreCounters) (map[string]value.Set, error) {
 	lower := map[string]value.Set{}
 	for _, d := range p.Defs {

@@ -92,27 +92,20 @@ type Rule struct {
 
 // Program is a ground program: interned atoms plus propositional rules.
 //
-// Atoms are deduplicated in one of two equivalent ways, fixed at Ground time
-// by the process-wide interning switch (value.InterningEnabled): the ID mode
-// keys each fact by its hash-consed argument-ID row in a compact
-// intern.Relation per (predicate, arity); the string mode keys it by the
-// canonical Fact.Key. Both assign atom ids in first-sight order, so the two
-// modes produce bit-for-bit identical programs.
+// Atoms are deduplicated by their hash-consed argument-ID row in a compact
+// intern.Relation per (predicate, arity), and numbered in first-sight order.
 type Program struct {
 	numAtoms int
-	atoms    []datalog.Fact           // string mode: filled at interning; ID mode: lazily materialized
-	keys     []string                 // canonical key per atom id; lazy in ID mode like atoms
-	interned bool                     // which dedup representation Lookup must use
-	index    map[string]int           // string mode: Fact.Key -> atom id
-	tables   map[predArity]*predTable // ID mode: argument-ID rows per predicate
+	atoms    []datalog.Fact           // lazily materialized from rows
+	keys     []string                 // canonical key per atom id, lazy like atoms
+	tables   map[predArity]*predTable // argument-ID rows per predicate
 	byPred   map[string][]int         // atom ids per predicate, in interning order
-	rows     [][]intern.ID            // ID mode: argument-ID row per atom id (views into tables)
+	rows     [][]intern.ID            // argument-ID row per atom id (views into tables)
 	Rules    []Rule
-	// atomsOnce/keysOnce guard the ID mode's lazy materialization of atoms
-	// and keys from the relation rows: grounding itself never builds a
-	// datalog.Fact or formats a key string for an already-seen atom, and
-	// programs that are only ever run through a truth-vector engine never
-	// build them at all.
+	// atomsOnce/keysOnce guard the lazy materialization of atoms and keys
+	// from the relation rows: grounding itself never builds a datalog.Fact or
+	// formats a key string, and programs that are only ever run through a
+	// truth-vector engine never build them at all.
 	atomsOnce sync.Once
 	keysOnce  sync.Once
 }
@@ -143,27 +136,21 @@ func (g *Program) Words64() int { return (g.numAtoms + 63) / 64 }
 
 // Atom returns the interned atom with the given id.
 func (g *Program) Atom(id int) datalog.Fact {
-	if g.interned {
-		g.atomsOnce.Do(g.materializeAtoms)
-	}
+	g.atomsOnce.Do(g.materializeAtoms)
 	return g.atoms[id]
 }
 
 // AtomKey returns the canonical key of the interned atom with the given id.
-// The key is computed at most once per atom — eagerly in the string mode
-// (it doubles as the dedup key) and on first use in the ID mode; callers
-// that previously rebuilt it via Atom(id).Key() should use this instead.
+// Every key is computed on the first call, once; callers that would rebuild
+// it via Atom(id).Key() should use this instead.
 func (g *Program) AtomKey(id int) string {
-	if g.interned {
-		g.keysOnce.Do(g.materializeKeys)
-	}
+	g.keysOnce.Do(g.materializeKeys)
 	return g.keys[id]
 }
 
 // materializeAtoms builds the datalog.Fact view of every atom from the
-// compact relation rows — the ID mode's deferred counterpart of the string
-// mode's at-interning Fact storage. Guarded by atomsOnce: safe when a ground
-// program is shared across goroutines (e.g. the parallel stable search).
+// compact relation rows. Guarded by atomsOnce: safe when a ground program is
+// shared across goroutines (e.g. the parallel stable search).
 func (g *Program) materializeAtoms() {
 	in := intern.Global()
 	atoms := make([]datalog.Fact, g.numAtoms)
@@ -180,8 +167,8 @@ func (g *Program) materializeAtoms() {
 	g.atoms = atoms
 }
 
-// materializeKeys formats every atom's canonical key (ID mode, on first
-// AtomKey call).
+// materializeKeys formats every atom's canonical key (on the first AtomKey
+// call).
 func (g *Program) materializeKeys() {
 	g.atomsOnce.Do(g.materializeAtoms)
 	keys := make([]string, g.numAtoms)
@@ -193,10 +180,6 @@ func (g *Program) materializeKeys() {
 
 // Lookup returns the id of the given fact and whether it is interned.
 func (g *Program) Lookup(f datalog.Fact) (int, bool) {
-	if !g.interned {
-		id, ok := g.index[f.Key()]
-		return id, ok
-	}
 	t, ok := g.tables[predArity{f.Pred, len(f.Args)}]
 	if !ok {
 		return 0, false
@@ -213,16 +196,10 @@ func (g *Program) Lookup(f datalog.Fact) (int, bool) {
 	return t.atomIDs[idx], true
 }
 
-// AtomRow returns the argument-ID row of the interned atom with the given id
-// — a read-only view — and true, when the program was ground in ID mode;
-// false in string mode, where atoms have no rows. It lets a caller sort and
-// render a few atoms without materializing every atom of the program.
-func (g *Program) AtomRow(id int) ([]intern.ID, bool) {
-	if !g.interned {
-		return nil, false
-	}
-	return g.rows[id], true
-}
+// AtomRow returns the argument-ID row of the interned atom with the given id,
+// a read-only view. It lets a caller sort and render a few atoms without
+// materializing every atom of the program.
+func (g *Program) AtomRow(id int) []intern.ID { return g.rows[id] }
 
 // AtomsOf returns the ids of all interned atoms of the given predicate.
 func (g *Program) AtomsOf(pred string) []int { return g.byPred[pred] }
@@ -240,48 +217,41 @@ func (g *Program) Preds() []string {
 type grounder struct {
 	prog   *Program
 	budget Budget
-	// interned mirrors prog.interned; in is the process-global interner the
-	// ID mode deduplicates and indexes through.
-	interned bool
-	in       *intern.Interner
+	// in is the process-global interner the grounder deduplicates and
+	// indexes through.
+	in *intern.Interner
 	// byPredDerived holds, per predicate, the atoms that have appeared as a
 	// rule head or fact ("possible" atoms) in derivation order;
 	// negative-only atoms live in the table but never in byPredDerived.
 	byPredDerived map[string][]int
 	derived       []bool // per atom id, grown alongside seqOf
-	// ruleIdx deduplicates ground rules by hash, verified against the stored
-	// rule (identical semantics to the former string-key dedup, without
-	// building a key string per candidate rule).
-	ruleIdx map[uint64][]int
 	// seqOf gives each atom id its position within byPredDerived of its
 	// predicate (-1 before derivation); the delta-driven passes use it to
 	// range-restrict index probe results.
 	seqOf []int
-	// indexes maps a matchMask signature to (projection key -> atom ids in
-	// derivation order); masksByPred lists the masks registered per
-	// predicate so markDerived can maintain the indexes incrementally.
-	// idIndexes is the ID-mode equivalent, keyed by the mixed hash of the
-	// projected argument-ID row; hash collisions only add candidates, which
-	// the ID matcher rejects, so probes stay exact.
-	indexes     map[string]map[string][]int
-	idIndexes   map[string]map[uint64][]int
+	// indexes maps a matchMask signature to (mixed hash of the projected
+	// argument-ID row -> atom ids in derivation order); hash collisions only
+	// add candidates, which the matcher rejects, so probes stay exact.
+	// masksByPred lists the masks registered per predicate so markDerived
+	// can maintain the indexes incrementally.
+	indexes     map[string]map[uint64][]int
 	masksByPred map[string][]matchMask
 	// rows gives each atom id its argument-ID row (a view into its
-	// predTable's flat relation storage); the ID-space matcher and the index
+	// predTable's flat relation storage); the matcher and the index
 	// maintenance read it instead of re-consing Fact arguments.
 	rows [][]intern.ID
-	// idBind is the ID-space binding frame; lookupVal adapts it to
-	// EvalTermFn's value-level variable lookup by materializing bound IDs,
-	// so interpreted function terms evaluate identically in both modes.
-	idBind    *idBindFrame
+	// bind is the ID binding frame; lookupVal adapts it to EvalTermFn's
+	// value-level variable lookup by materializing bound IDs, so interpreted
+	// function terms evaluate over values.
+	bind      *bindFrame
 	lookupVal func(datalog.Var) (value.Value, bool)
 	// rowBuf is a scratch ID row reused across intern and index operations
 	// (never retained: intern.Relation copies inserted rows).
 	rowBuf []intern.ID
-	// ID-mode rule dedup: an open-addressed table of rule indices plus
-	// reusable sort/neg scratch and a chunked int arena for rule bodies, so a
+	// Rule dedup: an open-addressed table of rule indices plus reusable
+	// sort/neg scratch and a chunked int arena for rule bodies, so a
 	// duplicate firing allocates nothing and a new rule costs only its share
-	// of an arena chunk. The string mode keeps ruleIdx above.
+	// of an arena chunk.
 	ruleTab  []int32
 	ruleMask uint32
 	posSort  []int
@@ -314,39 +284,12 @@ func (a *intArena) store(src []int) []int {
 	return s
 }
 
-func (g *grounder) intern(f datalog.Fact) (int, error) {
-	if g.interned {
-		row := g.rowBuf[:0]
-		for _, a := range f.Args {
-			row = append(row, g.in.Intern(a))
-		}
-		g.rowBuf = row
-		return g.internRow(f.Pred, row)
-	}
-	key := f.Key()
-	if id, ok := g.prog.index[key]; ok {
-		return id, nil
-	}
-	if g.prog.numAtoms >= g.budget.MaxAtoms {
-		return 0, &BudgetError{What: "atoms", Limit: g.budget.MaxAtoms}
-	}
-	id := g.prog.numAtoms
-	g.prog.numAtoms++
-	g.prog.atoms = append(g.prog.atoms, f)
-	g.prog.keys = append(g.prog.keys, key)
-	g.prog.index[key] = id
-	g.prog.byPred[f.Pred] = append(g.prog.byPred[f.Pred], id)
-	g.seqOf = append(g.seqOf, -1)
-	g.derived = append(g.derived, false)
-	return id, nil
-}
-
-// internRow is the ID-mode fact dedup: probe the predicate's compact relation
-// with the argument-ID row. The steady-state cost per intern attempt is one
-// hash probe over machine words, with no value traffic at all; even for new
-// atoms no datalog.Fact or key string is built (the Program materializes
-// those lazily on first Atom/AtomKey use). Atom ids are assigned in the same
-// first-sight order as the string mode.
+// internRow is the fact dedup: probe the predicate's compact relation with
+// the argument-ID row. The steady-state cost per intern attempt is one hash
+// probe over machine words, with no value traffic at all; even for new atoms
+// no datalog.Fact or key string is built (the Program materializes those
+// lazily on first Atom/AtomKey use). Atom ids are assigned in first-sight
+// order.
 func (g *grounder) internRow(pred string, row []intern.ID) (int, error) {
 	pa := predArity{pred, len(row)}
 	t, ok := g.prog.tables[pa]
@@ -379,15 +322,7 @@ func (g *grounder) markDerived(id int, pred string) {
 	g.seqOf[id] = len(g.byPredDerived[pred])
 	g.byPredDerived[pred] = append(g.byPredDerived[pred], id)
 	for _, m := range g.masksByPred[pred] {
-		if g.interned {
-			key, ok := projectRowHash(g.rows[id], m.positions)
-			if !ok {
-				continue
-			}
-			g.idIndexes[m.sig][key] = append(g.idIndexes[m.sig][key], id)
-			continue
-		}
-		key, ok := projectKey(g.prog.atoms[id].Args, m.positions)
+		key, ok := projectRowHash(g.rows[id], m.positions)
 		if !ok {
 			continue
 		}
@@ -395,29 +330,12 @@ func (g *grounder) markDerived(id int, pred string) {
 	}
 }
 
+// addRule records a ground rule unless it is already present. It leaves the
+// caller's slices untouched (sorting happens in reusable scratch), dedups
+// against the open-addressed rule table, and copies the body into the arena
+// only when the rule is genuinely new — the common duplicate firing allocates
+// nothing.
 func (g *grounder) addRule(head int, pos, neg []int) (bool, error) {
-	sort.Ints(pos)
-	sort.Ints(neg)
-	h := hashRule(head, pos, neg)
-	for _, ri := range g.ruleIdx[h] {
-		r := &g.prog.Rules[ri]
-		if r.Head == head && intsEqual(r.Pos, pos) && intsEqual(r.Neg, neg) {
-			return false, nil
-		}
-	}
-	if len(g.prog.Rules) >= g.budget.MaxRules {
-		return false, &BudgetError{What: "rules", Limit: g.budget.MaxRules}
-	}
-	g.ruleIdx[h] = append(g.ruleIdx[h], len(g.prog.Rules))
-	g.prog.Rules = append(g.prog.Rules, Rule{Head: head, Pos: pos, Neg: neg})
-	return true, nil
-}
-
-// addRuleID is the ID-mode twin of addRule. It leaves the caller's slices
-// untouched (sorting happens in reusable scratch), dedups against the
-// open-addressed rule table, and copies the body into the arena only when the
-// rule is genuinely new — the common duplicate firing allocates nothing.
-func (g *grounder) addRuleID(head int, pos, neg []int) (bool, error) {
 	g.posSort = append(g.posSort[:0], pos...)
 	g.negSort = append(g.negSort[:0], neg...)
 	sort.Ints(g.posSort)
@@ -515,16 +433,13 @@ type matchMask struct {
 	positions []int
 	sig       string // index signature: pred|arity|positions
 	// index is the resolved bucket map for sig, filled by registerMasks so
-	// probes need a single map lookup. Exactly one of index (string mode)
-	// and idIndex (ID mode) is populated, per the grounder's mode.
-	index   map[string][]int
-	idIndex map[uint64][]int
+	// probes need a single map lookup.
+	index map[uint64][]int
 }
 
 // orderedRule pairs a rule's execution plan with per-match-step index masks.
-// In ID mode the rule's atom arguments are additionally compiled to idArg
-// rows (idSteps/idHead/idNegs), so matching and firing run entirely over
-// interned IDs.
+// The rule's atom arguments are compiled to idArg rows (idSteps/idHead/
+// idNegs), so matching and firing run entirely over interned IDs.
 type orderedRule struct {
 	plan     datalog.BodyPlan
 	head     datalog.Atom
@@ -535,7 +450,7 @@ type orderedRule struct {
 	idNegs   [][]idArg
 }
 
-// idArg is one compiled pattern argument of the ID-space matcher: a variable
+// idArg is one compiled pattern argument of the matcher: a variable
 // (matched or bound by ID equality), a constant consed once at compile time,
 // or an interpreted function term that still evaluates through values.
 type idArg struct {
@@ -630,43 +545,16 @@ func computeMasks(plan datalog.BodyPlan) []matchMask {
 	return masks
 }
 
-// bindFrame is a slice-backed variable binding with O(1) undo; rules have
-// few variables, so linear lookup beats a map by a wide margin in the
-// instantiation hot path.
+// bindFrame is a slice-backed variable binding over interned IDs with O(1)
+// undo: rules have few variables, so linear lookup beats a map by a wide
+// margin in the instantiation hot path, and the matcher binds and compares
+// single machine words instead of boxed values.
 type bindFrame struct {
-	vars []datalog.Var
-	vals []value.Value
-}
-
-func (b *bindFrame) lookup(v datalog.Var) (value.Value, bool) {
-	for i := len(b.vars) - 1; i >= 0; i-- {
-		if b.vars[i] == v {
-			return b.vals[i], true
-		}
-	}
-	return nil, false
-}
-
-func (b *bindFrame) push(v datalog.Var, val value.Value) {
-	b.vars = append(b.vars, v)
-	b.vals = append(b.vals, val)
-}
-
-func (b *bindFrame) mark() int { return len(b.vars) }
-
-func (b *bindFrame) reset(n int) {
-	b.vars = b.vars[:n]
-	b.vals = b.vals[:n]
-}
-
-// idBindFrame is bindFrame over interned IDs: the ID-space matcher binds and
-// compares single machine words instead of boxed values.
-type idBindFrame struct {
 	vars []datalog.Var
 	ids  []intern.ID
 }
 
-func (b *idBindFrame) lookup(v datalog.Var) (intern.ID, bool) {
+func (b *bindFrame) lookup(v datalog.Var) (intern.ID, bool) {
 	for i := len(b.vars) - 1; i >= 0; i-- {
 		if b.vars[i] == v {
 			return b.ids[i], true
@@ -675,14 +563,14 @@ func (b *idBindFrame) lookup(v datalog.Var) (intern.ID, bool) {
 	return 0, false
 }
 
-func (b *idBindFrame) push(v datalog.Var, id intern.ID) {
+func (b *bindFrame) push(v datalog.Var, id intern.ID) {
 	b.vars = append(b.vars, v)
 	b.ids = append(b.ids, id)
 }
 
-func (b *idBindFrame) mark() int { return len(b.vars) }
+func (b *bindFrame) mark() int { return len(b.vars) }
 
-func (b *idBindFrame) reset(n int) {
+func (b *bindFrame) reset(n int) {
 	b.vars = b.vars[:n]
 	b.ids = b.ids[:n]
 }
@@ -695,20 +583,9 @@ func (g *grounder) registerMasks(or *orderedRule) {
 			continue
 		}
 		m := or.masks[i]
-		if g.interned {
-			idx, ok := g.idIndexes[m.sig]
-			if !ok {
-				idx = map[uint64][]int{}
-				g.idIndexes[m.sig] = idx
-				m.idIndex = idx
-				g.masksByPred[st.Atom.Pred] = append(g.masksByPred[st.Atom.Pred], m)
-			}
-			or.masks[i].idIndex = idx
-			continue
-		}
 		idx, ok := g.indexes[m.sig]
 		if !ok {
-			idx = map[string][]int{}
+			idx = map[uint64][]int{}
 			g.indexes[m.sig] = idx
 			m.index = idx
 			g.masksByPred[st.Atom.Pred] = append(g.masksByPred[st.Atom.Pred], m)
@@ -717,37 +594,8 @@ func (g *grounder) registerMasks(or *orderedRule) {
 	}
 }
 
-// projectKey builds the index key for a fact's arguments at the mask
-// positions; ok=false when the arity does not cover the mask.
-func projectKey(args []value.Value, positions []int) (string, bool) {
-	var sb strings.Builder
-	for _, p := range positions {
-		if p >= len(args) {
-			return "", false
-		}
-		sb.WriteString(args[p].String())
-		sb.WriteByte('\x00')
-	}
-	return sb.String(), true
-}
-
-// probeKey evaluates the mask positions of a match step's pattern under the
-// current binding.
-func probeKey(atom datalog.Atom, positions []int, b *bindFrame) (string, error) {
-	var sb strings.Builder
-	for _, p := range positions {
-		v, err := datalog.EvalTermFn(atom.Args[p], b.lookup)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString(v.String())
-		sb.WriteByte('\x00')
-	}
-	return sb.String(), nil
-}
-
 // projectRowHash mixes the argument IDs at the mask positions into the
-// ID-mode index key; ok=false when the arity does not cover the mask. Probes
+// index key; ok=false when the arity does not cover the mask. Probes
 // use the same mix, and every candidate is re-verified by the ID matcher, so
 // a hash collision costs one rejected candidate, never a wrong match.
 func projectRowHash(row []intern.ID, positions []int) (uint64, bool) {
@@ -763,7 +611,7 @@ func projectRowHash(row []intern.ID, positions []int) (uint64, bool) {
 
 // probeRowHash is projectRowHash for a match step's compiled pattern under
 // the current ID binding.
-func (g *grounder) probeRowHash(pat []idArg, positions []int, b *idBindFrame) (uint64, error) {
+func (g *grounder) probeRowHash(pat []idArg, positions []int, b *bindFrame) (uint64, error) {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, p := range positions {
 		id, err := g.argID(pat[p], b)
@@ -776,9 +624,9 @@ func (g *grounder) probeRowHash(pat []idArg, positions []int, b *idBindFrame) (u
 }
 
 // argID resolves one compiled pattern argument to its interned ID under the
-// binding. Unbound variables and failing function terms report the same
-// errors EvalTermFn does in the string mode.
-func (g *grounder) argID(a idArg, b *idBindFrame) (intern.ID, error) {
+// binding. Unbound variables and failing function terms report EvalTermFn's
+// errors.
+func (g *grounder) argID(a idArg, b *bindFrame) (intern.ID, error) {
 	switch a.kind {
 	case idVar:
 		if id, ok := b.lookup(a.v); ok {
@@ -802,7 +650,7 @@ func (g *grounder) argID(a idArg, b *idBindFrame) (intern.ID, error) {
 // matchRowID matches a compiled pattern against an atom's argument-ID row,
 // extending bind; the caller restores the binding mark on failure or after
 // recursion. Interned IDs are canonical, so ID equality is value.Equal.
-func (g *grounder) matchRowID(pat []idArg, row []intern.ID, bind *idBindFrame) (bool, error) {
+func (g *grounder) matchRowID(pat []idArg, row []intern.ID, bind *bindFrame) (bool, error) {
 	for i, a := range pat {
 		switch a.kind {
 		case idVar:
@@ -832,7 +680,7 @@ func (g *grounder) matchRowID(pat []idArg, row []intern.ID, bind *idBindFrame) (
 
 // evalRowID instantiates a compiled atom pattern into an argument-ID row
 // under the binding, reusing buf.
-func (g *grounder) evalRowID(pat []idArg, bind *idBindFrame, buf []intern.ID) ([]intern.ID, error) {
+func (g *grounder) evalRowID(pat []idArg, bind *bindFrame, buf []intern.ID) ([]intern.ID, error) {
 	buf = buf[:0]
 	for _, a := range pat {
 		id, err := g.argID(a, bind)
@@ -844,10 +692,11 @@ func (g *grounder) evalRowID(pat []idArg, bind *idBindFrame, buf []intern.ID) ([
 	return buf, nil
 }
 
-// enumerate walks the plan steps recursively, backtracking through bind.
-// rng is nil during pass 0. posIDs accumulates the interned ids of matched
-// positive atoms for fire. This is the string-mode walker; enumerateID is
-// its ID-space twin.
+// enumerate walks the plan steps recursively, backtracking through bind:
+// candidates come from the hash-keyed indexes, patterns match argument-ID rows
+// word by word (hash-collision candidates are rejected by matchRowID), and
+// bindings hold IDs. rng is nil during pass 0. posIDs accumulates the atom
+// ids of matched positive atoms for fire.
 func (g *grounder) enumerate(or orderedRule, si int, bind *bindFrame, posIDs *[]int, rng *ranges, deltaIdx int) error {
 	if si == len(or.plan.Steps) {
 		return g.fire(or, bind, *posIDs)
@@ -857,10 +706,11 @@ func (g *grounder) enumerate(or orderedRule, si int, bind *bindFrame, posIDs *[]
 	case datalog.StepMatch:
 		var cands []int
 		mask := or.masks[si]
+		pat := or.idSteps[si]
 		if len(mask.positions) == 0 {
 			cands = g.byPredDerived[st.Atom.Pred]
 		} else {
-			key, err := probeKey(st.Atom, mask.positions, bind)
+			key, err := g.probeRowHash(pat, mask.positions, bind)
 			if err != nil {
 				return err
 			}
@@ -881,12 +731,12 @@ func (g *grounder) enumerate(or orderedRule, si int, bind *bindFrame, posIDs *[]
 			if g.seqOf[id] >= hi {
 				break // candidate lists are in derivation order
 			}
-			f := g.prog.atoms[id]
-			if len(f.Args) != len(st.Atom.Args) {
+			row := g.rows[id]
+			if len(row) != len(pat) {
 				continue
 			}
 			mk := bind.mark()
-			ok, err := matchAtom(st.Atom.Args, f.Args, bind)
+			ok, err := g.matchRowID(pat, row, bind)
 			if err != nil {
 				return err
 			}
@@ -901,169 +751,13 @@ func (g *grounder) enumerate(or orderedRule, si int, bind *bindFrame, posIDs *[]
 		}
 		return nil
 	case datalog.StepAssign:
-		v, err := datalog.EvalTermFn(st.Term, bind.lookup)
-		if err != nil {
-			return err
-		}
-		mk := bind.mark()
-		bind.push(st.AssignVar, v)
-		err = g.enumerate(or, si+1, bind, posIDs, rng, deltaIdx)
-		bind.reset(mk)
-		return err
-	case datalog.StepTest:
-		lv, err := datalog.EvalTermFn(st.Cmp.L, bind.lookup)
-		if err != nil {
-			return err
-		}
-		rv, err := datalog.EvalTermFn(st.Cmp.R, bind.lookup)
-		if err != nil {
-			return err
-		}
-		ok, err := datalog.EvalCmp(st.Cmp.Op, lv, rv)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		return g.enumerate(or, si+1, bind, posIDs, rng, deltaIdx)
-	default:
-		panic("ground: unknown step kind")
-	}
-}
-
-// matchAtom matches pattern terms against ground values, extending bind;
-// the caller restores the binding mark on failure or after recursion.
-func matchAtom(pats []datalog.Term, vals []value.Value, bind *bindFrame) (bool, error) {
-	for i, pat := range pats {
-		if v, isVar := pat.(datalog.Var); isVar {
-			if bound, ok := bind.lookup(v); ok {
-				if !value.Equal(bound, vals[i]) {
-					return false, nil
-				}
-				continue
-			}
-			bind.push(v, vals[i])
-			continue
-		}
-		got, err := datalog.EvalTermFn(pat, bind.lookup)
-		if err != nil {
-			return false, err
-		}
-		if !value.Equal(got, vals[i]) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// evalAtom instantiates an atom's arguments under the binding.
-func evalAtom(a datalog.Atom, bind *bindFrame) (datalog.Fact, error) {
-	args := make([]value.Value, len(a.Args))
-	for i, t := range a.Args {
-		v, err := datalog.EvalTermFn(t, bind.lookup)
-		if err != nil {
-			return datalog.Fact{}, err
-		}
-		args[i] = v
-	}
-	return datalog.Fact{Pred: a.Pred, Args: args}, nil
-}
-
-// fire records the ground rule for a complete binding.
-func (g *grounder) fire(or orderedRule, bind *bindFrame, posIDs []int) error {
-	head, err := evalAtom(or.head, bind)
-	if err != nil {
-		return err
-	}
-	hid, err := g.intern(head)
-	if err != nil {
-		return err
-	}
-	pos := append([]int(nil), posIDs...)
-	neg := make([]int, 0, len(or.plan.Negs))
-	for _, na := range or.plan.Negs {
-		f, err := evalAtom(na, bind)
-		if err != nil {
-			return err
-		}
-		id, err := g.intern(f)
-		if err != nil {
-			return err
-		}
-		neg = append(neg, id)
-	}
-	if _, err := g.addRule(hid, pos, neg); err != nil {
-		return err
-	}
-	g.markDerived(hid, or.head.Pred)
-	return nil
-}
-
-// enumerateID is enumerate over interned IDs: candidates come from the
-// hash-keyed ID indexes, patterns match argument-ID rows word by word, and
-// bindings hold IDs. It visits the same complete bindings in the same order
-// as the string-mode walker (hash-collision candidates are rejected by
-// matchRowID), so the two modes produce bit-for-bit identical programs.
-func (g *grounder) enumerateID(or orderedRule, si int, bind *idBindFrame, posIDs *[]int, rng *ranges, deltaIdx int) error {
-	if si == len(or.plan.Steps) {
-		return g.fireID(or, bind, *posIDs)
-	}
-	st := or.plan.Steps[si]
-	switch st.Kind {
-	case datalog.StepMatch:
-		var cands []int
-		mask := or.masks[si]
-		pat := or.idSteps[si]
-		if len(mask.positions) == 0 {
-			cands = g.byPredDerived[st.Atom.Pred]
-		} else {
-			key, err := g.probeRowHash(pat, mask.positions, bind)
-			if err != nil {
-				return err
-			}
-			cands = mask.idIndex[key]
-		}
-		lo, hi := 0, len(g.byPredDerived[st.Atom.Pred])
-		if rng != nil {
-			lo, hi = rng.bounds(st.PosIdx, deltaIdx, st.Atom.Pred)
-		}
-		if lo > 0 {
-			// See enumerate: binary search keeps the delta passes linear in
-			// the candidate window, not the whole candidate list.
-			cands = cands[sort.Search(len(cands), func(i int) bool { return g.seqOf[cands[i]] >= lo }):]
-		}
-		for _, id := range cands {
-			if g.seqOf[id] >= hi {
-				break // candidate lists are in derivation order
-			}
-			row := g.rows[id]
-			if len(row) != len(pat) {
-				continue
-			}
-			mk := bind.mark()
-			ok, err := g.matchRowID(pat, row, bind)
-			if err != nil {
-				return err
-			}
-			if ok {
-				*posIDs = append(*posIDs, id)
-				if err := g.enumerateID(or, si+1, bind, posIDs, rng, deltaIdx); err != nil {
-					return err
-				}
-				*posIDs = (*posIDs)[:len(*posIDs)-1]
-			}
-			bind.reset(mk)
-		}
-		return nil
-	case datalog.StepAssign:
 		v, err := datalog.EvalTermFn(st.Term, g.lookupVal)
 		if err != nil {
 			return err
 		}
 		mk := bind.mark()
 		bind.push(st.AssignVar, g.in.Intern(v))
-		err = g.enumerateID(or, si+1, bind, posIDs, rng, deltaIdx)
+		err = g.enumerate(or, si+1, bind, posIDs, rng, deltaIdx)
 		bind.reset(mk)
 		return err
 	case datalog.StepTest:
@@ -1082,16 +776,15 @@ func (g *grounder) enumerateID(or orderedRule, si int, bind *idBindFrame, posIDs
 		if !ok {
 			return nil
 		}
-		return g.enumerateID(or, si+1, bind, posIDs, rng, deltaIdx)
+		return g.enumerate(or, si+1, bind, posIDs, rng, deltaIdx)
 	default:
 		panic("ground: unknown step kind")
 	}
 }
 
-// fireID records the ground rule for a complete ID binding, instantiating
-// head and negative atoms as argument-ID rows; a datalog.Fact is only built
-// when an atom is new to the program.
-func (g *grounder) fireID(or orderedRule, bind *idBindFrame, posIDs []int) error {
+// fire records the ground rule for a complete binding, instantiating head and
+// negative atoms as argument-ID rows.
+func (g *grounder) fire(or orderedRule, bind *bindFrame, posIDs []int) error {
 	row, err := g.evalRowID(or.idHead, bind, g.rowBuf)
 	if err != nil {
 		return err
@@ -1114,47 +807,35 @@ func (g *grounder) fireID(or orderedRule, bind *idBindFrame, posIDs []int) error
 		}
 		g.negBuf = append(g.negBuf, id)
 	}
-	if _, err := g.addRuleID(hid, posIDs, g.negBuf); err != nil {
+	if _, err := g.addRule(hid, posIDs, g.negBuf); err != nil {
 		return err
 	}
 	g.markDerived(hid, or.head.Pred)
 	return nil
 }
 
-// Ground instantiates the program under the given budget. The fact-dedup
-// representation (hash-consed ID rows vs canonical key strings) is chosen
-// here from the process-wide interning switch; the resulting Program is
-// identical either way.
+// Ground instantiates the program under the given budget.
 func Ground(p *datalog.Program, budget Budget) (*Program, error) {
-	interned := value.InterningEnabled()
 	g := &grounder{
 		prog: &Program{
-			interned: interned,
-			byPred:   map[string][]int{},
+			tables: map[predArity]*predTable{},
+			byPred: map[string][]int{},
 		},
 		budget:        budget.withDefaults(),
-		interned:      interned,
+		in:            intern.Global(),
 		byPredDerived: map[string][]int{},
+		indexes:       map[string]map[uint64][]int{},
 		masksByPred:   map[string][]matchMask{},
+		bind:          &bindFrame{},
+		ruleTab:       make([]int32, ruleTabMin),
+		ruleMask:      ruleTabMin - 1,
 	}
-	if interned {
-		g.in = intern.Global()
-		g.ruleTab = make([]int32, ruleTabMin)
-		g.ruleMask = ruleTabMin - 1
-		g.prog.tables = map[predArity]*predTable{}
-		g.idIndexes = map[string]map[uint64][]int{}
-		g.idBind = &idBindFrame{}
-		g.lookupVal = func(v datalog.Var) (value.Value, bool) {
-			id, ok := g.idBind.lookup(v)
-			if !ok {
-				return nil, false
-			}
-			return g.in.Lookup(id), true
+	g.lookupVal = func(v datalog.Var) (value.Value, bool) {
+		id, ok := g.bind.lookup(v)
+		if !ok {
+			return nil, false
 		}
-	} else {
-		g.prog.index = map[string]int{}
-		g.indexes = map[string]map[string][]int{}
-		g.ruleIdx = map[uint64][]int{}
+		return g.in.Lookup(id), true
 	}
 
 	var ordered []orderedRule
@@ -1169,31 +850,24 @@ func Ground(p *datalog.Program, budget Budget) (*Program, error) {
 				or.posPreds[st.PosIdx] = st.Atom.Pred
 			}
 		}
-		if interned {
-			or.idHead = g.compileArgs(r.Head.Args)
-			or.idSteps = make([][]idArg, len(plan.Steps))
-			for i, st := range plan.Steps {
-				if st.Kind == datalog.StepMatch {
-					or.idSteps[i] = g.compileArgs(st.Atom.Args)
-				}
+		or.idHead = g.compileArgs(r.Head.Args)
+		or.idSteps = make([][]idArg, len(plan.Steps))
+		for i, st := range plan.Steps {
+			if st.Kind == datalog.StepMatch {
+				or.idSteps[i] = g.compileArgs(st.Atom.Args)
 			}
-			or.idNegs = make([][]idArg, len(plan.Negs))
-			for i, na := range plan.Negs {
-				or.idNegs[i] = g.compileArgs(na.Args)
-			}
+		}
+		or.idNegs = make([][]idArg, len(plan.Negs))
+		for i, na := range plan.Negs {
+			or.idNegs[i] = g.compileArgs(na.Args)
 		}
 		g.registerMasks(&or)
 		ordered = append(ordered, or)
 	}
 
-	bind := &bindFrame{}
 	var posIDs []int
-	// run dispatches one rule enumeration to the mode's walker.
 	run := func(or orderedRule, rng *ranges, deltaIdx int) error {
-		if interned {
-			return g.enumerateID(or, 0, g.idBind, &posIDs, rng, deltaIdx)
-		}
-		return g.enumerate(or, 0, bind, &posIDs, rng, deltaIdx)
+		return g.enumerate(or, 0, g.bind, &posIDs, rng, deltaIdx)
 	}
 
 	// Pass 0: rules with no positive atoms (facts included) fire once.

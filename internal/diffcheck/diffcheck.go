@@ -18,11 +18,11 @@
 //     models (plus the inflationary and valid collapses on positive
 //     programs), the three-way stratified/well-founded/valid agreement on
 //     stratifiable programs, and sequential vs parallel stable-model search;
-//   - engine ablations: the hash-consed interning switch (expr-intern,
-//     dlog-intern), the served expression path — the relational kernel and
-//     the streaming pipeline runtime (expr-stream) — and the streaming
-//     runtime under algebra= (dlog-stream), and the ID-native delta fixpoint
-//     kernels (expr-idset, dlog-idset) must change cost only, never results;
+//   - production vs reference: the served expression path — the relational
+//     kernel and the streaming pipeline runtime (expr-stream) — and the
+//     streaming runtime under algebra= (dlog-stream), and the ID-native delta
+//     fixpoint kernels (expr-idset, dlog-idset) must change cost only, never
+//     results;
 //   - incremental view maintenance: replaying a random insert/delete
 //     schedule through the counting/DRed delta engine (internal/ivm) must
 //     match from-scratch recompute (Budget.NoIVM) bit-for-bit, per-step
@@ -168,12 +168,6 @@ var Oracles = []*Oracle{
 	{Name: "dlog-stable", Kind: KindDatalogFree,
 		Doc:          "stable-model search is worker-count independent",
 		checkDatalog: checkDlogStable},
-	{Name: "expr-intern", Kind: KindExpr,
-		Doc:       "hash-consed interning changes cost only: interned and string-keyed evaluation agree",
-		checkExpr: checkExprIntern},
-	{Name: "dlog-intern", Kind: KindDatalogFree,
-		Doc:          "interned grounding is bit-for-bit the string-keyed ground program, well-founded models equal",
-		checkDatalog: checkDlogIntern},
 	{Name: "expr-stream", Kind: KindExpr,
 		Doc:       "the served path (flat joins on the relational kernel, the streaming runtime otherwise) changes cost only: it agrees with materialized evaluation",
 		checkExpr: checkExprStream},

@@ -47,8 +47,6 @@ func FuzzDlogTheorem43(f *testing.F)    { fuzzOracle(f, "dlog-theorem43") }
 func FuzzDlogMinimal(f *testing.F)      { fuzzOracle(f, "dlog-minimal") }
 func FuzzDlogStratified(f *testing.F)   { fuzzOracle(f, "dlog-stratified") }
 func FuzzDlogStable(f *testing.F)       { fuzzOracle(f, "dlog-stable") }
-func FuzzExprIntern(f *testing.F)       { fuzzOracle(f, "expr-intern") }
-func FuzzDlogIntern(f *testing.F)       { fuzzOracle(f, "dlog-intern") }
 func FuzzExprStream(f *testing.F)       { fuzzOracle(f, "expr-stream") }
 func FuzzDlogStream(f *testing.F)       { fuzzOracle(f, "dlog-stream") }
 func FuzzExprIDSet(f *testing.F)        { fuzzOracle(f, "expr-idset") }

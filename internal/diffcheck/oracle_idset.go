@@ -8,11 +8,8 @@ import (
 )
 
 // The idset oracles pin the ID-native delta fixpoint kernels' contract: the
-// per-budget NoIDSets switch (the cmd/bench -noidsets ablation) changes cost
-// only, never results. Like NoStreaming — and unlike the intern oracles — no
-// process-wide flip is involved, so no serialization lock is needed; when
-// interning itself is disabled process-wide the ID engine declines every
-// fixpoint and the oracle degrades to a (still sound) self-comparison.
+// per-budget NoIDSets switch changes cost only, never results. Like
+// NoStreaming it travels in the Budget, so the oracles need no lock.
 
 // noIDSets returns the budget with the ID-native fixpoint kernels disabled —
 // the value-space reference side of each idset oracle.

@@ -15,8 +15,7 @@ import (
 // (internal/ivm): replaying an arbitrary insert/delete schedule through the
 // counting/DRed delta engine must leave the maintained outcome — and every
 // per-step ResultDelta — bit-for-bit identical to a view that re-executes
-// the plan from scratch on each batch (Budget.NoIVM, the cmd/bench -noivm
-// ablation) and diffs the outcomes.
+// the plan from scratch on each batch (Budget.NoIVM) and diffs the outcomes.
 //
 // What it pins is maintained == from-scratch, deltas included — not that
 // from-scratch is right: the recompute side is query.Execute, which evaluates

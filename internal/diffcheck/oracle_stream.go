@@ -9,12 +9,10 @@ import (
 )
 
 // The stream oracles pin the streaming execution runtime's contract: the
-// per-budget NoStreaming switch (the cmd/bench -nostreaming ablation)
-// changes cost only, never results. Unlike the intern oracles, no
-// process-wide flip is involved — NoStreaming travels in the Budget — so no
-// serialization lock is needed; when the process itself runs with
-// -nostreaming, both sides of the pair materialize and the oracle degrades
-// to a (still sound) self-comparison.
+// per-budget NoStreaming switch, the materialized reference, changes cost
+// only, never results. NoStreaming travels in the Budget, so the oracles
+// need no lock; when DefaultBudget.NoStreaming is set, both sides of the pair
+// materialize and the oracle degrades to a (still sound) self-comparison.
 
 // noStreaming returns the budget with the streaming runtime disabled — the
 // materialized reference side of each stream oracle.

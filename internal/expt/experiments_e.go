@@ -588,3 +588,54 @@ func RunE10(sizes []int) (*Table, error) {
 		"oddLoop has 0 stable models; evenLoop has 2; a total WFS is the unique stable model")
 	return t, nil
 }
+
+// RunE11 checks Theorem 3.5 / Corollary 3.6: IFP-algebra ⊂ algebra= — every
+// IFP expression is expressible without the operator, via the paper's
+// Prop 5.1 → Prop 5.2 → Prop 6.1 pipeline (translate.EliminateIFP).
+func RunE11(sizes []int) (*Table, error) {
+	t := &Table{ID: "E11", Title: "IFP elimination: IFP-algebra ⊂ algebra= (Thm 3.5, Cor 3.6)", OK: true,
+		Header: []string{"case", "|result|", "wellDefined", "agree", "time"}}
+	type tc struct {
+		name string
+		expr algebra.Expr
+		db   algebra.DB
+	}
+	cases := []tc{{
+		name: "IFP_{{a}-x}",
+		expr: algebra.IFP{Var: "x", Body: algebra.Diff{L: algebra.Singleton(value.String("a")), R: algebra.Rel{Name: "x"}}},
+		db:   algebra.DB{},
+	}}
+	for _, n := range sizes {
+		cases = append(cases, tc{
+			name: fmt.Sprintf("tcChain(%d)", n),
+			expr: TCIFPExpr("move"),
+			db:   FactsDB("move", ChainEdges("move", n)),
+		})
+	}
+	for _, c := range cases {
+		var agree, wd bool
+		var size int
+		d := timed(func() {
+			want, err := algebra.Eval(c.expr, c.db)
+			if err != nil {
+				return
+			}
+			cp, cdb, result, err := translate.EliminateIFP(c.expr, c.db)
+			if err != nil {
+				return
+			}
+			res, err := core.EvalValid(cp, cdb, algebra.Budget{})
+			if err != nil {
+				return
+			}
+			wd = res.IsTotal(result)
+			agree = value.Equal(res.Set(result), want)
+			size = res.Set(result).Len()
+		})
+		if !agree || !wd {
+			t.OK = false
+		}
+		t.Add(c.name, size, wd, agree, d)
+	}
+	return t, nil
+}

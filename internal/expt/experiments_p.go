@@ -2,8 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
@@ -133,195 +131,4 @@ func RunP3(ks []int) (*Table, error) {
 		t.Add(k, wfs.CountUndef(), len(models), expected, d)
 	}
 	return t, nil
-}
-
-// RunP4 measures the word-packed bitset fixpoint kernel against the frozen
-// []bool reference kernel (refkernel.go) on the P1 workloads: the semi-naive
-// minimal model of transitive closure on chains, and the alternating-fixpoint
-// well-founded model of the win game on move chains (whose Θ(n) gamma
-// iterations stress set equality and reuse hardest). Both kernels must agree
-// on every atom; the comparison is purely about cost.
-func RunP4(sizes []int) (*Table, error) {
-	t := &Table{ID: "P4", Title: "bitset vs bool fixpoint kernel (performance)", OK: true,
-		Header: []string{"workload", "atoms", "rules", "boolKernel", "bitsetKernel", "speedup", "agree"}}
-	budget := ground.Budget{MaxAtoms: 8_000_000, MaxRules: 16_000_000}
-	const reps = 3
-	for _, n := range sizes {
-		// Semi-naive minimal model on the TC chain.
-		g, err := ground.Ground(TCProgram(ChainEdges("e", n)), budget)
-		if err != nil {
-			return nil, err
-		}
-		ref := newRefKernel(g)
-		e := semantics.NewEngine(g)
-		var refDerived []bool
-		var in *semantics.Interp
-		if in, err = e.Minimal(); err != nil { // warm the scratch buffers
-			return nil, err
-		}
-		dBool := minTimed(reps, func() { refDerived = ref.minimal() })
-		dBit := minTimed(reps, func() { in, err = e.Minimal() })
-		if err != nil {
-			return nil, err
-		}
-		agree := true
-		for a := 0; a < g.NumAtoms(); a++ {
-			if refDerived[a] != (in.Truth(a) == semantics.True) {
-				agree = false
-			}
-		}
-		if !agree {
-			t.OK = false
-		}
-		t.Add(fmt.Sprintf("tcChain(%d)", n), g.NumAtoms(), len(g.Rules), dBool, dBit, speedup(dBool, dBit), agree)
-
-		// Alternating fixpoint on the win chain.
-		gw, err := ground.Ground(WinProgram(ChainEdges("move", n)), budget)
-		if err != nil {
-			return nil, err
-		}
-		refW := newRefKernel(gw)
-		ew := semantics.NewEngine(gw)
-		var wt, wu []bool
-		var win *semantics.Interp
-		win = ew.WellFounded() // warm the scratch buffers
-		dBoolW := minTimed(reps, func() { wt, wu = refW.wellFounded() })
-		dBitW := minTimed(reps, func() { win = ew.WellFounded() })
-		agreeW := true
-		for a := 0; a < gw.NumAtoms(); a++ {
-			want := semantics.Undef
-			switch {
-			case wt[a]:
-				want = semantics.True
-			case !wu[a]:
-				want = semantics.False
-			}
-			if win.Truth(a) != want {
-				agreeW = false
-			}
-		}
-		if !agreeW {
-			t.OK = false
-		}
-		t.Add(fmt.Sprintf("winChain(%d)", n), gw.NumAtoms(), len(gw.Rules), dBoolW, dBitW, speedup(dBoolW, dBitW), agreeW)
-	}
-	return t, nil
-}
-
-// RunP5 measures parallel vs serial stable-model search on the P3 workload
-// (k independent 2-cycles: 2k undefined atoms, 2^k stable models). The two
-// runs must return byte-identical ordered model lists — the parallel search
-// merges its chunks back in candidate-mask order.
-func RunP5(ks []int) (*Table, error) {
-	workers := runtime.GOMAXPROCS(0)
-	t := &Table{ID: "P5", Title: "parallel vs serial stable-model search (performance)", OK: true,
-		Header: []string{"cycles", "undef", "models", "serial", fmt.Sprintf("parallel(%d)", workers), "speedup", "identical"}}
-	if workers == 1 {
-		t.Notes = append(t.Notes, "GOMAXPROCS=1: the worker pool degenerates to the serial path; run on more cores to see the speedup")
-	}
-	const reps = 3
-	for _, k := range ks {
-		p := &datalog.Program{}
-		for i := 0; i < k; i++ {
-			a := fmt.Sprintf("p%d", i)
-			b := fmt.Sprintf("q%d", i)
-			p.Rules = append(p.Rules,
-				datalog.Rule{Head: datalog.Atom{Pred: a}, Body: []datalog.Literal{datalog.Neg(b)}},
-				datalog.Rule{Head: datalog.Atom{Pred: b}, Body: []datalog.Literal{datalog.Neg(a)}})
-		}
-		g, err := ground.Ground(p, ground.Budget{})
-		if err != nil {
-			return nil, err
-		}
-		e := semantics.NewEngine(g)
-		var serial, parallel []*semantics.Interp
-		dSerial := minTimed(reps, func() { serial, err = e.StableModelsParallel(2*k, 1) })
-		if err != nil {
-			return nil, err
-		}
-		dParallel := minTimed(reps, func() { parallel, err = e.StableModelsParallel(2*k, workers) })
-		if err != nil {
-			return nil, err
-		}
-		identical := len(serial) == len(parallel) && len(serial) == 1<<k
-		if identical {
-			for i := range serial {
-				if !semantics.SameTruths(serial[i], parallel[i]) {
-					identical = false
-					break
-				}
-			}
-		}
-		if !identical {
-			t.OK = false
-		}
-		t.Add(k, 2*k, len(serial), dSerial, dParallel, speedup(dSerial, dParallel), identical)
-	}
-	return t, nil
-}
-
-// RunP6 measures the semi-naive delta engine for IFP evaluation against the
-// naive engine on transitive-closure workloads: the naive engine re-derives
-// every path in every round (Θ(n) rounds over a Θ(n²)-pair closure on the
-// chain), the delta engine touches each pair once plus a delta-sized probe
-// per round. Both must agree — DeltaDistributive guarantees the identical
-// fixpoint — so the comparison is purely about cost.
-func RunP6(sizes []int) (*Table, error) {
-	t := &Table{ID: "P6", Title: "naive vs semi-naive delta IFP evaluation (performance)", OK: true,
-		Header: []string{"workload", "|tc|", "naive", "semiNaive", "speedup", "agree"}}
-	if algebra.DefaultBudget.NoSemiNaive {
-		t.Notes = append(t.Notes, "-noseminaive is set: the semiNaive column also runs the naive engine")
-	}
-	const reps = 3
-	for _, n := range sizes {
-		for _, w := range []struct {
-			name  string
-			edges []datalog.Fact
-		}{
-			{fmt.Sprintf("tcChain(%d)", n), ChainEdges("move", n)},
-			{fmt.Sprintf("tcRandom(%d)", n), RandomGraph("move", n, 2*n, int64(n))},
-		} {
-			db := FactsDB("move", w.edges)
-			e := TCIFPExpr("move")
-			var naive, semi value.Set
-			var err error
-			dNaive := minTimed(reps, func() {
-				naive, err = algebra.NewEvaluator(db, algebra.Budget{NoSemiNaive: true}).Eval(e)
-			})
-			if err != nil {
-				return nil, err
-			}
-			dSemi := minTimed(reps, func() {
-				semi, err = algebra.NewEvaluator(db, algebra.Budget{}).Eval(e)
-			})
-			if err != nil {
-				return nil, err
-			}
-			agree := value.Equal(naive, semi)
-			if !agree {
-				t.OK = false
-			}
-			t.Add(w.name, semi.Len(), dNaive, dSemi, speedup(dNaive, dSemi), agree)
-		}
-	}
-	return t, nil
-}
-
-// minTimed runs f reps times and returns the fastest run — the standard
-// guard against one-off GC or scheduler noise in the P-series timings.
-func minTimed(reps int, f func()) time.Duration {
-	best := timed(f)
-	for i := 1; i < reps; i++ {
-		if d := timed(f); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func speedup(base, opt time.Duration) string {
-	if opt <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", float64(base)/float64(opt))
 }

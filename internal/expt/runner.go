@@ -73,34 +73,7 @@ func DefaultSuites(scale int) []Suite {
 		sharded("P1", sz(64, 128, 256), RunP1),
 		sharded("P2", sz(16, 32, 64), RunP2),
 		sharded("P3", []int{2, 4, 8, 12}, RunP3),
-		sharded("P4", sz(256, 512, 1024), RunP4),
-		sharded("P5", []int{4, 8, 10}, RunP5),
-		sharded("P6", sz(24, 48, 96), RunP6),
-		sharded("P7", []int{1500, 3000}, RunP7),
-		sharded("P8", sz(128, 256, 384), RunP8),
-		sharded("P9", sz(128, 256, 384), RunP9),
-		sharded("P10", sz(128, 256, 384), RunP10),
-		sharded("P11", sz(128, 256, 384), RunP11),
-		sharded("P12", []int{48, 96}, RunP12),
-		sharded("A1", []int{100, 300}, RunA1),
-		sharded("A2", sz(16, 48), RunA2),
-		sharded("A3", sz(16, 32, 48), RunA3),
-		sharded("A4", sz(16, 32), RunA4),
 	}
-}
-
-// RunAll runs every experiment serially and returns the tables in suite
-// order.
-func RunAll(scale int) ([]*Table, error) {
-	var out []*Table
-	for _, s := range DefaultSuites(scale) {
-		tbl, err := s.Run()
-		if err != nil {
-			return out, fmt.Errorf("expt: %s: %w", s.ID, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
 }
 
 // SuiteResult is one experiment's table plus run cost, for the machine-

@@ -2,7 +2,7 @@
 // paper has no tables or figures (it is an expressiveness paper), so the
 // experiment suite instead makes every stated theorem and proposition
 // executable on parameterized workloads and reports agreement plus timings.
-// DESIGN.md's per-experiment index (E1–E10, P1–P3) maps each experiment to
+// DESIGN.md's per-experiment index (E1–E11, P1–P3) maps each experiment to
 // the paper result it checks; EXPERIMENTS.md records a full run.
 package expt
 
@@ -93,25 +93,6 @@ tc(X, Z) :- tc(X, Y), e(Y, Z).
 func WinProgram(moves []datalog.Fact) *datalog.Program {
 	p := datalog.MustParse("win(X) :- move(X, Y), not win(Y).\n")
 	p.AddFacts(moves...)
-	return p
-}
-
-// SameGenProgram returns the same-generation program over a complete binary
-// ancestry tree of the given depth.
-func SameGenProgram(depth int) *datalog.Program {
-	p := datalog.MustParse(`
-sg(X, Y) :- par(X, Z), par(Y, Z).
-sg(X, Y) :- par(X, W), sg(W, V), par(Y, V).
-`)
-	// node k has children 2k+1, 2k+2; par(child, parent)
-	var facts []datalog.Fact
-	total := 1<<(depth+1) - 1
-	for k := 0; 2*k+2 < total; k++ {
-		facts = append(facts,
-			datalog.Fact{Pred: "par", Args: []value.Value{value.Int(int64(2*k + 1)), value.Int(int64(k))}},
-			datalog.Fact{Pred: "par", Args: []value.Value{value.Int(int64(2*k + 2)), value.Int(int64(k))}})
-	}
-	p.AddFacts(facts...)
 	return p
 }
 

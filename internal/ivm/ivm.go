@@ -20,9 +20,9 @@
 //   - recompute for everything else — the other languages; datalog with
 //     negation through recursion (three-valued under valid and well-founded:
 //     each recompute is the kernel's alternation from scratch, but no batch is
-//     propagated into one), under the inflationary or stable semantics, with a
-//     rule no join order exists for, or with interning off; and Budget.NoIVM —
-//     by re-executing the plan and diffing the outcomes.
+//     propagated into one), under the inflationary or stable semantics, or with
+//     a rule no join order exists for; and Budget.NoIVM — by re-executing the
+//     plan and diffing the outcomes.
 //
 // The delta engine owns no tables, rule compiler, plan executor or strategy
 // code: it is a client of the relational rule kernel (internal/datalog/rel),
@@ -40,8 +40,7 @@
 // Either way a successful Apply returns the ResultDelta between the previous
 // and the new Outcome, and the maintained Outcome is bit-for-bit the outcome
 // query.Execute would produce against the mutated database — the equivalence
-// the dlog-ivm differential oracle (internal/diffcheck) fuzzes and the P11
-// experiment measures (incremental insert maintenance vs cold re-evaluation).
+// the dlog-ivm differential oracle (internal/diffcheck) fuzzes.
 // docs/architecture.md has the full decision table.
 package ivm
 
@@ -64,7 +63,8 @@ const (
 	// ModeIncremental maintains the outcome by counting/DRed delta rules.
 	ModeIncremental Mode = "incremental"
 	// ModeRecompute re-executes the plan on every mutation batch and diffs
-	// the outcomes — the always-correct fallback, and the -noivm baseline.
+	// the outcomes — the always-correct fallback, and the Budget.NoIVM
+	// reference.
 	ModeRecompute Mode = "recompute"
 )
 
@@ -119,7 +119,7 @@ type View struct {
 // (negation-free for the minimal semantics), with every rule plannable,
 // under the stratified, valid, well-founded or minimal semantics — the
 // fragments where those semantics agree on the stratified model — provided
-// interning is on and opts.Budget does not set NoIVM; every other plan, a
+// opts.Budget does not set NoIVM; every other plan, a
 // program with negation through recursion included, gets the recompute
 // fallback. The initial evaluation honors opts' budgets; its
 // error is returned as-is (query.ErrorCode classifies it). A view reports one
@@ -149,7 +149,7 @@ func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
 // asks for recompute. The kernel also evaluates negation through recursion,
 // three-valued; keeping such a model current under mutation is not done here.
 func incrementalOK(plan *query.Plan, opts query.Options) bool {
-	return !opts.Budget.WithDefaults().NoIVM && query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
+	return !opts.Budget.NoIVM && query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
 }
 
 // Mode returns the view's maintenance mode.

@@ -468,9 +468,8 @@ func renderDB(db algebra.DB) map[string]string {
 }
 
 // BenchmarkLeafChurn and BenchmarkInteriorDelete are what `make bench-ivm`
-// runs beside P11 (which measures inserts only): the write workload's
-// steady-state batch, and a delete that over-deletes a 64-row cone, over a
-// 10^4-edge hierarchy.
+// runs: the write workload's steady-state batch, and a delete that
+// over-deletes a 64-row cone, over a 10^4-edge hierarchy.
 func BenchmarkLeafChurn(b *testing.B) {
 	plan, err := query.Compile(query.LangDatalog, query.SemStratified, reachProgram)
 	if err != nil {

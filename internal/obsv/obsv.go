@@ -10,7 +10,7 @@
 // per translation), never from inside a hot loop; a nil Collector means
 // disabled, and every instrumentation site is guarded by a nil check, so the
 // kernels pay nothing when observability is off. That contract is
-// benchmark-verified: BenchmarkP4CollectorOff (repository root) must stay
+// benchmark-verified: BenchmarkCollectorOff (repository root) must stay
 // within noise of the pre-instrumentation kernel.
 //
 // Collectors:
@@ -313,8 +313,7 @@ type RelStats struct {
 	// "unstratified" (under stratified, negation through recursion; under
 	// minimal, any negation — either way the semantics' engine rejects the
 	// program), "semantics" (inflationary and stable have no relational
-	// reading), "unplannable rule", or "interning off". Empty for a
-	// relational evaluation.
+	// reading) or "unplannable rule". Empty for a relational evaluation.
 	Fallback string
 	// BaseHit reports that the fact base already held everything the request
 	// needed of it; otherwise BaseRows, BaseIndexes and BaseKeys count what
@@ -375,14 +374,14 @@ type AlgebraStats struct {
 	// plan selecting a leaf by a constant, which the access paths answer),
 	// "outside-fragment" (the expression is not a flat join), "shape" (a
 	// stored relation is absent or not of the width the plan reads),
-	// "reference" (Budget.NoStreaming) or "interning-off". Empty on the kernel.
+	// or "reference" (Budget.NoStreaming). Empty on the kernel.
 	Fallback string
 }
 
 // ExperimentStats describes one experiment (or one shard of one) run by the
 // internal/expt harness.
 type ExperimentStats struct {
-	ID     string // experiment id (E1..E11, P1..P6, A1..A4)
+	ID     string // experiment id (E1..E11, P1..P3)
 	Shard  int    // shard index, -1 for a whole-suite run
 	WallNS int64  // wall-clock nanoseconds
 	CPUNS  int64  // process CPU nanoseconds (0 when unattributable)

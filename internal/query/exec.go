@@ -125,8 +125,8 @@ type Outcome struct {
 // both assign it, true and possible facts alternating until neither moves —
 // under stratified, and under minimal when the program is negation-free; or by
 // grounding it and running the semantics' fixpoint over the ground program
-// otherwise (inflationary, stable, interning off). The outcomes are
-// bit-for-bit the same where both apply: grounding is the reference. An
+// otherwise (inflationary, stable). The outcomes are bit-for-bit the same
+// where both apply: grounding is the reference. An
 // expression plan that Compile found to be a flat join runs on the same
 // kernel when the database fits it, on the value evaluator otherwise
 // (kernel.go). Execute is ExecuteBase on a fact base made for this one call;
@@ -299,8 +299,8 @@ func executeScript(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outc
 // recursion the three-valued model the valid and well-founded semantics
 // share. Everything else goes to the ground program: a program its semantics
 // has no reading of ("unstratified": the semantics' engine rejects it), the
-// inflationary and stable semantics, a rule no join order exists for
-// (grounding reports it), or the string-keyed representation.
+// inflationary and stable semantics, or a rule no join order exists for
+// (grounding reports it).
 func groundingReason(plan *Plan) string {
 	switch plan.Semantics {
 	case SemValid, SemWellFounded:
@@ -325,15 +325,12 @@ func groundingReason(plan *Plan) string {
 			return "unplannable rule"
 		}
 	}
-	if !value.InterningEnabled() {
-		return "interning off"
-	}
 	return ""
 }
 
 // RelationalOK reports whether Execute evaluates the datalog plan on the
-// relational rule kernel (internal/datalog/rel) — a property of the program,
-// the semantics and the process-wide interning switch, never of an option.
+// relational rule kernel (internal/datalog/rel) — a property of the program
+// and the semantics, never of an option.
 // The stratified programs among these are what internal/ivm maintains
 // incrementally.
 func RelationalOK(plan *Plan) bool {

@@ -700,15 +700,13 @@ func (s *survey) fn(f algebra.FExpr) {
 
 // executeAlgebra evaluates an expression on the kernel when the plan compiled
 // for it and the database fits, on the value evaluator otherwise — always
-// under Budget.NoStreaming, the reference, and with interning off — and
-// reports which engine answered, and why, to the process-default collector.
+// under Budget.NoStreaming, the reference — and reports which engine
+// answered, and why, to the process-default collector.
 func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (value.Set, error) {
 	reason := plan.fallback
 	switch {
 	case opts.Budget.WithDefaults().NoStreaming:
 		reason = "reference"
-	case !value.InterningEnabled():
-		reason = "interning-off"
 	case plan.kernel == nil: // Compile said why; a plan built by hand is not compiled
 		reason = cmp.Or(reason, "outside-fragment")
 	case !plan.kernel.fits(db):

@@ -47,8 +47,8 @@ func withStats(t *testing.T) *obsv.Stats {
 }
 
 // TestAlgebraEngineChoice: which engine answers an expression is a function of
-// the plan, the database's shapes, NoStreaming and the interning switch, and
-// every evaluation says which, and why.
+// the plan, the database's shapes and NoStreaming, and every evaluation says
+// which, and why.
 func TestAlgebraEngineChoice(t *testing.T) {
 	small := algebra.DB{"e": digraph(40, 120)}
 	mixed := algebra.DB{"e": small["e"].Insert(value.Int(3))}
@@ -97,17 +97,6 @@ func TestAlgebraEngineChoice(t *testing.T) {
 	}
 	if snap := stats.Snapshot(); snap["core.valid.calls"] != 1 || snap["algebra.engine.kernel"]+snap["algebra.engine.value"] != 0 {
 		t.Errorf("eq-win: counters %v", snap)
-	}
-
-	// With interning off there are no IDs to join on.
-	plan := mustCompile(t, LangAlgebra, SemValid, textTwoHop)
-	want := mustExecute(t, plan, small, Options{})
-	stats = withStats(t)
-	was := value.SetInterning(false)
-	got, err := Execute(plan, small, Options{})
-	value.SetInterning(was)
-	if snap := stats.Snapshot(); err != nil || snap["algebra.fallback.interning-off"] != 1 || got.Value.String() != want.Value.String() {
-		t.Errorf("interning off: %v, counters %v", err, snap)
 	}
 }
 

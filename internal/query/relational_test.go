@@ -207,8 +207,8 @@ func TestRelationalMatchesGrounded(t *testing.T) {
 }
 
 // TestEngineChoice: which engine evaluates a datalog plan is a function of
-// the program, the semantics and the interning switch, and the event names
-// the reason for every fallback.
+// the program and the semantics, and the event names the reason for every
+// fallback.
 func TestEngineChoice(t *testing.T) {
 	rec := recordRel(t)
 	const tc = "e(1, 2). tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z)."
@@ -266,22 +266,6 @@ func TestEngineChoice(t *testing.T) {
 	obsv.SetDefault(rec)
 	if snap := stats.Snapshot(); err != nil || snap["rel.units.alternating"] != 1 || snap["rel.alternations"] != 1 || snap["rel.flips"] != 0 {
 		t.Errorf("win over no moves: %v, counters %v", err, snap)
-	}
-
-	plan := mustCompile(t, LangDatalog, SemStratified, tc)
-	want, err := Execute(plan, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	was := value.SetInterning(false)
-	rec.take()
-	got, err := Execute(plan, nil, Options{})
-	value.SetInterning(was)
-	if evs := rec.take(); err != nil || len(evs) != 1 || evs[0].Fallback != "interning off" {
-		t.Fatalf("with interning off: %v, events %+v", err, evs)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("the string-keyed grounded path diverged\n got: %+v\nwant: %+v", got.Datalog, want.Datalog)
 	}
 
 	// An unsafe rule has no join order: no engine can run it, the grounder

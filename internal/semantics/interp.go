@@ -103,35 +103,19 @@ func (in *Interp) FactsWith(pred string, v Truth) []datalog.Fact {
 
 // FactKeysWith returns the canonical keys of the predicate's facts with the
 // given truth value, in the same fact order as FactsWith; nil when there are
-// none. Over an ID-mode ground program it sorts and renders the selected
-// atoms' argument-ID rows (rel.SortedKeys) — nothing is built for any other
-// atom of the program; in string mode it reads the keys interned with the
-// atoms.
+// none. It sorts and renders the selected atoms' argument-ID rows
+// (rel.SortedKeys): nothing is built for any other atom of the program.
 func (in *Interp) FactKeysWith(pred string, v Truth) []string {
-	var ids []int
+	var rows [][]intern.ID
 	for _, id := range in.G.AtomsOf(pred) {
 		if in.t[id] == v {
-			ids = append(ids, id)
+			rows = append(rows, in.G.AtomRow(id))
 		}
 	}
-	if len(ids) == 0 {
+	if len(rows) == 0 {
 		return nil
 	}
-	if _, ok := in.G.AtomRow(ids[0]); ok {
-		rows := make([][]intern.ID, len(ids))
-		for i, id := range ids {
-			rows[i], _ = in.G.AtomRow(id)
-		}
-		return rel.SortedKeys(pred, rows)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		return datalog.CompareFacts(in.G.Atom(ids[i]), in.G.Atom(ids[j])) < 0
-	})
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = in.G.AtomKey(id)
-	}
-	return out
+	return rel.SortedKeys(pred, rows)
 }
 
 // TrueFacts returns the certainly-true facts of the predicate, sorted.

@@ -10,7 +10,6 @@ import (
 	"algrec/internal/algebra"
 	"algrec/internal/datalog/rel"
 	"algrec/internal/query"
-	"algrec/internal/value"
 	"algrec/internal/value/intern"
 )
 
@@ -162,11 +161,9 @@ func (e *dbEntry) fullDB() (algebra.DB, error) {
 // concurrent readers keep seeing the pre-replacement state until the single
 // atomic batch applies.
 func (r *registry) set(name string, db algebra.DB) error {
-	if value.InterningEnabled() {
-		in := intern.Global()
-		for _, set := range db {
-			in.Intern(set)
-		}
+	in := intern.Global()
+	for _, set := range db {
+		in.Intern(set)
 	}
 	r.mu.Lock()
 	e, existed := r.dbs[name]

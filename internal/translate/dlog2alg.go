@@ -29,19 +29,6 @@ import (
 // three-valued sets, as evaluating the original program under the valid
 // semantics (Theorem 6.2).
 func DatalogToCore(p *datalog.Program) (*core.Program, algebra.DB, error) {
-	return datalogToCore(p, true)
-}
-
-// DatalogToCoreNoFlip is DatalogToCore without the Flip polarity annotation
-// on the anti-join's correlated environment copy. It exists only for the A1
-// ablation experiment: the result is still *sound* (its certain facts are
-// true and its possible facts cover the truth), but it may report decided
-// memberships as undefined. Use DatalogToCore everywhere else.
-func DatalogToCoreNoFlip(p *datalog.Program) (*core.Program, algebra.DB, error) {
-	return datalogToCore(p, false)
-}
-
-func datalogToCore(p *datalog.Program, useFlip bool) (*core.Program, algebra.DB, error) {
 	if err := datalog.CheckProgramSafe(p); err != nil {
 		return nil, nil, err
 	}
@@ -79,7 +66,7 @@ func datalogToCore(p *datalog.Program, useFlip bool) (*core.Program, algebra.DB,
 			body = algebra.Lit{Set: FactsToSet(fs)}
 		}
 		for _, r := range byHead[pred] {
-			re, err := ruleExprOpt(r, arities, relOf, useFlip)
+			re, err := ruleExpr(r, arities, relOf)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -221,18 +208,13 @@ var unitSet = value.NewSet(value.NewTuple())
 // expression computing the head tuples derivable by a single application of
 // the rule, given relation expressions for the body predicates (relOf).
 func ruleExpr(r datalog.Rule, arities map[string]int, relOf func(pred string) (algebra.Expr, error)) (algebra.Expr, error) {
-	return ruleExprOpt(r, arities, relOf, true)
-}
-
-func ruleExprOpt(r datalog.Rule, arities map[string]int, relOf func(pred string) (algebra.Expr, error), useFlip bool) (algebra.Expr, error) {
 	plan, err := datalog.PlanRule(r)
 	if err != nil {
 		return nil, err
 	}
 	env := ruleEnv{
-		cur:     algebra.Expr(algebra.Lit{Set: unitSet}),
-		varIdx:  map[datalog.Var]int{},
-		useFlip: useFlip,
+		cur:    algebra.Expr(algebra.Lit{Set: unitSet}),
+		varIdx: map[datalog.Var]int{},
 	}
 	for _, st := range plan.Steps {
 		switch st.Kind {
@@ -294,10 +276,9 @@ func ruleExprOpt(r datalog.Rule, arities map[string]int, relOf func(pred string)
 // expression whose elements are flat tuples of the bound variables' values,
 // in binding order (varIdx gives each variable's 1-based position).
 type ruleEnv struct {
-	cur     algebra.Expr
-	vars    []datalog.Var
-	varIdx  map[datalog.Var]int
-	useFlip bool
+	cur    algebra.Expr
+	vars   []datalog.Var
+	varIdx map[datalog.Var]int
 }
 
 // envField projects the bound variable v out of the environment element.
@@ -375,7 +356,7 @@ func (env *ruleEnv) match(a datalog.Atom, arities map[string]int, relOf func(str
 		conds = append(conds, algebra.FCmp{Op: algebra.OpEq, L: rowField(i + 1), R: fe})
 	}
 	left := env.cur
-	if negated && env.useFlip {
+	if negated {
 		// The env copy inside the subtrahend must be read at the same
 		// polarity as the outer occurrence; see algebra.Flip.
 		left = algebra.Flip{E: env.cur}

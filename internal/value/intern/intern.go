@@ -114,15 +114,6 @@ func newInterner(global bool) *Interner {
 	return in
 }
 
-// Enabled reports whether the hash-consed fast paths are enabled process-wide
-// (see value.InterningEnabled). Interners work regardless; the switch only
-// governs whether engines choose the ID-keyed representations.
-func Enabled() bool { return value.InterningEnabled() }
-
-// SetEnabled flips the process-wide fast-path switch and returns the previous
-// setting. cmd/bench -nointern and the diffcheck ablation oracles use it.
-func SetEnabled(on bool) (was bool) { return value.SetInterning(on) }
-
 // Len returns the number of distinct values interned so far.
 func (in *Interner) Len() int { return int(in.next.Load()) }
 

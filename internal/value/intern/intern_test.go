@@ -134,26 +134,6 @@ func TestArenaGrowth(t *testing.T) {
 	}
 }
 
-func TestEnabledSwitch(t *testing.T) {
-	was := SetEnabled(false)
-	defer SetEnabled(was)
-	if Enabled() {
-		t.Fatal("Enabled() true after SetEnabled(false)")
-	}
-	// Interning itself keeps working while the fast paths are off.
-	in := New()
-	id := in.Intern(value.NewSet(value.Int(1)))
-	if !value.Equal(in.Lookup(id), value.NewSet(value.Int(1))) {
-		t.Error("interner broken while disabled")
-	}
-	if SetEnabled(true) != false {
-		t.Error("SetEnabled did not report previous setting")
-	}
-	if !Enabled() {
-		t.Error("Enabled() false after SetEnabled(true)")
-	}
-}
-
 func TestRelation(t *testing.T) {
 	r := NewRelation(2)
 	if r.Arity() != 2 || r.Len() != 0 {

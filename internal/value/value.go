@@ -23,23 +23,6 @@ import (
 	"sync/atomic"
 )
 
-// interning is the process-wide switch for the hash-consed fast paths: the
-// cached-intern-id equality shortcut in Compare and every caller that picks
-// between an intern.ID-keyed and a string-keyed representation (the grounder's
-// fact store, the algebra hash join). It defaults to on; cmd/bench -nointern
-// and the diffcheck intern oracles turn it off to pin bit-for-bit equivalence
-// of the two representations. The switch changes cost only, never results.
-var interning atomic.Bool
-
-func init() { interning.Store(true) }
-
-// InterningEnabled reports whether the hash-consed fast paths are enabled.
-func InterningEnabled() bool { return interning.Load() }
-
-// SetInterning enables or disables the hash-consed fast paths process-wide
-// and returns the previous setting (so ablations can restore it).
-func SetInterning(on bool) (was bool) { return interning.Swap(on) }
-
 // vcache is the mutable cache cell shared by all copies of one Tuple or Set:
 // the canonical String() encoding, computed at most once, and the value's
 // process-global intern id (0 while unassigned — intern ids start at 1).
@@ -60,9 +43,6 @@ func cachedEqual(a, b *vcache) bool {
 	}
 	if a == b {
 		return true
-	}
-	if !interning.Load() {
-		return false
 	}
 	ida := a.id.Load()
 	return ida != 0 && ida == b.id.Load()
