@@ -49,22 +49,13 @@ func runGolden(t *testing.T) {
 // a single byte of output.
 func TestGolden(t *testing.T) { runGolden(t) }
 
-// TestGoldenNoStreaming replays the same golden cases with the streaming
-// execution runtime disabled (Budget.NoStreaming, the reference): full
-// operator-by-operator materialization must reproduce every byte of output.
+// TestGoldenNoStreaming replays the same golden cases on the reference
+// evaluator (Budget.NoStreaming): operator-by-operator materialization, naive
+// IFP rounds and unscheduled defining equations must reproduce every byte of
+// output.
 func TestGoldenNoStreaming(t *testing.T) {
 	was := algebra.DefaultBudget.NoStreaming
 	algebra.DefaultBudget.NoStreaming = true
 	defer func() { algebra.DefaultBudget.NoStreaming = was }()
-	runGolden(t)
-}
-
-// TestGoldenNoIDSets replays the same golden cases with the ID-native delta
-// fixpoint kernels disabled (Budget.NoIDSets): the value-space delta rounds
-// must reproduce every byte of output.
-func TestGoldenNoIDSets(t *testing.T) {
-	was := algebra.DefaultBudget.NoIDSets
-	algebra.DefaultBudget.NoIDSets = true
-	defer func() { algebra.DefaultBudget.NoIDSets = was }()
 	runGolden(t)
 }

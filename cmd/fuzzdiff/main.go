@@ -23,7 +23,8 @@
 // repro, giving the engine-level trace of the disagreement.
 //
 // -inject plants a deliberate fault (see diffcheck.ParseFault; currently
-// none or drop-max) in one engine of the expr-seminaive pair. A campaign
+// none or drop-max) in the served side of the expr-stream pair and the
+// semi-naive side of the expr-seminaive pair. A campaign
 // with -inject drop-max must fail — it is the self-test proving the
 // harness catches and shrinks real bugs, exercised by this command's tests.
 //

@@ -30,7 +30,7 @@ func TestInjectedFaultCaughtAndShrunk(t *testing.T) {
 	repros := filepath.Join(dir, "repros")
 	trace := filepath.Join(dir, "trace.jsonl")
 	var out, errb strings.Builder
-	code := run([]string{"-oracle", "expr-seminaive", "-seeds", "40",
+	code := run([]string{"-oracle", "expr-stream", "-seeds", "40",
 		"-inject", "drop-max", "-out", repros, "-trace", trace}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("want exit 1 with a planted fault, got %d:\n%s%s", code, out.String(), errb.String())
@@ -50,7 +50,7 @@ func TestInjectedFaultCaughtAndShrunk(t *testing.T) {
 	if size, _ := strconv.Atoi(string(m[1])); size > 10 {
 		t.Errorf("shrunk witness has %d atoms, want <= 10:\n%s", size, repro)
 	}
-	for _, want := range []string{"oracle: expr-seminaive", "divergence:", "original instance"} {
+	for _, want := range []string{"oracle: expr-stream", "divergence:", "original instance"} {
 		if !strings.Contains(string(repro), want) {
 			t.Errorf("repro missing %q:\n%s", want, repro)
 		}

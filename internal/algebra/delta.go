@@ -18,9 +18,11 @@ import (
 //
 // so the accumulator recurrence acc' = acc ∪ body(acc) collapses to
 // acc' = acc ∪ body(Δ). DeltaDistributive decides the condition statically;
-// RunIFP runs either engine. Both produce the identical fixpoint — that is
-// the point of the analysis — so Budget.NoSemiNaive only changes cost,
-// never results.
+// RunIFP runs either loop. Both produce the identical fixpoint — that is the
+// point of the analysis — so the naive loop of the Budget.NoStreaming
+// reference only changes cost, never results. Delta is a property of the
+// body, not of how its sets are represented: this one loop serves every IFP
+// the relational kernel (internal/query) does not take.
 
 // DeltaDistributive reports whether e, read as a function of the relation
 // name (an enclosing IFP's fixpoint variable), distributes over union:

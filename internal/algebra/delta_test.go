@@ -138,8 +138,8 @@ func randIntSet(r *rand.Rand, n, bound int) value.Set {
 }
 
 // TestPropertySemiNaiveIFPEquivalence: on random IFP bodies, the semi-naive
-// delta engine and the naive engine compute the same fixpoint — the whole
-// point of the DeltaDistributive analysis.
+// delta engine and the reference's naive engine compute the same fixpoint —
+// the whole point of the DeltaDistributive analysis.
 func TestPropertySemiNaiveIFPEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -147,7 +147,7 @@ func TestPropertySemiNaiveIFPEquivalence(t *testing.T) {
 		db := DB{"e": randIntSet(r, 6, 20)}
 		budget := Budget{MaxIFPIters: 500, MaxSetSize: 20000}
 		naiveB := budget
-		naiveB.NoSemiNaive = true
+		naiveB.NoStreaming = true
 		semi, errS := NewEvaluator(db, budget).Eval(e)
 		naive, errN := NewEvaluator(db, naiveB).Eval(e)
 		if errS != nil || errN != nil {
@@ -203,16 +203,13 @@ func chainTC(n int) (Expr, DB, []int) {
 // TestIFPDeltaCounts pins the observability of the delta engine on a
 // hand-computed workload: transitive closure of a length-6 chain takes 7
 // rounds with per-round growth [6, 5, 4, 3, 2, 1, 0] and a 21-pair result,
-// in all three modes (the accumulator trajectory is identical; only the
-// bound input and its representation differ).
+// semi-naive in production and naive in the reference (the accumulator
+// trajectory is identical; only the bound input differs).
 func TestIFPDeltaCounts(t *testing.T) {
 	e, db, wantDeltas := chainTC(6)
-	for _, mode := range []string{"idsets", "seminaive", "naive"} {
+	for _, mode := range []string{"seminaive", "naive"} {
 		rec := &ifpRecorder{}
-		ev := NewEvaluator(db, Budget{
-			NoSemiNaive: mode == "naive",
-			NoIDSets:    mode != "idsets",
-		})
+		ev := NewEvaluator(db, Budget{NoStreaming: mode == "naive"})
 		ev.SetCollector(rec)
 		got, err := ev.Eval(e)
 		if err != nil {
@@ -254,9 +251,9 @@ func TestIFPStatsCounters(t *testing.T) {
 	}
 	snap := st.Snapshot()
 	want := map[string]int64{
-		"ifp.idsets.calls":      1,
-		"ifp.idsets.rounds":     7,
-		"ifp.idsets.deltaElems": 21,
+		"ifp.seminaive.calls":      1,
+		"ifp.seminaive.rounds":     7,
+		"ifp.seminaive.deltaElems": 21,
 	}
 	for k, v := range want {
 		if snap[k] != v {

@@ -16,37 +16,26 @@ type Budget struct {
 	MaxIFPIters int // maximum iterations of any single IFP (0 = default)
 	MaxSetSize  int // maximum cardinality of any intermediate set (0 = default)
 	MaxDepth    int // maximum Call nesting depth (0 = default)
-	// NoSemiNaive disables the semi-naive delta fixpoint engine (see
-	// delta.go): every IFP iterates naively, and internal/core falls back to
-	// its unscheduled sequential evaluation of defining equations. Results
-	// are identical either way (the expr-seminaive, core-valid and
-	// core-inflationary oracles pin it).
-	NoSemiNaive bool
-	// NoStreaming selects the scan-everything reference evaluator: σ/MAP
-	// pipelines over products are fully materialized operator by operator
-	// instead of planned into lazy join iterators (streameval.go) — σ over a
-	// product builds the product and scans it — prefix probes are off too
-	// (access.go), and a diff materializes its subtrahend even where that
-	// means building the products it subtracts (EvalDiff), instead of
-	// probing their factors. Results are identical either way on error-free
-	// evaluations, and for diff on failing ones too; only budget boundaries
-	// differ (the materialized path also bounds intermediate products).
-	// WithDefaults ORs in DefaultBudget.NoStreaming, so a process can select
-	// the reference for every evaluator it builds (the CLI golden tests do).
+	// NoStreaming selects the reference evaluator, the one every production
+	// path is checked against:
+	//   - operators are materialized one by one instead of planned into lazy
+	//     join iterators (streameval.go) — σ over a product builds the product
+	//     and scans it — prefix probes are off (access.go), and a diff
+	//     materializes its subtrahend even where that means building the
+	//     products it subtracts (EvalDiff);
+	//   - every IFP iterates naively, re-evaluating its body on the whole
+	//     accumulator, instead of semi-naively on the last round's delta;
+	//   - internal/core evaluates defining equations in unscheduled
+	//     sequential rounds instead of its SCC schedule;
+	//   - query.Execute answers an algebra expression on the value evaluator,
+	//     not the relational kernel, and internal/ivm maintains a view by
+	//     recomputation instead of counting/DRed.
+	// Results are identical either way on error-free evaluations, and for diff
+	// on failing ones too; only budget boundaries differ (the materialized
+	// path also bounds intermediate products). WithDefaults ORs in
+	// DefaultBudget.NoStreaming, so a process can select the reference for
+	// every evaluator it builds (the CLI golden tests do).
 	NoStreaming bool
-	// NoIDSets disables the ID-native semi-naive fixpoint engine (see
-	// idfixpoint.go): delta rounds union/diff materialized value.Sets
-	// instead of interned-ID sets. Results are identical either way on
-	// error-free evaluations; only budget boundaries can differ, as with
-	// NoStreaming. WithDefaults ORs in DefaultBudget.NoIDSets, as for
-	// NoStreaming.
-	NoIDSets bool
-	// NoIVM disables incremental view maintenance (internal/ivm): every
-	// ivm.View falls back to from-scratch re-evaluation on each mutation
-	// batch instead of counting/DRed delta maintenance. Results are
-	// identical either way — the maintained interpretation is pinned
-	// bit-for-bit against recomputation by the dlog-ivm oracle.
-	NoIVM bool
 	// Interrupt, when non-nil, is polled between fixpoint rounds and, inside
 	// one, every 4 096 elements of any loop over a set: the pairs of a product
 	// being built, the elements a difference probes, a σ or MAP scan, the rows
@@ -61,7 +50,7 @@ type Budget struct {
 var DefaultBudget = Budget{MaxIFPIters: 100_000, MaxSetSize: 5_000_000, MaxDepth: 1_000}
 
 // WithDefaults returns b with every zero-valued cap replaced by the
-// corresponding DefaultBudget value, and NoStreaming and NoIDSets ORed with
+// corresponding DefaultBudget value, and NoStreaming ORed with
 // DefaultBudget's.
 func (b Budget) WithDefaults() Budget {
 	if b.MaxIFPIters <= 0 {
@@ -74,7 +63,6 @@ func (b Budget) WithDefaults() Budget {
 		b.MaxDepth = DefaultBudget.MaxDepth
 	}
 	b.NoStreaming = b.NoStreaming || DefaultBudget.NoStreaming
-	b.NoIDSets = b.NoIDSets || DefaultBudget.NoIDSets
 	return b
 }
 
@@ -193,15 +181,7 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 			return ev.eval(sub, local)
 		})
 	case IFP:
-		useDelta := !ev.Budget.NoSemiNaive && DeltaDistributive(ee.Body, ee.Var)
-		if useDelta && !ev.Budget.NoIDSets {
-			out, ok, err := RunIFPIDSets(ee.Var, ev.Budget, ev.obs, ee.Body, func(sub Expr) (value.Set, error) {
-				return ev.eval(sub, local)
-			})
-			if ok {
-				return out, err
-			}
-		}
+		useDelta := !ev.Budget.NoStreaming && DeltaDistributive(ee.Body, ee.Var)
 		return RunIFP(ee.Var, local, ev.Budget, useDelta, ev.obs, func(inner map[string]value.Set) (value.Set, error) {
 			return ev.eval(ee.Body, inner)
 		})

@@ -9,11 +9,10 @@ import "algrec/internal/value"
 //	σ_test(L × R)  with test containing conjuncts  p.1.⟨path⟩ = p.2.⟨path⟩.
 //
 // Materializing the full product makes that quadratic, so the join planner
-// (planner.go) and the ID-native fixpoint compiler (idcompile.go) join on the
-// key paths instead and re-check the complete test on each candidate pair;
-// only the Budget.NoStreaming reference builds the product. EquiJoinKeys
-// reports the key paths of a test, sidePath decomposes one side's path and
-// applyPath follows a path into an element.
+// (planner.go) joins on the key paths instead and re-checks the complete test
+// on each candidate pair; only the Budget.NoStreaming reference builds the
+// product. EquiJoinKeys reports the key paths of a test, sidePath decomposes
+// one side's path and applyPath follows a path into an element.
 
 // KeyPath is a sequence of 1-based tuple projections applied to one side of
 // a product element.

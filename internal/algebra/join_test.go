@@ -114,7 +114,7 @@ func TestHashJoinTCEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewEvaluator(db, Budget{NoSemiNaive: true, NoStreaming: true, NoIDSets: true}).Eval(e)
+	slow, err := NewEvaluator(db, Budget{NoStreaming: true}).Eval(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,19 +177,7 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 		// fixpoint loop runs semi-naive when the body distributes over union
 		// in the variable — distributivity is polarity-independent, because
 		// the variable itself is a local binding.
-		useDelta := !de.budget.NoSemiNaive && algebra.DeltaDistributive(ee.Body, ee.Var)
-		if useDelta && !de.budget.NoIDSets {
-			// The leaf closure carries the current polarity and locals, so
-			// the compiled constants read the same pos/neg environments the
-			// value path would.
-			body, _ := flipSubtrahends(ee.Body, ee.Var)
-			out, ok, err := algebra.RunIFPIDSets(ee.Var, de.budget, de.obs, body, func(sub algebra.Expr) (value.Set, error) {
-				return de.eval(sub, positive, local)
-			})
-			if ok {
-				return out, err
-			}
-		}
+		useDelta := !de.budget.NoStreaming && algebra.DeltaDistributive(ee.Body, ee.Var)
 		return algebra.RunIFP(ee.Var, local, de.budget, useDelta, de.obs, func(inner map[string]value.Set) (value.Set, error) {
 			return de.eval(ee.Body, positive, inner)
 		})
@@ -202,38 +190,6 @@ func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]va
 	default:
 		panic(fmt.Sprintf("core: unknown Expr %T", e))
 	}
-}
-
-// flipSubtrahends returns e with every subtrahend the fixpoint variable v
-// passes by wrapped in Flip, and whether v occurs in e. The ID-set engine
-// freezes each variable-free subexpression through one leaf function — this
-// evaluator at the current polarity — but the subtrahend of a difference is
-// read at the opposite one; the Flip makes that one leaf evaluation invert.
-func flipSubtrahends(e algebra.Expr, v string) (algebra.Expr, bool) {
-	switch ee := e.(type) {
-	case algebra.Rel:
-		return e, ee.Name == v
-	case algebra.Union:
-		l, lv := flipSubtrahends(ee.L, v)
-		r, rv := flipSubtrahends(ee.R, v)
-		return algebra.Union{L: l, R: r}, lv || rv
-	case algebra.Product:
-		l, lv := flipSubtrahends(ee.L, v)
-		r, rv := flipSubtrahends(ee.R, v)
-		return algebra.Product{L: l, R: r}, lv || rv
-	case algebra.Diff:
-		if l, lv := flipSubtrahends(ee.L, v); lv {
-			return algebra.Diff{L: l, R: algebra.Flip{E: ee.R}}, true
-		}
-	case algebra.Select:
-		of, ov := flipSubtrahends(ee.Of, v)
-		return algebra.Select{Of: of, Var: ee.Var, Test: ee.Test}, ov
-	case algebra.Map:
-		of, ov := flipSubtrahends(ee.Of, v)
-		return algebra.Map{Of: of, Var: ee.Var, Out: ee.Out}, ov
-	}
-	// Anything else the variable occurs under is not ID-compiled at all.
-	return e, false
 }
 
 func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {
@@ -251,7 +207,7 @@ func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {
 // subtrahend, so the result is the set of possible members; with neg = the
 // possible sets, the result is the certain members.
 //
-// This is the reference engine, selected by Budget.NoSemiNaive: sequential
+// This is the reference engine, selected by Budget.NoStreaming: sequential
 // Gauss-Seidel rounds over all definitions, no schedule. gammaScheduled
 // computes the identical sets.
 func gammaNaive(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, obs obsv.Collector, ctr *coreCounters) (map[string]value.Set, error) {
@@ -352,7 +308,7 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 	obs := obsv.Default()
 	ctr := &coreCounters{}
 	var sched *schedule
-	if !budget.NoSemiNaive {
+	if !budget.NoStreaming {
 		// The scheduled Γ is only equivalent to the reference engine when Γ is
 		// monotone in pos (see schedule.go): a Flip under a subtrahend, or a
 		// pos-environment read inside an IFP that is non-monotone in its own
@@ -422,7 +378,7 @@ func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[str
 	for _, d := range q.Defs {
 		cur[d.Name] = value.EmptySet
 	}
-	if budget.NoSemiNaive {
+	if budget.NoStreaming {
 		return evalInflationaryNaive(q, db, budget, obs, cur)
 	}
 	// Inflationary semantics is not stratifiable — with pos = neg = cur,
@@ -485,7 +441,7 @@ func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[str
 }
 
 // evalInflationaryNaive is the pre-schedule engine, kept bit-for-bit for
-// Budget.NoSemiNaive: sequential Jacobi rounds over all definitions.
+// Budget.NoStreaming: sequential Jacobi rounds over all definitions.
 func evalInflationaryNaive(q *Program, db algebra.DB, budget algebra.Budget, obs obsv.Collector, cur map[string]value.Set) (map[string]value.Set, error) {
 	rounds, evals := 0, 0
 	for round := 0; ; round++ {

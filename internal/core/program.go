@@ -26,9 +26,10 @@
 //
 // Execution: the dual-bound evaluator shares internal/algebra's streaming
 // runtime — σ/MAP pipelines over products are planned into lazy
-// pushdown/hash-join iterators unless Budget.NoStreaming is set. Those
-// operators are polarity-transparent, so the same pipeline serves both the
-// lower- and upper-bound passes (see docs/architecture.md).
+// pushdown/hash-join iterators, and IFPs and defining equations are evaluated
+// semi-naively on a schedule, unless Budget.NoStreaming selects the reference.
+// Those operators are polarity-transparent, so the same pipeline serves both
+// the lower- and upper-bound passes (see docs/architecture.md).
 package core
 
 import (

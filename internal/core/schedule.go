@@ -17,8 +17,8 @@ import (
 // same sets as the naive sequential one (gammaNaive) whenever Γ is monotone
 // in the pos environment: then by the chaotic-iteration theorem any fair
 // update order reaches the identical least fixpoint, and sets are canonical,
-// so equal sets are identical representations. Budget.NoSemiNaive restores
-// the naive engine.
+// so equal sets are identical representations. Budget.NoStreaming, the
+// reference, restores the naive engine.
 //
 // The analysis tracks two parities per occurrence of a defined constant,
 // because the evaluator's two inverters differ semantically:

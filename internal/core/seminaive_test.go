@@ -85,8 +85,8 @@ func randEquationProgram(r *rand.Rand) *Program {
 
 // TestPropertySemiNaiveValidEquivalence: the scheduled engine (SCC strata,
 // delta-tracked skipping, parallel rounds) computes the same valid
-// interpretation as the naive sequential engine on random programs with
-// negation.
+// interpretation as the reference's naive sequential engine on random
+// programs with negation.
 func TestPropertySemiNaiveValidEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -94,7 +94,7 @@ func TestPropertySemiNaiveValidEquivalence(t *testing.T) {
 		db := algebra.DB{"base": ints(1, 2, 3)}
 		budget := algebra.Budget{MaxIFPIters: 1000, MaxSetSize: 10000}
 		naiveB := budget
-		naiveB.NoSemiNaive = true
+		naiveB.NoStreaming = true
 		sRes, sErr := EvalValid(p, db, budget)
 		nRes, nErr := EvalValid(p, db, naiveB)
 		if sErr != nil || nErr != nil {
@@ -121,7 +121,7 @@ func TestPropertySemiNaiveInflationaryEquivalence(t *testing.T) {
 		db := algebra.DB{"base": ints(1, 2, 3)}
 		budget := algebra.Budget{MaxIFPIters: 1000, MaxSetSize: 10000}
 		naiveB := budget
-		naiveB.NoSemiNaive = true
+		naiveB.NoStreaming = true
 		s, sErr := EvalInflationary(p, db, budget)
 		n, nErr := EvalInflationary(p, db, naiveB)
 		if sErr != nil || nErr != nil {
@@ -148,13 +148,13 @@ func TestInflationaryStratificationCounterexample(t *testing.T) {
 		{Name: "a", Body: algebra.Diff{L: algebra.Lit{Set: ints(1)}, R: rel("b")}},
 		{Name: "b", Body: algebra.Lit{Set: ints(1)}},
 	}}
-	for _, noSemiNaive := range []bool{false, true} {
-		got, err := EvalInflationary(p, algebra.DB{}, algebra.Budget{NoSemiNaive: noSemiNaive})
+	for _, reference := range []bool{false, true} {
+		got, err := EvalInflationary(p, algebra.DB{}, algebra.Budget{NoStreaming: reference})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !value.Equal(got["a"], ints(1)) || !value.Equal(got["b"], ints(1)) {
-			t.Errorf("NoSemiNaive=%v: got a=%v b=%v, want a={1} b={1}", noSemiNaive, got["a"], got["b"])
+			t.Errorf("NoStreaming=%v: got a=%v b=%v, want a={1} b={1}", reference, got["a"], got["b"])
 		}
 	}
 }
@@ -352,7 +352,7 @@ func TestFlippedSubtrahendRegression(t *testing.T) {
 	db := algebra.DB{"base": ints(1, 2, 3)}
 	budget := algebra.Budget{MaxIFPIters: 1000, MaxSetSize: 10000}
 	naiveB := budget
-	naiveB.NoSemiNaive = true
+	naiveB.NoStreaming = true
 	sRes, err := EvalValid(p, db, budget)
 	if err != nil {
 		t.Fatal(err)

@@ -110,11 +110,11 @@ func TestOraclesCleanSweep(t *testing.T) {
 }
 
 // TestPlantedFaultIsCaught validates the harness end to end: with
-// FaultDropMax planted, the expr-seminaive oracle must report divergences
+// FaultDropMax planted, the expr-stream oracle must report divergences
 // on a healthy engine pair, and the Divergence must carry the oracle name.
 func TestPlantedFaultIsCaught(t *testing.T) {
 	defer InjectFault(FaultDropMax)()
-	o, _ := ByName("expr-seminaive")
+	o, _ := ByName("expr-stream")
 	caught := 0
 	for seed := int64(0); seed < 40; seed++ {
 		in := Generate(o, randgen.New(seed, randgen.Config{Size: 2}))
@@ -126,7 +126,7 @@ func TestPlantedFaultIsCaught(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: non-divergence error %v", seed, err)
 		}
-		if d.Oracle != "expr-seminaive" {
+		if d.Oracle != "expr-stream" {
 			t.Fatalf("divergence names oracle %q", d.Oracle)
 		}
 		if !strings.Contains(d.Detail, "left") {

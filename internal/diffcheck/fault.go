@@ -16,10 +16,11 @@ type Fault uint8
 const (
 	// FaultNone plants nothing; the shipped default.
 	FaultNone Fault = iota
-	// FaultDropMax drops the greatest element from the semi-naive side of
-	// the expr-seminaive oracle whenever the result has at least two
-	// elements — the observable signature of a delta-window off-by-one that
-	// loses the last round's contribution.
+	// FaultDropMax drops the greatest element from the served side of the
+	// expr-stream oracle, and from the semi-naive side of expr-seminaive,
+	// whenever the result has at least two elements — the observable
+	// signature of a delta-window off-by-one that loses the last round's
+	// contribution.
 	FaultDropMax
 )
 

@@ -37,6 +37,7 @@ func fuzzOracle(f *testing.F, name string) {
 	})
 }
 
+func FuzzExprStream(f *testing.F)       { fuzzOracle(f, "expr-stream") }
 func FuzzExprSemiNaive(f *testing.F)    { fuzzOracle(f, "expr-seminaive") }
 func FuzzExprIFPElim(f *testing.F)      { fuzzOracle(f, "expr-ifp-elim") }
 func FuzzCoreValid(f *testing.F)        { fuzzOracle(f, "core-valid") }
@@ -47,10 +48,7 @@ func FuzzDlogTheorem43(f *testing.F)    { fuzzOracle(f, "dlog-theorem43") }
 func FuzzDlogMinimal(f *testing.F)      { fuzzOracle(f, "dlog-minimal") }
 func FuzzDlogStratified(f *testing.F)   { fuzzOracle(f, "dlog-stratified") }
 func FuzzDlogStable(f *testing.F)       { fuzzOracle(f, "dlog-stable") }
-func FuzzExprStream(f *testing.F)       { fuzzOracle(f, "expr-stream") }
 func FuzzDlogStream(f *testing.F)       { fuzzOracle(f, "dlog-stream") }
-func FuzzExprIDSet(f *testing.F)        { fuzzOracle(f, "expr-idset") }
-func FuzzDlogIDSet(f *testing.F)        { fuzzOracle(f, "dlog-idset") }
 func FuzzDlogIVM(f *testing.F)          { fuzzOracle(f, "dlog-ivm") }
 func FuzzDlogStorage(f *testing.F)      { fuzzOracle(f, "dlog-storage") }
 func FuzzDlogRelational(f *testing.F)   { fuzzOracle(f, "dlog-relational") }

@@ -9,12 +9,12 @@ import (
 // checkCoreValid evaluates an algebra= program under the valid semantics on
 // the production path — scheduled semi-naive Γ, streamed pipelines, probed
 // differences — and on the reference: the naive Γ over fully materialized
-// operators. Lower and upper bounds must be identical. The scheduled engine
-// may itself decide the program is unsafe for scheduling and fall back — that
-// is fine; the oracle checks the outcome, not the route.
+// operators and naive IFP rounds. Lower and upper bounds must be identical.
+// The scheduled engine may itself decide the program is unsafe for scheduling
+// and fall back — that is fine; the oracle checks the outcome, not the route.
 func checkCoreValid(p *core.Program, db algebra.DB) error {
 	const oracle = "core-valid"
-	ref, errR := core.EvalValid(p, db, noStreaming(noSemiNaive(ExprBudget)))
+	ref, errR := core.EvalValid(p, db, noStreaming(ExprBudget))
 	opt, errO := core.EvalValid(p, db, ExprBudget)
 	if done, err := pairErr(oracle, "reference", "production", errR, errO); done {
 		return err
@@ -26,10 +26,11 @@ func checkCoreValid(p *core.Program, db algebra.DB) error {
 }
 
 // checkCoreInflationary is checkCoreValid for the inflationary semantics:
-// scheduled rounds vs naive Jacobi rounds must accumulate the same sets.
+// scheduled rounds vs the reference's naive Jacobi rounds must accumulate the
+// same sets.
 func checkCoreInflationary(p *core.Program, db algebra.DB) error {
 	const oracle = "core-inflationary"
-	ref, errR := core.EvalInflationary(p, db, noSemiNaive(ExprBudget))
+	ref, errR := core.EvalInflationary(p, db, noStreaming(ExprBudget))
 	opt, errO := core.EvalInflationary(p, db, ExprBudget)
 	if done, err := pairErr(oracle, "naive", "scheduled", errR, errO); done {
 		return err

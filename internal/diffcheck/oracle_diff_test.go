@@ -83,7 +83,7 @@ func TestDiffProbingInstances(t *testing.T) {
 					t.Error(err)
 				}
 				prod, errP := core.EvalValid(sc.Program, sc.DB, ExprBudget)
-				ref, errR := core.EvalValid(sc.Program, sc.DB, noStreaming(noSemiNaive(ExprBudget)))
+				ref, errR := core.EvalValid(sc.Program, sc.DB, noStreaming(ExprBudget))
 				if errP != nil || errR != nil {
 					t.Fatalf("production: %v, reference: %v", errP, errR)
 				}
@@ -145,7 +145,7 @@ func TestDiffLeafErrorsSurfaceOnBothPaths(t *testing.T) {
 		}
 		p := &core.Program{Defs: []core.Def{{Name: "d", Body: e}}}
 		_, errP := core.EvalValid(p, db, ExprBudget)
-		_, errR := core.EvalValid(p, db, noStreaming(noSemiNaive(ExprBudget)))
+		_, errR := core.EvalValid(p, db, noStreaming(ExprBudget))
 		if errP == nil || errR == nil || errP.Error() != errR.Error() {
 			t.Errorf("def d = %s:\n  production: %v\n  reference:  %v", src, errP, errR)
 		}

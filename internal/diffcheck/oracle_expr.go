@@ -6,19 +6,20 @@ import (
 	"algrec/internal/translate"
 )
 
-// checkExprSemiNaive runs one expression through the delta (semi-naive) IFP
-// engine and through the naive engine, demanding identical sets. This is the
-// engine pair every IFP in the repository rides on; the delta side is also
-// where FaultDropMax plants its corruption.
+// checkExprSemiNaive runs one expression through the value evaluator, whose
+// IFP takes semi-naive delta rounds whenever the body is delta-distributive,
+// and through the reference evaluator's naive rounds, demanding identical
+// sets. Unlike expr-stream's served side, which hands flat joins and
+// closures to the relational kernel, every IFP here runs the value-space
+// delta loop; that side is also where FaultDropMax plants its corruption.
 func checkExprSemiNaive(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-seminaive"
-	naive, errN := algebra.NewEvaluator(db, noSemiNaive(ExprBudget)).Eval(e)
+	naive, errN := algebra.NewEvaluator(db, noStreaming(ExprBudget)).Eval(e)
 	delta, errD := algebra.NewEvaluator(db, ExprBudget).Eval(e)
 	if done, err := pairErr(oracle, "naive", "semi-naive", errN, errD); done {
 		return err
 	}
-	delta = applyDropMax(delta)
-	return diffSets(oracle, "IFP engine result", naive, delta)
+	return diffSets(oracle, "IFP engine result", naive, applyDropMax(delta))
 }
 
 // checkExprIFPElim runs an IFP expression directly and through the Theorem

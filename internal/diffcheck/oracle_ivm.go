@@ -15,19 +15,18 @@ import (
 // (internal/ivm): replaying an arbitrary insert/delete schedule through the
 // counting/DRed delta engine must leave the maintained outcome — and every
 // per-step ResultDelta — bit-for-bit identical to a view that re-executes
-// the plan from scratch on each batch (Budget.NoIVM) and diffs the outcomes.
+// the plan from scratch on each batch (the view the Budget.NoStreaming
+// reference selects) and diffs the outcomes.
 //
 // What it pins is maintained == from-scratch, deltas included — not that
 // from-scratch is right: the recompute side is query.Execute, which evaluates
 // these stratified programs on the same relational kernel the delta engine
-// maintains on, so a fault in the kernel's joins would move both sides alike.
-// The independent reference — the grounded evaluation — is dlog-relational's
-// side of the triangle.
+// maintains on — NoStreaming does not change datalog's engine — so a fault in
+// the kernel's joins would move both sides alike. The independent reference —
+// the grounded evaluation — is dlog-relational's side of the triangle.
 //
 // The A/B is per-view, so no process-wide flip or serialization lock is
-// involved; when interning is disabled process-wide both sides run the
-// recompute fallback and the oracle degrades to a (still sound)
-// self-comparison.
+// involved.
 
 // checkDlogIVM builds one incremental and one recompute view of the same
 // stratified program and replays the schedule through both, comparing each
@@ -44,13 +43,8 @@ func checkDlogIVM(p *datalog.Program, sched []randgen.FactBatch) error {
 		Source:    p.String(),
 		Program:   p,
 	}
-	opts := func(noIVM bool) query.Options {
-		b := ExprBudget
-		b.NoIVM = noIVM
-		return query.Options{Budget: b, Ground: GroundBudget}
-	}
-	inc, errI := ivm.New(plan, nil, opts(false))
-	rec, errR := ivm.New(plan, nil, opts(true))
+	inc, errI := ivm.New(plan, nil, query.Options{Budget: ExprBudget, Ground: GroundBudget})
+	rec, errR := ivm.New(plan, nil, query.Options{Budget: noStreaming(ExprBudget), Ground: GroundBudget})
 	if done, err := pairErr(oracle, "incremental build", "recompute build", errI, errR); done {
 		return err
 	}

@@ -8,37 +8,30 @@ import (
 	"algrec/internal/translate"
 )
 
-// The stream oracles pin the streaming execution runtime's contract: the
-// per-budget NoStreaming switch, the materialized reference, changes cost
-// only, never results. NoStreaming travels in the Budget, so the oracles
-// need no lock; when DefaultBudget.NoStreaming is set, both sides of the pair
-// materialize and the oracle degrades to a (still sound) self-comparison.
-
-// noStreaming returns the budget with the streaming runtime disabled — the
-// materialized reference side of each stream oracle.
-func noStreaming(b algebra.Budget) algebra.Budget {
-	b.NoStreaming = true
-	return b
-}
+// The stream oracles pin the production path's contract: against the
+// reference evaluator the per-budget NoStreaming switch selects — materialized
+// operators, naive IFP rounds, unscheduled defining equations — it changes
+// cost only, never results.
 
 // checkExprStream evaluates one expression as it is served — query.Execute,
 // which runs a flat join on the relational rule kernel and everything else on
-// the planned value runtime (streaming pipelines, access paths) — and through
-// full operator-by-operator materialization, the reference: neither the
-// kernel nor the planned iterators may change the value.
+// the planned value runtime (streaming pipelines, access paths, semi-naive
+// IFP) — and on the reference: neither the kernel, nor the planned iterators,
+// nor the delta rounds may change the value. The served side is also where
+// FaultDropMax plants its corruption.
 func checkExprStream(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-stream"
 	out, errSt := query.Execute(query.ExprPlan(e), db, query.Options{Budget: ExprBudget})
-	mat, errMat := algebra.NewEvaluator(db, noStreaming(ExprBudget)).Eval(e)
-	if done, err := pairErr(oracle, "served", "materialized", errSt, errMat); done {
+	ref, errRef := algebra.NewEvaluator(db, noStreaming(ExprBudget)).Eval(e)
+	if done, err := pairErr(oracle, "served", "reference", errSt, errRef); done {
 		return err
 	}
-	return diffSets(oracle, "served vs materialized result", out.Value, mat)
+	return diffSets(oracle, "served vs reference result", applyDropMax(out.Value), ref)
 }
 
 // checkDlogStream translates one free-polarity program to algebra=
-// (Proposition 6.1) and evaluates its valid model with and without the
-// streaming runtime: the three-valued dual evaluator must compute identical
+// (Proposition 6.1) and evaluates its valid model on the production path and
+// on the reference: the three-valued dual evaluator must compute identical
 // certain and possible parts either way.
 func checkDlogStream(p *datalog.Program) error {
 	const oracle = "dlog-stream"
@@ -47,12 +40,12 @@ func checkDlogStream(p *datalog.Program) error {
 		return nil // translation gap: not comparable
 	}
 	st, errSt := core.EvalValid(cp, db, ExprBudget)
-	mat, errMat := core.EvalValid(cp, db, noStreaming(ExprBudget))
-	if done, err := pairErr(oracle, "streaming valid", "materialized valid", errSt, errMat); done {
+	ref, errRef := core.EvalValid(cp, db, noStreaming(ExprBudget))
+	if done, err := pairErr(oracle, "production valid", "reference valid", errSt, errRef); done {
 		return err
 	}
-	if err := diffSetMaps(oracle, "certain (lower) part", st.Lower, mat.Lower); err != nil {
+	if err := diffSetMaps(oracle, "certain (lower) part", st.Lower, ref.Lower); err != nil {
 		return err
 	}
-	return diffSetMaps(oracle, "possible (upper) part", st.Upper, mat.Upper)
+	return diffSetMaps(oracle, "possible (upper) part", st.Upper, ref.Upper)
 }

@@ -11,12 +11,13 @@ import (
 	"algrec/internal/randgen"
 )
 
-// TestStreamOracleSweep is the streaming ≡ materialized property test: a
+// TestStreamOracleSweep is the production ≡ reference property test: a
 // deeper seed sweep than TestOraclesCleanSweep over the two stream oracles,
 // at the generator sizes where randgen's joinPipeline shapes (multi-leaf
 // products with cross-leaf keys and pushable conjuncts) appear often. Any
-// divergence is a planner or executor bug — pruning that dropped a row the
-// complete test accepts, or a key encoding that separated equal values.
+// divergence is a planner, executor or delta-round bug — pruning that dropped
+// a row the complete test accepts, a key encoding that separated equal
+// values, or a delta that lost a round's contribution.
 func TestStreamOracleSweep(t *testing.T) {
 	for _, name := range []string{"expr-stream", "dlog-stream"} {
 		o, ok := ByName(name)
@@ -48,24 +49,31 @@ func counted(f func()) obsv.Snapshot {
 }
 
 // TestGeneratorReachesKernel: expr-stream's served side only pins the
-// relational kernel if the generator draws flat joins; of the first 2 000
-// instances at the sweep sizes, at least a tenth must run on it.
+// relational kernel if the generator draws flat joins, and the value
+// evaluator's semi-naive fixpoint if it draws delta-distributive closures the
+// kernel does not take; of the first 2 000 instances at the sweep sizes, at
+// least a tenth must reach each. The reference side iterates naively, so
+// every ifp.seminaive call counted here is the served side's.
 func TestGeneratorReachesKernel(t *testing.T) {
 	o, _ := ByName("expr-stream")
-	reached := 0
+	kernel, seminaive := 0, 0
 	for seed := int64(0); seed < 2000; seed++ {
 		in := Generate(o, randgen.New(seed, randgen.Config{Size: 1 + int(seed%4)}))
 		var err error
-		if counted(func() { err = in.Check() })["algebra.engine.kernel"] > 0 {
-			reached++
+		snap := counted(func() { err = in.Check() })
+		if snap["algebra.engine.kernel"] > 0 {
+			kernel++
+		}
+		if snap["ifp.seminaive.calls"] > 0 {
+			seminaive++
 		}
 		if err != nil {
 			t.Fatalf("seed %d: %v\ninstance:\n%s", seed, err, in.Render())
 		}
 	}
-	t.Logf("%d of 2000 instances run on the kernel", reached)
-	if reached < 200 {
-		t.Errorf("only %d of 2000 instances run on the kernel", reached)
+	t.Logf("of 2000 instances, %d run on the kernel and %d run semi-naive IFP rounds", kernel, seminaive)
+	if kernel < 200 || seminaive < 200 {
+		t.Errorf("of 2000 instances, only %d run on the kernel and %d run semi-naive IFP rounds", kernel, seminaive)
 	}
 }
 

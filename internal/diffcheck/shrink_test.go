@@ -27,7 +27,7 @@ func findDiverging(t *testing.T, o *Oracle, maxSeed int64) *Instance {
 // witness to at most 10 atoms while it keeps diverging.
 func TestShrinkPlantedFault(t *testing.T) {
 	defer InjectFault(FaultDropMax)()
-	o, _ := ByName("expr-seminaive")
+	o, _ := ByName("expr-stream")
 	in := findDiverging(t, o, 40)
 	small := in.Shrink()
 	if small.Size() > in.Size() {
@@ -43,7 +43,7 @@ func TestShrinkPlantedFault(t *testing.T) {
 
 // TestShrinkNonDiverging checks that a passing instance is returned as-is.
 func TestShrinkNonDiverging(t *testing.T) {
-	o, _ := ByName("expr-seminaive")
+	o, _ := ByName("expr-stream")
 	in := Generate(o, randgen.New(3, randgen.Config{Size: 2}))
 	if err := in.Check(); err != nil {
 		t.Fatalf("instance unexpectedly diverges: %v", err)
@@ -95,7 +95,7 @@ func TestShrinkDatalog(t *testing.T) {
 // candidate of a generated instance has strictly smaller or equal size and
 // renders without panicking.
 func TestShrinkExprCandidatesWellFormed(t *testing.T) {
-	o, _ := ByName("expr-seminaive")
+	o, _ := ByName("expr-stream")
 	for seed := int64(0); seed < 10; seed++ {
 		in := Generate(o, randgen.New(seed, randgen.Config{Size: 3}))
 		for _, c := range in.candidates() {

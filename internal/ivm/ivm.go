@@ -21,8 +21,8 @@
 //     negation through recursion (three-valued under valid and well-founded:
 //     each recompute is the kernel's alternation from scratch, but no batch is
 //     propagated into one), under the inflationary or stable semantics, or with
-//     a rule no join order exists for; and Budget.NoIVM — by re-executing the
-//     plan and diffing the outcomes.
+//     a rule no join order exists for; and the Budget.NoStreaming reference —
+//     by re-executing the plan and diffing the outcomes.
 //
 // The delta engine owns no tables, rule compiler, plan executor or strategy
 // code: it is a client of the relational rule kernel (internal/datalog/rel),
@@ -63,8 +63,8 @@ const (
 	// ModeIncremental maintains the outcome by counting/DRed delta rules.
 	ModeIncremental Mode = "incremental"
 	// ModeRecompute re-executes the plan on every mutation batch and diffs
-	// the outcomes — the always-correct fallback, and the Budget.NoIVM
-	// reference.
+	// the outcomes — the always-correct fallback, and the view the
+	// Budget.NoStreaming reference selects.
 	ModeRecompute Mode = "recompute"
 )
 
@@ -119,7 +119,7 @@ type View struct {
 // (negation-free for the minimal semantics), with every rule plannable,
 // under the stratified, valid, well-founded or minimal semantics — the
 // fragments where those semantics agree on the stratified model — provided
-// opts.Budget does not set NoIVM; every other plan, a
+// opts.Budget does not select the NoStreaming reference; every other plan, a
 // program with negation through recursion included, gets the recompute
 // fallback. The initial evaluation honors opts' budgets; its
 // error is returned as-is (query.ErrorCode classifies it). A view reports one
@@ -145,11 +145,12 @@ func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
 
 // incrementalOK reports whether the plan is in the incrementally
 // maintainable fragment under the given options: a stratified program that
-// query.Execute would evaluate on the relational kernel, unless Budget.NoIVM
-// asks for recompute. The kernel also evaluates negation through recursion,
-// three-valued; keeping such a model current under mutation is not done here.
+// query.Execute would evaluate on the relational kernel, unless
+// Budget.NoStreaming asks for the reference. The kernel also evaluates
+// negation through recursion, three-valued; keeping such a model current
+// under mutation is not done here.
 func incrementalOK(plan *query.Plan, opts query.Options) bool {
-	return !opts.Budget.NoIVM && query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
+	return !opts.Budget.WithDefaults().NoStreaming && query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
 }
 
 // Mode returns the view's maintenance mode.

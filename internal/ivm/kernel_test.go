@@ -85,7 +85,7 @@ func TestMaintenanceCostIsLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		rec, err := New(plan, db, query.Options{Budget: algebra.Budget{NoIVM: true}})
+		rec, err := New(plan, db, query.Options{Budget: algebra.Budget{NoStreaming: true}})
 		if err != nil {
 			t.Fatalf("New(recompute): %v", err)
 		}
@@ -261,7 +261,7 @@ func TestBudgetOverrunRebuilds(t *testing.T) {
 		t.Fatalf("New under MaxRules=%d: %v", opts.Ground.MaxRules, err)
 	}
 	recOpts := opts
-	recOpts.Budget.NoIVM = true
+	recOpts.Budget.NoStreaming = true
 	rec, err := New(plan, db, recOpts)
 	if err != nil {
 		t.Fatalf("New(recompute): %v", err)
@@ -532,7 +532,7 @@ func TestFreshViewReportsOnlyWhatChanges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec, err := New(plan, db, query.Options{Budget: algebra.Budget{NoIVM: true}})
+	rec, err := New(plan, db, query.Options{Budget: algebra.Budget{NoStreaming: true}})
 	if err != nil {
 		t.Fatalf("New(recompute): %v", err)
 	}

@@ -79,7 +79,8 @@ type IFPStats struct {
 	// Mode is "seminaive" when the delta engine evaluated the body only on
 	// the per-round delta (the body is distributive over union in the
 	// fixpoint variable), "naive" when every round re-evaluated the body on
-	// the full accumulator.
+	// the full accumulator (a non-distributive body, or the Budget.NoStreaming
+	// reference).
 	Mode string
 	// Rounds counts body evaluations, including the final unchanged round
 	// that detects the fixpoint.
@@ -99,8 +100,8 @@ type CoreEvalStats struct {
 	// Defs is the number of defined constants after inlining.
 	Defs int
 	// Strata is the number of strongly-connected components the scheduler
-	// evaluated in topological order; 0 for the naive engine
-	// (Budget.NoSemiNaive), which has no schedule.
+	// evaluated in topological order; 0 for the naive engine of the
+	// Budget.NoStreaming reference, which has no schedule.
 	Strata int
 	// Gammas counts Γ passes: two per alternation round for "valid", always
 	// 1 for "inflationary" (its rounds are global).

@@ -127,6 +127,10 @@ func (x *compiler) unify(a, b *elemType) {
 		x.fail()
 		return
 	}
+	if a.occurs(b) || b.occurs(a) { // ifp(s, union(f, product(s, e))) neither
+		x.fail()
+		return
+	}
 	a.link, b.open = b, a.open && b.open
 	for i, k := range a.kids {
 		x.unify(k, b.kids[i])

@@ -27,11 +27,9 @@ const (
 	textEqWin    = `def win = map(diff(e, product(map(e, \x -> x.1), win)), \x -> x.1); query win;`
 )
 
-// reference evaluates e on the value evaluator's reference path. The ID-space
-// fixpoint kernels are off too: they intern the tuples they build, and an
-// intern ID cached on a tuple is part of what reflect.DeepEqual compares.
+// reference evaluates e on the reference evaluator.
 func reference(e algebra.Expr, db algebra.DB, b algebra.Budget) (value.Set, error) {
-	b.NoStreaming, b.NoIDSets = true, true
+	b.NoStreaming = true
 	return algebra.NewEvaluator(db, b).Eval(e)
 }
 
@@ -160,6 +158,7 @@ func TestKernelMatchesValuePath(t *testing.T) {
 		{"an empty relation", textTwoHop, algebra.DB{"e": value.EmptySet}, true},
 		{"a cross product", `product(e, f)`, nil, false},
 		{"a select over a cross product", `select(product(e, f), \p -> p.1.1 = 1)`, nil, false},
+		{"a closure with no finite type", `ifp(s, union(f, select(product(s, e), \p -> p.1.2 = p.2.1)))`, nil, false},
 	} {
 		plan := mustCompile(t, LangIFPAlgebra, SemValid, c.src)
 		if (plan.kernel != nil) != c.kernel {

@@ -21,8 +21,8 @@
 //
 // docs/architecture.md walks the full lifecycle — parse, translate, plan,
 // ground, fixpoint, result — through this package's Compile/Execute split,
-// including where the streaming execution runtime and the reference
-// switches (Budget.NoStreaming, NoSemiNaive, NoIDSets) plug in.
+// including where the streaming execution runtime and the reference switch
+// (Budget.NoStreaming) plug in.
 package query
 
 import (
