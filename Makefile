@@ -55,15 +55,17 @@ docs-fresh:
 	go generate ./internal/expt
 	git diff --exit-code EXPERIMENTS.md
 
-# race exercises the packages with internal parallelism (the StableModels
-# worker pool, the sharded experiment runner, the core scheduler's stratum
-# worker pool, the observability collectors shared across all of them, and
-# the query server's plan cache — singleflight compilation, LRU eviction
-# and graceful drain are each hammered by concurrent clients in its tests)
-# under the race detector; diffcheck rides along because its clean-sweep
-# test drives every engine from parallel subtests.
+# race runs, under the race detector, the packages whose code or tests start
+# goroutines: the query server (singleflight plan compilation, LRU eviction,
+# graceful drain and subscription streams, each hammered by concurrent
+# clients in its tests), the storage engine's shard scans and background
+# compaction, and what concurrent requests share — compiled plans and the
+# per-version fact base (query, datalog/rel), the intern arena and the
+# observability collectors. The algebra's interrupt tests cancel from a
+# timer goroutine, and diffcheck's clean sweep drives every engine from
+# parallel subtests.
 race:
-	go test -race ./internal/semantics ./internal/expt ./internal/obsv ./internal/core ./internal/algebra ./internal/algebra/stream ./internal/randgen ./internal/diffcheck ./internal/server ./internal/ivm ./internal/datalog/rel ./internal/query ./internal/storage ./internal/value ./internal/value/intern
+	go test -race ./internal/server ./internal/storage ./internal/query ./internal/datalog/rel ./internal/value/intern ./internal/obsv ./internal/algebra ./internal/diffcheck
 
 # bench runs the full benchmark suite once per target (see also cmd/bench).
 bench:

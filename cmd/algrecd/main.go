@@ -8,7 +8,7 @@
 //
 //	algrecd [-addr :8372] [-db name=file.alg ...] [-cache 128]
 //	        [-timeout 30s] [-max-body 1048576]
-//	        [-disk DIR] [-disk-sync] [-mat-budget 1048576] [-scan-workers 0]
+//	        [-disk DIR] [-disk-sync] [-mat-budget 1048576]
 //
 // Each -db flag registers a database from an algebra= script containing only
 // rel statements. With -disk, databases live in on-disk stores under DIR —
@@ -69,7 +69,6 @@ func run(args []string) error {
 	diskDir := fs.String("disk", "", "back databases with on-disk stores under this directory (empty = in memory)")
 	diskSync := fs.Bool("disk-sync", false, "fsync the storage log after every mutation batch")
 	matBudget := fs.Int("mat-budget", 0, "disk mode: resident materialization-cache budget in rows (0 = default 1M)")
-	scanWorkers := fs.Int("scan-workers", 0, "disk mode: parallel shard scans per materialized relation (0 = GOMAXPROCS)")
 	var dbs dbFlags
 	fs.Var(&dbs, "db", "register a database: name=file.alg (repeatable; the file is an algebra= script of rel statements)")
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +85,6 @@ func run(args []string) error {
 			Dir:           *diskDir,
 			Sync:          *diskSync,
 			MatBudgetRows: *matBudget,
-			ScanWorkers:   *scanWorkers,
 		}
 	}
 	srv := server.New(cfg)

@@ -1,26 +1,23 @@
 // Command bench runs the experiment suite (DESIGN.md's E1–E11 and P1–P3)
-// and prints one table per experiment. With -markdown the output is
-// the GitHub-flavored markdown recorded in EXPERIMENTS.md. With -parallel
-// independent suites and workload sizes run concurrently on a
-// GOMAXPROCS-sized worker pool (tables keep their serial order and content;
-// timings inside a table then measure contended runs). With -json the
-// per-experiment results, run costs and observability counters are written
-// as an expt.Record, so the performance trajectory is comparable across
-// commits and EXPERIMENTS.md can be generated from a committed record.
+// and prints one table per experiment, one experiment at a time. With
+// -markdown the output is the GitHub-flavored markdown recorded in
+// EXPERIMENTS.md. With -json the per-experiment results, run costs and
+// observability counters are written as an expt.Record, so the performance
+// trajectory is comparable across commits and EXPERIMENTS.md can be
+// generated from a committed record.
 //
 // Usage:
 //
-//	bench [-scale N] [-markdown] [-only E9[,P3,...]] [-parallel] [-json path]
+//	bench [-scale N] [-markdown] [-only E9[,P3,...]] [-json path]
 //	      [-trace path] [-pprof dir]
 //	bench -render record.json [-update EXPERIMENTS.md]
 //
 // -json accepts either a file name or an existing directory; a directory
-// gets a BENCH_<stamp>.json file created inside it. Serial runs attribute
-// observability counters, CPU time and allocations to each experiment;
-// parallel runs only record whole-run counters and summed shard walls.
+// gets a BENCH_<stamp>.json file created inside it. The record attributes
+// observability counters, CPU time and allocations to each experiment.
 //
 // -trace streams every observability event (fixpoints, groundings,
-// translations, stable searches, experiment shards) as JSON lines while the
+// translations, stable searches, experiments) as JSON lines while the
 // run executes; -pprof writes cpu.pprof and heap.pprof profiles of the run
 // into a directory.
 //
@@ -50,14 +47,13 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	markdown := flag.Bool("markdown", false, "emit markdown tables for EXPERIMENTS.md")
 	only := flag.String("only", "", "run selected experiments by comma-separated ids (e.g. E9 or P1,P3)")
-	parallel := flag.Bool("parallel", false, "run independent suites and workload sizes concurrently")
 	jsonPath := flag.String("json", "", "write an expt.Record report to this file (or BENCH_<stamp>.json inside this directory)")
 	tracePath := flag.String("trace", "", "stream observability events as JSON lines to this file")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof for the run into this directory")
 	render := flag.String("render", "", "render EXPERIMENTS.md tables from this record file instead of running experiments")
 	update := flag.String("update", "", "with -render: splice the rendered section into this markdown file in place")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "Usage: bench [-scale N] [-markdown] [-only ID[,ID...]] [-parallel] [-json path] [-trace path] [-pprof dir]")
+		fmt.Fprintln(os.Stderr, "Usage: bench [-scale N] [-markdown] [-only ID[,ID...]] [-json path] [-trace path] [-pprof dir]")
 		fmt.Fprintln(os.Stderr, "       bench -render record.json [-update EXPERIMENTS.md]")
 		flag.PrintDefaults()
 	}
@@ -127,18 +123,13 @@ func main() {
 		}
 	}
 
-	workers := 1
-	if *parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
 	rec := &expt.Record{
 		Stamp:      start.Format(time.RFC3339),
 		Scale:      *scale,
-		Parallel:   *parallel,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	results, runErr := runSuites(suites, workers, stats, rec)
+	results, runErr := runSuites(suites, stats, rec)
 
 	if *pprofDir != "" {
 		pprof.StopCPUProfile()
@@ -178,47 +169,32 @@ func main() {
 	}
 }
 
-// runSuites executes the suites and fills rec with results, run costs and
-// observability counters. Serial runs execute one suite at a time so the
-// Stats snapshot delta around each attributes its counters; parallel runs
-// interleave suites and can only attribute whole-run counters.
-func runSuites(suites []expt.Suite, workers int, stats *obsv.Stats, rec *expt.Record) ([]expt.SuiteResult, error) {
+// runSuites executes the suites one at a time, so the Stats snapshot delta
+// around each attributes its counters, and fills rec with results, run costs
+// and observability counters.
+func runSuites(suites []expt.Suite, stats *obsv.Stats, rec *expt.Record) ([]expt.SuiteResult, error) {
 	base := stats.Snapshot()
 	var results []expt.SuiteResult
-	if workers <= 1 {
-		start := time.Now()
-		prev := base
-		for _, s := range suites {
-			res, err := expt.RunInstrumented(s)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", s.ID, err)
-			}
-			cur := stats.Snapshot()
-			results = append(results, res)
-			rec.Suites = append(rec.Suites, recordSuite(res, cur.Sub(prev)))
-			rec.CPUNS += res.CPU.Nanoseconds()
-			prev = cur
-		}
-		rec.WallNS = time.Since(start).Nanoseconds()
-	} else {
-		out, st, err := expt.RunSuitesStats(suites, workers)
+	start := time.Now()
+	prev := base
+	for _, s := range suites {
+		res, err := expt.RunInstrumented(s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", s.ID, err)
 		}
-		results = out
-		rec.WallNS = st.Wall.Nanoseconds()
-		rec.CPUNS = st.CPU.Nanoseconds()
-		rec.Utilization = st.Utilization
-		for _, res := range out {
-			rec.Suites = append(rec.Suites, recordSuite(res, nil))
-		}
+		cur := stats.Snapshot()
+		results = append(results, res)
+		rec.Suites = append(rec.Suites, recordSuite(res, cur.Sub(prev)))
+		rec.CPUNS += res.CPU.Nanoseconds()
+		prev = cur
 	}
+	rec.WallNS = time.Since(start).Nanoseconds()
 	rec.Counters = stats.Snapshot().Sub(base)
 	return results, nil
 }
 
-// recordSuite converts one suite's result (and, for serial runs, its counter
-// delta) into the record's wire form.
+// recordSuite converts one suite's result and its counter delta into the
+// record's wire form.
 func recordSuite(res expt.SuiteResult, counters obsv.Snapshot) expt.RecordSuite {
 	return expt.RecordSuite{
 		ID:         res.Table.ID,
@@ -228,7 +204,7 @@ func recordSuite(res expt.SuiteResult, counters obsv.Snapshot) expt.RecordSuite 
 		CPUNS:      res.CPU.Nanoseconds(),
 		AllocBytes: res.AllocBytes,
 		Mallocs:    res.Mallocs,
-		Shards:     res.Shards,
+		Shards:     1,
 		Counters:   counters,
 		Header:     res.Table.Header,
 		Rows:       res.Table.Rows,

@@ -6,27 +6,18 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
-	"algrec/internal/algebra/parse"
-	"algrec/internal/core"
 	"algrec/internal/ivm"
 	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
 )
 
-// coreEvals records internal/core's per-evaluation events.
-type coreEvals struct {
-	obsv.Nop
-	events []obsv.CoreEvalStats
-}
-
-func (c *coreEvals) CoreEval(s obsv.CoreEvalStats) { c.events = append(c.events, s) }
-
 // TestReferenceIsNaive: Budget.NoStreaming is the whole reference, not only
 // its materialized operators — a delta-distributive closure iterates naively,
-// core evaluates defining equations without a schedule, and a view of a
-// stratified datalog program is maintained by recomputation. The production
-// path takes one semi-naive loop, the schedule and counting/DRed.
+// an algebra= script under valid is evaluated by internal/core's Γ rounds, and
+// a view of a stratified datalog program is maintained by recomputation. The
+// production path takes one semi-naive loop, the rule kernel's alternation and
+// counting/DRed.
 func TestReferenceIsNaive(t *testing.T) {
 	chain := make([]value.Value, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -34,10 +25,13 @@ func TestReferenceIsNaive(t *testing.T) {
 	}
 	db := algebra.DB{"e": value.NewSet(chain...)}
 	closure := mustExpr(t, `ifp(s, union(e, map(select(product(s, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))))`)
-	script := parse.MustParseScript(`
+	script, err := query.Compile(query.LangAlgebraEq, query.SemValid, `
 		rel move = {(a, b), (b, c), (c, a), (c, d)};
 		def win = map(diff(move, product(map(move, \x -> x.1), win)), \x -> x.1);
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan, err := query.Compile(query.LangDatalog, query.SemStratified, `tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).`)
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +39,12 @@ func TestReferenceIsNaive(t *testing.T) {
 	for _, c := range []struct {
 		budget algebra.Budget
 		ifp    string
-		strata bool
+		engine string
+		calls  int64 // of core.EvalValid
 		mode   ivm.Mode
 	}{
-		{algebra.Budget{}, "seminaive", true, ivm.ModeIncremental},
-		{algebra.Budget{NoStreaming: true}, "naive", false, ivm.ModeRecompute},
+		{algebra.Budget{}, "seminaive", "kernel", 0, ivm.ModeIncremental},
+		{algebra.Budget{NoStreaming: true}, "naive", "core", 1, ivm.ModeRecompute},
 	} {
 		stats := obsv.NewStats()
 		ev := algebra.NewEvaluator(db, c.budget)
@@ -68,13 +63,14 @@ func TestReferenceIsNaive(t *testing.T) {
 			t.Errorf("NoStreaming=%v: closure counters %v, want %v", c.budget.NoStreaming, snap, want)
 		}
 
-		rec := &coreEvals{}
+		served := obsv.NewStats()
 		prev := obsv.Default()
-		obsv.SetDefault(rec)
-		_, err := core.EvalValid(script.Program, script.DB, c.budget)
+		obsv.SetDefault(served)
+		_, err := query.Execute(script, nil, query.Options{Budget: c.budget})
 		obsv.SetDefault(prev)
-		if err != nil || len(rec.events) != 1 || (rec.events[0].Strata > 0) != c.strata {
-			t.Errorf("NoStreaming=%v: EvalValid %v, events %+v; want one, scheduled %v", c.budget.NoStreaming, err, rec.events, c.strata)
+		snap = served.Snapshot()
+		if err != nil || snap["algebra.engine."+c.engine] != 1 || snap["core.valid.calls"] != c.calls {
+			t.Errorf("NoStreaming=%v: algebra= under valid: %v, counters %v; want the %s engine", c.budget.NoStreaming, err, snap, c.engine)
 		}
 
 		if v, err := ivm.New(plan, db, query.Options{Budget: c.budget}); err != nil {

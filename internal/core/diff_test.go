@@ -78,9 +78,10 @@ func TestEqWinDiffCounts(t *testing.T) {
 	}
 	got := run()
 	evals, edges := got["core.valid.evals"], int64(move.Len())
-	// A path of 30 positions takes 16 alternation rounds of two Γ passes.
-	if evals != 32 || got["core.valid.rounds"] != 32 {
-		t.Errorf("core.valid.evals = %d, rounds = %d, want 32 each", evals, got["core.valid.rounds"])
+	// A path of 30 positions takes 16 alternation rounds of two Γ passes, and
+	// a pass two rounds: one that derives, one that confirms.
+	if evals != 64 || got["core.valid.rounds"] != 64 {
+		t.Errorf("core.valid.evals = %d, rounds = %d, want 64 each", evals, got["core.valid.rounds"])
 	}
 	want := obsv.Snapshot{
 		"diff.evals": evals, "diff.paths.probing": evals, "diff.paths.materialized": 0,

@@ -199,24 +199,22 @@ func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {
 	return s, nil
 }
 
-// gammaNaive computes the set-level Γ operator: the least (inflationary)
-// joint fixpoint of the defining equations where negative occurrences of
-// defined constants read the fixed environment neg. It is the lifting of the
-// Section 2.2 rule "only facts not in T are allowed to be used negatively":
-// with neg = T, an element is subtracted only if it certainly belongs to the
+// gamma computes the set-level Γ operator: the least (inflationary) joint
+// fixpoint of the defining equations where negative occurrences of defined
+// constants read the fixed environment neg. It is the lifting of the Section
+// 2.2 rule "only facts not in T are allowed to be used negatively": with neg
+// = T, an element is subtracted only if it certainly belongs to the
 // subtrahend, so the result is the set of possible members; with neg = the
-// possible sets, the result is the certain members.
-//
-// This is the reference engine, selected by Budget.NoStreaming: sequential
-// Gauss-Seidel rounds over all definitions, no schedule. gammaScheduled
-// computes the identical sets.
-func gammaNaive(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, obs obsv.Collector, ctr *coreCounters) (map[string]value.Set, error) {
+// possible sets, the result is the certain members. Its rounds are
+// Gauss-Seidel: each definition reads the sets the ones before it in the
+// round produced.
+func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, obs obsv.Collector, st *obsv.CoreEvalStats) (map[string]value.Set, error) {
 	lower := map[string]value.Set{}
 	for _, d := range p.Defs {
 		lower[d.Name] = value.EmptySet
 	}
 	de := &dualEvaluator{db: db, pos: lower, neg: neg, budget: budget, obs: obs}
-	ctr.gammas++
+	st.Gammas++
 	for round := 0; ; round++ {
 		if round >= budget.MaxIFPIters {
 			return nil, fmt.Errorf("%w: defining equations did not reach a fixpoint within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
@@ -224,7 +222,8 @@ func gammaNaive(p *Program, db algebra.DB, neg map[string]value.Set, budget alge
 		if err := budget.Stop(); err != nil {
 			return nil, err
 		}
-		ctr.round(len(p.Defs), len(p.Defs), 1)
+		st.Rounds++
+		st.Evals += len(p.Defs)
 		changed := false
 		for _, d := range p.Defs {
 			s, err := de.eval(d.Body, true, nil)
@@ -246,55 +245,6 @@ func gammaNaive(p *Program, db algebra.DB, neg map[string]value.Set, budget alge
 	}
 }
 
-// gammaScheduled computes the same Γ fixpoint as gammaNaive, condensation
-// level by condensation level (each level merges the posDeps-SCCs of equal
-// depth — independent by construction — into one batch, so the parallel
-// Jacobi rounds run as wide as the dependency structure allows). It is used
-// only when the schedule proved Γ monotone in pos (schedule.gammaMonotone —
-// negative occurrences read the fixed neg environment and no pos-environment
-// read is subtracted or IFP-tainted), so evaluating the levels in topological
-// order — each iterated to its own fixpoint with Jacobi rounds, re-evaluating
-// only definitions whose positive inputs changed in the previous round —
-// reaches the identical least fixpoint by the chaotic-iteration theorem.
-func gammaScheduled(sched *schedule, p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, obs obsv.Collector, ctr *coreCounters) (map[string]value.Set, error) {
-	lower := map[string]value.Set{}
-	for _, d := range p.Defs {
-		lower[d.Name] = value.EmptySet
-	}
-	de := &dualEvaluator{db: db, pos: lower, neg: neg, budget: budget, obs: obs}
-	ctr.gammas++
-	for _, stratum := range sched.levels {
-		active := stratum
-		for round := 0; len(active) > 0; round++ {
-			if round >= budget.MaxIFPIters {
-				return nil, fmt.Errorf("%w: defining equations did not reach a fixpoint within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
-			}
-			if err := budget.Stop(); err != nil {
-				return nil, err
-			}
-			results, workers, err := evalRound(de, p.Defs, active)
-			if err != nil {
-				return nil, err
-			}
-			ctr.round(len(stratum), len(active), workers)
-			changed := map[int]bool{}
-			for k, i := range active {
-				d := p.Defs[i]
-				next := lower[d.Name].Union(results[k])
-				if next.Len() > budget.MaxSetSize {
-					return nil, fmt.Errorf("%w: defined set %q grew past MaxSetSize %d (the fixed point may be infinite)", algebra.ErrBudget, d.Name, budget.MaxSetSize)
-				}
-				if next.Len() != lower[d.Name].Len() {
-					lower[d.Name] = next
-					changed[i] = true
-				}
-			}
-			active = activate(stratum, sched.posDeps, changed)
-		}
-	}
-	return lower, nil
-}
-
 // EvalValid computes the valid interpretation of the program on the
 // database: the Section 2.2 alternating computation lifted to defined sets.
 // The program is inlined first; recursive parameterized definitions are
@@ -306,24 +256,7 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 	}
 	budget = budget.WithDefaults()
 	obs := obsv.Default()
-	ctr := &coreCounters{}
-	var sched *schedule
-	if !budget.NoStreaming {
-		// The scheduled Γ is only equivalent to the reference engine when Γ is
-		// monotone in pos (see schedule.go): a Flip under a subtrahend, or a
-		// pos-environment read inside an IFP that is non-monotone in its own
-		// accumulator, makes gammaNaive's inflationary Gauss-Seidel genuinely
-		// order-dependent, and the reference order is the definition.
-		if s := newSchedule(q); s.gammaMonotone {
-			sched = s
-		}
-	}
-	gamma := func(neg map[string]value.Set) (map[string]value.Set, error) {
-		if sched != nil {
-			return gammaScheduled(sched, q, db, neg, budget, obs, ctr)
-		}
-		return gammaNaive(q, db, neg, budget, obs, ctr)
-	}
+	st := obsv.CoreEvalStats{Semantics: "valid", Defs: len(q.Defs)}
 	t := map[string]value.Set{}
 	for _, d := range q.Defs {
 		t[d.Name] = value.EmptySet
@@ -336,11 +269,11 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 		if err := budget.Stop(); err != nil {
 			return nil, err
 		}
-		u, err = gamma(t)
+		u, err = gamma(q, db, t, budget, obs, &st)
 		if err != nil {
 			return nil, err
 		}
-		t2, err := gamma(u)
+		t2, err := gamma(q, db, u, budget, obs, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -350,14 +283,7 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 		t = t2
 	}
 	if obs != nil {
-		st := 0
-		if sched != nil {
-			st = len(sched.strata)
-		}
-		obs.CoreEval(obsv.CoreEvalStats{
-			Semantics: "valid", Defs: len(q.Defs), Strata: st,
-			Gammas: ctr.gammas, Rounds: ctr.rounds, Evals: ctr.evals, Skips: ctr.skips, Workers: ctr.workers,
-		})
+		obs.CoreEval(st)
 	}
 	return &Result{Lower: t, Upper: u, db: db, budget: budget}, nil
 }
@@ -366,7 +292,11 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 // its equations: all occurrences of defined constants, positive or negative,
 // read the current accumulated content ("was not derived so far"). It is the
 // semantics under which Proposition 5.1's translation preserves IFP-algebra
-// queries.
+// queries. Its rounds are Jacobi: every definition reads the sets of the
+// round before. Inflationary evaluation is not stratifiable — with pos = neg
+// = cur the definitions interact through negative occurrences too (def A =
+// {1} − B; def B = {1} gives A = {1} under global rounds, ∅ under strata) —
+// so every round evaluates every definition.
 func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[string]value.Set, error) {
 	q, err := p.Inline()
 	if err != nil {
@@ -374,76 +304,11 @@ func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[str
 	}
 	budget = budget.WithDefaults()
 	obs := obsv.Default()
+	st := obsv.CoreEvalStats{Semantics: "inflationary", Defs: len(q.Defs), Gammas: 1}
 	cur := map[string]value.Set{}
 	for _, d := range q.Defs {
 		cur[d.Name] = value.EmptySet
 	}
-	if budget.NoStreaming {
-		return evalInflationaryNaive(q, db, budget, obs, cur)
-	}
-	// Inflationary semantics is not stratifiable — with pos = neg = cur,
-	// definitions interact through negative occurrences too, and evaluating
-	// them out of round order changes results (def A = {1} − B; def B = {1}:
-	// A = {1} under global rounds, ∅ under strata). The schedule is used only
-	// for what stays sound under global Jacobi rounds: skipping definitions
-	// none of whose inputs (at either polarity: allDeps) changed in the
-	// previous round — unchanged inputs mean an unchanged, already-absorbed
-	// body value — and evaluating the active definitions of one round
-	// concurrently.
-	sched := newSchedule(q)
-	ctr := &coreCounters{gammas: 1}
-	all := make([]int, len(q.Defs))
-	for i := range all {
-		all[i] = i
-	}
-	active := all
-	for round := 0; ; round++ {
-		if round >= budget.MaxIFPIters {
-			return nil, fmt.Errorf("%w: inflationary evaluation did not converge within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
-		}
-		if err := budget.Stop(); err != nil {
-			return nil, err
-		}
-		de := &dualEvaluator{db: db, pos: cur, neg: cur, budget: budget, obs: obs}
-		results, workers, err := evalRound(de, q.Defs, active)
-		if err != nil {
-			return nil, err
-		}
-		ctr.round(len(q.Defs), len(active), workers)
-		next := make(map[string]value.Set, len(cur))
-		for name, s := range cur {
-			next[name] = s
-		}
-		changed := map[int]bool{}
-		for k, i := range active {
-			d := q.Defs[i]
-			ns := cur[d.Name].Union(results[k])
-			if ns.Len() > budget.MaxSetSize {
-				return nil, fmt.Errorf("%w: defined set %q grew past MaxSetSize %d", algebra.ErrBudget, d.Name, budget.MaxSetSize)
-			}
-			next[d.Name] = ns
-			if ns.Len() != cur[d.Name].Len() {
-				changed[i] = true
-			}
-		}
-		cur = next
-		active = activate(all, sched.allDeps, changed)
-		if len(active) == 0 {
-			if obs != nil {
-				obs.CoreEval(obsv.CoreEvalStats{
-					Semantics: "inflationary", Defs: len(q.Defs), Strata: len(sched.strata),
-					Gammas: ctr.gammas, Rounds: ctr.rounds, Evals: ctr.evals, Skips: ctr.skips, Workers: ctr.workers,
-				})
-			}
-			return cur, nil
-		}
-	}
-}
-
-// evalInflationaryNaive is the pre-schedule engine, kept bit-for-bit for
-// Budget.NoStreaming: sequential Jacobi rounds over all definitions.
-func evalInflationaryNaive(q *Program, db algebra.DB, budget algebra.Budget, obs obsv.Collector, cur map[string]value.Set) (map[string]value.Set, error) {
-	rounds, evals := 0, 0
 	for round := 0; ; round++ {
 		if round >= budget.MaxIFPIters {
 			return nil, fmt.Errorf("%w: inflationary evaluation did not converge within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
@@ -454,8 +319,8 @@ func evalInflationaryNaive(q *Program, db algebra.DB, budget algebra.Budget, obs
 		de := &dualEvaluator{db: db, pos: cur, neg: cur, budget: budget, obs: obs}
 		next := map[string]value.Set{}
 		changed := false
-		rounds++
-		evals += len(q.Defs)
+		st.Rounds++
+		st.Evals += len(q.Defs)
 		for _, d := range q.Defs {
 			s, err := de.eval(d.Body, true, nil)
 			if err != nil {
@@ -473,10 +338,7 @@ func evalInflationaryNaive(q *Program, db algebra.DB, budget algebra.Budget, obs
 		cur = next
 		if !changed {
 			if obs != nil {
-				obs.CoreEval(obsv.CoreEvalStats{
-					Semantics: "inflationary", Defs: len(q.Defs),
-					Gammas: 1, Rounds: rounds, Evals: evals, Workers: 1,
-				})
+				obs.CoreEval(st)
 			}
 			return cur, nil
 		}

@@ -24,12 +24,18 @@
 // S_c^e, WIN, S = {a} − S, and the Proposition 6.1 simulation-function
 // translation — uses recursive constants only.
 //
-// Execution: the dual-bound evaluator shares internal/algebra's streaming
+// Execution: one evaluator. EvalValid alternates one Γ loop — Gauss-Seidel
+// rounds over all definitions — and EvalInflationary runs one loop of global
+// Jacobi rounds. The dual-bound evaluator shares internal/algebra's streaming
 // runtime — σ/MAP pipelines over products are planned into lazy
-// pushdown/hash-join iterators, and IFPs and defining equations are evaluated
-// semi-naively on a schedule, unless Budget.NoStreaming selects the reference.
-// Those operators are polarity-transparent, so the same pipeline serves both
-// the lower- and upper-bound passes (see docs/architecture.md).
+// pushdown/hash-join iterators, differences probe, and IFPs distributive in
+// their variable run semi-naively — unless Budget.NoStreaming selects the
+// reference's materialized operators and naive IFP rounds. Those operators
+// are polarity-transparent, so the same pipeline serves both the lower- and
+// upper-bound passes. internal/core is the reference for algebra= and the
+// engine for scripts outside the relational kernel's fragment: query.Execute
+// runs a script in the flat fragment under the valid semantics on the
+// kernel's valid / well-founded alternation (see docs/architecture.md).
 package core
 
 import (

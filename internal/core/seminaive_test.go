@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +41,7 @@ func tcDef(name string) Def {
 
 // randEquationProgram generates a three-definition program mixing recursion,
 // negation (Diff with defined constants on the right), Flip annotations and
-// IFP subexpressions — the shapes the scheduler must get right.
+// IFP subexpressions.
 func randEquationProgram(r *rand.Rand) *Program {
 	defs := []string{"s0", "s1", "s2"}
 	var mkExpr func(depth int) algebra.Expr
@@ -83,10 +84,10 @@ func randEquationProgram(r *rand.Rand) *Program {
 	return p
 }
 
-// TestPropertySemiNaiveValidEquivalence: the scheduled engine (SCC strata,
-// delta-tracked skipping, parallel rounds) computes the same valid
-// interpretation as the reference's naive sequential engine on random
-// programs with negation.
+// TestPropertySemiNaiveValidEquivalence: the production operators (streamed
+// pipelines, probed differences, semi-naive IFP rounds) compute the same
+// valid interpretation as the reference's materialized operators and naive
+// IFP rounds on random programs with negation.
 func TestPropertySemiNaiveValidEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -101,7 +102,7 @@ func TestPropertySemiNaiveValidEquivalence(t *testing.T) {
 			return true // budget blowups may strike the two engines at different rounds
 		}
 		if !sameSets(sRes.Lower, nRes.Lower) || !sameSets(sRes.Upper, nRes.Upper) {
-			t.Logf("seed %d: valid interpretations differ\nscheduled: %v / %v\nnaive: %v / %v\nprogram:\n%s",
+			t.Logf("seed %d: valid interpretations differ\nproduction: %v / %v\nreference: %v / %v\nprogram:\n%s",
 				seed, sRes.Lower, sRes.Upper, nRes.Lower, nRes.Upper, p)
 			return false
 		}
@@ -113,7 +114,7 @@ func TestPropertySemiNaiveValidEquivalence(t *testing.T) {
 }
 
 // TestPropertySemiNaiveInflationaryEquivalence: same for the inflationary
-// semantics, whose scheduler may only skip and parallelize — never reorder.
+// semantics.
 func TestPropertySemiNaiveInflationaryEquivalence(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -139,7 +140,7 @@ func TestPropertySemiNaiveInflationaryEquivalence(t *testing.T) {
 }
 
 // TestInflationaryStratificationCounterexample pins why EvalInflationary
-// keeps global rounds: under pos = neg = cur the equations interact through
+// runs global rounds: under pos = neg = cur the equations interact through
 // negation, and evaluating def-by-def to fixpoint changes results. With
 // a = {1} − b and b = {1}, round 0 evaluates both against the empty state, so
 // a receives 1 before b blocks it.
@@ -167,20 +168,16 @@ type coreRecorder struct {
 
 func (c *coreRecorder) CoreEval(s obsv.CoreEvalStats) { c.events = append(c.events, s) }
 
-// TestCoreEvalCounters pins the scheduler's observability on a hand-computed
-// program: transitive closure of a length-3 chain plus one independent
-// definition.
+// TestCoreEvalCounters pins the observability of the one Γ loop and the one
+// Jacobi loop on a hand-computed program: transitive closure of a length-3
+// chain plus one independent definition.
 //
-// Valid semantics: the posDeps graph has two singleton SCCs ([tc] with a
-// self-loop, [d]), both at condensation depth 0, so they merge into one
-// level. Each Γ pass runs the level for 4 rounds (tc growth 3, 2, 1, 0);
-// round 0 evaluates both defs and d — no posDeps — is skip-tracked in the 3
-// later rounds: 4 rounds, 5 evaluations, 3 skips per Γ. The alternation
-// needs 4 Γ passes (empty → fixpoint → confirm, twice).
+// Valid semantics: every Γ pass runs 4 rounds (tc grows 3, 2, 1, 0), each
+// evaluating both definitions, and the alternation needs 4 Γ passes (empty →
+// fixpoint → confirm, twice): 16 rounds, 32 evaluations.
 //
-// Inflationary semantics: global Jacobi rounds. Round 0 evaluates both defs;
-// d has no inputs, so the delta tracker skips it in every later round, and
-// tc runs 3 more rounds (growth 2, 1, 0): 4 rounds, 5 evaluations, 3 skips.
+// Inflationary semantics: global rounds, 4 of them (tc grows 3, 2, 1, 0),
+// each evaluating both definitions.
 func TestCoreEvalCounters(t *testing.T) {
 	p := &Program{Defs: []Def{
 		tcDef("tc"),
@@ -195,19 +192,9 @@ func TestCoreEvalCounters(t *testing.T) {
 	if _, err := EvalValid(p, db, algebra.Budget{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.events) != 1 {
-		t.Fatalf("valid: %d CoreEval events, want 1", len(rec.events))
-	}
-	v := rec.events[0]
-	// Workers depends on GOMAXPROCS (round 0 has two independent defs), so
-	// compare it separately.
-	if v.Workers < 1 {
-		t.Errorf("valid workers = %d, want >= 1", v.Workers)
-	}
-	v.Workers = 0
-	want := obsv.CoreEvalStats{Semantics: "valid", Defs: 2, Strata: 2, Gammas: 4, Rounds: 16, Evals: 20, Skips: 12}
-	if v != want {
-		t.Errorf("valid event = %+v, want %+v (modulo Workers)", v, want)
+	want := []obsv.CoreEvalStats{{Semantics: "valid", Defs: 2, Gammas: 4, Rounds: 16, Evals: 32}}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Errorf("valid events = %+v, want %+v", rec.events, want)
 	}
 
 	rec.events = nil
@@ -218,123 +205,18 @@ func TestCoreEvalCounters(t *testing.T) {
 	if got["tc"].Len() != 6 || !value.Equal(got["d"], ints(99)) {
 		t.Fatalf("inflationary result wrong: tc=%v d=%v", got["tc"], got["d"])
 	}
-	if len(rec.events) != 1 {
-		t.Fatalf("inflationary: %d CoreEval events, want 1", len(rec.events))
-	}
-	i := rec.events[0]
-	// Workers depends on GOMAXPROCS (round 0 has two independent defs), so
-	// compare it separately.
-	if i.Workers < 1 {
-		t.Errorf("inflationary workers = %d, want >= 1", i.Workers)
-	}
-	i.Workers = 0
-	wantI := obsv.CoreEvalStats{Semantics: "inflationary", Defs: 2, Strata: 2, Gammas: 1, Rounds: 4, Evals: 5, Skips: 3}
-	if i != wantI {
-		t.Errorf("inflationary event = %+v, want %+v (modulo Workers)", i, wantI)
+	want = []obsv.CoreEvalStats{{Semantics: "inflationary", Defs: 2, Gammas: 1, Rounds: 4, Evals: 8}}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Errorf("inflationary events = %+v, want %+v", rec.events, want)
 	}
 }
 
-// TestScheduleStrata pins the dependency analysis: polarity tracking through
-// Diff and Flip, IFP-binder shadowing, and dependencies-first SCC order.
-func TestScheduleStrata(t *testing.T) {
-	p := &Program{Defs: []Def{
-		{Name: "a", Body: algebra.Union{L: rel("b"), R: algebra.Diff{L: rel("base"), R: rel("c")}}},
-		{Name: "b", Body: rel("a")},
-		{Name: "c", Body: algebra.IFP{Var: "b", Body: algebra.Union{L: rel("b"), R: rel("base")}}},
-	}}
-	sc := newSchedule(p)
-	// a reads b positively and c negatively; b reads a positively; c's "b" is
-	// the IFP binder, not the definition.
-	if len(sc.posDeps[0]) != 1 || sc.posDeps[0][0] != 1 {
-		t.Errorf("posDeps(a) = %v, want [1]", sc.posDeps[0])
-	}
-	if len(sc.allDeps[0]) != 2 {
-		t.Errorf("allDeps(a) = %v, want [1 2]", sc.allDeps[0])
-	}
-	if len(sc.posDeps[2]) != 0 || len(sc.allDeps[2]) != 0 {
-		t.Errorf("deps(c) = %v/%v, want none (IFP binder shadows)", sc.posDeps[2], sc.allDeps[2])
-	}
-	if len(sc.strata) != 2 {
-		t.Fatalf("strata = %v, want 2", sc.strata)
-	}
-	// {a, b} is one SCC; it positively depends on nothing else, but c must
-	// not come after consumers of c... c has no positive consumers, so the
-	// only hard requirement is that the a-b component is one stratum.
-	for _, st := range sc.strata {
-		if len(st) == 2 && (st[0] != 0 || st[1] != 1) {
-			t.Errorf("two-element stratum = %v, want [0 1]", st)
-		}
-	}
-}
-
-// TestFlipPolarityInSchedule: Flip flips the polarity of reads beneath it,
-// so a def read only under Flip at top level is a negative dep (not a
-// positive one), and double Flip restores positivity.
-func TestFlipPolarityInSchedule(t *testing.T) {
-	p := &Program{Defs: []Def{
-		{Name: "a", Body: algebra.Flip{E: rel("b")}},
-		{Name: "b", Body: algebra.Flip{E: algebra.Flip{E: rel("c")}}},
-		{Name: "c", Body: algebra.Lit{Set: ints(1)}},
-	}}
-	sc := newSchedule(p)
-	if len(sc.posDeps[0]) != 0 {
-		t.Errorf("posDeps(a) = %v, want none (single Flip reads negatively)", sc.posDeps[0])
-	}
-	if len(sc.allDeps[0]) != 1 || sc.allDeps[0][0] != 1 {
-		t.Errorf("allDeps(a) = %v, want [1]", sc.allDeps[0])
-	}
-	if len(sc.posDeps[1]) != 1 || sc.posDeps[1][0] != 2 {
-		t.Errorf("posDeps(b) = %v, want [2] (double Flip is positive)", sc.posDeps[1])
-	}
-	if !sc.gammaMonotone {
-		t.Error("gammaMonotone = false, want true (Flip alone never subtracts)")
-	}
-}
-
-// TestGammaMonotoneAnalysis pins the environment-parity vs monotonicity-
-// parity distinction: a pos-environment read is anti-monotone exactly when
-// its subtraction parity is odd, which diverges from the environment parity
-// under Flip, and an IFP body non-monotone in its own accumulator taints
-// every read inside it.
-func TestGammaMonotoneAnalysis(t *testing.T) {
-	lit := algebra.Lit{Set: ints(1)}
-	cases := []struct {
-		name string
-		body algebra.Expr
-		want bool
-	}{
-		{"plain read", rel("s"), true},
-		{"subtrahend reads neg: constant during gamma", algebra.Diff{L: lit, R: rel("s")}, true},
-		{"flip alone reads neg: constant during gamma", algebra.Flip{E: rel("s")}, true},
-		{"flipped subtrahend reads pos anti-monotonically",
-			algebra.Flip{E: algebra.Diff{L: lit, R: rel("s")}}, false},
-		{"flip inside subtrahend likewise",
-			algebra.Diff{L: lit, R: algebra.Flip{E: rel("s")}}, false},
-		{"double subtraction is monotone again",
-			algebra.Diff{L: lit, R: algebra.Diff{L: lit, R: rel("s")}}, true},
-		{"monotone ifp body keeps reads clean",
-			algebra.IFP{Var: "acc", Body: algebra.Union{L: rel("acc"), R: rel("s")}}, true},
-		{"ifp non-monotone in its accumulator taints pos reads",
-			algebra.IFP{Var: "acc", Body: algebra.Union{L: rel("s"), R: algebra.Diff{L: lit, R: rel("acc")}}}, false},
-		{"tainted ifp without defined reads is harmless",
-			algebra.IFP{Var: "acc", Body: algebra.Diff{L: lit, R: rel("acc")}}, true},
-	}
-	for _, c := range cases {
-		p := &Program{Defs: []Def{{Name: "t", Body: c.body}, {Name: "s", Body: lit}}}
-		if got := newSchedule(p).gammaMonotone; got != c.want {
-			t.Errorf("%s: gammaMonotone = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestFlippedSubtrahendRegression pins the program that exposed the
-// environment/monotonicity confusion (property-test seed 4203084367423753265):
-// s0 subtracts an IFP over s2 inside a Flip, so the s2 read has even
-// environment parity (reads pos) but odd subtraction parity (anti-monotone).
-// The reference Gauss-Seidel engine evaluates s0 before s2 has grown and the
-// inflationary accumulator keeps the transient derivation {1, 2}; a
-// stratified schedule would evaluate s2 first and derive ∅. EvalValid must
-// detect the shape and reproduce the reference answer.
+// TestFlippedSubtrahendRegression pins a program on which Γ's update order is
+// visible (property-test seed 4203084367423753265): s0 subtracts an IFP over
+// s2 inside a Flip, so the s2 read takes the evolving lower bound (even
+// environment parity) but is subtracted (anti-monotone). The Gauss-Seidel
+// rounds evaluate s0 before s2 has grown and the inflationary accumulator
+// keeps the transient derivation {1, 2}; evaluating s2 first would derive ∅.
 func TestFlippedSubtrahendRegression(t *testing.T) {
 	x := algebra.FVar{Name: "x"}
 	p := &Program{Defs: []Def{
@@ -362,10 +244,10 @@ func TestFlippedSubtrahendRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameSets(sRes.Lower, nRes.Lower) || !sameSets(sRes.Upper, nRes.Upper) {
-		t.Errorf("engines disagree:\nscheduled: %v / %v\nnaive: %v / %v",
+		t.Errorf("engines disagree:\nproduction: %v / %v\nreference: %v / %v",
 			sRes.Lower, sRes.Upper, nRes.Lower, nRes.Upper)
 	}
 	if !value.Equal(sRes.Lower["s0"], ints(1, 2)) {
-		t.Errorf("s0 = %v, want {1, 2} (the reference engine's order-dependent answer)", sRes.Lower["s0"])
+		t.Errorf("s0 = %v, want {1, 2} (the Gauss-Seidel order's answer)", sRes.Lower["s0"])
 	}
 }

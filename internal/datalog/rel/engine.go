@@ -760,24 +760,35 @@ func (e *Engine) alternate(u *Unit) (pairs, flips int, err error) {
 // Keys renders the predicate's current members — of a three-valued predicate
 // the true ones — as fact keys in the outcome's order (SortedKeys).
 func (e *Engine) Keys(pred string) []string {
-	return SortedKeys(pred, e.members(e.Rels[pred], nil))
+	return SortedKeys(pred, e.members(pred, false))
 }
 
 // UndefKeys renders the undefined rows of a three-valued predicate — possible
 // but not true — as Keys renders the true ones; nil for any other predicate.
 func (e *Engine) UndefKeys(pred string) []string {
-	if !e.three[pred] {
-		return nil
-	}
-	return SortedKeys(pred, e.members(e.Rels[possible(pred)], e.Rels[pred]))
+	return SortedKeys(pred, e.members(pred, true))
 }
 
-// members lists the rows that are members of rel and not of except.
-func (e *Engine) members(rel, except *Relation) [][]intern.ID {
-	if rel == nil {
-		return nil
+func (e *Engine) members(pred string, undef bool) (rows [][]intern.ID) {
+	e.EachMember(pred, undef, func(row []intern.ID) { rows = append(rows, row) })
+	return rows
+}
+
+// EachMember calls f on every member row of the predicate, in table order — of
+// a three-valued predicate every true row, or with undef every undefined one,
+// possible but not true (of any other predicate, with undef, none). The row is
+// the table's own storage: f reads it and does not change it.
+func (e *Engine) EachMember(pred string, undef bool, f func(row []intern.ID)) {
+	rel, except := e.Rels[pred], (*Relation)(nil)
+	if undef {
+		if !e.three[pred] {
+			return
+		}
+		rel, except = e.Rels[possible(pred)], rel
 	}
-	var rows [][]intern.ID
+	if rel == nil {
+		return
+	}
 	for _, t := range rel.Tables {
 		var not *Table
 		if except != nil {
@@ -792,8 +803,7 @@ func (e *Engine) members(rel, except *Relation) [][]intern.ID {
 					continue
 				}
 			}
-			rows = append(rows, t.Row(r))
+			f(t.Row(r))
 		}
 	}
-	return rows
 }

@@ -11,16 +11,18 @@
 //     operators and naive IFP rounds (expr-stream), the value evaluator's
 //     semi-naive IFP, kernel aside, vs the same reference (expr-seminaive),
 //     and the Theorem 3.5 constructive IFP elimination vs direct evaluation;
-//   - algebra= programs: the scheduled semi-naive core engines vs the naive
-//     reference engines, for both the valid and the inflationary semantics,
-//     and the valid interpretation vs the well-founded reading through the
+//   - algebra= programs: the served valid evaluation (the relational kernel's
+//     alternation, or internal/core) vs core's reference Γ rounds, core's
+//     inflationary rounds vs the same over the reference's operators, and
+//     the valid interpretation vs the well-founded reading through the
 //     Proposition 5.4 deductive translation;
 //   - deductive programs: the Proposition 6.1/Theorem 6.2 algebra=
 //     translation vs direct valid evaluation, the Theorem 4.3 positive-IFP
 //     translation vs stratified evaluation, semi-naive vs naive minimal
 //     models (plus the inflationary and valid collapses on positive
 //     programs), the three-way stratified/well-founded/valid agreement on
-//     stratifiable programs, sequential vs parallel stable-model search, and
+//     stratifiable programs, stable models vs the well-founded model they
+//     extend, and
 //     valid models through the Proposition 6.1 translation on the production
 //     path vs the reference (dlog-stream);
 //   - incremental view maintenance: replaying a random insert/delete
@@ -148,10 +150,10 @@ var Oracles = []*Oracle{
 		Doc:       "Theorem 3.5: eliminating IFP through the deductive pipeline preserves the value",
 		checkExpr: checkExprIFPElim},
 	{Name: "core-valid", Kind: KindCore,
-		Doc:       "production valid evaluation (scheduled, streamed, probing) matches the naive Γ alternation over materialized operators",
+		Doc:       "served valid evaluation (the rule kernel's alternation in the flat fragment, core's streamed and probing operators outside it) matches the naive Γ alternation over materialized operators",
 		checkCore: checkCoreValid},
 	{Name: "core-inflationary", Kind: KindCore,
-		Doc:       "scheduled inflationary evaluation matches naive Jacobi rounds",
+		Doc:       "inflationary Jacobi rounds over core's production operators match them over the reference's",
 		checkCore: checkCoreInflationary},
 	{Name: "core-wellfounded", Kind: KindCoreNoFlip,
 		Doc:       "valid interpretation matches the well-founded reading via Proposition 5.4",
@@ -169,7 +171,7 @@ var Oracles = []*Oracle{
 		Doc:          "stratifiable programs: stratified = well-founded = valid, all total",
 		checkDatalog: checkDlogStratified},
 	{Name: "dlog-stable", Kind: KindDatalogFree,
-		Doc:          "stable-model search is worker-count independent",
+		Doc:          "every stable model is total and extends the well-founded model, which is the only one when it is total",
 		checkDatalog: checkDlogStable},
 	{Name: "dlog-stream", Kind: KindDatalogFree,
 		Doc:          "valid models through Prop 6.1 agree on the production path and on the reference evaluator",
@@ -313,6 +315,7 @@ func Generate(o *Oracle, g *randgen.Gen) *Instance {
 		in.Expr, in.DB = ei.Expr, ei.DB
 	case KindCore:
 		ci := g.CoreInstance(true)
+		g.FlatCore(ci)
 		in.Core, in.DB = ci.Prog, ci.DB
 	case KindCoreNoFlip:
 		ci := g.CoreInstance(false)

@@ -17,8 +17,9 @@ const (
 	// FaultNone plants nothing; the shipped default.
 	FaultNone Fault = iota
 	// FaultDropMax drops the greatest element from the served side of the
-	// expr-stream oracle, and from the semi-naive side of expr-seminaive,
-	// whenever the result has at least two elements — the observable
+	// expr-stream oracle, from the semi-naive side of expr-seminaive, and
+	// from every certain set on the served side of core-valid, whenever the
+	// set has at least two elements — the observable
 	// signature of a delta-window off-by-one that loses the last round's
 	// contribution.
 	FaultDropMax

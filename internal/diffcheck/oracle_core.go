@@ -3,36 +3,46 @@ package diffcheck
 import (
 	"algrec/internal/algebra"
 	"algrec/internal/core"
+	"algrec/internal/query"
 	"algrec/internal/translate"
+	"algrec/internal/value"
 )
 
-// checkCoreValid evaluates an algebra= program under the valid semantics on
-// the production path — scheduled semi-naive Γ, streamed pipelines, probed
-// differences — and on the reference: the naive Γ over fully materialized
-// operators and naive IFP rounds. Lower and upper bounds must be identical.
-// The scheduled engine may itself decide the program is unsafe for scheduling
-// and fall back — that is fine; the oracle checks the outcome, not the route.
+// checkCoreValid evaluates an algebra= program under the valid semantics as
+// it is served — query.Execute, which runs a program in the flat fragment on
+// the relational rule kernel's alternation and any other on internal/core's
+// streamed, probing operators — and on the reference, core.EvalValid under
+// Budget.NoStreaming: the naive Γ rounds over materialized operators. Every
+// def's certain elements (the lower bound) and undefined ones (upper − lower)
+// must be identical. The served side is where FaultDropMax plants its
+// corruption.
 func checkCoreValid(p *core.Program, db algebra.DB) error {
 	const oracle = "core-valid"
+	out, errS := query.Execute(query.ScriptPlan(p), db, query.Options{Budget: ExprBudget, Ground: GroundBudget})
 	ref, errR := core.EvalValid(p, db, noStreaming(ExprBudget))
-	opt, errO := core.EvalValid(p, db, ExprBudget)
-	if done, err := pairErr(oracle, "reference", "production", errR, errO); done {
+	if done, err := pairErr(oracle, "served", "reference", errS, errR); done {
 		return err
 	}
-	if err := diffSetMaps(oracle, "lower bound", ref.Lower, opt.Lower); err != nil {
+	lower, undef, refUndef := map[string]value.Set{}, map[string]value.Set{}, map[string]value.Set{}
+	for _, d := range out.Defs {
+		lower[d.Name], undef[d.Name] = applyDropMax(d.Set), d.Undef
+		refUndef[d.Name] = ref.UndefElems(d.Name)
+	}
+	if err := diffSetMaps(oracle, "lower bound", lower, ref.Lower); err != nil {
 		return err
 	}
-	return diffSetMaps(oracle, "upper bound", ref.Upper, opt.Upper)
+	return diffSetMaps(oracle, "undefined elements", undef, refUndef)
 }
 
-// checkCoreInflationary is checkCoreValid for the inflationary semantics:
-// scheduled rounds vs the reference's naive Jacobi rounds must accumulate the
-// same sets.
+// checkCoreInflationary evaluates an algebra= program under the inflationary
+// semantics with internal/core's production operators and on the reference's
+// materialized operators and naive IFP rounds: the Jacobi rounds must
+// accumulate the same sets.
 func checkCoreInflationary(p *core.Program, db algebra.DB) error {
 	const oracle = "core-inflationary"
 	ref, errR := core.EvalInflationary(p, db, noStreaming(ExprBudget))
 	opt, errO := core.EvalInflationary(p, db, ExprBudget)
-	if done, err := pairErr(oracle, "naive", "scheduled", errR, errO); done {
+	if done, err := pairErr(oracle, "reference", "production", errR, errO); done {
 		return err
 	}
 	return diffSetMaps(oracle, "inflationary fixpoint", ref, opt)

@@ -10,8 +10,8 @@ import (
 
 // The stream oracles pin the production path's contract: against the
 // reference evaluator the per-budget NoStreaming switch selects — materialized
-// operators, naive IFP rounds, unscheduled defining equations — it changes
-// cost only, never results.
+// operators, naive IFP rounds, internal/core instead of the rule kernel — it
+// changes cost only, never results.
 
 // checkExprStream evaluates one expression as it is served — query.Execute,
 // which runs a flat join on the relational rule kernel and everything else on

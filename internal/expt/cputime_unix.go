@@ -5,9 +5,8 @@ package expt
 import "syscall"
 
 // processCPU returns the process's cumulative user+system CPU time in
-// nanoseconds, or 0 when the platform cannot report it. Deltas across a
-// serial experiment attribute its CPU cost; under the parallel runner the
-// counter is process-wide and deltas are not attributed.
+// nanoseconds, or 0 when the platform cannot report it. Deltas across an
+// experiment attribute its CPU cost.
 func processCPU() int64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

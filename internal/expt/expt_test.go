@@ -8,20 +8,20 @@ import (
 // testSuites is the whole experiment suite at a reduced scale.
 func testSuites() []Suite {
 	return []Suite{
-		sharded("E1", []int{6, 10}, RunE1),
-		sharded("E2", []int64{32, 128}, RunE2),
-		whole("E3", []int{4, 6}, RunE3),
-		sharded("E4", []int{8, 16}, RunE4),
-		whole("E5", []int{8, 16}, RunE5),
-		sharded("E6", []int{8, 24}, RunE6),
-		whole("E7", []int{4, 8}, RunE7),
-		sharded("E8", []int{4, 8}, RunE8),
-		sharded("E9", []int{4, 8}, RunE9),
-		sharded("E10", []int{4, 6}, RunE10),
-		whole("E11", []int{4}, RunE11),
-		sharded("P1", []int{16, 32}, RunP1),
-		sharded("P2", []int{8, 16}, RunP2),
-		sharded("P3", []int{2, 4}, RunP3),
+		suite("E1", []int{6, 10}, RunE1),
+		suite("E2", []int64{32, 128}, RunE2),
+		suite("E3", []int{4, 6}, RunE3),
+		suite("E4", []int{8, 16}, RunE4),
+		suite("E5", []int{8, 16}, RunE5),
+		suite("E6", []int{8, 24}, RunE6),
+		suite("E7", []int{4, 8}, RunE7),
+		suite("E8", []int{4, 8}, RunE8),
+		suite("E9", []int{4, 8}, RunE9),
+		suite("E10", []int{4, 6}, RunE10),
+		suite("E11", []int{4}, RunE11),
+		suite("P1", []int{16, 32}, RunP1),
+		suite("P2", []int{8, 16}, RunP2),
+		suite("P3", []int{2, 4}, RunP3),
 	}
 }
 
@@ -68,63 +68,17 @@ func TestWorkloadGenerators(t *testing.T) {
 	}
 }
 
-// TestRunSuitesParallelMatchesSerial runs a slice of the suite both ways:
-// the parallel sharded runner must produce tables with identical ids,
-// headers and rows (timing cells differ only where a duration column exists,
-// so the comparison uses experiments whose cells are deterministic).
-func TestRunSuitesParallelMatchesSerial(t *testing.T) {
-	suites := []Suite{
-		whole("E3", []int{4, 6}, RunE3),
-		sharded("P3", []int{2, 3, 4}, RunP3),
-		sharded("P1", []int{16, 24, 32}, RunP1),
-	}
-	serial, err := RunSuites(suites, 1)
+// TestRunInstrumented: a suite's run reports its table with the run's cost.
+func TestRunInstrumented(t *testing.T) {
+	res, err := RunInstrumented(suite("E3", []int{4, 6}, RunE3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuites(suites, 4)
-	if err != nil {
-		t.Fatal(err)
+	if res.Table.ID != "E3" || !res.Table.OK || len(res.Table.Rows) == 0 {
+		t.Errorf("table %+v", res.Table)
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		st, pt := serial[i].Table, parallel[i].Table
-		if st.ID != pt.ID || !st.OK || !pt.OK {
-			t.Errorf("suite %s: id/OK mismatch (parallel id %s, OK %v/%v)", st.ID, pt.ID, st.OK, pt.OK)
-		}
-		if len(st.Rows) != len(pt.Rows) {
-			t.Errorf("%s: row counts differ: %d vs %d", st.ID, len(st.Rows), len(pt.Rows))
-			continue
-		}
-		// Deterministic (non-duration) cells must match exactly; row order
-		// must follow shard (= size) order.
-		for r := range st.Rows {
-			if st.Rows[r][0] != pt.Rows[r][0] {
-				t.Errorf("%s row %d: first cell %q vs %q (shard order broken)", st.ID, r, st.Rows[r][0], pt.Rows[r][0])
-			}
-		}
-	}
-	if serial[0].Wall <= 0 {
-		t.Error("serial result missing wall time")
-	}
-	if serial[0].Mallocs == 0 {
-		t.Error("serial result missing allocation counts")
-	}
-}
-
-func TestMergeTables(t *testing.T) {
-	a := &Table{ID: "X", Title: "x", OK: true, Header: []string{"h"}, Notes: []string{"n1"}}
-	a.Add("r1")
-	b := &Table{ID: "X", Title: "x", OK: false, Header: []string{"h"}, Notes: []string{"n1", "n2"}}
-	b.Add("r2")
-	m := mergeTables([]*Table{a, b})
-	if m.ID != "X" || m.OK || len(m.Rows) != 2 || m.Rows[0][0] != "r1" || m.Rows[1][0] != "r2" {
-		t.Errorf("bad merge: %+v", m)
-	}
-	if len(m.Notes) != 2 {
-		t.Errorf("notes not deduplicated+merged: %v", m.Notes)
+	if res.Wall <= 0 || res.Mallocs == 0 {
+		t.Errorf("cost: wall %s, %d mallocs", res.Wall, res.Mallocs)
 	}
 }
 

@@ -17,15 +17,13 @@ import (
 // renders the generated section of EXPERIMENTS.md from it (deterministic:
 // same record, same markdown).
 type Record struct {
-	Stamp       string           `json:"stamp"` // RFC 3339 run time
-	Scale       int              `json:"scale"`
-	Parallel    bool             `json:"parallel"`
-	GoMaxProcs  int              `json:"gomaxprocs"`
-	WallNS      int64            `json:"wall_ns"`               // overall run wall time
-	CPUNS       int64            `json:"cpu_ns,omitempty"`      // overall process CPU time
-	Utilization float64          `json:"utilization,omitempty"` // parallel runs: pool busy fraction
-	Counters    map[string]int64 `json:"counters,omitempty"`    // whole-run observability counters
-	Suites      []RecordSuite    `json:"suites"`
+	Stamp      string           `json:"stamp"` // RFC 3339 run time
+	Scale      int              `json:"scale"`
+	GoMaxProcs int              `json:"gomaxprocs"`
+	WallNS     int64            `json:"wall_ns"`            // overall run wall time
+	CPUNS      int64            `json:"cpu_ns,omitempty"`   // overall process CPU time
+	Counters   map[string]int64 `json:"counters,omitempty"` // whole-run observability counters
+	Suites     []RecordSuite    `json:"suites"`
 }
 
 // RecordSuite is one experiment's slice of a Record.
@@ -33,12 +31,12 @@ type RecordSuite struct {
 	ID         string           `json:"id"`
 	Title      string           `json:"title"`
 	OK         bool             `json:"ok"`
-	WallNS     int64            `json:"wall_ns"`               // parallel runs: summed shard time
-	CPUNS      int64            `json:"cpu_ns,omitempty"`      // serial runs only
-	AllocBytes uint64           `json:"alloc_bytes,omitempty"` // serial runs only
-	Mallocs    uint64           `json:"mallocs,omitempty"`     // serial runs only
-	Shards     int              `json:"shards,omitempty"`      // tasks the suite split into
-	Counters   map[string]int64 `json:"counters,omitempty"`    // serial runs: per-suite observability counters
+	WallNS     int64            `json:"wall_ns"`
+	CPUNS      int64            `json:"cpu_ns,omitempty"`
+	AllocBytes uint64           `json:"alloc_bytes,omitempty"`
+	Mallocs    uint64           `json:"mallocs,omitempty"`
+	Shards     int              `json:"shards,omitempty"`   // tasks the suite ran as: always 1
+	Counters   map[string]int64 `json:"counters,omitempty"` // per-suite observability counters
 	Header     []string         `json:"header"`
 	Rows       [][]string       `json:"rows"`
 	Notes      []string         `json:"notes,omitempty"`
@@ -72,13 +70,9 @@ const (
 // check the committed EXPERIMENTS.md is fresh.
 func RenderGenerated(rec *Record) string {
 	var sb strings.Builder
-	mode := "serial"
-	if rec.Parallel {
-		mode = fmt.Sprintf("parallel, utilization %.0f%%", rec.Utilization*100)
-	}
 	fmt.Fprintf(&sb, "## Recorded run\n\n")
-	fmt.Fprintf(&sb, "Recorded %s — scale %d, %s, GOMAXPROCS=%d, total wall %s",
-		rec.Stamp, rec.Scale, mode, rec.GoMaxProcs, formatDuration(time.Duration(rec.WallNS)))
+	fmt.Fprintf(&sb, "Recorded %s — scale %d, serial, GOMAXPROCS=%d, total wall %s",
+		rec.Stamp, rec.Scale, rec.GoMaxProcs, formatDuration(time.Duration(rec.WallNS)))
 	if rec.CPUNS > 0 {
 		fmt.Fprintf(&sb, ", CPU %s", formatDuration(time.Duration(rec.CPUNS)))
 	}
@@ -96,9 +90,6 @@ func RenderGenerated(rec *Record) string {
 func renderRunCost(rec *Record) string {
 	var sb strings.Builder
 	sb.WriteString("## Run cost per experiment\n\n")
-	if rec.Parallel {
-		sb.WriteString("Wall times are summed shard times on a contended pool; allocation and CPU\ncolumns are unattributable under the parallel runner.\n\n")
-	}
 	sb.WriteString("| ID | wall | cpu | allocated | mallocs | shards |\n")
 	sb.WriteString("|---|---|---|---|---|---|\n")
 	for _, s := range rec.Suites {
@@ -135,9 +126,8 @@ var counterColumns = []struct {
 }
 
 // renderCounters renders the observability digest: one row per experiment
-// (serial records attribute counters per suite) plus a totals row, and an
-// appendix listing every whole-run counter. Omitted entirely when the
-// record carries no counters (e.g. a parallel run with no collector).
+// plus a totals row, and an appendix listing every whole-run counter.
+// Omitted entirely when the record carries no counters.
 func renderCounters(rec *Record) string {
 	anySuite := false
 	for _, s := range rec.Suites {

@@ -1,9 +1,9 @@
 // Package obsv is the observability layer of the repository: a small event
 // vocabulary describing what the engines did — fixpoint passes, delta sizes,
 // scratch-buffer reuse, grounding passes and delta-window hits, translation
-// sizes, view maintenance batches, which engine evaluated a datalog request,
-// what a difference probed, experiment run cost — plus collectors that
-// aggregate or stream those events.
+// sizes, view maintenance batches, which engine evaluated a datalog request
+// or an algebra query, what a difference probed, experiment run cost — plus
+// collectors that aggregate or stream those events.
 //
 // Instrumented code holds a Collector and reports events at *call*
 // granularity (one event per fixpoint computation, one per grounding, one
@@ -65,9 +65,8 @@ type StableSearchStats struct {
 	Undef      int    // residual size after the well-founded model
 	Candidates uint64 // candidate masks checked (2^Undef)
 	Models     int    // stable models found
-	Workers    int    // worker goroutines used (1 = serial path)
-	Chunks     int    // mask-space chunks handed out (1 = serial path)
-	// ScratchReused and ScratchAllocated aggregate over all workers.
+	// ScratchReused and ScratchAllocated count truth-vector requests served
+	// from the engine's scratch pool vs freshly allocated during the search.
 	ScratchReused    int
 	ScratchAllocated int
 }
@@ -99,24 +98,13 @@ type CoreEvalStats struct {
 	Semantics string
 	// Defs is the number of defined constants after inlining.
 	Defs int
-	// Strata is the number of strongly-connected components the scheduler
-	// evaluated in topological order; 0 for the naive engine of the
-	// Budget.NoStreaming reference, which has no schedule.
-	Strata int
 	// Gammas counts Γ passes: two per alternation round for "valid", always
 	// 1 for "inflationary" (its rounds are global).
 	Gammas int
-	// Rounds is the total number of evaluation rounds summed over strata and
-	// Γ passes.
+	// Rounds is the total number of evaluation rounds summed over Γ passes.
 	Rounds int
-	// Evals counts definition bodies evaluated; Skips counts (definition,
-	// round) pairs the delta tracker proved redundant — no input set of the
-	// definition changed in the previous round — and skipped.
+	// Evals counts definition bodies evaluated: every definition, every round.
 	Evals int
-	Skips int
-	// Workers is the largest worker-pool size used to evaluate independent
-	// same-stratum definitions concurrently (1 = everything ran serially).
-	Workers int
 }
 
 // GroundStats describes one grounding (ground.Ground call).
@@ -305,10 +293,10 @@ type IVMUnit struct {
 // relational rule kernel (internal/datalog/rel), straight over ID tables, or
 // through grounding — and then why — and what it had the database version's
 // fact base derive. One event per datalog evaluation, and one per algebra
-// expression evaluated on the kernel (see AlgebraStats).
+// expression or algebra= script evaluated on the kernel (see AlgebraStats).
 type RelStats struct {
 	// Engine is "relational" or "grounded" for datalog, "algebra" for an
-	// algebra expression compiled to rules.
+	// algebra expression or algebra= script compiled to rules.
 	Engine string
 	// Fallback says why a grounded evaluation could not run relationally:
 	// "unstratified" (under stratified, negation through recursion; under
@@ -364,33 +352,35 @@ type RelUnit struct {
 }
 
 // AlgebraStats says which engine answered one algebra or ifp-algebra
-// expression query.Execute evaluated: the relational rule kernel, or the
-// value-space evaluator of internal/algebra — and then why. One event per
-// evaluation; a kernel evaluation also reports a RelStats event (engine
-// "algebra") with its join work.
+// expression, or one algebra= script under the valid semantics,
+// query.Execute evaluated: the relational rule kernel, or else the
+// value-space evaluator of internal/algebra (an expression) or internal/core
+// (a script) — and then why. One event per evaluation; a kernel evaluation
+// also reports a RelStats event (engine "algebra") with its join work.
 type AlgebraStats struct {
-	// Engine is "kernel" or "value".
+	// Engine is "kernel", "value" or "core".
 	Engine string
-	// Fallback says why the value evaluator ran: "point" (a recursion-free
+	// Fallback says why the kernel did not run: "point" (a recursion-free
 	// plan selecting a leaf by a constant, which the access paths answer),
-	// "outside-fragment" (the expression is not a flat join), "shape" (a
-	// stored relation is absent or not of the width the plan reads),
-	// or "reference" (Budget.NoStreaming). Empty on the kernel.
+	// "outside-fragment" (the source is not a flat join, or a script not in
+	// the flat fragment), "flip" and "subtrahend" (a script with a flip, or
+	// with a diff inside a subtrahend), "shape" (a stored relation is absent
+	// or not of the width the plan reads), "stored-name" (the database
+	// stores a relation under a def's name), or "reference"
+	// (Budget.NoStreaming). Empty on the kernel.
 	Fallback string
 }
 
-// ExperimentStats describes one experiment (or one shard of one) run by the
-// internal/expt harness.
+// ExperimentStats describes one experiment run by the internal/expt harness.
 type ExperimentStats struct {
 	ID     string // experiment id (E1..E11, P1..P3)
-	Shard  int    // shard index, -1 for a whole-suite run
 	WallNS int64  // wall-clock nanoseconds
 	CPUNS  int64  // process CPU nanoseconds (0 when unattributable)
 }
 
 // Collector receives observability events. Implementations must be safe for
-// concurrent use: the parallel experiment runner and the stable-model worker
-// pool report from multiple goroutines.
+// concurrent use: the server's concurrent requests report from multiple
+// goroutines.
 //
 // A nil Collector means observability is disabled; instrumented code checks
 // for nil before building an event, so disabled instrumentation costs one

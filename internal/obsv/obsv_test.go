@@ -15,7 +15,7 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 	s.Fixpoint(FixpointStats{Semantics: "inflationary", Passes: 4, Deltas: []int{2, 1, 1, 0}})
 	s.Ground(GroundStats{Atoms: 10, Rules: 20, Passes: 3, DeltaHits: 7, DeltaSkips: 2})
 	s.Translate(TranslateStats{Op: "stepindex", InSize: 4, OutSize: 12, Steps: 3})
-	s.StableSearch(StableSearchStats{Undef: 4, Candidates: 16, Models: 4, Workers: 1, Chunks: 1})
+	s.StableSearch(StableSearchStats{Undef: 4, Candidates: 16, Models: 4})
 	s.IVM(IVMStats{Mode: "incremental", Inserted: 4, Deleted: 4, Steps: 24, Probes: 9, DeltaFacts: 10, Units: []IVMUnit{
 		{Preds: []string{"r"}, Strategy: "dred", OverDeleted: 4, Rederived: 1, Steps: 20},
 		{Preds: []string{"gp"}, Strategy: "counting", Steps: 4},
@@ -57,7 +57,6 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"stable.searches":                  1,
 		"stable.candidates":                16,
 		"stable.models":                    4,
-		"stable.chunks":                    1,
 		"ivm.applies.incremental":          2,
 		"ivm.applies.recompute":            1,
 		"ivm.steps":                        31,

@@ -63,7 +63,6 @@ func (s *Stats) CoreEval(c CoreEvalStats) {
 		p+".calls", int64(1),
 		p+".rounds", int64(c.Rounds),
 		p+".evals", int64(c.Evals),
-		p+".skips", int64(c.Skips),
 	)
 }
 
@@ -73,7 +72,6 @@ func (s *Stats) StableSearch(st StableSearchStats) {
 		"stable.searches", int64(1),
 		"stable.candidates", int64(st.Candidates),
 		"stable.models", int64(st.Models),
-		"stable.chunks", int64(st.Chunks),
 		"scratch.reused", int64(st.ScratchReused),
 		"scratch.allocated", int64(st.ScratchAllocated),
 	)
@@ -237,8 +235,8 @@ func (s *Stats) Algebra(v AlgebraStats) {
 //
 //	fixpoint.<semantics>.calls|passes|derived|deltaAtoms
 //	ifp.<mode>.calls|rounds|deltaElems
-//	core.<semantics>.calls|rounds|evals|skips
-//	stable.searches|candidates|models|chunks
+//	core.<semantics>.calls|rounds|evals
+//	stable.searches|candidates|models
 //	scratch.reused|allocated
 //	ground.calls|atoms|rules|passes|deltaHits|deltaSkips
 //	translate.<op>.calls|inSize|outSize

@@ -136,10 +136,11 @@ func Execute(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
 }
 
 // ExecuteBase is Execute against the database a fact base describes (nil:
-// the empty database). What datalog evaluation derives from the database
-// before the first rule runs — ID tables, sorted facts, rendered keys — is
-// taken from the base, which derives each once and shares it with every
-// concurrent and later call; the other languages only read base.DB().
+// the empty database). What evaluation on the relational kernel derives from
+// the database before the first rule runs — ID tables, sorted facts, rendered
+// keys — is taken from the base, which derives each once and shares it with
+// every concurrent and later call; the value evaluator and internal/core only
+// read base.DB().
 func ExecuteBase(plan *Plan, base *rel.Base, opts Options) (*Outcome, error) {
 	return execute(plan, base.DB(), base, opts, false)
 }
@@ -161,7 +162,7 @@ func execute(plan *Plan, db algebra.DB, base *rel.Base, opts Options, grounded b
 		out.Value = v
 		return out, nil
 	case LangAlgebraEq:
-		return executeScript(plan, db, opts, out)
+		return executeScript(plan, db, base, opts, out)
 	case LangDatalog:
 		if base == nil {
 			base = rel.NewBase(db)
@@ -184,8 +185,11 @@ func ExecuteGrounded(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) 
 	return execute(plan, db, nil, opts, true)
 }
 
-// executeScript evaluates an algebra= script under the plan's semantics.
-func executeScript(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outcome, error) {
+// executeScript evaluates an algebra= script under the plan's semantics: under
+// valid on the kernel when route allows — over base, which describes db, or
+// over a base of its own when the script's rel statements add to db — and on
+// internal/core otherwise.
+func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out *Outcome) (*Outcome, error) {
 	script := plan.Script
 	merged := algebra.DB{}
 	for k, v := range db {
@@ -196,6 +200,13 @@ func executeScript(plan *Plan, db algebra.DB, opts Options, out *Outcome) (*Outc
 	}
 	switch plan.Semantics {
 	case SemValid:
+		reason := route(plan, merged, opts)
+		if obs := report("core", reason); reason == "" {
+			if base == nil || len(script.DB) > 0 {
+				base = rel.NewBase(merged)
+			}
+			return executeValidKernel(plan, base, opts, obs, out)
+		}
 		res, err := core.EvalValid(script.Program, merged, opts.Budget)
 		if err != nil {
 			return nil, err

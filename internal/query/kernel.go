@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"algrec/internal/algebra"
+	"algrec/internal/algebra/parse"
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/rel"
 	"algrec/internal/obsv"
@@ -27,12 +28,25 @@ import (
 // own. The plan's shape says which column builds which component of an
 // element: alg-triangle's (((a,b),(b,c)),(c,a)) is one row of 6 columns.
 //
+// An algebra= script under the valid semantics compiles the same way, with
+// Prop 5.4's reading of its equations: every zero-parameter def (after
+// inlining) and every query is a predicate, and a def's occurrences read it.
+// diff(L, S) is L's rule bodies with S negated on the element, and De Morgan
+// keeps a subtrahend's product from being built: an element x of L survives
+// S₁ × S₂ when x.1 ∉ S₁ or x.2 ∉ S₂ — two bodies — and survives S₁ ∪ S₂ when
+// it survives both — one body. Example 3's WIN is then the kernel's `win`
+// program, win(X) :- e(X,Y), not win(Y), beside a rule for π₁ MOVE that never
+// fires; rel's valid / well-founded alternation gives the certain elements
+// (the true rows) and the undefined ones (possible, not true). The subtrahend
+// holds no diff, because under two subtractions exact sets cancel where
+// three-valued rows do not; Flip has no datalog reading.
+//
 // The fragment is well-kinded by construction — leaves are stored relations
 // and literals of flat k-tuples; λ-bodies are paths, tuples of them and
 // constants, `=` and `in` a literal set under `and`; every product is joined
 // by an equality — so once the stored relations have the widths the plan reads
 // (fits), the value evaluator raises no error on it and the engines agree,
-// budget boundaries aside: MaxSetSize bounds the answer, and MaxIFPIters
+// budget boundaries aside: MaxSetSize bounds each answer, and MaxIFPIters
 // nothing — the kernel's worklist has no rounds. A recursive unit is bounded
 // by Ground.MaxAtoms and Ground.MaxRules, and converges: its rows are tuples
 // of the active domain.
@@ -69,14 +83,14 @@ func widthIs(s value.Set, w int) bool {
 	return true
 }
 
-// compiler is one compilation: infer types the expression, gen emits its rules,
-// replaying the types of literals and fixpoints in walk order. Whatever finds
-// the expression outside the fragment sets outside and returns a placeholder;
-// the compilation is then abandoned.
+// compiler is one compilation: infer types the expressions, gen emits their
+// rules, replaying the types of literals and fixpoints in walk order. Whatever
+// finds an expression outside the fragment sets outside and returns a
+// placeholder; the compilation is then abandoned.
 type compiler struct {
 	outside bool
 	rels    map[string]*elemType // stored relation → its elements' type
-	typeOf  map[string]*elemType // fixpoint predicate → its elements' type
+	typeOf  map[string]*elemType // def or fixpoint predicate → its elements' type
 	seen    []*elemType
 	next    int
 	prog    *datalog.Program
@@ -157,6 +171,9 @@ func (x *compiler) infer(e algebra.Expr, env map[string]*elemType) *elemType {
 		if t, ok := env[ee.Name]; ok {
 			return t
 		}
+		if t := x.typeOf[ee.Name]; t != nil { // a def
+			return t
+		}
 		if x.rels[ee.Name] == nil {
 			x.rels[ee.Name] = &elemType{}
 		}
@@ -177,6 +194,10 @@ func (x *compiler) infer(e algebra.Expr, env map[string]*elemType) *elemType {
 		}
 		return x.record(t)
 	case algebra.Union:
+		t := x.infer(ee.L, env)
+		x.unify(t, x.infer(ee.R, env))
+		return t
+	case algebra.Diff:
 		t := x.infer(ee.L, env)
 		x.unify(t, x.infer(ee.R, env))
 		return t
@@ -289,12 +310,12 @@ func fn(f algebra.FExpr, elem *node) *node {
 	return elem
 }
 
-// body is one rule body and the element it produces; sub is the unification
-// its selections' equalities made.
+// body is one rule body — its atoms, and the atoms it negates — and the
+// element it produces; sub is the unification its selections' equalities made.
 type body struct {
-	atoms []datalog.Atom
-	out   *node
-	sub   map[datalog.Var]datalog.Term
+	atoms, neg []datalog.Atom
+	out        *node
+	sub        map[datalog.Var]datalog.Term
 }
 
 func (b *body) find(t datalog.Term) datalog.Term {
@@ -375,6 +396,9 @@ func (x *compiler) gen(e algebra.Expr, env map[string]string) []*body {
 		if p, ok := env[ee.Name]; ok {
 			return x.scan(p, x.typeOf[p])
 		}
+		if t := x.typeOf[ee.Name]; t != nil { // a def
+			return x.scan(ee.Name, t)
+		}
 		return x.scan(ee.Name, x.rels[ee.Name])
 	case algebra.Lit:
 		return x.scan(x.facts(ee.Set, true), x.replay())
@@ -389,10 +413,32 @@ func (x *compiler) gen(e algebra.Expr, env map[string]string) []*body {
 		var out []*body
 		for _, l := range ls {
 			for _, r := range rs {
-				b := &body{atoms: append(slices.Clone(l.atoms), r.atoms...), out: &node{kids: []*node{l.out, r.out}}, sub: maps.Clone(l.sub)}
+				b := &body{atoms: append(slices.Clone(l.atoms), r.atoms...), neg: append(slices.Clone(l.neg), r.neg...), out: &node{kids: []*node{l.out, r.out}}, sub: maps.Clone(l.sub)}
 				maps.Copy(b.sub, r.sub)
 				out = append(out, b)
 			}
+		}
+		return out
+	case algebra.Diff:
+		ls := x.gen(ee.L, env)
+		alts := x.negate(ee.R, nil, env)
+		var out []*body
+		for _, l := range ls {
+			for _, alt := range alts {
+				b := &body{atoms: slices.Clone(l.atoms), neg: slices.Clone(l.neg), out: l.out, sub: maps.Clone(l.sub)}
+				for _, n := range alt {
+					elem := l.out
+					for _, i := range n.path {
+						elem = elem.kids[i]
+					}
+					b.neg = append(b.neg, datalog.Atom{Pred: n.pred, Args: elem.leaves(nil)})
+				}
+				out = append(out, b)
+			}
+		}
+		if len(out) > 64 {
+			x.fail()
+			return nil
 		}
 		return out
 	case algebra.Select:
@@ -413,16 +459,52 @@ func (x *compiler) gen(e algebra.Expr, env map[string]string) []*body {
 	return x.scan(p, t)
 }
 
-// emit adds the rule p(b's columns) :- b's atoms. A body falling apart into
-// parts that share no variable is a cross product: the value evaluator's.
-func (x *compiler) emit(p string, b *body) {
-	lits := make([]datalog.Literal, len(b.atoms))
-	for i, a := range b.atoms {
-		args := make([]datalog.Term, len(a.Args))
-		for j, t := range a.Args {
-			args[j] = b.find(t)
+// negLit is a literal a subtrahend negates: pred holds the components at path
+// of the minuend's elements.
+type negLit struct {
+	pred string
+	path []int
+}
+
+// negate is "not in s" for the component at path of an element, as
+// alternative conjunctions of negated literals (De Morgan): a predicate s
+// names is negated as it stands, a product factor by factor, a union as both
+// operands, and anything else becomes a predicate of its own.
+func (x *compiler) negate(s algebra.Expr, path []int, env map[string]string) [][]negLit {
+	switch ss := s.(type) {
+	case algebra.Rel:
+		p, ok := env[ss.Name]
+		if !ok {
+			p = ss.Name
 		}
-		lits[i] = datalog.Pos(a.Pred, args...)
+		return [][]negLit{{{p, path}}}
+	case algebra.Product:
+		l := x.negate(ss.L, append(slices.Clip(path), 0), env)
+		return append(l, x.negate(ss.R, append(slices.Clip(path), 1), env)...)
+	case algebra.Union:
+		var out [][]negLit
+		ls, rs := x.negate(ss.L, path, env), x.negate(ss.R, path, env)
+		for _, l := range ls {
+			for _, r := range rs {
+				out = append(out, append(slices.Clone(l), r...))
+			}
+		}
+		return out
+	}
+	p := x.pred()
+	for _, b := range x.gen(s, env) {
+		x.emit(p, b)
+	}
+	return [][]negLit{{{p, path}}}
+}
+
+// emit adds the rule p(b's columns) :- b's atoms, not b's negated atoms. A
+// body falling apart into parts that share no variable is a cross product: the
+// value evaluator's.
+func (x *compiler) emit(p string, b *body) {
+	lits := make([]datalog.Literal, len(b.atoms), len(b.atoms)+len(b.neg))
+	for i, a := range b.atoms {
+		lits[i] = datalog.Pos(a.Pred, b.args(a)...)
 	}
 	joined, vars := map[int]bool{}, map[datalog.Var]bool{}
 	for grew := true; grew; {
@@ -443,6 +525,9 @@ func (x *compiler) emit(p string, b *body) {
 		x.fail()
 		return
 	}
+	for _, a := range b.neg {
+		lits = append(lits, datalog.Neg(a.Pred, b.args(a)...))
+	}
 	head := b.out.leaves(nil)
 	for i, t := range head {
 		head[i] = b.find(t)
@@ -450,28 +535,54 @@ func (x *compiler) emit(p string, b *body) {
 	x.prog.Rules = append(x.prog.Rules, datalog.Rule{Head: datalog.Atom{Pred: p, Args: head}, Body: lits})
 }
 
-// kernelPlan is an expression compiled for the kernel: the program, the
-// predicate holding the answer, the shape of its rows, and what the database
-// must hold for the program to mean what the expression does.
-type kernelPlan struct {
-	prog   *datalog.Program
-	result string
-	shape  *node
-	width  int            // the answer's columns
-	stored map[string]int // relation read → the width of its tuples
-	fresh  []string       // predicates introduced
+// args is an atom's arguments as the body's unification resolves them.
+func (b *body) args(a datalog.Atom) []datalog.Term {
+	out := make([]datalog.Term, len(a.Args))
+	for i, t := range a.Args {
+		out[i] = b.find(t)
+	}
+	return out
 }
 
-// compileKernel compiles e for the kernel, or returns nil when e is outside
-// the fragment — a bare leaf too: there is nothing to join.
-func compileKernel(e algebra.Expr) *kernelPlan {
-	switch e.(type) {
-	case algebra.Select, algebra.Map, algebra.Union, algebra.Product, algebra.IFP:
-	default:
-		return nil
+// result names the predicate holding the elements of bs: a def or fixpoint
+// read whole, in column order, as it stands, a new predicate otherwise.
+func (x *compiler) result(bs []*body) string {
+	if len(bs) == 1 && len(bs[0].atoms) == 1 && len(bs[0].neg) == 0 && len(bs[0].sub) == 0 && x.typeOf[bs[0].atoms[0].Pred] != nil &&
+		slices.EqualFunc(bs[0].out.leaves(nil), bs[0].atoms[0].Args, func(a, b datalog.Term) bool { return a == b }) {
+		return bs[0].atoms[0].Pred
 	}
-	x := &compiler{rels: map[string]*elemType{}, typeOf: map[string]*elemType{}, prog: &datalog.Program{}}
-	t := x.infer(e, nil)
+	p := x.pred()
+	for _, b := range bs {
+		x.emit(p, b)
+	}
+	return p
+}
+
+// kernelPlan is an expression, or a script's defs and queries, compiled for
+// the kernel: the program, the answers it computes, and what the database
+// must hold for the program to mean what the source does.
+type kernelPlan struct {
+	prog    *datalog.Program
+	answers []answer       // the expression's; or a script's defs, then its queries
+	stored  map[string]int // relation read → the width of its tuples
+	derived []string       // predicates the program adds to: defs, and the ones introduced
+}
+
+// answer is a predicate holding a set's elements, and the shape of its rows.
+type answer struct {
+	pred  string
+	shape *node
+	width int // columns
+}
+
+func newCompiler() *compiler {
+	return &compiler{rels: map[string]*elemType{}, typeOf: map[string]*elemType{}, prog: &datalog.Program{}}
+}
+
+// plan completes a compilation whose expressions are typed: nil when a stored
+// relation the program reads does not hold flat tuples, or when anything was
+// outside the fragment.
+func (x *compiler) plan() *kernelPlan {
 	k := &kernelPlan{prog: x.prog, stored: map[string]int{}}
 	for name, rt := range x.rels {
 		if rt = rt.find(); !rt.tup || slices.ContainsFunc(rt.kids, func(c *elemType) bool { return c.find().tup }) {
@@ -482,43 +593,117 @@ func compileKernel(e algebra.Expr) *kernelPlan {
 	if x.outside {
 		return nil
 	}
-	bs := x.gen(e, nil)
-	// A fixpoint read whole, in column order, is the answer as it stands.
-	if len(bs) == 1 && x.typeOf[bs[0].atoms[0].Pred] != nil && len(bs[0].atoms) == 1 && len(bs[0].sub) == 0 &&
-		slices.EqualFunc(bs[0].out.leaves(nil), bs[0].atoms[0].Args, func(a, b datalog.Term) bool { return a == b }) {
-		k.result = bs[0].atoms[0].Pred
-	} else {
-		k.result = x.pred()
-		for _, b := range bs {
-			x.emit(k.result, b)
-		}
-	}
-	if x.outside {
-		return nil
-	}
-	k.shape = nodeOf(t, func() *node { k.width++; return &node{col: k.width - 1} })
-	k.fresh = x.fresh
 	return k
 }
 
-// fits reports whether db holds what the program reads as the expression
-// does: every relation it names, with every element a tuple of the width the
-// plan reads, and nothing under a predicate the plan introduced.
-func (k *kernelPlan) fits(db algebra.DB) bool {
-	for name, w := range k.stored {
-		if s, ok := db[name]; !ok || !widthIs(s, w) {
-			return false
-		}
-	}
-	return !slices.ContainsFunc(k.fresh, func(p string) bool { _, ok := db[p]; return ok })
+// addAnswer adds the answer pred holds, its elements of type t.
+func (k *kernelPlan) addAnswer(pred string, t *elemType) {
+	a := answer{pred: pred}
+	a.shape = nodeOf(t, func() *node { a.width++; return &node{col: a.width - 1} })
+	k.answers = append(k.answers, a)
 }
 
-// run evaluates the program over the base and converts the answer, reporting
-// the join work to obs when there is one.
-func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (value.Set, error) {
+// compileKernel compiles e for the kernel, or returns nil when e is outside
+// the fragment — a bare leaf too: there is nothing to join.
+func compileKernel(e algebra.Expr) *kernelPlan {
+	switch e.(type) {
+	case algebra.Select, algebra.Map, algebra.Union, algebra.Product, algebra.IFP:
+	default:
+		return nil
+	}
+	x := newCompiler()
+	t := x.infer(e, nil)
+	k := x.plan()
+	if k == nil {
+		return nil
+	}
+	k.addAnswer(x.result(x.gen(e, nil)), t)
+	if x.outside {
+		return nil
+	}
+	k.derived = x.fresh
+	return k
+}
+
+// compileScript compiles an algebra= script for the kernel under the valid
+// semantics — its defs, inlined, and its queries — or says why it stays with
+// internal/core: "flip", "subtrahend" (a diff inside a subtrahend) or
+// "outside-fragment".
+func compileScript(s *parse.Script) (*kernelPlan, string) {
+	prog, err := s.Program.Inline()
+	if err != nil {
+		return nil, "outside-fragment" // core reports the error
+	}
+	var sv survey
+	for _, d := range prog.Defs {
+		sv.expr(d.Body, false)
+	}
+	for _, q := range s.Queries {
+		sv.expr(q.Expr, false)
+	}
+	switch {
+	case sv.flip:
+		return nil, "flip"
+	case sv.subtrahend:
+		return nil, "subtrahend"
+	case sv.outside:
+		return nil, "outside-fragment"
+	}
+	x := newCompiler()
+	for _, d := range prog.Defs {
+		x.typeOf[d.Name] = &elemType{}
+	}
+	for _, d := range prog.Defs {
+		x.unify(x.typeOf[d.Name], x.infer(d.Body, nil))
+	}
+	types := make([]*elemType, len(s.Queries))
+	for i, q := range s.Queries {
+		types[i] = x.infer(q.Expr, nil)
+	}
+	k := x.plan()
+	if k == nil {
+		return nil, "outside-fragment"
+	}
+	for _, d := range prog.Defs {
+		for _, b := range x.gen(d.Body, nil) {
+			x.emit(d.Name, b)
+		}
+		k.addAnswer(d.Name, x.typeOf[d.Name])
+		k.derived = append(k.derived, d.Name)
+	}
+	for i, q := range s.Queries {
+		k.addAnswer(x.result(x.gen(q.Expr, nil)), types[i])
+	}
+	if x.outside {
+		return nil, "outside-fragment"
+	}
+	k.derived = append(k.derived, x.fresh...)
+	return k, ""
+}
+
+// fits says why db does not hold what the program reads as the source does —
+// "" when it does: every relation it names, with every element a tuple of the
+// width the plan reads ("shape"), and nothing under a predicate the program
+// adds to ("stored-name": a def shadows what the database stores under its
+// name, while rules would add to it).
+func (k *kernelPlan) fits(db algebra.DB) string {
+	for name, w := range k.stored {
+		if s, ok := db[name]; !ok || !widthIs(s, w) {
+			return "shape"
+		}
+	}
+	if slices.ContainsFunc(k.derived, func(p string) bool { _, ok := db[p]; return ok }) {
+		return "stored-name"
+	}
+	return ""
+}
+
+// run evaluates the program over the base, reporting the join work to obs when
+// there is one.
+func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (*rel.Engine, error) {
 	eng, err := rel.NewEngine(k.prog, rel.Config{Base: base, Limits: KernelLimits(opts), Observed: obs != nil})
 	if err != nil {
-		return value.Set{}, err
+		return nil, err
 	}
 	if obs != nil {
 		defer func() {
@@ -527,23 +712,18 @@ func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (valu
 			obs.Rel(st)
 		}()
 	}
-	if err := eng.Build(); err != nil {
-		return value.Set{}, err
-	}
+	return eng, eng.Build()
+}
+
+// set converts an answer's rows in the evaluated engine — its true rows, or
+// with undef its undefined ones — to a set of at most max elements.
+func (a *answer) set(eng *rel.Engine, undef bool, max int) (value.Set, error) {
 	var rows []intern.ID
-	if r := eng.Rels[k.result]; r != nil { // no rule derives an answer that is always empty
-		t := r.Tables[0]
-		rows = make([]intern.ID, 0, int(t.Rows())*t.Arity)
-		for i := range t.Rows() {
-			if t.Flags[i]&rel.FlagLive != 0 {
-				rows = append(rows, t.Row(i)...)
-			}
-		}
+	eng.EachMember(a.pred, undef, func(row []intern.ID) { rows = append(rows, row...) })
+	if len(rows) > max*a.width {
+		return value.Set{}, fmt.Errorf("%w: the answer's %d elements exceed MaxSetSize %d", algebra.ErrBudget, len(rows)/a.width, max)
 	}
-	if max := opts.Budget.WithDefaults().MaxSetSize; len(rows) > max*k.width {
-		return value.Set{}, fmt.Errorf("%w: the answer's %d elements exceed MaxSetSize %d", algebra.ErrBudget, len(rows)/k.width, max)
-	}
-	return k.toSet(rows), nil
+	return a.toSet(rows), nil
 }
 
 // toSet converts the answer's rows, back to back, to the canonical set at
@@ -551,11 +731,11 @@ func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (valu
 // their columns read left to right, the shape being every element's, by
 // radix when every column is an integer — and built in that order, their
 // tuples carved from one slab. Nothing is interned.
-func (k *kernelPlan) toSet(ids []intern.ID) value.Set {
+func (a *answer) toSet(ids []intern.ID) value.Set {
 	if len(ids) == 0 {
 		return value.Set{}
 	}
-	n, in := k.width, intern.Global()
+	n, in := a.width, intern.Global()
 	order, tmp := make([]int32, len(ids)/n), make([]int32, len(ids)/n)
 	for i := range order {
 		order[i] = int32(i)
@@ -598,11 +778,11 @@ func (k *kernelPlan) toSet(ids []intern.ID) value.Set {
 			order, tmp = tmp, order
 		}
 	}
-	tuples, slots := k.shape.size()
+	tuples, slots := a.shape.size()
 	slab := value.NewTupleSlab(len(order)*tuples, len(order)*slots)
 	elems := make([]value.Value, len(order))
 	for i, o := range order {
-		elems[i] = k.shape.build(ids[int(o)*n:], in, slab)
+		elems[i] = a.shape.build(ids[int(o)*n:], in, slab)
 	}
 	return value.SetFromSorted(elems)
 }
@@ -639,11 +819,11 @@ func (n *node) build(row []intern.ID, in *intern.Interner, slab *value.TupleSlab
 // is compiled for it; so does anything outside the fragment.
 func planExpr(e algebra.Expr) (*kernelPlan, string) {
 	var s survey
-	s.expr(e)
+	s.expr(e, false)
 	switch {
 	case !s.ifp && s.byConst:
 		return nil, "point"
-	case !s.outside:
+	case !s.outside && !s.diff:
 		if k := compileKernel(e); k != nil {
 			return k, ""
 		}
@@ -651,32 +831,40 @@ func planExpr(e algebra.Expr) (*kernelPlan, string) {
 	return nil, "outside-fragment"
 }
 
-// survey is what planExpr learns of an expression in one walk that builds
-// nothing, so that a point plan, or one plainly outside the fragment, costs
-// its compilation no more than that: whether it has a fixpoint, whether a
-// λ-body compares something with a constant by `=`, and whether an operator
-// or a λ-body outside the fragment occurs. compileKernel decides the rest.
-type survey struct{ ifp, byConst, outside bool }
+// survey is what planExpr and compileScript learn of an expression in one walk
+// that builds nothing, so that a point plan, or one plainly outside the
+// fragment, costs its compilation no more than that: whether it has a
+// fixpoint, whether a λ-body compares something with a constant by `=`,
+// whether it has a diff, one inside a subtrahend, a flip, or another operator
+// or λ-body outside the fragment. The compilers decide the rest.
+type survey struct{ ifp, byConst, diff, subtrahend, flip, outside bool }
 
-func (s *survey) expr(e algebra.Expr) {
+// expr walks e; sub says e is inside a subtrahend.
+func (s *survey) expr(e algebra.Expr, sub bool) {
 	switch ee := e.(type) {
 	case algebra.Rel, algebra.Lit:
 	case algebra.Union:
-		s.expr(ee.L)
-		s.expr(ee.R)
+		s.expr(ee.L, sub)
+		s.expr(ee.R, sub)
+	case algebra.Diff:
+		s.diff, s.subtrahend = true, s.subtrahend || sub
+		s.expr(ee.L, sub)
+		s.expr(ee.R, true)
 	case algebra.Product:
-		s.expr(ee.L)
-		s.expr(ee.R)
+		s.expr(ee.L, sub)
+		s.expr(ee.R, sub)
 	case algebra.Select:
-		s.expr(ee.Of)
+		s.expr(ee.Of, sub)
 		s.fn(ee.Test)
 	case algebra.Map:
-		s.expr(ee.Of)
+		s.expr(ee.Of, sub)
 		s.fn(ee.Out)
 	case algebra.IFP:
 		s.ifp = true
-		s.expr(ee.Body)
-	default: // diff, call, flip
+		s.expr(ee.Body, sub)
+	case algebra.Flip:
+		s.flip, s.outside = true, true
+	default: // call
 		s.outside = true
 	}
 }
@@ -702,33 +890,79 @@ func (s *survey) fn(f algebra.FExpr) {
 	}
 }
 
-// executeAlgebra evaluates an expression on the kernel when the plan compiled
-// for it and the database fits, on the value evaluator otherwise — always
-// under Budget.NoStreaming, the reference — and reports which engine
-// answered, and why, to the process-default collector.
-func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (value.Set, error) {
-	reason := plan.fallback
+// route says why the plan's kernel program does not answer it over db — ""
+// when it does: Budget.NoStreaming selects the reference, Compile found the
+// source outside the fragment (a plan built by hand is not compiled), or db
+// does not fit the program.
+func route(plan *Plan, db algebra.DB, opts Options) string {
 	switch {
 	case opts.Budget.WithDefaults().NoStreaming:
-		reason = "reference"
-	case plan.kernel == nil: // Compile said why; a plan built by hand is not compiled
-		reason = cmp.Or(reason, "outside-fragment")
-	case !plan.kernel.fits(db):
-		reason = "shape"
+		return "reference"
+	case plan.kernel == nil:
+		return cmp.Or(plan.fallback, "outside-fragment")
 	}
+	return plan.kernel.fits(db)
+}
+
+// report tells the process-default collector, when there is one, which engine
+// answers — the kernel, or else the one named — and why, and returns it.
+func report(engine, reason string) obsv.Collector {
 	obs := obsv.Default()
 	if obs != nil {
-		st := obsv.AlgebraStats{Engine: "kernel", Fallback: reason}
-		if reason != "" {
-			st.Engine = "value"
+		if reason == "" {
+			engine = "kernel"
 		}
-		obs.Algebra(st)
+		obs.Algebra(obsv.AlgebraStats{Engine: engine, Fallback: reason})
 	}
+	return obs
+}
+
+// executeAlgebra evaluates an expression on the kernel when the plan compiled
+// for it and the database fits, on the value evaluator otherwise — always
+// under Budget.NoStreaming, the reference.
+func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (value.Set, error) {
+	reason := route(plan, db, opts)
+	obs := report("value", reason)
 	if reason != "" {
 		return algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)
 	}
 	if base == nil {
 		base = rel.NewBase(db)
 	}
-	return plan.kernel.run(base, opts, obs)
+	eng, err := plan.kernel.run(base, opts, obs)
+	if err != nil {
+		return value.Set{}, err
+	}
+	return plan.kernel.answers[0].set(eng, false, opts.Budget.WithDefaults().MaxSetSize)
+}
+
+// executeValidKernel evaluates an algebra= script that route sent to the
+// kernel under the valid semantics over the base of its database: a def's or
+// query's certain elements are its true rows, its undefined ones the rows
+// possible but not true.
+func executeValidKernel(plan *Plan, base *rel.Base, opts Options, obs obsv.Collector, out *Outcome) (*Outcome, error) {
+	eng, err := plan.kernel.run(base, opts, obs)
+	if err != nil {
+		return nil, err
+	}
+	max := opts.Budget.WithDefaults().MaxSetSize
+	defs := len(plan.kernel.answers) - len(plan.Script.Queries)
+	for i := range plan.kernel.answers {
+		a := &plan.kernel.answers[i]
+		set, err := a.set(eng, false, max)
+		if err != nil {
+			return nil, err
+		}
+		undef, err := a.set(eng, true, max)
+		if err != nil {
+			return nil, err
+		}
+		if i < defs {
+			out.WellDefined = out.WellDefined && undef.IsEmpty()
+			out.Defs = append(out.Defs, NamedSet{Name: a.pred, Set: set, Undef: undef})
+		} else {
+			out.Queries = append(out.Queries, QueryAnswer{Src: plan.Script.Queries[i-defs].Src, Set: set, Undef: undef})
+		}
+	}
+	return out, nil
 }

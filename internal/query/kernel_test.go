@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,14 +89,105 @@ func TestAlgebraEngineChoice(t *testing.T) {
 		}
 	}
 
-	// eq-win is algebra=: internal/core evaluates it, as before.
+	// eq-win is algebra= under valid: the kernel's alternation answers it, and
+	// under NoStreaming internal/core, the reference.
+	eqWin := mustCompile(t, LangAlgebraEq, SemValid, textEqWin)
 	stats := withStats(t)
-	if _, err := Execute(mustCompile(t, LangAlgebraEq, SemValid, textEqWin), small, Options{}); err != nil {
+	served, err := Execute(eqWin, small, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := stats.Snapshot(); snap["core.valid.calls"] != 1 || snap["algebra.engine.kernel"]+snap["algebra.engine.value"] != 0 {
+	if snap := stats.Snapshot(); snap["algebra.engine.kernel"] != 1 || snap["rel.units.alternating"] != 1 || snap["core.valid.calls"] != 0 {
 		t.Errorf("eq-win: counters %v", snap)
 	}
+	stats = withStats(t)
+	ref, err := Execute(eqWin, small, reference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := stats.Snapshot(); snap["algebra.engine.core"] != 1 || snap["algebra.fallback.reference"] != 1 || snap["core.valid.calls"] != 1 || snap["rel.evals.algebra"] != 0 {
+		t.Errorf("eq-win under NoStreaming: counters %v", snap)
+	}
+	if got, want := algqText(served), algqText(ref); got != want {
+		t.Errorf("eq-win: kernel\n%s\nreference\n%s", got, want)
+	}
+}
+
+// algqText renders an outcome as cmd/algq -defs prints it.
+func algqText(o *Outcome) string {
+	var sb strings.Builder
+	WriteAlgqText(&sb, o, true)
+	return sb.String()
+}
+
+// TestScriptsOnTheKernel: algebra= scripts under valid run on the kernel and
+// print what internal/core's reference prints — certain and undefined
+// elements, defs and queries — or, outside the fragment, on internal/core,
+// saying why.
+func TestScriptsOnTheKernel(t *testing.T) {
+	const win = `def win = map(diff(move, product(map(move, \x -> x.1), win)), \x -> x.1);`
+	move := func(src string) algebra.DB {
+		s, err := parse.ParseScript("rel move = " + src + ";")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.DB
+	}
+	var reference Options
+	reference.Budget.NoStreaming = true
+	for _, c := range []struct {
+		name, src string
+		db        algebra.DB
+		why, text string
+	}{
+		{"tc", `def tc = union(move, map(select(product(tc, move), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))); query tc;`,
+			move(`{(a, b), (b, c), (c, d)}`), "", "tc = {(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)}\n"},
+		{"acyclic WIN", win + ` query win;`, move(`{(a, b), (b, c), (b, d)}`), "", "win = {b}\n"},
+		{"the WIN 2-cycle", win + ` query win;`, move(`{(a, b), (b, a)}`), "", "win = {}  % undefined: {a, b}\n"},
+		{"a def negating a lower def", `def reach = union(move, map(select(product(reach, move), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2)));
+			def acyclic = diff(map(move, \x -> (x.1, x.1)), reach);`,
+			move(`{(a, b), (b, c), (c, a), (d, e)}`), "", "acyclic = {(d, d)}\n"},
+		{"a query over defs", win + ` query map(select(product(win, move), \p -> p.1 = p.2.1), \p -> p.2.2);`,
+			move(`{(a, b), (b, c), (c, d), (d, e), (d, a), (f, g), (g, f)}`), "", "= {a, c, e}  % undefined: {f, g}\n"},
+		{"a flip", `def s = diff(move, flip(s));`, move(`{(a, b)}`), "flip", ""},
+		{"a double subtrahend", `def s = diff(move, diff(move, s));`, move(`{(a, b)}`), "subtrahend", ""},
+		{"a stored name", win + ` query win;`, algebra.DB{"move": move(`{(a, b)}`)["move"], "win": value.EmptySet}, "stored-name", ""},
+		{"nested elements", `def firsts = map(move, \x -> x.1.1);`, move(`{((a, b), c)}`), "outside-fragment", "firsts = {a}\n"},
+		{"heterogeneous elements", win + ` query win;`, move(`{(a, b), (b, c, d)}`), "shape", "win = {b}\n"},
+	} {
+		plan := mustCompile(t, LangAlgebraEq, SemValid, c.src)
+		stats := withStats(t)
+		served, err := Execute(plan, c.db, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		snap := stats.Snapshot()
+		ref, err := Execute(plan, c.db, reference)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		engine := "kernel"
+		if c.why != "" {
+			engine = "core"
+		}
+		if snap["algebra.engine."+engine] != 1 || snap["algebra.fallback."+c.why] != btoi(c.why != "") || snap["core.valid.calls"] != btoi(c.why != "") {
+			t.Errorf("%s: counters %v, want engine %s (%s)", c.name, snap, engine, c.why)
+		}
+		got, want := algqText(served), algqText(ref)
+		if got != want {
+			t.Errorf("%s: kernel\n%s\nreference\n%s", c.name, got, want)
+		}
+		if !strings.Contains(got, c.text) {
+			t.Errorf("%s: printed\n%s\nwant a line %q", c.name, got, c.text)
+		}
+	}
+}
+
+func btoi(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sameSet demands what reflect.DeepEqual demands of two sets — same elements,
@@ -398,13 +490,11 @@ func BenchmarkKernelConvert(b *testing.B) {
 		b.Fatal(err)
 	}
 	var rows []intern.ID
-	t := eng.Rels[k.result].Tables[0]
-	for i := range t.Rows() {
-		rows = append(rows, t.Row(i)...)
-	}
+	a := &k.answers[0]
+	eng.EachMember(a.pred, false, func(row []intern.ID) { rows = append(rows, row...) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = k.toSet(rows).String()
+		_ = a.toSet(rows).String()
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/algebra/parse"
+	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/semantics"
 )
@@ -149,8 +150,9 @@ type Plan struct {
 
 	// Expr is the compiled expression for LangAlgebra and LangIFPAlgebra.
 	Expr algebra.Expr
-	// kernel is Expr compiled to rules for the relational kernel; nil when
-	// fallback says why the value evaluator answers it instead.
+	// kernel is Expr, or Script under the valid semantics, compiled to rules
+	// for the relational kernel; nil when fallback says why the value
+	// evaluator, or internal/core, answers it instead.
 	kernel   *kernelPlan
 	fallback string
 	// Script is the compiled script for LangAlgebraEq: inline relations,
@@ -195,6 +197,9 @@ func Compile(lang Language, sem Semantics, src string) (*Plan, error) {
 			return nil, err
 		}
 		p.Script = s
+		if sem == SemValid {
+			p.kernel, p.fallback = compileScript(s)
+		}
 	case LangDatalog:
 		prog, err := datalog.ParseProgram(src)
 		if err != nil {
@@ -218,6 +223,15 @@ func ExprPlan(e algebra.Expr) *Plan {
 	p := &Plan{Language: LangIFPAlgebra, Semantics: SemValid, Source: e.String(), Expr: e}
 	p.kernel, p.fallback = planExpr(e)
 	return p
+}
+
+// ScriptPlan is the plan Compile makes of an algebra= script under the valid
+// semantics, for a program already parsed (or generated) with no rel or query
+// statements.
+func ScriptPlan(p *core.Program) *Plan {
+	plan := &Plan{Language: LangAlgebraEq, Semantics: SemValid, Source: p.String(), Script: &parse.Script{DB: algebra.DB{}, Program: p}}
+	plan.kernel, plan.fallback = compileScript(plan.Script)
+	return plan
 }
 
 // mapDatalogSemantics converts a query Semantics to the engine-level

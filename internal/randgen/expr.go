@@ -509,6 +509,36 @@ func (g *Gen) FlatJoin(ei *ExprInstance) {
 	}
 }
 
+// flatCores are FlatCore's programs over the pair relations e and f: Example
+// 3's WIN, a closure, a def negating a lower one, two games negating each
+// other, an IFP inside a negative cycle, and a subtrahend that is a union.
+var flatCores = []string{
+	`def s0 = map(diff(e, product(map(e, \x -> x.1), s0)), \x -> x.1);`,
+	`def s0 = union(e, map(select(product(s0, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2)));`,
+	`def s0 = union(e, map(select(product(s0, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))); def s1 = diff(f, s0);`,
+	`def s0 = map(diff(e, product(map(e, \x -> x.1), s1)), \x -> x.1); def s1 = map(diff(union(f, {(0, 1), (1, 0)}), product(map(f, \x -> x.1), s0)), \x -> x.1);`,
+	`def s0 = diff(map(select(product(e, f), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2)), s1); def s1 = ifp(v, union(f, map(select(product(v, s0), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))));`,
+	`def s0 = map(diff(e, union(product(map(f, \x -> x.1), s0), f)), \x -> x.2);`,
+}
+
+// FlatCore extends a CoreInstance's draw stream by one decision, taken after
+// the instance is complete, as FlatJoin extends an ExprInstance's. One time
+// in three the program is replaced by one in the flat fragment that
+// query.Execute evaluates on the relational rule kernel under the valid
+// semantics, which the generic recursion — integer relations, arithmetic,
+// order comparisons — reaches in about a tenth of instances, and with little
+// negation through recursion.
+func (g *Gen) FlatCore(ci *CoreInstance) {
+	if !g.chance(3) {
+		return
+	}
+	s, err := parse.ParseScript(flatCores[g.intn(len(flatCores))])
+	if err != nil {
+		panic(err)
+	}
+	ci.Prog = s.Program
+}
+
 // IFPExprInstance generates a database and an expression guaranteed to
 // contain at least one IFP operator: the top level is an IFP whose body is
 // generated normally. This is the instance family for the Theorem 3.5
@@ -529,7 +559,8 @@ func (g *Gen) IFPExprInstance() *ExprInstance {
 // valid semantics interesting), plus occasionally a parameterized macro
 // definition called from a constant body, exercising Inline. With allowFlip,
 // leaf references are occasionally wrapped in the Flip polarity annotation,
-// stressing the scheduled engine's monotonicity fallback; pass false for
+// which keeps a program on internal/core and makes Γ's round order visible;
+// pass false for
 // oracles that translate the program (translation reads Flip as identity, so
 // annotated programs are not comparable across that boundary).
 func (g *Gen) CoreInstance(allowFlip bool) *CoreInstance {

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"algrec/internal/datalog/ground"
 	"algrec/internal/obsv"
@@ -20,7 +17,7 @@ import (
 // reduct checks of StableModels) are allocation-free after warm-up.
 //
 // An Engine's methods are not safe for concurrent use by multiple
-// goroutines; StableModels parallelizes internally with per-worker scratch.
+// goroutines.
 type Engine struct {
 	g *ground.Program
 	// The positive-occurrence index in CSR layout: the rules where atom a
@@ -36,7 +33,7 @@ type Engine struct {
 	zeroPos     []int32 // indices of rules with empty positive body
 	hasNeg      bool
 	words       int     // bitset length in words, covering all atom ids
-	scr         scratch // buffers for the serial entry points
+	scr         scratch // the reusable buffers
 	// obs receives one event per completed semantics computation; nil means
 	// observability is disabled. Events are emitted only from entry-point
 	// epilogues — never from the worklist loops — so a disabled collector
@@ -128,7 +125,7 @@ func (e *Engine) stop() error {
 }
 
 // emitFixpoint reports one completed semantics computation, charging the
-// serial scratch's buffer-pool activity since the previous event.
+// scratch's buffer-pool activity since the previous event.
 func (e *Engine) emitFixpoint(sem string, passes, derived int, deltas []int) {
 	r, a := e.scr.takeCounters()
 	e.obs.Fixpoint(obsv.FixpointStats{
@@ -142,7 +139,7 @@ func (e *Engine) emitFixpoint(sem string, passes, derived int, deltas []int) {
 	})
 }
 
-// scratch holds the reusable buffers of one evaluation thread. The zero
+// scratch holds an engine's reusable buffers. The zero
 // value is ready to use: buffers are allocated on first use and recycled
 // through a small free list afterwards, so a warm scratch makes the fixpoint
 // kernels allocation-free.
@@ -427,9 +424,8 @@ func (e *Engine) Inflationary() (*Interp, int) {
 // WellFounded computes the well-founded model by the alternating fixpoint:
 // T_{k+1} = Γ(Γ(T_k)) ascending from ∅, with U = Γ(T) the final upper bound.
 // True atoms are T, false atoms are those outside U, the rest are undefined.
-func (e *Engine) WellFounded() *Interp { return e.wellFounded(&e.scr) }
-
-func (e *Engine) wellFounded(s *scratch) *Interp {
+func (e *Engine) WellFounded() *Interp {
+	s := &e.scr
 	t := s.grab(e.words)
 	u := s.grab(e.words)
 	t2 := s.grab(e.words)
@@ -556,28 +552,15 @@ var ErrTooManyUndef = errors.New("semantics: too many undefined atoms for stable
 // examines between polls of the engine's interrupt channel.
 const stableInterruptWindow = 1 << 12
 
-// stableParallelThreshold is the candidate-space size below which
-// StableModels stays serial: goroutine fan-out costs more than the search.
-const stableParallelThreshold = 256
-
 // StableModels enumerates all stable models (Gelfond–Lifschitz) of the
 // ground program. It first computes the well-founded model — which every
 // stable model extends — then searches assignments of the undefined atoms,
 // returning one two-valued Interp per stable model, in a deterministic order
 // (ascending candidate mask). If more than maxUndef atoms are undefined it
-// returns ErrTooManyUndef rather than attempting an exponential search.
-//
-// The search space is partitioned across a GOMAXPROCS-sized worker pool;
-// results are merged back in mask order, so the model list is byte-identical
-// to a serial run.
+// returns ErrTooManyUndef rather than attempting an exponential search. The
+// mask space is walked in windows, the interrupt polled between them, so
+// cancellation is prompt even on 2^62-sized spaces.
 func (e *Engine) StableModels(maxUndef int) ([]*Interp, error) {
-	return e.StableModelsParallel(maxUndef, 0)
-}
-
-// StableModelsParallel is StableModels with an explicit worker count;
-// workers <= 0 means runtime.GOMAXPROCS(0). The result is independent of the
-// worker count.
-func (e *Engine) StableModelsParallel(maxUndef, workers int) ([]*Interp, error) {
 	wf := e.WellFounded()
 	undef := wf.UndefAtoms()
 	if len(undef) > maxUndef {
@@ -593,81 +576,18 @@ func (e *Engine) StableModelsParallel(maxUndef, workers int) ([]*Interp, error) 
 			base.Set(a)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || total < stableParallelThreshold {
-		// Serial search: walk the mask space in windows so the interrupt is
-		// polled at a bounded interval even on 2^62-sized spaces.
-		var models []*Interp
-		for lo := uint64(0); lo < total; lo += stableInterruptWindow {
-			if err := e.stop(); err != nil {
-				return nil, err
-			}
-			models = append(models, e.stableRange(&e.scr, base, undef, lo, min(lo+stableInterruptWindow, total))...)
-		}
-		if e.obs != nil {
-			r, a := e.scr.takeCounters()
-			e.obs.StableSearch(obsv.StableSearchStats{
-				Undef: len(undef), Candidates: total, Models: len(models),
-				Workers: 1, Chunks: 1, ScratchReused: r, ScratchAllocated: a,
-			})
-		}
-		return models, nil
-	}
-	// Partition the mask space into more chunks than workers so an uneven
-	// chunk cannot straggle, and hand chunks out through an atomic cursor.
-	// Chunk results are merged in chunk order, which is mask order.
-	chunks := uint64(workers) * 8
-	if chunks > total {
-		chunks = total
-	}
-	chunkSize := (total + chunks - 1) / chunks
-	results := make([][]*Interp, chunks)
-	// Per-worker scratch: the engine's buffers stay serial-only. The slice
-	// (rather than goroutine-local variables) lets the observability
-	// epilogue sum the workers' pool counters after the join.
-	scratches := make([]scratch, workers)
-	var cursor atomic.Uint64
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(s *scratch) {
-			defer wg.Done()
-			for {
-				c := cursor.Add(1) - 1
-				if c >= chunks {
-					return
-				}
-				hi := min(c*chunkSize+chunkSize, total)
-				for lo := c * chunkSize; lo < hi; lo += stableInterruptWindow {
-					if e.stop() != nil {
-						canceled.Store(true)
-						return
-					}
-					results[c] = append(results[c], e.stableRange(s, base, undef, lo, min(lo+stableInterruptWindow, hi))...)
-				}
-			}
-		}(&scratches[w])
-	}
-	wg.Wait()
-	if canceled.Load() {
-		return nil, e.stop()
-	}
 	var models []*Interp
-	for _, ms := range results {
-		models = append(models, ms...)
+	for lo := uint64(0); lo < total; lo += stableInterruptWindow {
+		if err := e.stop(); err != nil {
+			return nil, err
+		}
+		models = append(models, e.stableRange(base, undef, lo, min(lo+stableInterruptWindow, total))...)
 	}
 	if e.obs != nil {
-		var r, a int
-		for i := range scratches {
-			dr, da := scratches[i].takeCounters()
-			r, a = r+dr, a+da
-		}
+		r, a := e.scr.takeCounters()
 		e.obs.StableSearch(obsv.StableSearchStats{
 			Undef: len(undef), Candidates: total, Models: len(models),
-			Workers: workers, Chunks: int(chunks), ScratchReused: r, ScratchAllocated: a,
+			ScratchReused: r, ScratchAllocated: a,
 		})
 	}
 	return models, nil
@@ -675,8 +595,9 @@ func (e *Engine) StableModelsParallel(maxUndef, workers int) ([]*Interp, error) 
 
 // stableRange checks the Gelfond–Lifschitz condition for every candidate
 // mask in [lo, hi): the least model of the reduct P^M must equal M. Bit i of
-// the mask decides undef[i]. Safe for concurrent use with distinct scratch.
-func (e *Engine) stableRange(s *scratch, base Bitset, undef []int, lo, hi uint64) []*Interp {
+// the mask decides undef[i].
+func (e *Engine) stableRange(base Bitset, undef []int, lo, hi uint64) []*Interp {
+	s := &e.scr
 	cand := s.grab(e.words)
 	red := s.grab(e.words)
 	var models []*Interp

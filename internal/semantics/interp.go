@@ -7,8 +7,8 @@
 //   - well-founded semantics (Van Gelder–Ross–Schlipf alternating fixpoint)
 //   - the valid semantics, implemented literally as the iterative
 //     true/false-set procedure described in the paper's Section 2.2
-//   - stable models (Gelfond–Lifschitz), by exhaustive search over the atoms
-//     left undefined by the well-founded model
+//   - stable models (Gelfond–Lifschitz), by a serial exhaustive search over
+//     the atoms left undefined by the well-founded model
 //
 // All engines share one interned-atom representation and return three-valued
 // interpretations (Interp). On the ground programs of this repository the

@@ -125,8 +125,8 @@ func TestObsvStableSearchExactCounts(t *testing.T) {
 		t.Fatalf("got %d stable events, want 1", len(c.stable))
 	}
 	got := c.stable[0]
-	if got.Undef != 2 || got.Candidates != 4 || got.Models != 2 || got.Workers != 1 || got.Chunks != 1 {
-		t.Errorf("event = %+v, want undef 2, candidates 4, models 2, serial", got)
+	if got.Undef != 2 || got.Candidates != 4 || got.Models != 2 {
+		t.Errorf("event = %+v, want undef 2, candidates 4, models 2", got)
 	}
 }
 

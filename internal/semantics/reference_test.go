@@ -334,12 +334,12 @@ func TestPropertyMinimalMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStableModelsDeterministicAcrossGOMAXPROCS: the parallel search must
-// return the same ordered model list regardless of parallelism — both via
-// the GOMAXPROCS default and via explicit worker counts.
+// TestStableModelsDeterministicAcrossGOMAXPROCS: the search returns the same
+// ordered model list whatever GOMAXPROCS is, across more than one candidate
+// window's worth of models.
 func TestStableModelsDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	// 9 independent 2-cycles: 18 undefined atoms, 2^9 = 512 stable models —
-	// comfortably above the engine's serial threshold.
+	// 9 independent 2-cycles: 18 undefined atoms, 2^9 = 512 stable models
+	// among 2^18 candidates, 64 windows of them.
 	src := ""
 	for i := 0; i < 9; i++ {
 		src += "p" + string(rune('0'+i)) + " :- not q" + string(rune('0'+i)) + ".\n"
@@ -356,31 +356,13 @@ func TestStableModelsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return models
 	}
-	serial := run(1)
-	parallel := run(8)
-	if len(serial) != 512 || len(parallel) != 512 {
-		t.Fatalf("model counts: serial=%d parallel=%d, want 512", len(serial), len(parallel))
+	one, eight := run(1), run(8)
+	if len(one) != 512 || len(eight) != 512 {
+		t.Fatalf("model counts: %d and %d, want 512", len(one), len(eight))
 	}
-	for i := range serial {
-		if !SameTruths(serial[i], parallel[i]) {
+	for i := range one {
+		if !SameTruths(one[i], eight[i]) {
 			t.Fatalf("model %d differs between GOMAXPROCS=1 and GOMAXPROCS=8", i)
-		}
-	}
-	// Explicit worker counts must agree too, including a count that does not
-	// divide the mask space evenly.
-	e := NewEngine(g)
-	for _, workers := range []int{1, 2, 3, 8} {
-		models, err := e.StableModelsParallel(20, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(models) != len(serial) {
-			t.Fatalf("workers=%d: %d models, want %d", workers, len(models), len(serial))
-		}
-		for i := range models {
-			if !SameTruths(models[i], serial[i]) {
-				t.Fatalf("workers=%d: model %d differs from serial", workers, i)
-			}
 		}
 	}
 }

@@ -33,9 +33,6 @@ type StorageConfig struct {
 	// materialization cache (0 = default 1<<20). A single relation larger
 	// than the budget is still materialized — it just is not retained.
 	MatBudgetRows int
-	// ScanWorkers is the shard-scan parallelism used when materializing
-	// relations (0 = GOMAXPROCS).
-	ScanWorkers int
 }
 
 // withDefaults returns a copy with zero fields defaulted.
@@ -97,11 +94,10 @@ func (c *StorageConfig) open(name string) (*entryStore, error) {
 		return nil, fmt.Errorf("server: open storage for %q: %w", name, err)
 	}
 	return &entryStore{
-		st:      st,
-		in:      intern.Global(),
-		budget:  c.MatBudgetRows,
-		workers: c.ScanWorkers,
-		mat:     map[string]value.Set{},
+		st:     st,
+		in:     intern.Global(),
+		budget: c.MatBudgetRows,
+		mat:    map[string]value.Set{},
 	}, nil
 }
 
@@ -152,10 +148,9 @@ func (r *registry) openDisk() ([]string, error) {
 // the cached copies of the relations it touched (advance), so reads after a
 // write find a current set to probe instead of re-materializing it.
 type entryStore struct {
-	st      storage.Store
-	in      *intern.Interner
-	budget  int
-	workers int
+	st     storage.Store
+	in     *intern.Interner
+	budget int
 
 	mu      sync.Mutex
 	epoch   uint64 // bumped by every mutation; stale materializations are dropped
@@ -199,7 +194,7 @@ func (es *entryStore) materialize(names []string, all bool) (algebra.DB, error) 
 		if !ok {
 			continue
 		}
-		s, err := storage.MaterializeSet(es.in, r, es.workers)
+		s, err := storage.MaterializeSet(es.in, r, 0)
 		if err != nil {
 			return nil, err
 		}
