@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-ivm bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server test-storage serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-ivm bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint docs-fresh build clean
 
 all: check
 
@@ -17,24 +17,17 @@ test:
 
 # test-server runs just the serving stack: the query compiler shared by the
 # CLIs and the daemon, the HTTP service (e2e matrix, singleflight, eviction,
-# cancellation, drain, fact mutations, subscription streams) and the
-# incremental maintenance engine behind the subscriptions and the relational
-# rule kernel under both (its fact base is shared by concurrent requests),
-# plus the three front-ends' golden tests — under the race detector, twice,
-# because the subscription writer/maintainer handoff and the lazily built
-# per-version fact base are where races would live.
+# cancellation, drain, fact mutations, subscription streams, and the
+# disk-backed server's differential, recovery, snapshot/restore and
+# copy-on-write tests), the storage engine (conformance suite on both
+# backends, disk-format property tests, crash-recovery fault injection), and
+# the incremental maintenance engine behind the subscriptions and the
+# relational rule kernel under both (its fact base is shared by concurrent
+# requests), plus the three front-ends' golden tests — under the race
+# detector, twice, because the subscription writer/maintainer handoff and the
+# lazily built per-version fact base are where races would live.
 test-server:
 	go test -race -count=2 ./internal/query ./internal/server ./internal/storage ./internal/ivm ./internal/datalog/rel ./cmd/algrecd ./cmd/algq ./cmd/dlog
-
-# test-storage runs the pluggable-storage engine's own suite — the
-# backend-agnostic conformance tests against both backends, the disk
-# format's property tests, the crash-recovery fault-injection matrix —
-# plus the serving-layer integration: disk-backed end-to-end differential
-# tests, snapshot/restore, and the copy-on-write isolation test, all under
-# the race detector twice.
-test-storage:
-	go test -race -count=2 ./internal/storage
-	go test -race -count=2 -run 'TestDiskServer|TestSnapshotRestore|TestConcurrentReadersDuringBulkLoad' ./internal/server
 
 # serve starts the query daemon on the default address (:8372) with the
 # bundled example graph registered as database "g". See docs/server.md.

@@ -8,16 +8,15 @@
 //
 //	algrecd [-addr :8372] [-db name=file.alg ...] [-cache 128]
 //	        [-timeout 30s] [-max-body 1048576]
-//	        [-disk DIR] [-disk-sync] [-mat-budget 1048576]
+//	        [-disk DIR] [-disk-sync]
 //
 // Each -db flag registers a database from an algebra= script containing only
-// rel statements. With -disk, databases live in on-disk stores under DIR —
-// one directory per database, recovered automatically on restart — and
-// queries materialize only the relations they read, so a database can exceed
-// RAM (-mat-budget caps the resident materialization cache in rows). On
-// SIGINT/SIGTERM the server drains: new queries are refused with the
-// "shutting-down" error while in-flight requests complete (bounded by
-// -grace).
+// rel statements. With -disk, every write also lands in an on-disk store
+// under DIR — one directory per database, recovered automatically on
+// restart — while queries read the resident current version as they do
+// without it. On SIGINT/SIGTERM the server drains: new queries are refused
+// with the "shutting-down" error while in-flight requests complete (bounded
+// by -grace).
 package main
 
 import (
@@ -68,7 +67,6 @@ func run(args []string) error {
 	grace := fs.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
 	diskDir := fs.String("disk", "", "back databases with on-disk stores under this directory (empty = in memory)")
 	diskSync := fs.Bool("disk-sync", false, "fsync the storage log after every mutation batch")
-	matBudget := fs.Int("mat-budget", 0, "disk mode: resident materialization-cache budget in rows (0 = default 1M)")
 	var dbs dbFlags
 	fs.Var(&dbs, "db", "register a database: name=file.alg (repeatable; the file is an algebra= script of rel statements)")
 	if err := fs.Parse(args); err != nil {
@@ -81,11 +79,7 @@ func run(args []string) error {
 		DefaultTimeout: *timeout,
 	}
 	if *diskDir != "" {
-		cfg.Storage = &server.StorageConfig{
-			Dir:           *diskDir,
-			Sync:          *diskSync,
-			MatBudgetRows: *matBudget,
-		}
+		cfg.Storage = &server.StorageConfig{Dir: *diskDir, Sync: *diskSync}
 	}
 	srv := server.New(cfg)
 	recovered, err := srv.OpenStorage()

@@ -342,16 +342,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestBaseRels(t *testing.T) {
-	p := &Program{Defs: []Def{
-		{Name: "a", Body: algebra.Union{L: rel("r"), R: rel("b")}},
-		{Name: "b", Params: []string{"x"}, Body: algebra.Union{L: rel("x"), R: rel("s")}},
-	}}
-	if got := strings.Join(p.BaseRels(), ","); got != "r,s" {
-		t.Errorf("BaseRels = %s, want r,s", got)
-	}
-}
-
 func TestMutualRecursion(t *testing.T) {
 	// Even/odd positions on a path graph via mutual recursion:
 	// even = {start} ∪ step(odd), odd = step(even).

@@ -41,7 +41,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"algrec/internal/algebra"
@@ -101,34 +100,6 @@ func (p *Program) String() string {
 		s += d.String() + "\n"
 	}
 	return s
-}
-
-// BaseRels returns the relation names referenced by the program that are not
-// defined by it and not bound parameters — the database relations the
-// program expects — sorted.
-func (p *Program) BaseRels() []string {
-	defined := map[string]bool{}
-	for _, d := range p.Defs {
-		defined[d.Name] = true
-	}
-	seen := map[string]bool{}
-	for _, d := range p.Defs {
-		params := map[string]bool{}
-		for _, q := range d.Params {
-			params[q] = true
-		}
-		for _, r := range algebra.FreeRels(d.Body) {
-			if !defined[r] && !params[r] {
-				seen[r] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate checks structural well-formedness: unique definition names,

@@ -135,7 +135,7 @@ func (l *lexer) peekByte() (byte, bool) {
 	return l.src[l.pos], true
 }
 
-func (l *lexer) advance() byte {
+func (l *lexer) nextByte() byte {
 	b := l.src[l.pos]
 	l.pos++
 	if b == '\n' {
@@ -159,7 +159,7 @@ func (l *lexer) lex() (token, error) {
 		}
 		switch {
 		case b == ' ' || b == '\t' || b == '\r' || b == '\n':
-			l.advance()
+			l.nextByte()
 			continue
 		case b == '%':
 			for {
@@ -167,14 +167,14 @@ func (l *lexer) lex() (token, error) {
 				if !ok || c == '\n' {
 					break
 				}
-				l.advance()
+				l.nextByte()
 			}
 			continue
 		}
 		break
 	}
 	line, col := l.line, l.col
-	b := l.advance()
+	b := l.nextByte()
 	switch {
 	case b == '(':
 		return token{tokLParen, "(", line, col}, nil
@@ -192,25 +192,25 @@ func (l *lexer) lex() (token, error) {
 		return token{tokEq, "=", line, col}, nil
 	case b == '!':
 		if c, ok := l.peekByte(); ok && c == '=' {
-			l.advance()
+			l.nextByte()
 			return token{tokNe, "!=", line, col}, nil
 		}
 		return token{}, l.errf(line, col, "unexpected '!'")
 	case b == '<':
 		if c, ok := l.peekByte(); ok && c == '=' {
-			l.advance()
+			l.nextByte()
 			return token{tokLe, "<=", line, col}, nil
 		}
 		return token{tokLt, "<", line, col}, nil
 	case b == '>':
 		if c, ok := l.peekByte(); ok && c == '=' {
-			l.advance()
+			l.nextByte()
 			return token{tokGe, ">=", line, col}, nil
 		}
 		return token{tokGt, ">", line, col}, nil
 	case b == ':':
 		if c, ok := l.peekByte(); ok && c == '-' {
-			l.advance()
+			l.nextByte()
 			return token{tokImplies, ":-", line, col}, nil
 		}
 		return token{}, l.errf(line, col, "unexpected ':'")
@@ -226,14 +226,14 @@ func (l *lexer) lex() (token, error) {
 			if !ok || c == '\n' {
 				return token{}, l.errf(line, col, "unterminated string literal")
 			}
-			l.advance()
+			l.nextByte()
 			raw.WriteByte(c)
 			if c == '\\' {
 				e, ok := l.peekByte()
 				if !ok {
 					return token{}, l.errf(line, col, "unterminated string escape")
 				}
-				l.advance()
+				l.nextByte()
 				raw.WriteByte(e)
 				continue
 			}
@@ -259,7 +259,7 @@ func (l *lexer) lex() (token, error) {
 			if !ok || c < '0' || c > '9' {
 				break
 			}
-			sb.WriteByte(l.advance())
+			sb.WriteByte(l.nextByte())
 		}
 		return token{tokInt, sb.String(), line, col}, nil
 	case isIdentStart(b):
@@ -270,7 +270,7 @@ func (l *lexer) lex() (token, error) {
 			if !ok || !isIdentPart(c) {
 				break
 			}
-			sb.WriteByte(l.advance())
+			sb.WriteByte(l.nextByte())
 		}
 		text := sb.String()
 		if b >= 'A' && b <= 'Z' {

@@ -36,9 +36,14 @@ func graphDB(n int64) algebra.DB {
 
 // statsServer returns a server whose collector is the process default for the
 // test, so the engines' own events land on its counters.
-func statsServer(t *testing.T) (*Server, *httptest.Server) {
+func statsServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{})
+	s := New(cfg)
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 	prev := obsv.Default()
 	obsv.SetDefault(s.Collector())
 	t.Cleanup(func() { obsv.SetDefault(prev) })
@@ -74,13 +79,12 @@ var baseClasses = []struct{ name, sem, text string }{
 
 // TestSharedFactBaseUnderWrites: eight readers issue datalog requests of every
 // shape against one database while a writer posts fact batches to it (run
-// under -race). Every answer is the answer of a fresh Execute over a private
-// copy of some version current while the request ran; what each version's
-// fact base holds is derived at most once, whoever asks first; and a
-// superseded version's base is garbage once the requests on it are done —
-// nothing in the registry keeps it.
+// under -race), on both backends. Every answer is the answer of a fresh
+// Execute over a private copy of some version current while the request ran;
+// what each version's fact base holds is derived at most once, whoever asks
+// first; and a superseded version's base is garbage once the requests on it
+// are done — nothing in the registry keeps it.
 func TestSharedFactBaseUnderWrites(t *testing.T) {
-	s, ts := statsServer(t)
 	const (
 		nodes   = 60
 		batches = 12
@@ -118,87 +122,96 @@ func TestSharedFactBaseUnderWrites(t *testing.T) {
 		keysOfAllVersions += int64(db["e"].Len())
 	}
 
-	if err := s.RegisterDB("g", dbs[0]); err != nil {
-		t.Fatal(err)
-	}
-	entry, _ := s.reg.entry("g")
-	v0 := entry.cur.Load().version
-	collected := make(chan struct{})
-	func() {
-		// The first version's base, watched; no reference survives this scope.
-		runtime.SetFinalizer(entry.cur.Load().base, func(*rel.Base) { close(collected) })
-	}()
-	before := s.Stats().Snapshot()
-
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for _, m := range muts {
-			if status, _, bad := postFacts(t, ts, "g", m); status != http.StatusOK {
-				t.Errorf("mutation: %d %+v", status, bad)
-				return
+	for _, mode := range []string{"memory", "disk"} {
+		t.Run(mode, func(t *testing.T) {
+			var cfg Config
+			if mode == "disk" {
+				cfg.Storage = &StorageConfig{Dir: t.TempDir()}
 			}
-			time.Sleep(2 * time.Millisecond) // let readers land on every version
-		}
-	}()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; ; i++ {
-				c := baseClasses[i%len(baseClasses)]
-				lo := entry.cur.Load().version - v0
-				status, ok, bad := postQuery(t, ts, queryRequest{DB: "g", Language: "datalog", Semantics: c.sem, Query: c.text})
-				hi := entry.cur.Load().version - v0
-				if status != http.StatusOK {
-					t.Errorf("%s: %d %+v", c.name, status, bad)
-					return
-				}
-				matched := false
-				for v := lo; v <= hi && !matched; v++ {
-					matched = reflect.DeepEqual(ok.Result, want[v][c.name])
-				}
-				if !matched {
-					t.Errorf("%s: the answer is that of no version in [%d, %d]", c.name, lo, hi)
-					return
-				}
-				select {
-				case <-done:
-					if hi == batches {
+			s, ts := statsServer(t, cfg)
+			if err := s.RegisterDB("g", dbs[0]); err != nil {
+				t.Fatal(err)
+			}
+			entry, _ := s.reg.entry("g")
+			v0 := entry.cur.Load().version
+			collected := make(chan struct{})
+			func() {
+				// The first version's base, watched; no reference survives this scope.
+				runtime.SetFinalizer(entry.cur.Load().base, func(*rel.Base) { close(collected) })
+			}()
+			before := s.Stats().Snapshot()
+
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(done)
+				for _, m := range muts {
+					if status, _, bad := postFacts(t, ts, "g", m); status != http.StatusOK {
+						t.Errorf("mutation: %d %+v", status, bad)
 						return
 					}
-				default:
+					time.Sleep(2 * time.Millisecond) // let readers land on every version
+				}
+			}()
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := r; ; i++ {
+						c := baseClasses[i%len(baseClasses)]
+						lo := entry.cur.Load().version - v0
+						status, ok, bad := postQuery(t, ts, queryRequest{DB: "g", Language: "datalog", Semantics: c.sem, Query: c.text})
+						hi := entry.cur.Load().version - v0
+						if status != http.StatusOK {
+							t.Errorf("%s: %d %+v", c.name, status, bad)
+							return
+						}
+						matched := false
+						for v := lo; v <= hi && !matched; v++ {
+							matched = reflect.DeepEqual(ok.Result, want[v][c.name])
+						}
+						if !matched {
+							t.Errorf("%s: the answer is that of no version in [%d, %d]", c.name, lo, hi)
+							return
+						}
+						select {
+						case <-done:
+							if hi == batches {
+								return
+							}
+						default:
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+
+			moved := s.Stats().Snapshot().Sub(before)
+			versions := int64(len(dbs))
+			if moved["rel.evals.relational"] == 0 || moved["rel.evals.grounded"] == 0 || moved["rel.base.hits"] == 0 {
+				t.Fatalf("the run did not exercise both engines and the shared base: %v", moved)
+			}
+			// Per version: e's two columns, its keys once, and its rows once into
+			// tables and once into sorted facts.
+			if moved["rel.base.indexes"] > 2*versions || moved["rel.base.keys"] > keysOfAllVersions || moved["rel.base.rows"] > 2*keysOfAllVersions {
+				t.Errorf("something was derived twice for one version: %d indexes, %d keys, %d rows over %d versions holding %d facts",
+					moved["rel.base.indexes"], moved["rel.base.keys"], moved["rel.base.rows"], versions, keysOfAllVersions)
+			}
+
+			for deadline := time.Now().Add(10 * time.Second); ; {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the first version's fact base is still reachable after twelve later versions")
 				}
 			}
-		}(r)
-	}
-	wg.Wait()
-
-	moved := s.Stats().Snapshot().Sub(before)
-	versions := int64(len(dbs))
-	if moved["rel.evals.relational"] == 0 || moved["rel.evals.grounded"] == 0 || moved["rel.base.hits"] == 0 {
-		t.Fatalf("the run did not exercise both engines and the shared base: %v", moved)
-	}
-	// Per version: e's two columns, its keys once, and its rows once into
-	// tables and once into sorted facts.
-	if moved["rel.base.indexes"] > 2*versions || moved["rel.base.keys"] > keysOfAllVersions || moved["rel.base.rows"] > 2*keysOfAllVersions {
-		t.Errorf("something was derived twice for one version: %d indexes, %d keys, %d rows over %d versions holding %d facts",
-			moved["rel.base.indexes"], moved["rel.base.keys"], moved["rel.base.rows"], versions, keysOfAllVersions)
-	}
-
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the first version's fact base is still reachable after twelve later versions")
-		}
+		})
 	}
 }
 
@@ -209,7 +222,7 @@ func TestSharedFactBaseUnderWrites(t *testing.T) {
 // recursive unit, and on the second request nothing left to derive from the
 // database.
 func TestServedReachCounts(t *testing.T) {
-	s, ts := statsServer(t)
+	s, ts := statsServer(t, Config{})
 	db := graphDB(500)
 	nEdges := int64(db["e"].Len())
 	if err := s.RegisterDB("g", db); err != nil {
@@ -294,7 +307,7 @@ func (r *relRecorder) Rel(s obsv.RelStats) {
 // counter. (The step budget would end it too, as budget-exceeded, but only
 // after 8 million steps.)
 func TestTimeoutInsideOneDatalogRule(t *testing.T) {
-	s, ts := statsServer(t)
+	s, ts := statsServer(t, Config{})
 	var as []value.Value
 	for i := int64(0); i < 1000; i++ {
 		as = append(as, value.Int(i))

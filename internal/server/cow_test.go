@@ -22,7 +22,7 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			var ts *httptest.Server
 			if mode == "disk" {
-				_, ts = newDiskServer(t, t.TempDir(), 8)
+				_, ts = newDiskServer(t, t.TempDir())
 			} else {
 				s := New(Config{})
 				ts = httptest.NewServer(s.Handler())

@@ -9,7 +9,6 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog/rel"
-	"algrec/internal/query"
 	"algrec/internal/value/intern"
 )
 
@@ -27,14 +26,13 @@ import (
 // (labeled database versions) are O(1) retained pointers for the same
 // reason: no database value is ever mutated in place.
 //
-// With a disk backend configured (Config.Storage), an entry's relation data
-// lives in its storage.Store instead of cur.base (which stays nil); readers
-// materialize only the relations a plan needs, through the entry's
-// materialization cache. storage.Store serializes writers internally and
-// never blocks concurrent readers, preserving the same property.
+// Both backends read the same way, through base: with a disk backend
+// configured (Config.Storage), an entry's current version is resident as
+// well, and its storage.Store is written through by every writer before the
+// next state is published, for durability and recovery only.
 type registry struct {
 	// storage, when non-nil, backs every database with an on-disk store
-	// under storage.Dir instead of keeping relations resident.
+	// under storage.Dir, written through on every write.
 	storage *StorageConfig
 
 	mu  sync.RWMutex
@@ -47,21 +45,15 @@ type registry struct {
 // rendered keys), built lazily by the first request that needs it and shared
 // read-only by every request that loads this state. Nothing else refers to a
 // base, so it goes when its state is superseded and the last request on it
-// returns. For disk-backed entries base is nil — the data lives in the
-// entry's store — and only version is meaningful.
+// returns. A registered entry's base is never nil.
 type dbState struct {
 	base    *rel.Base
 	version uint64
 }
 
-// newDBState wraps a memory-resident database; a nil db is a disk-backed
-// entry's state.
+// newDBState wraps one version of a database.
 func newDBState(db algebra.DB, version uint64) *dbState {
-	st := &dbState{version: version}
-	if db != nil {
-		st.base = rel.NewBase(db)
-	}
-	return st
+	return &dbState{base: rel.NewBase(db), version: version}
 }
 
 // dbEntry is one named database. The entry outlives any particular database
@@ -83,7 +75,7 @@ type dbEntry struct {
 	// distinct (plan, effective budgets): identical subscriptions share one.
 	views map[viewKey]*liveView
 	snaps map[string]algebra.DB
-	store *entryStore // nil: memory-resident
+	store *entryStore // nil: memory-resident; else written through
 }
 
 func newRegistry() *registry {
@@ -92,7 +84,7 @@ func newRegistry() *registry {
 
 func newDBEntry(name string) *dbEntry {
 	e := &dbEntry{name: name, views: map[viewKey]*liveView{}, snaps: map[string]algebra.DB{}}
-	e.cur.Store(&dbState{})
+	e.cur.Store(newDBState(nil, 0))
 	return e
 }
 
@@ -108,46 +100,18 @@ func (r *registry) entry(name string) (*dbEntry, bool) {
 	return e, ok
 }
 
-// baseForPlan returns the fact base of the database state the plan should
-// execute against: ok=false when no database of that name exists (the empty
-// name is always present and empty — a nil base). For memory entries this is
-// the lock-free current state's own base; for disk entries, a base made for
-// this request over a materialization of exactly the relations the plan can
-// read (all of them for datalog, which folds the whole database into its fact
-// base).
-func (r *registry) baseForPlan(name string, plan *query.Plan) (base *rel.Base, ok bool, err error) {
+// base returns the fact base of the named database's current version:
+// ok=false when no database of that name exists (the empty name is always
+// present and empty — a nil base).
+func (r *registry) base(name string) (base *rel.Base, ok bool) {
 	if name == "" {
-		return nil, true, nil
+		return nil, true
 	}
 	e, ok := r.entry(name)
 	if !ok {
-		return nil, false, nil
+		return nil, false
 	}
-	if e.store == nil {
-		return e.cur.Load().base, true, nil
-	}
-	db, err := e.planDB(plan)
-	return rel.NewBase(db), true, err
-}
-
-// planDB returns the database a view of the plan is built over; safe without
-// the entry mutex.
-func (e *dbEntry) planDB(plan *query.Plan) (algebra.DB, error) {
-	if e.store == nil {
-		return e.cur.Load().base.DB(), nil
-	}
-	names, all := plan.Relations()
-	return e.store.materialize(names, all)
-}
-
-// fullDB returns the entry's complete current database (materializing every
-// relation of a disk entry). Safe without the entry mutex; writers that need
-// a consistent copy call it under mu.
-func (e *dbEntry) fullDB() (algebra.DB, error) {
-	if e.store == nil {
-		return e.cur.Load().base.DB(), nil
-	}
-	return e.store.materialize(nil, true)
+	return e.cur.Load().base, true
 }
 
 // set registers (or replaces) a database under name. The database's values
@@ -157,9 +121,9 @@ func (e *dbEntry) fullDB() (algebra.DB, error) {
 // rather than on some request's critical path. Replacing an existing entry
 // closes its live subscriptions with reason "db-replaced" — their incremental
 // views were built against the old contents and a wholesale swap is not a
-// fact delta. With a disk backend, the load lands in the entry's store;
-// concurrent readers keep seeing the pre-replacement state until the single
-// atomic batch applies.
+// fact delta. With a disk backend, the load is written through to the
+// entry's store first; concurrent readers keep seeing the pre-replacement
+// state until the new one is published.
 func (r *registry) set(name string, db algebra.DB) error {
 	in := intern.Global()
 	for _, set := range db {
@@ -175,33 +139,30 @@ func (r *registry) set(name string, db algebra.DB) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r.storage != nil {
-		if e.store == nil {
-			st, err := r.storage.open(name)
-			if err != nil {
-				if !existed {
-					r.mu.Lock()
-					delete(r.dbs, name)
-					r.mu.Unlock()
-				}
-				return err
+	if r.storage != nil && e.store == nil {
+		st, err := r.storage.open(name)
+		if err != nil {
+			if !existed {
+				r.mu.Lock()
+				delete(r.dbs, name)
+				r.mu.Unlock()
 			}
-			e.store = st
-		}
-		if err := e.store.replace(db); err != nil {
 			return err
 		}
-		db = nil // the store holds the data; keep nothing resident
+		e.store = st
+	}
+	if err := e.store.replace(db); err != nil {
+		return err
 	}
 	e.cur.Store(newDBState(db, e.cur.Load().version+1))
 	e.closeViews(reasonReplaced)
 	return nil
 }
 
-// snapshot labels the entry's current database contents. Memory entries
-// retain the current state pointer — O(1), since no database value is ever
-// mutated in place; disk entries materialize a full copy and also checkpoint
-// (and compact) the underlying store. Re-using a label overwrites it.
+// snapshot labels the entry's current database contents by retaining them —
+// O(1), since no database value is ever mutated in place; disk entries also
+// checkpoint (and compact) the underlying store. Re-using a label overwrites
+// it.
 func (r *registry) snapshot(name, label string) (version uint64, err error) {
 	e, ok := r.entry(name)
 	if !ok {
@@ -209,17 +170,12 @@ func (r *registry) snapshot(name, label string) (version uint64, err error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	db, err := e.fullDB()
-	if err != nil {
+	if err := e.store.checkpoint(); err != nil {
 		return 0, err
 	}
-	if e.store != nil {
-		if err := e.store.checkpoint(); err != nil {
-			return 0, err
-		}
-	}
-	e.snaps[label] = db
-	return e.cur.Load().version, nil
+	st := e.cur.Load()
+	e.snaps[label] = st.base.DB()
+	return st.version, nil
 }
 
 // restore replaces the entry's database with a labeled snapshot's contents.
@@ -236,11 +192,8 @@ func (r *registry) restore(name, label string) (version uint64, err error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: database %q has no snapshot labeled %q", errSnapshotNotFound, name, label)
 	}
-	if e.store != nil {
-		if err := e.store.replace(db); err != nil {
-			return 0, err
-		}
-		db = nil
+	if err := e.store.replace(db); err != nil {
+		return 0, err
 	}
 	v := e.cur.Load().version + 1
 	e.cur.Store(newDBState(db, v))
@@ -268,8 +221,8 @@ type dbInfo struct {
 }
 
 // list returns every registered database sorted by name. Relation
-// cardinalities come from the lock-free current state (memory) or the
-// store's index (disk) — listing never blocks a bulk load either way.
+// cardinalities come from the lock-free current state, so listing never
+// blocks a bulk load.
 func (r *registry) list() []dbInfo {
 	r.mu.RLock()
 	entries := make([]*dbEntry, 0, len(r.dbs))
@@ -280,15 +233,10 @@ func (r *registry) list() []dbInfo {
 
 	out := make([]dbInfo, 0, len(entries))
 	for _, e := range entries {
-		info := dbInfo{Name: e.name, Version: e.cur.Load().version, Relations: map[string]int{}}
-		if e.store != nil {
-			for _, ri := range e.store.relInfo() {
-				info.Relations[ri.Name] = ri.Len
-			}
-		} else {
-			for rel, set := range e.cur.Load().base.DB() {
-				info.Relations[rel] = set.Len()
-			}
+		st := e.cur.Load()
+		info := dbInfo{Name: e.name, Version: st.version, Relations: map[string]int{}}
+		for rel, set := range st.base.DB() {
+			info.Relations[rel] = set.Len()
 		}
 		e.mu.Lock()
 		for label := range e.snaps {
@@ -313,10 +261,8 @@ func (r *registry) closeStores() error {
 	var first error
 	for _, e := range entries {
 		e.mu.Lock()
-		if e.store != nil {
-			if err := e.store.close(); err != nil && first == nil {
-				first = err
-			}
+		if err := e.store.close(); err != nil && first == nil {
+			first = err
 		}
 		e.mu.Unlock()
 	}

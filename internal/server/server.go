@@ -76,10 +76,10 @@ type Config struct {
 	// Collector receives a copy of every observability event the server
 	// emits, in addition to the server's own /metrics counters.
 	Collector obsv.Collector
-	// Storage, when non-nil, backs named databases with on-disk stores
-	// under Storage.Dir instead of keeping relations in memory; call
-	// OpenStorage before serving to recover databases persisted by earlier
-	// runs, and Close on shutdown to flush them.
+	// Storage, when non-nil, writes every named database through to an
+	// on-disk store under Storage.Dir (reads stay on the resident current
+	// version); call OpenStorage before serving to recover databases
+	// persisted by earlier runs, and Close on shutdown to flush them.
 	Storage *StorageConfig
 }
 
@@ -128,9 +128,7 @@ func New(cfg Config) *Server {
 		stats:   obsv.NewStats(),
 		drainCh: make(chan struct{}),
 	}
-	if cfg.Storage != nil {
-		s.reg.storage = cfg.Storage.withDefaults()
-	}
+	s.reg.storage = cfg.Storage
 	s.col = obsv.Multi(s.stats, cfg.Collector)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -158,8 +156,8 @@ func (s *Server) Collector() obsv.Collector { return s.col }
 func (s *Server) Stats() *obsv.Stats { return s.stats }
 
 // RegisterDB registers (or replaces) a named database. With disk storage
-// configured the load lands in the database's on-disk store, which can fail;
-// without it the error is always nil.
+// configured the load is written through to the database's on-disk store,
+// which can fail; without it the error is always nil.
 func (s *Server) RegisterDB(name string, db algebra.DB) error {
 	return s.reg.set(name, db)
 }
@@ -369,15 +367,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The plan determines which relations a disk-backed database must
-	// materialize, so the database is resolved after plan lookup.
-	base, ok, err := s.reg.baseForPlan(req.DB, plan)
+	base, ok := s.reg.base(req.DB)
 	if !ok {
 		fail(codeUnknownDB, fmt.Sprintf("no database named %q is registered", req.DB))
-		return
-	}
-	if err != nil {
-		fail(codeStorage, err.Error())
 		return
 	}
 

@@ -24,8 +24,8 @@ type snapshotResponse struct {
 
 // handleSnapshot serves POST /v1/dbs/{name}/snapshot: labels the database's
 // current contents as a restorable version. Snapshots are copy-on-write —
-// for memory databases, taking one retains the current state pointer in
-// O(1); disk databases also checkpoint and compact their store.
+// on both backends, taking one retains the current version in O(1); disk
+// databases also checkpoint and compact their store.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.handleSnapshotOp(w, r, "snapshot", s.reg.snapshot)
 }

@@ -8,39 +8,26 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
-	"algrec/internal/ivm"
 	"algrec/internal/storage"
 	"algrec/internal/value"
 	"algrec/internal/value/intern"
 )
 
-// StorageConfig switches the server's named databases from memory-resident
-// relations to on-disk stores (storage.OpenDisk): each database becomes a
-// directory under Dir holding its log-structured segments, so the working
-// set can exceed RAM — queries materialize only the relations their plan
-// reads, through a bounded per-database cache.
+// StorageConfig makes the server's named databases durable: each database
+// gets a directory under Dir holding its on-disk store (storage.OpenDisk).
+// The store is written through — a load, a fact batch or a restore lands in
+// it before the new version is published — and read only to recover the
+// databases at startup. Every read is served from the resident current
+// version, exactly as without a StorageConfig.
 type StorageConfig struct {
 	// Dir is the root directory; one subdirectory per database.
 	Dir string
 	// Sync fsyncs the log after every mutation batch (durability over
 	// throughput; off by default, matching storage.DiskOptions).
 	Sync bool
-	// MatBudgetRows caps the total rows held by one database's
-	// materialization cache (0 = default 1<<20). A single relation larger
-	// than the budget is still materialized — it just is not retained.
-	MatBudgetRows int
-}
-
-// withDefaults returns a copy with zero fields defaulted.
-func (c StorageConfig) withDefaults() *StorageConfig {
-	if c.MatBudgetRows == 0 {
-		c.MatBudgetRows = 1 << 20
-	}
-	return &c
 }
 
 // dbDirPrefix/dbDirHexPrefix prefix database directory names: names made of
@@ -93,17 +80,13 @@ func (c *StorageConfig) open(name string) (*entryStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: open storage for %q: %w", name, err)
 	}
-	return &entryStore{
-		st:     st,
-		in:     intern.Global(),
-		budget: c.MatBudgetRows,
-		mat:    map[string]value.Set{},
-	}, nil
+	return &entryStore{st: st, in: intern.Global()}, nil
 }
 
 // openDisk scans cfg.Dir for existing database directories and registers a
-// disk-backed entry for each, returning the recovered database names. Called
-// once at startup, before the server accepts requests.
+// disk-backed entry for each, loading its store into the entry's first
+// version, and returns the recovered database names. Called once at startup,
+// before the server accepts requests.
 func (r *registry) openDisk() ([]string, error) {
 	cfg := r.storage
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -126,9 +109,14 @@ func (r *registry) openDisk() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		db, err := storage.LoadDB(st.st, st.in, 0)
+		if err != nil {
+			st.close()
+			return nil, fmt.Errorf("server: recover %q: %w", name, err)
+		}
 		e := newDBEntry(name)
 		e.store = st
-		e.cur.Store(&dbState{version: 1})
+		e.cur.Store(newDBState(db, 1))
 		r.mu.Lock()
 		r.dbs[name] = e
 		r.mu.Unlock()
@@ -138,170 +126,23 @@ func (r *registry) openDisk() ([]string, error) {
 	return names, nil
 }
 
-// entryStore is one disk-backed database: the storage.Store plus a bounded
-// materialization cache of value.Set relations. The store itself is safe for
-// concurrent readers; the cache is guarded by mu, which is never held while
-// scanning the store — a cache miss materializes unlocked and publishes
-// under an epoch check, so a mutation landing mid-scan simply discards the
-// stale result instead of blocking. Writers keep the cache warm: a wholesale
-// load seeds it with the sets it stored (reseed) and a fact mutation advances
-// the cached copies of the relations it touched (advance), so reads after a
-// write find a current set to probe instead of re-materializing it.
+// entryStore is one disk-backed database's store. Nothing reads it after
+// recovery: the entry's resident version serves every read, and the store
+// follows each write (under the entry mutex) so that a restart recovers the
+// last published version. A nil *entryStore is a memory-resident database's,
+// and its writes are no-ops.
 type entryStore struct {
-	st     storage.Store
-	in     *intern.Interner
-	budget int
-
-	mu      sync.Mutex
-	epoch   uint64 // bumped by every mutation; stale materializations are dropped
-	mat     map[string]value.Set
-	matRows int
-}
-
-// materialize returns the named relations (or every relation when all is
-// set) as a database map. Relations absent from the store are omitted —
-// exactly as a memory-resident database would not contain them.
-func (es *entryStore) materialize(names []string, all bool) (algebra.DB, error) {
-	if all {
-		infos, err := es.st.Rels()
-		if err != nil {
-			return nil, err
-		}
-		names = make([]string, len(infos))
-		for i, ri := range infos {
-			names[i] = ri.Name
-		}
-	}
-	db := make(algebra.DB, len(names))
-
-	es.mu.Lock()
-	epoch := es.epoch
-	var miss []string
-	for _, n := range names {
-		if s, ok := es.mat[n]; ok {
-			db[n] = s
-		} else {
-			miss = append(miss, n)
-		}
-	}
-	es.mu.Unlock()
-
-	for _, n := range miss {
-		r, ok, err := es.st.Rel(n)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		s, err := storage.MaterializeSet(es.in, r, 0)
-		if err != nil {
-			return nil, err
-		}
-		db[n] = s
-		es.cache(n, s, epoch)
-	}
-	return db, nil
-}
-
-// cache retains one materialized relation if it was read at the current
-// epoch and fits the row budget, evicting older entries to make room.
-func (es *entryStore) cache(name string, s value.Set, epoch uint64) {
-	if s.Len() > es.budget {
-		return
-	}
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if es.epoch != epoch {
-		return // a mutation landed while we scanned; the copy may be stale
-	}
-	if _, ok := es.mat[name]; ok {
-		return
-	}
-	for n, old := range es.mat {
-		if es.matRows+s.Len() <= es.budget {
-			break
-		}
-		es.matRows -= old.Len()
-		delete(es.mat, n)
-	}
-	if es.matRows+s.Len() > es.budget {
-		return
-	}
-	es.mat[name] = s
-	es.matRows += s.Len()
-}
-
-// invalidate drops the named relations from the cache and bumps the epoch,
-// so in-flight materializations cannot publish pre-mutation copies.
-func (es *entryStore) invalidate(names []string) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	es.epoch++
-	for _, n := range names {
-		es.drop(n)
-	}
-}
-
-// drop removes one relation from the cache. Called with mu held.
-func (es *entryStore) drop(name string) {
-	if s, ok := es.mat[name]; ok {
-		es.matRows -= s.Len()
-		delete(es.mat, name)
-	}
-}
-
-// advance carries the cached copies of the touched relations across a fact
-// mutation the store has just applied, instead of dropping them: each becomes
-// ivm.ApplyDB of itself — the function the memory-resident path keeps its
-// whole database current with — so the next read finds the post-mutation set
-// cached rather than paying storage.MaterializeSet again. Relations that were
-// not cached stay uncached; one that outgrows the row budget is dropped. The
-// epoch moves as in invalidate.
-func (es *entryStore) advance(touched []string, ins, del []datalog.Fact) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	es.epoch++
-	cached := algebra.DB{}
-	for _, n := range touched {
-		if s, ok := es.mat[n]; ok {
-			cached[n] = s
-		}
-	}
-	if len(cached) == 0 {
-		return
-	}
-	next := ivm.ApplyDB(cached, ins, del)
-	for n, old := range cached {
-		es.mat[n] = next[n]
-		es.matRows += next[n].Len() - old.Len()
-		if es.matRows > es.budget {
-			es.drop(n)
-		}
-	}
-}
-
-// reseed replaces the cache with the sets a wholesale load just stored, as
-// far as the row budget goes, and bumps the epoch: the first query after a
-// PUT or a restore reads what was loaded, not a re-materialization of it.
-func (es *entryStore) reseed(db algebra.DB, names []string) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	es.epoch++
-	es.mat = map[string]value.Set{}
-	es.matRows = 0
-	for _, n := range names {
-		if s := db[n]; es.matRows+s.Len() <= es.budget {
-			es.mat[n] = s
-			es.matRows += s.Len()
-		}
-	}
+	st storage.Store
+	in *intern.Interner
 }
 
 // replace swaps the store's entire contents for db in one atomic batch:
 // relations not in db are dropped, the rest reset to their new rows, sorted
-// so the log is deterministic. The cache is reseeded from db.
+// so the log is deterministic.
 func (es *entryStore) replace(db algebra.DB) error {
+	if es == nil {
+		return nil
+	}
 	infos, err := es.st.Rels()
 	if err != nil {
 		return err
@@ -321,44 +162,30 @@ func (es *entryStore) replace(db algebra.DB) error {
 		rows, arity := storage.RowsOfSet(es.in, db[name])
 		b = append(b, storage.Mutation{Rel: name, Arity: arity, Reset: true, Insert: rows})
 	}
-	if err := es.st.Apply(b); err != nil {
-		return err
-	}
-	es.reseed(db, names)
-	return nil
+	return es.st.Apply(b)
 }
 
 // applyFacts applies one fact mutation (deletes before inserts, matching
 // ivm.ApplyDB) to the store. Facts whose shape disagrees with the stored
 // relation's arity fall back to storage.RearityBatch, which re-encodes the
-// relation in the heterogeneous arity-1 form; cached copies of the touched
-// relations are dropped then, and advanced in place otherwise. Called under
-// the entry mutex.
+// relation in the heterogeneous arity-1 form. Called under the entry mutex.
 func (es *entryStore) applyFacts(ins, del []datalog.Fact) error {
-	b, touched, err := es.factsBatch(ins, del)
+	if es == nil {
+		return nil
+	}
+	b, err := es.factsBatch(ins, del)
+	if err != nil || len(b) == 0 {
+		return err
+	}
+	err = es.st.Apply(b)
+	if !errors.Is(err, storage.ErrArityMismatch) {
+		return err
+	}
+	rb, err := storage.RearityBatch(es.st, es.in, b)
 	if err != nil {
 		return err
 	}
-	if len(b) == 0 {
-		return nil
-	}
-	if err := es.st.Apply(b); err != nil {
-		if !errors.Is(err, storage.ErrArityMismatch) {
-			return err
-		}
-		rb, rerr := storage.RearityBatch(es.st, es.in, b)
-		if rerr != nil {
-			return rerr
-		}
-		if err := es.st.Apply(rb); err != nil {
-			return err
-		}
-		// The relation was re-encoded wholesale; re-read it on demand.
-		es.invalidate(touched)
-		return nil
-	}
-	es.advance(touched, ins, del)
-	return nil
+	return es.st.Apply(rb)
 }
 
 // factValue is the element a fact contributes to its predicate's relation:
@@ -377,8 +204,8 @@ func factValue(f datalog.Fact) value.Value {
 // the relational encoding when every inserted element is a tuple of one
 // width >= 2. Elements that cannot fit a relational arity demote the whole
 // predicate to the arity-1 encoding; the resulting arity mismatch is the
-// caller's RearityBatch fallback. Returns the touched predicate names.
-func (es *entryStore) factsBatch(ins, del []datalog.Fact) (storage.Batch, []string, error) {
+// caller's RearityBatch fallback.
+func (es *entryStore) factsBatch(ins, del []datalog.Fact) (storage.Batch, error) {
 	type predMut struct {
 		ins, del []value.Value
 	}
@@ -413,7 +240,7 @@ func (es *entryStore) factsBatch(ins, del []datalog.Fact) (storage.Batch, []stri
 		m := storage.Mutation{Rel: n, Arity: arity}
 		// A predicate absent from the store with only deletes: nothing to do.
 		if _, ok, err := es.st.Rel(n); err != nil {
-			return nil, nil, err
+			return nil, err
 		} else if !ok && len(pm.ins) == 0 {
 			continue
 		}
@@ -444,7 +271,7 @@ func (es *entryStore) factsBatch(ins, del []datalog.Fact) (storage.Batch, []stri
 		}
 		b = append(b, m)
 	}
-	return b, names, nil
+	return b, nil
 }
 
 // predArity picks the storage arity for one predicate's mutation: the stored
@@ -489,16 +316,16 @@ func rowOfElem(in *intern.Interner, v value.Value, arity int) ([]intern.ID, bool
 }
 
 // checkpoint durably snapshots and compacts the underlying store.
-func (es *entryStore) checkpoint() error { return es.st.Snapshot() }
-
-// relInfo lists the store's relations (empty on a read error — listings are
-// best-effort).
-func (es *entryStore) relInfo() []storage.RelInfo {
-	infos, err := es.st.Rels()
-	if err != nil {
+func (es *entryStore) checkpoint() error {
+	if es == nil {
 		return nil
 	}
-	return infos
+	return es.st.Snapshot()
 }
 
-func (es *entryStore) close() error { return es.st.Close() }
+func (es *entryStore) close() error {
+	if es == nil {
+		return nil
+	}
+	return es.st.Close()
+}

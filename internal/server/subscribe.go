@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"algrec/internal/algebra"
 	"algrec/internal/datalog"
 	"algrec/internal/ivm"
 	"algrec/internal/obsv"
@@ -415,16 +414,12 @@ func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
 	entry.mu.Lock()
 	st := entry.cur.Load()
 	version := st.version + 1
-	if entry.store != nil {
-		if err := entry.store.applyFacts(ins, del); err != nil {
-			entry.mu.Unlock()
-			fail(codeStorage, err.Error())
-			return
-		}
-		entry.cur.Store(&dbState{version: version})
-	} else {
-		entry.cur.Store(newDBState(ivm.ApplyDB(st.base.DB(), ins, del), version))
+	if err := entry.store.applyFacts(ins, del); err != nil {
+		entry.mu.Unlock()
+		fail(codeStorage, err.Error())
+		return
 	}
+	entry.cur.Store(newDBState(ivm.ApplyDB(st.base.DB(), ins, del), version))
 	for key, lv := range entry.views {
 		d, applyErr := lv.view.Apply(ins, del)
 		if applyErr != nil {
@@ -552,12 +547,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	unwatch := context.AfterFunc(ctx, lv.release)
 	var verr error
 	if !shared {
-		var db algebra.DB
-		if db, verr = entry.planDB(plan); verr == nil {
-			opts := key.opts
-			opts.Budget.Interrupt, opts.Ground.Interrupt = lv.stop, lv.stop
-			lv.view, verr = ivm.New(plan, db, opts)
-		}
+		opts := key.opts
+		opts.Budget.Interrupt, opts.Ground.Interrupt = lv.stop, lv.stop
+		lv.view, verr = ivm.New(plan, entry.cur.Load().base.DB(), opts)
 	}
 	var sub *subscriber
 	if verr == nil {

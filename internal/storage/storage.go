@@ -1,5 +1,7 @@
-// Package storage is the pluggable relation-storage layer behind the query
-// service's named databases: a backend-agnostic interface — ordered scans,
+// Package storage is the pluggable relation-storage layer that makes the
+// query service's named databases durable (the service writes every change
+// through to a store and reads it back only to recover): a backend-agnostic
+// interface — ordered scans,
 // indexed lookups, atomic insert/delete batches, cardinality — over
 // relations of interned ID tuples, with two stdlib-only backends:
 //

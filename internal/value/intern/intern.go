@@ -253,7 +253,7 @@ func (in *Interner) internNode(kind value.Kind, ids []ID, v value.Value) ID {
 		}
 	}
 	if v == nil {
-		v = in.materialize(kind, ids)
+		v = in.nodeValue(kind, ids)
 	}
 	sub := make([]ID, len(ids)) // own the signature: callers may reuse ids
 	copy(sub, ids)
@@ -266,8 +266,8 @@ func (in *Interner) internNode(kind value.Kind, ids []ID, v value.Value) ID {
 	return id
 }
 
-// materialize builds the value for a node interned from IDs alone.
-func (in *Interner) materialize(kind value.Kind, ids []ID) value.Value {
+// nodeValue builds the value for a node interned from IDs alone.
+func (in *Interner) nodeValue(kind value.Kind, ids []ID) value.Value {
 	elems := make([]value.Value, len(ids))
 	for i, id := range ids {
 		elems[i] = in.Lookup(id)
