@@ -51,8 +51,8 @@ docs-fresh:
 # race runs, under the race detector, the packages whose code or tests start
 # goroutines: the query server (singleflight plan compilation, LRU eviction,
 # graceful drain and subscription streams, each hammered by concurrent
-# clients in its tests), the storage engine's shard scans and background
-# compaction, and what concurrent requests share — compiled plans and the
+# clients in its tests), the storage engine's concurrent materialization and
+# background compaction, and what concurrent requests share — compiled plans and the
 # per-version fact base (query, datalog/rel), the intern arena and the
 # observability collectors. The algebra's interrupt tests cancel from a
 # timer goroutine, and diffcheck's clean sweep drives every engine from
@@ -93,8 +93,10 @@ bench-runs:
 
 # bench-pair records a PR's point of the curve together with its own baseline:
 # the parent commit — HEAD while the change is uncommitted, HEAD^ once it is —
-# is checked out beside the change (a git worktree in a temporary directory,
-# removed on every way out), both trees run the benchmark — all five workloads
+# is checked out beside the change (a git clone in a temporary directory,
+# removed on every way out; a clone writes nothing into this repository's
+# .git, so TMPDIR alone decides where the run writes), both trees run the
+# benchmark — all five workloads
 # and the traced run — once per seed 1..5, alternately, whichever went first on
 # one seed going second on the next, and the runs are stored per side in
 # BENCH_<PR>_parent.json and BENCH_<PR>.json at the repository root
@@ -104,9 +106,9 @@ bench-runs:
 bench-pair:
 	@test -n "$(PR)" || { echo "usage: make bench-pair PR=<number of the PR being measured>"; exit 2; }
 	@tmp=$$(mktemp -d) || exit 1; parent="$$tmp/parent"; \
-	trap 'git worktree remove --force "$$parent" 2>/dev/null; rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
-	rev=HEAD^; git diff --quiet HEAD || rev=HEAD; \
-	git worktree add --detach "$$parent" $$rev >/dev/null || exit 1; \
+	trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
+	rev=HEAD^; git diff --quiet HEAD || rev=HEAD; rev=$$(git rev-parse $$rev) || exit 1; \
+	git clone -q "$(CURDIR)" "$$parent" && git -C "$$parent" checkout -q --detach $$rev || exit 1; \
 	for seed in 1 2 3 4 5; do \
 		sides="parent change"; test $$((seed % 2)) = 1 || sides="change parent"; \
 		for side in $$sides; do \

@@ -33,9 +33,7 @@ import (
 //	    flags byte (bit 0 = Reset, bit 1 = Drop)
 //	    uvarint nDelete + nDelete rows
 //	    uvarint nInsert + nInsert rows
-//	  where each row is arity fixed u32 LE vids — fixed-width so a row at a
-//	  known file offset can be read back with one ReadAt and no parsing of
-//	  its neighbours.
+//	  where each row is arity fixed u32 LE vids.
 //
 //	recRel — a snapshot segment's full relation contents (same layout as one
 //	  recBatch mutation with Reset implied and no deletes):
@@ -284,13 +282,10 @@ type encodedMutation struct {
 	Insert [][]uint32
 }
 
-// appendBatchRecord encodes a batch payload. rowOffsets, when non-nil,
-// receives for each mutation the payload-relative byte offset of its first
-// insert row — the writer adds the frame's file offset to index rows in
-// place.
-func appendBatchRecord(b []byte, ms []encodedMutation, insertOff []int) []byte {
+// appendBatchRecord encodes a batch payload.
+func appendBatchRecord(b []byte, ms []encodedMutation) []byte {
 	b = putUvarint(b, uint64(len(ms)))
-	for i, m := range ms {
+	for _, m := range ms {
 		b = putUvarint(b, uint64(len(m.Rel)))
 		b = append(b, m.Rel...)
 		b = putUvarint(b, uint64(m.Arity))
@@ -307,9 +302,6 @@ func appendBatchRecord(b []byte, ms []encodedMutation, insertOff []int) []byte {
 			b = appendRow(b, row)
 		}
 		b = putUvarint(b, uint64(len(m.Insert)))
-		if insertOff != nil {
-			insertOff[i] = len(b)
-		}
 		for _, row := range m.Insert {
 			b = appendRow(b, row)
 		}
@@ -326,10 +318,9 @@ func appendRow(b []byte, row []uint32) []byte {
 	return b
 }
 
-// decodeBatchRecord parses a batch payload. insertOff, when non-nil, receives
-// the payload-relative offset of each mutation's first insert row (parallel
-// to the returned slice), for index rebuilding during replay.
-func decodeBatchRecord(payload []byte) (ms []encodedMutation, insertOff []int, err error) {
+// decodeBatchRecord parses a batch payload.
+func decodeBatchRecord(payload []byte) ([]encodedMutation, error) {
+	var ms []encodedMutation
 	c := &cursor{b: payload}
 	n := c.uvarint()
 	if c.err == nil && n > uint64(len(payload)) {
@@ -351,31 +342,29 @@ func decodeBatchRecord(payload []byte) (ms []encodedMutation, insertOff []int, e
 		if bad(c, ni, m.Arity) {
 			break
 		}
-		insertOff = append(insertOff, c.off)
 		m.Insert = readRows(c, int(ni), m.Arity)
 		ms = append(ms, m)
 	}
 	if c.err != nil {
-		return nil, nil, c.err
+		return nil, c.err
 	}
-	return ms, insertOff, nil
+	return ms, nil
 }
 
 // decodeRelRecord parses a recRel payload.
-func decodeRelRecord(payload []byte) (name string, arity int, rows [][]uint32, rowsOff int, err error) {
+func decodeRelRecord(payload []byte) (name string, arity int, rows [][]uint32, err error) {
 	c := &cursor{b: payload}
 	name = string(c.bytes(int(c.uvarint())))
 	arity = int(c.uvarint())
 	n := c.uvarint()
 	if bad(c, n, arity) {
-		return "", 0, nil, 0, c.err
+		return "", 0, nil, c.err
 	}
-	rowsOff = c.off
 	rows = readRows(c, int(n), arity)
 	if c.err != nil {
-		return "", 0, nil, 0, c.err
+		return "", 0, nil, c.err
 	}
-	return name, arity, rows, rowsOff, nil
+	return name, arity, rows, nil
 }
 
 // bad guards a declared row count against the remaining payload size (each

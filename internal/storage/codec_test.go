@@ -86,8 +86,7 @@ func TestValueRecordScalars(t *testing.T) {
 
 // TestBatchRecordRoundTrip checks the batch codec over random mutation
 // shapes — arity 0 through a 64-column worst case, empty insert/delete
-// lists, reset flags — and that the reported insert offsets really address
-// the encoded rows.
+// lists, reset flags.
 func TestBatchRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 200; iter++ {
@@ -118,9 +117,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 			m.Insert = mkRows(rng.Intn(4))
 			ms[i] = m
 		}
-		insertOff := make([]int, len(ms))
-		payload := appendBatchRecord(nil, ms, insertOff)
-		got, gotOff, err := decodeBatchRecord(payload)
+		got, err := decodeBatchRecord(appendBatchRecord(nil, ms))
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -133,19 +130,6 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 			}
 			if !rowsEq(got[i].Delete, ms[i].Delete) || !rowsEq(got[i].Insert, ms[i].Insert) {
 				t.Fatalf("iter %d mutation %d: rows differ", iter, i)
-			}
-			if gotOff[i] != insertOff[i] {
-				t.Fatalf("iter %d mutation %d: insert offset %d vs %d", iter, i, gotOff[i], insertOff[i])
-			}
-			// The offsets address the raw fixed-width rows.
-			off := insertOff[i]
-			for _, row := range ms[i].Insert {
-				for _, vid := range row {
-					if w := uint32(payload[off]) | uint32(payload[off+1])<<8 | uint32(payload[off+2])<<16 | uint32(payload[off+3])<<24; w != vid {
-						t.Fatalf("iter %d: offset row read %d, want %d", iter, w, vid)
-					}
-					off += 4
-				}
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 //
 //   - a non-empty set whose elements are all tuples of one width k >= 2 is
 //     stored relationally: arity-k rows of the tuples' element IDs (the
-//     shape the grounder's EDB scans and the shard partitioner want);
+//     shape the grounder's EDB scans want);
 //   - any other set — scalars, nested sets, 1-tuples, mixed shapes — is
 //     stored as arity-1 rows holding each element's own interned ID.
 //
@@ -42,15 +42,16 @@ func RowsOfSet(in *intern.Interner, s value.Set) (rows [][]intern.ID, arity int)
 			arity = k
 		}
 	}
+	flat := make([]intern.ID, s.Len()*arity)
 	rows = make([][]intern.ID, s.Len())
-	for i := 0; i < s.Len(); i++ {
+	for i := range rows {
+		row := flat[i*arity : (i+1)*arity : (i+1)*arity]
 		id := in.Intern(s.At(i))
 		if arity == 1 {
-			rows[i] = []intern.ID{id}
-			continue
+			row[0] = id
+		} else {
+			copy(row, in.Elems(id))
 		}
-		row := make([]intern.ID, arity)
-		copy(row, in.Elems(id))
 		rows[i] = row
 	}
 	return rows, arity
@@ -68,42 +69,49 @@ func RowElem(in *intern.Interner, row []intern.ID, arity int) value.Value {
 	}
 }
 
-// MaterializeSet builds the value.Set a stored relation encodes, scanning up
-// to workers hash shards in parallel (workers <= 0 means GOMAXPROCS; small
-// relations scan serially either way). The result is canonical and
-// deterministic regardless of worker count.
+// materializeChunk is the fewest rows MaterializeSet hands one of several
+// workers; smaller relations convert on one.
+const materializeChunk = 2048
+
+// MaterializeSet builds the value.Set a stored relation encodes. One scan
+// copies the rows; then up to workers goroutines (workers <= 0 means
+// GOMAXPROCS) convert contiguous ranges of them into one element slice, which
+// stays in scan order. A relation stored in its set's canonical order —
+// StoreDB's, and a snapshot's after reopen — therefore needs no sort. The
+// result is canonical and deterministic regardless of worker count.
 func MaterializeSet(in *intern.Interner, r Relation, workers int) (value.Set, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	arity := r.Arity()
-	if workers == 1 || r.Len() < scanParallelMin {
-		elems := make([]value.Value, 0, r.Len())
-		err := r.Scan(func(row []intern.ID) bool {
-			elems = append(elems, RowElem(in, row, arity))
-			return true
-		})
-		if err != nil {
-			return value.Set{}, err
-		}
-		return value.NewSet(elems...), nil
-	}
-	parts := make([][]value.Value, workers)
-	var mu sync.Mutex
-	err := ParallelScan(r, workers, func(shard int, row []intern.ID) bool {
-		e := RowElem(in, row, arity)
-		mu.Lock()
-		parts[shard] = append(parts[shard], e)
-		mu.Unlock()
+	var (
+		arity, n int
+		flat     []intern.ID
+	)
+	err := r.Scan(func(row []intern.ID) bool {
+		arity = len(row)
+		flat = append(flat, row...)
+		n++
 		return true
 	})
 	if err != nil {
 		return value.Set{}, err
 	}
-	var elems []value.Value
-	for _, p := range parts {
-		elems = append(elems, p...)
+	elems := make([]value.Value, n)
+	convert := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			elems[i] = RowElem(in, flat[i*arity:(i+1)*arity], arity)
+		}
 	}
+	workers = max(1, min(workers, n/materializeChunk))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			convert(lo, hi)
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	wg.Wait()
 	return value.NewSet(elems...), nil
 }
 
@@ -124,8 +132,8 @@ func StoreDB(st Store, in *intern.Interner, db map[string]value.Set) error {
 	return st.Apply(b)
 }
 
-// LoadDB materializes every relation of the store (with up to workers
-// parallel shard scans per relation) into a database map.
+// LoadDB materializes every relation of the store (MaterializeSet with up
+// to workers converting goroutines per relation) into a database map.
 func LoadDB(st Store, in *intern.Interner, workers int) (map[string]value.Set, error) {
 	infos, err := st.Rels()
 	if err != nil {
@@ -194,11 +202,13 @@ func RearityBatch(st Store, in *intern.Interner, b Batch) (Batch, error) {
 		}
 		for _, row := range m.Insert {
 			id := elemID(in, row, m.Arity)
-			if !have[id] {
-				have[id] = true
-				if _, seen := find(order, id); !seen {
+			if live, seen := have[id]; !live {
+				// A key in have is already in order: a deleted element
+				// re-inserted keeps its place.
+				if !seen {
 					order = append(order, id)
 				}
+				have[id] = true
 			}
 		}
 		rm := Mutation{Rel: m.Rel, Arity: 1, Reset: true}
@@ -233,14 +243,4 @@ func elemID(in *intern.Interner, row []intern.ID, arity int) intern.ID {
 	default:
 		return in.InternTuple(row...)
 	}
-}
-
-// find reports whether id occurs in ids.
-func find(ids []intern.ID, id intern.ID) (int, bool) {
-	for i, x := range ids {
-		if x == id {
-			return i, true
-		}
-	}
-	return -1, false
 }

@@ -125,34 +125,60 @@ func TestStoreLoadDB(t *testing.T) {
 	})
 }
 
-// TestMaterializeSetParallel: the parallel path (relation above the scan
-// threshold, several workers) produces the same canonical set as a serial
-// materialization.
+// TestMaterializeSetParallel: with 1 to 4 converting workers, on both
+// backends, a relation with deletes and re-inserts (so it scans out of
+// canonical order) materializes to the same canonical set as a serial
+// build of its elements.
 func TestMaterializeSetParallel(t *testing.T) {
 	in := intern.Global()
-	elems := make([]value.Value, 5000)
+	elems := make([]value.Value, 10000)
 	for i := range elems {
 		elems[i] = value.NewTuple(value.Int(int64(i)), value.Int(int64(i%97)))
 	}
-	s := value.NewSet(elems...)
-	st := storage.NewMem(nil)
-	if err := storage.StoreDB(st, in, map[string]value.Set{"r": s}); err != nil {
-		t.Fatal(err)
+	rows, _ := storage.RowsOfSet(in, value.NewSet(elems...))
+	var gone, back [][]intern.ID
+	for i := 0; i < len(rows); i += 7 {
+		gone = append(gone, rows[i])
+		if i%14 == 0 {
+			back = append(back, rows[i])
+		}
 	}
-	r, _, _ := st.Rel("r")
-	serial, err := storage.MaterializeSet(in, r, 1)
-	if err != nil {
-		t.Fatal(err)
+	var want []value.Value
+	for i, e := range elems {
+		if i%7 != 0 || i%14 == 0 {
+			want = append(want, e)
+		}
 	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := storage.MaterializeSet(in, r, workers)
+	check := func(t *testing.T, st storage.Store) {
+		for _, b := range []storage.Batch{
+			{{Rel: "r", Arity: 2, Reset: true, Insert: rows}},
+			{{Rel: "r", Arity: 2, Delete: gone}},
+			{{Rel: "r", Arity: 2, Insert: back}},
+		} {
+			if err := st.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, _, _ := st.Rel("r")
+		for workers := 1; workers <= 4; workers++ {
+			got, err := storage.MaterializeSet(in, r, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !value.Equal(got, value.NewSet(want...)) {
+				t.Fatalf("workers=%d: materialization diverged from the serial set", workers)
+			}
+		}
+	}
+	t.Run("Mem", func(t *testing.T) { check(t, storage.NewMem(nil)) })
+	t.Run("Disk", func(t *testing.T) {
+		st, err := storage.OpenDisk(t.TempDir(), storage.DiskOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !value.Equal(par, serial) || !value.Equal(par, s) {
-			t.Fatalf("workers=%d: parallel materialization diverged", workers)
-		}
-	}
+		defer st.Close()
+		check(t, st)
+	})
 }
 
 // TestRearityBatch: the server fallback turns an arity-changing fact
@@ -189,5 +215,86 @@ func TestRearityBatch(t *testing.T) {
 	want := value.NewSet(pair(1, 2), pair(3, 4), value.NewTuple(value.Int(5), value.Int(6), value.Int(7)))
 	if !value.Equal(got, want) {
 		t.Fatalf("after re-arity: %v, want %v", got, want)
+	}
+}
+
+// TestRearityBatchLarge reshapes a 20 000-element heterogeneous relation with
+// a 20 000-row pair batch — deletes, re-inserts of deleted elements, inserts
+// of present ones, new elements and duplicates — and checks the re-encoded
+// rows, element for element and in order, against a map-based reference:
+// present elements keep their place, a deleted element re-inserted keeps its
+// old place, and new elements follow in batch order.
+func TestRearityBatchLarge(t *testing.T) {
+	in := intern.Global()
+	pair := func(a, b int) []intern.ID { return []intern.ID{in.InternInt(int64(a)), in.InternInt(int64(b))} }
+	var cur [][]intern.ID
+	for i := 0; i < 20000; i++ {
+		if i%2 == 0 {
+			cur = append(cur, []intern.ID{in.InternTuple(pair(i, -i)...)})
+		} else {
+			cur = append(cur, []intern.ID{in.InternInt(int64(-i))})
+		}
+	}
+	st := storage.NewMem(nil)
+	if err := st.Apply(storage.Batch{{Rel: "r", Arity: 1, Insert: cur}}); err != nil {
+		t.Fatal(err)
+	}
+	m := storage.Mutation{Rel: "r", Arity: 2}
+	for i := 0; i < 20000; i += 4 {
+		m.Delete = append(m.Delete, pair(i, -i))
+	}
+	for i := 0; i < 20000; i++ {
+		switch i % 4 {
+		case 0:
+			m.Insert = append(m.Insert, pair(i, -i)) // deleted above, re-inserted
+		case 1:
+			m.Insert = append(m.Insert, pair(20000+i, 0)) // new
+		case 2:
+			m.Insert = append(m.Insert, pair(i, -i)) // present
+		default:
+			m.Insert = append(m.Insert, pair(20000+i-2, 0)) // a duplicate of a new one
+		}
+	}
+
+	var order []intern.ID
+	live := map[intern.ID]bool{}
+	for _, row := range cur {
+		order = append(order, row[0])
+		live[row[0]] = true
+	}
+	for _, row := range m.Delete {
+		if id := in.InternTuple(row...); live[id] {
+			live[id] = false
+		}
+	}
+	for _, row := range m.Insert {
+		id := in.InternTuple(row...)
+		if _, known := live[id]; !known {
+			order = append(order, id)
+		}
+		live[id] = true
+	}
+	var want [][]intern.ID
+	for _, id := range order {
+		if live[id] {
+			want = append(want, []intern.ID{id})
+		}
+	}
+
+	out, err := storage.RearityBatch(st, in, storage.Batch{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].Arity != 1 || !out[0].Reset {
+		t.Fatalf("re-arity batch = %d mutations, first %+v", len(out), out[0].Rel)
+	}
+	got := out[0].Insert
+	if len(got) != len(want) {
+		t.Fatalf("re-encoded %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i][0] != want[i][0] {
+			t.Fatalf("row %d: %v, want %v", i, in.Lookup(got[i][0]), in.Lookup(want[i][0]))
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"algrec/internal/value/intern"
@@ -173,7 +174,7 @@ func storesEqual(t *testing.T, tag string, got, want Store) {
 			t.Fatalf("%s: relation %q: %d rows vs %d", tag, gi[i].Name, len(grows), len(wrows))
 		}
 		for j := range grows {
-			if !idRowsEqual(grows[j], wrows[j]) {
+			if !slices.Equal(grows[j], wrows[j]) {
 				t.Fatalf("%s: relation %q row %d: %v vs %v", tag, gi[i].Name, j, grows[j], wrows[j])
 			}
 		}

@@ -28,75 +28,45 @@ type DiskOptions struct {
 	Interner *intern.Interner
 }
 
-// DiskStore is the on-disk backend: an append-only log of framed records
-// (see codec.go) under a generation scheme —
+// DiskStore is the on-disk backend: the memory backend's resident relations
+// plus an append-only log of framed records (see codec.go) under a
+// generation scheme —
 //
 //	CURRENT     the current generation number N (written via tmp+rename)
 //	snap-N.seg  generation N's checkpoint: value dictionary + full relations
 //	log-N.seg   generation N's log: dictionary growth + applied batches
 //
-// Row payloads live only in the segment files; what stays resident is the
-// value dictionary (store-vid <-> interned ID, both directions) and one
-// open-addressed index per relation whose entries are 8-byte file references
-// (offset plus which segment), plus the insertion-order ref list scans
-// follow. Snapshot() writes a new generation — re-emitting only the values
-// live rows still reach — then atomically flips CURRENT and deletes the old
-// files; Apply triggers it in the background once dead log rows outnumber
-// live ones.
+// Every row is resident in a Mem, whose lock is the store's lock, so reads
+// never touch the files. What the store keeps beside it is the value
+// dictionary (store-vid <-> interned ID, both directions) and the log.
+// Apply appends a batch to the log before applying it to the resident rows;
+// OpenDisk rebuilds them from the snapshot plus the log. Snapshot() writes a
+// new generation straight from the resident rows, in scan order — re-emitting
+// only the values live rows still reach — then atomically flips CURRENT and
+// deletes the old files; Apply triggers it in the background once dead log
+// rows outnumber live ones.
 type DiskStore struct {
+	mem Mem // resident relations; mem.mu also guards every field below
 	dir string
 	opt DiskOptions
-	in  *intern.Interner
 
-	mu     sync.RWMutex
 	broken error // sticky first I/O failure; every later call returns it
 	closed bool
 
 	gen    uint64
-	snapF  *os.File // read-only checkpoint segment; nil when the generation has none
 	logF   *os.File
 	logOff int64 // append position == durable+buffered length of logF
 
-	vids  []intern.ID           // store-vid -> process intern ID
-	vidOf map[intern.ID]uint32  // process intern ID -> store-vid
-	rels  map[string]*diskRel
+	vids  []intern.ID          // store-vid -> process intern ID
+	vidOf map[intern.ID]uint32 // process intern ID -> store-vid
 
 	deadRows   int // log rows no longer reachable (deleted, superseded, reset away)
 	compacting bool
 	compWG     sync.WaitGroup
 }
 
-// diskRel is one relation's resident index. The struct survives Reset and
-// compaction (only its slices are replaced), so Relation handles observe
-// later mutations.
-type diskRel struct {
-	ds    *DiskStore
-	name  string
-	arity int
-
-	// order holds one file ref per inserted row, in insertion order; dead is
-	// a tombstone bitmap over it; hashes caches each row's intern.HashRow so
-	// index probes only touch the disk to confirm an exact hash match.
-	order  []uint64
-	hashes []uint64
-	dead   []uint64
-	live   int
-
-	// table is the open-addressed index: slot values are order-index+2,
-	// 0 = empty, 1 = tombstone.
-	table []uint32
-	used  uint32
-	mask  uint32
-
-	version    uint64
-	idxMu      sync.Mutex
-	idxVersion uint64
-	colIdx     map[int]map[intern.ID][]int32
-}
-
 const (
-	currentName  = "CURRENT"
-	diskSlotTomb = 1
+	currentName = "CURRENT"
 	// compactMinDead is the floor below which dead rows never trigger a
 	// background compaction.
 	compactMinDead = 1 << 12
@@ -119,13 +89,8 @@ func OpenDisk(dir string, opt DiskOptions) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ds := &DiskStore{
-		dir:   dir,
-		opt:   opt,
-		in:    in,
-		vidOf: map[intern.ID]uint32{},
-		rels:  map[string]*diskRel{},
-	}
+	ds := &DiskStore{dir: dir, opt: opt, vidOf: map[intern.ID]uint32{}}
+	ds.mem.in, ds.mem.rels = in, map[string]*memRel{}
 	cur, err := os.ReadFile(filepath.Join(dir, currentName))
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -146,13 +111,10 @@ func OpenDisk(dir string, opt DiskOptions) (*DiskStore, error) {
 		return nil, fmt.Errorf("%w: unreadable CURRENT: %v", ErrCorrupt, err)
 	}
 	ds.removeStray()
-	if err := ds.openSnap(); err != nil {
+	if err := ds.loadSnap(); err != nil {
 		return nil, err
 	}
 	if err := ds.openLog(); err != nil {
-		if ds.snapF != nil {
-			ds.snapF.Close()
-		}
 		return nil, err
 	}
 	return ds, nil
@@ -169,7 +131,7 @@ func (ds *DiskStore) removeStray() {
 		return
 	}
 	keep := map[string]bool{
-		currentName:            true,
+		currentName:             true,
 		segName("snap", ds.gen): true,
 		segName("log", ds.gen):  true,
 	}
@@ -199,10 +161,12 @@ func (ds *DiskStore) createLog() error {
 	return nil
 }
 
-// openSnap loads the generation's snapshot segment if one exists. Snapshot
+// loadSnap loads the generation's snapshot segment if one exists: each
+// relation's rows go into a fresh resident relation in the order they were
+// written, which is the scan order they were snapshotted in. Snapshot
 // segments are fully synced before CURRENT references them, so any defect is
 // corruption, never a torn tail.
-func (ds *DiskStore) openSnap() error {
+func (ds *DiskStore) loadSnap() error {
 	f, err := os.Open(filepath.Join(ds.dir, segName("snap", ds.gen)))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
@@ -210,15 +174,7 @@ func (ds *DiskStore) openSnap() error {
 	if err != nil {
 		return err
 	}
-	if err := ds.loadSnap(f); err != nil {
-		f.Close()
-		return err
-	}
-	ds.snapF = f
-	return nil
-}
-
-func (ds *DiskStore) loadSnap(f *os.File) error {
+	defer f.Close()
 	var magic [8]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
 		return fmt.Errorf("%w: snapshot header", ErrCorrupt)
@@ -233,24 +189,26 @@ func (ds *DiskStore) loadSnap(f *os.File) error {
 		if err != nil {
 			return fmt.Errorf("%w: snapshot frame at %d: %v", ErrCorrupt, off, err)
 		}
-		dataOff := off + frameHeaderLen
-		off = dataOff + int64(len(payload))
+		off += frameHeaderLen + int64(len(payload))
 		switch kind {
 		case recValue:
 			if err := ds.addDictEntry(payload); err != nil {
 				return err
 			}
 		case recRel:
-			name, arity, rows, rowsOff, err := decodeRelRecord(payload)
+			name, arity, rows, err := decodeRelRecord(payload)
 			if err != nil {
 				return err
 			}
-			r := ds.rel(name, arity)
-			r.reset(arity)
-			base := dataOff + int64(rowsOff)
-			if err := ds.insertRows(r, rows, base, 0); err != nil {
-				return err
+			r := intern.NewRelation(arity)
+			row := make([]intern.ID, arity)
+			for _, vr := range rows {
+				if err := ds.rowIDs(vr, row); err != nil {
+					return err
+				}
+				r.Insert(row)
 			}
+			ds.mem.rels[name] = &memRel{st: &ds.mem, r: r}
 		default:
 			return fmt.Errorf("%w: snapshot record kind %d", ErrCorrupt, kind)
 		}
@@ -287,30 +245,22 @@ func (ds *DiskStore) openLog() error {
 		f.Close()
 		return fmt.Errorf("%w: log header", ErrCorrupt)
 	}
-	// Replay probes read already-replayed rows back through the index, so
-	// the handle must be installed before replay starts.
-	ds.logF = f
 	durable, err := ds.replayLog(f)
+	if err == nil && durable < st.Size() {
+		err = f.Truncate(durable)
+	}
 	if err != nil {
 		f.Close()
-		ds.logF = nil
 		return err
 	}
-	if durable < st.Size() {
-		if err := f.Truncate(durable); err != nil {
-			f.Close()
-			ds.logF = nil
-			return err
-		}
-	}
-	ds.logOff = durable
+	ds.logF, ds.logOff = f, durable
 	return nil
 }
 
-// replayLog applies the log's record sequence to the in-memory state and
+// replayLog applies the log's record sequence to the resident state and
 // returns the end offset of the longest well-formed prefix. Anything
-// undecodable — short frame, failed CRC, out-of-range dictionary reference —
-// ends the prefix there.
+// undecodable — short frame, failed CRC, out-of-range dictionary reference,
+// a batch the state rejects — ends the prefix there.
 func (ds *DiskStore) replayLog(f *os.File) (int64, error) {
 	if _, err := f.Seek(int64(len(segMagic)), io.SeekStart); err != nil {
 		return 0, err
@@ -322,29 +272,21 @@ func (ds *DiskStore) replayLog(f *os.File) (int64, error) {
 		if err != nil {
 			return off, nil // io.EOF, torn or garbled: prefix ends here
 		}
-		dataOff := off + frameHeaderLen
-		end := dataOff + int64(len(payload))
 		switch kind {
 		case recValue:
 			if ds.addDictEntry(payload) != nil {
 				return off, nil
 			}
 		case recBatch:
-			ms, insertOff, err := decodeBatchRecord(payload)
-			if err != nil || ds.checkEncoded(ms) != nil {
+			b, err := ds.decodeBatch(payload)
+			if err != nil {
 				return off, nil
 			}
-			for i, m := range ms {
-				if err := ds.applyEncoded(m, dataOff+int64(insertOff[i]), 1); err != nil {
-					// checkEncoded vetted the batch; a failure here is an
-					// internal invariant break, not torn input.
-					return 0, err
-				}
-			}
+			ds.deadRows += ds.mem.apply(b)
 		default:
 			return off, nil
 		}
-		off = end
+		off += frameHeaderLen + int64(len(payload))
 	}
 }
 
@@ -357,7 +299,7 @@ func (ds *DiskStore) addDictEntry(payload []byte) error {
 	}
 	var id intern.ID
 	if dv.scalar != nil {
-		id = ds.in.Intern(dv.scalar)
+		id = ds.mem.in.Intern(dv.scalar)
 	} else {
 		kids := make([]intern.ID, len(dv.kids))
 		for i, kv := range dv.kids {
@@ -367,9 +309,9 @@ func (ds *DiskStore) addDictEntry(payload []byte) error {
 			kids[i] = ds.vids[kv]
 		}
 		if dv.kind == value.KindTuple {
-			id = ds.in.InternTuple(kids...)
+			id = ds.mem.in.InternTuple(kids...)
 		} else {
-			id = ds.in.InternSet(kids...)
+			id = ds.mem.in.InternSet(kids...)
 		}
 	}
 	ds.vidOf[id] = uint32(len(ds.vids))
@@ -377,155 +319,55 @@ func (ds *DiskStore) addDictEntry(payload []byte) error {
 	return nil
 }
 
-// checkEncoded validates a decoded batch against the current state — every
-// vid defined, arities consistent — before any of it is applied, so replay
-// keeps Apply's all-or-nothing contract.
-func (ds *DiskStore) checkEncoded(ms []encodedMutation) error {
-	arities := map[string]int{}
-	for name, r := range ds.rels {
-		arities[name] = r.arity
+// decodeBatch decodes a recBatch payload into a Batch of interned-ID rows
+// and checks it against the current state — every vid defined, arities
+// consistent — before any of it is applied, so replay keeps Apply's
+// all-or-nothing contract.
+func (ds *DiskStore) decodeBatch(payload []byte) (Batch, error) {
+	ms, err := decodeBatchRecord(payload)
+	if err != nil {
+		return nil, err
 	}
-	n := uint64(len(ds.vids))
-	for _, m := range ms {
-		if m.Drop {
-			delete(arities, m.Rel)
-			continue
+	b := make(Batch, len(ms))
+	for i, m := range ms {
+		mu := Mutation{Rel: m.Rel, Arity: m.Arity, Reset: m.Reset, Drop: m.Drop}
+		if mu.Delete, err = ds.rowsIDs(m.Delete, m.Arity); err != nil {
+			return nil, err
 		}
-		if a, ok := arities[m.Rel]; ok && !m.Reset && a != m.Arity {
-			return errArity(m.Rel, a, m.Arity)
+		if mu.Insert, err = ds.rowsIDs(m.Insert, m.Arity); err != nil {
+			return nil, err
 		}
-		arities[m.Rel] = m.Arity
-		for _, rows := range [2][][]uint32{m.Delete, m.Insert} {
-			for _, row := range rows {
-				for _, vid := range row {
-					if uint64(vid) >= n {
-						return fmt.Errorf("%w: batch references undefined vid %d", ErrCorrupt, vid)
-					}
-				}
-			}
-		}
+		b[i] = mu
 	}
-	return nil
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
+	return b, ds.mem.checkArities(b)
 }
 
-// rel returns the named relation's index struct, creating it (empty, with
-// the given arity) if absent.
-func (ds *DiskStore) rel(name string, arity int) *diskRel {
-	r, ok := ds.rels[name]
-	if !ok {
-		r = &diskRel{ds: ds, name: name}
-		r.reset(arity)
-		ds.rels[name] = r
+// rowsIDs translates vid rows to interned-ID rows sharing one backing array.
+func (ds *DiskStore) rowsIDs(rows [][]uint32, arity int) ([][]intern.ID, error) {
+	if len(rows) == 0 {
+		return nil, nil
 	}
-	return r
+	flat := make([]intern.ID, len(rows)*arity)
+	out := make([][]intern.ID, len(rows))
+	for i, vr := range rows {
+		out[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+		if err := ds.rowIDs(vr, out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// reset reinitializes the relation to empty with the given arity.
-func (r *diskRel) reset(arity int) {
-	r.ds.deadRows += r.live
-	r.arity = arity
-	r.order, r.hashes, r.dead = nil, nil, nil
-	r.live = 0
-	r.table = make([]uint32, relationMinTableDisk)
-	r.used, r.mask = 0, relationMinTableDisk-1
-	r.version++
-}
-
-const relationMinTableDisk = 16
-
-// rowIDs translates a vid row to interned IDs (into dst).
-func (ds *DiskStore) rowIDs(row []uint32, dst []intern.ID) ([]intern.ID, error) {
-	dst = dst[:0]
-	for _, vid := range row {
+// rowIDs translates one vid row to interned IDs, into dst.
+func (ds *DiskStore) rowIDs(row []uint32, dst []intern.ID) error {
+	for j, vid := range row {
 		if uint64(vid) >= uint64(len(ds.vids)) {
-			return nil, fmt.Errorf("%w: row references undefined vid %d", ErrCorrupt, vid)
+			return fmt.Errorf("%w: row references undefined vid %d", ErrCorrupt, vid)
 		}
-		dst = append(dst, ds.vids[vid])
-	}
-	return dst, nil
-}
-
-// applyEncoded applies one mutation's in-memory effects. base is the file
-// offset of its first insert row; fileBit says which segment the rows were
-// written to (0 snapshot, 1 log).
-func (ds *DiskStore) applyEncoded(m encodedMutation, base int64, fileBit uint64) error {
-	if m.Drop {
-		if r, ok := ds.rels[m.Rel]; ok {
-			ds.deadRows += r.live
-			delete(ds.rels, m.Rel)
-		}
-		return nil
-	}
-	r, existed := ds.rels[m.Rel]
-	if !existed {
-		r = ds.rel(m.Rel, m.Arity)
-	}
-	if m.Reset {
-		r.reset(m.Arity)
-	} else if r.arity != m.Arity {
-		return errArity(m.Rel, r.arity, m.Arity)
-	}
-	if m.Arity == 0 {
-		if len(m.Delete) > 0 && r.live > 0 {
-			r.live = 0
-			ds.deadRows++
-		}
-		if len(m.Insert) > 0 && r.live == 0 {
-			r.live = 1
-		}
-		r.version++
-		return nil
-	}
-	var (
-		idbuf = make([]intern.ID, 0, m.Arity)
-		pbuf  = make([]intern.ID, m.Arity)
-		bbuf  = make([]byte, m.Arity*4)
-		err   error
-	)
-	for _, row := range m.Delete {
-		idbuf, err = ds.rowIDs(row, idbuf)
-		if err != nil {
-			return err
-		}
-		if err := r.delete(idbuf, pbuf, bbuf); err != nil {
-			return err
-		}
-	}
-	if err := ds.insertRowsEnc(r, m.Insert, base, fileBit, idbuf, pbuf, bbuf); err != nil {
-		return err
-	}
-	r.version++
-	return nil
-}
-
-// insertRowsEnc inserts vid rows whose payloads start at base.
-func (ds *DiskStore) insertRowsEnc(r *diskRel, rows [][]uint32, base int64, fileBit uint64, idbuf, pbuf []intern.ID, bbuf []byte) error {
-	rowBytes := int64(r.arity) * 4
-	for j, row := range rows {
-		ids, err := ds.rowIDs(row, idbuf)
-		if err != nil {
-			return err
-		}
-		ref := uint64(base+int64(j)*rowBytes)<<1 | fileBit
-		added, err := r.insert(ids, ref, pbuf, bbuf)
-		if err != nil {
-			return err
-		}
-		if !added {
-			ds.deadRows++ // the logged row duplicates a live one
-		}
+		dst[j] = ds.vids[vid]
 	}
 	return nil
-}
-
-// insertRows is insertRowsEnc for snapshot loading (fileBit 0, fresh bufs).
-func (ds *DiskStore) insertRows(r *diskRel, rows [][]uint32, base int64, fileBit uint64) error {
-	if r.arity == 0 {
-		if len(rows) > 0 {
-			r.live = 1
-		}
-		return nil
-	}
-	return ds.insertRowsEnc(r, rows, base, fileBit,
-		make([]intern.ID, 0, r.arity), make([]intern.ID, r.arity), make([]byte, r.arity*4))
 }

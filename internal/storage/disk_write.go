@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,64 +17,46 @@ import (
 
 // Rel implements Store.
 func (ds *DiskStore) Rel(name string) (Relation, bool, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if err := ds.broken; err != nil {
+	if err := ds.err(); err != nil {
 		return nil, false, err
 	}
-	r, ok := ds.rels[name]
-	if !ok {
-		return nil, false, nil
-	}
-	return r, true, nil
+	return ds.mem.Rel(name)
 }
 
 // Rels implements Store.
 func (ds *DiskStore) Rels() ([]RelInfo, error) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if err := ds.broken; err != nil {
+	if err := ds.err(); err != nil {
 		return nil, err
 	}
-	out := make([]RelInfo, 0, len(ds.rels))
-	for name, r := range ds.rels {
-		out = append(out, RelInfo{Name: name, Arity: r.arity, Len: r.live})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return ds.mem.Rels()
+}
+
+// err returns the store's sticky I/O failure, if any.
+func (ds *DiskStore) err() error {
+	ds.mem.mu.RLock()
+	defer ds.mem.mu.RUnlock()
+	return ds.broken
 }
 
 // Apply implements Store: the batch is framed in memory (new dictionary
 // entries first, then one recBatch record), appended to the log with a
-// single write, and only then applied to the resident index — so the visible
+// single write, and only then applied to the resident rows — so the visible
 // state never runs ahead of the log, and a torn write at any byte still
 // recovers to a batch boundary.
 func (ds *DiskStore) Apply(b Batch) error {
 	if err := b.validate(); err != nil {
 		return err
 	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
+	ds.mem.mu.Lock()
+	defer ds.mem.mu.Unlock()
 	if err := ds.broken; err != nil {
 		return err
 	}
 	if ds.closed {
 		return fmt.Errorf("storage: disk store is closed")
 	}
-	// Pre-validate arities across the whole batch before any writes.
-	arities := map[string]int{}
-	for name, r := range ds.rels {
-		arities[name] = r.arity
-	}
-	for _, m := range b {
-		if m.Drop {
-			delete(arities, m.Rel)
-			continue
-		}
-		if a, ok := arities[m.Rel]; ok && !m.Reset && a != m.Arity {
-			return errArity(m.Rel, a, m.Arity)
-		}
-		arities[m.Rel] = m.Arity
+	if err := ds.mem.checkArities(b); err != nil {
+		return err
 	}
 
 	// Encode: dictionary growth frames, then the batch frame.
@@ -82,18 +65,15 @@ func (ds *DiskStore) Apply(b Batch) error {
 	for i, m := range b {
 		em := encodedMutation{Rel: m.Rel, Arity: m.Arity, Reset: m.Reset, Drop: m.Drop}
 		var err error
-		if em.Delete, err = ds.encodeRows(m.Delete, &scratch); err != nil {
+		if em.Delete, err = ds.encodeRows(m.Delete, m.Arity, &scratch); err != nil {
 			return err
 		}
-		if em.Insert, err = ds.encodeRows(m.Insert, &scratch); err != nil {
+		if em.Insert, err = ds.encodeRows(m.Insert, m.Arity, &scratch); err != nil {
 			return err
 		}
 		ms[i] = em
 	}
-	insertOff := make([]int, len(ms))
-	payload := appendBatchRecord(nil, ms, insertOff)
-	batchFrameOff := len(scratch)
-	scratch = appendFrame(scratch, recBatch, payload)
+	scratch = appendFrame(scratch, recBatch, appendBatchRecord(nil, ms))
 
 	// One write, optional fsync; an I/O failure poisons the store (the
 	// on-disk tail is now unknown, but reopening recovers the durable
@@ -108,28 +88,23 @@ func (ds *DiskStore) Apply(b Batch) error {
 			return err
 		}
 	}
-	dataOff := ds.logOff + int64(batchFrameOff) + frameHeaderLen
 	ds.logOff += int64(len(scratch))
-
-	for i, m := range ms {
-		if err := ds.applyEncoded(m, dataOff+int64(insertOff[i]), 1); err != nil {
-			ds.broken = err // index out of step with the log
-			return err
-		}
-	}
+	ds.deadRows += ds.mem.apply(b)
 	ds.maybeCompact()
 	return nil
 }
 
-// encodeRows translates ID rows to vid rows, appending dictionary frames to
-// scratch for values the store has not yet persisted.
-func (ds *DiskStore) encodeRows(rows [][]intern.ID, scratch *[]byte) ([][]uint32, error) {
+// encodeRows translates ID rows to vid rows sharing one backing array,
+// appending dictionary frames to scratch for values the store has not yet
+// persisted.
+func (ds *DiskStore) encodeRows(rows [][]intern.ID, arity int, scratch *[]byte) ([][]uint32, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
+	flat := make([]uint32, len(rows)*arity)
 	out := make([][]uint32, len(rows))
 	for i, row := range rows {
-		vr := make([]uint32, len(row))
+		vr := flat[i*arity : (i+1)*arity : (i+1)*arity]
 		for j, id := range row {
 			vid, err := ds.ensureVID(id, scratch)
 			if err != nil {
@@ -151,28 +126,39 @@ func (ds *DiskStore) ensureVID(id intern.ID, scratch *[]byte) (uint32, error) {
 	if vid, ok := ds.vidOf[id]; ok {
 		return vid, nil
 	}
-	v := ds.in.Lookup(id)
+	frame, err := valueFrame(ds.mem.in, id, func(c intern.ID) (uint32, error) { return ds.ensureVID(c, scratch) })
+	if err != nil {
+		return 0, err
+	}
+	*scratch = append(*scratch, frame...)
+	vid := uint32(len(ds.vids))
+	ds.vids = append(ds.vids, id)
+	ds.vidOf[id] = vid
+	return vid, nil
+}
+
+// valueFrame encodes id's dictionary definition as one recValue frame,
+// resolving a tuple's or set's children to vids through vidOf first (which
+// defines them, bottom-up, when they are new).
+func valueFrame(in *intern.Interner, id intern.ID, vidOf func(intern.ID) (uint32, error)) ([]byte, error) {
+	v := in.Lookup(id)
 	var kids []uint32
 	if k := v.Kind(); k == value.KindTuple || k == value.KindSet {
-		sub := ds.in.Elems(id)
+		sub := in.Elems(id)
 		kids = make([]uint32, len(sub))
 		for i, c := range sub {
-			kv, err := ds.ensureVID(c, scratch)
+			kv, err := vidOf(c)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			kids[i] = kv
 		}
 	}
 	payload, err := appendValueRecord(nil, v, func(i int) uint64 { return uint64(kids[i]) }, len(kids))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	*scratch = appendFrame(*scratch, recValue, payload)
-	vid := uint32(len(ds.vids))
-	ds.vids = append(ds.vids, id)
-	ds.vidOf[id] = vid
-	return vid, nil
+	return appendFrame(nil, recValue, payload), nil
 }
 
 // maybeCompact starts a background compaction when dead log rows outnumber
@@ -182,8 +168,8 @@ func (ds *DiskStore) maybeCompact() {
 		return
 	}
 	live := 0
-	for _, r := range ds.rels {
-		live += r.live
+	for _, r := range ds.mem.rels {
+		live += r.r.LiveLen()
 	}
 	if ds.deadRows <= live {
 		return
@@ -192,8 +178,8 @@ func (ds *DiskStore) maybeCompact() {
 	ds.compWG.Add(1)
 	go func() {
 		defer ds.compWG.Done()
-		ds.mu.Lock()
-		defer ds.mu.Unlock()
+		ds.mem.mu.Lock()
+		defer ds.mem.mu.Unlock()
 		ds.compacting = false
 		if ds.closed || ds.broken != nil {
 			return
@@ -208,8 +194,8 @@ func (ds *DiskStore) maybeCompact() {
 // new generation and drop the old files. Reopening afterwards replays
 // nothing.
 func (ds *DiskStore) Snapshot() error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
+	ds.mem.mu.Lock()
+	defer ds.mem.mu.Unlock()
 	if err := ds.broken; err != nil {
 		return err
 	}
@@ -221,23 +207,22 @@ func (ds *DiskStore) Snapshot() error {
 
 // snapshotLocked writes generation gen+1: a snapshot segment holding a
 // re-emitted dictionary (only values live rows reach, re-numbered densely)
-// and every relation's contents, then an empty log, then the CURRENT flip.
-// Only after the flip is the resident state swapped and the old generation
-// deleted — a crash anywhere before the rename leaves the old generation
-// fully intact.
+// and every relation's live rows in scan order, then an empty log, then the
+// CURRENT flip. Only after the flip are the dictionary and the log swapped,
+// the resident relations compacted and the old generation deleted — a crash
+// anywhere before the rename leaves the old generation fully intact.
 func (ds *DiskStore) snapshotLocked() error {
 	newGen := ds.gen + 1
 	snapPath := filepath.Join(ds.dir, segName("snap", newGen))
-	f, err := os.OpenFile(snapPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(snapPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
+	fail := func(err error) error { f.Close(); os.Remove(snapPath); return err }
 	w := bufio.NewWriterSize(f, 1<<20)
 	if _, err := w.WriteString(segMagic); err != nil {
-		f.Close()
-		return err
+		return fail(err)
 	}
-	off := int64(len(segMagic))
 
 	// New dictionary, populated as rows are re-encoded.
 	newVids := []intern.ID{}
@@ -247,88 +232,51 @@ func (ds *DiskStore) snapshotLocked() error {
 		if vid, ok := newVidOf[id]; ok {
 			return vid, nil
 		}
-		v := ds.in.Lookup(id)
-		var kids []uint32
-		if k := v.Kind(); k == value.KindTuple || k == value.KindSet {
-			sub := ds.in.Elems(id)
-			kids = make([]uint32, len(sub))
-			for i, c := range sub {
-				kv, err := ensure(c)
-				if err != nil {
-					return 0, err
-				}
-				kids[i] = kv
-			}
-		}
-		payload, err := appendValueRecord(nil, v, func(i int) uint64 { return uint64(kids[i]) }, len(kids))
+		frame, err := valueFrame(ds.mem.in, id, ensure)
 		if err != nil {
 			return 0, err
 		}
-		frame := appendFrame(nil, recValue, payload)
 		if _, err := w.Write(frame); err != nil {
 			return 0, err
 		}
-		off += int64(len(frame))
 		vid := uint32(len(newVids))
 		newVids = append(newVids, id)
 		newVidOf[id] = vid
 		return vid, nil
 	}
 
-	// Per relation: read live rows, define their values, write one recRel
-	// frame, and remember the new refs for the index swap.
-	type relSwap struct {
-		r      *diskRel
-		order  []uint64
-		hashes []uint64
-		rows   [][]intern.ID
-	}
-	names := make([]string, 0, len(ds.rels))
-	for name := range ds.rels {
+	// Per relation, in name order: define the values its live rows reach,
+	// then write one recRel frame of the rows, straight from the resident
+	// relation.
+	names := make([]string, 0, len(ds.mem.rels))
+	for name := range ds.mem.rels {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	swaps := make([]relSwap, 0, len(names))
-	fail := func(err error) error { f.Close(); os.Remove(snapPath); return err }
 	for _, name := range names {
-		r := ds.rels[name]
-		sw := relSwap{r: r}
-		err := r.scanLocked(func(row []intern.ID) bool {
-			cp := make([]intern.ID, len(row))
-			copy(cp, row)
-			sw.rows = append(sw.rows, cp)
-			return true
-		})
-		if err != nil {
-			return fail(err)
-		}
+		r := ds.mem.rels[name].r
 		payload := putUvarint(nil, uint64(len(name)))
 		payload = append(payload, name...)
-		payload = putUvarint(payload, uint64(r.arity))
-		payload = putUvarint(payload, uint64(len(sw.rows)))
-		rowsOff := len(payload)
-		for _, row := range sw.rows {
+		payload = putUvarint(payload, uint64(r.Arity()))
+		payload = putUvarint(payload, uint64(r.LiveLen()))
+		var scanErr error
+		r.Scan(func(_ int, row []intern.ID) bool {
 			for _, id := range row {
 				vid, err := ensure(id)
 				if err != nil {
-					return fail(err)
+					scanErr = err
+					return false
 				}
-				vr := [4]byte{byte(vid), byte(vid >> 8), byte(vid >> 16), byte(vid >> 24)}
-				payload = append(payload, vr[:]...)
+				payload = binary.LittleEndian.AppendUint32(payload, vid)
 			}
+			return true
+		})
+		if scanErr != nil {
+			return fail(scanErr)
 		}
-		frame := appendFrame(nil, recRel, payload)
-		if _, err := w.Write(frame); err != nil {
+		if _, err := w.Write(appendFrame(nil, recRel, payload)); err != nil {
 			return fail(err)
 		}
-		base := off + frameHeaderLen + int64(rowsOff)
-		rowBytes := int64(r.arity) * 4
-		for j, row := range sw.rows {
-			sw.order = append(sw.order, uint64(base+int64(j)*rowBytes)<<1)
-			sw.hashes = append(sw.hashes, intern.HashRow(row))
-		}
-		off += int64(len(frame))
-		swaps = append(swaps, sw)
 	}
 	if err := w.Flush(); err != nil {
 		return fail(err)
@@ -336,83 +284,65 @@ func (ds *DiskStore) snapshotLocked() error {
 	if err := f.Sync(); err != nil {
 		return fail(err)
 	}
+	if err := f.Close(); err != nil {
+		os.Remove(snapPath)
+		return err
+	}
 
 	// New empty log, synced before the flip.
 	logPath := filepath.Join(ds.dir, segName("log", newGen))
 	lf, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fail(err)
+		os.Remove(snapPath)
+		return err
 	}
 	if _, err := lf.Write([]byte(segMagic)); err == nil {
 		err = lf.Sync()
 	}
+	if err == nil {
+		err = writeCurrent(ds.dir, newGen)
+	}
 	if err != nil {
 		lf.Close()
 		os.Remove(logPath)
-		return fail(err)
-	}
-	if err := writeCurrent(ds.dir, newGen); err != nil {
-		lf.Close()
-		os.Remove(logPath)
-		return fail(err)
+		os.Remove(snapPath)
+		return err
 	}
 
-	// The flip is durable; swap the resident state and drop the old files.
-	oldSnap, oldLog, oldGen := ds.snapF, ds.logF, ds.gen
+	// The flip is durable; swap the dictionary and the log, compact the
+	// resident rows and drop the old files.
+	oldLog, oldGen := ds.logF, ds.gen
 	ds.gen = newGen
-	ds.snapF, ds.logF, ds.logOff = f, lf, int64(len(segMagic))
+	ds.logF, ds.logOff = lf, int64(len(segMagic))
 	ds.vids, ds.vidOf = newVids, newVidOf
 	ds.deadRows = 0
-	for _, sw := range swaps {
-		r := sw.r
-		r.order, r.hashes, r.dead = sw.order, sw.hashes, nil
-		r.live = len(sw.order)
-		size := uint32(relationMinTableDisk)
-		for int(size)*3 < len(sw.order)*4 {
-			size *= 2
-		}
-		r.resize(size)
-		r.version++
-	}
-	if oldSnap != nil {
-		oldSnap.Close()
-		os.Remove(filepath.Join(ds.dir, segName("snap", oldGen)))
-	}
-	if oldLog != nil {
-		oldLog.Close()
-		os.Remove(filepath.Join(ds.dir, segName("log", oldGen)))
-	}
+	ds.mem.compact()
+	oldLog.Close()
+	os.Remove(filepath.Join(ds.dir, segName("snap", oldGen)))
+	os.Remove(filepath.Join(ds.dir, segName("log", oldGen)))
 	return nil
 }
 
 // Close implements Store. It waits for any background compaction, then
-// closes the segment files. Unsynced log writes are flushed to the OS
-// already (Apply writes through), so close loses nothing short of a machine
-// crash.
+// closes the log. Unsynced log writes are flushed to the OS already (Apply
+// writes through), so close loses nothing short of a machine crash.
 func (ds *DiskStore) Close() error {
-	ds.mu.Lock()
+	ds.mem.mu.Lock()
 	if ds.closed {
-		ds.mu.Unlock()
+		ds.mem.mu.Unlock()
 		return nil
 	}
 	ds.closed = true
-	ds.mu.Unlock()
+	ds.mem.mu.Unlock()
 	ds.compWG.Wait()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
+	ds.mem.mu.Lock()
+	defer ds.mem.mu.Unlock()
 	var err error
-	if ds.logF != nil {
-		if !ds.opt.Sync {
-			err = ds.logF.Sync() // best-effort durability on clean close
-		}
-		if e := ds.logF.Close(); err == nil {
-			err = e
-		}
+	if !ds.opt.Sync {
+		err = ds.logF.Sync() // best-effort durability on clean close
 	}
-	if ds.snapF != nil {
-		if e := ds.snapF.Close(); err == nil {
-			err = e
-		}
+	if e := ds.logF.Close(); err == nil {
+		err = e
 	}
 	return err
 }

@@ -10,8 +10,9 @@ import (
 // Mem is the in-memory backend: the repository's flat-ID-row engine
 // (intern.Relation, extended with tombstone deletion) behind the Store
 // interface. It is the zero-cost default — the same representation the
-// grounder and the fixpoint engines already use — and the reference
-// implementation the disk backend's conformance is checked against.
+// grounder and the fixpoint engines already use — the reference
+// implementation the disk backend's conformance is checked against, and the
+// disk backend's resident state.
 type Mem struct {
 	in   *intern.Interner
 	mu   sync.RWMutex
@@ -73,6 +74,17 @@ func (m *Mem) Apply(b Batch) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.checkArities(b); err != nil {
+		return err
+	}
+	m.apply(b)
+	return nil
+}
+
+// checkArities rejects a batch whose mutations disagree with the arity of
+// the relation they reach (as earlier mutations of the batch leave it).
+// Called with m.mu held.
+func (m *Mem) checkArities(b Batch) error {
 	arities := map[string]int{}
 	for name, r := range m.rels {
 		arities[name] = r.r.Arity()
@@ -87,12 +99,22 @@ func (m *Mem) Apply(b Batch) error {
 		}
 		arities[mu.Rel] = mu.Arity
 	}
+	return nil
+}
+
+// apply applies a checked batch with m.mu write-held. It returns how many
+// rows the batch left dead — deleted, reset or dropped away, or inserted
+// while already present — which the disk backend's compaction trigger counts.
+func (m *Mem) apply(b Batch) (dead int) {
 	for _, mu := range b {
+		r, ok := m.rels[mu.Rel]
+		if ok && (mu.Drop || mu.Reset) {
+			dead += r.r.LiveLen()
+		}
 		if mu.Drop {
 			delete(m.rels, mu.Rel)
 			continue
 		}
-		r, ok := m.rels[mu.Rel]
 		if !ok {
 			r = &memRel{st: m, r: intern.NewRelation(mu.Arity)}
 			m.rels[mu.Rel] = r
@@ -100,14 +122,36 @@ func (m *Mem) Apply(b Batch) error {
 			r.r = intern.NewRelation(mu.Arity)
 		}
 		for _, row := range mu.Delete {
-			r.r.Delete(row)
+			if _, removed := r.r.Delete(row); removed {
+				dead++
+			}
 		}
 		for _, row := range mu.Insert {
-			r.r.Insert(row)
+			if _, added := r.r.Insert(row); !added {
+				dead++
+			}
 		}
 		r.version++
 	}
-	return nil
+	return dead
+}
+
+// compact drops the tombstoned rows of every relation that has any,
+// re-inserting the survivors in scan order, so a long-lived store does not
+// keep every row it ever held. Called with m.mu write-held.
+func (m *Mem) compact() {
+	for _, r := range m.rels {
+		if r.r.Len() == r.r.LiveLen() {
+			continue
+		}
+		fresh := intern.NewRelation(r.r.Arity())
+		r.r.Scan(func(_ int, row []intern.ID) bool {
+			fresh.Insert(row)
+			return true
+		})
+		r.r = fresh
+		r.version++
+	}
 }
 
 // Snapshot implements Store: the memory backend is exactly as durable after
@@ -149,19 +193,6 @@ func (r *memRel) Scan(yield func(row []intern.ID) bool) error {
 	return nil
 }
 
-// ScanShard implements Relation.
-func (r *memRel) ScanShard(shard, shards int, yield func(row []intern.ID) bool) error {
-	r.st.mu.RLock()
-	defer r.st.mu.RUnlock()
-	r.r.Scan(func(_ int, row []intern.ID) bool {
-		if RowShard(row, shards) != shard {
-			return true
-		}
-		return yield(row)
-	})
-	return nil
-}
-
 // Lookup implements Relation. The per-column postings index is built lazily
 // on first use and rebuilt after mutations; between mutations concurrent
 // lookups share it.
@@ -186,7 +217,7 @@ func (r *memRel) Lookup(col int, id intern.ID, yield func(row []intern.ID) bool)
 func (r *memRel) postings(col int) map[intern.ID][]int32 {
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	if r.idxVersion != r.version {
+	if r.colIdx == nil || r.idxVersion != r.version {
 		r.colIdx = map[int]map[intern.ID][]int32{}
 		r.idxVersion = r.version
 	}

@@ -1,17 +1,17 @@
 // Package storage is the pluggable relation-storage layer that makes the
 // query service's named databases durable (the service writes every change
 // through to a store and reads it back only to recover): a backend-agnostic
-// interface — ordered scans,
-// indexed lookups, atomic insert/delete batches, cardinality — over
-// relations of interned ID tuples, with two stdlib-only backends:
+// interface — ordered scans, indexed lookups, atomic insert/delete batches,
+// cardinality — over relations of interned ID tuples, with two stdlib-only
+// backends:
 //
 //   - Memory (NewMem): the in-memory engine the repository has always used,
 //     intern.Relation flat ID rows behind the interface, extended with
 //     tombstone deletion;
-//   - Disk (OpenDisk): an append-only log of ID-tuple segments with an
-//     in-memory open-addressed offset index, generation snapshots, and
-//     compaction, so a database can exceed RAM — only the index and the
-//     value dictionary stay resident, rows live on disk.
+//   - Disk (OpenDisk): the memory backend's resident rows plus a value
+//     dictionary and an append-only log of ID-tuple segments, with
+//     generation snapshots written from the resident rows, compaction, and
+//     recovery from the snapshot plus the log.
 //
 // Both backends satisfy one observable contract, pinned by the conformance
 // suite in storage/storagetest and by the dlog-storage differential oracle:
@@ -23,8 +23,6 @@
 //     error, torn write, or crash) not at all; within a batch, each
 //     mutation's deletes precede its inserts.
 //   - Lookup(col, id) agrees with filtering a full Scan on column col.
-//   - ScanShard(s, n) partitions Scan by the row-hash: the union of the n
-//     shard scans is exactly the full scan, and shards are disjoint.
 //
 // The disk backend's recovery contract is the classic log-structured one:
 // reopening a store after a crash yields exactly the state of the last
@@ -58,10 +56,6 @@ type Relation interface {
 	// rows), stopping early when yield returns false. yield must not call
 	// back into the store.
 	Scan(yield func(row []intern.ID) bool) error
-	// ScanShard is Scan restricted to the rows of one hash shard: the rows r
-	// with RowShard(r, shards) == shard, still in insertion order. Distinct
-	// shards may be scanned concurrently.
-	ScanShard(shard, shards int, yield func(row []intern.ID) bool) error
 	// Lookup calls yield for every live row whose column col equals id, in
 	// insertion order — the indexed point lookup of the leaf scans.
 	Lookup(col int, id intern.ID, yield func(row []intern.ID) bool) error

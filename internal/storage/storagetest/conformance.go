@@ -1,7 +1,8 @@
 // Package storagetest is the cross-backend conformance suite for
 // storage.Store implementations. Every backend must pass it unchanged — the
 // suite pins the observable contract (scan order, batch atomicity, lookup /
-// scan agreement, shard partitioning, persistence across reopen) that lets
+// scan agreement, canonical order through a snapshot, persistence across
+// reopen) that lets
 // the engines, the server and the dlog-storage differential oracle treat
 // backends as interchangeable.
 package storagetest
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"algrec/internal/storage"
+	"algrec/internal/value"
 	"algrec/internal/value/intern"
 )
 
@@ -30,7 +32,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("ResetAndArity", func(t *testing.T) { testResetAndArity(t, f) })
 	t.Run("BatchAtomicity", func(t *testing.T) { testBatchAtomicity(t, f) })
 	t.Run("LookupAgreesWithScan", func(t *testing.T) { testLookupAgreesWithScan(t, f) })
-	t.Run("ShardPartition", func(t *testing.T) { testShardPartition(t, f) })
+	t.Run("CanonicalOrder", func(t *testing.T) { testCanonicalOrder(t, f) })
 	t.Run("DropRelation", func(t *testing.T) { testDropRelation(t, f) })
 	t.Run("Arity0", func(t *testing.T) { testArity0(t, f) })
 	t.Run("ScanEarlyStop", func(t *testing.T) { testScanEarlyStop(t, f) })
@@ -301,36 +303,57 @@ func testLookupAgreesWithScan(t *testing.T, f Factory) {
 	}
 }
 
-func testShardPartition(t *testing.T, f Factory) {
-	st, _ := f(t)
-	want := randomRelation(t, st, "r", 2, 400, 7)
+// testCanonicalOrder pins what MaterializeSet's sort skip relies on: a Reset
+// batch scans in its insert order, so StoreDB's relation scans in its set's
+// canonical order, a snapshot and a reopen keep that order, and a relation
+// that scans out of canonical order still materializes to the canonical set.
+func testCanonicalOrder(t *testing.T, f Factory) {
+	st, reopen := f(t)
+	in := intern.Global()
+
+	var rows [][]intern.ID
+	for i := int64(0); i < 50; i++ {
+		rows = append(rows, row(i*37%50, i)) // neither value nor ID order
+	}
+	if err := st.Apply(storage.Batch{{Rel: "r", Arity: 2, Reset: true, Insert: rows}}); err != nil {
+		t.Fatalf("Apply reset: %v", err)
+	}
+	wantRows(t, st, "r", rows...)
+
+	elems := make([]value.Value, 300)
+	for i := range elems {
+		elems[i] = value.NewTuple(value.Int(int64(i*7%300)), value.String(fmt.Sprint("v", i%13)))
+	}
+	set := value.NewSet(elems...)
+	if err := storage.StoreDB(st, in, map[string]value.Set{"r": set}); err != nil {
+		t.Fatalf("StoreDB: %v", err)
+	}
+	canon, _ := storage.RowsOfSet(in, set)
+	if err := st.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if reopen != nil {
+		st = reopen()
+	}
+	wantRows(t, st, "r", canon...)
 	r, _, _ := st.Rel("r")
-	for _, shards := range []int{1, 2, 3, 8} {
-		var union [][]intern.ID
-		seen := map[string]int{}
-		for s := 0; s < shards; s++ {
-			err := r.ScanShard(s, shards, func(row []intern.ID) bool {
-				cp := make([]intern.ID, len(row))
-				copy(cp, row)
-				if storage.RowShard(cp, shards) != s {
-					t.Fatalf("shard %d/%d yielded row %v of shard %d", s, shards, cp, storage.RowShard(cp, shards))
-				}
-				seen[fmt.Sprint(cp)]++
-				union = append(union, cp)
-				return true
-			})
-			if err != nil {
-				t.Fatalf("ScanShard(%d, %d): %v", s, shards, err)
-			}
-		}
-		if len(union) != len(want) {
-			t.Fatalf("%d shards: union has %d rows, want %d", shards, len(union), len(want))
-		}
-		for k, n := range seen {
-			if n != 1 {
-				t.Fatalf("%d shards: row %s seen %d times", shards, k, n)
-			}
-		}
+	if got, err := storage.MaterializeSet(in, r, 1); err != nil || !value.Equal(got, set) {
+		t.Fatalf("MaterializeSet after snapshot = %v, %v; want the stored set", got, err)
+	}
+
+	// Deleted rows re-inserted in reverse, and a row that sorts first
+	// inserted last: the scan is out of canonical order, and LoadDB sorts.
+	moved := canon[:10]
+	del(t, st, "r", 2, moved...)
+	var back [][]intern.ID
+	for i := len(moved) - 1; i >= 0; i-- {
+		back = append(back, moved[i])
+	}
+	first := value.NewTuple(value.Int(-1), value.String("a"))
+	insert(t, st, "r", 2, append(back, []intern.ID{in.InternInt(-1), in.Intern(value.String("a"))})...)
+	db, err := storage.LoadDB(st, in, 1)
+	if want := set.Insert(first); err != nil || !value.Equal(db["r"], want) {
+		t.Fatalf("LoadDB after an out-of-order batch = %v, %v; want %v", db["r"], err, want)
 	}
 }
 

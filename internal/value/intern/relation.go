@@ -236,9 +236,8 @@ func (r *Relation) grow() {
 	}
 }
 
-// HashRow returns the row hash the relation index uses — exported so the
-// storage layer's backends and shard partitioner agree with the in-memory
-// index on row identity.
+// HashRow returns the row hash the relation index uses — exported so other
+// row tables (the rule kernel's) agree with it on row identity.
 func HashRow(row []ID) uint64 { return hashRow(row) }
 
 // hashRow hashes an ID row with the same mixer as the interner's node hash

@@ -21,13 +21,17 @@ func (Set) Kind() Kind { return KindSet }
 
 // NewSet returns the set of the given elements, canonicalizing order and
 // duplicates (so INS is idempotent and commutative by construction, the two
-// SET(nat) equations of the paper's Section 2.1).
+// SET(nat) equations of the paper's Section 2.1). Elements already strictly
+// increasing are wrapped as given, without sorting.
 func NewSet(elems ...Value) Set {
 	if len(elems) == 0 {
 		return Set{}
 	}
 	cp := make([]Value, len(elems))
 	copy(cp, elems)
+	if increasing(cp) {
+		return setFromSorted(cp)
+	}
 	SortValues(cp)
 	out := cp[:1]
 	for _, v := range cp[1:] {
@@ -36,6 +40,17 @@ func NewSet(elems ...Value) Set {
 		}
 	}
 	return setFromSorted(out)
+}
+
+// increasing reports whether vs is strictly increasing: sorted and free of
+// duplicates, so already canonical.
+func increasing(vs []Value) bool {
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1].Compare(vs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // setFromSorted wraps an already-sorted, already-deduplicated slice without

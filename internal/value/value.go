@@ -17,7 +17,7 @@ package value
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -381,5 +381,5 @@ func Key(v Value) string { return v.String() }
 
 // SortValues sorts vs in place by the total order on values.
 func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
+	slices.SortFunc(vs, Value.Compare)
 }
