@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-ivm bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint docs-fresh build clean
+.PHONY: all check race bench bench-ivm bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
 
 all: check
 
@@ -40,6 +40,13 @@ serve:
 # exported declaration. doccheck is stdlib-only (tools/doccheck).
 lint: vet
 	go run ./tools/doccheck -strict internal/semantics,internal/translate,internal/algebra,internal/algebra/stream,internal/core,internal/randgen,internal/diffcheck,internal/query,internal/server,internal/ivm,internal/datalog/rel,internal/storage,internal/value/intern .
+
+# lines prints the ROADMAP's size yardstick: non-test Go lines outside
+# benchmark/, per package directory and in total.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); pkg[d] += $$1; sum += $$1 } \
+		END { for (d in pkg) printf "%7d %s\n", pkg[d], d; printf "%7d total\n", sum }' | sort -k2
 
 # docs-fresh regenerates EXPERIMENTS.md's tables from the committed record
 # (internal/expt/recorded/run.json) and fails if the committed document was

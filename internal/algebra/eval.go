@@ -25,11 +25,10 @@ type Budget struct {
 	//     products it subtracts (EvalDiff);
 	//   - every IFP iterates naively, re-evaluating its body on the whole
 	//     accumulator, instead of semi-naively on the last round's delta;
-	//   - internal/core evaluates defining equations in unscheduled
-	//     sequential rounds instead of its SCC schedule;
-	//   - query.Execute answers an algebra expression on the value evaluator,
-	//     not the relational kernel, and internal/ivm maintains a view by
-	//     recomputation instead of counting/DRed.
+	//   - query.Execute answers an algebra expression on the value evaluator
+	//     and an algebra= script on internal/core, not the relational kernel,
+	//     and internal/ivm maintains a view by recomputation instead of
+	//     counting/DRed.
 	// Results are identical either way on error-free evaluations, and for diff
 	// on failing ones too; only budget boundaries differ (the materialized
 	// path also bounds intermediate products). WithDefaults ORs in

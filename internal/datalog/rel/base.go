@@ -203,6 +203,15 @@ func ElemFact(pred string, elem value.Value) datalog.Fact {
 	return datalog.Fact{Pred: pred, Args: []value.Value{elem}}
 }
 
+// FactElem is ElemFact's inverse: the element a fact contributes to its
+// predicate's relation — its single argument, or a tuple of several.
+func FactElem(f datalog.Fact) value.Value {
+	if len(f.Args) == 1 {
+		return f.Args[0]
+	}
+	return value.NewTuple(f.Args...)
+}
+
 // elemIDs is ElemFact in ID space: the element's row, built in buf. An
 // element the interner has already seen whole gives up its component IDs
 // without a lookup per component.

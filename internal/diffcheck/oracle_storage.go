@@ -1,14 +1,13 @@
 package diffcheck
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"reflect"
-	"sort"
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/ivm"
 	"algrec/internal/query"
 	"algrec/internal/randgen"
 	"algrec/internal/storage"
@@ -17,15 +16,14 @@ import (
 )
 
 // The dlog-storage oracle pins the pluggable storage layer's cross-backend
-// contract (internal/storage): replaying a random fact insert/delete
-// schedule — encoded through the same per-predicate mutation logic the
-// server uses, including the RearityBatch fallback for shape-changing
-// mutations — against the memory backend and the disk backend must leave the
-// two stores bit-for-bit identical after every step: same relations, same
-// arities, same rows in the same scan order. At the end, the materialized
-// databases must be equal, the datalog program must evaluate identically
-// over both, and closing and reopening the disk store (the recovery path)
-// must reproduce the state exactly.
+// contract (internal/storage): a random fact insert/delete schedule, written
+// through storage.FactBatch — the server's own encoder — against the memory
+// backend and the disk backend, must leave the two stores bit-for-bit
+// identical after every step: same relations, same arities, same rows in the
+// same scan order. At the end, both must materialize to the database
+// ivm.ApplyDB derives from the schedule, the datalog program must evaluate
+// identically over both, and closing and reopening the disk store (the
+// recovery path) must reproduce the state exactly.
 
 // checkDlogStorage replays the schedule through both backends.
 func checkDlogStorage(p *datalog.Program, sched []randgen.FactBatch) error {
@@ -37,7 +35,7 @@ func checkDlogStorage(p *datalog.Program, sched []randgen.FactBatch) error {
 		return nil // environment trouble, not a divergence
 	}
 	defer os.RemoveAll(dir)
-	disk, err := storage.OpenDisk(dir, storage.DiskOptions{Interner: in})
+	disk, err := storage.OpenDisk(dir, storage.DiskOptions{})
 	if err != nil {
 		return diverge(oracle, "opening an empty disk store failed: %v", err)
 	}
@@ -47,30 +45,37 @@ func checkDlogStorage(p *datalog.Program, sched []randgen.FactBatch) error {
 		}
 	}()
 
+	db := algebra.DB{}
 	for step, b := range sched {
-		// The batches are derived per backend from that backend's current
-		// state; equal states must derive equal batches and stay equal.
-		errM := applySchedBatch(mem, in, b)
-		errD := applySchedBatch(disk, in, b)
+		// Each backend's batch is derived from its own current shapes; equal
+		// states must derive equal batches and stay equal.
+		after := ivm.ApplyDB(db, b.Insert, b.Delete)
+		del, ins := ivm.ElemsByPred(b.Delete), ivm.ElemsByPred(b.Insert)
+		errM := writeFacts(mem, in, del, ins, after)
+		errD := writeFacts(disk, in, del, ins, after)
 		if (errM == nil) != (errD == nil) {
 			return diverge(oracle, "step %d (%s): memory err %v, disk err %v", step, b, errM, errD)
 		}
 		if errM != nil {
 			continue // agreeing rejection
 		}
+		db = after
 		if err := diffStores(oracle, fmt.Sprintf("step %d (%s)", step, b), mem, disk); err != nil {
 			return err
 		}
 	}
 
-	// The materialized databases agree, and the program evaluates
-	// identically over both.
+	// The materialized databases agree with each other and with the
+	// schedule's, and the program evaluates identically over both.
 	dbM, errM := storage.LoadDB(mem, in, 1)
 	dbD, errD := storage.LoadDB(disk, in, 1)
 	if done, err := pairErr(oracle, "memory load", "disk load", errM, errD); done {
 		return err
 	}
 	if err := diffSetMaps(oracle, "materialized database", dbM, dbD); err != nil {
+		return err
+	}
+	if err := diffSetMaps(oracle, "memory store against ivm.ApplyDB", dbM, db); err != nil {
 		return err
 	}
 	plan := &query.Plan{
@@ -95,7 +100,7 @@ func checkDlogStorage(p *datalog.Program, sched []randgen.FactBatch) error {
 		return diverge(oracle, "closing the disk store failed: %v", err)
 	}
 	disk = nil
-	disk2, err := storage.OpenDisk(dir, storage.DiskOptions{Interner: in})
+	disk2, err := storage.OpenDisk(dir, storage.DiskOptions{})
 	if err != nil {
 		return diverge(oracle, "reopening the disk store failed: %v", err)
 	}
@@ -103,138 +108,14 @@ func checkDlogStorage(p *datalog.Program, sched []randgen.FactBatch) error {
 	return diffStores(oracle, "after reopen", mem, disk2)
 }
 
-// applySchedBatch encodes one fact batch as a single-mutation-per-predicate
-// storage batch against the store's current shapes (the serving layer's
-// convention) and applies it, falling back to RearityBatch when a mutation's
-// shape disagrees with the stored relation.
-func applySchedBatch(st storage.Store, in *intern.Interner, b randgen.FactBatch) error {
-	sb, err := schedBatch(st, in, b)
-	if err != nil {
+// writeFacts writes one fact batch through storage.FactBatch, as the server
+// does.
+func writeFacts(st storage.Store, in *intern.Interner, del, ins map[string][]value.Value, after algebra.DB) error {
+	b, err := storage.FactBatch(st, in, del, ins, after)
+	if err != nil || len(b) == 0 {
 		return err
 	}
-	if len(sb) == 0 {
-		return nil
-	}
-	if err := st.Apply(sb); err != nil {
-		if !errors.Is(err, storage.ErrArityMismatch) {
-			return err
-		}
-		rb, rerr := storage.RearityBatch(st, in, sb)
-		if rerr != nil {
-			return rerr
-		}
-		return st.Apply(rb)
-	}
-	return nil
-}
-
-// schedFactValue is the element a fact contributes: one argument stands
-// alone, several form a tuple (ivm.ApplyDB's convention).
-func schedFactValue(f datalog.Fact) value.Value {
-	if len(f.Args) == 1 {
-		return f.Args[0]
-	}
-	return value.NewTuple(f.Args...)
-}
-
-// schedBatch builds the per-predicate mutations for one fact batch.
-func schedBatch(st storage.Store, in *intern.Interner, b randgen.FactBatch) (storage.Batch, error) {
-	type predMut struct{ ins, del []value.Value }
-	preds := map[string]*predMut{}
-	at := func(p string) *predMut {
-		pm, ok := preds[p]
-		if !ok {
-			pm = &predMut{}
-			preds[p] = pm
-		}
-		return pm
-	}
-	for _, f := range b.Delete {
-		pm := at(f.Pred)
-		pm.del = append(pm.del, schedFactValue(f))
-	}
-	for _, f := range b.Insert {
-		pm := at(f.Pred)
-		pm.ins = append(pm.ins, schedFactValue(f))
-	}
-	names := make([]string, 0, len(preds))
-	for n := range preds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	var out storage.Batch
-	for _, n := range names {
-		pm := preds[n]
-		r, exists, err := st.Rel(n)
-		if err != nil {
-			return nil, err
-		}
-		if !exists && len(pm.ins) == 0 {
-			continue // deletes against an absent relation are no-ops
-		}
-		arity := 1
-		if exists {
-			arity = r.Arity()
-		} else if k := uniformTupleWidth(pm.ins); k > 1 {
-			arity = k
-		}
-		fit := true
-		for _, v := range pm.ins {
-			if _, ok := schedRow(in, v, arity); !ok {
-				fit = false
-				break
-			}
-		}
-		if !fit {
-			arity = 1 // mixed shapes: heterogeneous encoding, Rearity fixes
-		}
-		m := storage.Mutation{Rel: n, Arity: arity}
-		for _, v := range pm.del {
-			if row, ok := schedRow(in, v, arity); ok {
-				m.Delete = append(m.Delete, row)
-			}
-		}
-		for _, v := range pm.ins {
-			row, _ := schedRow(in, v, arity)
-			m.Insert = append(m.Insert, row)
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// uniformTupleWidth returns the common width when every element is a tuple
-// of one width >= 2, else 0.
-func uniformTupleWidth(elems []value.Value) int {
-	k := -1
-	for _, v := range elems {
-		t, ok := v.(value.Tuple)
-		if !ok || t.Len() < 2 || (k >= 0 && t.Len() != k) {
-			return 0
-		}
-		k = t.Len()
-	}
-	if k < 0 {
-		return 0
-	}
-	return k
-}
-
-// schedRow encodes one element as a row of the given arity (matching
-// storage.RowsOfSet); ok=false when it does not fit.
-func schedRow(in *intern.Interner, v value.Value, arity int) ([]intern.ID, bool) {
-	if arity == 1 {
-		return []intern.ID{in.Intern(v)}, true
-	}
-	t, ok := v.(value.Tuple)
-	if !ok || t.Len() != arity {
-		return nil, false
-	}
-	id := in.Intern(v)
-	row := make([]intern.ID, arity)
-	copy(row, in.Elems(id))
-	return row, true
+	return st.Apply(b)
 }
 
 // diffStores compares two stores' observable state: relation listings, then

@@ -50,6 +50,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/datalog/rel"
 	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
@@ -230,32 +231,25 @@ func ApplyDB(db algebra.DB, insert, del []datalog.Fact) algebra.DB {
 	for k, s := range db {
 		out[k] = s
 	}
-	for pred, elems := range elemsByPred(del) {
+	for pred, elems := range ElemsByPred(del) {
 		if s, ok := out[pred]; ok {
 			out[pred] = s.Diff(value.NewSet(elems...))
 		}
 	}
-	for pred, elems := range elemsByPred(insert) {
+	for pred, elems := range ElemsByPred(insert) {
 		out[pred] = out[pred].Union(value.NewSet(elems...))
 	}
 	return out
 }
 
-// elemsByPred groups a fact list's database elements by predicate.
-func elemsByPred(facts []datalog.Fact) map[string][]value.Value {
+// ElemsByPred groups a fact list's database elements (rel.FactElem) by
+// predicate.
+func ElemsByPred(facts []datalog.Fact) map[string][]value.Value {
 	by := make(map[string][]value.Value, 1)
 	for _, f := range facts {
-		by[f.Pred] = append(by[f.Pred], factElem(f))
+		by[f.Pred] = append(by[f.Pred], rel.FactElem(f))
 	}
 	return by
-}
-
-// factElem maps a fact to its database element (the query.DBFacts inverse).
-func factElem(f datalog.Fact) value.Value {
-	if len(f.Args) == 1 {
-		return f.Args[0]
-	}
-	return value.NewTuple(f.Args...)
 }
 
 // diffOutcomes computes the ResultDelta between two outcomes of the same

@@ -10,6 +10,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/datalog/rel"
 	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
@@ -410,11 +411,11 @@ func TestApplyDBGroupedMatchesFactByFact(t *testing.T) {
 		out := db.Clone()
 		for _, f := range del {
 			if s, ok := out[f.Pred]; ok {
-				out[f.Pred] = s.Diff(value.NewSet(factElem(f)))
+				out[f.Pred] = s.Diff(value.NewSet(rel.FactElem(f)))
 			}
 		}
 		for _, f := range ins {
-			out[f.Pred] = out[f.Pred].Insert(factElem(f))
+			out[f.Pred] = out[f.Pred].Insert(rel.FactElem(f))
 		}
 		return out
 	}
@@ -431,7 +432,7 @@ func TestApplyDBGroupedMatchesFactByFact(t *testing.T) {
 		db := algebra.DB{}
 		for i := rng.Intn(40); i > 0; i-- {
 			if f := mk(); f.Pred != "new" {
-				db[f.Pred] = db[f.Pred].Insert(factElem(f))
+				db[f.Pred] = db[f.Pred].Insert(rel.FactElem(f))
 			}
 		}
 		before := db.Clone()

@@ -531,8 +531,9 @@ func executeGrounded(plan *Plan, base *rel.Base, opts Options, out *Outcome, use
 // (rel.ElemFact). This differs from translate.DBFacts, whose unary
 // complex-object encoding serves the paper's simulation theorems — a user
 // writing `edge(X, Y)` against a database relation of pairs expects the
-// relational reading. It is exported because the server's mutation surface
-// must agree with Execute on this mapping.
+// relational reading. It is exported for the callers that replay a
+// database as facts outside Execute: the relational diffcheck oracle and
+// the benchmark's traced run.
 func DBFacts(db algebra.DB) []datalog.Fact {
 	var out []datalog.Fact
 	for name, s := range db {

@@ -145,7 +145,8 @@ func TestDiskServerMatchesMemory(t *testing.T) {
 	compareServers(t, memTS, diskTS, "after mutation")
 
 	// Heterogeneous shapes: a relation of pairs demoted by a scalar insert
-	// (the storage RearityBatch path), then queried through both backends.
+	// (storage.FactBatch resets it at arity 1), then queried through both
+	// backends.
 	het := mutateRequest{Insert: []factJSON{
 		jsonFact("p", "a", "b"),
 		jsonFact("p", "c", "d"),
@@ -413,7 +414,7 @@ func sameDB(a, b algebra.DB) bool {
 
 // runDiskSchedule registers scheduleDB as "t" on the disk-backed s, posts a
 // random mutation schedule to it through ts — same-shape batches,
-// shape-changing ones that take the storage.RearityBatch fallback, scalars
+// shape-changing ones that storage.FactBatch writes as a Reset, scalars
 // among pairs, a fresh predicate — and checks after every batch that the
 // resident version equals what storage.LoadDB reads back from the entry's
 // store: the invariant that lets every read skip the store.

@@ -414,12 +414,13 @@ func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
 	entry.mu.Lock()
 	st := entry.cur.Load()
 	version := st.version + 1
-	if err := entry.store.applyFacts(ins, del); err != nil {
+	db := ivm.ApplyDB(st.base.DB(), ins, del)
+	if err := entry.store.applyFacts(ins, del, db); err != nil {
 		entry.mu.Unlock()
 		fail(codeStorage, err.Error())
 		return
 	}
-	entry.cur.Store(newDBState(ivm.ApplyDB(st.base.DB(), ins, del), version))
+	entry.cur.Store(newDBState(db, version))
 	for key, lv := range entry.views {
 		d, applyErr := lv.view.Apply(ins, del)
 		if applyErr != nil {

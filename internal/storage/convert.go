@@ -12,7 +12,8 @@ import (
 
 // This file is the bridge between the stored representation (fixed-arity ID
 // rows) and the engines' representation (value.Set relations of complex
-// objects). The encoding is chosen per relation:
+// objects), and the one place that encodes a value as a row — for PUT,
+// restore and fact batches alike. The encoding is chosen per relation:
 //
 //   - a non-empty set whose elements are all tuples of one width k >= 2 is
 //     stored relationally: arity-k rows of the tuples' element IDs (the
@@ -21,7 +22,36 @@ import (
 //     stored as arity-1 rows holding each element's own interned ID.
 //
 // Both directions are exact: RowElem inverts RowsOfSet element-wise, so a
-// set round-trips bit-for-bit through either backend.
+// set round-trips bit-for-bit through either backend. A fact batch keeps a
+// relation's stored arity while its elements fit it (FactBatch), so an
+// arity-1 relation may hold uniform tuples; RowElem decodes those exactly
+// too.
+
+// elemRow encodes one set element as a row of len(row) IDs: at arity 1 the
+// element's own ID, at arity k a k-tuple's component IDs. It reports false
+// when the element is not a tuple of that width. A tuple is never interned
+// whole for a k-ary row — a fact batch's tuples would otherwise stay in the
+// append-only arena long after the facts are deleted — but one the
+// process-global interner has already seen gives up its component IDs
+// without a lookup per component.
+func elemRow(in *intern.Interner, row []intern.ID, v value.Value) bool {
+	if len(row) == 1 {
+		row[0] = in.Intern(v)
+		return true
+	}
+	t, ok := v.(value.Tuple)
+	if !ok || t.Len() != len(row) {
+		return false
+	}
+	if id := value.InternID(v); id != 0 {
+		copy(row, in.Elems(intern.ID(id)))
+		return true
+	}
+	for i := range row {
+		row[i] = in.Intern(t.At(i))
+	}
+	return true
+}
 
 // RowsOfSet encodes a relation set as ID rows, returning the rows in the
 // set's canonical element order and the chosen arity.
@@ -45,14 +75,8 @@ func RowsOfSet(in *intern.Interner, s value.Set) (rows [][]intern.ID, arity int)
 	flat := make([]intern.ID, s.Len()*arity)
 	rows = make([][]intern.ID, s.Len())
 	for i := range rows {
-		row := flat[i*arity : (i+1)*arity : (i+1)*arity]
-		id := in.Intern(s.At(i))
-		if arity == 1 {
-			row[0] = id
-		} else {
-			copy(row, in.Elems(id))
-		}
-		rows[i] = row
+		rows[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+		elemRow(in, rows[i], s.At(i))
 	}
 	return rows, arity
 }
@@ -115,16 +139,26 @@ func MaterializeSet(in *intern.Interner, r Relation, workers int) (value.Set, er
 	return value.NewSet(elems...), nil
 }
 
-// StoreDB bulk-loads a database into the store: one Reset mutation per
-// relation, applied as a single atomic batch, in sorted name order so the
-// disk backend's log is deterministic.
+// StoreDB replaces the store's contents with a database in one atomic
+// batch: a Drop for each stored relation db lacks, then one Reset mutation
+// per relation of db, in sorted name order so the disk backend's log is
+// deterministic.
 func StoreDB(st Store, in *intern.Interner, db map[string]value.Set) error {
+	infos, err := st.Rels()
+	if err != nil {
+		return err
+	}
+	var b Batch
+	for _, info := range infos {
+		if _, keep := db[info.Name]; !keep {
+			b = append(b, Mutation{Rel: info.Name, Drop: true})
+		}
+	}
 	names := make([]string, 0, len(db))
 	for name := range db {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	b := make(Batch, 0, len(names))
 	for _, name := range names {
 		rows, arity := RowsOfSet(in, db[name])
 		b = append(b, Mutation{Rel: name, Arity: arity, Reset: true, Insert: rows})
@@ -157,90 +191,68 @@ func LoadDB(st Store, in *intern.Interner, workers int) (map[string]value.Set, e
 	return db, nil
 }
 
-// RearityBatch rebuilds the mutations that failed with ErrArityMismatch so
-// they apply against the store's current shape: the existing relation is
-// re-read, the mutation's rows are re-encoded element-wise, and the whole
-// relation is replaced (Reset) in the heterogeneous arity-1 encoding. This
-// is the server's fallback when a fact batch changes a relation's shape
-// (e.g. inserting a 3-ary fact into a relation of pairs).
-func RearityBatch(st Store, in *intern.Interner, b Batch) (Batch, error) {
-	out := make(Batch, 0, len(b))
-	for _, m := range b {
-		r, ok, err := st.Rel(m.Rel)
+// FactBatch encodes a fact batch as the store batch that brings each touched
+// relation to its post-batch set. del and ins hold each touched relation's
+// deleted and inserted elements (deletes apply first), and after is the
+// database the batch leaves (ivm.ApplyDB's). Per relation, in sorted name
+// order, it writes one of two mutations:
+//
+//   - in place, when the store has the relation and every inserted element
+//     fits its arity: the batch's rows are deleted and inserted, O(batch).
+//     A deleted element that does not fit cannot be stored, so it is skipped;
+//   - a Reset to RowsOfSet(after[rel]) otherwise: a relation the store lacks,
+//     or one gaining an element its arity cannot hold.
+//
+// Deletes from a relation neither the store nor after has write nothing.
+func FactBatch(st Store, in *intern.Interner, del, ins map[string][]value.Value, after map[string]value.Set) (Batch, error) {
+	names := make([]string, 0, len(del)+len(ins))
+	for name := range del {
+		names = append(names, name)
+	}
+	for name := range ins {
+		if _, dup := del[name]; !dup {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var b Batch
+	for _, name := range names {
+		r, inPlace, err := st.Rel(name)
 		if err != nil {
 			return nil, err
 		}
-		if !ok || m.Reset {
-			out = append(out, m)
-			continue
+		m := Mutation{Rel: name}
+		if inPlace {
+			m.Arity = r.Arity()
+			m.Delete, _ = elemRows(in, del[name], m.Arity)
+			m.Insert, inPlace = elemRows(in, ins[name], m.Arity)
 		}
-		cur, _, err2 := relShape(r)
-		if err2 != nil {
-			return nil, err2
-		}
-		if r.Arity() == m.Arity {
-			out = append(out, m)
-			continue
-		}
-		// Re-encode: current elements minus deletes plus inserts, arity 1.
-		have := map[intern.ID]bool{}
-		order := []intern.ID{}
-		add := func(id intern.ID) {
-			if !have[id] {
-				have[id] = true
-				order = append(order, id)
+		if !inPlace {
+			s, ok := after[name]
+			if !ok {
+				continue
 			}
+			m = Mutation{Rel: name, Reset: true}
+			m.Insert, m.Arity = RowsOfSet(in, s)
 		}
-		for _, row := range cur {
-			add(elemID(in, row, r.Arity()))
-		}
-		for _, row := range m.Delete {
-			id := elemID(in, row, m.Arity)
-			if have[id] {
-				have[id] = false
-			}
-		}
-		for _, row := range m.Insert {
-			id := elemID(in, row, m.Arity)
-			if live, seen := have[id]; !live {
-				// A key in have is already in order: a deleted element
-				// re-inserted keeps its place.
-				if !seen {
-					order = append(order, id)
-				}
-				have[id] = true
-			}
-		}
-		rm := Mutation{Rel: m.Rel, Arity: 1, Reset: true}
-		for _, id := range order {
-			if have[id] {
-				rm.Insert = append(rm.Insert, []intern.ID{id})
-			}
-		}
-		out = append(out, rm)
+		b = append(b, m)
 	}
-	return out, nil
+	return b, nil
 }
 
-// relShape reads a relation's rows and arity.
-func relShape(r Relation) ([][]intern.ID, int, error) {
-	arity := r.Arity()
-	var rows [][]intern.ID
-	err := r.Scan(func(row []intern.ID) bool {
-		cp := make([]intern.ID, len(row))
-		copy(cp, row)
-		rows = append(rows, cp)
-		return true
-	})
-	return rows, arity, err
-}
-
-// elemID interns the element a row encodes.
-func elemID(in *intern.Interner, row []intern.ID, arity int) intern.ID {
-	switch arity {
-	case 1:
-		return row[0]
-	default:
-		return in.InternTuple(row...)
+// elemRows encodes the elements that fit arity as rows, reporting whether
+// all of them did.
+func elemRows(in *intern.Interner, elems []value.Value, arity int) (rows [][]intern.ID, all bool) {
+	flat := make([]intern.ID, len(elems)*arity)
+	all = true
+	for _, v := range elems {
+		row := flat[:arity:arity]
+		if !elemRow(in, row, v) {
+			all = false
+			continue
+		}
+		rows = append(rows, row)
+		flat = flat[arity:]
 	}
+	return rows, all
 }

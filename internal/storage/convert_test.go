@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"algrec/internal/algebra"
+	"algrec/internal/datalog"
+	"algrec/internal/ivm"
 	"algrec/internal/randgen"
 	"algrec/internal/storage"
 	"algrec/internal/value"
@@ -75,7 +78,8 @@ func TestRowsOfSetArityChoice(t *testing.T) {
 	}
 }
 
-// TestStoreLoadDB round-trips a full database through both backends.
+// TestStoreLoadDB round-trips a full database through both backends, then
+// replaces it with a smaller one.
 func TestStoreLoadDB(t *testing.T) {
 	in := intern.Global()
 	g := randgen.New(5, randgen.Config{})
@@ -112,6 +116,13 @@ func TestStoreLoadDB(t *testing.T) {
 					t.Fatalf("workers=%d relation %q: %v, want %v", workers, name, got[name], s)
 				}
 			}
+		}
+		// Storing a smaller database drops the relations it lacks.
+		if err := storage.StoreDB(st, in, map[string]value.Set{"edge": db["edge"]}); err != nil {
+			t.Fatal(err)
+		}
+		if infos, err := st.Rels(); err != nil || len(infos) != 1 || infos[0].Name != "edge" {
+			t.Fatalf("after storing one relation: %+v, %v", infos, err)
 		}
 	}
 	t.Run("Mem", func(t *testing.T) { check(t, storage.NewMem(nil)) })
@@ -181,120 +192,136 @@ func TestMaterializeSetParallel(t *testing.T) {
 	})
 }
 
-// TestRearityBatch: the server fallback turns an arity-changing fact
-// mutation into a Reset re-encoding at arity 1 with the same element-level
-// outcome.
-func TestRearityBatch(t *testing.T) {
-	in := intern.Global()
-	st := storage.NewMem(nil)
-	pair := func(a, b int64) value.Value { return value.NewTuple(value.Int(a), value.Int(b)) }
-	if err := storage.StoreDB(st, in, map[string]value.Set{
-		"e": value.NewSet(pair(1, 2), pair(3, 4)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Insert a triple into the pair relation: direct apply must fail, the
-	// re-aritied batch must succeed.
-	triple := in.Intern(value.NewTuple(value.Int(5), value.Int(6), value.Int(7)))
-	bad := storage.Batch{{Rel: "e", Arity: 3, Insert: [][]intern.ID{in.Elems(triple)}}}
-	if err := st.Apply(bad); err == nil {
-		t.Fatal("arity-changing batch applied directly")
-	}
-	fixed, err := storage.RearityBatch(st, in, bad)
+// applyFactBatch writes one fact batch through FactBatch against db, the
+// store's current contents, and returns the database it leaves
+// (ivm.ApplyDB's) and the batch it wrote.
+func applyFactBatch(t *testing.T, st storage.Store, db algebra.DB, ins, del []datalog.Fact) (algebra.DB, storage.Batch) {
+	t.Helper()
+	after := ivm.ApplyDB(db, ins, del)
+	b, err := storage.FactBatch(st, intern.Global(), ivm.ElemsByPred(del), ivm.ElemsByPred(ins), after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Apply(fixed); err != nil {
+	if err := st.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := st.Rel("e")
-	got, err := storage.MaterializeSet(in, r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := value.NewSet(pair(1, 2), pair(3, 4), value.NewTuple(value.Int(5), value.Int(6), value.Int(7)))
-	if !value.Equal(got, want) {
-		t.Fatalf("after re-arity: %v, want %v", got, want)
-	}
+	return after, b
 }
 
-// TestRearityBatchLarge reshapes a 20 000-element heterogeneous relation with
-// a 20 000-row pair batch — deletes, re-inserts of deleted elements, inserts
-// of present ones, new elements and duplicates — and checks the re-encoded
-// rows, element for element and in order, against a map-based reference:
-// present elements keep their place, a deleted element re-inserted keeps its
-// old place, and new elements follow in batch order.
-func TestRearityBatchLarge(t *testing.T) {
-	in := intern.Global()
-	pair := func(a, b int) []intern.ID { return []intern.ID{in.InternInt(int64(a)), in.InternInt(int64(b))} }
-	var cur [][]intern.ID
-	for i := 0; i < 20000; i++ {
-		if i%2 == 0 {
-			cur = append(cur, []intern.ID{in.InternTuple(pair(i, -i)...)})
-		} else {
-			cur = append(cur, []intern.ID{in.InternInt(int64(-i))})
+// onBothBackends runs check against a fresh memory store and a fresh disk
+// store.
+func onBothBackends(t *testing.T, check func(t *testing.T, st storage.Store)) {
+	t.Run("Mem", func(t *testing.T) { check(t, storage.NewMem(nil)) })
+	t.Run("Disk", func(t *testing.T) {
+		st, err := storage.OpenDisk(t.TempDir(), storage.DiskOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer st.Close()
+		check(t, st)
+	})
+}
+
+// TestFactBatchReshape: fact batches against a 20 000-pair relation. One
+// that fits its arity — deletes, some re-inserted, present and duplicate inserts,
+// a delete of a scalar that cannot be stored — is written in place; one
+// that adds a scalar and a triple resets the relation to arity 1; one that
+// creates a relation resets it at its own arity. After each, LoadDB equals
+// ivm.ApplyDB's database.
+func TestFactBatchReshape(t *testing.T) {
+	in := intern.Global()
+	fact := func(args ...int) datalog.Fact {
+		f := datalog.Fact{Pred: "r"}
+		for _, a := range args {
+			f.Args = append(f.Args, value.Int(int64(a)))
+		}
+		return f
 	}
-	st := storage.NewMem(nil)
-	if err := st.Apply(storage.Batch{{Rel: "r", Arity: 1, Insert: cur}}); err != nil {
-		t.Fatal(err)
+	pairs := make([]value.Value, 20000)
+	for i := range pairs {
+		pairs[i] = value.Pair(value.Int(int64(i)), value.Int(int64(-i)))
 	}
-	m := storage.Mutation{Rel: "r", Arity: 2}
+	var ins, del []datalog.Fact
 	for i := 0; i < 20000; i += 4 {
-		m.Delete = append(m.Delete, pair(i, -i))
+		del = append(del, fact(i, -i))
 	}
+	del = append(del, fact(7))
 	for i := 0; i < 20000; i++ {
 		switch i % 4 {
 		case 0:
-			m.Insert = append(m.Insert, pair(i, -i)) // deleted above, re-inserted
+			if i%8 == 0 {
+				ins = append(ins, fact(i, -i)) // deleted above, re-inserted
+			}
 		case 1:
-			m.Insert = append(m.Insert, pair(20000+i, 0)) // new
+			ins = append(ins, fact(20000+i, 0)) // new
 		case 2:
-			m.Insert = append(m.Insert, pair(i, -i)) // present
+			ins = append(ins, fact(i, -i)) // present
 		default:
-			m.Insert = append(m.Insert, pair(20000+i-2, 0)) // a duplicate of a new one
+			ins = append(ins, fact(20000+i-2, 0)) // a duplicate of a new one
 		}
 	}
+	reshape := []datalog.Fact{fact(1), fact(1, 2, 3)}
+	fresh := []datalog.Fact{{Pred: "s", Args: []value.Value{value.Int(1), value.Int(2)}}}
 
-	var order []intern.ID
-	live := map[intern.ID]bool{}
-	for _, row := range cur {
-		order = append(order, row[0])
-		live[row[0]] = true
-	}
-	for _, row := range m.Delete {
-		if id := in.InternTuple(row...); live[id] {
-			live[id] = false
+	onBothBackends(t, func(t *testing.T, st storage.Store) {
+		db := algebra.DB{"r": value.NewSet(pairs...)}
+		if err := storage.StoreDB(st, in, db); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, row := range m.Insert {
-		id := in.InternTuple(row...)
-		if _, known := live[id]; !known {
-			order = append(order, id)
+		for _, step := range []struct {
+			ins, del []datalog.Fact
+			arity    int
+			reset    bool
+		}{
+			{ins, del, 2, false},
+			{reshape, del[:100], 1, true},
+			{fresh, nil, 2, true},
+		} {
+			var b storage.Batch
+			db, b = applyFactBatch(t, st, db, step.ins, step.del)
+			m := b[len(b)-1]
+			if m.Arity != step.arity || m.Reset != step.reset {
+				t.Fatalf("%s: arity %d reset %v, want %d %v", m.Rel, m.Arity, m.Reset, step.arity, step.reset)
+			}
+			got, err := storage.LoadDB(st, in, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(db) {
+				t.Fatalf("loaded %d relations, want %d", len(got), len(db))
+			}
+			for name, s := range db {
+				if !value.Equal(got[name], s) {
+					t.Fatalf("relation %q: %d elements loaded, ivm.ApplyDB has %d", name, got[name].Len(), s.Len())
+				}
+			}
 		}
-		live[id] = true
-	}
-	var want [][]intern.ID
-	for _, id := range order {
-		if live[id] {
-			want = append(want, []intern.ID{id})
-		}
-	}
+	})
+}
 
-	out, err := storage.RearityBatch(st, in, storage.Batch{m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Arity != 1 || !out[0].Reset {
-		t.Fatalf("re-arity batch = %d mutations, first %+v", len(out), out[0].Rel)
-	}
-	got := out[0].Insert
-	if len(got) != len(want) {
-		t.Fatalf("re-encoded %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i][0] != want[i][0] {
-			t.Fatalf("row %d: %v, want %v", i, in.Lookup(got[i][0]), in.Lookup(want[i][0]))
+// TestFactBatchInternsScalarsOnly: a fact batch of fresh pairs, written in
+// place into a stored pair relation and as a Reset of a new one, grows the
+// process-global interner by exactly the batch's new scalars — never by the
+// pairs themselves.
+func TestFactBatchInternsScalarsOnly(t *testing.T) {
+	in := intern.Global()
+	onBothBackends(t, func(t *testing.T, st storage.Store) {
+		db := algebra.DB{"e": value.NewSet(value.Pair(value.Int(1), value.Int(2)))}
+		if err := storage.StoreDB(st, in, db); err != nil {
+			t.Fatal(err)
 		}
-	}
+		for _, pred := range []string{"e", "fresh"} {
+			base := in.Len()
+			var ins []datalog.Fact
+			for i := 0; i < 100; i++ {
+				ins = append(ins, datalog.Fact{Pred: pred, Args: []value.Value{
+					value.String(fmt.Sprintf("a%d-%d", base, i)), value.String(fmt.Sprintf("b%d-%d", base, i)),
+				}})
+			}
+			db, _ = applyFactBatch(t, st, db, ins, nil)
+			if grew := in.Len() - base; grew != 2*len(ins) {
+				t.Fatalf("%s: the interner grew by %d IDs for %d new scalars", pred, grew, 2*len(ins))
+			}
+		}
+	})
 }

@@ -23,9 +23,6 @@ type DiskOptions struct {
 	// prefix (frames are CRC-guarded); tests that assert exact durability
 	// turn it on.
 	Sync bool
-	// Interner supplies the value vocabulary; nil means the process-global
-	// interner.
-	Interner *intern.Interner
 }
 
 // DiskStore is the on-disk backend: the memory backend's resident relations
@@ -82,15 +79,11 @@ func segName(kind string, gen uint64) string {
 // a damaged snapshot or an undecodable record before the tail returns
 // ErrCorrupt.
 func OpenDisk(dir string, opt DiskOptions) (*DiskStore, error) {
-	in := opt.Interner
-	if in == nil {
-		in = intern.Global()
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	ds := &DiskStore{dir: dir, opt: opt, vidOf: map[intern.ID]uint32{}}
-	ds.mem.in, ds.mem.rels = in, map[string]*memRel{}
+	ds.mem.in, ds.mem.rels = intern.Global(), map[string]*memRel{}
 	cur, err := os.ReadFile(filepath.Join(dir, currentName))
 	switch {
 	case errors.Is(err, fs.ErrNotExist):

@@ -7,21 +7,19 @@ import (
 	"algrec/internal/value/intern"
 )
 
-// Mem is the in-memory backend: the repository's flat-ID-row engine
-// (intern.Relation, extended with tombstone deletion) behind the Store
-// interface. It is the zero-cost default — the same representation the
-// grounder and the fixpoint engines already use — the reference
+// Mem is the in-memory backend: flat ID rows (intern.Relation, with
+// tombstone deletion) behind the Store interface. It is the reference
 // implementation the disk backend's conformance is checked against, and the
-// disk backend's resident state.
+// disk backend's resident state. (The rule kernel keeps its own rows in
+// rel.Table; nothing reads a served database through a Store.)
 type Mem struct {
 	in   *intern.Interner
 	mu   sync.RWMutex
 	rels map[string]*memRel
 }
 
-// NewMem returns an empty memory store. A nil interner means the process
-// global one (the interner only matters for Lookup's ID vocabulary — rows
-// are stored as the caller's IDs either way).
+// NewMem returns an empty memory store whose rows hold IDs of in (nil means
+// the process-global interner, the one a disk store always uses).
 func NewMem(in *intern.Interner) *Mem {
 	if in == nil {
 		in = intern.Global()
@@ -35,14 +33,6 @@ func NewMem(in *intern.Interner) *Mem {
 type memRel struct {
 	st *Mem
 	r  *intern.Relation
-
-	// version counts mutations; the lazy column index is rebuilt when its
-	// build version falls behind.
-	version uint64
-
-	idxMu      sync.Mutex
-	idxVersion uint64
-	colIdx     map[int]map[intern.ID][]int32
 }
 
 // Rel implements Store.
@@ -131,7 +121,6 @@ func (m *Mem) apply(b Batch) (dead int) {
 				dead++
 			}
 		}
-		r.version++
 	}
 	return dead
 }
@@ -150,7 +139,6 @@ func (m *Mem) compact() {
 			return true
 		})
 		r.r = fresh
-		r.version++
 	}
 }
 
@@ -175,60 +163,10 @@ func (r *memRel) Len() int {
 	return r.r.LiveLen()
 }
 
-// Has implements Relation.
-func (r *memRel) Has(row []intern.ID) (bool, error) {
-	r.st.mu.RLock()
-	defer r.st.mu.RUnlock()
-	if len(row) != r.r.Arity() {
-		return false, errArity("", r.r.Arity(), len(row))
-	}
-	return r.r.Has(row), nil
-}
-
 // Scan implements Relation.
 func (r *memRel) Scan(yield func(row []intern.ID) bool) error {
 	r.st.mu.RLock()
 	defer r.st.mu.RUnlock()
 	r.r.Scan(func(_ int, row []intern.ID) bool { return yield(row) })
 	return nil
-}
-
-// Lookup implements Relation. The per-column postings index is built lazily
-// on first use and rebuilt after mutations; between mutations concurrent
-// lookups share it.
-func (r *memRel) Lookup(col int, id intern.ID, yield func(row []intern.ID) bool) error {
-	r.st.mu.RLock()
-	defer r.st.mu.RUnlock()
-	if col < 0 || col >= r.r.Arity() {
-		return errColumn(col, r.r.Arity())
-	}
-	idx := r.postings(col)
-	for _, ri := range idx[id] {
-		if !yield(r.r.Row(int(ri))) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// postings returns the column's id -> row-index postings, rebuilding the
-// lazy index if a mutation has invalidated it. Called with the store read
-// lock held, so the relation cannot change underneath the build.
-func (r *memRel) postings(col int) map[intern.ID][]int32 {
-	r.idxMu.Lock()
-	defer r.idxMu.Unlock()
-	if r.colIdx == nil || r.idxVersion != r.version {
-		r.colIdx = map[int]map[intern.ID][]int32{}
-		r.idxVersion = r.version
-	}
-	idx, ok := r.colIdx[col]
-	if !ok {
-		idx = map[intern.ID][]int32{}
-		r.r.Scan(func(i int, row []intern.ID) bool {
-			idx[row[col]] = append(idx[row[col]], int32(i))
-			return true
-		})
-		r.colIdx[col] = idx
-	}
-	return idx
 }

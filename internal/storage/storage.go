@@ -1,13 +1,11 @@
 // Package storage is the pluggable relation-storage layer that makes the
 // query service's named databases durable (the service writes every change
 // through to a store and reads it back only to recover): a backend-agnostic
-// interface — ordered scans, indexed lookups, atomic insert/delete batches,
-// cardinality — over relations of interned ID tuples, with two stdlib-only
-// backends:
+// interface — ordered scans, atomic insert/delete batches, cardinality —
+// over relations of interned ID tuples, with two stdlib-only backends:
 //
-//   - Memory (NewMem): the in-memory engine the repository has always used,
-//     intern.Relation flat ID rows behind the interface, extended with
-//     tombstone deletion;
+//   - Memory (NewMem): intern.Relation flat ID rows behind the interface,
+//     with tombstone deletion;
 //   - Disk (OpenDisk): the memory backend's resident rows plus a value
 //     dictionary and an append-only log of ID-tuple segments, with
 //     generation snapshots written from the resident rows, compaction, and
@@ -22,7 +20,11 @@
 //   - Apply is atomic: a batch either applies in full or (on validation
 //     error, torn write, or crash) not at all; within a batch, each
 //     mutation's deletes precede its inserts.
-//   - Lookup(col, id) agrees with filtering a full Scan on column col.
+//
+// The package also owns the write-through encoding of values as rows
+// (convert.go): RowsOfSet for whole relations (StoreDB, the server's PUT and
+// restore) and FactBatch for fact batches, so the server and the
+// dlog-storage oracle write through the same encoder.
 //
 // The disk backend's recovery contract is the classic log-structured one:
 // reopening a store after a crash yields exactly the state of the last
@@ -41,8 +43,9 @@ import (
 )
 
 // Relation is read access to one stored relation: a set of fixed-arity rows
-// of interned value IDs. Implementations are safe for concurrent readers;
-// writes go through Store.Apply. The row slices passed to yield callbacks
+// of interned value IDs, read by a full Scan (recovery and checkpoints need
+// nothing else). Implementations are safe for concurrent readers; writes go
+// through Store.Apply. The row slices passed to yield callbacks
 // are only valid for the duration of the call.
 type Relation interface {
 	// Arity returns the number of columns. Arity 0 models propositional
@@ -50,15 +53,10 @@ type Relation interface {
 	Arity() int
 	// Len returns the number of live rows.
 	Len() int
-	// Has reports whether row is present.
-	Has(row []intern.ID) (bool, error)
 	// Scan calls yield for every live row in insertion order (of surviving
 	// rows), stopping early when yield returns false. yield must not call
 	// back into the store.
 	Scan(yield func(row []intern.ID) bool) error
-	// Lookup calls yield for every live row whose column col equals id, in
-	// insertion order — the indexed point lookup of the leaf scans.
-	Lookup(col int, id intern.ID, yield func(row []intern.ID) bool) error
 }
 
 // RelInfo describes one relation of a store.
@@ -111,9 +109,8 @@ type Store interface {
 }
 
 // ErrArityMismatch reports a mutation whose arity disagrees with the stored
-// relation (and Reset was not set). Callers that must accept shape-changing
-// mutations (the server's heterogeneous fact unions) catch it and re-apply
-// with Reset after re-encoding; see RearityBatch.
+// relation (and Reset was not set). FactBatch never builds one: it resets a
+// relation whose shape a fact batch changes.
 var ErrArityMismatch = errors.New("storage: relation arity mismatch")
 
 // ErrCorrupt reports an unrecoverable inconsistency in a disk store — a
@@ -122,18 +119,9 @@ var ErrArityMismatch = errors.New("storage: relation arity mismatch")
 // truncated silently as the un-durable suffix.)
 var ErrCorrupt = errors.New("storage: corrupt store")
 
-// errArity builds an ErrArityMismatch with context (rel may be empty when
-// the relation is implied by the call site).
+// errArity builds an ErrArityMismatch with context.
 func errArity(rel string, have, want int) error {
-	if rel == "" {
-		return fmt.Errorf("%w: have %d, got %d", ErrArityMismatch, have, want)
-	}
 	return fmt.Errorf("%w: relation %q has arity %d, got %d", ErrArityMismatch, rel, have, want)
-}
-
-// errColumn reports a Lookup column outside the relation's arity.
-func errColumn(col, arity int) error {
-	return fmt.Errorf("storage: lookup column %d out of range for arity %d", col, arity)
 }
 
 // validate checks a batch's internal consistency (row widths match the

@@ -1,10 +1,9 @@
 // Package storagetest is the cross-backend conformance suite for
 // storage.Store implementations. Every backend must pass it unchanged — the
-// suite pins the observable contract (scan order, batch atomicity, lookup /
-// scan agreement, canonical order through a snapshot, persistence across
-// reopen) that lets
-// the engines, the server and the dlog-storage differential oracle treat
-// backends as interchangeable.
+// suite pins the observable contract (scan order, batch atomicity,
+// canonical order through a snapshot, persistence across reopen) that lets
+// the server and the dlog-storage differential oracle treat backends as
+// interchangeable.
 package storagetest
 
 import (
@@ -31,7 +30,6 @@ func Run(t *testing.T, f Factory) {
 	t.Run("DeleteAndReinsert", func(t *testing.T) { testDeleteAndReinsert(t, f) })
 	t.Run("ResetAndArity", func(t *testing.T) { testResetAndArity(t, f) })
 	t.Run("BatchAtomicity", func(t *testing.T) { testBatchAtomicity(t, f) })
-	t.Run("LookupAgreesWithScan", func(t *testing.T) { testLookupAgreesWithScan(t, f) })
 	t.Run("CanonicalOrder", func(t *testing.T) { testCanonicalOrder(t, f) })
 	t.Run("DropRelation", func(t *testing.T) { testDropRelation(t, f) })
 	t.Run("Arity0", func(t *testing.T) { testArity0(t, f) })
@@ -112,21 +110,6 @@ func testInsertScanOrder(t *testing.T, f Factory) {
 	}
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	for _, tc := range []struct {
-		row  []intern.ID
-		want bool
-	}{{row(1, 2), true}, {row(5, 6), true}, {row(2, 1), false}} {
-		got, err := r.Has(tc.row)
-		if err != nil {
-			t.Fatalf("Has(%v): %v", tc.row, err)
-		}
-		if got != tc.want {
-			t.Fatalf("Has(%v) = %v, want %v", tc.row, got, tc.want)
-		}
-	}
-	if _, err := r.Has(row(1)); !errors.Is(err, storage.ErrArityMismatch) {
-		t.Fatalf("Has with wrong width: err = %v, want ErrArityMismatch", err)
 	}
 
 	infos, err := st.Rels()
@@ -263,44 +246,6 @@ func randomRelation(t *testing.T, st storage.Store, rel string, arity, n int, se
 		}
 	}
 	return order
-}
-
-func testLookupAgreesWithScan(t *testing.T, f Factory) {
-	st, _ := f(t)
-	want := randomRelation(t, st, "r", 3, 300, 42)
-	wantRows(t, st, "r", want...)
-
-	r, _, _ := st.Rel("r")
-	for col := 0; col < 3; col++ {
-		// Expected postings per id, from the scan order.
-		byID := map[intern.ID][][]intern.ID{}
-		for _, w := range want {
-			byID[w[col]] = append(byID[w[col]], w)
-		}
-		for id, wantRows := range byID {
-			var got [][]intern.ID
-			err := r.Lookup(col, id, func(row []intern.ID) bool {
-				cp := make([]intern.ID, len(row))
-				copy(cp, row)
-				got = append(got, cp)
-				return true
-			})
-			if err != nil {
-				t.Fatalf("Lookup(%d, %d): %v", col, id, err)
-			}
-			if !reflect.DeepEqual(got, wantRows) {
-				t.Fatalf("Lookup(%d, %d) = %v, want %v", col, id, got, wantRows)
-			}
-		}
-		// An id absent from the column yields nothing.
-		absent := row(1 << 20)[0]
-		if err := r.Lookup(col, absent, func([]intern.ID) bool { t.Fatal("unexpected row"); return false }); err != nil {
-			t.Fatalf("Lookup absent: %v", err)
-		}
-	}
-	if err := r.Lookup(3, row(0)[0], func([]intern.ID) bool { return true }); err == nil {
-		t.Fatal("Lookup out-of-range column accepted")
-	}
 }
 
 // testCanonicalOrder pins what MaterializeSet's sort skip relies on: a Reset

@@ -25,6 +25,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
+	"algrec/internal/datalog/rel"
 	"algrec/internal/semantics"
 	"algrec/internal/value"
 )
@@ -34,18 +35,9 @@ import (
 func FactsToSet(facts []datalog.Fact) value.Set {
 	elems := make([]value.Value, 0, len(facts))
 	for _, f := range facts {
-		elems = append(elems, factElem(f))
+		elems = append(elems, rel.FactElem(f))
 	}
 	return value.NewSet(elems...)
-}
-
-func factElem(f datalog.Fact) value.Value {
-	switch len(f.Args) {
-	case 1:
-		return f.Args[0]
-	default:
-		return value.NewTuple(f.Args...)
-	}
 }
 
 // SetToFacts converts a set back to ground facts of the given predicate and

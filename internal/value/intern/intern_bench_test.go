@@ -68,7 +68,7 @@ func BenchmarkMembershipID(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := int64(i % n)
 		row[0], row[1] = in.InternInt(k), in.InternInt(k+1)
-		if !rel.Has(row) {
+		if !has(rel, row) {
 			b.Fatal("missing row")
 		}
 	}

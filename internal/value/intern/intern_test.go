@@ -157,14 +157,14 @@ func TestRelation(t *testing.T) {
 	if idx, ok := r.Find([]ID{3, 1}); !ok || idx != 2 {
 		t.Errorf("Find({3,1}) = (%d, %v)", idx, ok)
 	}
-	if r.Has([]ID{9, 9}) {
+	if has(r, []ID{9, 9}) {
 		t.Error("Has reports a row never inserted")
 	}
 }
 
 func TestRelationArityZero(t *testing.T) {
 	r := NewRelation(0)
-	if r.Has(nil) {
+	if has(r, nil) {
 		t.Fatal("empty arity-0 relation has the empty row")
 	}
 	if idx, added := r.Insert(nil); idx != 0 || !added {
@@ -173,8 +173,8 @@ func TestRelationArityZero(t *testing.T) {
 	if idx, added := r.Insert([]ID{}); idx != 0 || added {
 		t.Fatalf("second Insert = (%d, %v)", idx, added)
 	}
-	if !r.Has(nil) || r.Len() != 1 {
-		t.Fatalf("after insert: Has %v Len %d", r.Has(nil), r.Len())
+	if !has(r, nil) || r.Len() != 1 {
+		t.Fatalf("after insert: Has %v Len %d", has(r, nil), r.Len())
 	}
 	if r.Row(0) != nil {
 		t.Errorf("Row(0) of arity-0 relation = %v", r.Row(0))

@@ -149,12 +149,6 @@ func (r *Relation) Find(row []ID) (int, bool) {
 	return -1, false
 }
 
-// Has reports whether row is present.
-func (r *Relation) Has(row []ID) bool {
-	_, ok := r.Find(row)
-	return ok
-}
-
 // Insert adds row if absent. It returns the row's index and whether it was
 // newly added. The input slice is copied into the flat storage.
 func (r *Relation) Insert(row []ID) (idx int, added bool) {
