@@ -34,69 +34,137 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 900, Kept: 400, Leaves: 2})
 	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 950, Kept: 398, Leaves: 2})
 	s.Diff(DiffStats{Path: "materialized", Kept: 3, Leaves: 1})
+	s.IFP(IFPStats{Mode: "seminaive", Rounds: 4, Result: 6, Deltas: []int{3, 2, 1, 0}})
+	s.IFP(IFPStats{Mode: "seminaive", Rounds: 2, Result: 1, Deltas: []int{1, 0}})
+	s.IFP(IFPStats{Mode: "naive", Rounds: 3, Result: 2, Deltas: []int{1, 1, 0}})
+	s.CoreEval(CoreEvalStats{Semantics: "valid", Defs: 2, Gammas: 4, Rounds: 16, Evals: 32})
+	s.CoreEval(CoreEvalStats{Semantics: "inflationary", Defs: 2, Gammas: 1, Rounds: 4, Evals: 8})
+	s.Experiment(ExperimentStats{ID: "E1", WallNS: 1500, CPUNS: 1200})
+	s.Experiment(ExperimentStats{ID: "E2", WallNS: 500})
+	s.Server(ServerStats{Route: "query", Language: "datalog", Semantics: "stratified", CacheLookup: true, Compiled: true, WallNS: 100})
+	s.Server(ServerStats{Route: "query", CacheLookup: true, CacheHit: true, WallNS: 20})
+	s.Server(ServerStats{Route: "query", Code: "parse-error", CacheLookup: true, Compiled: true, WallNS: 30})
+	s.Server(ServerStats{Route: "dbs", Code: "shutting-down", WallNS: 5})
+	s.Server(ServerStats{Route: "metrics", CacheHit: true, Compiled: true, WallNS: 7})
+	s.Subscription(SubscriptionStats{Language: "datalog", Mode: "incremental", Events: 5, Coalesced: 2, Reason: "client-gone", WallNS: 1000})
+	s.Subscription(SubscriptionStats{Mode: "recompute", Events: 1, Reason: "drain", WallNS: 300})
+	s.Stream(StreamStats{Op: "select", Leaves: 2, Scanned: 40, Probes: 3, Tested: 12, Emitted: 6, Result: 5, HashJoins: 1, Pushed: 2})
+	s.Stream(StreamStats{Op: "map", Leaves: 1, Scanned: 10, Tested: 10, Emitted: 10, Result: 10})
+	s.Algebra(AlgebraStats{Engine: "kernel"})
+	s.Algebra(AlgebraStats{Engine: "value", Fallback: "point"})
+	s.Algebra(AlgebraStats{Engine: "core", Fallback: "flip"})
 
 	snap := s.Snapshot()
 	want := map[string]int64{
-		"fixpoint.minimal.calls":           2,
-		"fixpoint.minimal.passes":          2,
-		"fixpoint.minimal.derived":         8,
-		"fixpoint.inflationary.calls":      1,
-		"fixpoint.inflationary.passes":     4,
-		"fixpoint.inflationary.deltaAtoms": 4,
-		"scratch.reused":                   1,
-		"scratch.allocated":                1,
-		"ground.calls":                     1,
-		"ground.atoms":                     10,
-		"ground.rules":                     20,
-		"ground.passes":                    3,
-		"ground.deltaHits":                 7,
-		"ground.deltaSkips":                2,
-		"translate.stepindex.calls":        1,
-		"translate.stepindex.inSize":       4,
-		"translate.stepindex.outSize":      12,
-		"stable.searches":                  1,
-		"stable.candidates":                16,
-		"stable.models":                    4,
-		"ivm.applies.incremental":          2,
-		"ivm.applies.recompute":            1,
-		"ivm.steps":                        31,
-		"ivm.probes":                       9,
-		"ivm.scans":                        2,
-		"ivm.deltaFacts":                   13,
-		"ivm.fallbacks":                    1,
-		"ivm.units.dred":                   1,
-		"ivm.units.counting":               1,
-		"ivm.units.rebuild":                1,
-		"ivm.overDeleted":                  4,
-		"ivm.rederived":                    1,
-		"rel.evals.relational":             2,
-		"rel.evals.grounded":               1,
-		"rel.fallbacks.semantics":          1,
-		"rel.base.hits":                    1,
-		"rel.base.misses":                  2,
-		"rel.base.rows":                    40,
-		"rel.base.indexes":                 1,
-		"rel.base.keys":                    20,
-		"rel.steps":                        180,
-		"rel.probes":                       60,
-		"rel.scans":                        2,
-		"rel.rows":                         70,
-		"rel.units.recursive":              3,
-		"rel.units.nonrecursive":           1,
-		"rel.units.alternating":            1,
-		"rel.alternations":                 9,
-		"rel.flips":                        40,
-		"diff.evals":                       3,
-		"diff.paths.probing":               2,
-		"diff.paths.materialized":          1,
-		"diff.probed":                      1138,
-		"diff.lookups":                     1850,
-		"diff.kept":                        801,
-		"diff.leaves":                      5,
+		"fixpoint.minimal.calls":               2,
+		"fixpoint.minimal.passes":              2,
+		"fixpoint.minimal.derived":             8,
+		"fixpoint.minimal.deltaAtoms":          0,
+		"fixpoint.inflationary.derived":        0,
+		"fixpoint.inflationary.calls":          1,
+		"fixpoint.inflationary.passes":         4,
+		"fixpoint.inflationary.deltaAtoms":     4,
+		"scratch.reused":                       1,
+		"scratch.allocated":                    1,
+		"ground.calls":                         1,
+		"ground.atoms":                         10,
+		"ground.rules":                         20,
+		"ground.passes":                        3,
+		"ground.deltaHits":                     7,
+		"ground.deltaSkips":                    2,
+		"translate.stepindex.calls":            1,
+		"translate.stepindex.inSize":           4,
+		"translate.stepindex.outSize":          12,
+		"stable.searches":                      1,
+		"stable.candidates":                    16,
+		"stable.models":                        4,
+		"ivm.applies.incremental":              2,
+		"ivm.applies.recompute":                1,
+		"ivm.steps":                            31,
+		"ivm.probes":                           9,
+		"ivm.scans":                            2,
+		"ivm.deltaFacts":                       13,
+		"ivm.fallbacks":                        1,
+		"ivm.units.dred":                       1,
+		"ivm.units.counting":                   1,
+		"ivm.units.rebuild":                    1,
+		"ivm.overDeleted":                      4,
+		"ivm.rederived":                        1,
+		"rel.evals.relational":                 2,
+		"rel.evals.grounded":                   1,
+		"rel.fallbacks.semantics":              1,
+		"rel.base.hits":                        1,
+		"rel.base.misses":                      2,
+		"rel.base.rows":                        40,
+		"rel.base.indexes":                     1,
+		"rel.base.keys":                        20,
+		"rel.steps":                            180,
+		"rel.probes":                           60,
+		"rel.scans":                            2,
+		"rel.rows":                             70,
+		"rel.units.recursive":                  3,
+		"rel.units.nonrecursive":               1,
+		"rel.units.alternating":                1,
+		"rel.alternations":                     9,
+		"rel.flips":                            40,
+		"diff.evals":                           3,
+		"diff.paths.probing":                   2,
+		"diff.paths.materialized":              1,
+		"diff.probed":                          1138,
+		"diff.lookups":                         1850,
+		"diff.kept":                            801,
+		"diff.leaves":                          5,
+		"ifp.seminaive.calls":                  2,
+		"ifp.seminaive.rounds":                 6,
+		"ifp.seminaive.deltaElems":             7,
+		"ifp.naive.calls":                      1,
+		"ifp.naive.rounds":                     3,
+		"ifp.naive.deltaElems":                 2,
+		"core.valid.calls":                     1,
+		"core.valid.rounds":                    16,
+		"core.valid.evals":                     32,
+		"core.inflationary.calls":              1,
+		"core.inflationary.rounds":             4,
+		"core.inflationary.evals":              8,
+		"expt.runs":                            2,
+		"expt.wallNS":                          2000,
+		"expt.cpuNS":                           1200,
+		"server.query.requests":                3,
+		"server.dbs.requests":                  1,
+		"server.metrics.requests":              1,
+		"server.wallNS":                        162,
+		"server.errors.parse-error":            1,
+		"server.errors.shutting-down":          1,
+		"server.cache.hits":                    1,
+		"server.cache.misses":                  2,
+		"server.compiles":                      2,
+		"server.subscriptions":                 2,
+		"server.subscription.events":           6,
+		"server.subscription.coalesced":        2,
+		"server.subscription.ends.client-gone": 1,
+		"server.subscription.ends.drain":       1,
+		"server.subscription.wallNS":           1300,
+		"stream.pipelines":                     2,
+		"stream.scanned":                       50,
+		"stream.probes":                        3,
+		"stream.tested":                        22,
+		"stream.emitted":                       16,
+		"stream.hashJoins":                     1,
+		"stream.pushed":                        2,
+		"algebra.engine.kernel":                1,
+		"algebra.engine.value":                 1,
+		"algebra.engine.core":                  1,
+		"algebra.fallback.point":               1,
+		"algebra.fallback.flip":                1,
 	}
 	for k, v := range want {
-		if snap[k] != v {
-			t.Errorf("counter %s = %d, want %d", k, snap[k], v)
+		if got, ok := snap[k]; !ok || got != v {
+			t.Errorf("counter %s = %d (present %v), want %d", k, got, ok, v)
+		}
+	}
+	for k, v := range snap {
+		if _, ok := want[k]; !ok {
+			t.Errorf("unexpected counter %s = %d", k, v)
 		}
 	}
 
@@ -135,9 +203,22 @@ func TestJSONLEmitsOneObjectPerEvent(t *testing.T) {
 	j.Fixpoint(FixpointStats{Semantics: "valid", Passes: 2, Derived: 7})
 	j.Ground(GroundStats{Atoms: 3, Rules: 4})
 	j.Diff(DiffStats{Path: "probing", Probed: 5, Lookups: 9, Kept: 2, Leaves: 2})
+	j.IFP(IFPStats{})
+	j.CoreEval(CoreEvalStats{})
+	j.StableSearch(StableSearchStats{})
+	j.Translate(TranslateStats{})
+	j.Experiment(ExperimentStats{})
+	j.Server(ServerStats{})
+	j.Subscription(SubscriptionStats{})
+	j.Stream(StreamStats{})
+	j.IVM(IVMStats{})
+	j.Rel(RelStats{})
+	j.Algebra(AlgebraStats{})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
+	kinds := []string{"fixpoint", "ground", "diff", "ifp", "core_eval", "stable_search", "translate",
+		"experiment", "server", "subscription", "stream", "ivm", "rel", "algebra"}
+	if len(lines) != len(kinds) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(kinds), buf.String())
 	}
 	if want := `"event":"diff"`; !strings.Contains(lines[2], want) || !strings.Contains(lines[2], `"Path":"probing"`) || !strings.Contains(lines[2], `"Lookups":9`) {
 		t.Errorf("diff event line = %s", lines[2])
@@ -146,11 +227,16 @@ func TestJSONLEmitsOneObjectPerEvent(t *testing.T) {
 		Kind string          `json:"event"`
 		Data json.RawMessage `json:"data"`
 	}
+	for i, kind := range kinds {
+		if err := json.Unmarshal([]byte(lines[i]), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != kind {
+			t.Errorf("event %d kind = %q, want %q", i, ev.Kind, kind)
+		}
+	}
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatal(err)
-	}
-	if ev.Kind != "fixpoint" {
-		t.Fatalf("first event kind = %q, want fixpoint", ev.Kind)
 	}
 	var fp FixpointStats
 	if err := json.Unmarshal(ev.Data, &fp); err != nil {

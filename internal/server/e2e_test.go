@@ -435,3 +435,108 @@ func TestLoadDBScriptFile(t *testing.T) {
 		t.Fatalf("edge = %s", got)
 	}
 }
+
+// TestEveryRouteReports calls every route once successfully and, where the
+// route has an error path, once with an error, then reads /metrics: each
+// request is one server.<route>.requests count, each structured error one
+// server.errors.<code> count, and only requests that consulted the plan
+// cache count a hit or a miss.
+func TestEveryRouteReports(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	do := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	calls := []struct {
+		method, path, body string
+		status             int
+	}{
+		{"POST", "/v1/query", `{"db": "g", "language": "algebra", "query": "edge"}`, 200},
+		{"POST", "/v1/query", `{"db": "zz", "language": "algebra", "query": "edge"}`, 404}, // a cache hit
+		{"GET", "/v1/dbs", ``, 200},
+		{"PUT", "/v1/dbs/h", `rel r = {1, 2, 3};`, 200},
+		{"PUT", "/v1/dbs/bad", `def d = d;`, 422},
+		{"POST", "/v1/dbs/g/facts", `{"insert": [{"pred": "edge", "args": ["d", "e"]}]}`, 200},
+		{"POST", "/v1/dbs/g/facts", `{}`, 400},
+		{"POST", "/v1/dbs/g/snapshot", `{"snapshot": "s1"}`, 200},
+		{"POST", "/v1/dbs/g/snapshot", `{}`, 400},
+		{"POST", "/v1/dbs/g/restore", `{"snapshot": "s1"}`, 200},
+		{"POST", "/v1/dbs/g/restore", `{"snapshot": "nope"}`, 404},
+		{"POST", "/v1/subscribe", `{"db": "zz", "language": "datalog", "query": "p(a)."}`, 404},
+		{"GET", "/healthz", ``, 200},
+	}
+	for _, c := range calls {
+		if got := do(c.method, c.path, c.body); got != c.status {
+			t.Fatalf("%s %s %s = %d, want %d", c.method, c.path, c.body, got, c.status)
+		}
+	}
+	sub := openSub(t, ts, dlogSub("g", tcProgram))
+	if e := sub.next(t); e.Event != "snapshot" {
+		t.Fatalf("first event = %+v", e)
+	}
+	sub.resp.Body.Close()
+	waitCounter(t, s, "server.subscribe.requests", 2)
+
+	// Draining: /healthz answers 503 without an error code, a query is
+	// refused before the cache lookup.
+	s.BeginDrain()
+	if got := do("GET", "/healthz", ``); got != http.StatusServiceUnavailable {
+		t.Fatalf("healthz while draining = %d", got)
+	}
+	if got := do("POST", "/v1/query", `{"db": "g", "language": "algebra", "query": "edge"}`); got != http.StatusServiceUnavailable {
+		t.Fatalf("query while draining = %d", got)
+	}
+	do("GET", "/metrics", ``) // a /metrics body predates its own event
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct{ Counters map[string]int64 }
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		"server.query.requests":                3,
+		"server.dbs.requests":                  3,
+		"server.facts.requests":                2,
+		"server.snapshot.requests":             2,
+		"server.restore.requests":              2,
+		"server.subscribe.requests":            2,
+		"server.healthz.requests":              2,
+		"server.metrics.requests":              1,
+		"server.errors.unknown-database":       2,
+		"server.errors.parse-error":            1,
+		"server.errors.bad-request":            2,
+		"server.errors.unknown-snapshot":       1,
+		"server.errors.shutting-down":          1,
+		"server.cache.hits":                    1,
+		"server.cache.misses":                  2,
+		"server.compiles":                      2,
+		"server.subscriptions":                 1,
+		"server.subscription.ends.client-gone": 1,
+	}
+	for k, v := range m.Counters {
+		if !strings.HasPrefix(k, "server.") || k == "server.wallNS" || k == "server.subscription.wallNS" ||
+			k == "server.subscription.events" || k == "server.subscription.coalesced" {
+			continue
+		}
+		if want[k] != v {
+			t.Errorf("%s = %d, want %d", k, v, want[k])
+		}
+		delete(want, k)
+	}
+	for k, v := range want {
+		t.Errorf("%s missing, want %d", k, v)
+	}
+}
