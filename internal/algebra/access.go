@@ -214,7 +214,7 @@ func EvalDiff(e Diff, b Budget, obs obsv.Collector, left, right LeafEval) (value
 		}
 	}
 	if obs != nil {
-		obs.Diff(obsv.DiffStats{Path: path, Probed: probed, Lookups: lookups, Kept: out.Len(), Leaves: leaves})
+		obs.Collect(obsv.DiffStats{Path: path, Probed: probed, Lookups: lookups, Kept: out.Len(), Leaves: leaves})
 	}
 	return out, nil
 }
@@ -376,7 +376,7 @@ func probeSelect(s value.Set, v string, test FExpr, obs obsv.Collector) (out val
 		if len(rest) > 0 {
 			st.Tested = st.Scanned
 		}
-		obs.Stream(st)
+		obs.Collect(st)
 	}
 	return out, true, nil
 }

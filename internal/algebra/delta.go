@@ -137,7 +137,7 @@ func RunIFP(varName string, outer map[string]value.Set, budget Budget, useDelta 
 				if useDelta {
 					mode = "seminaive"
 				}
-				obs.IFP(obsv.IFPStats{Mode: mode, Rounds: iter + 1, Result: next.Len(), Deltas: deltas})
+				obs.Collect(obsv.IFPStats{Mode: mode, Rounds: iter + 1, Result: next.Len(), Deltas: deltas})
 			}
 			return next, nil
 		}

@@ -166,14 +166,6 @@ func TestPropertySemiNaiveIFPEquivalence(t *testing.T) {
 	}
 }
 
-// ifpRecorder captures IFPStats events.
-type ifpRecorder struct {
-	obsv.Nop
-	events []obsv.IFPStats
-}
-
-func (c *ifpRecorder) IFP(s obsv.IFPStats) { c.events = append(c.events, s) }
-
 // chainTC returns the transitive-closure IFP over a length-n chain plus the
 // expected per-round deltas: round r adds the n−r paths of length r+1, and a
 // final round adds nothing.
@@ -208,9 +200,13 @@ func chainTC(n int) (Expr, DB, []int) {
 func TestIFPDeltaCounts(t *testing.T) {
 	e, db, wantDeltas := chainTC(6)
 	for _, mode := range []string{"seminaive", "naive"} {
-		rec := &ifpRecorder{}
+		var events []obsv.IFPStats
 		ev := NewEvaluator(db, Budget{NoStreaming: mode == "naive"})
-		ev.SetCollector(rec)
+		ev.SetCollector(obsv.Func(func(e obsv.Event) {
+			if s, ok := e.(obsv.IFPStats); ok {
+				events = append(events, s)
+			}
+		}))
 		got, err := ev.Eval(e)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -218,10 +214,10 @@ func TestIFPDeltaCounts(t *testing.T) {
 		if got.Len() != 21 {
 			t.Fatalf("%s: |tc| = %d, want 21", mode, got.Len())
 		}
-		if len(rec.events) != 1 {
-			t.Fatalf("%s: %d IFP events, want 1", mode, len(rec.events))
+		if len(events) != 1 {
+			t.Fatalf("%s: %d IFP events, want 1", mode, len(events))
 		}
-		ev1 := rec.events[0]
+		ev1 := events[0]
 		if ev1.Mode != mode {
 			t.Errorf("mode = %q, want %q", ev1.Mode, mode)
 		}

@@ -369,43 +369,3 @@ func evalBool(e FExpr, env FEnv) (bool, error) {
 
 // EvalTest evaluates a selection test to a boolean.
 func EvalTest(e FExpr, env FEnv) (bool, error) { return evalBool(e, env) }
-
-// FVarsOf returns the free element variables of e.
-func FVarsOf(e FExpr) map[string]bool {
-	out := map[string]bool{}
-	var walk func(FExpr)
-	walk = func(e FExpr) {
-		switch ee := e.(type) {
-		case FVar:
-			out[ee.Name] = true
-		case FConst:
-		case FField:
-			walk(ee.Of)
-		case FTuple:
-			for _, el := range ee.Elems {
-				walk(el)
-			}
-		case FCmp:
-			walk(ee.L)
-			walk(ee.R)
-		case FArith:
-			walk(ee.L)
-			walk(ee.R)
-		case FAnd:
-			walk(ee.L)
-			walk(ee.R)
-		case FOr:
-			walk(ee.L)
-			walk(ee.R)
-		case FNot:
-			walk(ee.E)
-		case FMem:
-			walk(ee.Elem)
-			walk(ee.Set)
-		default:
-			panic(fmt.Sprintf("algebra: unknown FExpr %T", e))
-		}
-	}
-	walk(e)
-	return out
-}

@@ -98,7 +98,7 @@ func StreamEval(e Expr, budget Budget, obs obsv.Collector, leaf LeafEval) (value
 		return value.Set{}, err
 	}
 	if obs != nil {
-		obs.Stream(obsv.StreamStats{
+		obs.Collect(obsv.StreamStats{
 			Op: opName(e), Leaves: prof.leaves, Scanned: prof.scanned, Probes: prof.probes,
 			Tested: prof.tested, Emitted: prof.emitted, Result: out.Len(),
 			HashJoins: prof.hashJoins, Pushed: prof.pushed,

@@ -283,7 +283,7 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 		t = t2
 	}
 	if obs != nil {
-		obs.CoreEval(st)
+		obs.Collect(st)
 	}
 	return &Result{Lower: t, Upper: u, db: db, budget: budget}, nil
 }
@@ -338,7 +338,7 @@ func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[str
 		cur = next
 		if !changed {
 			if obs != nil {
-				obs.CoreEval(st)
+				obs.Collect(st)
 			}
 			return cur, nil
 		}

@@ -160,14 +160,6 @@ func TestInflationaryStratificationCounterexample(t *testing.T) {
 	}
 }
 
-// coreRecorder captures CoreEvalStats events.
-type coreRecorder struct {
-	obsv.Nop
-	events []obsv.CoreEvalStats
-}
-
-func (c *coreRecorder) CoreEval(s obsv.CoreEvalStats) { c.events = append(c.events, s) }
-
 // TestCoreEvalCounters pins the observability of the one Γ loop and the one
 // Jacobi loop on a hand-computed program: transitive closure of a length-3
 // chain plus one independent definition.
@@ -185,19 +177,23 @@ func TestCoreEvalCounters(t *testing.T) {
 	}}
 	db := chainDB("e", 3)
 
-	rec := &coreRecorder{}
-	obsv.SetDefault(rec)
+	var events []obsv.CoreEvalStats
+	obsv.SetDefault(obsv.Func(func(e obsv.Event) {
+		if s, ok := e.(obsv.CoreEvalStats); ok {
+			events = append(events, s)
+		}
+	}))
 	defer obsv.SetDefault(nil)
 
 	if _, err := EvalValid(p, db, algebra.Budget{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []obsv.CoreEvalStats{{Semantics: "valid", Defs: 2, Gammas: 4, Rounds: 16, Evals: 32}}
-	if !reflect.DeepEqual(rec.events, want) {
-		t.Errorf("valid events = %+v, want %+v", rec.events, want)
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("valid events = %+v, want %+v", events, want)
 	}
 
-	rec.events = nil
+	events = nil
 	got, err := EvalInflationary(p, db, algebra.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +202,8 @@ func TestCoreEvalCounters(t *testing.T) {
 		t.Fatalf("inflationary result wrong: tc=%v d=%v", got["tc"], got["d"])
 	}
 	want = []obsv.CoreEvalStats{{Semantics: "inflationary", Defs: 2, Gammas: 1, Rounds: 4, Evals: 8}}
-	if !reflect.DeepEqual(rec.events, want) {
-		t.Errorf("inflationary events = %+v, want %+v", rec.events, want)
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("inflationary events = %+v, want %+v", events, want)
 	}
 }
 

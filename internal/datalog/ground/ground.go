@@ -928,7 +928,7 @@ func Ground(p *datalog.Program, budget Budget) (*Program, error) {
 		prevLen = curLen
 	}
 	if c := obsv.Default(); c != nil {
-		c.Ground(obsv.GroundStats{
+		c.Collect(obsv.GroundStats{
 			Atoms:      g.prog.NumAtoms(),
 			Rules:      len(g.prog.Rules),
 			Passes:     passes,

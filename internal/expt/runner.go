@@ -80,7 +80,7 @@ func RunInstrumented(s Suite) (SuiteResult, error) {
 		return SuiteResult{}, err
 	}
 	if c := obsv.Default(); c != nil {
-		c.Experiment(obsv.ExperimentStats{ID: s.ID, WallNS: wall.Nanoseconds(), CPUNS: cpu.Nanoseconds()})
+		c.Collect(obsv.ExperimentStats{ID: s.ID, WallNS: wall.Nanoseconds(), CPUNS: cpu.Nanoseconds()})
 	}
 	return SuiteResult{
 		Table:      tbl,

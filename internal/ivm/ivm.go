@@ -211,7 +211,7 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 		if v.eng != nil {
 			v.eng.fillStats(&st)
 		}
-		v.obs.IVM(st)
+		v.obs.Collect(st)
 	}
 	v.version++
 	d.Version = v.version

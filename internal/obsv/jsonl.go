@@ -30,52 +30,11 @@ type event struct {
 	Data any     `json:"data"`
 }
 
-func (j *JSONL) emit(kind string, data any) {
+// Collect implements Collector: it writes e as one line.
+func (j *JSONL) Collect(e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// Encoding errors are deliberately dropped: a broken trace sink must
 	// never fail the computation it observes.
-	_ = j.enc.Encode(event{Kind: kind, MS: float64(time.Since(j.start).Microseconds()) / 1000, Data: data})
+	_ = j.enc.Encode(event{Kind: e.kind(), MS: float64(time.Since(j.start).Microseconds()) / 1000, Data: e})
 }
-
-// Fixpoint implements Collector.
-func (j *JSONL) Fixpoint(s FixpointStats) { j.emit("fixpoint", s) }
-
-// IFP implements Collector.
-func (j *JSONL) IFP(s IFPStats) { j.emit("ifp", s) }
-
-// CoreEval implements Collector.
-func (j *JSONL) CoreEval(s CoreEvalStats) { j.emit("core_eval", s) }
-
-// StableSearch implements Collector.
-func (j *JSONL) StableSearch(s StableSearchStats) { j.emit("stable_search", s) }
-
-// Ground implements Collector.
-func (j *JSONL) Ground(s GroundStats) { j.emit("ground", s) }
-
-// Translate implements Collector.
-func (j *JSONL) Translate(s TranslateStats) { j.emit("translate", s) }
-
-// Experiment implements Collector.
-func (j *JSONL) Experiment(s ExperimentStats) { j.emit("experiment", s) }
-
-// Server implements Collector.
-func (j *JSONL) Server(s ServerStats) { j.emit("server", s) }
-
-// Subscription implements Collector.
-func (j *JSONL) Subscription(s SubscriptionStats) { j.emit("subscription", s) }
-
-// Stream implements Collector.
-func (j *JSONL) Stream(s StreamStats) { j.emit("stream", s) }
-
-// IVM implements Collector.
-func (j *JSONL) IVM(s IVMStats) { j.emit("ivm", s) }
-
-// Rel implements Collector.
-func (j *JSONL) Rel(s RelStats) { j.emit("rel", s) }
-
-// Diff implements Collector.
-func (j *JSONL) Diff(s DiffStats) { j.emit("diff", s) }
-
-// Algebra implements Collector.
-func (j *JSONL) Algebra(s AlgebraStats) { j.emit("algebra", s) }

@@ -5,13 +5,15 @@
 // or an algebra query, what a difference probed, experiment run cost — plus
 // collectors that aggregate or stream those events.
 //
-// Instrumented code holds a Collector and reports events at *call*
-// granularity (one event per fixpoint computation, one per grounding, one
-// per translation), never from inside a hot loop; a nil Collector means
-// disabled, and every instrumentation site is guarded by a nil check, so the
-// kernels pay nothing when observability is off. That contract is
-// benchmark-verified: BenchmarkCollectorOff (repository root) must stay
-// within noise of the pre-instrumentation kernel.
+// A Collector has one method, Collect(Event). An Event is a value of one of
+// the *Stats types below, each of which names its own JSONL kind. Instrumented
+// code holds a Collector and reports events at *call* granularity (one event
+// per fixpoint computation, one per grounding, one per translation), never
+// from inside a hot loop; a nil Collector means disabled, and every
+// instrumentation site is guarded by a nil check, so the kernels pay nothing
+// when observability is off. That contract is benchmark-verified:
+// BenchmarkCollectorOff (repository root) must stay within noise of the
+// pre-instrumentation kernel.
 //
 // Collectors:
 //
@@ -22,6 +24,12 @@
 //   - *JSONL streams every event as one JSON object per line (cmd/bench
 //     -trace).
 //   - Multi fans one event out to several collectors.
+//   - Func adapts a function, for a collector that picks out a few kinds
+//     with a type switch (the Theorem 3.5 construction reads IFP rounds so).
+//
+// A new event kind is one struct, one kind line beside the others, and one
+// case in Stats.Collect naming its counters; every collector above handles
+// it from then on.
 //
 // The process-wide default collector (SetDefault / Default) is how events
 // escape code that constructs its own engines internally: engine
@@ -136,11 +144,11 @@ type TranslateStats struct {
 // ServerStats describes one HTTP request completed by the resident query
 // service (internal/server): the route, the query's language and semantics,
 // the structured outcome, how the request interacted with the compiled-plan
-// cache, and its wall time. One event per request, emitted from the
-// handler's epilogue.
+// cache, and its wall time. One event per request, emitted by the server's
+// route wrapper when the handler returns.
 type ServerStats struct {
 	// Route is the endpoint that served the request: "query", "dbs",
-	// "metrics" or "healthz".
+	// "facts", "snapshot", "restore", "subscribe", "metrics" or "healthz".
 	Route string
 	// Language and Semantics echo the query request ("" on non-query
 	// routes and on requests rejected before decoding).
@@ -378,77 +386,43 @@ type ExperimentStats struct {
 	CPUNS  int64  // process CPU nanoseconds (0 when unattributable)
 }
 
-// Collector receives observability events. Implementations must be safe for
-// concurrent use: the server's concurrent requests report from multiple
-// goroutines.
+// Event is one observability event: a value of one of the *Stats types
+// above, which are its only implementations. The unexported kind method
+// names the event on the wire (the JSONL "event" field).
+type Event interface{ kind() string }
+
+func (FixpointStats) kind() string     { return "fixpoint" }
+func (IFPStats) kind() string          { return "ifp" }
+func (CoreEvalStats) kind() string     { return "core_eval" }
+func (StableSearchStats) kind() string { return "stable_search" }
+func (GroundStats) kind() string       { return "ground" }
+func (TranslateStats) kind() string    { return "translate" }
+func (ExperimentStats) kind() string   { return "experiment" }
+func (ServerStats) kind() string       { return "server" }
+func (SubscriptionStats) kind() string { return "subscription" }
+func (StreamStats) kind() string       { return "stream" }
+func (IVMStats) kind() string          { return "ivm" }
+func (RelStats) kind() string          { return "rel" }
+func (DiffStats) kind() string         { return "diff" }
+func (AlgebraStats) kind() string      { return "algebra" }
+
+// Collector receives observability events, one Collect call per event, the
+// event passed by value. Implementations must be safe for concurrent use:
+// the server's concurrent requests report from multiple goroutines.
 //
 // A nil Collector means observability is disabled; instrumented code checks
 // for nil before building an event, so disabled instrumentation costs one
 // predictable branch per engine call.
 type Collector interface {
-	Fixpoint(FixpointStats)
-	IFP(IFPStats)
-	CoreEval(CoreEvalStats)
-	StableSearch(StableSearchStats)
-	Ground(GroundStats)
-	Translate(TranslateStats)
-	Experiment(ExperimentStats)
-	Server(ServerStats)
-	Subscription(SubscriptionStats)
-	Stream(StreamStats)
-	IVM(IVMStats)
-	Rel(RelStats)
-	Diff(DiffStats)
-	Algebra(AlgebraStats)
+	Collect(Event)
 }
 
-// Nop is a Collector that discards every event. Embed it to implement only
-// the events a custom collector cares about. The disabled state is a nil
-// Collector, not a Nop: nil lets instrumentation skip event construction
-// entirely.
-type Nop struct{}
+// Func adapts a function to a Collector, for a collector that cares about
+// a few event kinds: a type switch over the event picks them out.
+type Func func(Event)
 
-// Fixpoint implements Collector.
-func (Nop) Fixpoint(FixpointStats) {}
-
-// IFP implements Collector.
-func (Nop) IFP(IFPStats) {}
-
-// CoreEval implements Collector.
-func (Nop) CoreEval(CoreEvalStats) {}
-
-// StableSearch implements Collector.
-func (Nop) StableSearch(StableSearchStats) {}
-
-// Ground implements Collector.
-func (Nop) Ground(GroundStats) {}
-
-// Translate implements Collector.
-func (Nop) Translate(TranslateStats) {}
-
-// Experiment implements Collector.
-func (Nop) Experiment(ExperimentStats) {}
-
-// Server implements Collector.
-func (Nop) Server(ServerStats) {}
-
-// Subscription implements Collector.
-func (Nop) Subscription(SubscriptionStats) {}
-
-// Stream implements Collector.
-func (Nop) Stream(StreamStats) {}
-
-// IVM implements Collector.
-func (Nop) IVM(IVMStats) {}
-
-// Rel implements Collector.
-func (Nop) Rel(RelStats) {}
-
-// Diff implements Collector.
-func (Nop) Diff(DiffStats) {}
-
-// Algebra implements Collector.
-func (Nop) Algebra(AlgebraStats) {}
+// Collect calls f(e).
+func (f Func) Collect(e Event) { f(e) }
 
 // multi fans events out to several collectors in order.
 type multi []Collector
@@ -472,87 +446,10 @@ func Multi(cs ...Collector) Collector {
 	return live
 }
 
-func (m multi) Fixpoint(s FixpointStats) {
+// Collect forwards e to each collector in order.
+func (m multi) Collect(e Event) {
 	for _, c := range m {
-		c.Fixpoint(s)
-	}
-}
-
-func (m multi) IFP(s IFPStats) {
-	for _, c := range m {
-		c.IFP(s)
-	}
-}
-
-func (m multi) CoreEval(s CoreEvalStats) {
-	for _, c := range m {
-		c.CoreEval(s)
-	}
-}
-
-func (m multi) StableSearch(s StableSearchStats) {
-	for _, c := range m {
-		c.StableSearch(s)
-	}
-}
-
-func (m multi) Ground(s GroundStats) {
-	for _, c := range m {
-		c.Ground(s)
-	}
-}
-
-func (m multi) Translate(s TranslateStats) {
-	for _, c := range m {
-		c.Translate(s)
-	}
-}
-
-func (m multi) Experiment(s ExperimentStats) {
-	for _, c := range m {
-		c.Experiment(s)
-	}
-}
-
-func (m multi) Server(s ServerStats) {
-	for _, c := range m {
-		c.Server(s)
-	}
-}
-
-func (m multi) Subscription(s SubscriptionStats) {
-	for _, c := range m {
-		c.Subscription(s)
-	}
-}
-
-func (m multi) Stream(s StreamStats) {
-	for _, c := range m {
-		c.Stream(s)
-	}
-}
-
-func (m multi) IVM(s IVMStats) {
-	for _, c := range m {
-		c.IVM(s)
-	}
-}
-
-func (m multi) Rel(s RelStats) {
-	for _, c := range m {
-		c.Rel(s)
-	}
-}
-
-func (m multi) Diff(s DiffStats) {
-	for _, c := range m {
-		c.Diff(s)
-	}
-}
-
-func (m multi) Algebra(s AlgebraStats) {
-	for _, c := range m {
-		c.Algebra(s)
+		c.Collect(e)
 	}
 }
 

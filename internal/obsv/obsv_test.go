@@ -10,49 +10,49 @@ import (
 
 func TestStatsFoldsAndSnapshots(t *testing.T) {
 	s := NewStats()
-	s.Fixpoint(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 5, ScratchAllocated: 1})
-	s.Fixpoint(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 3, ScratchReused: 1})
-	s.Fixpoint(FixpointStats{Semantics: "inflationary", Passes: 4, Deltas: []int{2, 1, 1, 0}})
-	s.Ground(GroundStats{Atoms: 10, Rules: 20, Passes: 3, DeltaHits: 7, DeltaSkips: 2})
-	s.Translate(TranslateStats{Op: "stepindex", InSize: 4, OutSize: 12, Steps: 3})
-	s.StableSearch(StableSearchStats{Undef: 4, Candidates: 16, Models: 4})
-	s.IVM(IVMStats{Mode: "incremental", Inserted: 4, Deleted: 4, Steps: 24, Probes: 9, DeltaFacts: 10, Units: []IVMUnit{
+	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 5, ScratchAllocated: 1})
+	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 3, ScratchReused: 1})
+	s.Collect(FixpointStats{Semantics: "inflationary", Passes: 4, Deltas: []int{2, 1, 1, 0}})
+	s.Collect(GroundStats{Atoms: 10, Rules: 20, Passes: 3, DeltaHits: 7, DeltaSkips: 2})
+	s.Collect(TranslateStats{Op: "stepindex", InSize: 4, OutSize: 12, Steps: 3})
+	s.Collect(StableSearchStats{Undef: 4, Candidates: 16, Models: 4})
+	s.Collect(IVMStats{Mode: "incremental", Inserted: 4, Deleted: 4, Steps: 24, Probes: 9, DeltaFacts: 10, Units: []IVMUnit{
 		{Preds: []string{"r"}, Strategy: "dred", OverDeleted: 4, Rederived: 1, Steps: 20},
 		{Preds: []string{"gp"}, Strategy: "counting", Steps: 4},
 	}})
-	s.IVM(IVMStats{Mode: "incremental", Deleted: 1, Steps: 7, Scans: 2, Rebuilt: true, Units: []IVMUnit{{Preds: []string{"r"}, Strategy: "rebuild", Steps: 7}}})
-	s.IVM(IVMStats{Mode: "recompute", Inserted: 1, DeltaFacts: 3})
-	s.Rel(RelStats{Engine: "relational", BaseRows: 20, BaseIndexes: 1, BaseKeys: 20, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{
+	s.Collect(IVMStats{Mode: "incremental", Deleted: 1, Steps: 7, Scans: 2, Rebuilt: true, Units: []IVMUnit{{Preds: []string{"r"}, Strategy: "rebuild", Steps: 7}}})
+	s.Collect(IVMStats{Mode: "recompute", Inserted: 1, DeltaFacts: 3})
+	s.Collect(RelStats{Engine: "relational", BaseRows: 20, BaseIndexes: 1, BaseKeys: 20, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{
 		{Preds: []string{"r"}, Recursive: true, Steps: 50, Probes: 30, Rows: 10},
 		{Preds: []string{"far"}, Steps: 40, Scans: 1, Rows: 5, Scanned: []string{"e"}},
 	}})
-	s.Rel(RelStats{Engine: "relational", BaseHit: true, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{
+	s.Collect(RelStats{Engine: "relational", BaseHit: true, Steps: 90, Probes: 30, Scans: 1, Rows: 35, Units: []RelUnit{
 		{Preds: []string{"r"}, Recursive: true},
 		{Preds: []string{"win"}, Recursive: true, Alternations: 9, Flips: 40},
 	}})
-	s.Rel(RelStats{Engine: "grounded", Fallback: "semantics", BaseRows: 20})
-	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 900, Kept: 400, Leaves: 2})
-	s.Diff(DiffStats{Path: "probing", Probed: 569, Lookups: 950, Kept: 398, Leaves: 2})
-	s.Diff(DiffStats{Path: "materialized", Kept: 3, Leaves: 1})
-	s.IFP(IFPStats{Mode: "seminaive", Rounds: 4, Result: 6, Deltas: []int{3, 2, 1, 0}})
-	s.IFP(IFPStats{Mode: "seminaive", Rounds: 2, Result: 1, Deltas: []int{1, 0}})
-	s.IFP(IFPStats{Mode: "naive", Rounds: 3, Result: 2, Deltas: []int{1, 1, 0}})
-	s.CoreEval(CoreEvalStats{Semantics: "valid", Defs: 2, Gammas: 4, Rounds: 16, Evals: 32})
-	s.CoreEval(CoreEvalStats{Semantics: "inflationary", Defs: 2, Gammas: 1, Rounds: 4, Evals: 8})
-	s.Experiment(ExperimentStats{ID: "E1", WallNS: 1500, CPUNS: 1200})
-	s.Experiment(ExperimentStats{ID: "E2", WallNS: 500})
-	s.Server(ServerStats{Route: "query", Language: "datalog", Semantics: "stratified", CacheLookup: true, Compiled: true, WallNS: 100})
-	s.Server(ServerStats{Route: "query", CacheLookup: true, CacheHit: true, WallNS: 20})
-	s.Server(ServerStats{Route: "query", Code: "parse-error", CacheLookup: true, Compiled: true, WallNS: 30})
-	s.Server(ServerStats{Route: "dbs", Code: "shutting-down", WallNS: 5})
-	s.Server(ServerStats{Route: "metrics", CacheHit: true, Compiled: true, WallNS: 7})
-	s.Subscription(SubscriptionStats{Language: "datalog", Mode: "incremental", Events: 5, Coalesced: 2, Reason: "client-gone", WallNS: 1000})
-	s.Subscription(SubscriptionStats{Mode: "recompute", Events: 1, Reason: "drain", WallNS: 300})
-	s.Stream(StreamStats{Op: "select", Leaves: 2, Scanned: 40, Probes: 3, Tested: 12, Emitted: 6, Result: 5, HashJoins: 1, Pushed: 2})
-	s.Stream(StreamStats{Op: "map", Leaves: 1, Scanned: 10, Tested: 10, Emitted: 10, Result: 10})
-	s.Algebra(AlgebraStats{Engine: "kernel"})
-	s.Algebra(AlgebraStats{Engine: "value", Fallback: "point"})
-	s.Algebra(AlgebraStats{Engine: "core", Fallback: "flip"})
+	s.Collect(RelStats{Engine: "grounded", Fallback: "semantics", BaseRows: 20})
+	s.Collect(DiffStats{Path: "probing", Probed: 569, Lookups: 900, Kept: 400, Leaves: 2})
+	s.Collect(DiffStats{Path: "probing", Probed: 569, Lookups: 950, Kept: 398, Leaves: 2})
+	s.Collect(DiffStats{Path: "materialized", Kept: 3, Leaves: 1})
+	s.Collect(IFPStats{Mode: "seminaive", Rounds: 4, Result: 6, Deltas: []int{3, 2, 1, 0}})
+	s.Collect(IFPStats{Mode: "seminaive", Rounds: 2, Result: 1, Deltas: []int{1, 0}})
+	s.Collect(IFPStats{Mode: "naive", Rounds: 3, Result: 2, Deltas: []int{1, 1, 0}})
+	s.Collect(CoreEvalStats{Semantics: "valid", Defs: 2, Gammas: 4, Rounds: 16, Evals: 32})
+	s.Collect(CoreEvalStats{Semantics: "inflationary", Defs: 2, Gammas: 1, Rounds: 4, Evals: 8})
+	s.Collect(ExperimentStats{ID: "E1", WallNS: 1500, CPUNS: 1200})
+	s.Collect(ExperimentStats{ID: "E2", WallNS: 500})
+	s.Collect(ServerStats{Route: "query", Language: "datalog", Semantics: "stratified", CacheLookup: true, Compiled: true, WallNS: 100})
+	s.Collect(ServerStats{Route: "query", CacheLookup: true, CacheHit: true, WallNS: 20})
+	s.Collect(ServerStats{Route: "query", Code: "parse-error", CacheLookup: true, Compiled: true, WallNS: 30})
+	s.Collect(ServerStats{Route: "dbs", Code: "shutting-down", WallNS: 5})
+	s.Collect(ServerStats{Route: "metrics", CacheHit: true, Compiled: true, WallNS: 7})
+	s.Collect(SubscriptionStats{Language: "datalog", Mode: "incremental", Events: 5, Coalesced: 2, Reason: "client-gone", WallNS: 1000})
+	s.Collect(SubscriptionStats{Mode: "recompute", Events: 1, Reason: "drain", WallNS: 300})
+	s.Collect(StreamStats{Op: "select", Leaves: 2, Scanned: 40, Probes: 3, Tested: 12, Emitted: 6, Result: 5, HashJoins: 1, Pushed: 2})
+	s.Collect(StreamStats{Op: "map", Leaves: 1, Scanned: 10, Tested: 10, Emitted: 10, Result: 10})
+	s.Collect(AlgebraStats{Engine: "kernel"})
+	s.Collect(AlgebraStats{Engine: "value", Fallback: "point"})
+	s.Collect(AlgebraStats{Engine: "core", Fallback: "flip"})
 
 	snap := s.Snapshot()
 	want := map[string]int64{
@@ -169,7 +169,7 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 	}
 
 	before := snap
-	s.Fixpoint(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 2})
+	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 2})
 	d := s.Snapshot().Sub(before)
 	if d["fixpoint.minimal.calls"] != 1 || d["fixpoint.minimal.derived"] != 2 {
 		t.Errorf("snapshot delta wrong: %v", d)
@@ -187,7 +187,7 @@ func TestStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.Fixpoint(FixpointStats{Semantics: "minimal", Passes: 1})
+				s.Collect(FixpointStats{Semantics: "minimal", Passes: 1})
 			}
 		}()
 	}
@@ -200,20 +200,20 @@ func TestStatsConcurrent(t *testing.T) {
 func TestJSONLEmitsOneObjectPerEvent(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
-	j.Fixpoint(FixpointStats{Semantics: "valid", Passes: 2, Derived: 7})
-	j.Ground(GroundStats{Atoms: 3, Rules: 4})
-	j.Diff(DiffStats{Path: "probing", Probed: 5, Lookups: 9, Kept: 2, Leaves: 2})
-	j.IFP(IFPStats{})
-	j.CoreEval(CoreEvalStats{})
-	j.StableSearch(StableSearchStats{})
-	j.Translate(TranslateStats{})
-	j.Experiment(ExperimentStats{})
-	j.Server(ServerStats{})
-	j.Subscription(SubscriptionStats{})
-	j.Stream(StreamStats{})
-	j.IVM(IVMStats{})
-	j.Rel(RelStats{})
-	j.Algebra(AlgebraStats{})
+	j.Collect(FixpointStats{Semantics: "valid", Passes: 2, Derived: 7})
+	j.Collect(GroundStats{Atoms: 3, Rules: 4})
+	j.Collect(DiffStats{Path: "probing", Probed: 5, Lookups: 9, Kept: 2, Leaves: 2})
+	j.Collect(IFPStats{})
+	j.Collect(CoreEvalStats{})
+	j.Collect(StableSearchStats{})
+	j.Collect(TranslateStats{})
+	j.Collect(ExperimentStats{})
+	j.Collect(ServerStats{})
+	j.Collect(SubscriptionStats{})
+	j.Collect(StreamStats{})
+	j.Collect(IVMStats{})
+	j.Collect(RelStats{})
+	j.Collect(AlgebraStats{})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	kinds := []string{"fixpoint", "ground", "diff", "ifp", "core_eval", "stable_search", "translate",
 		"experiment", "server", "subscription", "stream", "ivm", "rel", "algebra"}
@@ -256,7 +256,7 @@ func TestMultiAndDefault(t *testing.T) {
 		t.Fatal("Multi of one collector should return it directly")
 	}
 	m := Multi(a, b)
-	m.Fixpoint(FixpointStats{Semantics: "minimal"})
+	m.Collect(FixpointStats{Semantics: "minimal"})
 	if a.Snapshot()["fixpoint.minimal.calls"] != 1 || b.Snapshot()["fixpoint.minimal.calls"] != 1 {
 		t.Fatal("Multi did not fan out")
 	}

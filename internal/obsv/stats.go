@@ -25,209 +25,175 @@ func (s *Stats) add(kvs ...any) {
 	s.mu.Unlock()
 }
 
-// Fixpoint implements Collector.
-func (s *Stats) Fixpoint(f FixpointStats) {
-	p := "fixpoint." + f.Semantics
-	var deltaSum int64
-	for _, d := range f.Deltas {
-		deltaSum += int64(d)
-	}
-	s.add(
-		p+".calls", int64(1),
-		p+".passes", int64(f.Passes),
-		p+".derived", int64(f.Derived),
-		p+".deltaAtoms", deltaSum,
-		"scratch.reused", int64(f.ScratchReused),
-		"scratch.allocated", int64(f.ScratchAllocated),
-	)
-}
-
-// IFP implements Collector.
-func (s *Stats) IFP(f IFPStats) {
-	p := "ifp." + f.Mode
-	var deltaSum int64
-	for _, d := range f.Deltas {
-		deltaSum += int64(d)
-	}
-	s.add(
-		p+".calls", int64(1),
-		p+".rounds", int64(f.Rounds),
-		p+".deltaElems", deltaSum,
-	)
-}
-
-// CoreEval implements Collector.
-func (s *Stats) CoreEval(c CoreEvalStats) {
-	p := "core." + c.Semantics
-	s.add(
-		p+".calls", int64(1),
-		p+".rounds", int64(c.Rounds),
-		p+".evals", int64(c.Evals),
-	)
-}
-
-// StableSearch implements Collector.
-func (s *Stats) StableSearch(st StableSearchStats) {
-	s.add(
-		"stable.searches", int64(1),
-		"stable.candidates", int64(st.Candidates),
-		"stable.models", int64(st.Models),
-		"scratch.reused", int64(st.ScratchReused),
-		"scratch.allocated", int64(st.ScratchAllocated),
-	)
-}
-
-// Ground implements Collector.
-func (s *Stats) Ground(g GroundStats) {
-	s.add(
-		"ground.calls", int64(1),
-		"ground.atoms", int64(g.Atoms),
-		"ground.rules", int64(g.Rules),
-		"ground.passes", int64(g.Passes),
-		"ground.deltaHits", int64(g.DeltaHits),
-		"ground.deltaSkips", int64(g.DeltaSkips),
-	)
-}
-
-// Translate implements Collector.
-func (s *Stats) Translate(t TranslateStats) {
-	p := "translate." + t.Op
-	s.add(
-		p+".calls", int64(1),
-		p+".inSize", int64(t.InSize),
-		p+".outSize", int64(t.OutSize),
-	)
-}
-
-// Experiment implements Collector.
-func (s *Stats) Experiment(e ExperimentStats) {
-	s.add(
-		"expt.runs", int64(1),
-		"expt.wallNS", e.WallNS,
-		"expt.cpuNS", e.CPUNS,
-	)
-}
-
-// Server implements Collector.
-func (s *Stats) Server(v ServerStats) {
-	kvs := []any{
-		"server." + v.Route + ".requests", int64(1),
-		"server.wallNS", v.WallNS,
-	}
-	if v.Code != "" {
-		kvs = append(kvs, "server.errors."+v.Code, int64(1))
-	}
-	if v.CacheLookup {
-		if v.CacheHit {
-			kvs = append(kvs, "server.cache.hits", int64(1))
-		} else {
-			kvs = append(kvs, "server.cache.misses", int64(1))
-		}
-		if v.Compiled {
-			kvs = append(kvs, "server.compiles", int64(1))
-		}
-	}
-	s.add(kvs...)
-}
-
-// Subscription implements Collector.
-func (s *Stats) Subscription(v SubscriptionStats) {
-	s.add(
-		"server.subscriptions", int64(1),
-		"server.subscription.events", int64(v.Events),
-		"server.subscription.coalesced", int64(v.Coalesced),
-		"server.subscription.ends."+v.Reason, int64(1),
-		"server.subscription.wallNS", v.WallNS,
-	)
-}
-
-// Stream implements Collector.
-func (s *Stats) Stream(v StreamStats) {
-	s.add(
-		"stream.pipelines", int64(1),
-		"stream.scanned", int64(v.Scanned),
-		"stream.probes", int64(v.Probes),
-		"stream.tested", int64(v.Tested),
-		"stream.emitted", int64(v.Emitted),
-		"stream.hashJoins", int64(v.HashJoins),
-		"stream.pushed", int64(v.Pushed),
-	)
-}
-
-// IVM implements Collector.
-func (s *Stats) IVM(v IVMStats) {
-	kvs := []any{
-		"ivm.applies." + v.Mode, int64(1),
-		"ivm.steps", int64(v.Steps),
-		"ivm.probes", int64(v.Probes),
-		"ivm.scans", int64(v.Scans),
-		"ivm.deltaFacts", int64(v.DeltaFacts),
-	}
-	if v.Rebuilt {
-		kvs = append(kvs, "ivm.fallbacks", int64(1))
-	}
-	for _, u := range v.Units {
-		kvs = append(kvs,
-			"ivm.units."+u.Strategy, int64(1),
-			"ivm.overDeleted", int64(u.OverDeleted),
-			"ivm.rederived", int64(u.Rederived),
+// Collect implements Collector: it folds e into the counters named on
+// Snapshot.
+func (s *Stats) Collect(e Event) {
+	switch v := e.(type) {
+	case FixpointStats:
+		p := "fixpoint." + v.Semantics
+		s.add(
+			p+".calls", int64(1),
+			p+".passes", int64(v.Passes),
+			p+".derived", int64(v.Derived),
+			p+".deltaAtoms", sum(v.Deltas),
+			"scratch.reused", int64(v.ScratchReused),
+			"scratch.allocated", int64(v.ScratchAllocated),
 		)
-	}
-	s.add(kvs...)
-}
-
-// Rel implements Collector.
-func (s *Stats) Rel(v RelStats) {
-	kvs := []any{
-		"rel.evals." + v.Engine, int64(1),
-		"rel.base.rows", int64(v.BaseRows),
-		"rel.base.indexes", int64(v.BaseIndexes),
-		"rel.base.keys", int64(v.BaseKeys),
-		"rel.steps", int64(v.Steps),
-		"rel.probes", int64(v.Probes),
-		"rel.scans", int64(v.Scans),
-		"rel.rows", int64(v.Rows),
-	}
-	if v.Fallback != "" {
-		kvs = append(kvs, "rel.fallbacks."+v.Fallback, int64(1))
-	}
-	if v.BaseHit {
-		kvs = append(kvs, "rel.base.hits", int64(1))
-	} else {
-		kvs = append(kvs, "rel.base.misses", int64(1))
-	}
-	for _, u := range v.Units {
-		kind := "rel.units.nonrecursive"
-		if u.Recursive {
-			kind = "rel.units.recursive"
+	case IFPStats:
+		p := "ifp." + v.Mode
+		s.add(
+			p+".calls", int64(1),
+			p+".rounds", int64(v.Rounds),
+			p+".deltaElems", sum(v.Deltas),
+		)
+	case CoreEvalStats:
+		p := "core." + v.Semantics
+		s.add(
+			p+".calls", int64(1),
+			p+".rounds", int64(v.Rounds),
+			p+".evals", int64(v.Evals),
+		)
+	case StableSearchStats:
+		s.add(
+			"stable.searches", int64(1),
+			"stable.candidates", int64(v.Candidates),
+			"stable.models", int64(v.Models),
+			"scratch.reused", int64(v.ScratchReused),
+			"scratch.allocated", int64(v.ScratchAllocated),
+		)
+	case GroundStats:
+		s.add(
+			"ground.calls", int64(1),
+			"ground.atoms", int64(v.Atoms),
+			"ground.rules", int64(v.Rules),
+			"ground.passes", int64(v.Passes),
+			"ground.deltaHits", int64(v.DeltaHits),
+			"ground.deltaSkips", int64(v.DeltaSkips),
+		)
+	case TranslateStats:
+		p := "translate." + v.Op
+		s.add(
+			p+".calls", int64(1),
+			p+".inSize", int64(v.InSize),
+			p+".outSize", int64(v.OutSize),
+		)
+	case ExperimentStats:
+		s.add(
+			"expt.runs", int64(1),
+			"expt.wallNS", v.WallNS,
+			"expt.cpuNS", v.CPUNS,
+		)
+	case ServerStats:
+		kvs := []any{
+			"server." + v.Route + ".requests", int64(1),
+			"server.wallNS", v.WallNS,
 		}
-		kvs = append(kvs, kind, int64(1))
-		if u.Alternations > 0 {
-			kvs = append(kvs, "rel.units.alternating", int64(1), "rel.alternations", int64(u.Alternations), "rel.flips", int64(u.Flips))
+		if v.Code != "" {
+			kvs = append(kvs, "server.errors."+v.Code, int64(1))
 		}
+		if v.CacheLookup {
+			if v.CacheHit {
+				kvs = append(kvs, "server.cache.hits", int64(1))
+			} else {
+				kvs = append(kvs, "server.cache.misses", int64(1))
+			}
+			if v.Compiled {
+				kvs = append(kvs, "server.compiles", int64(1))
+			}
+		}
+		s.add(kvs...)
+	case SubscriptionStats:
+		s.add(
+			"server.subscriptions", int64(1),
+			"server.subscription.events", int64(v.Events),
+			"server.subscription.coalesced", int64(v.Coalesced),
+			"server.subscription.ends."+v.Reason, int64(1),
+			"server.subscription.wallNS", v.WallNS,
+		)
+	case StreamStats:
+		s.add(
+			"stream.pipelines", int64(1),
+			"stream.scanned", int64(v.Scanned),
+			"stream.probes", int64(v.Probes),
+			"stream.tested", int64(v.Tested),
+			"stream.emitted", int64(v.Emitted),
+			"stream.hashJoins", int64(v.HashJoins),
+			"stream.pushed", int64(v.Pushed),
+		)
+	case IVMStats:
+		kvs := []any{
+			"ivm.applies." + v.Mode, int64(1),
+			"ivm.steps", int64(v.Steps),
+			"ivm.probes", int64(v.Probes),
+			"ivm.scans", int64(v.Scans),
+			"ivm.deltaFacts", int64(v.DeltaFacts),
+		}
+		if v.Rebuilt {
+			kvs = append(kvs, "ivm.fallbacks", int64(1))
+		}
+		for _, u := range v.Units {
+			kvs = append(kvs,
+				"ivm.units."+u.Strategy, int64(1),
+				"ivm.overDeleted", int64(u.OverDeleted),
+				"ivm.rederived", int64(u.Rederived),
+			)
+		}
+		s.add(kvs...)
+	case RelStats:
+		kvs := []any{
+			"rel.evals." + v.Engine, int64(1),
+			"rel.base.rows", int64(v.BaseRows),
+			"rel.base.indexes", int64(v.BaseIndexes),
+			"rel.base.keys", int64(v.BaseKeys),
+			"rel.steps", int64(v.Steps),
+			"rel.probes", int64(v.Probes),
+			"rel.scans", int64(v.Scans),
+			"rel.rows", int64(v.Rows),
+		}
+		if v.Fallback != "" {
+			kvs = append(kvs, "rel.fallbacks."+v.Fallback, int64(1))
+		}
+		if v.BaseHit {
+			kvs = append(kvs, "rel.base.hits", int64(1))
+		} else {
+			kvs = append(kvs, "rel.base.misses", int64(1))
+		}
+		for _, u := range v.Units {
+			kind := "rel.units.nonrecursive"
+			if u.Recursive {
+				kind = "rel.units.recursive"
+			}
+			kvs = append(kvs, kind, int64(1))
+			if u.Alternations > 0 {
+				kvs = append(kvs, "rel.units.alternating", int64(1), "rel.alternations", int64(u.Alternations), "rel.flips", int64(u.Flips))
+			}
+		}
+		s.add(kvs...)
+	case DiffStats:
+		s.add(
+			"diff.evals", int64(1),
+			"diff.paths."+v.Path, int64(1),
+			"diff.probed", int64(v.Probed),
+			"diff.lookups", int64(v.Lookups),
+			"diff.kept", int64(v.Kept),
+			"diff.leaves", int64(v.Leaves),
+		)
+	case AlgebraStats:
+		kvs := []any{"algebra.engine." + v.Engine, int64(1)}
+		if v.Fallback != "" {
+			kvs = append(kvs, "algebra.fallback."+v.Fallback, int64(1))
+		}
+		s.add(kvs...)
 	}
-	s.add(kvs...)
 }
 
-// Diff implements Collector.
-func (s *Stats) Diff(v DiffStats) {
-	s.add(
-		"diff.evals", int64(1),
-		"diff.paths."+v.Path, int64(1),
-		"diff.probed", int64(v.Probed),
-		"diff.lookups", int64(v.Lookups),
-		"diff.kept", int64(v.Kept),
-		"diff.leaves", int64(v.Leaves),
-	)
-}
-
-// Algebra implements Collector.
-func (s *Stats) Algebra(v AlgebraStats) {
-	kvs := []any{"algebra.engine." + v.Engine, int64(1)}
-	if v.Fallback != "" {
-		kvs = append(kvs, "algebra.fallback."+v.Fallback, int64(1))
+// sum totals a per-pass delta list.
+func sum(ds []int) int64 {
+	var n int64
+	for _, d := range ds {
+		n += int64(d)
 	}
-	s.add(kvs...)
+	return n
 }
 
 // Snapshot is an immutable copy of a Stats collector's counters. The

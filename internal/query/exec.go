@@ -383,7 +383,7 @@ func executeDatalog(plan *Plan, base *rel.Base, opts Options, out *Outcome, grou
 	if obs != nil {
 		st := obsv.RelStats{Engine: "grounded", Fallback: reason}
 		fillBaseUse(&st, use)
-		obs.Rel(st)
+		obs.Collect(st)
 	}
 	return out, err
 }
@@ -434,7 +434,7 @@ func executeRelational(plan *Plan, base *rel.Base, opts Options, out *Outcome, o
 				Steps: eng.Steps, Probes: eng.Probes, Scans: eng.Scans, Rows: eng.NumRows(),
 			}
 			fillBaseUse(&st, eng.Use)
-			obs.Rel(st)
+			obs.Collect(st)
 		}()
 	}
 	if err := eng.Build(); err != nil {

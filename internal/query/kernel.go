@@ -709,7 +709,7 @@ func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (*rel
 		defer func() {
 			st := obsv.RelStats{Engine: "algebra", Units: eng.UnitStats, Steps: eng.Steps, Probes: eng.Probes, Scans: eng.Scans, Rows: eng.NumRows()}
 			fillBaseUse(&st, eng.Use)
-			obs.Rel(st)
+			obs.Collect(st)
 		}()
 	}
 	return eng, eng.Build()
@@ -912,7 +912,7 @@ func report(engine, reason string) obsv.Collector {
 		if reason == "" {
 			engine = "kernel"
 		}
-		obs.Algebra(obsv.AlgebraStats{Engine: engine, Fallback: reason})
+		obs.Collect(obsv.AlgebraStats{Engine: engine, Fallback: reason})
 	}
 	return obs
 }

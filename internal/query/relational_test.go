@@ -30,18 +30,10 @@ func pairs(ps ...[2]int64) value.Set {
 	return value.NewSet(elems...)
 }
 
-// relEvents installs a recording collector as the process default for the
-// test and returns it.
+// relEvents holds the RelStats events recordRel's collector received.
 type relEvents struct {
-	obsv.Nop
 	mu  sync.Mutex
 	evs []obsv.RelStats
-}
-
-func (r *relEvents) Rel(s obsv.RelStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evs = append(r.evs, s)
 }
 
 func (r *relEvents) take() []obsv.RelStats {
@@ -52,11 +44,19 @@ func (r *relEvents) take() []obsv.RelStats {
 	return evs
 }
 
+// recordRel installs a collector recording RelStats events as the process
+// default for the test and returns what it records.
 func recordRel(t *testing.T) *relEvents {
 	t.Helper()
 	rec := &relEvents{}
 	prev := obsv.Default()
-	obsv.SetDefault(rec)
+	obsv.SetDefault(obsv.Func(func(e obsv.Event) {
+		if s, ok := e.(obsv.RelStats); ok {
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			rec.evs = append(rec.evs, s)
+		}
+	}))
 	t.Cleanup(func() { obsv.SetDefault(prev) })
 	return rec
 }
@@ -248,6 +248,7 @@ func TestEngineChoice(t *testing.T) {
 
 	// Negation through recursion grounds nothing, and the counters say how it
 	// was evaluated instead.
+	recording := obsv.Default()
 	stats := obsv.NewStats()
 	obsv.SetDefault(stats)
 	for _, sem := range []Semantics{SemValid, SemWellFounded} {
@@ -255,7 +256,7 @@ func TestEngineChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	obsv.SetDefault(rec)
+	obsv.SetDefault(recording)
 	if snap := stats.Snapshot(); snap["ground.rules"] != 0 || snap["rel.evals.relational"] != 2 || snap["rel.units.alternating"] != 2 || snap["rel.flips"] == 0 {
 		t.Errorf("win under valid and wellfounded: counters %v", snap)
 	}
@@ -263,7 +264,7 @@ func TestEngineChoice(t *testing.T) {
 	stats = obsv.NewStats()
 	obsv.SetDefault(stats)
 	_, err := Execute(mustCompile(t, LangDatalog, SemValid, "win(X) :- e(X, Y), not win(Y)."), nil, Options{})
-	obsv.SetDefault(rec)
+	obsv.SetDefault(recording)
 	if snap := stats.Snapshot(); err != nil || snap["rel.units.alternating"] != 1 || snap["rel.alternations"] != 1 || snap["rel.flips"] != 0 {
 		t.Errorf("win over no moves: %v, counters %v", err, snap)
 	}

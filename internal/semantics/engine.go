@@ -128,7 +128,7 @@ func (e *Engine) stop() error {
 // scratch's buffer-pool activity since the previous event.
 func (e *Engine) emitFixpoint(sem string, passes, derived int, deltas []int) {
 	r, a := e.scr.takeCounters()
-	e.obs.Fixpoint(obsv.FixpointStats{
+	e.obs.Collect(obsv.FixpointStats{
 		Semantics:        sem,
 		Passes:           passes,
 		Atoms:            e.g.NumAtoms(),
@@ -585,7 +585,7 @@ func (e *Engine) StableModels(maxUndef int) ([]*Interp, error) {
 	}
 	if e.obs != nil {
 		r, a := e.scr.takeCounters()
-		e.obs.StableSearch(obsv.StableSearchStats{
+		e.obs.Collect(obsv.StableSearchStats{
 			Undef: len(undef), Candidates: total, Models: len(models),
 			ScratchReused: r, ScratchAllocated: a,
 		})

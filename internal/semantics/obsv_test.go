@@ -9,20 +9,23 @@ import (
 
 // capture records every event it receives, for exact-count assertions.
 type capture struct {
-	obsv.Nop
 	fix    []obsv.FixpointStats
 	stable []obsv.StableSearchStats
 }
-
-func (c *capture) Fixpoint(s obsv.FixpointStats)         { c.fix = append(c.fix, s) }
-func (c *capture) StableSearch(s obsv.StableSearchStats) { c.stable = append(c.stable, s) }
 
 // attach builds an engine for src with a capturing collector installed.
 func attach(t *testing.T, src string) (*Engine, *capture) {
 	t.Helper()
 	e := mustEngine(t, src)
 	c := &capture{}
-	e.SetCollector(c)
+	e.SetCollector(obsv.Func(func(ev obsv.Event) {
+		switch s := ev.(type) {
+		case obsv.FixpointStats:
+			c.fix = append(c.fix, s)
+		case obsv.StableSearchStats:
+			c.stable = append(c.stable, s)
+		}
+	}))
 	return e, c
 }
 

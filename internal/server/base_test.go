@@ -272,32 +272,29 @@ func TestServedReachCounts(t *testing.T) {
 	}
 
 	// Which relations each unit scanned is on the event, not the counters.
-	rec := &relRecorder{}
+	var mu sync.Mutex
+	var evs []obsv.RelStats
 	prev := obsv.Default()
-	obsv.SetDefault(rec)
+	obsv.SetDefault(obsv.Func(func(e obsv.Event) {
+		if s, ok := e.(obsv.RelStats); ok {
+			mu.Lock()
+			defer mu.Unlock()
+			evs = append(evs, s)
+		}
+	}))
 	defer obsv.SetDefault(prev)
 	served()
-	if len(rec.evs) != 1 || len(rec.evs[0].Units) != 2 {
-		t.Fatalf("events: %+v", rec.evs)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(evs) != 1 || len(evs[0].Units) != 2 {
+		t.Fatalf("events: %+v", evs)
 	}
-	for _, u := range rec.evs[0].Units {
+	for _, u := range evs[0].Units {
 		scansE := strings.Contains(" "+strings.Join(u.Scanned, " ")+" ", " e ")
 		if u.Recursive == scansE {
 			t.Errorf("unit %v (recursive %v) scanned %v: the recursive unit must probe e, the negated stratum scans it once", u.Preds, u.Recursive, u.Scanned)
 		}
 	}
-}
-
-type relRecorder struct {
-	obsv.Nop
-	mu  sync.Mutex
-	evs []obsv.RelStats
-}
-
-func (r *relRecorder) Rel(s obsv.RelStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evs = append(r.evs, s)
 }
 
 // TestTimeoutInsideOneDatalogRule: a three-way product rule over 10^3 facts is

@@ -131,16 +131,31 @@ func New(cfg Config) *Server {
 	s.reg.storage = cfg.Storage
 	s.col = obsv.Multi(s.stats, cfg.Collector)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET /v1/dbs", s.handleListDBs)
-	s.mux.HandleFunc("PUT /v1/dbs/{name}", s.handlePutDB)
-	s.mux.HandleFunc("POST /v1/dbs/{name}/facts", s.handleMutateFacts)
-	s.mux.HandleFunc("POST /v1/dbs/{name}/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("POST /v1/dbs/{name}/restore", s.handleRestore)
-	s.mux.HandleFunc("POST /v1/subscribe", s.handleSubscribe)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.handle("POST /v1/query", "query", s.handleQuery)
+	s.handle("GET /v1/dbs", "dbs", s.handleListDBs)
+	s.handle("PUT /v1/dbs/{name}", "dbs", s.handlePutDB)
+	s.handle("POST /v1/dbs/{name}/facts", "facts", s.handleMutateFacts)
+	s.handle("POST /v1/dbs/{name}/snapshot", "snapshot", s.handleSnapshot)
+	s.handle("POST /v1/dbs/{name}/restore", "restore", s.handleRestore)
+	s.handle("POST /v1/subscribe", "subscribe", s.handleSubscribe)
+	s.handle("GET /healthz", "healthz", s.handleHealthz)
+	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	return s
+}
+
+// handle registers h for pattern as the named route. Each request reports
+// one obsv.ServerStats event when h returns: h fills in its outcome through
+// ev, handle its route and wall time.
+func (s *Server) handle(pattern, route string, h func(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats)) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		ev := obsv.ServerStats{Route: route}
+		defer func() {
+			ev.WallNS = time.Since(start).Nanoseconds()
+			s.col.Collect(ev)
+		}()
+		h(w, r, &ev)
+	})
 }
 
 // Handler returns the service's HTTP handler.
@@ -187,9 +202,6 @@ func (s *Server) BeginDrain() {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
 }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Error codes of the JSON error body, beyond those of query.ErrorCode.
 const (
@@ -324,13 +336,8 @@ type queryResponse struct {
 }
 
 // handleQuery serves POST /v1/query.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats) {
 	start := time.Now()
-	ev := obsv.ServerStats{Route: "query"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
 	fail := func(code, msg string) {
 		ev.Code = code
 		writeError(w, code, msg)
@@ -440,10 +447,13 @@ func (s *Server) requestOptions(req *queryRequest, interrupt <-chan struct{}) qu
 }
 
 // decodeBody decodes the request body into v under the body-size cap,
-// returning a structured error code ("" on success).
+// returning a structured error code ("" on success). Numbers decode as
+// json.Number, so integer fact arguments survive without a float64
+// round-trip.
 func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (code, msg string) {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return codeOversized, fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)
@@ -500,13 +510,7 @@ func renderResult(o *query.Outcome) resultJSON {
 }
 
 // handleListDBs serves GET /v1/dbs.
-func (s *Server) handleListDBs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ev := obsv.ServerStats{Route: "dbs"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
+func (s *Server) handleListDBs(w http.ResponseWriter, r *http.Request, _ *obsv.ServerStats) {
 	writeJSON(w, http.StatusOK, struct {
 		OK  bool     `json:"ok"`
 		DBs []dbInfo `json:"dbs"`
@@ -515,13 +519,7 @@ func (s *Server) handleListDBs(w http.ResponseWriter, r *http.Request) {
 
 // handlePutDB serves PUT /v1/dbs/{name}: the body is an algebra= script
 // whose rel statements become the database's relations.
-func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ev := obsv.ServerStats{Route: "dbs"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
+func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats) {
 	fail := func(code, msg string) {
 		ev.Code = code
 		writeError(w, code, msg)
@@ -575,13 +573,7 @@ func LoadDBScript(src string) (algebra.DB, error) {
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 once draining,
 // so load balancers stop routing to a server that is shutting down.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ev := obsv.ServerStats{Route: "healthz"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ *obsv.ServerStats) {
 	status, state := http.StatusOK, "serving"
 	if s.draining.Load() {
 		status, state = http.StatusServiceUnavailable, "draining"
@@ -594,13 +586,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves GET /metrics: the server's counter snapshot (see
 // obsv.Snapshot for the vocabulary) plus the plan cache's current size.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ev := obsv.ServerStats{Route: "metrics"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ *obsv.ServerStats) {
 	writeJSON(w, http.StatusOK, struct {
 		OK         bool          `json:"ok"`
 		Counters   obsv.Snapshot `json:"counters"`

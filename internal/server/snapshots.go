@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"algrec/internal/obsv"
 )
@@ -26,30 +25,24 @@ type snapshotResponse struct {
 // current contents as a restorable version. Snapshots are copy-on-write —
 // on both backends, taking one retains the current version in O(1); disk
 // databases also checkpoint and compact their store.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.handleSnapshotOp(w, r, "snapshot", s.reg.snapshot)
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats) {
+	s.handleSnapshotOp(w, r, ev, s.reg.snapshot)
 }
 
 // handleRestore serves POST /v1/dbs/{name}/restore: replaces the database's
 // contents with a labeled snapshot's, bumping the version and closing live
 // subscriptions with reason "db-restored". The snapshot remains.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	s.handleSnapshotOp(w, r, "restore", s.reg.restore)
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats) {
+	s.handleSnapshotOp(w, r, ev, s.reg.restore)
 }
 
-func (s *Server) handleSnapshotOp(w http.ResponseWriter, r *http.Request, route string, op func(name, label string) (uint64, error)) {
-	start := time.Now()
-	ev := obsv.ServerStats{Route: route}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
+func (s *Server) handleSnapshotOp(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats, op func(name, label string) (uint64, error)) {
 	fail := func(code, msg string) {
 		ev.Code = code
 		writeError(w, code, msg)
 	}
 	if s.draining.Load() {
-		fail(codeShuttingDown, fmt.Sprintf("the server is draining and refuses new %s requests", route))
+		fail(codeShuttingDown, fmt.Sprintf("the server is draining and refuses new %s requests", ev.Route))
 		return
 	}
 	name := r.PathValue("name")

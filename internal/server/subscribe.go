@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -370,13 +369,7 @@ func valueFromJSON(a any) (value.Value, error) {
 // database version is bumped once per batch and every live view is maintained
 // — once, however many subscriptions share it — and its subscribers notified
 // before the response returns.
-func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ev := obsv.ServerStats{Route: "facts"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
+func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats) {
 	fail := func(code, msg string) {
 		ev.Code = code
 		writeError(w, code, msg)
@@ -392,7 +385,7 @@ func (s *Server) handleMutateFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	if code, msg := decodeBodyNumbers(w, r, s.cfg.MaxBodyBytes, &req); code != "" {
+	if code, msg := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); code != "" {
 		fail(code, msg)
 		return
 	}
@@ -463,13 +456,8 @@ type subscribeRequest struct {
 // response never ends until the client disconnects, the server drains, the
 // database is replaced, the consumer falls too far behind, or maintenance
 // fails.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, ev *obsv.ServerStats) {
 	start := time.Now()
-	ev := obsv.ServerStats{Route: "subscribe"}
-	defer func() {
-		ev.WallNS = time.Since(start).Nanoseconds()
-		s.col.Server(ev)
-	}()
 	fail := func(code, msg string) {
 		ev.Code = code
 		writeError(w, code, msg)
@@ -588,7 +576,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		leave()
 		s.activeSubs.Add(-1)
 		events, coalesced, reason := sub.stats()
-		s.col.Subscription(obsv.SubscriptionStats{
+		s.col.Collect(obsv.SubscriptionStats{
 			Language:  string(lang),
 			Semantics: string(sem),
 			Mode:      string(lv.view.Mode()),
@@ -654,20 +642,4 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-sub.notify:
 		}
 	}
-}
-
-// decodeBodyNumbers is decodeBody with json.Number decoding, so integer fact
-// arguments survive without a float64 round-trip.
-func decodeBodyNumbers(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (code, msg string) {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(body)
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return codeOversized, fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)
-		}
-		return codeBadRequest, "malformed JSON body: " + err.Error()
-	}
-	return "", ""
 }

@@ -162,9 +162,9 @@ func TestMutateFacts(t *testing.T) {
 	}
 
 	// Tuple-valued and integer arguments round-trip through the JSON
-	// mapping.
+	// mapping, integers exactly (2^53 + 1 has no float64).
 	status, _, _ = postFacts(t, ts, "g", mutateRequest{
-		Insert: []factJSON{jsonFact("weights", "a", 3), jsonFact("pairs", []any{1, 2}, true)},
+		Insert: []factJSON{jsonFact("weights", "a", 3), jsonFact("pairs", []any{1, 2}, true), jsonFact("big", int64(1<<53+1))},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("typed mutate: status %d", status)
@@ -172,6 +172,10 @@ func TestMutateFacts(t *testing.T) {
 	qstatus, qresp, _ = postQuery(t, ts, queryRequest{DB: "g", Language: "algebra", Query: "weights"})
 	if qstatus != http.StatusOK || qresp.Result.Value != "{(a, 3)}" {
 		t.Fatalf("weights = %q (status %d)", qresp.Result.Value, qstatus)
+	}
+	qstatus, qresp, _ = postQuery(t, ts, queryRequest{DB: "g", Language: "algebra", Query: "big"})
+	if qstatus != http.StatusOK || qresp.Result.Value != "{9007199254740993}" {
+		t.Fatalf("big = %q (status %d)", qresp.Result.Value, qstatus)
 	}
 
 	for _, tc := range []struct {

@@ -9,6 +9,6 @@ import "algrec/internal/obsv"
 // one applies. A nil default collector makes this a single branch.
 func emitTranslate(op string, in, out, steps int) {
 	if c := obsv.Default(); c != nil {
-		c.Translate(obsv.TranslateStats{Op: op, InSize: in, OutSize: out, Steps: steps})
+		c.Collect(obsv.TranslateStats{Op: op, InSize: in, OutSize: out, Steps: steps})
 	}
 }

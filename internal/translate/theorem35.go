@@ -70,20 +70,6 @@ func EliminateIFP(e algebra.Expr, db algebra.DB) (*core.Program, algebra.DB, str
 	return cp, cdb, result, nil
 }
 
-// maxRoundsCollector records the largest IFP round count seen during one
-// instrumented evaluation.
-type maxRoundsCollector struct {
-	obsv.Nop
-	max int
-}
-
-// IFP implements obsv.Collector.
-func (m *maxRoundsCollector) IFP(s obsv.IFPStats) {
-	if s.Rounds > m.max {
-		m.max = s.Rounds
-	}
-}
-
 // ifpIterBound evaluates the expression once, recording every IFP fixpoint's
 // round count, and returns a step bound sufficient for all of them. Nested
 // IFPs report once per enclosing round, so the maximum covers every
@@ -91,10 +77,14 @@ func (m *maxRoundsCollector) IFP(s obsv.IFPStats) {
 // convergence only carry its fixpoint forward.
 func ifpIterBound(e algebra.Expr, db algebra.DB) (int64, error) {
 	ev := algebra.NewEvaluator(db, algebra.Budget{})
-	mr := &maxRoundsCollector{}
-	ev.SetCollector(mr)
+	rounds := 0
+	ev.SetCollector(obsv.Func(func(e obsv.Event) {
+		if s, ok := e.(obsv.IFPStats); ok && s.Rounds > rounds {
+			rounds = s.Rounds
+		}
+	}))
 	if _, err := ev.Eval(e); err != nil {
 		return 0, err
 	}
-	return int64(mr.max) + 1, nil
+	return int64(rounds) + 1, nil
 }
