@@ -304,16 +304,24 @@ func TestInlineAvoidsCapture(t *testing.T) {
 	// relation named t must not be captured by the binder.
 	f := Def{Name: "f", Params: []string{"x"},
 		Body: algebra.IFP{Var: "t", Body: algebra.Union{L: rel("x"), R: rel("t")}}}
+	// The same call under a flip, under an IFP and in a subtrahend: a
+	// captured argument would read the binder (∅) instead of t.
+	call := algebra.Call{Name: "f", Args: []algebra.Expr{rel("t")}}
 	p := &Program{Defs: []Def{f,
-		{Name: "q", Body: algebra.Call{Name: "f", Args: []algebra.Expr{rel("t")}}},
+		{Name: "q", Body: call},
+		{Name: "qflip", Body: algebra.Flip{E: call}},
+		{Name: "qifp", Body: algebra.IFP{Var: "u", Body: algebra.Union{L: call, R: rel("u")}}},
+		{Name: "qdiff", Body: algebra.Diff{L: algebra.Lit{Set: ints(5, 6)}, R: call}},
 	}}
 	db := algebra.DB{"t": ints(5)}
 	res, err := EvalValid(p, db, algebra.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !value.Equal(res.Set("q"), ints(5)) {
-		t.Errorf("capture-avoiding inline failed: q = %v, want {5}", res.Set("q"))
+	for name, want := range map[string]value.Set{"q": ints(5), "qflip": ints(5), "qifp": ints(5), "qdiff": ints(6)} {
+		if !value.Equal(res.Set(name), want) || !res.IsTotal(name) {
+			t.Errorf("capture-avoiding inline failed: %s = %v (undef %v), want %v", name, res.Set(name), res.UndefElems(name), want)
+		}
 	}
 }
 
@@ -329,6 +337,13 @@ func TestValidateErrors(t *testing.T) {
 			{Name: "f", Params: []string{"x"}, Body: rel("x")},
 			{Name: "a", Body: algebra.Call{Name: "f"}},
 		}}, "takes 1 arguments"},
+		// The call under a flip, under an IFP and in a subtrahend.
+		{&Program{Defs: []Def{{Name: "a", Body: algebra.Flip{E: algebra.Call{Name: "nosuch"}}}}}, "undefined operation"},
+		{&Program{Defs: []Def{
+			{Name: "f", Params: []string{"x"}, Body: rel("x")},
+			{Name: "a", Body: algebra.IFP{Var: "v", Body: algebra.Union{L: rel("v"), R: algebra.Call{Name: "f"}}}},
+		}}, "takes 1 arguments"},
+		{&Program{Defs: []Def{{Name: "a", Body: algebra.Diff{L: rel("r"), R: algebra.Call{Name: "nosuch"}}}}}, "undefined operation"},
 	}
 	for _, c := range cases {
 		err := c.p.Validate()
