@@ -34,15 +34,12 @@ test-server:
 serve:
 	go run ./cmd/algrecd -db g=internal/server/testdata/graph.alg
 
-# lint gates documentation: every package needs a package doc comment, and
-# the strict packages must document every exported declaration — the
-# theorem-bearing packages (semantics, translate), the engines (algebra and
-# its stream iterator layer, core, ivm, datalog/rel), the serving stack
-# (query, server, storage, value/intern), the observability layer (obsv),
-# the fuzzing machinery (randgen, diffcheck) and the root package.
-# doccheck is stdlib-only (tools/doccheck).
+# lint gates documentation: every package needs a package doc comment and
+# must document every exported declaration. The benchmark, a module of its
+# own, is held to the package doc comment only. doccheck is stdlib-only
+# (tools/doccheck).
 lint: vet
-	go run ./tools/doccheck -strict internal/semantics,internal/translate,internal/algebra,internal/algebra/stream,internal/core,internal/randgen,internal/diffcheck,internal/query,internal/server,internal/ivm,internal/datalog/rel,internal/storage,internal/value/intern,internal/obsv .
+	go run ./tools/doccheck .
 
 # lines prints the ROADMAP's size yardstick: non-test Go lines outside
 # benchmark/, per package directory and in total.

@@ -21,7 +21,7 @@ import (
 //   - a hash-join step whose build keys are exactly the leading components of
 //     an unfiltered leaf (planStep.probe, see planner.go): the leaf's range is
 //     probed per bound row and no index is built;
-//   - a difference whose subtrahend is built from products (EvalDiff): whether
+//   - a difference whose subtrahend is built from products (evalDiff): whether
 //     (x, y) lies in A × B is a lookup in A and one in B, so the minuend is
 //     filtered by lookups and the product is never built.
 //
@@ -37,16 +37,15 @@ import (
 // selects the scan-everything reference path, so the stream oracles pin all
 // of this.
 
-// EvalSelect evaluates a selection for a host evaluator — the two-valued
-// Evaluator and internal/core's dual evaluator share it, closing their
+// evalSelect evaluates a selection for the Evaluator, which closes its
 // environment (database, local IFP bindings, polarity) into leaf. It picks,
 // in order: the streaming pipeline when the operator spine reaches a product
 // (streameval.go); a prefix probe when the test fixes leading components to
 // constants; the element-by-element scan. Under Budget.NoStreaming only the
 // scan is left: a σ over a product builds the product first.
-func EvalSelect(e Select, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
-	if !b.NoStreaming && StreamEligible(e) {
-		return StreamEval(e, b, obs, leaf)
+func evalSelect(e Select, b Budget, obs obsv.Collector, leaf leafEval) (value.Set, error) {
+	if !b.NoStreaming && streamEligible(e) {
+		return streamEval(e, b, obs, leaf)
 	}
 	of, err := leaf(e.Of)
 	if err != nil {
@@ -66,11 +65,11 @@ func EvalSelect(e Select, b Budget, obs obsv.Collector, leaf LeafEval) (value.Se
 	})
 }
 
-// EvalMap is EvalSelect's counterpart for MAP: the streaming pipeline when
+// evalMap is evalSelect's counterpart for MAP: the streaming pipeline when
 // the spine reaches a product, the element-by-element map otherwise.
-func EvalMap(e Map, b Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
-	if !b.NoStreaming && StreamEligible(e) {
-		return StreamEval(e, b, obs, leaf)
+func evalMap(e Map, b Budget, obs obsv.Collector, leaf leafEval) (value.Set, error) {
+	if !b.NoStreaming && streamEligible(e) {
+		return streamEval(e, b, obs, leaf)
 	}
 	of, err := leaf(e.Of)
 	if err != nil {
@@ -102,9 +101,9 @@ func poller(b Budget) func() error {
 	}
 }
 
-// EvalProduct materializes l × r for a host evaluator, within the budget:
-// every product the two evaluators still build goes through here.
-func EvalProduct(l, r value.Set, b Budget) (value.Set, error) {
+// evalProduct materializes l × r within the budget: every product the
+// Evaluator still builds goes through here.
+func evalProduct(l, r value.Set, b Budget) (value.Set, error) {
 	// Division-based comparison: l.Len()*r.Len() can overflow int and
 	// silently skip the guard.
 	if l.Len() > 0 && r.Len() > b.MaxSetSize/l.Len() {
@@ -113,7 +112,7 @@ func EvalProduct(l, r value.Set, b Budget) (value.Set, error) {
 	return l.ProductPolled(r, pollEvery, b.Stop)
 }
 
-// spine is a subtrahend as EvalDiff probes it: the ∪/× operators above its
+// spine is a subtrahend as evalDiff probes it: the ∪/× operators above its
 // evaluated leaves. A leaf has neither child.
 type spine struct {
 	product bool // l × r; otherwise l ∪ r
@@ -135,7 +134,7 @@ func reachesProduct(e Expr) bool {
 // evalSpine evaluates the leaves under e's ∪/× spine — everything that is not
 // itself a union or a product — whole and left to right, the order in which
 // materializing e would reach them, and counts them.
-func evalSpine(e Expr, leaf LeafEval, leaves *int) (node *spine, err error) {
+func evalSpine(e Expr, leaf leafEval, leaves *int) (node *spine, err error) {
 	node = &spine{}
 	var l, r Expr
 	switch ee := e.(type) {
@@ -171,16 +170,16 @@ func (s *spine) has(v value.Value, lookups *int) bool {
 	}
 }
 
-// EvalDiff evaluates a difference for a host evaluator; left and right
-// evaluate subexpressions of the minuend and of the subtrahend (the dual
-// evaluator reads them at opposite polarities). When the subtrahend's ∪/×
+// evalDiff evaluates a difference for the Evaluator; left and right
+// evaluate subexpressions of the minuend and of the subtrahend, which the
+// Evaluator reads at opposite polarities. When the subtrahend's ∪/×
 // spine reaches a product, the spine's leaves are evaluated — always, so
 // every leaf error surfaces whether or not anything is left to subtract from
 // — and the minuend is filtered by membership in the spine: no product is
 // built, and a filter of a canonical set needs no sort. Otherwise, and on the
 // Budget.NoStreaming reference path, the subtrahend is materialized and
 // merged against.
-func EvalDiff(e Diff, b Budget, obs obsv.Collector, left, right LeafEval) (value.Set, error) {
+func evalDiff(e Diff, b Budget, obs obsv.Collector, left, right leafEval) (value.Set, error) {
 	l, err := left(e.L)
 	if err != nil {
 		return value.Set{}, err

@@ -18,7 +18,7 @@ import (
 //
 // so the accumulator recurrence acc' = acc ∪ body(acc) collapses to
 // acc' = acc ∪ body(Δ). DeltaDistributive decides the condition statically;
-// RunIFP runs either loop. Both produce the identical fixpoint — that is the
+// runIFP runs either loop. Both produce the identical fixpoint — that is the
 // point of the analysis — so the naive loop of the Budget.NoStreaming
 // reference only changes cost, never results. Delta is a property of the
 // body, not of how its sets are represented: this one loop serves every IFP
@@ -43,9 +43,9 @@ import (
 //   - name free under a nested IFP or a Call is rejected — an inner fixpoint
 //     of a union is not the union of inner fixpoints, and a callee's shape is
 //     unknown before inlining;
-//   - Flip only changes which environment *other* names read in the
-//     three-valued evaluator; the binding of name itself is polarity-
-//     independent, so Flip preserves distributivity.
+//   - Flip only changes which overlay (Evaluator.Pos or Neg) *other* names
+//     read; the binding of name itself is polarity-independent, so Flip
+//     preserves distributivity.
 func DeltaDistributive(e Expr, name string) bool {
 	switch ee := e.(type) {
 	case Rel, Lit:
@@ -84,12 +84,11 @@ func DeltaDistributive(e Expr, name string) bool {
 	}
 }
 
-// RunIFP computes the inflationary fixpoint of step over the variable
+// runIFP computes the inflationary fixpoint of step over the variable
 // varName: starting from the empty set, step is applied and its output
 // accumulated until nothing new is added. step evaluates the IFP body under
-// the given bindings (outer locals with varName rebound each round); it is
-// the seam that lets the two-valued evaluator of this package and the
-// three-valued dual evaluator of internal/core share one fixpoint loop.
+// the given bindings (outer locals with varName rebound each round), at the
+// polarity the Evaluator closes into it.
 //
 // With useDelta (the caller verified DeltaDistributive on the body),
 // varName is bound to the per-round delta instead of the whole accumulator;
@@ -97,7 +96,7 @@ func DeltaDistributive(e Expr, name string) bool {
 // delta-sized inputs. The budget must already have defaults
 // applied. obs, when non-nil, receives one IFPStats event for the completed
 // fixpoint.
-func RunIFP(varName string, outer map[string]value.Set, budget Budget, useDelta bool, obs obsv.Collector, step func(local map[string]value.Set) (value.Set, error)) (value.Set, error) {
+func runIFP(varName string, outer map[string]value.Set, budget Budget, useDelta bool, obs obsv.Collector, step func(local map[string]value.Set) (value.Set, error)) (value.Set, error) {
 	acc := value.EmptySet
 	delta := value.EmptySet
 	var deltas []int

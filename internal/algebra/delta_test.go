@@ -74,7 +74,7 @@ func TestDeltaDistributiveSemantics(t *testing.T) {
 		a, b := value.NewSet(aElems...), value.NewSet(bElems...)
 		evalWith := func(s value.Set) (value.Set, error) {
 			ev := NewEvaluator(db, Budget{MaxIFPIters: 500, MaxSetSize: 20000})
-			return ev.eval(body, map[string]value.Set{"x": s})
+			return ev.eval(body, true, map[string]value.Set{"x": s})
 		}
 		whole, err1 := evalWith(union)
 		onA, err2 := evalWith(a)

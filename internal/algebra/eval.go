@@ -15,14 +15,13 @@ import (
 type Budget struct {
 	MaxIFPIters int // maximum iterations of any single IFP (0 = default)
 	MaxSetSize  int // maximum cardinality of any intermediate set (0 = default)
-	MaxDepth    int // maximum Call nesting depth (0 = default)
 	// NoStreaming selects the reference evaluator, the one every production
 	// path is checked against:
 	//   - operators are materialized one by one instead of planned into lazy
 	//     join iterators (streameval.go) — σ over a product builds the product
 	//     and scans it — prefix probes are off (access.go), and a diff
 	//     materializes its subtrahend even where that means building the
-	//     products it subtracts (EvalDiff);
+	//     products it subtracts (evalDiff);
 	//   - every IFP iterates naively, re-evaluating its body on the whole
 	//     accumulator, instead of semi-naively on the last round's delta;
 	//   - query.Execute answers an algebra expression on the value evaluator
@@ -46,7 +45,7 @@ type Budget struct {
 }
 
 // DefaultBudget is used for zero-valued Budget fields.
-var DefaultBudget = Budget{MaxIFPIters: 100_000, MaxSetSize: 5_000_000, MaxDepth: 1_000}
+var DefaultBudget = Budget{MaxIFPIters: 100_000, MaxSetSize: 5_000_000}
 
 // WithDefaults returns b with every zero-valued cap replaced by the
 // corresponding DefaultBudget value, and NoStreaming ORed with
@@ -57,9 +56,6 @@ func (b Budget) WithDefaults() Budget {
 	}
 	if b.MaxSetSize <= 0 {
 		b.MaxSetSize = DefaultBudget.MaxSetSize
-	}
-	if b.MaxDepth <= 0 {
-		b.MaxDepth = DefaultBudget.MaxDepth
 	}
 	b.NoStreaming = b.NoStreaming || DefaultBudget.NoStreaming
 	return b
@@ -101,21 +97,22 @@ func (db DB) Clone() DB {
 	return out
 }
 
-// CallResolver resolves a Call node to a result set. It is an extension
-// hook for embedding the evaluator with externally-defined operations;
-// plain evaluation leaves it nil and rejects Call nodes. Note that algebra=
-// programs do NOT go through this hook: internal/core expands definitions
-// as macros and gives recursive constants their valid-model semantics.
-type CallResolver func(name string, args []value.Set) (value.Set, error)
-
-// Evaluator evaluates algebra expressions against a database.
+// Evaluator evaluates algebra expressions against a database. It is the one
+// value evaluator: the two-valued algebra's, and — with the Pos and Neg
+// overlays set — the three-valued one internal/core reads algebra= through.
 type Evaluator struct {
 	DB     DB
 	Budget Budget
-	Call   CallResolver
+	// Pos and Neg overlay DB for names at positive and negative occurrences:
+	// an occurrence is negative inside an odd number of subtrahends and
+	// flips, which is the paper's "inversion of T and F for membership" in
+	// executable form. internal/core sets them to the current bounds of the
+	// defined sets — Pos = lower and Neg = upper computes a certain lower
+	// bound, swapped a possible upper bound. Left nil, every occurrence reads
+	// DB and Flip is the identity.
+	Pos, Neg map[string]value.Set
 
-	depth int
-	obs   obsv.Collector
+	obs obsv.Collector
 }
 
 // NewEvaluator returns an evaluator over db with the given budget. The
@@ -128,18 +125,27 @@ func NewEvaluator(db DB, budget Budget) *Evaluator {
 // construction; nil disables event reporting.
 func (ev *Evaluator) SetCollector(c obsv.Collector) { ev.obs = c }
 
-// Eval evaluates the expression to a finite set.
+// Eval evaluates the expression, at positive polarity, to a finite set.
 func (ev *Evaluator) Eval(e Expr) (value.Set, error) {
-	return ev.eval(e, nil)
+	return ev.eval(e, true, nil)
 }
 
-// eval evaluates under local bindings of IFP variables (nil-safe lookup
-// chain kept as a simple map copied on IFP entry — IFP nesting is shallow in
-// practice).
-func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error) {
+// eval evaluates at the given polarity under local bindings of IFP
+// variables (a simple map copied on IFP entry — IFP nesting is shallow in
+// practice). ∪, ×, σ, MAP and IFP preserve polarity; − and Flip invert it
+// for their subtrahend and operand. An IFP variable is a local binding,
+// identical at both polarities.
+func (ev *Evaluator) eval(e Expr, positive bool, local map[string]value.Set) (value.Set, error) {
 	switch ee := e.(type) {
 	case Rel:
 		if s, ok := local[ee.Name]; ok {
+			return s, nil
+		}
+		env := ev.Pos
+		if !positive {
+			env = ev.Neg
+		}
+		if s, ok := env[ee.Name]; ok {
 			return s, nil
 		}
 		if s, ok := ev.DB[ee.Name]; ok {
@@ -149,64 +155,50 @@ func (ev *Evaluator) eval(e Expr, local map[string]value.Set) (value.Set, error)
 	case Lit:
 		return ee.Set, nil
 	case Union:
-		l, err := ev.eval(ee.L, local)
+		l, err := ev.eval(ee.L, positive, local)
 		if err != nil {
 			return value.Set{}, err
 		}
-		r, err := ev.eval(ee.R, local)
+		r, err := ev.eval(ee.R, positive, local)
 		if err != nil {
 			return value.Set{}, err
 		}
 		return ev.checkSize(l.Union(r))
 	case Diff:
-		leaf := func(sub Expr) (value.Set, error) { return ev.eval(sub, local) }
-		return EvalDiff(ee, ev.Budget, ev.obs, leaf, leaf)
+		return evalDiff(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+			return ev.eval(sub, positive, local)
+		}, func(sub Expr) (value.Set, error) {
+			return ev.eval(sub, !positive, local)
+		})
 	case Product:
-		l, err := ev.eval(ee.L, local)
+		l, err := ev.eval(ee.L, positive, local)
 		if err != nil {
 			return value.Set{}, err
 		}
-		r, err := ev.eval(ee.R, local)
+		r, err := ev.eval(ee.R, positive, local)
 		if err != nil {
 			return value.Set{}, err
 		}
-		return EvalProduct(l, r, ev.Budget)
+		return evalProduct(l, r, ev.Budget)
 	case Select:
-		return EvalSelect(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
-			return ev.eval(sub, local)
+		return evalSelect(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+			return ev.eval(sub, positive, local)
 		})
 	case Map:
-		return EvalMap(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
-			return ev.eval(sub, local)
+		return evalMap(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+			return ev.eval(sub, positive, local)
 		})
 	case IFP:
 		useDelta := !ev.Budget.NoStreaming && DeltaDistributive(ee.Body, ee.Var)
-		return RunIFP(ee.Var, local, ev.Budget, useDelta, ev.obs, func(inner map[string]value.Set) (value.Set, error) {
-			return ev.eval(ee.Body, inner)
+		return runIFP(ee.Var, local, ev.Budget, useDelta, ev.obs, func(inner map[string]value.Set) (value.Set, error) {
+			return ev.eval(ee.Body, positive, inner)
 		})
 	case Flip:
-		// Identity on total databases; the annotation only matters to the
-		// three-valued evaluator in internal/core.
-		return ev.eval(ee.E, local)
+		// Correlation annotation (see Flip): the operand is read at the
+		// opposite polarity.
+		return ev.eval(ee.E, !positive, local)
 	case Call:
-		if ev.Call == nil {
-			return value.Set{}, fmt.Errorf("algebra: call to %q but no definitions are in scope (use internal/core for algebra= programs)", ee.Name)
-		}
-		if ev.depth >= ev.Budget.MaxDepth {
-			return value.Set{}, fmt.Errorf("%w: call nesting exceeded MaxDepth %d", ErrBudget, ev.Budget.MaxDepth)
-		}
-		args := make([]value.Set, len(ee.Args))
-		for i, a := range ee.Args {
-			s, err := ev.eval(a, local)
-			if err != nil {
-				return value.Set{}, err
-			}
-			args[i] = s
-		}
-		ev.depth++
-		out, err := ev.Call(ee.Name, args)
-		ev.depth--
-		return out, err
+		return value.Set{}, fmt.Errorf("algebra: call to %q but no definitions are in scope (use internal/core for algebra= programs)", ee.Name)
 	default:
 		panic(fmt.Sprintf("algebra: unknown Expr %T", e))
 	}

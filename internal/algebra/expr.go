@@ -64,10 +64,10 @@ type Call struct {
 	Args []Expr
 }
 
-// Flip is a polarity annotation: on total databases it is the identity, and
-// the two-valued evaluator treats it as such. Under the three-valued
-// (lower/upper bound) evaluation of internal/core, Flip{E} evaluates E at
-// the opposite of the incoming polarity. Its purpose is correlation: the
+// Flip is a polarity annotation: Flip{E} evaluates E at the opposite of the
+// incoming polarity. Without the Evaluator's Pos/Neg overlays — on total
+// databases — it is the identity; it matters to the lower/upper bound
+// passes of internal/core, which set them. Its purpose is correlation: the
 // anti-join encoding of a negated atom, env − π(σ(env × Q)), mentions env
 // twice, and without the annotation the copy inside the subtrahend would be
 // read at flipped polarity, decorrelating the two occurrences and losing
@@ -154,6 +154,62 @@ var EmptyLit = Lit{Set: value.EmptySet}
 // Singleton returns the literal set {v}.
 func Singleton(v value.Value) Lit { return Lit{Set: value.NewSet(v)} }
 
+// Children returns the set-valued subexpressions of e, in operand order:
+// none for Rel and Lit, the operands of ∪, − and ×, the input of σ and MAP,
+// an IFP's body, a Flip's operand and a Call's arguments. With WithChildren
+// it is the one child enumeration every generic walk recurses through.
+func Children(e Expr) []Expr {
+	switch ee := e.(type) {
+	case Rel, Lit:
+		return nil
+	case Union:
+		return []Expr{ee.L, ee.R}
+	case Diff:
+		return []Expr{ee.L, ee.R}
+	case Product:
+		return []Expr{ee.L, ee.R}
+	case Select:
+		return []Expr{ee.Of}
+	case Map:
+		return []Expr{ee.Of}
+	case IFP:
+		return []Expr{ee.Body}
+	case Flip:
+		return []Expr{ee.E}
+	case Call:
+		return ee.Args
+	default:
+		panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+	}
+}
+
+// WithChildren returns e with its subexpressions replaced by kids, given in
+// the order Children returns them; every other field is kept.
+func WithChildren(e Expr, kids []Expr) Expr {
+	switch ee := e.(type) {
+	case Rel, Lit:
+		return e
+	case Union:
+		return Union{L: kids[0], R: kids[1]}
+	case Diff:
+		return Diff{L: kids[0], R: kids[1]}
+	case Product:
+		return Product{L: kids[0], R: kids[1]}
+	case Select:
+		return Select{Of: kids[0], Var: ee.Var, Test: ee.Test}
+	case Map:
+		return Map{Of: kids[0], Var: ee.Var, Out: ee.Out}
+	case IFP:
+		return IFP{Var: ee.Var, Body: kids[0]}
+	case Flip:
+		return Flip{E: kids[0]}
+	case Call:
+		return Call{Name: ee.Name, Args: kids}
+	default:
+		panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+	}
+}
+
 // FreeRels returns the free relation names of e, sorted: every Rel name not
 // bound by an enclosing IFP variable. Call names are reported separately by
 // CallNames; they are not free relations.
@@ -166,44 +222,19 @@ func FreeRels(e Expr) []string {
 			if !bound[ee.Name] {
 				seen[ee.Name] = true
 			}
-		case Lit:
-		case Union:
-			walk(ee.L, bound)
-			walk(ee.R, bound)
-		case Diff:
-			walk(ee.L, bound)
-			walk(ee.R, bound)
-		case Product:
-			walk(ee.L, bound)
-			walk(ee.R, bound)
-		case Select:
-			walk(ee.Of, bound)
-		case Map:
-			walk(ee.Of, bound)
 		case IFP:
-			inner := map[string]bool{}
+			inner := map[string]bool{ee.Var: true}
 			for k := range bound {
 				inner[k] = true
 			}
-			inner[ee.Var] = true
-			walk(ee.Body, inner)
-		case Call:
-			for _, a := range ee.Args {
-				walk(a, bound)
-			}
-		case Flip:
-			walk(ee.E, bound)
-		default:
-			panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+			bound = inner
+		}
+		for _, k := range Children(e) {
+			walk(k, bound)
 		}
 	}
 	walk(e, map[string]bool{})
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(seen)
 }
 
 // CallNames returns the names of operations applied by Call nodes in e,
@@ -212,37 +243,20 @@ func CallNames(e Expr) []string {
 	seen := map[string]bool{}
 	var walk func(Expr)
 	walk = func(e Expr) {
-		switch ee := e.(type) {
-		case Rel, Lit:
-		case Union:
-			walk(ee.L)
-			walk(ee.R)
-		case Diff:
-			walk(ee.L)
-			walk(ee.R)
-		case Product:
-			walk(ee.L)
-			walk(ee.R)
-		case Select:
-			walk(ee.Of)
-		case Map:
-			walk(ee.Of)
-		case IFP:
-			walk(ee.Body)
-		case Call:
-			seen[ee.Name] = true
-			for _, a := range ee.Args {
-				walk(a)
-			}
-		case Flip:
-			walk(ee.E)
-		default:
-			panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+		if c, ok := e.(Call); ok {
+			seen[c.Name] = true
+		}
+		for _, k := range Children(e) {
+			walk(k)
 		}
 	}
 	walk(e)
-	out := make([]string, 0, len(seen))
-	for k := range seen {
+	return sortedKeys(seen)
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -255,51 +269,37 @@ func CallNames(e Expr) []string {
 // IFP-algebra ("the variable does not appear negatively, i.e. does not
 // appear in a sub-expression being subtracted"), which guarantees
 // monotonicity in the sense of Definition 3.3 and hence, by Proposition 3.4,
-// agreement between the recursive equation S = exp(S) and IFP_exp.
+// agreement between the recursive equation S = exp(S) and IFP_exp. A Flip
+// inverts polarity as a subtrahend does.
 func OccursPositively(e Expr, name string) bool {
-	var walk func(Expr, bool, map[string]bool) bool
-	walk = func(e Expr, positive bool, bound map[string]bool) bool {
+	var walk func(Expr, bool) bool
+	walk = func(e Expr, positive bool) bool {
 		switch ee := e.(type) {
 		case Rel:
-			if ee.Name == name && !bound[name] && !positive {
-				return false
-			}
-			return true
-		case Lit:
-			return true
-		case Union:
-			return walk(ee.L, positive, bound) && walk(ee.R, positive, bound)
+			return positive || ee.Name != name
 		case Diff:
-			return walk(ee.L, positive, bound) && walk(ee.R, !positive, bound)
-		case Product:
-			return walk(ee.L, positive, bound) && walk(ee.R, positive, bound)
-		case Select:
-			return walk(ee.Of, positive, bound)
-		case Map:
-			return walk(ee.Of, positive, bound)
+			return walk(ee.L, positive) && walk(ee.R, !positive)
+		case Flip:
+			return walk(ee.E, !positive)
 		case IFP:
 			if ee.Var == name {
 				return true // inner occurrences refer to the IFP variable
 			}
-			return walk(ee.Body, positive, bound)
 		case Call:
 			// Without the callee's definition the occurrence polarity is
 			// unknown; conservatively reject any occurrence under a call and
 			// let callers expand non-recursive definitions first
 			// (core.Program.Inline).
-			for _, a := range ee.Args {
-				if occursFree(a, name) {
-					return false
-				}
-			}
-			return true
-		case Flip:
-			return walk(ee.E, !positive, bound)
-		default:
-			panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+			return !occursFree(e, name)
 		}
+		for _, k := range Children(e) {
+			if !walk(k, positive) {
+				return false
+			}
+		}
+		return true
 	}
-	return walk(e, true, map[string]bool{})
+	return walk(e, true)
 }
 
 func occursFree(e Expr, name string) bool {
@@ -315,76 +315,27 @@ func occursFree(e Expr, name string) bool {
 // variable that occurs only positively in its body — the defining condition
 // of the paper's positive IFP-algebra (Theorem 4.3).
 func IsPositiveIFP(e Expr) bool {
-	ok := true
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch ee := e.(type) {
-		case Rel, Lit:
-		case Union:
-			walk(ee.L)
-			walk(ee.R)
-		case Diff:
-			walk(ee.L)
-			walk(ee.R)
-		case Product:
-			walk(ee.L)
-			walk(ee.R)
-		case Select:
-			walk(ee.Of)
-		case Map:
-			walk(ee.Of)
-		case IFP:
-			if !OccursPositively(ee.Body, ee.Var) {
-				ok = false
-			}
-			walk(ee.Body)
-		case Call:
-			for _, a := range ee.Args {
-				walk(a)
-			}
-		case Flip:
-			walk(ee.E)
-		default:
-			panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+	if f, ok := e.(IFP); ok && !OccursPositively(f.Body, f.Var) {
+		return false
+	}
+	for _, k := range Children(e) {
+		if !IsPositiveIFP(k) {
+			return false
 		}
 	}
-	walk(e)
-	return ok
+	return true
 }
 
 // HasIFP reports whether e contains an IFP operator; expressions without one
 // belong to the paper's plain "algebra".
 func HasIFP(e Expr) bool {
-	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch ee := e.(type) {
-		case Rel, Lit:
-		case Union:
-			walk(ee.L)
-			walk(ee.R)
-		case Diff:
-			walk(ee.L)
-			walk(ee.R)
-		case Product:
-			walk(ee.L)
-			walk(ee.R)
-		case Select:
-			walk(ee.Of)
-		case Map:
-			walk(ee.Of)
-		case IFP:
-			found = true
-		case Call:
-			for _, a := range ee.Args {
-				walk(a)
-			}
-		case Flip:
-			walk(ee.E)
-		default:
-			panic(fmt.Sprintf("algebra: unknown Expr %T", e))
+	if _, ok := e.(IFP); ok {
+		return true
+	}
+	for _, k := range Children(e) {
+		if HasIFP(k) {
+			return true
 		}
 	}
-	walk(e)
-	return found
+	return false
 }

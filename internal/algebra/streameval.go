@@ -15,11 +15,11 @@ import (
 // internal/algebra/stream, planning σ-over-product subtrees with the
 // cost-based join planner (planner.go) so the product is never
 // materialized. Subexpressions outside the spine (relations, literals,
-// differences, IFPs, calls) are evaluated by the host evaluator through the
-// LeafEval seam and scanned as sets, which is what lets both the two-valued
-// evaluator (eval.go) and internal/core's three-valued dual evaluator share
-// one runtime: the spine operators are polarity-transparent, so the host
-// closes polarity (and local IFP bindings) into its LeafEval.
+// differences, IFPs, calls) are evaluated by the Evaluator (eval.go) through
+// the leafEval seam and scanned as sets: the spine operators are
+// polarity-transparent, so the Evaluator closes polarity (and local IFP
+// bindings) into its leafEval and one pipeline serves the two-valued reading
+// and both bounds of the three-valued one.
 //
 // Results are identical to the materialized path on error-free evaluations:
 // the pipeline only ever prunes product pairs via pushed conjuncts and join
@@ -30,17 +30,17 @@ import (
 // buffered output — so a budget error on one path may be a success on the
 // other. Budget.NoStreaming selects the materialized path, the reference.
 
-// LeafEval evaluates a subexpression the streaming compiler treats as an
-// opaque leaf. The host evaluator closes its environment (database, local
-// IFP bindings, polarity) into this function.
-type LeafEval func(Expr) (value.Set, error)
+// leafEval evaluates a subexpression the streaming compiler treats as an
+// opaque leaf. The Evaluator closes its environment (database, local IFP
+// bindings, polarity) into this function.
+type leafEval func(Expr) (value.Set, error)
 
-// StreamEligible reports whether e is a pipeline the streaming runtime
+// streamEligible reports whether e is a pipeline the streaming runtime
 // accepts as an entry point: a σ or MAP whose operator spine (σ/MAP/∪
 // nodes) reaches a product. Plain selections and maps over already-small
 // sets stay on the materialized path, where the canonical set operations
 // are cheaper than re-sorting a stream.
-func StreamEligible(e Expr) bool {
+func streamEligible(e Expr) bool {
 	switch e.(type) {
 	case Select, Map:
 		return spineHasProduct(e)
@@ -67,7 +67,7 @@ func spineHasProduct(e Expr) bool {
 }
 
 // pipeProfile accumulates the counters of one streamed pipeline, emitted as
-// a single obsv.Stream event by StreamEval.
+// a single obsv.Stream event by streamEval.
 type pipeProfile struct {
 	leaves    int // leaf sets feeding the pipeline
 	scanned   int // elements read from leaves: scanned, or returned by a probe
@@ -78,12 +78,12 @@ type pipeProfile struct {
 	pushed    int // conjuncts pushed into leaf scans
 }
 
-// StreamEval evaluates an eligible pipeline lazily and collects the result
+// streamEval evaluates an eligible pipeline lazily and collects the result
 // into a canonical set, reporting one obsv.Stream event per call. The leaf
 // function evaluates opaque subexpressions; budget caps the collected
 // output size (the streaming counterpart of the materialized path's
 // intermediate-set checks).
-func StreamEval(e Expr, budget Budget, obs obsv.Collector, leaf LeafEval) (value.Set, error) {
+func streamEval(e Expr, budget Budget, obs obsv.Collector, leaf leafEval) (value.Set, error) {
 	prof := &pipeProfile{}
 	c := &streamCompiler{budget: budget, leaf: leaf, prof: prof, poll: poller(budget)}
 	it, err := c.compile(e)
@@ -126,7 +126,7 @@ func opName(e Expr) string {
 // streamCompiler turns spine expressions into iterators.
 type streamCompiler struct {
 	budget Budget
-	leaf   LeafEval
+	leaf   leafEval
 	prof   *pipeProfile
 	poll   func() error // once per element any operator of the pipeline handles
 }
@@ -141,7 +141,7 @@ func (c *streamCompiler) compile(e Expr) (stream.Iterator, error) {
 			}
 		}
 		if !spineHasProduct(ee.Of) {
-			// Nothing below to pipeline: the host's selection (EvalSelect)
+			// Nothing below to pipeline: the Evaluator's selection (evalSelect)
 			// can answer from the operand's sorted order; a filter here
 			// could only scan it.
 			return c.scanLeaf(e)

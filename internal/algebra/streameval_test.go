@@ -85,8 +85,8 @@ func TestStreamEligible(t *testing.T) {
 		{tcPipelineExpr(), false}, // the IFP is not a spine; its body streams internally
 	}
 	for i, c := range cases {
-		if got := StreamEligible(c.e); got != c.want {
-			t.Errorf("case %d: StreamEligible = %v, want %v", i, got, c.want)
+		if got := streamEligible(c.e); got != c.want {
+			t.Errorf("case %d: streamEligible = %v, want %v", i, got, c.want)
 		}
 	}
 }

@@ -102,8 +102,9 @@ func TestEqWinDiffCounts(t *testing.T) {
 
 // TestTimeoutInsideOneProduct: a product of 9 million pairs, or a difference
 // probing a million elements, is one operator evaluation — no fixpoint round
-// boundary in it. Interrupted 10 ms in, both evaluators stop with ErrCanceled,
-// and soon: the loops poll the interrupt themselves.
+// boundary in it. Interrupted 10 ms in, the evaluator stops with ErrCanceled,
+// two-valued and inside EvalValid, and soon: the loops poll the interrupt
+// themselves.
 func TestTimeoutInsideOneProduct(t *testing.T) {
 	upTo := func(n int64) value.Set {
 		b := value.NewSetBuilder(int(n))

@@ -97,106 +97,15 @@ func (r *Result) UndefElems(name string) value.Set {
 // defined program this is the set's content in the initial valid model.
 func (r *Result) Set(name string) value.Set { return r.Lower[name] }
 
-// dualEvaluator evaluates expressions three-valuedly: references to defined
-// constants read the pos environment at positive occurrences and the neg
-// environment at negative occurrences (inside an odd number of subtracted
-// positions). With pos = Lower and neg = Upper it computes a certain lower
-// bound; with the environments swapped, a possible upper bound.
-type dualEvaluator struct {
-	db       algebra.DB
-	pos, neg map[string]value.Set
-	budget   algebra.Budget
-	obs      obsv.Collector
-}
-
-func (de *dualEvaluator) eval(e algebra.Expr, positive bool, local map[string]value.Set) (value.Set, error) {
-	switch ee := e.(type) {
-	case algebra.Rel:
-		if s, ok := local[ee.Name]; ok {
-			return s, nil
-		}
-		env := de.pos
-		if !positive {
-			env = de.neg
-		}
-		if s, ok := env[ee.Name]; ok {
-			return s, nil
-		}
-		if s, ok := de.db[ee.Name]; ok {
-			return s, nil
-		}
-		return value.Set{}, fmt.Errorf("core: unknown relation %q", ee.Name)
-	case algebra.Lit:
-		return ee.Set, nil
-	case algebra.Union:
-		l, err := de.eval(ee.L, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		r, err := de.eval(ee.R, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return de.checkSize(l.Union(r))
-	case algebra.Diff:
-		// Subtraction inverts membership: the subtrahend is evaluated at the
-		// opposite polarity. This is the paper's "inversion of T and F for
-		// membership" in executable form. ∪ and × preserve polarity, so every
-		// leaf of the subtrahend's spine is read at that one polarity too.
-		return algebra.EvalDiff(ee, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
-			return de.eval(sub, positive, local)
-		}, func(sub algebra.Expr) (value.Set, error) {
-			return de.eval(sub, !positive, local)
-		})
-	case algebra.Product:
-		l, err := de.eval(ee.L, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		r, err := de.eval(ee.R, positive, local)
-		if err != nil {
-			return value.Set{}, err
-		}
-		return algebra.EvalProduct(l, r, de.budget)
-	case algebra.Select:
-		// σ and MAP are polarity-transparent, as is the whole spine the
-		// streaming runtime pipelines (σ/MAP/∪/× preserve polarity): the
-		// shared dispatch evaluates polarity-sensitive subexpressions (Flip,
-		// defined constants) at the current polarity through the closure.
-		return algebra.EvalSelect(ee, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
-			return de.eval(sub, positive, local)
-		})
-	case algebra.Map:
-		return algebra.EvalMap(ee, de.budget, de.obs, func(sub algebra.Expr) (value.Set, error) {
-			return de.eval(sub, positive, local)
-		})
-	case algebra.IFP:
-		// IFP is an operator with its own inflationary semantics: the
-		// accumulating variable is a local binding, identical at both
-		// polarities; free defined constants keep their polarity. The shared
-		// fixpoint loop runs semi-naive when the body distributes over union
-		// in the variable — distributivity is polarity-independent, because
-		// the variable itself is a local binding.
-		useDelta := !de.budget.NoStreaming && algebra.DeltaDistributive(ee.Body, ee.Var)
-		return algebra.RunIFP(ee.Var, local, de.budget, useDelta, de.obs, func(inner map[string]value.Set) (value.Set, error) {
-			return de.eval(ee.Body, positive, inner)
-		})
-	case algebra.Flip:
-		// Polarity annotation: evaluate at the opposite polarity, restoring
-		// correlation in the anti-join encoding (see algebra.Flip).
-		return de.eval(ee.E, !positive, local)
-	case algebra.Call:
-		return value.Set{}, fmt.Errorf("core: unexpanded call to %q (run Inline first)", ee.Name)
-	default:
-		panic(fmt.Sprintf("core: unknown Expr %T", e))
-	}
-}
-
-func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {
-	if s.Len() > de.budget.MaxSetSize {
-		return value.Set{}, fmt.Errorf("%w: intermediate set of %d elements exceeds MaxSetSize %d", algebra.ErrBudget, s.Len(), de.budget.MaxSetSize)
-	}
-	return s, nil
+// evaluator reads expressions three-valuedly: a defined constant reads pos at
+// a positive occurrence and neg at a negative one — inside an odd number of
+// subtracted positions and flips (algebra.Evaluator.Pos, Neg). With pos =
+// Lower and neg = Upper it computes a certain lower bound; with the
+// environments swapped, a possible upper bound.
+func evaluator(db algebra.DB, budget algebra.Budget, pos, neg map[string]value.Set) *algebra.Evaluator {
+	ev := algebra.NewEvaluator(db, budget)
+	ev.Pos, ev.Neg = pos, neg
+	return ev
 }
 
 // gamma computes the set-level Γ operator: the least (inflationary) joint
@@ -208,12 +117,12 @@ func (de *dualEvaluator) checkSize(s value.Set) (value.Set, error) {
 // possible sets, the result is the certain members. Its rounds are
 // Gauss-Seidel: each definition reads the sets the ones before it in the
 // round produced.
-func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, obs obsv.Collector, st *obsv.CoreEvalStats) (map[string]value.Set, error) {
+func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, st *obsv.CoreEvalStats) (map[string]value.Set, error) {
 	lower := map[string]value.Set{}
 	for _, d := range p.Defs {
 		lower[d.Name] = value.EmptySet
 	}
-	de := &dualEvaluator{db: db, pos: lower, neg: neg, budget: budget, obs: obs}
+	ev := evaluator(db, budget, lower, neg)
 	st.Gammas++
 	for round := 0; ; round++ {
 		if round >= budget.MaxIFPIters {
@@ -226,7 +135,7 @@ func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.B
 		st.Evals += len(p.Defs)
 		changed := false
 		for _, d := range p.Defs {
-			s, err := de.eval(d.Body, true, nil)
+			s, err := ev.Eval(d.Body)
 			if err != nil {
 				return nil, err
 			}
@@ -269,11 +178,11 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 		if err := budget.Stop(); err != nil {
 			return nil, err
 		}
-		u, err = gamma(q, db, t, budget, obs, &st)
+		u, err = gamma(q, db, t, budget, &st)
 		if err != nil {
 			return nil, err
 		}
-		t2, err := gamma(q, db, u, budget, obs, &st)
+		t2, err := gamma(q, db, u, budget, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -316,13 +225,13 @@ func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[str
 		if err := budget.Stop(); err != nil {
 			return nil, err
 		}
-		de := &dualEvaluator{db: db, pos: cur, neg: cur, budget: budget, obs: obs}
+		ev := evaluator(db, budget, cur, cur)
 		next := map[string]value.Set{}
 		changed := false
 		st.Rounds++
 		st.Evals += len(q.Defs)
 		for _, d := range q.Defs {
-			s, err := de.eval(d.Body, true, nil)
+			s, err := ev.Eval(d.Body)
 			if err != nil {
 				return nil, err
 			}
@@ -348,15 +257,13 @@ func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[str
 // QueryLower evaluates an expression over the result's database and defined
 // sets, returning the certain (lower-bound) answer.
 func (r *Result) QueryLower(e algebra.Expr) (value.Set, error) {
-	de := &dualEvaluator{db: r.db, pos: r.Lower, neg: r.Upper, budget: r.budget, obs: obsv.Default()}
-	return de.eval(e, true, nil)
+	return evaluator(r.db, r.budget, r.Lower, r.Upper).Eval(e)
 }
 
 // QueryUpper evaluates an expression over the result's database and defined
 // sets, returning the possible (upper-bound) answer.
 func (r *Result) QueryUpper(e algebra.Expr) (value.Set, error) {
-	de := &dualEvaluator{db: r.db, pos: r.Upper, neg: r.Lower, budget: r.budget, obs: obsv.Default()}
-	return de.eval(e, true, nil)
+	return evaluator(r.db, r.budget, r.Upper, r.Lower).Eval(e)
 }
 
 func sameSets(a, b map[string]value.Set) bool {

@@ -24,18 +24,20 @@
 // S_c^e, WIN, S = {a} − S, and the Proposition 6.1 simulation-function
 // translation — uses recursive constants only.
 //
-// Execution: one evaluator. EvalValid alternates one Γ loop — Gauss-Seidel
-// rounds over all definitions — and EvalInflationary runs one loop of global
-// Jacobi rounds. The dual-bound evaluator shares internal/algebra's streaming
-// runtime — σ/MAP pipelines over products are planned into lazy
-// pushdown/hash-join iterators, differences probe, and IFPs distributive in
-// their variable run semi-naively — unless Budget.NoStreaming selects the
-// reference's materialized operators and naive IFP rounds. Those operators
-// are polarity-transparent, so the same pipeline serves both the lower- and
-// upper-bound passes. internal/core is the reference for algebra= and the
-// engine for scripts outside the relational kernel's fragment: query.Execute
-// runs a script in the flat fragment under the valid semantics on the
-// kernel's valid / well-founded alternation (see docs/architecture.md).
+// Execution: EvalValid alternates one Γ loop — Gauss-Seidel rounds over all
+// definitions — and EvalInflationary runs one loop of global Jacobi rounds.
+// Both read definition bodies through algebra.Evaluator, the one value
+// evaluator, with its Pos/Neg overlays set to the current bounds; it brings
+// internal/algebra's streaming runtime — σ/MAP pipelines over products are
+// planned into lazy pushdown/hash-join iterators, differences probe, and
+// IFPs distributive in their variable run semi-naively — unless
+// Budget.NoStreaming selects the reference's materialized operators and
+// naive IFP rounds. Those operators are polarity-transparent, so the same
+// pipeline serves both the lower- and upper-bound passes. internal/core is
+// the reference for algebra= and the engine for scripts outside the
+// relational kernel's fragment: query.Execute runs a script in the flat
+// fragment under the valid semantics on the kernel's valid / well-founded
+// alternation (see docs/architecture.md).
 package core
 
 import (
@@ -124,49 +126,21 @@ func (p *Program) Validate() error {
 	}
 	var check func(e algebra.Expr) error
 	check = func(e algebra.Expr) error {
-		switch ee := e.(type) {
-		case algebra.Rel, algebra.Lit:
-			return nil
-		case algebra.Union:
-			if err := check(ee.L); err != nil {
-				return err
-			}
-			return check(ee.R)
-		case algebra.Diff:
-			if err := check(ee.L); err != nil {
-				return err
-			}
-			return check(ee.R)
-		case algebra.Product:
-			if err := check(ee.L); err != nil {
-				return err
-			}
-			return check(ee.R)
-		case algebra.Select:
-			return check(ee.Of)
-		case algebra.Map:
-			return check(ee.Of)
-		case algebra.IFP:
-			return check(ee.Body)
-		case algebra.Flip:
-			return check(ee.E)
-		case algebra.Call:
-			want, ok := arity[ee.Name]
+		if c, ok := e.(algebra.Call); ok {
+			want, ok := arity[c.Name]
 			if !ok {
-				return fmt.Errorf("core: call to undefined operation %q", ee.Name)
+				return fmt.Errorf("core: call to undefined operation %q", c.Name)
 			}
-			if want != len(ee.Args) {
-				return fmt.Errorf("core: %q takes %d arguments, called with %d", ee.Name, want, len(ee.Args))
+			if want != len(c.Args) {
+				return fmt.Errorf("core: %q takes %d arguments, called with %d", c.Name, want, len(c.Args))
 			}
-			for _, a := range ee.Args {
-				if err := check(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			panic(fmt.Sprintf("core: unknown Expr %T", e))
 		}
+		for _, k := range algebra.Children(e) {
+			if err := check(k); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for _, d := range p.Defs {
 		if err := check(d.Body); err != nil {
@@ -260,90 +234,39 @@ func (p *Program) Inline() (*Program, error) {
 		if depth > 10_000 {
 			return nil, fmt.Errorf("core: macro expansion too deep")
 		}
-		switch ee := e.(type) {
-		case algebra.Rel, algebra.Lit:
-			return e, nil
-		case algebra.Union:
-			l, err := expand(ee.L, depth)
-			if err != nil {
-				return nil, err
+		c, ok := e.(algebra.Call)
+		if !ok {
+			kids := algebra.Children(e)
+			if len(kids) == 0 {
+				return e, nil
 			}
-			r, err := expand(ee.R, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Union{L: l, R: r}, nil
-		case algebra.Diff:
-			l, err := expand(ee.L, depth)
-			if err != nil {
-				return nil, err
-			}
-			r, err := expand(ee.R, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Diff{L: l, R: r}, nil
-		case algebra.Product:
-			l, err := expand(ee.L, depth)
-			if err != nil {
-				return nil, err
-			}
-			r, err := expand(ee.R, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Product{L: l, R: r}, nil
-		case algebra.Select:
-			of, err := expand(ee.Of, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Select{Of: of, Var: ee.Var, Test: ee.Test}, nil
-		case algebra.Map:
-			of, err := expand(ee.Of, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Map{Of: of, Var: ee.Var, Out: ee.Out}, nil
-		case algebra.IFP:
-			b, err := expand(ee.Body, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.IFP{Var: ee.Var, Body: b}, nil
-		case algebra.Flip:
-			inner, err := expand(ee.E, depth)
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Flip{E: inner}, nil
-		case algebra.Call:
-			d, ok := byName[ee.Name]
-			if !ok {
-				return nil, fmt.Errorf("core: call to undefined operation %q", ee.Name)
-			}
-			if len(d.Params) == 0 {
-				// 0-ary call: a reference to a recursive (or plain) constant.
-				return algebra.Rel{Name: ee.Name}, nil
-			}
-			args := make([]algebra.Expr, len(ee.Args))
-			for i, a := range ee.Args {
-				ex, err := expand(a, depth+1)
+			out := make([]algebra.Expr, len(kids))
+			for i, k := range kids {
+				ex, err := expand(k, depth)
 				if err != nil {
 					return nil, err
 				}
-				args[i] = ex
+				out[i] = ex
 			}
-			body := freshenIFPVars(d.Body, fresh)
-			subst := map[string]algebra.Expr{}
-			for i, q := range d.Params {
-				subst[q] = args[i]
-			}
-			replaced := substRels(body, subst)
-			return expand(replaced, depth+1)
-		default:
-			panic(fmt.Sprintf("core: unknown Expr %T", e))
+			return algebra.WithChildren(e, out), nil
 		}
+		d, ok := byName[c.Name]
+		if !ok {
+			return nil, fmt.Errorf("core: call to undefined operation %q", c.Name)
+		}
+		if len(d.Params) == 0 {
+			// 0-ary call: a reference to a recursive (or plain) constant.
+			return algebra.Rel{Name: c.Name}, nil
+		}
+		subst := map[string]algebra.Expr{}
+		for i, q := range d.Params {
+			ex, err := expand(c.Args[i], depth+1)
+			if err != nil {
+				return nil, err
+			}
+			subst[q] = ex
+		}
+		return expand(substRels(freshenIFPVars(d.Body, fresh), subst), depth+1)
 	}
 	out := &Program{}
 	for _, d := range p.Defs {
@@ -381,18 +304,6 @@ func substRels(e algebra.Expr, subst map[string]algebra.Expr) algebra.Expr {
 			return r
 		}
 		return ee
-	case algebra.Lit:
-		return ee
-	case algebra.Union:
-		return algebra.Union{L: substRels(ee.L, subst), R: substRels(ee.R, subst)}
-	case algebra.Diff:
-		return algebra.Diff{L: substRels(ee.L, subst), R: substRels(ee.R, subst)}
-	case algebra.Product:
-		return algebra.Product{L: substRels(ee.L, subst), R: substRels(ee.R, subst)}
-	case algebra.Select:
-		return algebra.Select{Of: substRels(ee.Of, subst), Var: ee.Var, Test: ee.Test}
-	case algebra.Map:
-		return algebra.Map{Of: substRels(ee.Of, subst), Var: ee.Var, Out: ee.Out}
 	case algebra.IFP:
 		if _, shadowed := subst[ee.Var]; shadowed {
 			inner := make(map[string]algebra.Expr, len(subst))
@@ -401,54 +312,35 @@ func substRels(e algebra.Expr, subst map[string]algebra.Expr) algebra.Expr {
 					inner[k] = v
 				}
 			}
-			return algebra.IFP{Var: ee.Var, Body: substRels(ee.Body, inner)}
+			subst = inner
 		}
-		return algebra.IFP{Var: ee.Var, Body: substRels(ee.Body, subst)}
-	case algebra.Flip:
-		return algebra.Flip{E: substRels(ee.E, subst)}
-	case algebra.Call:
-		args := make([]algebra.Expr, len(ee.Args))
-		for i, a := range ee.Args {
-			args[i] = substRels(a, subst)
-		}
-		return algebra.Call{Name: ee.Name, Args: args}
-	default:
-		panic(fmt.Sprintf("core: unknown Expr %T", e))
 	}
+	return mapChildren(e, func(k algebra.Expr) algebra.Expr { return substRels(k, subst) })
 }
 
 // freshenIFPVars alpha-renames every IFP binder in e to a fresh name so that
 // substituting argument expressions into the body cannot capture their free
 // relation names.
 func freshenIFPVars(e algebra.Expr, g *gensym) algebra.Expr {
-	switch ee := e.(type) {
-	case algebra.Rel, algebra.Lit:
-		return e
-	case algebra.Union:
-		return algebra.Union{L: freshenIFPVars(ee.L, g), R: freshenIFPVars(ee.R, g)}
-	case algebra.Diff:
-		return algebra.Diff{L: freshenIFPVars(ee.L, g), R: freshenIFPVars(ee.R, g)}
-	case algebra.Product:
-		return algebra.Product{L: freshenIFPVars(ee.L, g), R: freshenIFPVars(ee.R, g)}
-	case algebra.Select:
-		return algebra.Select{Of: freshenIFPVars(ee.Of, g), Var: ee.Var, Test: ee.Test}
-	case algebra.Map:
-		return algebra.Map{Of: freshenIFPVars(ee.Of, g), Var: ee.Var, Out: ee.Out}
-	case algebra.IFP:
+	if f, ok := e.(algebra.IFP); ok {
 		nv := g.next()
-		body := substRels(ee.Body, map[string]algebra.Expr{ee.Var: algebra.Rel{Name: nv}})
+		body := substRels(f.Body, map[string]algebra.Expr{f.Var: algebra.Rel{Name: nv}})
 		return algebra.IFP{Var: nv, Body: freshenIFPVars(body, g)}
-	case algebra.Flip:
-		return algebra.Flip{E: freshenIFPVars(ee.E, g)}
-	case algebra.Call:
-		args := make([]algebra.Expr, len(ee.Args))
-		for i, a := range ee.Args {
-			args[i] = freshenIFPVars(a, g)
-		}
-		return algebra.Call{Name: ee.Name, Args: args}
-	default:
-		panic(fmt.Sprintf("core: unknown Expr %T", e))
 	}
+	return mapChildren(e, func(k algebra.Expr) algebra.Expr { return freshenIFPVars(k, g) })
+}
+
+// mapChildren rebuilds e with f applied to each of its subexpressions.
+func mapChildren(e algebra.Expr, f func(algebra.Expr) algebra.Expr) algebra.Expr {
+	kids := algebra.Children(e)
+	if len(kids) == 0 {
+		return e
+	}
+	out := make([]algebra.Expr, len(kids))
+	for i, k := range kids {
+		out[i] = f(k)
+	}
+	return algebra.WithChildren(e, out)
 }
 
 // IsPositive reports whether, after inlining, every defined name occurs only

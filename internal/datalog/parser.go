@@ -69,47 +69,20 @@ const (
 	tokGe
 )
 
+// tokNames holds what parse errors call each token kind.
+var tokNames = [...]string{
+	tokEOF: "end of input", tokIdent: "identifier", tokVar: "variable", tokInt: "integer", tokString: "string",
+	tokLParen: "'('", tokRParen: "')'", tokLBrace: "'{'", tokRBrace: "'}'", tokComma: "','", tokPeriod: "'.'",
+	tokImplies: "':-'", tokEq: "'='", tokNe: "'!='", tokLt: "'<'", tokLe: "'<='", tokGt: "'>'", tokGe: "'>='",
+}
+
+// String names the token kind as parse errors quote it: "identifier",
+// "end of input", or the punctuation itself in quotes.
 func (k tokKind) String() string {
-	switch k {
-	case tokEOF:
-		return "end of input"
-	case tokIdent:
-		return "identifier"
-	case tokVar:
-		return "variable"
-	case tokInt:
-		return "integer"
-	case tokString:
-		return "string"
-	case tokLParen:
-		return "'('"
-	case tokRParen:
-		return "')'"
-	case tokLBrace:
-		return "'{'"
-	case tokRBrace:
-		return "'}'"
-	case tokComma:
-		return "','"
-	case tokPeriod:
-		return "'.'"
-	case tokImplies:
-		return "':-'"
-	case tokEq:
-		return "'='"
-	case tokNe:
-		return "'!='"
-	case tokLt:
-		return "'<'"
-	case tokLe:
-		return "'<='"
-	case tokGt:
-		return "'>'"
-	case tokGe:
-		return "'>='"
-	default:
-		return fmt.Sprintf("token(%d)", uint8(k))
+	if int(k) < len(tokNames) {
+		return tokNames[k]
 	}
+	return fmt.Sprintf("token(%d)", uint8(k))
 }
 
 type token struct {

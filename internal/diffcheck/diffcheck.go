@@ -203,7 +203,7 @@ func ByName(name string) (*Oracle, bool) {
 // ExprBudget bounds the algebra/core pipelines inside every oracle. The caps
 // are deliberately modest: instances are small, and a cheap cap turns the
 // occasional divergent fixpoint into a skip instead of a stall.
-var ExprBudget = algebra.Budget{MaxIFPIters: 500, MaxSetSize: 100_000, MaxDepth: 200}
+var ExprBudget = algebra.Budget{MaxIFPIters: 500, MaxSetSize: 100_000}
 
 // GroundBudget bounds grounding inside every deductive pipeline.
 var GroundBudget = ground.Budget{MaxAtoms: 60_000, MaxRules: 250_000}

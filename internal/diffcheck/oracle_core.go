@@ -116,38 +116,28 @@ func deepNegRec(e algebra.Expr, rec map[string]bool, depth int) bool {
 	switch ee := e.(type) {
 	case algebra.Rel:
 		return depth >= 2 && rec[ee.Name]
-	case algebra.Lit:
-		return false
-	case algebra.Union:
-		return deepNegRec(ee.L, rec, depth) || deepNegRec(ee.R, rec, depth)
 	case algebra.Diff:
 		return deepNegRec(ee.L, rec, depth) || deepNegRec(ee.R, rec, depth+1)
-	case algebra.Product:
-		return deepNegRec(ee.L, rec, depth) || deepNegRec(ee.R, rec, depth)
-	case algebra.Select:
-		return deepNegRec(ee.Of, rec, depth)
-	case algebra.Map:
-		return deepNegRec(ee.Of, rec, depth)
 	case algebra.IFP:
-		inner := make(map[string]bool, len(rec)+1)
+		inner := map[string]bool{ee.Var: true}
 		for k := range rec {
 			inner[k] = true
 		}
-		inner[ee.Var] = true
-		return deepNegRec(ee.Body, inner, depth)
-	case algebra.Flip:
-		return deepNegRec(ee.E, rec, depth)
+		rec = inner
 	case algebra.Call:
 		// Inlining substitutes arguments into unknown polarity contexts, so
 		// any recursive name inside an argument is conservatively too deep.
-		for _, a := range ee.Args {
-			for _, r := range algebra.FreeRels(a) {
-				if rec[r] {
-					return true
-				}
+		for _, r := range algebra.FreeRels(e) {
+			if rec[r] {
+				return true
 			}
 		}
 		return false
+	}
+	for _, k := range algebra.Children(e) {
+		if deepNegRec(k, rec, depth) {
+			return true
+		}
 	}
 	return false
 }

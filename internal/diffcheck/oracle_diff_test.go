@@ -128,7 +128,7 @@ func TestCyclicGameIsPartlyUndefined(t *testing.T) {
 // on the probing path as on the reference — with the same message — even when
 // the minuend is empty and no element would ever be looked up in it. (The
 // two-valued evaluator's messages are compared by the algebra package's
-// TestDiffPathAndErrors; here the oracle and the dual evaluator.)
+// TestDiffPathAndErrors; here the oracle and internal/core's bound passes.)
 func TestDiffLeafErrorsSurfaceOnBothPaths(t *testing.T) {
 	db := algebra.DB{"none": value.EmptySet, "e": value.NewSet(value.Int(1), value.Pair(value.Int(1), value.Int(2)))}
 	for _, src := range []string{

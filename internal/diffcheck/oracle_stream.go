@@ -31,8 +31,8 @@ func checkExprStream(e algebra.Expr, db algebra.DB) error {
 
 // checkDlogStream translates one free-polarity program to algebra=
 // (Proposition 6.1) and evaluates its valid model on the production path and
-// on the reference: the three-valued dual evaluator must compute identical
-// certain and possible parts either way.
+// on the reference: internal/core's lower- and upper-bound passes must compute
+// identical certain and possible parts either way.
 func checkDlogStream(p *datalog.Program) error {
 	const oracle = "dlog-stream"
 	cp, db, errT := translate.DatalogToCore(p)

@@ -152,55 +152,6 @@ func (in *Instance) closed() bool {
 	return true
 }
 
-// children returns the set-valued subexpressions of an expression node.
-func children(e algebra.Expr) []algebra.Expr {
-	switch v := e.(type) {
-	case algebra.Union:
-		return []algebra.Expr{v.L, v.R}
-	case algebra.Diff:
-		return []algebra.Expr{v.L, v.R}
-	case algebra.Product:
-		return []algebra.Expr{v.L, v.R}
-	case algebra.Select:
-		return []algebra.Expr{v.Of}
-	case algebra.Map:
-		return []algebra.Expr{v.Of}
-	case algebra.IFP:
-		return []algebra.Expr{v.Body}
-	case algebra.Flip:
-		return []algebra.Expr{v.E}
-	case algebra.Call:
-		return v.Args
-	default:
-		return nil
-	}
-}
-
-// rebuild reconstructs an expression node with replaced children, in the
-// same order children returned them.
-func rebuild(e algebra.Expr, kids []algebra.Expr) algebra.Expr {
-	switch v := e.(type) {
-	case algebra.Union:
-		return algebra.Union{L: kids[0], R: kids[1]}
-	case algebra.Diff:
-		return algebra.Diff{L: kids[0], R: kids[1]}
-	case algebra.Product:
-		return algebra.Product{L: kids[0], R: kids[1]}
-	case algebra.Select:
-		return algebra.Select{Of: kids[0], Var: v.Var, Test: v.Test}
-	case algebra.Map:
-		return algebra.Map{Of: kids[0], Var: v.Var, Out: v.Out}
-	case algebra.IFP:
-		return algebra.IFP{Var: v.Var, Body: kids[0]}
-	case algebra.Flip:
-		return algebra.Flip{E: kids[0]}
-	case algebra.Call:
-		return algebra.Call{Name: v.Name, Args: kids}
-	default:
-		return e
-	}
-}
-
 // countNodes counts the set-valued nodes of an expression; literal sets
 // additionally count their elements, so replacing a literal by EMPTY is a
 // strict reduction.
@@ -209,7 +160,7 @@ func countNodes(e algebra.Expr) int {
 		return 1 + l.Set.Len()
 	}
 	n := 1
-	for _, k := range children(e) {
+	for _, k := range algebra.Children(e) {
 		n += countNodes(k)
 	}
 	return n
@@ -219,7 +170,7 @@ func countNodes(e algebra.Expr) int {
 // itself replaced by one of its children or by EMPTY, or the same reduction
 // applied at any subexpression.
 func exprCandidates(e algebra.Expr) []algebra.Expr {
-	kids := children(e)
+	kids := algebra.Children(e)
 	out := append([]algebra.Expr{}, kids...)
 	if l, isLit := e.(algebra.Lit); !isLit || l.Set.Len() > 0 {
 		out = append(out, algebra.EmptyLit)
@@ -228,7 +179,7 @@ func exprCandidates(e algebra.Expr) []algebra.Expr {
 		for _, kc := range exprCandidates(k) {
 			nk := append([]algebra.Expr{}, kids...)
 			nk[i] = kc
-			out = append(out, rebuild(e, nk))
+			out = append(out, algebra.WithChildren(e, nk))
 		}
 	}
 	return out

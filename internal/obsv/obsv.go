@@ -80,8 +80,8 @@ type StableSearchStats struct {
 }
 
 // IFPStats describes one completed IFP fixpoint evaluation of a set
-// expression — by the two-valued evaluator of internal/algebra or the
-// three-valued dual evaluator of internal/core.
+// expression by internal/algebra's Evaluator — two-valued, or inside one of
+// internal/core's bound passes.
 type IFPStats struct {
 	// Mode is "seminaive" when the delta engine evaluated the body only on
 	// the per-round delta (the body is distributive over union in the
@@ -201,9 +201,8 @@ type SubscriptionStats struct {
 
 // StreamStats describes one evaluation by the planned runtime of
 // internal/algebra: a σ/MAP pipeline over a product compiled into lazy
-// iterators, with pushdown, range-probe and hash-join steps (StreamEval), or
-// a selection answered by a prefix probe of its operand's sorted order
-// (EvalSelect). One event per pipeline, emitted after the result set is
+// iterators, with pushdown, range-probe and hash-join steps, or a selection
+// answered by a prefix probe of its operand's sorted order. One event per pipeline, emitted after the result set is
 // collected.
 type StreamStats struct {
 	// Op names the pipeline's root operator: "select", "map", "union",
@@ -233,8 +232,8 @@ type StreamStats struct {
 	Pushed    int
 }
 
-// DiffStats describes one difference evaluated by internal/algebra's EvalDiff,
-// for either evaluator. One event per evaluation — a difference inside a
+// DiffStats describes one difference evaluated by internal/algebra's
+// Evaluator, two-valued or inside one of internal/core's bound passes. One event per evaluation — a difference inside a
 // fixpoint body reports once per round.
 type DiffStats struct {
 	// Path is "probing" when the subtrahend's ∪/× spine reaches a product and

@@ -191,13 +191,13 @@ func ExecuteGrounded(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) 
 // internal/core otherwise.
 func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out *Outcome) (*Outcome, error) {
 	script := plan.Script
-	merged := algebra.DB{}
-	for k, v := range db {
-		merged[k] = v
-	}
+	merged := db.Clone()
 	for k, v := range script.DB {
 		merged[k] = v
 	}
+	var lower, upper map[string]value.Set
+	var res *core.Result
+	var err error
 	switch plan.Semantics {
 	case SemValid:
 		reason := route(plan, merged, opts)
@@ -207,98 +207,71 @@ func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out 
 			}
 			return executeValidKernel(plan, base, opts, obs, out)
 		}
-		res, err := core.EvalValid(script.Program, merged, opts.Budget)
-		if err != nil {
+		if res, err = core.EvalValid(script.Program, merged, opts.Budget); err != nil {
 			return nil, err
 		}
-		out.WellDefined = res.WellDefined()
-		for _, d := range script.Program.Defs {
-			if len(d.Params) > 0 {
-				continue
-			}
-			out.Defs = append(out.Defs, NamedSet{Name: d.Name, Set: res.Set(d.Name), Undef: res.UndefElems(d.Name)})
-		}
-		for _, q := range script.Queries {
-			lo, err := res.QueryLower(q.Expr)
-			if err != nil {
-				return nil, err
-			}
-			up, err := res.QueryUpper(q.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out.Queries = append(out.Queries, QueryAnswer{Src: q.Src, Set: lo, Undef: up.Diff(lo)})
-		}
-		return out, nil
+		lower, upper = res.Lower, res.Upper
 	case SemInflationary:
-		sets, err := core.EvalInflationary(script.Program, merged, opts.Budget)
-		if err != nil {
+		if lower, err = core.EvalInflationary(script.Program, merged, opts.Budget); err != nil {
 			return nil, err
 		}
-		for _, d := range script.Program.Defs {
-			if len(d.Params) > 0 {
-				continue
-			}
-			out.Defs = append(out.Defs, NamedSet{Name: d.Name, Set: sets[d.Name]})
-		}
-		for _, q := range script.Queries {
-			qdb := merged.Clone()
-			for name, s := range sets {
-				qdb[name] = s
-			}
-			got, err := algebra.NewEvaluator(qdb, opts.Budget).Eval(q.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out.Queries = append(out.Queries, QueryAnswer{Src: q.Src, Set: got})
-		}
-		return out, nil
 	case SemWellFounded:
-		lower, upper, err := translate.WellFoundedSetsBudget(script.Program, merged, opts.Ground)
-		if err != nil {
+		if lower, upper, err = translate.WellFoundedSetsBudget(script.Program, merged, opts.Ground); err != nil {
 			return nil, err
 		}
-		for _, d := range script.Program.Defs {
-			if len(d.Params) > 0 {
-				continue
-			}
-			und := upper[d.Name].Diff(lower[d.Name])
-			if !und.IsEmpty() {
-				out.WellDefined = false
-			}
-			out.Defs = append(out.Defs, NamedSet{Name: d.Name, Set: lower[d.Name], Undef: und})
-		}
-		for _, q := range script.Queries {
-			qdb := merged.Clone()
-			for name, s := range lower {
-				qdb[name] = s
-			}
-			got, err := algebra.NewEvaluator(qdb, opts.Budget).Eval(q.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out.Queries = append(out.Queries, QueryAnswer{Src: q.Src, Set: got})
-		}
-		return out, nil
 	case SemStable:
 		models, err := translate.StableSetsBudget(script.Program, merged, opts.MaxUndef, opts.Ground)
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range models {
-			var sets []NamedSet
-			for _, d := range script.Program.Defs {
-				if len(d.Params) > 0 {
-					continue
-				}
-				sets = append(sets, NamedSet{Name: d.Name, Set: m[d.Name]})
-			}
-			out.Models = append(out.Models, sets)
+			out.Models = append(out.Models, defSets(script.Program, m, nil))
 		}
 		return out, nil
 	default:
 		return nil, fmt.Errorf("%w: %s under %s", ErrUnsupportedSemantics, plan.Language, plan.Semantics)
 	}
+	out.Defs = defSets(script.Program, lower, upper)
+	for _, d := range out.Defs {
+		out.WellDefined = out.WellDefined && d.Undef.IsEmpty()
+	}
+	// Under valid a query is read at both bounds of the result; otherwise it
+	// reads the certain sets alone.
+	certain := algebra.NewEvaluator(merged, opts.Budget)
+	certain.Pos, certain.Neg = lower, lower
+	for _, q := range script.Queries {
+		ans := QueryAnswer{Src: q.Src}
+		if res == nil {
+			ans.Set, err = certain.Eval(q.Expr)
+		} else if ans.Set, err = res.QueryLower(q.Expr); err == nil {
+			var up value.Set
+			up, err = res.QueryUpper(q.Expr)
+			ans.Undef = up.Diff(ans.Set)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Queries = append(out.Queries, ans)
+	}
+	return out, nil
+}
+
+// defSets lists the program's zero-parameter definitions in definition
+// order with their certain sets from lower and, when upper is given, their
+// undefined elements upper − lower.
+func defSets(prog *core.Program, lower, upper map[string]value.Set) []NamedSet {
+	var out []NamedSet
+	for _, d := range prog.Defs {
+		if len(d.Params) > 0 {
+			continue
+		}
+		ns := NamedSet{Name: d.Name, Set: lower[d.Name]}
+		if upper != nil {
+			ns.Undef = upper[d.Name].Diff(lower[d.Name])
+		}
+		out = append(out, ns)
+	}
+	return out
 }
 
 // groundingReason says why Execute grounds the plan's program instead of

@@ -437,7 +437,7 @@ func (g *Gen) ExprInstance() *ExprInstance {
 // the pinned goldens stand, the way FactSchedule extends a program's. One time
 // in eight the expression e becomes diff(e, s) for a subtrahend s whose ∪/×
 // spine reaches a product of the database's integer relations: the shape that
-// decides how a difference is evaluated (algebra.EvalDiff probes such a spine
+// decides how a difference is evaluated (the algebra's evaluator probes such a spine
 // instead of building it), which the generic recursion emits in under half a
 // percent of instances. e stays the minuend, evaluated whole, so whatever the
 // instance exercised before, it still does.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -332,6 +333,20 @@ func TestE2EErrorPaths(t *testing.T) {
 		})
 		if status != http.StatusUnprocessableEntity || bad.Error.Code != codeBudgetExceed {
 			t.Fatalf("got %d %+v, want 422 budget-exceeded", status, bad)
+		}
+	})
+	t.Run("retired-maxDepth", func(t *testing.T) {
+		// The budget block's maxDepth is gone with the evaluator's call hook
+		// it capped; decodeBody ignores unknown fields, so a client that
+		// still sends it gets the answer it gets without it.
+		status, want, bad := postQuery(t, ts, queryRequest{DB: "g", Language: "ifp-algebra", Query: tcIFP})
+		if status != http.StatusOK {
+			t.Fatalf("without maxDepth: got %d %+v", status, bad)
+		}
+		body, _ := json.Marshal(map[string]any{"db": "g", "language": "ifp-algebra", "query": tcIFP, "budget": map[string]int{"maxDepth": 1}})
+		status, got, bad := postRaw(t, ts, body)
+		if status != http.StatusOK || !reflect.DeepEqual(got.Result, want.Result) {
+			t.Fatalf("with maxDepth 1: got %d %+v %+v, want 200 %+v", status, got.Result, bad, want.Result)
 		}
 	})
 }

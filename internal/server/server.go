@@ -272,7 +272,6 @@ func writeError(w http.ResponseWriter, code, msg string) {
 type budgetJSON struct {
 	MaxIFPIters int `json:"maxIFPIters"`
 	MaxSetSize  int `json:"maxSetSize"`
-	MaxDepth    int `json:"maxDepth"`
 	MaxAtoms    int `json:"maxAtoms"`
 	MaxRules    int `json:"maxRules"`
 }
@@ -430,9 +429,6 @@ func (s *Server) requestOptions(req *queryRequest, interrupt <-chan struct{}) qu
 		}
 		if b.MaxSetSize > 0 {
 			opts.Budget.MaxSetSize = b.MaxSetSize
-		}
-		if b.MaxDepth > 0 {
-			opts.Budget.MaxDepth = b.MaxDepth
 		}
 		if b.MaxAtoms > 0 {
 			opts.Ground.MaxAtoms = b.MaxAtoms

@@ -1,12 +1,14 @@
 // Command doccheck enforces the repository's documentation floor, using only
 // go/parser (no external tooling): every package must carry a package-level
-// doc comment, and packages listed with -strict must additionally document
-// every exported top-level declaration. `make lint` runs it across the
-// module; CI fails when documentation regresses.
+// doc comment, and every package of the module at root must document every
+// exported top-level declaration. A directory below root with a go.mod of its
+// own (the benchmark) starts another module, whose exported API is its own
+// concern: its packages are held to the package doc comment only. `make lint`
+// runs it across the module; CI fails when documentation regresses.
 //
 // Usage:
 //
-//	doccheck [-strict dir1,dir2] [root]
+//	doccheck [root]
 //
 // root defaults to the current directory. Vendored, hidden and testdata
 // directories are skipped, as are _test.go files (test helpers may stay
@@ -25,24 +27,12 @@ import (
 )
 
 func main() {
-	var strictList string
-	args := os.Args[1:]
-	if len(args) >= 2 && args[0] == "-strict" {
-		strictList = args[1]
-		args = args[2:]
-	}
 	root := "."
-	if len(args) > 0 {
-		root = args[0]
-	}
-	strict := map[string]bool{}
-	for _, d := range strings.Split(strictList, ",") {
-		if d = strings.TrimSpace(d); d != "" {
-			strict[filepath.Clean(d)] = true
-		}
+	if len(os.Args) > 1 {
+		root = os.Args[1]
 	}
 
-	var problems []string
+	var problems, others []string // others: roots of nested modules, with a trailing separator
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -54,8 +44,16 @@ func main() {
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
+		dir := path + string(filepath.Separator)
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+			others = append(others, dir)
+		}
+		exported := true
+		for _, o := range others {
+			exported = exported && !strings.HasPrefix(dir, o)
+		}
 		rel, _ := filepath.Rel(root, path)
-		problems = append(problems, checkDir(path, rel, strict[filepath.Clean(rel)])...)
+		problems = append(problems, checkDir(path, rel, exported)...)
 		return nil
 	})
 	if err != nil {
@@ -72,8 +70,9 @@ func main() {
 }
 
 // checkDir parses the non-test Go files of one directory and reports its
-// documentation problems; a directory without Go files reports none.
-func checkDir(dir, rel string, strict bool) []string {
+// documentation problems — with exported, undocumented exported
+// declarations too; a directory without Go files reports none.
+func checkDir(dir, rel string, exported bool) []string {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -93,7 +92,7 @@ func checkDir(dir, rel string, strict bool) []string {
 		if !hasDoc {
 			out = append(out, fmt.Sprintf("%s: package %s has no package doc comment", rel, pkg.Name))
 		}
-		if !strict {
+		if !exported {
 			continue
 		}
 		for fname, f := range pkg.Files {
