@@ -256,3 +256,43 @@ func TestLambdaScoping(t *testing.T) {
 		t.Errorf("nested = %v", got2)
 	}
 }
+
+// TestErrorPositionsAfterTokens pins the line:col and the token text of the
+// error raised by a bad token right after each multi-byte token kind — an
+// integer, a negative integer, an identifier, a string — on the first line
+// and on the third, after a comment line and a CRLF line break, so that a
+// lexer rewrite keeps its position tracking exact.
+func TestErrorPositionsAfterTokens(t *testing.T) {
+	const line3 = "rel a = {1};\r\n% a comment, then a tab\n\t"
+	cases := []struct{ src, want string }{
+		{`rel r = {12 x};`, `1:13: unexpected token "x"`},
+		{`rel r = {12x};`, `1:12: unexpected token "x"`},
+		{`rel r = {12#};`, `1:12: unexpected character "#"`},
+		{`rel r = {-12 x};`, `1:14: unexpected token "x"`},
+		{`rel r = {(-12)y};`, `1:15: unexpected token "y"`},
+		{`rel r = {-12!};`, `1:13: unexpected '!'`},
+		{`rel r = {ab 7};`, `1:13: unexpected token "7"`},
+		{`rel r = {ab_9"s"};`, `1:14: unexpected token "s"`},
+		{`rel r = {ab@};`, `1:12: unexpected character "@"`},
+		{`rel r = {"s\"t" 7};`, `1:17: unexpected token "7"`},
+		{`rel r = {"s"x};`, `1:13: unexpected token "x"`},
+		{`rel r = {"\q"};`, `1:10: bad string literal "\q": invalid syntax`},
+		{`query map({1}, \x -> x.1y);`, `1:25: unexpected token "y"`},
+		{line3 + `rel r = {12 x};`, `3:14: unexpected token "x"`},
+		{line3 + `rel r = {12#};`, `3:13: unexpected character "#"`},
+		{line3 + `rel r = {-12 x};`, `3:15: unexpected token "x"`},
+		{line3 + `rel r = {-12!};`, `3:14: unexpected '!'`},
+		{line3 + `rel r = {ab 7};`, `3:14: unexpected token "7"`},
+		{line3 + `rel r = {ab@};`, `3:13: unexpected character "@"`},
+		{line3 + `rel r = {"s\"t" 7};`, `3:18: unexpected token "7"`},
+		{line3 + `rel r = {"s"x};`, `3:14: unexpected token "x"`},
+		{line3 + `rel r = {"unterminated};`, `3:11: unterminated string`},
+		{line3 + `def f = map({1}, \x -> x.1y);`, `3:28: unexpected token "y"`},
+	}
+	for _, c := range cases {
+		_, err := ParseScript(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("parse %q: error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
