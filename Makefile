@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-ivm bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
+.PHONY: all check race bench bench-ivm bench-load bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
 
 all: check
 
@@ -144,6 +144,12 @@ fuzz-smoke:
 # that over-deletes a 64-row cone, both over a 10^4-edge hierarchy.
 bench-ivm:
 	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete' -benchmem
+
+# bench-load measures what a PUT costs before registration, as a Go benchmark
+# with allocation counts: parsing a script of 10^5 distinct random integer
+# pairs over 5·10^4 nodes into its database.
+bench-load:
+	go test ./internal/server -run '^$$' -bench 'LoadDBScript' -benchmem
 
 clean:
 	go clean ./...

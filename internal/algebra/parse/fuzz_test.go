@@ -1,9 +1,15 @@
 package parse
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
-// FuzzParseScript checks that the script parser never panics and that the
-// printed form of an accepted program re-parses to the same printed form.
+// FuzzParseScript checks that the script parser never panics, that the
+// printed form of an accepted program re-parses to the same printed form, and
+// that each relation's set, printed as a rel statement, re-parses to a set
+// that prints the same.
 func FuzzParseScript(f *testing.F) {
 	seeds := []string{
 		"rel r = {1, 2};\n",
@@ -17,6 +23,8 @@ func FuzzParseScript(f *testing.F) {
 		"rel r = ;",
 		"def = x;",
 		"%",
+		"rel n = {-9223372036854775808, 9223372036854775807, -1, 0, \"Q\", true, (), (1,), {}};\n",
+		pairsLiteral(200), // over the radix threshold, with duplicates
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -26,9 +34,17 @@ func FuzzParseScript(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for name, set := range script.DB {
+			rel := "rel r = " + set.String() + ";"
+			again, err := ParseScript(rel)
+			if err != nil {
+				t.Fatalf("printed relation %s does not re-parse: %v\ninput: %q\nprinted: %q", name, err, src, rel)
+			}
+			if got := again.DB["r"].String(); got != set.String() {
+				t.Fatalf("relation %s does not round-trip:\nfirst:  %q\nsecond: %q", name, set.String(), got)
+			}
+		}
 		printed := script.Program.String()
-		// Re-parse the program body alone; relation statements are covered
-		// by algtrans round-trip tests.
 		script2, err := ParseScript(printed)
 		if err != nil {
 			t.Fatalf("printed program does not re-parse: %v\ninput: %q\nprinted: %q", err, src, printed)
@@ -37,4 +53,15 @@ func FuzzParseScript(f *testing.F) {
 			t.Fatalf("print not idempotent:\nfirst:  %q\nsecond: %q", printed, script2.Program.String())
 		}
 	})
+}
+
+// pairsLiteral is a rel statement of n integer pairs, out of order, with
+// negative components, and with every fifth pair a repeat.
+func pairsLiteral(n int) string {
+	pairs := make([]string, n)
+	for i := range pairs {
+		j := i % (n * 4 / 5)
+		pairs[i] = fmt.Sprintf("(%d, %d)", (j*7919)%101-50, (j*31)%17)
+	}
+	return "rel e = {" + strings.Join(pairs, ", ") + "};\n"
 }

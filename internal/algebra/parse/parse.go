@@ -19,6 +19,7 @@
 package parse
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -73,7 +74,7 @@ func ParseScript(src string) (*Script, error) {
 			if _, dup := out.DB[name.text]; dup {
 				return nil, p.errf("relation %s defined twice", name.text)
 			}
-			out.DB[name.text] = s
+			out.DB[strings.Clone(name.text)] = s
 			if _, err := p.expect(tSemi); err != nil {
 				return nil, err
 			}
@@ -82,7 +83,7 @@ func ParseScript(src string) (*Script, error) {
 			if err != nil {
 				return nil, err
 			}
-			d := core.Def{Name: name.text}
+			d := core.Def{Name: strings.Clone(name.text)}
 			if p.tok.kind == tLParen {
 				if err := p.next(); err != nil {
 					return nil, err
@@ -92,7 +93,7 @@ func ParseScript(src string) (*Script, error) {
 					if err != nil {
 						return nil, err
 					}
-					d.Params = append(d.Params, param.text)
+					d.Params = append(d.Params, strings.Clone(param.text))
 					if p.tok.kind == tComma {
 						if err := p.next(); err != nil {
 							return nil, err
@@ -190,6 +191,10 @@ const (
 	tArrow  // ->
 )
 
+// token is one lexeme. Its text is a substring of the source (a string
+// literal's is unquoted), so lexing allocates nothing per token; what a parse
+// result keeps of a name or a string it copies first (strings.Clone), so
+// that no parsed value pins the whole script.
 type token struct {
 	kind tokKind
 	text string
@@ -206,164 +211,147 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 
-func (l *lexer) peek() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
+// lex returns the next token. Blanks and comments are the only input that
+// spans lines: a token never holds a newline (a string literal with one is
+// an error), so its width is its column count.
+func (l *lexer) lex() (token, error) {
+	l.skipBlanks()
+	start, line, col := l.pos, l.line, l.col
+	if start == len(l.src) {
+		return token{kind: tEOF, line: line, col: col}, nil
 	}
-	return l.src[l.pos], true
+	kind, err := l.scan()
+	if err != nil {
+		return token{}, fmt.Errorf("%d:%d: %s", line, col, err)
+	}
+	l.col += l.pos - start
+	text := l.src[start:l.pos]
+	if kind == tString {
+		// strconv.Unquote is the exact inverse of the strconv.Quote used
+		// when printing string values.
+		if text, err = strconv.Unquote(text); err != nil {
+			return token{}, fmt.Errorf("%d:%d: bad string literal %s: %v", line, col, l.src[start:l.pos], err)
+		}
+	}
+	return token{kind, text, line, col}, nil
 }
 
-func (l *lexer) adv() byte {
+// skipBlanks moves past white space and %-comments, counting lines.
+func (l *lexer) skipBlanks() {
+	for l.pos < len(l.src) {
+		switch l.src[l.pos] {
+		case '\n':
+			l.pos++
+			l.line, l.col = l.line+1, 1
+		case ' ', '\t', '\r':
+			l.pos++
+			l.col++
+		case '%':
+			n := strings.IndexByte(l.src[l.pos:], '\n')
+			if n < 0 {
+				n = len(l.src) - l.pos
+			}
+			l.pos += n
+			l.col += n
+		default:
+			return
+		}
+	}
+}
+
+// scan moves past the token at l.pos and returns its kind.
+func (l *lexer) scan() (tokKind, error) {
 	b := l.src[l.pos]
 	l.pos++
-	if b == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+	switch b {
+	case '(':
+		return tLParen, nil
+	case ')':
+		return tRParen, nil
+	case '{':
+		return tLBrace, nil
+	case '}':
+		return tRBrace, nil
+	case ',':
+		return tComma, nil
+	case ';':
+		return tSemi, nil
+	case '=':
+		return tEq, nil
+	case '+':
+		return tPlus, nil
+	case '*':
+		return tStar, nil
+	case '.':
+		return tDot, nil
+	case '\\':
+		return tLambda, nil
+	case '!':
+		if l.skip('=') {
+			return tNe, nil
+		}
+		return 0, errors.New("unexpected '!'")
+	case '<':
+		if l.skip('=') {
+			return tLe, nil
+		}
+		return tLt, nil
+	case '>':
+		if l.skip('=') {
+			return tGe, nil
+		}
+		return tGt, nil
+	case '-':
+		if l.skip('>') {
+			return tArrow, nil
+		}
+		if l.digits() > 0 {
+			return tInt, nil
+		}
+		return tMinus, nil
+	case '"':
+		for ; l.pos < len(l.src) && l.src[l.pos] != '\n'; l.pos++ {
+			switch l.src[l.pos] {
+			case '\\':
+				if l.pos++; l.pos == len(l.src) {
+					return 0, errors.New("unterminated escape")
+				}
+			case '"':
+				l.pos++
+				return tString, nil
+			}
+		}
+		return 0, errors.New("unterminated string")
 	}
-	return b
+	switch {
+	case b >= '0' && b <= '9':
+		l.digits()
+		return tInt, nil
+	case isIdentByte(b, true):
+		for l.pos < len(l.src) && isIdentByte(l.src[l.pos], false) {
+			l.pos++
+		}
+		return tIdent, nil
+	}
+	return 0, fmt.Errorf("unexpected character %q", string(b))
 }
 
-func (l *lexer) lex() (token, error) {
-	for {
-		b, ok := l.peek()
-		if !ok {
-			return token{kind: tEOF, line: l.line, col: l.col}, nil
-		}
-		if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
-			l.adv()
-			continue
-		}
-		if b == '%' {
-			for {
-				c, ok := l.peek()
-				if !ok || c == '\n' {
-					break
-				}
-				l.adv()
-			}
-			continue
-		}
-		break
+// skip moves past the next byte if it is b, and reports whether it was.
+func (l *lexer) skip(b byte) bool {
+	if l.pos < len(l.src) && l.src[l.pos] == b {
+		l.pos++
+		return true
 	}
-	line, col := l.line, l.col
-	b := l.adv()
-	mk := func(k tokKind, s string) (token, error) { return token{k, s, line, col}, nil }
-	switch {
-	case b == '(':
-		return mk(tLParen, "(")
-	case b == ')':
-		return mk(tRParen, ")")
-	case b == '{':
-		return mk(tLBrace, "{")
-	case b == '}':
-		return mk(tRBrace, "}")
-	case b == ',':
-		return mk(tComma, ",")
-	case b == ';':
-		return mk(tSemi, ";")
-	case b == '=':
-		return mk(tEq, "=")
-	case b == '+':
-		return mk(tPlus, "+")
-	case b == '*':
-		return mk(tStar, "*")
-	case b == '.':
-		return mk(tDot, ".")
-	case b == '\\':
-		return mk(tLambda, "\\")
-	case b == '!':
-		if c, ok := l.peek(); ok && c == '=' {
-			l.adv()
-			return mk(tNe, "!=")
-		}
-		return token{}, fmt.Errorf("%d:%d: unexpected '!'", line, col)
-	case b == '<':
-		if c, ok := l.peek(); ok && c == '=' {
-			l.adv()
-			return mk(tLe, "<=")
-		}
-		return mk(tLt, "<")
-	case b == '>':
-		if c, ok := l.peek(); ok && c == '=' {
-			l.adv()
-			return mk(tGe, ">=")
-		}
-		return mk(tGt, ">")
-	case b == '-':
-		if c, ok := l.peek(); ok && c == '>' {
-			l.adv()
-			return mk(tArrow, "->")
-		}
-		if c, ok := l.peek(); ok && c >= '0' && c <= '9' {
-			var sb strings.Builder
-			sb.WriteByte('-')
-			for {
-				c, ok := l.peek()
-				if !ok || c < '0' || c > '9' {
-					break
-				}
-				sb.WriteByte(l.adv())
-			}
-			return mk(tInt, sb.String())
-		}
-		return mk(tMinus, "-")
-	case b == '"':
-		// Collect the raw quoted literal and delegate unescaping to
-		// strconv.Unquote, the exact inverse of the strconv.Quote used when
-		// printing string values.
-		var raw strings.Builder
-		raw.WriteByte('"')
-		for {
-			c, ok := l.peek()
-			if !ok || c == '\n' {
-				return token{}, fmt.Errorf("%d:%d: unterminated string", line, col)
-			}
-			l.adv()
-			raw.WriteByte(c)
-			if c == '\\' {
-				e, ok := l.peek()
-				if !ok {
-					return token{}, fmt.Errorf("%d:%d: unterminated escape", line, col)
-				}
-				l.adv()
-				raw.WriteByte(e)
-				continue
-			}
-			if c == '"' {
-				s, err := strconv.Unquote(raw.String())
-				if err != nil {
-					return token{}, fmt.Errorf("%d:%d: bad string literal %s: %v", line, col, raw.String(), err)
-				}
-				return mk(tString, s)
-			}
-		}
-	case b >= '0' && b <= '9':
-		var sb strings.Builder
-		sb.WriteByte(b)
-		for {
-			c, ok := l.peek()
-			if !ok || c < '0' || c > '9' {
-				break
-			}
-			sb.WriteByte(l.adv())
-		}
-		return mk(tInt, sb.String())
-	case isIdentByte(b, true):
-		var sb strings.Builder
-		sb.WriteByte(b)
-		for {
-			c, ok := l.peek()
-			if !ok || !isIdentByte(c, false) {
-				break
-			}
-			sb.WriteByte(l.adv())
-		}
-		return mk(tIdent, sb.String())
-	default:
-		return token{}, fmt.Errorf("%d:%d: unexpected character %q", line, col, string(b))
+	return false
+}
+
+// digits moves past a run of decimal digits and returns its length.
+func (l *lexer) digits() int {
+	start := l.pos
+	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+		l.pos++
 	}
+	return l.pos - start
 }
 
 func isIdentByte(b byte, start bool) bool {
@@ -435,7 +423,7 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 			return algebra.EmptyLit, nil
 		}
 		if p.tok.kind != tLParen {
-			return algebra.Rel{Name: name}, nil
+			return algebra.Rel{Name: strings.Clone(name)}, nil
 		}
 		if err := p.next(); err != nil {
 			return nil, err
@@ -507,9 +495,9 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 			if _, err := p.expect(tRParen); err != nil {
 				return nil, err
 			}
-			return algebra.IFP{Var: v.text, Body: body}, nil
+			return algebra.IFP{Var: strings.Clone(v.text), Body: body}, nil
 		default:
-			call := algebra.Call{Name: name}
+			call := algebra.Call{Name: strings.Clone(name)}
 			for {
 				a, err := p.parseExpr()
 				if err != nil {
@@ -546,13 +534,14 @@ func (p *parser) parseLambda() (string, algebra.FExpr, error) {
 	if _, err := p.expect(tArrow); err != nil {
 		return "", nil, err
 	}
-	p.scope = append(p.scope, v.text)
+	name := strings.Clone(v.text)
+	p.scope = append(p.scope, name)
 	body, err := p.parseFOr()
 	p.scope = p.scope[:len(p.scope)-1]
 	if err != nil {
 		return "", nil, err
 	}
-	return v.text, body, nil
+	return name, body, nil
 }
 
 // FExpr grammar, loosest first: or > and > not > in > cmp > additive >
@@ -727,7 +716,7 @@ func (p *parser) parseFPrimary() (algebra.FExpr, error) {
 		}
 		return algebra.FConst{V: value.Int(n)}, nil
 	case tString:
-		s := p.tok.text
+		s := strings.Clone(p.tok.text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -750,9 +739,9 @@ func (p *parser) parseFPrimary() (algebra.FExpr, error) {
 			return algebra.FConst{V: value.False}, nil
 		}
 		if p.inScope(name) {
-			return algebra.FVar{Name: name}, nil
+			return algebra.FVar{Name: strings.Clone(name)}, nil
 		}
-		return algebra.FConst{V: value.String(name)}, nil
+		return algebra.FConst{V: value.String(strings.Clone(name))}, nil
 	case tLParen:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -810,7 +799,7 @@ func (p *parser) parseValue() (value.Value, error) {
 		}
 		return value.Int(n), nil
 	case tString:
-		s := p.tok.text
+		s := strings.Clone(p.tok.text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -826,13 +815,14 @@ func (p *parser) parseValue() (value.Value, error) {
 		case "false":
 			return value.False, nil
 		default:
-			return value.String(name), nil
+			return value.String(strings.Clone(name)), nil
 		}
 	case tLParen:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		var elems []value.Value
+		var buf [8]value.Value
+		elems := buf[:0]
 		for p.tok.kind != tRParen {
 			v, err := p.parseValue()
 			if err != nil {
@@ -855,14 +845,14 @@ func (p *parser) parseValue() (value.Value, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		var elems []value.Value
+		var b value.SetBuilder
 		if p.tok.kind != tRBrace {
 			for {
 				v, err := p.parseValue()
 				if err != nil {
 					return nil, err
 				}
-				elems = append(elems, v)
+				b.Add(v)
 				if p.tok.kind == tComma {
 					if err := p.next(); err != nil {
 						return nil, err
@@ -875,7 +865,7 @@ func (p *parser) parseValue() (value.Value, error) {
 		if _, err := p.expect(tRBrace); err != nil {
 			return nil, err
 		}
-		return value.NewSet(elems...), nil
+		return b.Set(), nil
 	default:
 		return nil, p.errf("expected a value, got %q", p.tok.text)
 	}

@@ -3,6 +3,7 @@ package parse
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
@@ -294,5 +295,94 @@ func TestErrorPositionsAfterTokens(t *testing.T) {
 		if err == nil || err.Error() != c.want {
 			t.Errorf("parse %q: error %v, want %q", c.src, err, c.want)
 		}
+	}
+}
+
+// TestParseResultKeepsNoSourceBytes checks that no name or string a parse
+// result keeps shares the source's bytes: tokens are substrings of the
+// source, and one kept substring would pin the whole script — a large
+// database script for as long as its database lives.
+func TestParseResultKeepsNoSourceBytes(t *testing.T) {
+	src := `rel edge = {(a, "b c"), (b, c)};
+def reach(x) = ifp(s, union(x, map(select(product(s, edge), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))));
+def tagged = map(edge, \e -> (e.1, tag, "lit"));
+query reach(edge);
+`
+	script, err := ParseScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	check := func(what, s string) {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && p >= lo && p < lo+uintptr(len(src)) {
+			t.Errorf("%s %q shares the source's bytes", what, s)
+		}
+	}
+	var values func(v value.Value)
+	values = func(v value.Value) {
+		switch vv := v.(type) {
+		case value.String:
+			check("the value", string(vv))
+		case value.Tuple:
+			for i := range vv.Len() {
+				values(vv.At(i))
+			}
+		case value.Set:
+			for i := range vv.Len() {
+				values(vv.At(i))
+			}
+		}
+	}
+	for name, set := range script.DB {
+		check("the relation name", name)
+		values(set)
+	}
+	var exprs func(e algebra.Expr)
+	var fexprs func(f algebra.FExpr)
+	exprs = func(e algebra.Expr) {
+		switch ee := e.(type) {
+		case algebra.Rel:
+			check("the name", ee.Name)
+		case algebra.Call:
+			check("the call", ee.Name)
+		case algebra.IFP:
+			check("the fixpoint variable", ee.Var)
+		case algebra.Select:
+			check("the variable", ee.Var)
+			fexprs(ee.Test)
+		case algebra.Map:
+			check("the variable", ee.Var)
+			fexprs(ee.Out)
+		}
+		for _, k := range algebra.Children(e) {
+			exprs(k)
+		}
+	}
+	fexprs = func(f algebra.FExpr) {
+		switch ff := f.(type) {
+		case algebra.FVar:
+			check("the variable", ff.Name)
+		case algebra.FConst:
+			values(ff.V)
+		case algebra.FField:
+			fexprs(ff.Of)
+		case algebra.FCmp:
+			fexprs(ff.L)
+			fexprs(ff.R)
+		case algebra.FTuple:
+			for _, el := range ff.Elems {
+				fexprs(el)
+			}
+		}
+	}
+	for _, d := range script.Program.Defs {
+		check("the definition", d.Name)
+		for _, p := range d.Params {
+			check("the parameter", p)
+		}
+		exprs(d.Body)
+	}
+	for _, q := range script.Queries {
+		exprs(q.Expr)
 	}
 }

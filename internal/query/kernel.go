@@ -716,75 +716,70 @@ func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (*rel
 }
 
 // set converts an answer's rows in the evaluated engine — its true rows, or
-// with undef its undefined ones — to a set of at most max elements.
-func (a *answer) set(eng *rel.Engine, undef bool, max int) (value.Set, error) {
+// with undef its undefined ones — to a set of at most the budget's
+// MaxSetSize elements, polling its interrupt as it builds them.
+func (a *answer) set(eng *rel.Engine, undef bool, b algebra.Budget) (value.Set, error) {
 	var rows []intern.ID
 	eng.EachMember(a.pred, undef, func(row []intern.ID) { rows = append(rows, row...) })
-	if len(rows) > max*a.width {
+	if max := b.WithDefaults().MaxSetSize; len(rows) > max*a.width {
 		return value.Set{}, fmt.Errorf("%w: the answer's %d elements exceed MaxSetSize %d", algebra.ErrBudget, len(rows)/a.width, max)
 	}
-	return a.toSet(rows), nil
+	return a.toSet(rows, b.Stop)
 }
+
+// convertPoll is how many elements toSet builds between two calls of its
+// poll, the kernel joins' interval.
+const convertPoll = 1 << 12
 
 // toSet converts the answer's rows, back to back, to the canonical set at
 // once: sorted by the value order of the elements they build — the order of
 // their columns read left to right, the shape being every element's, by
-// radix when every column is an integer — and built in that order, their
-// tuples carved from one slab. Nothing is interned.
-func (a *answer) toSet(ids []intern.ID) value.Set {
+// value.RadixOrder when every column is an integer — and built in that
+// order, their tuples carved from one slab. Nothing is interned. It calls
+// poll before the first element and after every convertPoll, and abandons
+// the build with poll's error once that is non-nil.
+func (a *answer) toSet(ids []intern.ID, poll func() error) (value.Set, error) {
 	if len(ids) == 0 {
-		return value.Set{}
+		return value.Set{}, nil
 	}
 	n, in := a.width, intern.Global()
-	order, tmp := make([]int32, len(ids)/n), make([]int32, len(ids)/n)
-	for i := range order {
-		order[i] = int32(i)
-	}
 	keys := make([]int64, len(ids))
 	for i, id := range ids {
 		x, isInt := in.Lookup(id).(value.Int)
 		if keys[i] = int64(x); !isInt {
 			keys = nil
-			slices.SortFunc(order, func(a, b int32) int {
-				for j := range n {
-					if ia, ib := ids[int(a)*n+j], ids[int(b)*n+j]; ia != ib {
-						return in.Lookup(ia).Compare(in.Lookup(ib))
-					}
-				}
-				return 0
-			})
 			break
 		}
 	}
-	// Least significant digit first: column by column from the last, as many
-	// byte passes per column as the range of its values needs.
-	for col := n - 1; keys != nil && col >= 0; col-- {
-		lo, hi := keys[col], keys[col]
-		for i := col; i < len(keys); i += n {
-			lo, hi = min(lo, keys[i]), max(hi, keys[i])
+	var order []int32
+	if keys != nil {
+		order = value.RadixOrder(keys, n)
+	} else {
+		order = make([]int32, len(ids)/n)
+		for i := range order {
+			order[i] = int32(i)
 		}
-		for shift := 0; shift < 64 && uint64(hi-lo)>>shift != 0; shift += 8 {
-			var count [257]int
-			for _, o := range order {
-				count[uint64(keys[int(o)*n+col]-lo)>>shift&255+1]++
+		slices.SortFunc(order, func(a, b int32) int {
+			for j := range n {
+				if ia, ib := ids[int(a)*n+j], ids[int(b)*n+j]; ia != ib {
+					return in.Lookup(ia).Compare(in.Lookup(ib))
+				}
 			}
-			for d := 1; d < len(count); d++ {
-				count[d] += count[d-1]
-			}
-			for _, o := range order {
-				d := uint64(keys[int(o)*n+col]-lo) >> shift & 255
-				tmp[count[d]], count[d] = o, count[d]+1
-			}
-			order, tmp = tmp, order
-		}
+			return 0
+		})
 	}
 	tuples, slots := a.shape.size()
 	slab := value.NewTupleSlab(len(order)*tuples, len(order)*slots)
 	elems := make([]value.Value, len(order))
 	for i, o := range order {
+		if i%convertPoll == 0 {
+			if err := poll(); err != nil {
+				return value.Set{}, err
+			}
+		}
 		elems[i] = a.shape.build(ids[int(o)*n:], in, slab)
 	}
-	return value.SetFromSorted(elems)
+	return value.SetFromSorted(elems), nil
 }
 
 // size counts the tuples an element of this shape is built of, and their
@@ -933,7 +928,7 @@ func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (va
 	if err != nil {
 		return value.Set{}, err
 	}
-	return plan.kernel.answers[0].set(eng, false, opts.Budget.WithDefaults().MaxSetSize)
+	return plan.kernel.answers[0].set(eng, false, opts.Budget)
 }
 
 // executeValidKernel evaluates an algebra= script that route sent to the
@@ -945,15 +940,14 @@ func executeValidKernel(plan *Plan, base *rel.Base, opts Options, obs obsv.Colle
 	if err != nil {
 		return nil, err
 	}
-	max := opts.Budget.WithDefaults().MaxSetSize
 	defs := len(plan.kernel.answers) - len(plan.Script.Queries)
 	for i := range plan.kernel.answers {
 		a := &plan.kernel.answers[i]
-		set, err := a.set(eng, false, max)
+		set, err := a.set(eng, false, opts.Budget)
 		if err != nil {
 			return nil, err
 		}
-		undef, err := a.set(eng, true, max)
+		undef, err := a.set(eng, true, opts.Budget)
 		if err != nil {
 			return nil, err
 		}

@@ -473,13 +473,13 @@ func BenchmarkAlgebraValue(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelConvert: alg-2hop's answer on the read workload's graph —
-// about 40 000 pairs — converted from the kernel's rows to its set, and the
-// set rendered, as a response renders it.
-func BenchmarkKernelConvert(b *testing.B) {
+// twoHopAnswer evaluates alg-2hop on the read workload's graph on the
+// kernel and returns its answer, the engine and the answer's rows — about
+// 40 000 pairs.
+func twoHopAnswer(tb testing.TB) (*answer, *rel.Engine, []intern.ID) {
 	plan, err := Compile(LangAlgebra, SemValid, textTwoHop)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	k := plan.kernel
 	eng, err := rel.NewEngine(k.prog, rel.Config{Base: g20k(), Limits: KernelLimits(Options{})})
@@ -487,14 +487,56 @@ func BenchmarkKernelConvert(b *testing.B) {
 		err = eng.Build()
 	}
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var rows []intern.ID
 	a := &k.answers[0]
 	eng.EachMember(a.pred, false, func(row []intern.ID) { rows = append(rows, row...) })
+	return a, eng, rows
+}
+
+// BenchmarkKernelConvert: alg-2hop's answer on the read workload's graph
+// converted from the kernel's rows to its set, and the set rendered, as a
+// response renders it.
+func BenchmarkKernelConvert(b *testing.B) {
+	a, _, rows := twoHopAnswer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.toSet(rows).String()
+		set, err := a.toSet(rows, algebra.Budget{}.Stop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = set.String()
+	}
+}
+
+// TestCanceledInsideConversion: converting an answer's rows to its set polls
+// the budget's interrupt every convertPoll elements, so an interrupt that
+// fires once the kernel has evaluated still ends the request as canceled,
+// within that many elements.
+func TestCanceledInsideConversion(t *testing.T) {
+	a, eng, rows := twoHopAnswer(t)
+	if len(rows)/a.width <= convertPoll {
+		t.Fatalf("the answer has %d elements, want more than %d", len(rows)/a.width, convertPoll)
+	}
+	fired := make(chan struct{})
+	close(fired)
+	if _, err := a.set(eng, false, algebra.Budget{Interrupt: fired}); ErrorCode(err, false) != "canceled" {
+		t.Errorf("a fired interrupt: conversion returned %v, want canceled", err)
+	}
+	// The interrupt fires after the first poll, inside the build.
+	polls := 0
+	_, err := a.toSet(rows, func() error {
+		if polls++; polls == 1 {
+			return nil
+		}
+		return algebra.Budget{Interrupt: fired}.Stop()
+	})
+	if ErrorCode(err, false) != "canceled" || polls != 2 {
+		t.Errorf("an interrupt inside the build: %v after %d polls, want canceled after 2", err, polls)
+	}
+	if set, err := a.set(eng, false, algebra.Budget{}); err != nil || set.Len() != len(rows)/a.width {
+		t.Errorf("no interrupt: %d elements, %v; want %d", set.Len(), err, len(rows)/a.width)
 	}
 }

@@ -118,12 +118,22 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 // are interned eagerly (outside any lock): the process-global interner is
 // shared by every named database and every concurrent execution, so warming
 // it at registration means each fact is hash-consed once per database load
-// rather than on some request's critical path. Replacing an existing entry
-// closes its live subscriptions with reason "db-replaced" — their incremental
-// views were built against the old contents and a wholesale swap is not a
-// fact delta. With a disk backend, the load is written through to the
-// entry's store first; concurrent readers keep seeing the pre-replacement
-// state until the new one is published.
+// rather than on some request's critical path.
+//
+// The eager intern is not dead work, though only reads show it. Without it
+// the benchmark's bulk-cycle workload ran about 60 ms faster per cycle, but
+// adhoc-point's live heap shrank from 25.6 to 17.4 MB, so the collector ran
+// about three times as often (1.4 to 4.1 cycles per 1 000 requests) and its
+// server_cpu_ms_per_op rose 13–18 % on three of three paired runs (2-CPU
+// container). Drop it only with a pair of adhoc-point runs that shows no
+// such loss.
+//
+// Replacing an existing entry closes its live subscriptions with reason
+// "db-replaced" — their incremental views were built against the old
+// contents and a wholesale swap is not a fact delta. With a disk backend,
+// the load is written through to the entry's store first; concurrent
+// readers keep seeing the pre-replacement state until the new one is
+// published.
 func (r *registry) set(name string, db algebra.DB) error {
 	in := intern.Global()
 	for _, set := range db {

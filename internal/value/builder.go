@@ -37,13 +37,7 @@ func (b *SetBuilder) Set() Set {
 	if len(b.elems) == 0 {
 		return Set{}
 	}
-	SortValues(b.elems)
-	out := b.elems[:1]
-	for _, v := range b.elems[1:] {
-		if v.Compare(out[len(out)-1]) != 0 {
-			out = append(out, v)
-		}
-	}
+	out := canonical(b.elems)
 	b.elems = nil
 	return setFromSorted(out)
 }

@@ -29,28 +29,7 @@ func NewSet(elems ...Value) Set {
 	}
 	cp := make([]Value, len(elems))
 	copy(cp, elems)
-	if increasing(cp) {
-		return setFromSorted(cp)
-	}
-	SortValues(cp)
-	out := cp[:1]
-	for _, v := range cp[1:] {
-		if v.Compare(out[len(out)-1]) != 0 {
-			out = append(out, v)
-		}
-	}
-	return setFromSorted(out)
-}
-
-// increasing reports whether vs is strictly increasing: sorted and free of
-// duplicates, so already canonical.
-func increasing(vs []Value) bool {
-	for i := 1; i < len(vs); i++ {
-		if vs[i-1].Compare(vs[i]) >= 0 {
-			return false
-		}
-	}
-	return true
+	return setFromSorted(canonical(cp))
 }
 
 // setFromSorted wraps an already-sorted, already-deduplicated slice without

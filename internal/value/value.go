@@ -17,7 +17,6 @@ package value
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -264,7 +263,7 @@ func compareSlices(a, b []Value) int {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
+		if c := compare(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
@@ -378,8 +377,3 @@ func writeString(sb *strings.Builder, v Value) {
 // Key returns the canonical map key for v. It is v.String(); the alias exists
 // to make call sites that use values as map keys self-describing.
 func Key(v Value) string { return v.String() }
-
-// SortValues sorts vs in place by the total order on values.
-func SortValues(vs []Value) {
-	slices.SortFunc(vs, Value.Compare)
-}
