@@ -82,3 +82,47 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file not surfaced")
 	}
 }
+
+// TestRunKeyOrder pins the order and text of printed facts where the
+// integers alone cannot order the rows: a predicate holding rows of two
+// arities (a shorter row before its extensions, kinds in the value order), a
+// nullary predicate, and string constants — on the relational engine and on
+// the grounded one alike.
+func TestRunKeyOrder(t *testing.T) {
+	src := `p(1, 2). p(b). p(3). p(a, -1). p("Hello, world", 2). p(-7).
+q.
+r :- q.
+s(X) :- p(X).
+s(X) :- p(X, Y).
+t(X, Y) :- p(X, Y).
+t(X) :- p(X).
+u("two words", "Big").
+u(-9223372036854775808, 9223372036854775807).
+v(X, Y) :- u(X, Y).
+`
+	want := `r().
+s(-7).
+s(1).
+s(3).
+s("Hello, world").
+s(a).
+s(b).
+t(-7).
+t(1, 2).
+t(3).
+t("Hello, world", 2).
+t(a, -1).
+t(b).
+v(-9223372036854775808, 9223372036854775807).
+v("two words", "Big").
+`
+	for _, sem := range []string{"valid", "stratified", "inflationary"} {
+		out, err := runDlog(t, []string{"-semantics", sem}, src)
+		if err != nil {
+			t.Fatalf("%s: %v", sem, err)
+		}
+		if out != want {
+			t.Errorf("%s: printed\n%s\nwant\n%s", sem, out, want)
+		}
+	}
+}
