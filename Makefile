@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-ivm bench-load bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
+.PHONY: all check race bench bench-answer bench-ivm bench-load bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
 
 all: check
 
@@ -150,6 +150,14 @@ bench-ivm:
 # pairs over 5·10^4 nodes into its database.
 bench-load:
 	go test ./internal/server -run '^$$' -bench 'LoadDBScript' -benchmem
+
+# bench-answer measures what turns a served answer into its text, as Go
+# benchmarks with allocation counts: a datalog answer's keys (3·10^4 integer
+# pairs sorted and rendered, the size of the read workload's reach answer),
+# and alg-2hop's 4·10^4 pairs on the kernel, written from their rows beside
+# converted to a set and printed.
+bench-answer:
+	go test ./internal/datalog/rel ./internal/query -run '^$$' -bench 'SortedKeys|KernelText|KernelConvert' -benchmem
 
 clean:
 	go clean ./...

@@ -2,11 +2,13 @@ package rel
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog"
@@ -97,6 +99,118 @@ func TestSortedKeysIsCompareFactsOrder(t *testing.T) {
 	}
 	if SortedKeys("p", nil) != nil {
 		t.Fatal("no rows must render as nil, the outcome's form of an empty predicate")
+	}
+}
+
+// TestSortedKeysMatchesSortFacts holds SortedKeys to an order it does not
+// share code with: the same rows as datalog facts, sorted by
+// datalog.SortFacts and rendered by Fact.Key. The rows are of one width from
+// 0 to 4, at sizes on both sides of radixRows — integers including the
+// extremes, so the radix orders them; the same with one value of another kind,
+// so they fall back to comparison; values of every kind — and of mixed
+// widths. SortedKeys must also leave rows permuted in place, into the order
+// of its keys.
+func TestSortedKeysMatchesSortFacts(t *testing.T) {
+	in := intern.Global()
+	others := []value.Value{
+		value.String("a"), value.String("B c"), value.Bool(false), value.Bool(true),
+		pair(1, 2), value.NewTuple(value.Int(-1)), value.NewSet(ints(2, 1)...),
+	}
+	intOf := func(rng *rand.Rand) value.Value {
+		switch rng.Intn(4) {
+		case 0:
+			return value.Int([]int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(7)])
+		case 1:
+			return value.Int(rng.Int63() - rng.Int63())
+		default:
+			return value.Int(rng.Intn(600) - 300)
+		}
+	}
+	for _, kind := range []string{"ints", "ints and one other", "every kind", "mixed widths"} {
+		for _, size := range []int{1, 2, radixRows - 1, radixRows, radixRows + 1, 3 * radixRows, 1000} {
+			for width := 0; width <= 4; width++ {
+				rng := rand.New(rand.NewSource(int64(size*10 + width)))
+				seen := map[string]bool{}
+				var facts []datalog.Fact
+				var rows [][]intern.ID
+				for tries := 0; len(rows) < size && tries < 4*size; tries++ {
+					w := width
+					if kind == "mixed widths" {
+						w = rng.Intn(5)
+					}
+					args := make([]value.Value, w)
+					for k := range args {
+						args[k] = intOf(rng)
+						if kind == "every kind" && rng.Intn(2) == 0 {
+							args[k] = others[rng.Intn(len(others))]
+						}
+					}
+					if kind == "ints and one other" && w > 0 && len(rows) == size-1 {
+						args[w-1] = others[rng.Intn(len(others))]
+					}
+					f := datalog.Fact{Pred: "p", Args: args}
+					if seen[f.Key()] {
+						continue
+					}
+					seen[f.Key()] = true
+					row := make([]intern.ID, w)
+					for k, v := range args {
+						row[k] = in.Intern(v)
+					}
+					facts, rows = append(facts, f), append(rows, row)
+				}
+				datalog.SortFacts(facts)
+				want := make([]string, len(facts))
+				for i, f := range facts {
+					want[i] = f.Key()
+				}
+				held := map[*intern.ID]int{}
+				for _, row := range rows {
+					held[unsafe.SliceData(row)]++
+				}
+				got := SortedKeys("p", rows)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d rows of width %d:\n got %v\nwant %v", kind, len(rows), width, got, want)
+				}
+				for i, row := range rows {
+					args := make([]value.Value, len(row))
+					for k, id := range row {
+						args[k] = in.Lookup(id)
+					}
+					if key := (datalog.Fact{Pred: "p", Args: args}).Key(); key != got[i] {
+						t.Fatalf("%s, %d rows of width %d: row %d is %s after sorting, its key %s", kind, len(rows), width, i, key, got[i])
+					}
+					held[unsafe.SliceData(row)]--
+				}
+				for _, n := range held {
+					if n != 0 {
+						t.Fatalf("%s, %d rows of width %d: rows were not permuted in place", kind, len(rows), width)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSortedKeys: the keys of 3·10^4 distinct pairs of integers below
+// 10^4 — the size of the read workload's reach answer — sorted and rendered.
+func BenchmarkSortedKeys(b *testing.B) {
+	in, rng := intern.Global(), rand.New(rand.NewSource(1))
+	seen := map[[2]int64]bool{}
+	var orig [][]intern.ID
+	for len(orig) < 30000 {
+		p := [2]int64{rng.Int63n(10000), rng.Int63n(10000)}
+		if !seen[p] {
+			seen[p] = true
+			orig = append(orig, []intern.ID{in.InternInt(p[0]), in.InternInt(p[1])})
+		}
+	}
+	rows := make([][]intern.ID, len(orig))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rows, orig)
+		SortedKeys("reach", rows)
 	}
 }
 

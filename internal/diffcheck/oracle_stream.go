@@ -17,7 +17,8 @@ import (
 // which runs a flat join on the relational rule kernel and everything else on
 // the planned value runtime (streaming pipelines, access paths, semi-naive
 // IFP) — and on the reference: neither the kernel, nor the planned iterators,
-// nor the delta rounds may change the value. The served side is also where
+// nor the delta rounds may change the value, nor the text a response carries,
+// which a kernel answer writes from its rows. The served side is also where
 // FaultDropMax plants its corruption.
 func checkExprStream(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-stream"
@@ -26,7 +27,13 @@ func checkExprStream(e algebra.Expr, db algebra.DB) error {
 	if done, err := pairErr(oracle, "served", "reference", errSt, errRef); done {
 		return err
 	}
-	return diffSets(oracle, "served vs reference result", applyDropMax(out.Value), ref)
+	if err := diffSets(oracle, "served vs reference result", applyDropMax(out.Set()), ref); err != nil {
+		return err
+	}
+	if text, _ := out.AppendValue(nil, nil); string(text) != ref.String() {
+		return diverge(oracle, "served text %s, reference %v", text, ref)
+	}
+	return nil
 }
 
 // checkDlogStream translates one free-polarity program to algebra=

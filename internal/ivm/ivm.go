@@ -267,7 +267,7 @@ func diffOutcomes(plan *query.Plan, old, new *query.Outcome) *ResultDelta {
 		}
 	}
 	if new.HasValue {
-		add, rem := diffSets(old.Value, new.Value)
+		add, rem := diffSets(old.Set(), new.Set())
 		addPred(PredDelta{Pred: "value", Added: add, Removed: rem})
 		return d
 	}

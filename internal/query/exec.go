@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"algrec/internal/algebra"
 	"algrec/internal/core"
@@ -14,6 +15,7 @@ import (
 	"algrec/internal/semantics"
 	"algrec/internal/translate"
 	"algrec/internal/value"
+	"algrec/internal/value/intern"
 )
 
 // Options are the per-request knobs of one Execute call. The zero value
@@ -81,7 +83,8 @@ type DatalogModel struct {
 // PredFacts), so callers treat it as read-only. Which fields are populated
 // depends on the plan's language and semantics:
 //
-//   - expression languages: Value (HasValue true);
+//   - expression languages: HasValue, and the answer through Set and
+//     AppendValue;
 //   - algebra= under valid/inflationary/wellfounded: Defs, Queries,
 //     WellDefined;
 //   - algebra= under stable: Models (one per stable reading);
@@ -93,9 +96,10 @@ type Outcome struct {
 	// WellDefined reports whether every defined set is total (algebra=
 	// under the valid semantics; true elsewhere).
 	WellDefined bool
-	// HasValue and Value carry the single result set of an expression.
+	// HasValue says the outcome is an expression's, whose one answer Set and
+	// AppendValue give.
 	HasValue bool
-	Value    value.Set
+	answer   *exprAnswer
 	// Defs lists the zero-parameter defined constants in program order.
 	Defs []NamedSet
 	// Queries answers the script's query statements in order. Under the
@@ -111,6 +115,47 @@ type Outcome struct {
 	// IDB is the sorted list of derived predicates — the default set a
 	// renderer prints.
 	IDB []string
+}
+
+// exprAnswer is an expression's answer: the set the value evaluator computed,
+// or the kernel's rows, back to back, with their value order and the answer
+// whose shape builds an element from a row — its set built on first demand.
+type exprAnswer struct {
+	kernel *answer // nil: set is the answer
+	ids    []intern.ID
+	order  []int32
+	once   sync.Once
+	set    value.Set
+}
+
+// Set returns an expression's answer (the empty set for any other outcome).
+// A kernel answer's set is built on the first call, once for every caller.
+func (o *Outcome) Set() value.Set {
+	ans := o.answer
+	if ans == nil {
+		return value.Set{}
+	}
+	ans.once.Do(func() {
+		if ans.kernel != nil {
+			ans.set, _ = ans.kernel.build(ans.ids, ans.order, algebra.Budget{}.Stop) // no interrupt, no error
+		}
+	})
+	return ans.set
+}
+
+// AppendValue appends the text of an expression's answer, byte for byte
+// Set().String(), to buf. A kernel answer is written from its rows, without
+// building its set; that calls poll, when not nil, before the first element
+// and every 4 096 after, and stops at the first error it returns.
+func (o *Outcome) AppendValue(buf []byte, poll func() error) ([]byte, error) {
+	ans := o.answer
+	if ans == nil || ans.kernel == nil {
+		return append(buf, o.Set().String()...), nil
+	}
+	if poll == nil {
+		poll = algebra.Budget{}.Stop
+	}
+	return ans.kernel.appendText(buf, ans.ids, ans.order, poll)
 }
 
 // Execute runs a compiled plan against a database under the given options.
@@ -154,12 +199,11 @@ func execute(plan *Plan, db algebra.DB, base *rel.Base, opts Options, grounded b
 	out := &Outcome{Language: plan.Language, Semantics: plan.Semantics, WellDefined: true}
 	switch plan.Language {
 	case LangAlgebra, LangIFPAlgebra:
-		v, err := executeAlgebra(plan, db, base, opts)
+		ans, err := executeAlgebra(plan, db, base, opts)
 		if err != nil {
 			return nil, err
 		}
-		out.HasValue = true
-		out.Value = v
+		out.HasValue, out.answer = true, ans
 		return out, nil
 	case LangAlgebraEq:
 		return executeScript(plan, db, base, opts, out)

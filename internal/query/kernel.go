@@ -715,59 +715,49 @@ func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (*rel
 	return eng, eng.Build()
 }
 
-// set converts an answer's rows in the evaluated engine — its true rows, or
-// with undef its undefined ones — to a set of at most the budget's
-// MaxSetSize elements, polling its interrupt as it builds them.
-func (a *answer) set(eng *rel.Engine, undef bool, b algebra.Budget) (value.Set, error) {
+// rows returns an answer's rows in the evaluated engine — its true rows, or
+// with undef its undefined ones — back to back, in table order, when there
+// are at most the budget's MaxSetSize of them.
+func (a *answer) rows(eng *rel.Engine, undef bool, b algebra.Budget) ([]intern.ID, error) {
 	var rows []intern.ID
 	eng.EachMember(a.pred, undef, func(row []intern.ID) { rows = append(rows, row...) })
 	if max := b.WithDefaults().MaxSetSize; len(rows) > max*a.width {
-		return value.Set{}, fmt.Errorf("%w: the answer's %d elements exceed MaxSetSize %d", algebra.ErrBudget, len(rows)/a.width, max)
+		return nil, fmt.Errorf("%w: the answer's %d elements exceed MaxSetSize %d", algebra.ErrBudget, len(rows)/a.width, max)
+	}
+	return rows, nil
+}
+
+// set converts an answer's rows in the evaluated engine (rows) to its set,
+// polling the budget's interrupt as it builds the elements.
+func (a *answer) set(eng *rel.Engine, undef bool, b algebra.Budget) (value.Set, error) {
+	rows, err := a.rows(eng, undef, b)
+	if err != nil {
+		return value.Set{}, err
 	}
 	return a.toSet(rows, b.Stop)
 }
 
-// convertPoll is how many elements toSet builds between two calls of its
-// poll, the kernel joins' interval.
+// convertPoll is how many elements toSet builds, or appendText writes,
+// between two calls of its poll, the kernel joins' interval.
 const convertPoll = 1 << 12
 
 // toSet converts the answer's rows, back to back, to the canonical set at
-// once: sorted by the value order of the elements they build — the order of
-// their columns read left to right, the shape being every element's, by
-// value.RadixOrder when every column is an integer — and built in that
-// order, their tuples carved from one slab. Nothing is interned. It calls
-// poll before the first element and after every convertPoll, and abandons
-// the build with poll's error once that is non-nil.
+// once: ordered by rel.OrderRows — the value order of the elements they
+// build is the order of their columns read left to right, the shape being
+// every element's — and built in that order (build).
 func (a *answer) toSet(ids []intern.ID, poll func() error) (value.Set, error) {
-	if len(ids) == 0 {
+	return a.build(ids, rel.OrderRows(ids, a.width), poll)
+}
+
+// build makes the set of the answer's rows listed in order, which must be
+// their value order, their tuples carved from one slab. Nothing is interned.
+// It calls poll before the first element and after every convertPoll, and
+// abandons the build with poll's error once that is non-nil.
+func (a *answer) build(ids []intern.ID, order []int32, poll func() error) (value.Set, error) {
+	if len(order) == 0 {
 		return value.Set{}, nil
 	}
 	n, in := a.width, intern.Global()
-	keys := make([]int64, len(ids))
-	for i, id := range ids {
-		x, isInt := in.Lookup(id).(value.Int)
-		if keys[i] = int64(x); !isInt {
-			keys = nil
-			break
-		}
-	}
-	var order []int32
-	if keys != nil {
-		order = value.RadixOrder(keys, n)
-	} else {
-		order = make([]int32, len(ids)/n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			for j := range n {
-				if ia, ib := ids[int(a)*n+j], ids[int(b)*n+j]; ia != ib {
-					return in.Lookup(ia).Compare(in.Lookup(ib))
-				}
-			}
-			return 0
-		})
-	}
 	tuples, slots := a.shape.size()
 	slab := value.NewTupleSlab(len(order)*tuples, len(order)*slots)
 	elems := make([]value.Value, len(order))
@@ -780,6 +770,27 @@ func (a *answer) toSet(ids []intern.ID, poll func() error) (value.Set, error) {
 		elems[i] = a.shape.build(ids[int(o)*n:], in, slab)
 	}
 	return value.SetFromSorted(elems), nil
+}
+
+// appendText appends the text of the set of the answer's rows listed in
+// order, their value order, to buf — byte for byte build's set printed,
+// without building a value. It polls as build does.
+func (a *answer) appendText(buf []byte, ids []intern.ID, order []int32, poll func() error) ([]byte, error) {
+	n, in := a.width, intern.Global()
+	buf = slices.Grow(buf, 2+len(order)*(8*n+2))
+	buf = append(buf, '{')
+	for i, o := range order {
+		if i%convertPoll == 0 {
+			if err := poll(); err != nil {
+				return buf, err
+			}
+		}
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = a.shape.appendText(buf, ids[int(o)*n:], in)
+	}
+	return append(buf, '}'), nil
 }
 
 // size counts the tuples an element of this shape is built of, and their
@@ -806,6 +817,21 @@ func (n *node) build(row []intern.ID, in *intern.Interner, slab *value.TupleSlab
 		parts = append(parts, c.build(row, in, slab))
 	}
 	return slab.Tuple(parts...)
+}
+
+// appendText appends the text of the element a row stands for.
+func (n *node) appendText(buf []byte, row []intern.ID, in *intern.Interner) []byte {
+	if n.kids == nil {
+		return value.Append(buf, in.Lookup(row[n.col]))
+	}
+	buf = append(buf, '(')
+	for i, c := range n.kids {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = c.appendText(buf, row, in)
+	}
+	return append(buf, ')')
 }
 
 // planExpr decides at compile time where an expression runs. A point plan —
@@ -914,21 +940,28 @@ func report(engine, reason string) obsv.Collector {
 
 // executeAlgebra evaluates an expression on the kernel when the plan compiled
 // for it and the database fits, on the value evaluator otherwise — always
-// under Budget.NoStreaming, the reference.
-func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (value.Set, error) {
+// under Budget.NoStreaming, the reference. A kernel answer stays rows, in
+// their value order.
+func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (*exprAnswer, error) {
 	reason := route(plan, db, opts)
 	obs := report("value", reason)
 	if reason != "" {
-		return algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)
+		set, err := algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)
+		return &exprAnswer{set: set}, err
 	}
 	if base == nil {
 		base = rel.NewBase(db)
 	}
 	eng, err := plan.kernel.run(base, opts, obs)
 	if err != nil {
-		return value.Set{}, err
+		return nil, err
 	}
-	return plan.kernel.answers[0].set(eng, false, opts.Budget)
+	a := &plan.kernel.answers[0]
+	ids, err := a.rows(eng, false, opts.Budget)
+	if err != nil {
+		return nil, err
+	}
+	return &exprAnswer{kernel: a, ids: ids, order: rel.OrderRows(ids, a.width)}, nil
 }
 
 // executeValidKernel evaluates an algebra= script that route sent to the

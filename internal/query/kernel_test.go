@@ -266,7 +266,7 @@ func TestKernelMatchesValuePath(t *testing.T) {
 			if errK != nil || errV != nil {
 				t.Fatalf("%s: kernel %v, reference %v", c.name, errK, errV)
 			}
-			sameSet(t, c.name, got.Value, want)
+			sameSet(t, c.name, got.Set(), want)
 			if c.db != nil {
 				break
 			}
@@ -339,8 +339,8 @@ func TestSameErrorClassOnBothAlgebraEngines(t *testing.T) {
 	capped := Options{Budget: algebra.Budget{MaxIFPIters: 10}}
 	got, errK := Execute(closure, cdb, capped)
 	_, errV := reference(closure.Expr, cdb, capped.Budget)
-	if errK != nil || got.Value.Len() != 40*41/2 || !errors.Is(errV, algebra.ErrBudget) {
-		t.Fatalf("under MaxIFPIters 10: kernel %v (%d pairs), value %v", errK, got.Value.Len(), errV)
+	if errK != nil || got.Set().Len() != 40*41/2 || !errors.Is(errV, algebra.ErrBudget) {
+		t.Fatalf("under MaxIFPIters 10: kernel %v (%d pairs), value %v", errK, got.Set().Len(), errV)
 	}
 	capped.Ground.MaxRules = 500
 	if _, errK = Execute(closure, cdb, capped); ErrorCode(errK, false) != "budget-exceeded" {
@@ -365,7 +365,7 @@ func TestKernelPlanConcurrent(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 3; i++ {
 					got, err := ExecuteBase(plan, base, Options{})
-					if err != nil || got.Value.String() != want.Value.String() {
+					if err != nil || got.Set().String() != want.Set().String() {
 						t.Errorf("%s: %v", src, err)
 					}
 				}
@@ -436,7 +436,7 @@ func BenchmarkAlgebraKernel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_ = out.Value.String()
+				_ = out.Set().String()
 			}
 		})
 	}
@@ -511,10 +511,28 @@ func BenchmarkKernelConvert(b *testing.B) {
 	}
 }
 
-// TestCanceledInsideConversion: converting an answer's rows to its set polls
-// the budget's interrupt every convertPoll elements, so an interrupt that
-// fires once the kernel has evaluated still ends the request as canceled,
-// within that many elements.
+// textSink keeps the compiler from dropping BenchmarkKernelText's string.
+var textSink string
+
+// BenchmarkKernelText: the same answer ordered and written from its rows as
+// a response writes it, without building its set.
+func BenchmarkKernelText(b *testing.B) {
+	a, _, rows := twoHopAnswer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		text, err := a.appendText(nil, rows, rel.OrderRows(rows, a.width), algebra.Budget{}.Stop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		textSink = string(text)
+	}
+}
+
+// TestCanceledInsideConversion: converting an answer's rows to its set, or
+// writing them as text, polls the budget's interrupt every convertPoll
+// elements, so an interrupt that fires once the kernel has evaluated still
+// ends the request as canceled, within that many elements.
 func TestCanceledInsideConversion(t *testing.T) {
 	a, eng, rows := twoHopAnswer(t)
 	if len(rows)/a.width <= convertPoll {
@@ -538,5 +556,21 @@ func TestCanceledInsideConversion(t *testing.T) {
 	}
 	if set, err := a.set(eng, false, algebra.Budget{}); err != nil || set.Len() != len(rows)/a.width {
 		t.Errorf("no interrupt: %d elements, %v; want %d", set.Len(), err, len(rows)/a.width)
+	}
+
+	// The same two interrupts end the writer.
+	order := rel.OrderRows(rows, a.width)
+	if _, err := a.appendText(nil, rows, order, algebra.Budget{Interrupt: fired}.Stop); ErrorCode(err, false) != "canceled" {
+		t.Errorf("a fired interrupt: the writer returned %v, want canceled", err)
+	}
+	polls = 0
+	_, err = a.appendText(nil, rows, order, func() error {
+		if polls++; polls == 1 {
+			return nil
+		}
+		return algebra.Budget{Interrupt: fired}.Stop()
+	})
+	if ErrorCode(err, false) != "canceled" || polls != 2 {
+		t.Errorf("an interrupt inside the writer: %v after %d polls, want canceled after 2", err, polls)
 	}
 }

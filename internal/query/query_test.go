@@ -113,18 +113,18 @@ func TestExecuteExpressionLanguages(t *testing.T) {
 	}
 	edges := db.Script.DB
 	p := mustCompile(t, LangAlgebra, SemValid, `diff(edge, {(a, b)})`)
-	if out := mustExecute(t, p, edges, Options{}); !out.HasValue || out.Value.String() != "{(b, c), (c, d)}" {
+	if out := mustExecute(t, p, edges, Options{}); !out.HasValue || out.Set().String() != "{(b, c), (c, d)}" {
 		t.Fatalf("algebra value = %+v", out)
 	}
 	tc := mustCompile(t, LangIFPAlgebra, SemStable,
 		`ifp(s, union(edge, map(select(product(s, edge), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))))`)
-	if out := mustExecute(t, tc, edges, Options{}); out.Value.String() != tcClosure {
-		t.Fatalf("ifp closure = %s", out.Value)
+	if out := mustExecute(t, tc, edges, Options{}); out.Set().String() != tcClosure {
+		t.Fatalf("ifp closure = %s", out.Set())
 	}
 	// The plan is database-independent: the same plan over an empty db.
 	p2 := mustCompile(t, LangAlgebra, SemValid, `union({1}, {2})`)
-	if out := mustExecute(t, p2, nil, Options{}); out.Value.String() != "{1, 2}" {
-		t.Fatalf("value = %s", out.Value)
+	if out := mustExecute(t, p2, nil, Options{}); out.Set().String() != "{1, 2}" {
+		t.Fatalf("value = %s", out.Set())
 	}
 }
 

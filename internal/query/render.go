@@ -13,7 +13,8 @@ import (
 // the CLI does.
 func WriteAlgqText(w io.Writer, o *Outcome, showDefs bool) {
 	if o.HasValue {
-		fmt.Fprintln(w, o.Value)
+		text, _ := o.AppendValue(nil, nil) // no poll, no error
+		w.Write(append(text, '\n'))
 		return
 	}
 	switch o.Semantics {

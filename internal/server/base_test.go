@@ -117,7 +117,11 @@ func TestSharedFactBaseUnderWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[v][c.name] = overTheWire(t, renderResult(out))
+			res, err := renderResult(out, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[v][c.name] = overTheWire(t, res)
 		}
 		keysOfAllVersions += int64(db["e"].Len())
 	}

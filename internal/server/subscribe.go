@@ -186,7 +186,7 @@ func (sub *subscriber) push(version uint64, d *ivm.ResultDelta, maxPending int) 
 			sub.pending = nil
 			return
 		}
-		res := renderResult(out)
+		res, _ := renderResult(out, nil) // no poll, no error
 		sub.pending = &subEventJSON{Event: "snapshot", Version: version, Result: &res}
 	case sub.pending == nil:
 		sub.pending = &subEventJSON{Event: "delta", Version: version, Preds: d.Preds}
@@ -544,7 +544,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, ev *obs
 	if verr == nil {
 		var out *query.Outcome
 		if out, verr = lv.view.Outcome(); verr == nil {
-			res := renderResult(out)
+			res, _ := renderResult(out, nil) // no poll, no error
 			sub = &subscriber{lv: lv, notify: make(chan struct{}, 1)}
 			sub.pending = &subEventJSON{Event: "snapshot", Version: entry.cur.Load().version, Result: &res}
 			lv.subs[sub] = true

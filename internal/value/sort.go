@@ -37,7 +37,7 @@ func sortValues(vs []Value, dedup bool) []Value {
 			if dedup {
 				kept = uniqueFirst(order, keys, width)
 			}
-			permute(vs, order)
+			Permute(vs, order)
 			clear(vs[kept:])
 			return vs[:kept]
 		}
@@ -149,9 +149,9 @@ func uniqueFirst(order []int32, keys []int64, width int) int {
 	return kept
 }
 
-// permute rearranges vs in place so that vs[i] becomes the old vs[order[i]],
+// Permute rearranges vs in place so that vs[i] becomes the old vs[order[i]],
 // following each cycle of the permutation once; it consumes order.
-func permute(vs []Value, order []int32) {
+func Permute[T any](vs []T, order []int32) {
 	for i := range order {
 		if order[i] < 0 {
 			continue

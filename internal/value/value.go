@@ -374,6 +374,15 @@ func writeString(sb *strings.Builder, v Value) {
 	sb.WriteByte(right)
 }
 
+// Append appends v's text, as v.String() prints it, to buf; an Int is written
+// without a string of its own.
+func Append(buf []byte, v Value) []byte {
+	if x, ok := v.(Int); ok {
+		return strconv.AppendInt(buf, int64(x), 10)
+	}
+	return append(buf, v.String()...)
+}
+
 // Key returns the canonical map key for v. It is v.String(); the alias exists
 // to make call sites that use values as map keys self-describing.
 func Key(v Value) string { return v.String() }
