@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI gates on.
-.PHONY: all check race bench bench-answer bench-ivm bench-load bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
+.PHONY: all check race bench bench-answer bench-ground bench-ivm bench-load bench-test bench-smoke bench-runs bench-pair fuzz-smoke test test-server serve vet lint lines docs-fresh build clean
 
 all: check
 
@@ -158,6 +158,14 @@ bench-load:
 # converted to a set and printed.
 bench-answer:
 	go test ./internal/datalog/rel ./internal/query -run '^$$' -bench 'SortedKeys|KernelText|KernelConvert' -benchmem
+
+# bench-ground measures the grounder and the semantics engines, the plain
+# reference every datalog oracle compares against, as Go benchmarks with
+# allocation counts: grounding a 128-edge transitive-closure chain, its
+# minimal model, the well-founded and valid models of a 64-position win
+# cycle, and the stable models of an 8-position one.
+bench-ground:
+	go test . -run '^$$' -bench '^Benchmark(GroundTC|MinimalSemiNaive|WellFoundedWinCycle|ValidWinCycle|StableTwoCycles)$$' -benchmem
 
 clean:
 	go clean ./...

@@ -1,5 +1,5 @@
 // Benchmarks: one testing.B target per experiment in DESIGN.md's
-// per-experiment index (E1–E11, P1–P3), plus micro-benchmarks of the
+// per-experiment index (E1–E11), plus micro-benchmarks of the
 // individual engines. The experiment functions themselves verify agreement
 // (they are also run as tests in internal/expt); here they are measured.
 package algrec_test
@@ -72,18 +72,6 @@ func BenchmarkE9DeductionAlgebra(b *testing.B) {
 
 func BenchmarkE10Semantics(b *testing.B) {
 	runSuite(b, func() (*expt.Table, error) { return expt.RunE10([]int{6, 8}) })
-}
-
-func BenchmarkP1SemiNaive(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP1([]int{64, 128}) })
-}
-
-func BenchmarkP2DirectVsTranslate(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP2([]int{16, 32}) })
-}
-
-func BenchmarkP3Stable(b *testing.B) {
-	runSuite(b, func() (*expt.Table, error) { return expt.RunP3([]int{4, 8}) })
 }
 
 func BenchmarkE11IFPElimination(b *testing.B) {

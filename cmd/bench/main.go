@@ -1,4 +1,4 @@
-// Command bench runs the experiment suite (DESIGN.md's E1–E11 and P1–P3)
+// Command bench runs the experiment suite (DESIGN.md's E1–E11)
 // and prints one table per experiment, one experiment at a time. With
 // -markdown the output is the GitHub-flavored markdown recorded in
 // EXPERIMENTS.md. With -json the per-experiment results, run costs and
@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	bench [-scale N] [-markdown] [-only E9[,P3,...]] [-json path]
+//	bench [-scale N] [-markdown] [-only E9[,E10,...]] [-json path]
 //	      [-trace path] [-pprof dir]
 //	bench -render record.json [-update EXPERIMENTS.md]
 //
@@ -46,7 +46,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	markdown := flag.Bool("markdown", false, "emit markdown tables for EXPERIMENTS.md")
-	only := flag.String("only", "", "run selected experiments by comma-separated ids (e.g. E9 or P1,P3)")
+	only := flag.String("only", "", "run selected experiments by comma-separated ids (e.g. E9 or E6,E10)")
 	jsonPath := flag.String("json", "", "write an expt.Record report to this file (or BENCH_<stamp>.json inside this directory)")
 	tracePath := flag.String("trace", "", "stream observability events as JSON lines to this file")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof for the run into this directory")

@@ -204,9 +204,16 @@ j(X, Z) :- r(X, Y), s(Y, Z).
 }
 
 func TestGroundPreds(t *testing.T) {
+	// A predicate that occurs only negated still gets its atoms.
 	g := mustGround(t, "b(1). a(X) :- b(X), not c(X).")
-	if got := strings.Join(g.Preds(), ","); got != "a,b,c" {
-		t.Errorf("Preds = %s", got)
+	var got []string
+	for _, p := range []string{"a", "b", "c", "d"} {
+		if len(g.AtomsOf(p)) > 0 {
+			got = append(got, p)
+		}
+	}
+	if strings.Join(got, ",") != "a,b,c" {
+		t.Errorf("predicates with atoms = %v, want a,b,c", got)
 	}
 }
 

@@ -18,9 +18,8 @@
 //     Proposition 5.4 deductive translation;
 //   - deductive programs: the Proposition 6.1/Theorem 6.2 algebra=
 //     translation vs direct valid evaluation, the Theorem 4.3 positive-IFP
-//     translation vs stratified evaluation, semi-naive vs naive minimal
-//     models (plus the inflationary and valid collapses on positive
-//     programs), the three-way stratified/well-founded/valid agreement on
+//     translation vs stratified evaluation, the minimal, inflationary and
+//     valid collapse on positive programs, the three-way stratified/well-founded/valid agreement on
 //     stratifiable programs, stable models vs the well-founded model they
 //     extend, and
 //     valid models through the Proposition 6.1 translation on the production
@@ -165,7 +164,7 @@ var Oracles = []*Oracle{
 		Doc:          "Theorem 4.3: the positive-IFP translation matches stratified evaluation",
 		checkDatalog: checkDlogTheorem43},
 	{Name: "dlog-minimal", Kind: KindDatalogPositive,
-		Doc:          "positive programs: semi-naive = naive minimal = inflationary = valid",
+		Doc:          "positive programs: minimal = inflationary = valid",
 		checkDatalog: checkDlogMinimal},
 	{Name: "dlog-stratified", Kind: KindDatalogStratified,
 		Doc:          "stratifiable programs: stratified = well-founded = valid, all total",

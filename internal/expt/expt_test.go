@@ -19,9 +19,6 @@ func testSuites() []Suite {
 		suite("E9", []int{4, 8}, RunE9),
 		suite("E10", []int{4, 6}, RunE10),
 		suite("E11", []int{4}, RunE11),
-		suite("P1", []int{16, 32}, RunP1),
-		suite("P2", []int{8, 16}, RunP2),
-		suite("P3", []int{2, 4}, RunP3),
 	}
 }
 

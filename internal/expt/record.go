@@ -118,11 +118,7 @@ var counterColumns = []struct {
 	{"passes", func(n string) bool { return strings.HasPrefix(n, "fixpoint.") && strings.HasSuffix(n, ".passes") }},
 	{"derived", func(n string) bool { return strings.HasPrefix(n, "fixpoint.") && strings.HasSuffix(n, ".derived") }},
 	{"groundRules", func(n string) bool { return n == "ground.rules" }},
-	{"deltaHits", func(n string) bool { return n == "ground.deltaHits" }},
-	{"deltaSkips", func(n string) bool { return n == "ground.deltaSkips" }},
 	{"stableCands", func(n string) bool { return n == "stable.candidates" }},
-	{"scratchReuse", func(n string) bool { return n == "scratch.reused" }},
-	{"scratchAlloc", func(n string) bool { return n == "scratch.allocated" }},
 }
 
 // renderCounters renders the observability digest: one row per experiment
@@ -141,7 +137,7 @@ func renderCounters(rec *Record) string {
 	}
 	var sb strings.Builder
 	sb.WriteString("## Engine counters (observability)\n\n")
-	sb.WriteString("Collected by the `internal/obsv` layer during the recorded run: fixpoint\ncalls/passes and atoms derived across all semantics, ground rules emitted,\ndelta-window hits vs skips during grounding, stable-search candidates, and\nscratch-pool reuse vs fresh allocation.\n\n")
+	sb.WriteString("Collected by the `internal/obsv` layer during the recorded run: fixpoint\ncalls/passes and atoms derived across all semantics, ground rules emitted,\nand stable-search candidates.\n\n")
 	if anySuite {
 		sb.WriteString("| ID |")
 		for _, c := range counterColumns {

@@ -9,7 +9,7 @@ import (
 // Table is one experiment's report: a titled grid of result rows plus an
 // overall agreement verdict.
 type Table struct {
-	ID     string // experiment id from DESIGN.md (E1..E10, P1..P3)
+	ID     string // experiment id from DESIGN.md (E1..E11)
 	Title  string // the paper result being checked
 	Header []string
 	Rows   [][]string

@@ -48,9 +48,6 @@ func DefaultSuites(scale int) []Suite {
 		suite("E9", sz(8, 16, 32), RunE9),
 		suite("E10", []int{6, 10}, RunE10),
 		suite("E11", sz(3, 5), RunE11),
-		suite("P1", sz(64, 128, 256), RunP1),
-		suite("P2", sz(16, 32, 64), RunP2),
-		suite("P3", []int{2, 4, 8, 12}, RunP3),
 	}
 }
 

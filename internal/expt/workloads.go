@@ -2,7 +2,7 @@
 // paper has no tables or figures (it is an expressiveness paper), so the
 // experiment suite instead makes every stated theorem and proposition
 // executable on parameterized workloads and reports agreement plus timings.
-// DESIGN.md's per-experiment index (E1–E11, P1–P3) maps each experiment to
+// DESIGN.md's per-experiment index (E1–E11) maps each experiment to
 // the paper result it checks; EXPERIMENTS.md records a full run.
 package expt
 
@@ -112,7 +112,7 @@ unreached(X) :- node(X), not r(X).
 }
 
 // RandomNegProgram returns a random propositional program with negation —
-// the stress corpus for the semantics comparisons (E10, P3).
+// the stress corpus for the semantics comparisons (E10).
 func RandomNegProgram(seed int64, atoms, rules int) *datalog.Program {
 	r := rand.New(rand.NewSource(seed))
 	name := func(i int) string { return fmt.Sprintf("a%d", i) }

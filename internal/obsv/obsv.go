@@ -1,9 +1,9 @@
 // Package obsv is the observability layer of the repository: a small event
 // vocabulary describing what the engines did — fixpoint passes, delta sizes,
-// scratch-buffer reuse, grounding passes and delta-window hits, translation
-// sizes, view maintenance batches, which engine evaluated a datalog request
-// or an algebra query, what a difference probed, experiment run cost — plus
-// collectors that aggregate or stream those events.
+// grounding passes, translation sizes, view maintenance batches, which engine
+// evaluated a datalog request or an algebra query, what a difference probed,
+// experiment run cost — plus collectors that aggregate or stream those
+// events.
 //
 // A Collector has one method, Collect(Event). An Event is a value of one of
 // the *Stats types below, each of which names its own JSONL kind. Instrumented
@@ -41,31 +41,27 @@ package obsv
 import "sync/atomic"
 
 // FixpointStats describes one completed fixpoint computation of a semantics
-// engine: one call to Minimal, MinimalNaive, Inflationary, WellFounded,
-// Valid or Stratified.
+// engine: one call to Minimal, Inflationary, WellFounded, Valid or
+// Stratified.
 type FixpointStats struct {
-	// Semantics names the entry point: "minimal", "minimal-naive",
-	// "inflationary", "wellfounded", "valid", "stratified".
+	// Semantics names the entry point: "minimal", "inflationary",
+	// "wellfounded", "valid", "stratified".
 	Semantics string
 	// Passes counts the semantics' own iteration unit: alternating gamma
 	// iterations for wellfounded/valid, inflationary steps after step 0,
-	// strata for stratified, full-program rounds for minimal-naive, and 1
-	// for the single worklist pass of minimal.
+	// strata for stratified, and 1 for the single least-fixpoint pass of
+	// minimal.
 	Passes int
 	// Atoms is the size of the ground program's atom universe.
 	Atoms int
 	// Derived is the number of atoms true in the computed model (the
-	// popcount of the final truth vector; for three-valued semantics, the
-	// certainly-true set).
+	// true entries of the final truth vector; for three-valued semantics,
+	// the certainly-true set).
 	Derived int
 	// Deltas holds per-pass growth where the semantics computes it anyway
 	// (the inflationary engine's per-step head counts). Nil when the
 	// semantics has no per-pass delta.
 	Deltas []int
-	// ScratchReused and ScratchAllocated count truth-vector requests served
-	// from the engine's scratch pool vs freshly allocated during this call.
-	ScratchReused    int
-	ScratchAllocated int
 }
 
 // StableSearchStats describes one StableModels search.
@@ -73,10 +69,6 @@ type StableSearchStats struct {
 	Undef      int    // residual size after the well-founded model
 	Candidates uint64 // candidate masks checked (2^Undef)
 	Models     int    // stable models found
-	// ScratchReused and ScratchAllocated count truth-vector requests served
-	// from the engine's scratch pool vs freshly allocated during the search.
-	ScratchReused    int
-	ScratchAllocated int
 }
 
 // IFPStats describes one completed IFP fixpoint evaluation of a set
@@ -117,11 +109,9 @@ type CoreEvalStats struct {
 
 // GroundStats describes one grounding (ground.Ground call).
 type GroundStats struct {
-	Atoms      int // ground atoms interned
-	Rules      int // ground rules emitted
-	Passes     int // delta-driven passes after pass 0
-	DeltaHits  int // (rule, delta-literal) enumerations attempted
-	DeltaSkips int // (rule, delta-literal) enumerations skipped: empty delta window
+	Atoms  int // ground atoms numbered
+	Rules  int // ground rules emitted
+	Passes int // delta-driven passes after pass 0
 }
 
 // TranslateStats describes one translation between the paradigms.
@@ -380,7 +370,7 @@ type AlgebraStats struct {
 
 // ExperimentStats describes one experiment run by the internal/expt harness.
 type ExperimentStats struct {
-	ID     string // experiment id (E1..E11, P1..P3)
+	ID     string // experiment id (E1..E11)
 	WallNS int64  // wall-clock nanoseconds
 	CPUNS  int64  // process CPU nanoseconds (0 when unattributable)
 }

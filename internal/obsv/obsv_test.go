@@ -10,10 +10,10 @@ import (
 
 func TestStatsFoldsAndSnapshots(t *testing.T) {
 	s := NewStats()
-	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 5, ScratchAllocated: 1})
-	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 3, ScratchReused: 1})
+	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 5})
+	s.Collect(FixpointStats{Semantics: "minimal", Passes: 1, Derived: 3})
 	s.Collect(FixpointStats{Semantics: "inflationary", Passes: 4, Deltas: []int{2, 1, 1, 0}})
-	s.Collect(GroundStats{Atoms: 10, Rules: 20, Passes: 3, DeltaHits: 7, DeltaSkips: 2})
+	s.Collect(GroundStats{Atoms: 10, Rules: 20, Passes: 3})
 	s.Collect(TranslateStats{Op: "stepindex", InSize: 4, OutSize: 12, Steps: 3})
 	s.Collect(StableSearchStats{Undef: 4, Candidates: 16, Models: 4})
 	s.Collect(IVMStats{Mode: "incremental", Inserted: 4, Deleted: 4, Steps: 24, Probes: 9, DeltaFacts: 10, Units: []IVMUnit{
@@ -64,14 +64,10 @@ func TestStatsFoldsAndSnapshots(t *testing.T) {
 		"fixpoint.inflationary.calls":          1,
 		"fixpoint.inflationary.passes":         4,
 		"fixpoint.inflationary.deltaAtoms":     4,
-		"scratch.reused":                       1,
-		"scratch.allocated":                    1,
 		"ground.calls":                         1,
 		"ground.atoms":                         10,
 		"ground.rules":                         20,
 		"ground.passes":                        3,
-		"ground.deltaHits":                     7,
-		"ground.deltaSkips":                    2,
 		"translate.stepindex.calls":            1,
 		"translate.stepindex.inSize":           4,
 		"translate.stepindex.outSize":          12,

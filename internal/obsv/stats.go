@@ -36,8 +36,6 @@ func (s *Stats) Collect(e Event) {
 			p+".passes", int64(v.Passes),
 			p+".derived", int64(v.Derived),
 			p+".deltaAtoms", sum(v.Deltas),
-			"scratch.reused", int64(v.ScratchReused),
-			"scratch.allocated", int64(v.ScratchAllocated),
 		)
 	case IFPStats:
 		p := "ifp." + v.Mode
@@ -58,8 +56,6 @@ func (s *Stats) Collect(e Event) {
 			"stable.searches", int64(1),
 			"stable.candidates", int64(v.Candidates),
 			"stable.models", int64(v.Models),
-			"scratch.reused", int64(v.ScratchReused),
-			"scratch.allocated", int64(v.ScratchAllocated),
 		)
 	case GroundStats:
 		s.add(
@@ -67,8 +63,6 @@ func (s *Stats) Collect(e Event) {
 			"ground.atoms", int64(v.Atoms),
 			"ground.rules", int64(v.Rules),
 			"ground.passes", int64(v.Passes),
-			"ground.deltaHits", int64(v.DeltaHits),
-			"ground.deltaSkips", int64(v.DeltaSkips),
 		)
 	case TranslateStats:
 		p := "translate." + v.Op
@@ -203,8 +197,7 @@ func sum(ds []int) int64 {
 //	ifp.<mode>.calls|rounds|deltaElems
 //	core.<semantics>.calls|rounds|evals
 //	stable.searches|candidates|models
-//	scratch.reused|allocated
-//	ground.calls|atoms|rules|passes|deltaHits|deltaSkips
+//	ground.calls|atoms|rules|passes
 //	translate.<op>.calls|inSize|outSize
 //	expt.runs|wallNS|cpuNS
 //	server.<route>.requests, server.wallNS, server.errors.<code>,

@@ -499,10 +499,14 @@ func executeGrounded(plan *Plan, base *rel.Base, opts Options, out *Outcome, use
 		for _, pred := range preds {
 			pf := PredFacts{Pred: pred}
 			if adds[pred] {
-				pf.True = in.FactKeysWith(pred, semantics.True)
-				pf.Undef = in.FactKeysWith(pred, semantics.Undef)
+				for _, f := range in.FactsWith(pred, semantics.True) {
+					pf.True = append(pf.True, f.Key())
+				}
 			} else {
 				pf.True = base.Keys(pred, use)
+			}
+			for _, f := range in.FactsWith(pred, semantics.Undef) {
+				pf.Undef = append(pf.Undef, f.Key())
 			}
 			m.Preds = append(m.Preds, pf)
 		}
@@ -533,12 +537,8 @@ func executeGrounded(plan *Plan, base *rel.Base, opts Options, out *Outcome, use
 		return nil, err
 	}
 	m := snapshot(in)
-	out.Datalog = &m
-	for _, pf := range m.Preds {
-		if len(pf.Undef) > 0 {
-			out.WellDefined = false
-		}
-	}
+	// Only rule heads can be undefined, and every head's predicate is reported.
+	out.Datalog, out.WellDefined = &m, in.IsTotal()
 	return out, nil
 }
 

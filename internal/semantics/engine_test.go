@@ -58,24 +58,6 @@ func TestMinimalRejectsNegation(t *testing.T) {
 	if _, err := e.Minimal(); !errors.Is(err, ErrNotPositive) {
 		t.Fatalf("expected ErrNotPositive, got %v", err)
 	}
-	if _, err := e.MinimalNaive(); !errors.Is(err, ErrNotPositive) {
-		t.Fatalf("expected ErrNotPositive, got %v", err)
-	}
-}
-
-func TestNaiveEqualsSemiNaive(t *testing.T) {
-	e := mustEngine(t, tcSrc)
-	a, err := e.Minimal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.MinimalNaive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameTruths(a, b) {
-		t.Error("naive and semi-naive minimal models differ")
-	}
 }
 
 // TestWinGameAcyclic is the paper's Example 3 WIN game on an acyclic MOVE

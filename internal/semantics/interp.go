@@ -1,7 +1,7 @@
 // Package semantics implements every evaluation semantics the paper uses or
 // compares against, over ground programs produced by internal/datalog/ground:
 //
-//   - minimal model of positive programs (naive and semi-naive least fixpoint)
+//   - minimal model of positive programs (one least-fixpoint pass)
 //   - stratified evaluation (stratum-by-stratum minimal models)
 //   - inflationary fixpoint semantics (negation as "not derived so far")
 //   - well-founded semantics (Van Gelder–Ross–Schlipf alternating fixpoint)
@@ -10,7 +10,11 @@
 //   - stable models (Gelfond–Lifschitz), by a serial exhaustive search over
 //     the atoms left undefined by the well-founded model
 //
-// All engines share one interned-atom representation and return three-valued
+// Each semantics is written as its definition over []bool truth vectors, on
+// top of one least-fixpoint pass; the package is the plain reference the
+// datalog oracles compare the relational kernel against, so it keeps no
+// speed device beyond what holds that pass linear in the ground program, and
+// it does not depend on the kernel. All engines return three-valued
 // interpretations (Interp). On the ground programs of this repository the
 // Section 2.2 valid procedure and the alternating fixpoint compute the same
 // model; both are kept as independent implementations and their agreement is
@@ -23,8 +27,6 @@ import (
 
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/ground"
-	"algrec/internal/datalog/rel"
-	"algrec/internal/value/intern"
 )
 
 // Truth is a three-valued truth value.
@@ -99,23 +101,6 @@ func (in *Interp) FactsWith(pred string, v Truth) []datalog.Fact {
 	}
 	datalog.SortFacts(out)
 	return out
-}
-
-// FactKeysWith returns the canonical keys of the predicate's facts with the
-// given truth value, in the same fact order as FactsWith; nil when there are
-// none. It sorts and renders the selected atoms' argument-ID rows
-// (rel.SortedKeys): nothing is built for any other atom of the program.
-func (in *Interp) FactKeysWith(pred string, v Truth) []string {
-	var rows [][]intern.ID
-	for _, id := range in.G.AtomsOf(pred) {
-		if in.t[id] == v {
-			rows = append(rows, in.G.AtomRow(id))
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	return rel.SortedKeys(pred, rows)
 }
 
 // TrueFacts returns the certainly-true facts of the predicate, sorted.

@@ -1,7 +1,7 @@
-// The pre-bitset []bool semantics engine, kept verbatim as the test oracle:
-// the property tests below check that the word-packed kernel computes
-// identical models on random ground programs, and that the parallel
-// stable-model search returns the same ordered list as a serial run.
+// A second, independent []bool semantics engine, kept verbatim as the test
+// oracle: the property tests below check that the engine computes identical
+// models on random ground programs, and that the stable-model search
+// returns the same ordered list whatever GOMAXPROCS is.
 package semantics
 
 import (
@@ -204,20 +204,17 @@ func TestPropertyBitsetMatchesReference(t *testing.T) {
 		ref := newRefEngine(g)
 		n := g.NumAtoms()
 
-		// gamma at a random J, via the engine's scratch machinery.
-		j := NewBitset(n)
+		// gamma at a random J.
 		jv := make([]bool, n)
 		for a := 0; a < n; a++ {
 			if r.Intn(3) == 0 {
-				j.Set(a)
 				jv[a] = true
 			}
 		}
-		out := NewBitset(n)
-		e.gamma(&e.scr, j, out)
+		out := e.gamma(jv)
 		gv := ref.gamma(jv)
 		for a := 0; a < n; a++ {
-			if out.Get(a) != gv[a] {
+			if out[a] != gv[a] {
 				t.Logf("gamma differs at %s on:\n%s", g.Atom(a), src)
 				return false
 			}
@@ -368,7 +365,7 @@ func TestStableModelsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestScratchReuseAcrossCalls exercises repeated evaluations on one engine:
-// the scratch pool must not leak state between semantics.
+// no call may leak state into the next, whatever its semantics.
 func TestScratchReuseAcrossCalls(t *testing.T) {
 	g := mustGround(t, `
 move(a, b). move(b, a).
