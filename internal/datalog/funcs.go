@@ -212,9 +212,8 @@ func EvalTerm(t Term, b Binding) (value.Value, error) {
 	})
 }
 
-// EvalTermFn is EvalTerm with an arbitrary variable lookup; the grounding
-// engine uses it with a slice-backed binding to avoid map allocation in the
-// instantiation hot path.
+// EvalTermFn is EvalTerm with an arbitrary variable lookup; the relational
+// kernel (internal/datalog/rel) uses it with its own binding frames.
 func EvalTermFn(t Term, lookup func(Var) (value.Value, bool)) (value.Value, error) {
 	switch tt := t.(type) {
 	case Var:

@@ -232,8 +232,8 @@ func elemIDs(in *intern.Interner, buf []intern.ID, elem value.Value) []intern.ID
 
 // SortedKeys renders rows of one predicate as fact keys ("tc(1, 2)") in
 // CompareFacts order — argument-wise by the values behind the IDs, a shorter
-// row before its extensions. Outcomes and deltas of both clients, and the
-// grounder's interpretations, render their facts through it; an algebra
+// row before its extensions. Outcomes and deltas of both clients render
+// their facts through it; an algebra
 // answer is written from its rows by the query kernel. rows is sorted in
 // place — rows of one width by OrderRows and a permutation walk, rows of
 // mixed widths or none by comparison; the rows themselves are only read.

@@ -192,8 +192,7 @@ func (in *Interner) InternInt(i int64) ID {
 
 // InternTuple returns the canonical ID of the tuple whose elements are the
 // given already-interned IDs, materializing the tuple value only on first
-// sight. This is the consing constructor the grounder's fact store uses to
-// turn a projected ID row into a single map key.
+// sight: the consing constructor that turns an ID row into one ID.
 func (in *Interner) InternTuple(ids ...ID) ID {
 	return in.internNode(value.KindTuple, ids, nil)
 }

@@ -4,14 +4,11 @@ package intern
 // ID tuples stored back-to-back in one flat []ID, with an open-addressed
 // integer hash index for O(1) membership and insert-if-absent — no per-row
 // bucket allocations, so inserting n rows costs O(n) words total. Row
-// indices are dense from 0 in insertion order, so a Relation doubles as an
-// append-only log of derivations — the grounder's delta passes window it by
-// row index exactly like the string-keyed store windows its atom slice.
+// indices are dense from 0 in insertion order.
 //
-// Deletion (used by the storage layer's in-memory backend, never by the
-// grounder) is by tombstone: Delete unlinks the row from the index and marks
-// its slot dead, but the flat storage is never compacted, so row indices
-// stay dense and stable. Len counts every row ever appended; LiveLen counts
+// Deletion (used by the storage layer's in-memory backend) is by tombstone:
+// Delete unlinks the row from the index and marks its slot dead, but the
+// flat storage is never compacted, so row indices stay dense and stable. Len counts every row ever appended; LiveLen counts
 // the surviving ones; Scan enumerates survivors in insertion order. A row
 // re-inserted after deletion is appended anew, so it re-enters the scan
 // order at its latest insertion position — the same contract the on-disk
@@ -48,8 +45,8 @@ func NewRelation(arity int) *Relation {
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return r.arity }
 
-// Len returns the number of rows ever appended (the grounder's dense log
-// length). It includes tombstoned rows; see LiveLen for the live count.
+// Len returns the number of rows ever appended. It includes tombstoned
+// rows; see LiveLen for the live count.
 func (r *Relation) Len() int { return r.n }
 
 // LiveLen returns the number of rows that have not been deleted.
