@@ -145,11 +145,13 @@ fuzz-smoke:
 bench-ivm:
 	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete' -benchmem
 
-# bench-load measures what a PUT costs before registration, as a Go benchmark
-# with allocation counts: parsing a script of 10^5 distinct random integer
-# pairs over 5·10^4 nodes into its database.
+# bench-load measures what a PUT and a recovery cost in parsing and
+# interning, as Go benchmarks with allocation counts: parsing a script of 10^5
+# distinct random integer pairs over 5·10^4 nodes into its database, the
+# PUT's eager intern of such pairs already consed (InternReload), and a fresh
+# interner consing them from their IDs as recovery does (InternBulk).
 bench-load:
-	go test ./internal/server -run '^$$' -bench 'LoadDBScript' -benchmem
+	go test ./internal/server ./internal/value/intern -run '^$$' -bench 'LoadDBScript|InternBulk|InternReload' -benchmem
 
 # bench-answer measures what turns a served answer into its text, as Go
 # benchmarks with allocation counts: a datalog answer's keys (3·10^4 integer

@@ -1,6 +1,7 @@
 package intern
 
 import (
+	"math/rand"
 	"testing"
 
 	"algrec/internal/value"
@@ -87,6 +88,72 @@ func BenchmarkMembershipStructural(b *testing.B) {
 		// A fresh tuple each probe: no cache cell, like a just-computed join key.
 		if !s.Has(value.NewTuple(value.Int(k), value.Int(k+1))) {
 			b.Fatal("missing element")
+		}
+	}
+}
+
+// The bulk workload's shape: distinct random edges over integer nodes.
+const bulkNodes, bulkPairs = 50_000, 100_000
+
+// randomPairs returns bulkPairs distinct random (a, b) node pairs.
+func randomPairs() [][2]int64 {
+	r := rand.New(rand.NewSource(1))
+	seen := make(map[[2]int64]bool, bulkPairs)
+	out := make([][2]int64, 0, bulkPairs)
+	for len(out) < bulkPairs {
+		p := [2]int64{int64(r.Intn(bulkNodes)), int64(r.Intn(bulkNodes))}
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// BenchmarkInternBulk is a recovery's interning: a fresh interner conses
+// every node's Int, then each random pair from its two IDs, as
+// MaterializeSet does per stored row. It uses only the exported API.
+func BenchmarkInternBulk(b *testing.B) {
+	pairs := randomPairs()
+	ids := make([]ID, bulkNodes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := New()
+		for k := range ids {
+			ids[k] = in.InternInt(int64(k))
+		}
+		for _, p := range pairs {
+			in.InternTuple(ids[p[0]], ids[p[1]])
+		}
+	}
+}
+
+// BenchmarkInternReload is a PUT's eager intern of a database the global
+// interner has already seen: each freshly parsed pair tuple carries no
+// cached ID, so every one probes the table and hits. Building the tuples
+// is not timed. It uses only the exported API.
+func BenchmarkInternReload(b *testing.B) {
+	pairs := randomPairs()
+	build := func() []value.Value {
+		out := make([]value.Value, len(pairs))
+		for k, p := range pairs {
+			out[k] = value.NewTuple(value.Int(p[0]), value.Int(p[1]))
+		}
+		return out
+	}
+	in := Global()
+	for _, t := range build() {
+		in.Intern(t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tuples := build()
+		b.StartTimer()
+		for _, t := range tuples {
+			in.Intern(t)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package intern
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"algrec/internal/value"
@@ -188,4 +189,60 @@ func TestRelationArityMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewRelation(2).Insert([]ID{1})
+}
+
+// TestInternConcurrentGrowth interns overlapping ranges of integers above
+// smallIntRange, and pairs of them, from eight goroutines at once, so every
+// shard's table grows while other goroutines probe it. Every goroutine must
+// see the same ID for the same value, and Len must count each value once.
+func TestInternConcurrentGrowth(t *testing.T) {
+	const workers, span, stride = 8, 20_000, 5_000
+	base := int64(smallIntRange) + 1
+	in := New()
+	ints := make([][]ID, workers)  // ints[w][k-w*stride] = ID of base+k
+	pairs := make([][]ID, workers) // pairs[w][k-w*stride] = ID of (base+k, base+k+1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo := int64(w * stride)
+			ints[w], pairs[w] = make([]ID, span), make([]ID, span)
+			for k := range ints[w] {
+				ints[w][k] = in.InternInt(base + lo + int64(k))
+			}
+			for k := range pairs[w] {
+				a, b := base+lo+int64(k), base+lo+int64(k)+1
+				if w%2 == 0 {
+					pairs[w][k] = in.InternTuple(in.InternInt(a), in.InternInt(b))
+				} else {
+					pairs[w][k] = in.Intern(value.NewTuple(value.Int(a), value.Int(b)))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seenInt, seenPair := map[int64]ID{}, map[int64]ID{}
+	for w := 0; w < workers; w++ {
+		for k := 0; k < span; k++ {
+			key := int64(w*stride + k)
+			if id, ok := seenInt[key]; ok && id != ints[w][k] {
+				t.Fatalf("worker %d: Int(%d) = %d, another worker got %d", w, base+key, ints[w][k], id)
+			}
+			if id, ok := seenPair[key]; ok && id != pairs[w][k] {
+				t.Fatalf("worker %d: pair at %d = %d, another worker got %d", w, base+key, pairs[w][k], id)
+			}
+			seenInt[key], seenPair[key] = ints[w][k], pairs[w][k]
+		}
+	}
+	for key, id := range seenPair {
+		if got := in.Lookup(id).String(); got != fmt.Sprintf("(%d, %d)", base+key, base+key+1) {
+			t.Fatalf("Lookup(%d) = %s", id, got)
+		}
+	}
+	// The bools newInterner conses, the ints (one more than the ranges: the
+	// last pair's second element) and the pairs.
+	if want := 2 + len(seenInt) + 1 + len(seenPair); in.Len() != want {
+		t.Errorf("Len() = %d, want %d distinct values", in.Len(), want)
+	}
 }
