@@ -352,7 +352,8 @@ func TestE2EErrorPaths(t *testing.T) {
 }
 
 // TestDBRegistryEndpoints exercises GET /v1/dbs, PUT /v1/dbs/{name},
-// /healthz and /metrics.
+// /healthz and /metrics, whose internedValues gauge grows across a PUT of
+// values the process has not seen.
 func TestDBRegistryEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -369,6 +370,25 @@ func TestDBRegistryEndpoints(t *testing.T) {
 		}
 		return resp.StatusCode, m
 	}
+	put := func(t *testing.T, name, script string) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/dbs/"+name, strings.NewReader(script))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("PUT: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	interned := func(t *testing.T) float64 {
+		t.Helper()
+		_, m := get(t, "/metrics")
+		n, ok := m["internedValues"].(float64)
+		if !ok {
+			t.Fatalf("metrics has no internedValues: %v", m)
+		}
+		return n
+	}
 
 	status, m := get(t, "/v1/dbs")
 	if status != http.StatusOK {
@@ -378,14 +398,8 @@ func TestDBRegistryEndpoints(t *testing.T) {
 		t.Fatalf("dbs = %v, want [g]", m["dbs"])
 	}
 
-	putReq, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/dbs/h", strings.NewReader(`rel r = {1, 2, 3};`))
-	resp, err := http.DefaultClient.Do(putReq)
-	if err != nil {
-		t.Fatalf("PUT: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT /v1/dbs/h = %d", resp.StatusCode)
+	if code := put(t, "h", `rel r = {1, 2, 3};`); code != http.StatusOK {
+		t.Fatalf("PUT /v1/dbs/h = %d", code)
 	}
 	status, ok, bad := postQuery(t, ts, queryRequest{DB: "h", Language: "algebra", Query: "r"})
 	if status != http.StatusOK {
@@ -396,14 +410,19 @@ func TestDBRegistryEndpoints(t *testing.T) {
 	}
 
 	// A database script must not smuggle in a program.
-	putReq, _ = http.NewRequest(http.MethodPut, ts.URL+"/v1/dbs/bad", strings.NewReader(`def d = d;`))
-	resp, err = http.DefaultClient.Do(putReq)
-	if err != nil {
-		t.Fatalf("PUT: %v", err)
+	if code := put(t, "bad", `def d = d;`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("PUT program as db = %d, want 422", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("PUT program as db = %d, want 422", resp.StatusCode)
+
+	// The PUT interns its values eagerly: two symbols, their pair and the
+	// set, new to the process because they are named after the gauge.
+	before := interned(t)
+	script := fmt.Sprintf("rel r = {(gauge%.0fleft, gauge%.0fright)};", before, before)
+	if code := put(t, "fresh", script); code != http.StatusOK {
+		t.Fatalf("PUT /v1/dbs/fresh = %d", code)
+	}
+	if after := interned(t); after < before+4 {
+		t.Fatalf("internedValues %v -> %v across a PUT of 4 new values", before, after)
 	}
 
 	if status, m = get(t, "/healthz"); status != http.StatusOK || m["status"] != "serving" {

@@ -120,12 +120,14 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 // it at registration means each fact is hash-consed once per database load
 // rather than on some request's critical path.
 //
-// The eager intern is not dead work, though only reads show it. Without it
-// the benchmark's bulk-cycle workload ran about 60 ms faster per cycle, but
-// adhoc-point's live heap shrank from 25.6 to 17.4 MB, so the collector ran
-// about three times as often (1.4 to 4.1 cycles per 1 000 requests) and its
-// server_cpu_ms_per_op rose 13–18 % on three of three paired runs (2-CPU
-// container). Drop it only with a pair of adhoc-point runs that shows no
+// The eager intern is not dead work, though only reads show it. Measured
+// with the open-addressed interner, three alternating pairs per workload on
+// a 2-CPU container: without it the benchmark's bulk-cycle p50 fell 36–46 ms
+// (462–494 to 426–449 ms), but adhoc-point's peak RSS shrank from ~22 to
+// ~17 MB, so the collector ran more often, and its server_cpu_ms_per_op rose
+// 7–18 % on three of three pairs (0.133–0.144 to 0.154–0.161 ms). An earlier
+// measurement on the map-indexed interner saw the collector run about three
+// times as often. Drop it only with a pair of adhoc-point runs that shows no
 // such loss.
 //
 // Replacing an existing entry closes its live subscriptions with reason

@@ -45,6 +45,7 @@ import (
 	"algrec/internal/datalog/ground"
 	"algrec/internal/obsv"
 	"algrec/internal/query"
+	"algrec/internal/value/intern"
 )
 
 // Config tunes a Server. The zero value gets sensible defaults: a 128-plan
@@ -589,12 +590,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ *obsv.S
 }
 
 // handleMetrics serves GET /metrics: the server's counter snapshot (see
-// obsv.Snapshot for the vocabulary) plus the plan cache's current size.
+// obsv.Snapshot for the vocabulary) plus the plan cache's current size and
+// the number of values the process-global interner holds, which only grows.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ *obsv.ServerStats) {
 	writeJSON(w, http.StatusOK, struct {
 		OK         bool          `json:"ok"`
 		Counters   obsv.Snapshot `json:"counters"`
 		CachedPlan int           `json:"cachedPlans"`
 		ActiveSubs int64         `json:"activeSubscriptions"`
-	}{OK: true, Counters: s.stats.Snapshot(), CachedPlan: s.cache.len(), ActiveSubs: s.activeSubs.Load()})
+		Interned   int           `json:"internedValues"`
+	}{OK: true, Counters: s.stats.Snapshot(), CachedPlan: s.cache.len(), ActiveSubs: s.activeSubs.Load(),
+		Interned: intern.Global().Len()})
 }

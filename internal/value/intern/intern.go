@@ -3,17 +3,26 @@
 // equality becomes integer comparison and nested objects can be built
 // bottom-up from the IDs of their parts without re-hashing their contents.
 //
-// An Interner is an append-only arena plus a sharded hash table. IDs are
-// never reused or reassigned, so a published ID is immutable evidence: two
-// values interned by the same Interner are structurally equal iff their IDs
-// are equal. The process-global interner (Global) additionally writes each
-// value's ID back onto the value's cache cell, which makes re-interning O(1)
-// and lets value.Compare prove equality from two cached IDs without walking
-// either value.
+// An Interner is an append-only arena plus a hash index split into 64
+// shards. Each shard's index is an open-addressed array of {hash, ID, kind}
+// slots: it holds no pointers, so the collector never scans it; a slot's
+// position comes from the hash bits above the six that pick the shard;
+// probing is linear and the array doubles at half load. Nothing is ever
+// deleted: IDs are never reused or reassigned, so a published ID is
+// immutable evidence: two values interned by the same Interner are
+// structurally equal iff their IDs are equal. The process-global interner (Global) additionally writes
+// each value's ID back onto the value's cache cell, which makes re-interning
+// O(1) and lets value.Compare prove equality from two cached IDs without
+// walking either value.
+//
+// A hit allocates nothing: a tuple's member IDs sit in a stack buffer, and an
+// integer is found from its slot alone, never boxed. A miss allocates only
+// the new value (none when Intern was handed it); its member IDs are carved
+// from a per-shard slab, and the index and the arena grow in amortized steps.
 //
 // Concurrency: Intern, InternTuple, InternSet and InternInt take one shard
-// lock (64 shards) plus a short arena lock on first sight of a value; Lookup
-// is lock-free (an atomic load of the chunk directory). The arena only grows,
+// lock plus a short arena lock on first sight of a value; Lookup is
+// lock-free (an atomic load of the chunk directory). The arena only grows,
 // entries are written before their ID is published, and publication happens
 // under a shard mutex or through an atomic cache-cell store, so readers that
 // hold an ID always observe its fully-written entry. The package is
@@ -34,8 +43,21 @@ import (
 type ID uint32
 
 const (
-	nShards   = 64
+	// shardBits low hash bits pick a value's shard; the bits above them
+	// place it in that shard's slot array.
+	shardBits = 6
+	nShards   = 1 << shardBits
 	shardMask = nShards - 1
+
+	// minSlots is a shard's initial slot count (a power of two).
+	minSlots = 16
+
+	// slabSize is the ID count of a shard's signature slab; a signature
+	// longer than slabWide gets an allocation of its own.
+	slabSize, slabWide = 1024, 64
+
+	// stackIDs is the widest value whose member IDs Intern keeps on the stack.
+	stackIDs = 8
 
 	// chunkBits sizes the arena chunks (4096 entries each). Chunks are never
 	// moved once allocated, so &entry stays valid across growth and the
@@ -50,18 +72,78 @@ const (
 	smallIntRange = 1 << 14
 )
 
-// entry is one arena slot: the canonical value and, for tuples and sets, the
+// entry is one arena cell: the canonical value and, for tuples and sets, the
 // IDs of its elements (in tuple order / canonical set order). sub doubles as
-// the structural signature used to verify hash-bucket candidates, so a probe
+// the structural signature used to verify a probe's candidates, so a probe
 // never needs a deep Compare.
 type entry struct {
 	v   value.Value
 	sub []ID // nil for scalars
 }
 
+// slot is one index entry; ID 0 marks it empty. The value's kind rides in
+// the hash's padding, so a probe passes values of other kinds without
+// reading the arena, and an int, whose hash is a bijection of it, is found
+// from its slot alone.
+type slot struct {
+	hash uint64
+	id   ID
+	kind value.Kind
+}
+
+// shard is one lock's share of the hash index, guarded by mu.
 type shard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]ID
+	mu    sync.Mutex
+	slots []slot // open-addressed, len a power of two, at most half full
+	used  int
+	slab  []ID // the rest of the current signature slab
+}
+
+// probe walks the probe path of hash h. It returns the first ID on it of
+// the given kind that match accepts (a nil match accepts any), or 0 and the
+// index of the empty slot that ends the path.
+func (sh *shard) probe(h uint64, kind value.Kind, match func(ID) bool) (ID, int) {
+	mask := len(sh.slots) - 1
+	for i := int(h>>shardBits) & mask; ; i = (i + 1) & mask {
+		s := sh.slots[i]
+		if s.id == 0 {
+			return 0, i
+		}
+		if s.hash == h && s.kind == kind && (match == nil || match(s.id)) {
+			return s.id, i
+		}
+	}
+}
+
+// insert publishes s in the empty slot i that probe returned for it, then
+// doubles the array if that made it half full.
+func (sh *shard) insert(i int, s slot) {
+	sh.slots[i] = s
+	if sh.used++; 2*sh.used < len(sh.slots) {
+		return
+	}
+	old := sh.slots
+	sh.slots = make([]slot, 2*len(old))
+	for _, s := range old {
+		if s.id != 0 {
+			_, j := sh.probe(s.hash, s.kind, func(ID) bool { return false })
+			sh.slots[j] = s
+		}
+	}
+}
+
+// carve returns a copy of ids the shard owns: a capped window of its slab,
+// or an allocation of its own when ids is wide.
+func (sh *shard) carve(ids []ID) []ID {
+	if len(ids) > slabWide {
+		return append(make([]ID, 0, len(ids)), ids...)
+	}
+	if len(ids) > cap(sh.slab)-len(sh.slab) || sh.slab == nil {
+		sh.slab = make([]ID, 0, slabSize)
+	}
+	at := len(sh.slab)
+	sh.slab = append(sh.slab, ids...)
+	return sh.slab[at:len(sh.slab):len(sh.slab)]
 }
 
 // Interner is a hash-consing arena. The zero value is not usable; construct
@@ -105,7 +187,7 @@ func newInterner(global bool) *Interner {
 		smallInts: make([]atomic.Uint32, smallIntRange),
 	}
 	for i := range in.shards {
-		in.shards[i].buckets = make(map[uint64][]ID)
+		in.shards[i].slots = make([]slot, minSlots)
 	}
 	dir := make([]*chunk, 0)
 	in.dir.Store(&dir)
@@ -159,18 +241,20 @@ func (in *Interner) Intern(v value.Value) ID {
 		return in.InternInt(int64(vv))
 	case value.String:
 		return in.internScalar(v, hashString(string(vv)))
-	case value.Tuple:
-		ids := make([]ID, vv.Len())
-		for i := range ids {
-			ids[i] = in.Intern(vv.At(i))
+	case value.Tuple, value.Set:
+		elems := v.(interface {
+			Len() int
+			At(int) value.Value
+		})
+		var buf [stackIDs]ID
+		ids := buf[:0]
+		if elems.Len() > len(buf) {
+			ids = make([]ID, 0, elems.Len())
 		}
-		return in.internNode(value.KindTuple, ids, v)
-	case value.Set:
-		ids := make([]ID, vv.Len())
-		for i := range ids {
-			ids[i] = in.Intern(vv.At(i))
+		for i := 0; i < elems.Len(); i++ {
+			ids = append(ids, in.Intern(elems.At(i)))
 		}
-		return in.internNode(value.KindSet, ids, v)
+		return in.internNode(v.Kind(), ids, v)
 	default:
 		panic("intern: unknown value kind")
 	}
@@ -183,11 +267,17 @@ func (in *Interner) InternInt(i int64) ID {
 		if id := in.smallInts[i].Load(); id != 0 {
 			return ID(id)
 		}
-		id := in.internScalar(value.Int(i), hashInt(i))
+		id := in.internInt(i)
 		in.smallInts[i].Store(uint32(id))
 		return id
 	}
-	return in.internScalar(value.Int(i), hashInt(i))
+	return in.internInt(i)
+}
+
+// internInt interns i. Its hash and kind identify it, so a probe reads no
+// candidate value, and only a miss boxes i.
+func (in *Interner) internInt(i int64) ID {
+	return in.cons(hashInt(i), value.KindInt, nil, func(*shard) entry { return entry{v: value.Int(i)} })
 }
 
 // InternTuple returns the canonical ID of the tuple whose elements are the
@@ -217,20 +307,25 @@ func (in *Interner) InternSet(ids ...ID) ID {
 	return in.internNode(value.KindSet, out, nil)
 }
 
-// internScalar interns a bool, int or string by content hash.
-func (in *Interner) internScalar(v value.Value, h uint64) ID {
+// cons returns the ID of the value of the given kind hashing to h that
+// match accepts (see probe). On a miss it appends the entry build makes and
+// publishes its ID, all under the shard lock.
+func (in *Interner) cons(h uint64, kind value.Kind, match func(ID) bool, build func(*shard) entry) ID {
 	sh := &in.shards[h&shardMask]
 	sh.mu.Lock()
-	for _, cand := range sh.buckets[h] {
-		if value.Equal(in.entryOf(cand).v, v) {
-			sh.mu.Unlock()
-			return cand
-		}
+	defer sh.mu.Unlock()
+	id, at := sh.probe(h, kind, match)
+	if id == 0 {
+		id = in.alloc(build(sh))
+		sh.insert(at, slot{hash: h, id: id, kind: kind})
 	}
-	id := in.alloc(v, nil)
-	sh.buckets[h] = append(sh.buckets[h], id)
-	sh.mu.Unlock()
 	return id
+}
+
+// internScalar interns a bool or string by content hash.
+func (in *Interner) internScalar(v value.Value, h uint64) ID {
+	return in.cons(h, v.Kind(), func(c ID) bool { return value.Equal(in.entryOf(c).v, v) },
+		func(*shard) entry { return entry{v: v} })
 }
 
 // internNode interns a tuple or set given its element IDs. v is the original
@@ -238,51 +333,45 @@ func (in *Interner) internScalar(v value.Value, h uint64) ID {
 // IDs alone (InternTuple/InternSet); in the latter case the canonical value
 // is materialized from the arena on first sight.
 func (in *Interner) internNode(kind value.Kind, ids []ID, v value.Value) ID {
-	h := hashIDs(kind, ids)
-	sh := &in.shards[h&shardMask]
-	sh.mu.Lock()
-	for _, cand := range sh.buckets[h] {
-		e := in.entryOf(cand)
-		if e.v.Kind() == kind && idsEqual(e.sub, ids) {
-			sh.mu.Unlock()
-			if in.global && v != nil {
-				value.CacheInternID(v, uint32(cand))
-			}
-			return cand
+	id := in.cons(hashIDs(kind, ids), kind, func(c ID) bool { return idsEqual(in.entryOf(c).sub, ids) }, func(sh *shard) entry {
+		if v == nil {
+			v = in.nodeValue(kind, ids)
 		}
-	}
-	if v == nil {
-		v = in.nodeValue(kind, ids)
-	}
-	sub := make([]ID, len(ids)) // own the signature: callers may reuse ids
-	copy(sub, ids)
-	id := in.alloc(v, sub)
-	sh.buckets[h] = append(sh.buckets[h], id)
-	sh.mu.Unlock()
-	if in.global {
+		return entry{v: v, sub: sh.carve(ids)} // own the signature: callers may reuse ids
+	})
+	if in.global && v != nil {
 		value.CacheInternID(v, uint32(id))
 	}
 	return id
 }
 
-// nodeValue builds the value for a node interned from IDs alone.
+// nodeValue builds the value for a node interned from IDs alone; a narrow
+// tuple's elements are gathered on the stack, since NewTuple copies them.
 func (in *Interner) nodeValue(kind value.Kind, ids []ID) value.Value {
-	elems := make([]value.Value, len(ids))
-	for i, id := range ids {
-		elems[i] = in.Lookup(id)
+	if kind == value.KindSet {
+		elems := make([]value.Value, len(ids))
+		for i, id := range ids {
+			elems[i] = in.Lookup(id)
+		}
+		// ids are in canonical set order: InternSet sorted and deduplicated them.
+		return value.SetFromSorted(elems)
 	}
-	if kind == value.KindTuple {
-		return value.NewTuple(elems...)
+	var buf [stackIDs]value.Value
+	elems := buf[:0]
+	if len(ids) > len(buf) {
+		elems = make([]value.Value, 0, len(ids))
 	}
-	// ids are already in canonical set order; NewSet just re-verifies that.
-	return value.NewSet(elems...)
+	for _, id := range ids {
+		elems = append(elems, in.Lookup(id))
+	}
+	return value.NewTuple(elems...)
 }
 
 // alloc appends a fully-written entry to the arena and returns its new ID.
-// Callers publish the ID (bucket append under the shard mutex, or an atomic
+// Callers publish the ID (a slot written under the shard mutex, or an atomic
 // cache-cell store) only after alloc returns, which is what makes lock-free
 // Lookup safe.
-func (in *Interner) alloc(v value.Value, sub []ID) ID {
+func (in *Interner) alloc(e entry) ID {
 	in.mu.Lock()
 	i := in.next.Load()
 	ci, off := int(i>>chunkBits), i&chunkMask
@@ -294,7 +383,7 @@ func (in *Interner) alloc(v value.Value, sub []ID) ID {
 		in.dir.Store(&nd)
 		dir = nd
 	}
-	dir[ci].entries[off] = entry{v: v, sub: sub}
+	dir[ci].entries[off] = e
 	in.next.Store(i + 1)
 	in.mu.Unlock()
 	return ID(i + 1)
@@ -338,6 +427,8 @@ func hashBool(b bool) uint64 {
 	return mix64(seedBool)
 }
 
+// hashInt is a bijection on int64 (an xor and mix64's invertible steps),
+// which internInt's probe relies on.
 func hashInt(i int64) uint64 { return mix64(seedInt ^ uint64(i)) }
 
 // hashString is FNV-1a folded through mix64.

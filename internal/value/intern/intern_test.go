@@ -135,6 +135,85 @@ func TestArenaGrowth(t *testing.T) {
 	}
 }
 
+// TestShardProbe drives one shard's slot array with fabricated hashes: slot
+// positions that ignore the shard-select bits, equal hashes whose values
+// differ in content or in kind, a probe path that wraps past the array's
+// end, and growth through several doublings.
+func TestShardProbe(t *testing.T) {
+	sh := &shard{slots: make([]slot, minSlots)}
+	find := func(h uint64, want ID) ID {
+		id, _ := sh.probe(h, value.KindTuple, func(c ID) bool { return c == want })
+		return id
+	}
+	put := func(h uint64, id ID) {
+		got, at := sh.probe(h, value.KindTuple, func(c ID) bool { return c == id })
+		if got != 0 {
+			t.Fatalf("ID %d found before it was inserted", id)
+		}
+		sh.insert(at, slot{hash: h, id: id, kind: value.KindTuple})
+	}
+	const sel = 5 // the shard-select bits every hash here shares
+	at := func(k uint64) uint64 { return k<<shardBits | sel }
+
+	// Hashes that differ only above the select bits take distinct slots.
+	for k := uint64(0); k < 4; k++ {
+		put(at(k), ID(k+1))
+	}
+	for k := 0; k < 4; k++ {
+		if got := sh.slots[k].id; got != ID(k+1) {
+			t.Errorf("slot %d holds ID %d, want %d", k, got, k+1)
+		}
+	}
+	// Three values with one hash starting in the last slot: the second and
+	// third wrap to the front and walk past slots 0-3 to slots 4 and 5.
+	last := at(minSlots - 1)
+	for id := ID(5); id <= 7; id++ {
+		put(last, id)
+	}
+	for i, want := range map[int]ID{minSlots - 1: 5, 4: 6, 5: 7} {
+		if got := sh.slots[i].id; got != want {
+			t.Errorf("slot %d holds ID %d, want %d", i, got, want)
+		}
+	}
+	for id := ID(5); id <= 7; id++ {
+		if got := find(last, id); got != id {
+			t.Errorf("probe for ID %d past equal hashes found %d", id, got)
+		}
+	}
+	if got := find(last, 99); got != 0 {
+		t.Errorf("probe for an absent value found %d", got)
+	}
+	// A nil match takes the first slot of the kind; another kind has none.
+	if got, _ := sh.probe(last, value.KindTuple, nil); got != 5 {
+		t.Errorf("nil-match probe found %d, want 5", got)
+	}
+	if got, _ := sh.probe(last, value.KindSet, nil); got != 0 {
+		t.Errorf("probe for a set found tuple %d", got)
+	}
+	// The eighth entry fills half of the 16 slots: the array doubles.
+	put(at(100), 8)
+	if len(sh.slots) != 2*minSlots {
+		t.Fatalf("%d slots after 8 inserts, want %d", len(sh.slots), 2*minSlots)
+	}
+	// Grow to 1000 entries (2048 slots), then find every one.
+	hashes := map[ID]uint64{5: last, 6: last, 7: last, 8: at(100)}
+	for k := uint64(0); k < 4; k++ {
+		hashes[ID(k+1)] = at(k)
+	}
+	for id := ID(9); id <= 1000; id++ {
+		hashes[id] = mix64(uint64(id))&^shardMask | sel
+		put(hashes[id], id)
+	}
+	if len(sh.slots) != 2048 || sh.used != 1000 {
+		t.Fatalf("%d slots, %d used after 1000 inserts; want 2048, 1000", len(sh.slots), sh.used)
+	}
+	for id, h := range hashes {
+		if got := find(h, id); got != id {
+			t.Fatalf("after growth, probe for ID %d found %d", id, got)
+		}
+	}
+}
+
 func TestRelation(t *testing.T) {
 	r := NewRelation(2)
 	if r.Arity() != 2 || r.Len() != 0 {
