@@ -10,10 +10,10 @@
 // probing is linear and the array doubles at half load. Nothing is ever
 // deleted: IDs are never reused or reassigned, so a published ID is
 // immutable evidence: two values interned by the same Interner are
-// structurally equal iff their IDs are equal. The process-global interner (Global) additionally writes
-// each value's ID back onto the value's cache cell, which makes re-interning
-// O(1) and lets value.Compare prove equality from two cached IDs without
-// walking either value.
+// structurally equal iff their IDs are equal. The process-global interner
+// (Global) additionally writes each value's ID back onto the value's cache
+// cell, which makes re-interning O(1) and lets value.Compare prove equality
+// from two cached IDs without walking either value.
 //
 // A hit allocates nothing: a tuple's member IDs sit in a stack buffer, and an
 // integer is found from its slot alone, never boxed. A miss allocates only
@@ -133,7 +133,8 @@ func (sh *shard) insert(i int, s slot) {
 }
 
 // carve returns a copy of ids the shard owns: a capped window of its slab,
-// or an allocation of its own when ids is wide.
+// or an allocation of its own when ids is wide. The copy is never nil, even
+// when empty: a nil signature marks a scalar.
 func (sh *shard) carve(ids []ID) []ID {
 	if len(ids) > slabWide {
 		return append(make([]ID, 0, len(ids)), ids...)
@@ -333,7 +334,8 @@ func (in *Interner) internScalar(v value.Value, h uint64) ID {
 // IDs alone (InternTuple/InternSet); in the latter case the canonical value
 // is materialized from the arena on first sight.
 func (in *Interner) internNode(kind value.Kind, ids []ID, v value.Value) ID {
-	id := in.cons(hashIDs(kind, ids), kind, func(c ID) bool { return idsEqual(in.entryOf(c).sub, ids) }, func(sh *shard) entry {
+	match := func(c ID) bool { return idsEqual(in.entryOf(c).sub, ids) }
+	id := in.cons(hashIDs(kind, ids), kind, match, func(sh *shard) entry {
 		if v == nil {
 			v = in.nodeValue(kind, ids)
 		}
