@@ -124,11 +124,11 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 // with the open-addressed interner, three alternating pairs per workload on
 // a 2-CPU container: without it the benchmark's bulk-cycle p50 fell 36–46 ms
 // (462–494 to 426–449 ms), but adhoc-point's peak RSS shrank from ~22 to
-// ~17 MB, so the collector ran more often, and its server_cpu_ms_per_op rose
-// 7–18 % on three of three pairs (0.133–0.144 to 0.154–0.161 ms). An earlier
-// measurement on the map-indexed interner saw the collector run about three
-// times as often. Drop it only with a pair of adhoc-point runs that shows no
-// such loss.
+// ~17 MB and its server_cpu_ms_per_op rose 7–18 % on three of three pairs
+// (0.133–0.144 to 0.154–0.161 ms). An earlier measurement, on the
+// map-indexed interner, traced the loss to the smaller heap: the collector
+// ran about three times as often. Drop it only with a pair of adhoc-point
+// runs that shows no such loss.
 //
 // Replacing an existing entry closes its live subscriptions with reason
 // "db-replaced" — their incremental views were built against the old
