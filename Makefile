@@ -140,10 +140,11 @@ fuzz-smoke:
 	done
 
 # bench-ivm measures incremental view maintenance alone, as Go benchmarks
-# with allocation counts: the write workload's leaf-churn batch and a delete
-# that over-deletes a 64-row cone, both over a 10^4-edge hierarchy.
+# with allocation counts: the write workload's leaf-churn batch, a delete
+# that over-deletes a 64-row cone, and the leaf-churn batch's next database
+# version alone (ApplyDB), all over a 10^4-edge hierarchy.
 bench-ivm:
-	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete' -benchmem
+	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete|ApplyDB' -benchmem
 
 # bench-load measures what a PUT and a recovery cost in parsing and
 # interning, as Go benchmarks with allocation counts: parsing a script of 10^5
