@@ -137,9 +137,11 @@ func (s Set) Insert(v Value) Set {
 
 // gallopFactor is the size ratio beyond which the lopsided set operations
 // switch from the element-wise merge (one Compare per element of the larger
-// set) to binary-searching the larger set and copying it in slabs. Fixpoint
-// accumulators make this the hot shape: the semi-naive delta engine unions a
-// small per-round delta into a large accumulator every round.
+// set) to Update's galloping merge: binary-search the larger set once per
+// element of the smaller and copy it in slabs. Two shapes make this hot: the
+// semi-naive delta engine unions a small per-round delta into a large
+// accumulator every round, and a fact batch deletes and inserts a few facts
+// of a large stored relation.
 const gallopFactor = 8
 
 // Union returns s ∪ t.
@@ -151,10 +153,10 @@ func (s Set) Union(t Set) Set {
 		return s
 	}
 	if len(s.elems) >= gallopFactor*len(t.elems) {
-		return unionGallop(s.elems, t.elems)
+		return s.Update(Set{}, t)
 	}
 	if len(t.elems) >= gallopFactor*len(s.elems) {
-		return unionGallop(t.elems, s.elems)
+		return t.Update(Set{}, s)
 	}
 	out := make([]Value, 0, len(s.elems)+len(t.elems))
 	i, j := 0, 0
@@ -178,25 +180,54 @@ func (s Set) Union(t Set) Set {
 	return setFromSorted(out)
 }
 
-// unionGallop merges the smaller sorted slice into the larger one: for each
-// element of small, binary-search its position in the unconsumed tail of big
-// and copy the preceding slab wholesale. Cost is |small| searches of
-// O(log |big|) Compares plus one pass of copying, instead of a Compare per
-// element of big.
-func unionGallop(big, small []Value) Set {
-	out := make([]Value, 0, len(big)+len(small))
-	lo := 0
-	for _, v := range small {
-		at := lo + sort.Search(len(big)-lo, func(i int) bool { return big[lo+i].Compare(v) >= 0 })
-		out = append(out, big[lo:at]...)
-		lo = at
-		if lo < len(big) && big[lo].Compare(v) == 0 {
-			continue // duplicate: big's copy lands with the next slab
-		}
-		out = append(out, v)
+// Update returns (s − del) ∪ ins, deletes first, so a value in both del and
+// ins stays: a fact batch's next version of a stored relation. When s is at
+// least gallopFactor times the batch, it is one galloping merge: del and ins
+// are walked in merged order, s is binary-searched once per element in its
+// unconsumed tail, and the slabs between the hits are copied once; a batch
+// that changes nothing hands back s itself, allocating nothing. Otherwise it
+// is Diff then Union.
+func (s Set) Update(del, ins Set) Set {
+	if len(s.elems) < gallopFactor*(len(del.elems)+len(ins.elems)) {
+		return s.Diff(del).Union(ins)
 	}
-	out = append(out, big[lo:]...)
-	return setFromSorted(out)
+	var out []Value // nil until the batch changes something
+	lo, at := 0, 0  // s[:lo] is in out; s[:at] sorts before the walked element
+	for i, j := 0, 0; i < len(del.elems) || j < len(ins.elems); {
+		c := -1 // which comes next: the delete (c < 0), the insert, or both (0)
+		if i == len(del.elems) {
+			c = 1
+		} else if j < len(ins.elems) {
+			c = del.elems[i].Compare(ins.elems[j])
+		}
+		var v Value
+		if c < 0 {
+			v, i = del.elems[i], i+1
+		} else {
+			v, j = ins.elems[j], j+1
+			if c == 0 {
+				i++
+			}
+		}
+		at += sort.Search(len(s.elems)-at, func(k int) bool { return s.elems[at+k].Compare(v) >= 0 })
+		if found := at < len(s.elems) && s.elems[at].Compare(v) == 0; found == (c >= 0) {
+			continue // inserting a member or deleting a non-member
+		}
+		if out == nil {
+			out = make([]Value, 0, len(s.elems)+len(ins.elems))
+		}
+		out = append(out, s.elems[lo:at]...)
+		if c >= 0 {
+			out = append(out, v)
+		} else {
+			at++
+		}
+		lo = at
+	}
+	if out == nil {
+		return s
+	}
+	return setFromSorted(append(out, s.elems[lo:]...))
 }
 
 // Diff returns s − t (the algebra's subtraction).
@@ -216,7 +247,7 @@ func (s Set) Diff(t Set) Set {
 		return setFromSorted(out)
 	}
 	if len(s.elems) >= gallopFactor*len(t.elems) {
-		return diffGallop(s, t.elems)
+		return s.Update(t, Set{})
 	}
 	out := make([]Value, 0, len(s.elems))
 	i, j := 0, 0
@@ -237,37 +268,6 @@ func (s Set) Diff(t Set) Set {
 			j++
 		}
 	}
-	return setFromSorted(out)
-}
-
-// diffGallop is large minus small, the mirror of unionGallop (a mutation
-// batch's deletions leaving a stored relation): binary-search each element of
-// small in the unconsumed tail of big, then copy the gaps between the hits
-// wholesale. Cost is |small| searches of O(log |big|) Compares plus one pass
-// of copying; when nothing is hit, big itself is the answer.
-func diffGallop(big Set, small []Value) Set {
-	hits := make([]int, 0, len(small))
-	lo := 0
-	for _, v := range small {
-		lo += sort.Search(len(big.elems)-lo, func(i int) bool { return big.elems[lo+i].Compare(v) >= 0 })
-		if lo == len(big.elems) {
-			break
-		}
-		if big.elems[lo].Compare(v) == 0 {
-			hits = append(hits, lo)
-			lo++
-		}
-	}
-	if len(hits) == 0 {
-		return big
-	}
-	out := make([]Value, 0, len(big.elems)-len(hits))
-	lo = 0
-	for _, at := range hits {
-		out = append(out, big.elems[lo:at]...)
-		lo = at + 1
-	}
-	out = append(out, big.elems[lo:]...)
 	return setFromSorted(out)
 }
 

@@ -30,16 +30,38 @@ func randSizedSet(r *rand.Rand, n, bound int) Set {
 	return NewSet(elems...)
 }
 
-// TestPropertyUnionDiffGallop: Union and Diff agree with their reference
-// implementations on size pairs spanning the merge path, the gallop path
-// (ratio >= gallopFactor on either side) and the boundary between them.
+// TestPropertyUnionDiffGallop: Union, Diff and Update agree with their
+// reference implementations on size pairs spanning the merge path, the
+// gallop path (ratio >= gallopFactor on either side) and the boundary
+// between them. Update's batches delete values s lacks and hold values in
+// both del and ins; one that changes nothing, on the gallop path, hands back
+// the receiver without allocating.
 func TestPropertyUnionDiffGallop(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		sizes := []int{0, 1, 2, 3, 7, 8, 9, 50, 200}
-		ls, ts := sizes[r.Intn(len(sizes))], sizes[r.Intn(len(sizes))]
+		size := func() int { return sizes[r.Intn(len(sizes))] }
 		bound := 1 + r.Intn(300)
-		s, u := randSizedSet(r, ls, bound), randSizedSet(r, ts, bound)
+		s, u := randSizedSet(r, size(), bound), randSizedSet(r, size(), bound)
+		del, ins := randSizedSet(r, size(), bound).Insert(Int(int64(bound))), randSizedSet(r, size(), bound)
+		if !del.IsEmpty() && r.Intn(2) == 0 {
+			ins = ins.Insert(del.At(r.Intn(del.Len())))
+		}
+		if got, want := s.Update(del, ins), referenceUnion(referenceDiff(s, del), ins); !Equal(got, want) {
+			t.Logf("seed %d: (%v − %v) ∪ %v = %v, want %v", seed, s, del, ins, got, want)
+			return false
+		}
+		absent, present := referenceDiff(del, s), s.Intersect(ins)
+		if !s.IsEmpty() && s.Len() >= gallopFactor*(absent.Len()+present.Len()) {
+			if got := s.Update(absent, present); &got.elems[0] != &s.elems[0] {
+				t.Logf("seed %d: a batch that changes nothing copied the set", seed)
+				return false
+			}
+			if n := testing.AllocsPerRun(10, func() { s.Update(absent, present) }); n != 0 {
+				t.Logf("seed %d: a batch that changes nothing allocated %v times", seed, n)
+				return false
+			}
+		}
 		if got, want := s.Union(u), referenceUnion(s, u); !Equal(got, want) {
 			t.Logf("seed %d: %v ∪ %v = %v, want %v", seed, s, u, got, want)
 			return false
