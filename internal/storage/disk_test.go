@@ -152,6 +152,8 @@ func TestDiskPersistsComplexValues(t *testing.T) {
 		value.NewTuple(value.Int(1), value.String("x")),
 		value.NewSet(value.Int(1), value.NewTuple(value.Int(2), value.Int(3))),
 		value.NewSet(),
+		value.Int(1 << 20), // an integer that is its own ID
+		value.NewTuple(value.Int(1<<14), value.Int(1<<31-1), value.Int(1<<31)),
 	}
 	rows := make([][]intern.ID, len(vals))
 	for i, v := range vals {

@@ -1,7 +1,7 @@
 // Package intern implements hash-consing for the value model: every
-// value.Value maps to a canonical ID (a uint32, dense from 1), so structural
-// equality becomes integer comparison and nested objects can be built
-// bottom-up from the IDs of their parts without re-hashing their contents.
+// value.Value maps to a canonical ID (a uint32), so structural equality
+// becomes integer comparison and nested objects can be built bottom-up from
+// the IDs of their parts without re-hashing their contents.
 //
 // An Interner is an append-only arena plus a hash index split into 64
 // shards. Each shard's index is an open-addressed array of {hash, ID, kind}
@@ -10,7 +10,9 @@
 // probing is linear and the array doubles at half load. Nothing is ever
 // deleted: IDs are never reused or reassigned, so a published ID is
 // immutable evidence: two values interned by the same Interner are
-// structurally equal iff their IDs are equal. The process-global interner
+// structurally equal iff their IDs are equal. Arena IDs are dense from 1; an
+// integer in [smallIntRange, 2^31) is its own ID (intTag), so fresh node
+// numbers leave nothing behind. The process-global interner
 // (Global) additionally writes each value's ID back onto the value's cache
 // cell, which makes re-interning O(1) and lets value.Compare prove equality
 // from two cached IDs without walking either value.
@@ -70,6 +72,12 @@ const (
 	// workload integers of every experiment (chain node numbers, generated
 	// scalars) land far below it.
 	smallIntRange = 1 << 14
+
+	// intTag is the top bit of an ID: set, the other 31 bits are an integer
+	// at or above smallIntRange, which Lookup boxes afresh; clear, the ID
+	// names an arena entry, as the smaller integers keep so that Lookup hands
+	// them back without allocating.
+	intTag = 1 << 31
 )
 
 // entry is one arena cell: the canonical value and, for tuples and sets, the
@@ -197,18 +205,28 @@ func newInterner(global bool) *Interner {
 	return in
 }
 
-// Len returns the number of distinct values interned so far.
+// Len returns the number of values in the arena (own-ID integers excluded).
 func (in *Interner) Len() int { return int(in.next.Load()) }
 
 // Lookup returns the canonical value for id. It is lock-free and safe for
 // concurrent use. Lookup panics if id is zero or was not issued by this
 // interner.
-func (in *Interner) Lookup(id ID) value.Value { return in.entryOf(id).v }
+func (in *Interner) Lookup(id ID) value.Value {
+	if id&intTag != 0 {
+		return value.Int(id &^ intTag)
+	}
+	return in.entryOf(id).v
+}
 
 // Elems returns the element IDs of an interned tuple or set (tuple order,
 // respectively canonical set order), or nil for a scalar. The returned slice
 // is owned by the interner and must not be modified.
-func (in *Interner) Elems(id ID) []ID { return in.entryOf(id).sub }
+func (in *Interner) Elems(id ID) []ID {
+	if id&intTag != 0 {
+		return nil
+	}
+	return in.entryOf(id).sub
+}
 
 func (in *Interner) entryOf(id ID) *entry {
 	if id == 0 {
@@ -262,8 +280,12 @@ func (in *Interner) Intern(v value.Value) ID {
 }
 
 // InternInt returns the canonical ID for the integer i. Small non-negative
-// integers resolve through a direct-indexed array: one atomic load on a hit.
+// integers resolve through a direct-indexed array: one atomic load on a hit;
+// the larger ones below 2^31 are their own ID.
 func (in *Interner) InternInt(i int64) ID {
+	if i >= smallIntRange && i < intTag {
+		return ID(i) | intTag
+	}
 	if i >= 0 && i < smallIntRange {
 		if id := in.smallInts[i].Load(); id != 0 {
 			return ID(id)
@@ -376,6 +398,10 @@ func (in *Interner) nodeValue(kind value.Kind, ids []ID) value.Value {
 func (in *Interner) alloc(e entry) ID {
 	in.mu.Lock()
 	i := in.next.Load()
+	if i+1 >= intTag {
+		in.mu.Unlock()
+		panic("intern: arena full")
+	}
 	ci, off := int(i>>chunkBits), i&chunkMask
 	dir := *in.dir.Load()
 	if ci >= len(dir) {

@@ -51,6 +51,44 @@ func TestInternIntSmallAndLarge(t *testing.T) {
 	}
 }
 
+// TestInternIntOwnID checks the integers that are their own ID: they take
+// no arena entry, look up to themselves, have no elements, stay distinct from
+// their neighbours on either side of the range, and nest in tuples like any
+// other member.
+func TestInternIntOwnID(t *testing.T) {
+	in := New()
+	n := in.Len()
+	own := []int64{smallIntRange, smallIntRange + 1, 1<<31 - 1}
+	for _, i := range own {
+		id := in.InternInt(i)
+		if id&intTag == 0 || in.Intern(value.Int(i)) != id {
+			t.Errorf("InternInt(%d) = %#x, Intern = %#x: want one tagged ID", i, id, in.Intern(value.Int(i)))
+		}
+		if got := in.Lookup(id); !value.Equal(got, value.Int(i)) || in.Elems(id) != nil {
+			t.Errorf("Lookup(InternInt(%d)) = %v, Elems %v", i, got, in.Elems(id))
+		}
+	}
+	if in.Len() != n {
+		t.Errorf("Len() %d -> %d after interning only own-ID integers", n, in.Len())
+	}
+	ids := map[ID]int64{}
+	for _, i := range append(own, smallIntRange-1, 1<<31, -1, 0) {
+		id := in.InternInt(i)
+		if j, dup := ids[id]; dup {
+			t.Fatalf("InternInt(%d) == InternInt(%d) = %#x", i, j, id)
+		}
+		ids[id] = i
+	}
+	if in.Len() != n+4 {
+		t.Errorf("Len() = %d, want %d: the four integers outside the range take arena IDs", in.Len(), n+4)
+	}
+	pair := value.NewTuple(value.Int(3), value.Int(smallIntRange+5))
+	id := in.InternTuple(in.InternInt(3), in.InternInt(smallIntRange+5))
+	if in.Intern(pair) != id || !value.Equal(in.Lookup(id), pair) {
+		t.Errorf("pair with an own-ID member: InternTuple %d, Intern %d, Lookup %v", id, in.Intern(pair), in.Lookup(id))
+	}
+}
+
 func TestInternStructuralConstructorsAgreeWithIntern(t *testing.T) {
 	in := New()
 	a, b := in.InternInt(1), in.InternInt(2)
@@ -270,13 +308,14 @@ func TestRelationArityMismatchPanics(t *testing.T) {
 	NewRelation(2).Insert([]ID{1})
 }
 
-// TestInternConcurrentGrowth interns overlapping ranges of integers above
-// smallIntRange, and pairs of them, from eight goroutines at once, so every
+// TestInternConcurrentGrowth interns overlapping ranges of negative
+// integers (which, unlike the non-negative ones from smallIntRange up, take
+// arena IDs), and pairs of them, from eight goroutines at once, so every
 // shard's table grows while other goroutines probe it. Every goroutine must
 // see the same ID for the same value, and Len must count each value once.
 func TestInternConcurrentGrowth(t *testing.T) {
 	const workers, span, stride = 8, 20_000, 5_000
-	base := int64(smallIntRange) + 1
+	base := -int64(1 << 20)
 	in := New()
 	ints := make([][]ID, workers)  // ints[w][k-w*stride] = ID of base+k
 	pairs := make([][]ID, workers) // pairs[w][k-w*stride] = ID of (base+k, base+k+1)
