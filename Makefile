@@ -157,10 +157,11 @@ bench-load:
 # bench-answer measures what turns a served answer into its text, as Go
 # benchmarks with allocation counts: a datalog answer's keys (3·10^4 integer
 # pairs sorted and rendered, the size of the read workload's reach answer),
-# and alg-2hop's 4·10^4 pairs on the kernel, written from their rows beside
-# converted to a set and printed.
+# alg-2hop's 4·10^4 pairs on the kernel, written from their rows beside
+# converted to a set and printed, and the read workload's reach, win and tc2
+# served whole through Server.Handler on a 2·10^4-edge random graph.
 bench-answer:
-	go test ./internal/datalog/rel ./internal/query -run '^$$' -bench 'SortedKeys|KernelText|KernelConvert' -benchmem
+	go test ./internal/datalog/rel ./internal/query ./internal/server -run '^$$' -bench 'SortedKeys|KernelText|KernelConvert|ServeDatalog' -benchmem
 
 # bench-ground measures the grounder and the semantics engines, the plain
 # reference every datalog oracle compares against, as Go benchmarks with

@@ -16,7 +16,9 @@ import (
 // it holds the frozen ID tables the relational engine joins on (one per arity,
 // column postings added on first probe), the relation's facts in CompareFacts
 // order — as facts, as bodyless rules for the grounder — and their rendered
-// keys, the form a predicate the program does not add to takes in an outcome.
+// keys, the form a predicate the program does not add to takes in an outcome:
+// one text holding them all as JSON strings, and the keys as views into it
+// (FactKeys).
 //
 // Everything is derived lazily, the first time a request needs it, exactly
 // once, and never changed afterwards: a Base is safe for any number of
@@ -57,6 +59,7 @@ type baseRel struct {
 
 	keyOnce sync.Once
 	keys    []string
+	text    string
 }
 
 // NewBase returns the fact base of db. It does no work until a request asks
@@ -105,23 +108,21 @@ func (b *Base) Names() []string {
 	return b.names
 }
 
-// Keys returns the relation's fact keys ("e(1, 2)") in CompareFacts order —
-// nil for a relation the database does not store. The slice is shared by
-// every request on this database version: read-only.
-func (b *Base) Keys(name string, use *BaseUse) []string {
+// Keys returns the relation's fact keys ("e(1, 2)") in CompareFacts order,
+// rendered once per database version into one text (FactKeys) — nil and ""
+// for a relation the database does not store. Both are shared by every
+// request on this version: read-only.
+func (b *Base) Keys(name string, use *BaseUse) (keys []string, text string) {
 	br := b.relation(name)
 	if br == nil {
-		return nil
+		return nil, ""
 	}
 	br.keyOnce.Do(func() {
 		facts := br.sortedFacts(use)
-		br.keys = make([]string, len(facts))
-		for i, f := range facts {
-			br.keys[i] = f.Key()
-		}
+		br.keys, br.text = FactKeys(facts)
 		use.Keys += len(facts)
 	})
-	return br.keys
+	return br.keys, br.text
 }
 
 // FactRules returns the relation's facts as bodyless rules in CompareFacts
@@ -228,44 +229,6 @@ func elemIDs(in *intern.Interner, buf []intern.ID, elem value.Value) []intern.ID
 		buf = append(buf, in.Intern(tup.At(i)))
 	}
 	return buf
-}
-
-// SortedKeys renders rows of one predicate as fact keys ("tc(1, 2)") in
-// CompareFacts order — argument-wise by the values behind the IDs, a shorter
-// row before its extensions. Outcomes and deltas of both clients render
-// their facts through it; an algebra
-// answer is written from its rows by the query kernel. rows is sorted in
-// place — rows of one width by OrderRows and a permutation walk, rows of
-// mixed widths or none by comparison; the rows themselves are only read.
-func SortedKeys(pred string, rows [][]intern.ID) []string {
-	if len(rows) == 0 {
-		return nil
-	}
-	in := intern.Global()
-	if width := len(rows[0]); width > 0 && !slices.ContainsFunc(rows, func(r []intern.ID) bool { return len(r) != width }) {
-		ids := make([]intern.ID, 0, len(rows)*width)
-		for _, row := range rows {
-			ids = append(ids, row...)
-		}
-		value.Permute(rows, OrderRows(ids, width))
-	} else {
-		slices.SortFunc(rows, func(a, b []intern.ID) int { return compareRows(in, a, b) })
-	}
-	out := make([]string, len(rows))
-	buf := make([]byte, 0, 64)
-	for i, row := range rows {
-		buf = append(buf[:0], pred...)
-		buf = append(buf, '(')
-		for k, id := range row {
-			if k > 0 {
-				buf = append(buf, ", "...)
-			}
-			buf = value.Append(buf, in.Lookup(id))
-		}
-		buf = append(buf, ')')
-		out[i] = string(buf)
-	}
-	return out
 }
 
 // radixRows is the number of rows from which OrderRows orders rows of

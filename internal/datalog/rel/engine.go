@@ -757,21 +757,12 @@ func (e *Engine) alternate(u *Unit) (pairs, flips int, err error) {
 	}
 }
 
-// Keys renders the predicate's current members — of a three-valued predicate
-// the true ones — as fact keys in the outcome's order (SortedKeys).
-func (e *Engine) Keys(pred string) []string {
-	return SortedKeys(pred, e.members(pred, false))
-}
-
-// UndefKeys renders the undefined rows of a three-valued predicate — possible
-// but not true — as Keys renders the true ones; nil for any other predicate.
-func (e *Engine) UndefKeys(pred string) []string {
-	return SortedKeys(pred, e.members(pred, true))
-}
-
-func (e *Engine) members(pred string, undef bool) (rows [][]intern.ID) {
-	e.EachMember(pred, undef, func(row []intern.ID) { rows = append(rows, row) })
-	return rows
+// Keys renders the predicate's members as EachMember lists them — of a
+// three-valued predicate the true ones, or with undef the undefined ones — as
+// fact keys in the outcome's order, and the text that holds them
+// (SortedKeys).
+func (e *Engine) Keys(pred string, undef bool) (keys []string, text string) {
+	return SortedKeys(pred, func(f func(row []intern.ID)) { e.EachMember(pred, undef, f) })
 }
 
 // EachMember calls f on every member row of the predicate, in table order — of

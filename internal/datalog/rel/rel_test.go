@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -52,21 +53,81 @@ func evaluate(t testing.TB, src string, base *Base) (map[string][]string, *Engin
 	out := map[string][]string{}
 	for _, p := range prog.Preds() {
 		if e.Derives(p) {
-			out[p] = e.Keys(p)
+			out[p], _ = e.Keys(p, false)
 		}
 	}
 	return out, e
 }
 
+// eachRow walks rows, as SortedKeys wants them.
+func eachRow(rows [][]intern.ID) func(f func(row []intern.ID)) {
+	return func(f func(row []intern.ID)) {
+		for _, row := range rows {
+			f(row)
+		}
+	}
+}
+
+// checkText holds rendered keys to their text: the text is the keys as
+// encoding/json writes them, without the array's brackets, and a key JSON
+// leaves as it is is a view into the text.
+func checkText(t *testing.T, keys []string, text string) {
+	t.Helper()
+	want, err := json.Marshal(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys == nil {
+		want = []byte("[]")
+	}
+	if text != string(want[1:len(want)-1]) {
+		t.Fatalf("text %s, want the keys %s", text, want)
+	}
+	lo, hi := uintptr(unsafe.Pointer(unsafe.StringData(text))), uintptr(unsafe.Pointer(unsafe.StringData(text)))+uintptr(len(text))
+	for _, k := range keys {
+		q, _ := json.Marshal(k)
+		at := uintptr(unsafe.Pointer(unsafe.StringData(k)))
+		if inside := at >= lo && at < hi; inside != (string(q) == `"`+k+`"`) {
+			t.Fatalf("key %q: a view into the text is %v, want it only when JSON leaves the key as it is", k, inside)
+		}
+	}
+}
+
+// TestEscapeTailIsEncodingJSON: text of quotes, backslashes, control
+// characters, HTML's <, > and &, U+2028 and U+2029, other non-ASCII letters
+// and invalid UTF-8 is escaped in place as encoding/json escapes it.
+func TestEscapeTailIsEncodingJSON(t *testing.T) {
+	alphabet := []string{"a", "Z", " ", "\"", "\\", "/", "<", ">", "&", "\x00", "\x01", "\b", "\f", "\n", "\r", "\t", "\x1f", "\x7f",
+		"é", "\u2028", "\u2029", "\u2027", "日", "\U0001F600", "\xff", "\xe2\x80", "\xc3"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		var sb []byte
+		for n := rng.Intn(8); n > 0; n-- {
+			sb = append(sb, alphabet[rng.Intn(len(alphabet))]...)
+		}
+		s := string(sb)
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, raw := EscapeTail(append([]byte("x"), s...), 1)
+		if string(buf[1:]) != string(want[1:len(want)-1]) || raw != "" && raw != s {
+			t.Fatalf("EscapeTail(%q) = %s (raw %q), want %s", s, buf[1:], raw, want)
+		}
+	}
+}
+
 // TestSortedKeysIsCompareFactsOrder: rows rendered by SortedKeys come out in
 // datalog.CompareFacts order with Fact.Key's text, for rows of mixed width
-// over every kind of value.
+// over every kind of value, strings JSON escapes included; the text holds
+// them as JSON strings.
 func TestSortedKeysIsCompareFactsOrder(t *testing.T) {
 	in := intern.Global()
 	pool := []value.Value{
 		value.Int(-3), value.Int(0), value.Int(7), value.Int(10), value.Int(100),
 		value.String("a"), value.String("b c"), value.Bool(false), value.Bool(true),
 		pair(1, 2), pair(1, 10), value.NewTuple(value.Int(1)), value.NewSet(ints(2, 1)...), value.NewSet(),
+		value.String("<&>"), value.String("\u2028é\x01"), value.Int(1 << 20),
 	}
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,12 +154,14 @@ func TestSortedKeysIsCompareFactsOrder(t *testing.T) {
 		for i, f := range facts {
 			want[i] = f.Key()
 		}
-		if got := SortedKeys("p", rows); !reflect.DeepEqual(got, want) {
+		got, text := SortedKeys("p", eachRow(rows))
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d:\n got %v\nwant %v", seed, got, want)
 		}
+		checkText(t, got, text)
 	}
-	if SortedKeys("p", nil) != nil {
-		t.Fatal("no rows must render as nil, the outcome's form of an empty predicate")
+	if keys, text := SortedKeys("p", eachRow(nil)); keys != nil || text != "" {
+		t.Fatal("no rows must render as nil and \"\", the outcome's form of an empty predicate")
 	}
 }
 
@@ -108,8 +171,7 @@ func TestSortedKeysIsCompareFactsOrder(t *testing.T) {
 // 0 to 4, at sizes on both sides of radixRows — integers including the
 // extremes, so the radix orders them; the same with one value of another kind,
 // so they fall back to comparison; values of every kind — and of mixed
-// widths. SortedKeys must also leave rows permuted in place, into the order
-// of its keys.
+// widths.
 func TestSortedKeysMatchesSortFacts(t *testing.T) {
 	in := intern.Global()
 	others := []value.Value{
@@ -164,31 +226,30 @@ func TestSortedKeysMatchesSortFacts(t *testing.T) {
 				for i, f := range facts {
 					want[i] = f.Key()
 				}
-				held := map[*intern.ID]int{}
-				for _, row := range rows {
-					held[unsafe.SliceData(row)]++
-				}
-				got := SortedKeys("p", rows)
+				got, text := SortedKeys("p", eachRow(rows))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s, %d rows of width %d:\n got %v\nwant %v", kind, len(rows), width, got, want)
 				}
-				for i, row := range rows {
-					args := make([]value.Value, len(row))
-					for k, id := range row {
-						args[k] = in.Lookup(id)
-					}
-					if key := (datalog.Fact{Pred: "p", Args: args}).Key(); key != got[i] {
-						t.Fatalf("%s, %d rows of width %d: row %d is %s after sorting, its key %s", kind, len(rows), width, i, key, got[i])
-					}
-					held[unsafe.SliceData(row)]--
-				}
-				for _, n := range held {
-					if n != 0 {
-						t.Fatalf("%s, %d rows of width %d: rows were not permuted in place", kind, len(rows), width)
-					}
-				}
+				checkText(t, got, text)
 			}
 		}
+	}
+}
+
+// TestSortedKeysAllocsOwnIDInts: rendering rows allocates nothing per
+// integer, for integers that are their own IDs as for small ones; longer
+// keys may cost the text a growth step more.
+func TestSortedKeysAllocsOwnIDInts(t *testing.T) {
+	in := intern.Global()
+	allocs := func(base int64) float64 {
+		rows := make([][]intern.ID, 1000)
+		for i := range rows {
+			rows[i] = []intern.ID{in.InternInt(base + int64(i)), in.InternInt(base + int64(i%7))}
+		}
+		return testing.AllocsPerRun(5, func() { SortedKeys("p", eachRow(rows)) })
+	}
+	if small, own := allocs(100), allocs(1<<20); small > 30 || own > small+2 {
+		t.Errorf("1000 pairs take %.0f allocations at 2^20, %.0f at 100: want no more than 30 and 2 more", own, small)
 	}
 }
 
@@ -205,12 +266,10 @@ func BenchmarkSortedKeys(b *testing.B) {
 			orig = append(orig, []intern.ID{in.InternInt(p[0]), in.InternInt(p[1])})
 		}
 	}
-	rows := make([][]intern.ID, len(orig))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(rows, orig)
-		SortedKeys("reach", rows)
+		SortedKeys("reach", eachRow(orig))
 	}
 }
 
@@ -242,9 +301,11 @@ func TestBaseForms(t *testing.T) {
 				want = append(want, f.Key())
 			}
 		}
-		if got := b.Keys(name, &use); !reflect.DeepEqual(got, want) {
+		got, text := b.Keys(name, &use)
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Keys(%s) = %v, want %v", name, got, want)
 		}
+		checkText(t, got, text)
 		var rules []string
 		for _, r := range b.FactRules(name, &use) {
 			rules = append(rules, r.String())
@@ -270,8 +331,11 @@ func TestBaseForms(t *testing.T) {
 	}
 
 	var none *Base
-	if none.DB() != nil || none.Names() != nil || none.Keys("e", &use) != nil || none.FactRules("e", &use) != nil {
+	if none.DB() != nil || none.Names() != nil || none.FactRules("e", &use) != nil {
 		t.Error("a nil base is the empty database")
+	}
+	if keys, text := none.Keys("e", &use); keys != nil || text != "" {
+		t.Error("a nil base has no keys")
 	}
 }
 
@@ -310,8 +374,8 @@ func TestEngineLayersOverBase(t *testing.T) {
 		}
 	}
 	var use BaseUse
-	if got, want := base.Keys("r", &use), []string{"r(9)", "r(9, 9)"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("the base's r after two evaluations = %v, want %v", got, want)
+	if got, _ := base.Keys("r", &use); !reflect.DeepEqual(got, []string{"r(9)", "r(9, 9)"}) {
+		t.Fatalf("the base's r after two evaluations = %v, want [r(9) r(9, 9)]", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -490,7 +554,7 @@ func TestThreeValuedUnits(t *testing.T) {
 	}
 	undef := map[string][]string{}
 	for _, p := range []string{"t", "p", "q", "up", "alone"} {
-		undef[p] = e.UndefKeys(p)
+		undef[p], _ = e.Keys(p, true)
 	}
 	if want := map[string][]string{"t": nil, "p": {"p(2)", "p(3)"}, "q": {"q(2)", "q(3)"}, "up": {"up(2)", "up(3)"}, "alone": nil}; !reflect.DeepEqual(undef, want) {
 		t.Fatalf("undefined rows %v, want %v", undef, want)

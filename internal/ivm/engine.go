@@ -176,19 +176,22 @@ func (e *engine) delta() *ResultDelta {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		var added, removed [][]intern.ID
-		for _, t := range e.Rels[name].Tables {
-			for _, r := range t.Touched {
-				switch f := t.Flags[r]; {
-				case f&rel.FlagAdded != 0:
-					added = append(added, t.Row(r))
-				case f&rel.FlagRemoved != 0:
-					removed = append(removed, t.Row(r))
+		// touched renders the batch's rows whose flags, of added and removed,
+		// are flag.
+		touched := func(flag rel.RowFlags) []string {
+			keys, _ := rel.SortedKeys(name, func(f func(row []intern.ID)) {
+				for _, t := range e.Rels[name].Tables {
+					for _, r := range t.Touched {
+						if t.Flags[r]&(rel.FlagAdded|rel.FlagRemoved) == flag {
+							f(t.Row(r))
+						}
+					}
 				}
-			}
+			})
+			return keys
 		}
-		if len(added)+len(removed) > 0 {
-			d.Preds = append(d.Preds, PredDelta{Pred: name, Added: rel.SortedKeys(name, added), Removed: rel.SortedKeys(name, removed)})
+		if added, removed := touched(rel.FlagAdded), touched(rel.FlagRemoved); len(added)+len(removed) > 0 {
+			d.Preds = append(d.Preds, PredDelta{Pred: name, Added: added, Removed: removed})
 		}
 	}
 	return d
@@ -227,7 +230,9 @@ func (e *engine) outcome() *query.Outcome {
 	sort.Strings(preds)
 	m := &query.DatalogModel{}
 	for _, p := range preds {
-		m.Preds = append(m.Preds, query.PredFacts{Pred: p, True: e.Keys(p)})
+		pf := query.PredFacts{Pred: p}
+		pf.True, pf.TrueJSON = e.Keys(p, false)
+		m.Preds = append(m.Preds, pf)
 	}
 	out.Datalog = m
 	return out

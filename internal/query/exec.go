@@ -63,13 +63,19 @@ type QueryAnswer struct {
 
 // PredFacts is one predicate's content in a datalog Outcome, as fact keys
 // ("tc(a, b)") in the engines' deterministic order (datalog.CompareFacts).
-// The slices are read-only: for a predicate the program does not add to, True
-// is the database version's own key list (rel.Base.Keys), shared by every
-// outcome computed over that version.
+// Every path that builds an outcome renders a predicate's facts once
+// (rel.SortedKeys, rel.FactKeys): TrueJSON and UndefJSON hold the keys as JSON
+// strings, comma-separated — the body of the JSON array a response sends —
+// and the keys in True and Undef are views into them. All four are read-only:
+// for a predicate the program does not add to, True and TrueJSON are the
+// database version's own (rel.Base.Keys), shared by every outcome computed
+// over that version.
 type PredFacts struct {
-	Pred  string
-	True  []string
-	Undef []string
+	Pred      string
+	True      []string
+	Undef     []string
+	TrueJSON  string
+	UndefJSON string
 }
 
 // DatalogModel is one interpretation of a datalog program: the facts of
@@ -462,10 +468,11 @@ func executeRelational(plan *Plan, base *rel.Base, opts Options, out *Outcome, o
 	for _, pred := range outcomePreds(plan.Program, base) {
 		pf := PredFacts{Pred: pred}
 		if eng.Derives(pred) {
-			pf.True, pf.Undef = eng.Keys(pred), eng.UndefKeys(pred)
+			pf.True, pf.TrueJSON = eng.Keys(pred, false)
+			pf.Undef, pf.UndefJSON = eng.Keys(pred, true)
 			out.WellDefined = out.WellDefined && len(pf.Undef) == 0
 		} else {
-			pf.True = base.Keys(pred, &eng.Use)
+			pf.True, pf.TrueJSON = base.Keys(pred, &eng.Use)
 		}
 		m.Preds = append(m.Preds, pf)
 	}
@@ -499,15 +506,11 @@ func executeGrounded(plan *Plan, base *rel.Base, opts Options, out *Outcome, use
 		for _, pred := range preds {
 			pf := PredFacts{Pred: pred}
 			if adds[pred] {
-				for _, f := range in.FactsWith(pred, semantics.True) {
-					pf.True = append(pf.True, f.Key())
-				}
+				pf.True, pf.TrueJSON = rel.FactKeys(in.FactsWith(pred, semantics.True))
 			} else {
-				pf.True = base.Keys(pred, use)
+				pf.True, pf.TrueJSON = base.Keys(pred, use)
 			}
-			for _, f := range in.FactsWith(pred, semantics.Undef) {
-				pf.Undef = append(pf.Undef, f.Key())
-			}
+			pf.Undef, pf.UndefJSON = rel.FactKeys(in.FactsWith(pred, semantics.Undef))
 			m.Preds = append(m.Preds, pf)
 		}
 		return m

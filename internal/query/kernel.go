@@ -822,7 +822,7 @@ func (n *node) build(row []intern.ID, in *intern.Interner, slab *value.TupleSlab
 // appendText appends the text of the element a row stands for.
 func (n *node) appendText(buf []byte, row []intern.ID, in *intern.Interner) []byte {
 	if n.kids == nil {
-		return value.Append(buf, in.Lookup(row[n.col]))
+		return in.AppendText(buf, row[n.col])
 	}
 	buf = append(buf, '(')
 	for i, c := range n.kids {

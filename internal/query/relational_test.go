@@ -315,7 +315,7 @@ func TestGroundedPathSharesBaseKeys(t *testing.T) {
 	plan := mustCompile(t, LangDatalog, SemInflationary, src)
 	got, _ := ExecuteBase(plan, base, Options{})
 	for _, pf := range got.Datalog.Preds {
-		if pf.Pred == "e" && &pf.True[0] != &base.Keys("e", &use)[0] {
+		if keys, _ := base.Keys("e", &use); pf.Pred == "e" && &pf.True[0] != &keys[0] {
 			t.Fatal("e's keys must be the base's own slice, not a copy")
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -50,20 +49,6 @@ func statsServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
-}
-
-// overTheWire is the result as a client decodes it (empty lists are omitted
-// on the wire).
-func overTheWire(t *testing.T, res resultJSON) (out resultJSON) {
-	t.Helper()
-	b, err := json.Marshal(res)
-	if err == nil {
-		err = json.Unmarshal(b, &out)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // dlog-read's three request shapes; one that asks who points at a node; and
@@ -117,11 +102,7 @@ func TestSharedFactBaseUnderWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := renderResult(out, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[v][c.name] = overTheWire(t, res)
+			want[v][c.name] = decodeResult(t, out)
 		}
 		keysOfAllVersions += int64(db["e"].Len())
 	}

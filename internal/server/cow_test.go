@@ -110,7 +110,7 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 							errs <- "subscription read: " + err.Error()
 							return
 						}
-						var e subEventJSON
+						var e subEvent
 						if err := json.Unmarshal([]byte(line), &e); err != nil {
 							errs <- "subscription decode: " + err.Error()
 							return

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -353,7 +354,7 @@ func TestE2EErrorPaths(t *testing.T) {
 
 // TestDBRegistryEndpoints exercises GET /v1/dbs, PUT /v1/dbs/{name},
 // /healthz and /metrics, whose internedValues gauge grows across a PUT of
-// values the process has not seen.
+// values the process has not seen, and which reports the collector's work.
 func TestDBRegistryEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -423,6 +424,15 @@ func TestDBRegistryEndpoints(t *testing.T) {
 	}
 	if after := interned(t); after < before+4 {
 		t.Fatalf("internedValues %v -> %v across a PUT of 4 new values", before, after)
+	}
+
+	// The collector's work, after at least one cycle.
+	runtime.GC()
+	_, m = get(t, "/metrics")
+	for _, field := range []string{"gcCycles", "gcCPUSeconds", "liveHeapBytes"} {
+		if n, ok := m[field].(float64); !ok || n < 0 || n == 0 && field != "gcCPUSeconds" {
+			t.Fatalf("metrics %s = %v after a GC cycle", field, m[field])
+		}
 	}
 
 	if status, m = get(t, "/healthz"); status != http.StatusOK || m["status"] != "serving" {

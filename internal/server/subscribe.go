@@ -116,7 +116,7 @@ type subscriber struct {
 type subEventJSON struct {
 	Event   string          `json:"event"` // snapshot | delta | bye
 	Version uint64          `json:"version,omitempty"`
-	Result  *resultJSON     `json:"result,omitempty"`
+	Result  json.RawMessage `json:"result,omitempty"`
 	Preds   []ivm.PredDelta `json:"preds,omitempty"`
 	Reason  string          `json:"reason,omitempty"`
 }
@@ -186,8 +186,8 @@ func (sub *subscriber) push(version uint64, d *ivm.ResultDelta, maxPending int) 
 			sub.pending = nil
 			return
 		}
-		res, _ := renderResult(out, nil) // no poll, no error
-		sub.pending = &subEventJSON{Event: "snapshot", Version: version, Result: &res}
+		res, _ := appendResult(nil, out, nil) // no poll, no error
+		sub.pending = &subEventJSON{Event: "snapshot", Version: version, Result: res}
 	case sub.pending == nil:
 		sub.pending = &subEventJSON{Event: "delta", Version: version, Preds: d.Preds}
 	default:
@@ -544,9 +544,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request, ev *obs
 	if verr == nil {
 		var out *query.Outcome
 		if out, verr = lv.view.Outcome(); verr == nil {
-			res, _ := renderResult(out, nil) // no poll, no error
+			res, _ := appendResult(nil, out, nil) // no poll, no error
 			sub = &subscriber{lv: lv, notify: make(chan struct{}, 1)}
-			sub.pending = &subEventJSON{Event: "snapshot", Version: entry.cur.Load().version, Result: &res}
+			sub.pending = &subEventJSON{Event: "snapshot", Version: entry.cur.Load().version, Result: res}
 			lv.subs[sub] = true
 			entry.views[key] = lv
 		}

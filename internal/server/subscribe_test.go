@@ -75,13 +75,13 @@ func openSub(t *testing.T, ts *httptest.Server, req subscribeRequest) *subStream
 }
 
 // next reads one ndjson event from the stream (blocking).
-func (st *subStream) next(t *testing.T) subEventJSON {
+func (st *subStream) next(t *testing.T) subEvent {
 	t.Helper()
 	line, err := st.rd.ReadString('\n')
 	if err != nil {
 		t.Fatalf("read event: %v (got %q)", err, line)
 	}
-	var e subEventJSON
+	var e subEvent
 	if err := json.Unmarshal([]byte(line), &e); err != nil {
 		t.Fatalf("decode event %q: %v", line, err)
 	}
@@ -298,7 +298,7 @@ func TestSubscribeSSE(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 
-	readFrame := func() (kind string, e subEventJSON) {
+	readFrame := func() (kind string, e subEvent) {
 		t.Helper()
 		ev, err := st.rd.ReadString('\n')
 		if err != nil {

@@ -33,6 +33,7 @@ package intern
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -216,6 +217,15 @@ func (in *Interner) Lookup(id ID) value.Value {
 		return value.Int(id &^ intTag)
 	}
 	return in.entryOf(id).v
+}
+
+// AppendText appends the text of id's value, as value.Append writes it, to
+// buf. An own-ID integer is written from its ID, without boxing its value.
+func (in *Interner) AppendText(buf []byte, id ID) []byte {
+	if id&intTag != 0 {
+		return strconv.AppendInt(buf, int64(id&^intTag), 10)
+	}
+	return value.Append(buf, in.entryOf(id).v)
 }
 
 // Elems returns the element IDs of an interned tuple or set (tuple order,

@@ -89,6 +89,34 @@ func TestInternIntOwnID(t *testing.T) {
 	}
 }
 
+// TestAppendTextOwnIDInts: an ID's text is its value's, and writing an
+// own-ID integer's allocates nothing — its value is never boxed.
+func TestAppendTextOwnIDInts(t *testing.T) {
+	in := New()
+	var ids []ID
+	for _, v := range []value.Value{value.Int(-7), value.Int(100), value.Int(smallIntRange), value.Int(1<<31 - 1),
+		value.Int(1 << 40), value.String("a b"), value.NewTuple(value.Int(1), value.Int(1<<20))} {
+		id := in.Intern(v)
+		if got, want := string(in.AppendText(nil, id)), v.String(); got != want {
+			t.Errorf("AppendText(%v) = %s, want %s", v, got, want)
+		}
+		ids = append(ids, id)
+	}
+	ids = ids[:0]
+	for i := int64(0); i < 1000; i++ {
+		ids = append(ids, in.InternInt(1<<20+i*977))
+	}
+	buf := make([]byte, 0, 16*len(ids))
+	if n := testing.AllocsPerRun(10, func() {
+		buf = buf[:0]
+		for _, id := range ids {
+			buf = in.AppendText(buf, id)
+		}
+	}); n != 0 {
+		t.Errorf("writing 1000 own-ID integers takes %.0f allocations, want none", n)
+	}
+}
+
 func TestInternStructuralConstructorsAgreeWithIntern(t *testing.T) {
 	in := New()
 	a, b := in.InternInt(1), in.InternInt(2)
