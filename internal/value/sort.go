@@ -37,7 +37,7 @@ func sortValues(vs []Value, dedup bool) []Value {
 			if dedup {
 				kept = uniqueFirst(order, keys, width)
 			}
-			Permute(vs, order)
+			permute(vs, order)
 			clear(vs[kept:])
 			return vs[:kept]
 		}
@@ -149,9 +149,9 @@ func uniqueFirst(order []int32, keys []int64, width int) int {
 	return kept
 }
 
-// Permute rearranges vs in place so that vs[i] becomes the old vs[order[i]],
+// permute rearranges vs in place so that vs[i] becomes the old vs[order[i]],
 // following each cycle of the permutation once; it consumes order.
-func Permute[T any](vs []T, order []int32) {
+func permute[T any](vs []T, order []int32) {
 	for i := range order {
 		if order[i] < 0 {
 			continue
