@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
+	"algrec/internal/core"
+	"algrec/internal/query"
+	"algrec/internal/value"
 )
 
 // goldenCases are the committed example workloads whose stdout is pinned
@@ -25,8 +28,10 @@ var goldenCases = []struct {
 	{"wincycle.stable.golden", []string{"-stable", "testdata/wincycle.alg"}},
 }
 
-func runGolden(t *testing.T) {
-	t.Helper()
+// TestGolden pins the CLI's stdout bit-for-bit on the committed example
+// workloads: the shared pipeline extraction (internal/query) must not change
+// a single byte of output.
+func TestGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
@@ -44,18 +49,57 @@ func runGolden(t *testing.T) {
 	}
 }
 
-// TestGolden pins the CLI's stdout bit-for-bit on the committed example
-// workloads: the shared pipeline extraction (internal/query) must not change
-// a single byte of output.
-func TestGolden(t *testing.T) { runGolden(t) }
-
-// TestGoldenNoStreaming replays the same golden cases on the reference
-// evaluator (Budget.NoStreaming): operator-by-operator materialization, naive
-// IFP rounds and unscheduled defining equations must reproduce every byte of
-// output.
-func TestGoldenNoStreaming(t *testing.T) {
-	was := algebra.DefaultBudget.NoStreaming
-	algebra.DefaultBudget.NoStreaming = true
-	defer func() { algebra.DefaultBudget.NoStreaming = was }()
-	runGolden(t)
+// TestGoldenReference compares the outcome of each valid and inflationary
+// golden with internal/core's reference loops (core.Eval with
+// algebra.NewReference): materialized operators and naive IFP rounds must
+// give every def and query the certain and undefined elements the CLI
+// prints. The stable goldens run the Prop 5.4 translation and the grounder,
+// which are the reference themselves.
+func TestGoldenReference(t *testing.T) {
+	for _, tc := range goldenCases {
+		sem := query.SemValid
+		switch tc.args[0] {
+		case "-inflationary":
+			sem = query.SemInflationary
+		case "-stable":
+			continue
+		}
+		t.Run(tc.golden, func(t *testing.T) {
+			src, err := os.ReadFile(tc.args[len(tc.args)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := query.Compile(query.LangAlgebraEq, sem, string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := query.Execute(plan, nil, query.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.Eval(algebra.NewReference, plan.Script.Program, plan.Script.DB, algebra.Budget{}, sem == query.SemInflationary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(what string, set, undef, refSet, refUndef value.Set) {
+				if !value.Equal(set, refSet) || !value.Equal(undef, refUndef) {
+					t.Errorf("%s: %v, undefined %v; the reference: %v, undefined %v", what, set, undef, refSet, refUndef)
+				}
+			}
+			for _, d := range out.Defs {
+				same(d.Name, d.Set, d.Undef, ref.Lower[d.Name], ref.UndefElems(d.Name))
+			}
+			for i, q := range out.Queries {
+				lower, err := ref.QueryLower(plan.Script.Queries[i].Expr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				upper, err := ref.QueryUpper(plan.Script.Queries[i].Expr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(q.Src, q.Set, q.Undef, lower, upper.Diff(lower))
+			}
+		})
+	}
 }

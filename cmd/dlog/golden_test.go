@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"algrec/internal/algebra"
 )
 
 // goldenCases are the committed example workloads whose stdout is pinned
@@ -26,8 +24,10 @@ var goldenCases = []struct {
 	{"wingame.inflationary.golden", []string{"-semantics", "inflationary", "testdata/wingame.dlog"}},
 }
 
-func runGolden(t *testing.T) {
-	t.Helper()
+// TestGolden pins the CLI's stdout bit-for-bit on the committed example
+// workloads: the shared pipeline extraction (internal/query) must not change
+// a single byte of output.
+func TestGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
@@ -43,20 +43,4 @@ func runGolden(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestGolden pins the CLI's stdout bit-for-bit on the committed example
-// workloads: the shared pipeline extraction (internal/query) must not change
-// a single byte of output.
-func TestGolden(t *testing.T) { runGolden(t) }
-
-// TestGoldenNoStreaming replays the same golden cases on the reference
-// evaluator (Budget.NoStreaming): operator-by-operator materialization, naive
-// IFP rounds and unscheduled defining equations must reproduce every byte of
-// output.
-func TestGoldenNoStreaming(t *testing.T) {
-	was := algebra.DefaultBudget.NoStreaming
-	algebra.DefaultBudget.NoStreaming = true
-	defer func() { algebra.DefaultBudget.NoStreaming = was }()
-	runGolden(t)
 }

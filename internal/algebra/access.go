@@ -33,30 +33,29 @@ import (
 // canonical set), and only a prefix of the conjunct list, in evaluation
 // order, may be consumed: whatever follows runs on the candidates as before.
 // Everything else — `p.2 = d and p.1 = c`, a set holding a scalar — falls
-// back to the scan and raises what it always raised. Budget.NoStreaming
-// selects the scan-everything reference path, so the stream oracles pin all
-// of this.
+// back to the scan and raises what it always raised. NewReference's
+// evaluator scans everything, so the stream oracles pin all of this.
 
-// evalSelect evaluates a selection for the Evaluator, which closes its
-// environment (database, local IFP bindings, polarity) into leaf. It picks,
-// in order: the streaming pipeline when the operator spine reaches a product
+// evalSelect evaluates a selection; the Evaluator closes its environment
+// (database, local IFP bindings, polarity) into leaf. It picks, in order: the
+// streaming pipeline when the operator spine reaches a product
 // (streameval.go); a prefix probe when the test fixes leading components to
-// constants; the element-by-element scan. Under Budget.NoStreaming only the
-// scan is left: a σ over a product builds the product first.
-func evalSelect(e Select, b Budget, obs obsv.Collector, leaf leafEval) (value.Set, error) {
-	if !b.NoStreaming && streamEligible(e) {
-		return streamEval(e, b, obs, leaf)
+// constants; the element-by-element scan. On the reference only the scan is
+// left: a σ over a product builds the product first.
+func (ev *Evaluator) evalSelect(e Select, leaf leafEval) (value.Set, error) {
+	if !ev.ref && streamEligible(e) {
+		return streamEval(e, ev.Budget, ev.obs, leaf)
 	}
 	of, err := leaf(e.Of)
 	if err != nil {
 		return value.Set{}, err
 	}
-	if !b.NoStreaming {
-		if out, ok, err := probeSelect(of, e.Var, e.Test, obs); ok || err != nil {
+	if !ev.ref {
+		if out, ok, err := probeSelect(of, e.Var, e.Test, ev.obs); ok || err != nil {
 			return out, err
 		}
 	}
-	poll := poller(b)
+	poll := poller(ev.Budget)
 	return of.Select(func(v value.Value) (bool, error) {
 		if err := poll(); err != nil {
 			return false, err
@@ -67,15 +66,15 @@ func evalSelect(e Select, b Budget, obs obsv.Collector, leaf leafEval) (value.Se
 
 // evalMap is evalSelect's counterpart for MAP: the streaming pipeline when
 // the spine reaches a product, the element-by-element map otherwise.
-func evalMap(e Map, b Budget, obs obsv.Collector, leaf leafEval) (value.Set, error) {
-	if !b.NoStreaming && streamEligible(e) {
-		return streamEval(e, b, obs, leaf)
+func (ev *Evaluator) evalMap(e Map, leaf leafEval) (value.Set, error) {
+	if !ev.ref && streamEligible(e) {
+		return streamEval(e, ev.Budget, ev.obs, leaf)
 	}
 	of, err := leaf(e.Of)
 	if err != nil {
 		return value.Set{}, err
 	}
-	poll := poller(b)
+	poll := poller(ev.Budget)
 	return of.Map(func(v value.Value) (value.Value, error) {
 		if err := poll(); err != nil {
 			return nil, err
@@ -177,9 +176,8 @@ func (s *spine) has(v value.Value, lookups *int) bool {
 // every leaf error surfaces whether or not anything is left to subtract from
 // — and the minuend is filtered by membership in the spine: no product is
 // built, and a filter of a canonical set needs no sort. Otherwise, and on the
-// Budget.NoStreaming reference path, the subtrahend is materialized and
-// merged against.
-func evalDiff(e Diff, b Budget, obs obsv.Collector, left, right leafEval) (value.Set, error) {
+// reference, the subtrahend is materialized and merged against.
+func (ev *Evaluator) evalDiff(e Diff, left, right leafEval) (value.Set, error) {
 	l, err := left(e.L)
 	if err != nil {
 		return value.Set{}, err
@@ -187,7 +185,7 @@ func evalDiff(e Diff, b Budget, obs obsv.Collector, left, right leafEval) (value
 	var out value.Set
 	var probed, lookups int
 	path, leaves := "materialized", 1
-	if b.NoStreaming || !reachesProduct(e.R) {
+	if ev.ref || !reachesProduct(e.R) {
 		r, err := right(e.R)
 		if err != nil {
 			return value.Set{}, err
@@ -201,7 +199,7 @@ func evalDiff(e Diff, b Budget, obs obsv.Collector, left, right leafEval) (value
 		}
 		out, err = l.Select(func(v value.Value) (bool, error) {
 			if probed%pollEvery == 0 {
-				if err := b.Stop(); err != nil {
+				if err := ev.Budget.Stop(); err != nil {
 					return false, err
 				}
 			}
@@ -212,8 +210,8 @@ func evalDiff(e Diff, b Budget, obs obsv.Collector, left, right leafEval) (value
 			return value.Set{}, err
 		}
 	}
-	if obs != nil {
-		obs.Collect(obsv.DiffStats{Path: path, Probed: probed, Lookups: lookups, Kept: out.Len(), Leaves: leaves})
+	if ev.obs != nil {
+		ev.obs.Collect(obsv.DiffStats{Path: path, Probed: probed, Lookups: lookups, Kept: out.Len(), Leaves: leaves})
 	}
 	return out, nil
 }

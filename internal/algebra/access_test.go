@@ -45,7 +45,7 @@ func evalCounted(t *testing.T, src string, db algebra.DB) (value.Set, error, obs
 // TestAccessPathsMatchScan is the exactness table: every point-select shape —
 // the ones a prefix probe answers and every fallback — returns the same
 // value or the same error as the scan-everything reference path
-// (Budget.NoStreaming), and probes exactly when the table says so.
+// (algebra.NewReference), and probes exactly when the table says so.
 func TestAccessPathsMatchScan(t *testing.T) {
 	pairs := value.NewSet(tup(1, 1), tup(1, 2), tup(1, 3), tup(2, 1), tup(2, 5), tup(4, 4), tup(4, 5))
 	big := make([]string, 20)
@@ -112,7 +112,7 @@ func TestAccessPathsMatchScan(t *testing.T) {
 	}
 	for _, c := range cases {
 		got, errGot, snap := evalCounted(t, c.src, db)
-		want, errWant := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: true}).Eval(mustExpr(t, c.src))
+		want, errWant := algebra.NewReference(db, algebra.Budget{}).Eval(mustExpr(t, c.src))
 		switch {
 		case (errGot == nil) != (errWant == nil), errGot != nil && errGot.Error() != errWant.Error():
 			t.Errorf("%s:\n  planned: %v\n  scan:    %v", c.src, errGot, errWant)
@@ -158,7 +158,7 @@ func TestJoinAccessPathsMatchScan(t *testing.T) {
 		`select(product(e, f), \p -> p.1.2 = p.2.1 and p.2.1 = 3 and p.2.2 = 8)`,
 	} {
 		got, errGot, _ := evalCounted(t, src, db)
-		want, errWant := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: true}).Eval(mustExpr(t, src))
+		want, errWant := algebra.NewReference(db, algebra.Budget{}).Eval(mustExpr(t, src))
 		if (errGot == nil) != (errWant == nil) {
 			t.Errorf("%s:\n  planned: %v\n  scan:    %v", src, errGot, errWant)
 		} else if errGot == nil && !value.Equal(got, want) {
@@ -276,7 +276,7 @@ func TestPropertyDiffProbesLikeItMaterializes(t *testing.T) {
 		spine := spines[i%len(spines)]
 		// The minuend: random elements beside a random half of the subtrahend's
 		// and near misses of the other half — a pair widened, narrowed, swapped.
-		sub, err := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: true}).Eval(mustExpr(t, spine))
+		sub, err := algebra.NewReference(db, algebra.Budget{}).Eval(mustExpr(t, spine))
 		if err != nil {
 			t.Fatalf("%s: %v", spine, err)
 		}
@@ -338,7 +338,7 @@ func TestDiffPathAndErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		got, errGot, snap := evalCounted(t, c.src, db)
-		want, errWant := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: true}).Eval(mustExpr(t, c.src))
+		want, errWant := algebra.NewReference(db, algebra.Budget{}).Eval(mustExpr(t, c.src))
 		switch {
 		case (errGot == nil) != (errWant == nil), errGot != nil && errGot.Error() != errWant.Error():
 			t.Errorf("%s:\n  production: %v\n  reference:  %v", c.src, errGot, errWant)

@@ -19,8 +19,8 @@ import (
 // so the accumulator recurrence acc' = acc ∪ body(acc) collapses to
 // acc' = acc ∪ body(Δ). DeltaDistributive decides the condition statically;
 // runIFP runs either loop. Both produce the identical fixpoint — that is the
-// point of the analysis — so the naive loop of the Budget.NoStreaming
-// reference only changes cost, never results. Delta is a property of the
+// point of the analysis — so the naive loop of the reference
+// (NewReference) only changes cost, never results. Delta is a property of the
 // body, not of how its sets are represented: this one loop serves every IFP
 // the relational kernel (internal/query) does not take.
 

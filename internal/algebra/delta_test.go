@@ -146,10 +146,8 @@ func TestPropertySemiNaiveIFPEquivalence(t *testing.T) {
 		e := IFP{Var: "x", Body: randIFPBody(r, 3)}
 		db := DB{"e": randIntSet(r, 6, 20)}
 		budget := Budget{MaxIFPIters: 500, MaxSetSize: 20000}
-		naiveB := budget
-		naiveB.NoStreaming = true
 		semi, errS := NewEvaluator(db, budget).Eval(e)
-		naive, errN := NewEvaluator(db, naiveB).Eval(e)
+		naive, errN := NewReference(db, budget).Eval(e)
 		if errS != nil || errN != nil {
 			// A budget blowup may hit the naive engine at a larger
 			// intermediate than the semi-naive one; either failing is a draw.
@@ -201,7 +199,10 @@ func TestIFPDeltaCounts(t *testing.T) {
 	e, db, wantDeltas := chainTC(6)
 	for _, mode := range []string{"seminaive", "naive"} {
 		var events []obsv.IFPStats
-		ev := NewEvaluator(db, Budget{NoStreaming: mode == "naive"})
+		ev := NewEvaluator(db, Budget{})
+		if mode == "naive" {
+			ev = NewReference(db, Budget{})
+		}
 		ev.SetCollector(obsv.Func(func(e obsv.Event) {
 			if s, ok := e.(obsv.IFPStats); ok {
 				events = append(events, s)

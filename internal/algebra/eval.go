@@ -15,25 +15,6 @@ import (
 type Budget struct {
 	MaxIFPIters int // maximum iterations of any single IFP (0 = default)
 	MaxSetSize  int // maximum cardinality of any intermediate set (0 = default)
-	// NoStreaming selects the reference evaluator, the one every production
-	// path is checked against:
-	//   - operators are materialized one by one instead of planned into lazy
-	//     join iterators (streameval.go) — σ over a product builds the product
-	//     and scans it — prefix probes are off (access.go), and a diff
-	//     materializes its subtrahend even where that means building the
-	//     products it subtracts (evalDiff);
-	//   - every IFP iterates naively, re-evaluating its body on the whole
-	//     accumulator, instead of semi-naively on the last round's delta;
-	//   - query.Execute answers an algebra expression on the value evaluator
-	//     and an algebra= script on internal/core, not the relational kernel,
-	//     and internal/ivm maintains a view by recomputation instead of
-	//     counting/DRed.
-	// Results are identical either way on error-free evaluations, and for diff
-	// on failing ones too; only budget boundaries differ (the materialized
-	// path also bounds intermediate products). WithDefaults ORs in
-	// DefaultBudget.NoStreaming, so a process can select the reference for
-	// every evaluator it builds (the CLI golden tests do).
-	NoStreaming bool
 	// Interrupt, when non-nil, is polled between fixpoint rounds and, inside
 	// one, every 4 096 elements of any loop over a set: the pairs of a product
 	// being built, the elements a difference probes, a σ or MAP scan, the rows
@@ -44,20 +25,20 @@ type Budget struct {
 	Interrupt <-chan struct{}
 }
 
-// DefaultBudget is used for zero-valued Budget fields.
-var DefaultBudget = Budget{MaxIFPIters: 100_000, MaxSetSize: 5_000_000}
+// The caps a zero-valued Budget field stands for.
+const (
+	defaultMaxIFPIters = 100_000
+	defaultMaxSetSize  = 5_000_000
+)
 
-// WithDefaults returns b with every zero-valued cap replaced by the
-// corresponding DefaultBudget value, and NoStreaming ORed with
-// DefaultBudget's.
+// WithDefaults returns b with every zero-valued cap replaced by its default.
 func (b Budget) WithDefaults() Budget {
 	if b.MaxIFPIters <= 0 {
-		b.MaxIFPIters = DefaultBudget.MaxIFPIters
+		b.MaxIFPIters = defaultMaxIFPIters
 	}
 	if b.MaxSetSize <= 0 {
-		b.MaxSetSize = DefaultBudget.MaxSetSize
+		b.MaxSetSize = defaultMaxSetSize
 	}
-	b.NoStreaming = b.NoStreaming || DefaultBudget.NoStreaming
 	return b
 }
 
@@ -113,12 +94,33 @@ type Evaluator struct {
 	Pos, Neg map[string]value.Set
 
 	obs obsv.Collector
+	ref bool // NewReference's evaluator
 }
 
-// NewEvaluator returns an evaluator over db with the given budget. The
-// process-default observability collector is captured at construction.
+// NewEvaluator returns the production evaluator over db with the given
+// budget. The process-default observability collector is captured at
+// construction.
 func NewEvaluator(db DB, budget Budget) *Evaluator {
 	return &Evaluator{DB: db, Budget: budget.WithDefaults(), obs: obsv.Default()}
+}
+
+// NewReference returns the reference evaluator over db, the one every
+// production path is checked against:
+//   - operators are materialized one by one instead of planned into lazy
+//     join iterators (streameval.go): σ over a product builds the product
+//     and scans it, prefix probes are off (access.go), and a diff
+//     materializes its subtrahend even where that means building the
+//     products it subtracts (evalDiff);
+//   - every IFP iterates naively, re-evaluating its body on the whole
+//     accumulator, instead of semi-naively on the last round's delta.
+//
+// Results are identical to NewEvaluator's on error-free evaluations, and for
+// diff on failing ones too; only budget boundaries differ (the materialized
+// path also bounds intermediate products). Only oracles and tests call it.
+func NewReference(db DB, budget Budget) *Evaluator {
+	ev := NewEvaluator(db, budget)
+	ev.ref = true
+	return ev
 }
 
 // SetCollector replaces the observability collector captured at
@@ -165,7 +167,7 @@ func (ev *Evaluator) eval(e Expr, positive bool, local map[string]value.Set) (va
 		}
 		return ev.checkSize(l.Union(r))
 	case Diff:
-		return evalDiff(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+		return ev.evalDiff(ee, func(sub Expr) (value.Set, error) {
 			return ev.eval(sub, positive, local)
 		}, func(sub Expr) (value.Set, error) {
 			return ev.eval(sub, !positive, local)
@@ -181,15 +183,15 @@ func (ev *Evaluator) eval(e Expr, positive bool, local map[string]value.Set) (va
 		}
 		return evalProduct(l, r, ev.Budget)
 	case Select:
-		return evalSelect(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+		return ev.evalSelect(ee, func(sub Expr) (value.Set, error) {
 			return ev.eval(sub, positive, local)
 		})
 	case Map:
-		return evalMap(ee, ev.Budget, ev.obs, func(sub Expr) (value.Set, error) {
+		return ev.evalMap(ee, func(sub Expr) (value.Set, error) {
 			return ev.eval(sub, positive, local)
 		})
 	case IFP:
-		useDelta := !ev.Budget.NoStreaming && DeltaDistributive(ee.Body, ee.Var)
+		useDelta := !ev.ref && DeltaDistributive(ee.Body, ee.Var)
 		return runIFP(ee.Var, local, ev.Budget, useDelta, ev.obs, func(inner map[string]value.Set) (value.Set, error) {
 			return ev.eval(ee.Body, positive, inner)
 		})

@@ -10,7 +10,7 @@ import "algrec/internal/value"
 //
 // Materializing the full product makes that quadratic, so the join planner
 // (planner.go) joins on the key paths instead and re-checks the complete test
-// on each candidate pair; only the Budget.NoStreaming reference builds the
+// on each candidate pair; only the reference (NewReference) builds the
 // product. EquiJoinKeys reports the key paths of a test, sidePath decomposes
 // one side's path and applyPath follows a path into an element.
 

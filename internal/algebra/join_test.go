@@ -114,7 +114,7 @@ func TestHashJoinTCEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewEvaluator(db, Budget{NoStreaming: true}).Eval(e)
+	slow, err := NewReference(db, Budget{}).Eval(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestHashJoinTCEquivalence(t *testing.T) {
 	}
 }
 
-// TestReferenceBuildsTheProduct: the NoStreaming reference is the naive
+// TestReferenceBuildsTheProduct: the reference (NewReference) is the naive
 // evaluator, so a selective equi-join whose product exceeds MaxSetSize fails
 // there with ErrBudget while the streamed hash join answers it.
 func TestReferenceBuildsTheProduct(t *testing.T) {
@@ -140,8 +140,7 @@ func TestReferenceBuildsTheProduct(t *testing.T) {
 	if got, err := NewEvaluator(db, budget).Eval(e); err != nil || got.Len() != 9 {
 		t.Fatalf("streamed: got %d pairs, err %v; want 9, nil", got.Len(), err)
 	}
-	budget.NoStreaming = true
-	if _, err := NewEvaluator(db, budget).Eval(e); !errors.Is(err, ErrBudget) {
+	if _, err := NewReference(db, budget).Eval(e); !errors.Is(err, ErrBudget) {
 		t.Fatalf("reference: got %v, want ErrBudget (a 100-pair product over a 50 cap)", err)
 	}
 }

@@ -28,7 +28,7 @@ import (
 // differ by design — the materialized path rejects a huge intermediate
 // product even when the output is small; the streaming path bounds only
 // buffered output — so a budget error on one path may be a success on the
-// other. Budget.NoStreaming selects the materialized path, the reference.
+// other. NewReference's evaluator takes the materialized path.
 
 // leafEval evaluates a subexpression the streaming compiler treats as an
 // opaque leaf. The Evaluator closes its environment (database, local IFP

@@ -157,7 +157,7 @@ func TestPlanJoinRefusesWideTowers(t *testing.T) {
 func assertStreamEq(t *testing.T, e Expr, db DB) {
 	t.Helper()
 	st, errSt := NewEvaluator(db, Budget{}).Eval(e)
-	mat, errMat := NewEvaluator(db, Budget{NoStreaming: true}).Eval(e)
+	mat, errMat := NewReference(db, Budget{}).Eval(e)
 	if (errSt == nil) != (errMat == nil) {
 		t.Fatalf("error divergence: streaming %v, materialized %v", errSt, errMat)
 	}
@@ -217,7 +217,7 @@ func TestStreamingMatchesMaterializedOnErrors(t *testing.T) {
 		},
 	}
 	_, errSt := NewEvaluator(db, Budget{}).Eval(e)
-	_, errMat := NewEvaluator(db, Budget{NoStreaming: true}).Eval(e)
+	_, errMat := NewReference(db, Budget{}).Eval(e)
 	if errSt == nil || errMat == nil {
 		t.Fatalf("streaming %v, materialized %v; want both to fail on a pair's parity", errSt, errMat)
 	}
@@ -240,8 +240,7 @@ func TestStreamingBudgetBoundary(t *testing.T) {
 	if errSt != nil || st.Len() != 45 {
 		t.Fatalf("streaming: got %d elements, err %v; want 45, nil", st.Len(), errSt)
 	}
-	budget.NoStreaming = true
-	if _, errMat := NewEvaluator(db, budget).Eval(e); !errors.Is(errMat, ErrBudget) {
+	if _, errMat := NewReference(db, budget).Eval(e); !errors.Is(errMat, ErrBudget) {
 		t.Fatalf("materialized: got %v, want ErrBudget (100-element product over a 50 cap)", errMat)
 	}
 	// The streamed output itself is still bounded:
@@ -301,14 +300,14 @@ func TestStreamPushdownCounts(t *testing.T) {
 			snap["stream.tested"], snapBare["stream.tested"])
 	}
 
-	// NoStreaming reports no pipeline events at all.
+	// The reference reports no pipeline events at all.
 	stats := obsv.NewStats()
-	ev := NewEvaluator(db, Budget{NoStreaming: true})
+	ev := NewReference(db, Budget{})
 	ev.SetCollector(stats)
 	if _, err := ev.Eval(equiSelect()); err != nil {
 		t.Fatal(err)
 	}
 	if n := stats.Snapshot()["stream.pipelines"]; n != 0 {
-		t.Errorf("NoStreaming still reported %d pipelines", n)
+		t.Errorf("the reference still reported %d pipelines", n)
 	}
 }

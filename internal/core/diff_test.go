@@ -43,7 +43,7 @@ func TestEqWinNeverBuildsTheProduct(t *testing.T) {
 	if err != nil {
 		t.Fatalf("under MaxSetSize %d: %v", tight.MaxSetSize, err)
 	}
-	want, err := EvalValid(winProgram(), db, algebra.Budget{NoStreaming: true})
+	want, err := Eval(algebra.NewReference, winProgram(), db, algebra.Budget{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,7 @@ func TestEqWinNeverBuildsTheProduct(t *testing.T) {
 	if n := got.Lower["win"].Len(); n == 0 || n*move.Len() <= tight.MaxSetSize {
 		t.Fatalf("|WIN| = %d: the game is too small to witness anything", n)
 	}
-	tight.NoStreaming = true
-	if _, err := EvalValid(winProgram(), db, tight); !errors.Is(err, algebra.ErrBudget) {
+	if _, err := Eval(algebra.NewReference, winProgram(), db, tight, false); !errors.Is(err, algebra.ErrBudget) {
 		t.Errorf("the reference under MaxSetSize %d: %v, want ErrBudget", tight.MaxSetSize, err)
 	}
 }
@@ -170,13 +169,13 @@ func TestIFPSubtrahendPolarity(t *testing.T) {
 		R: rel("s"),
 	}}
 	p := &Program{Defs: []Def{{Name: "s", Body: body}}}
-	for _, b := range []algebra.Budget{{}, {NoStreaming: true}} {
-		res, err := EvalValid(p, algebra.DB{}, b)
+	for i, newEval := range []func(algebra.DB, algebra.Budget) *algebra.Evaluator{algebra.NewEvaluator, algebra.NewReference} {
+		res, err := Eval(newEval, p, algebra.DB{}, algebra.Budget{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Lower["s"].IsEmpty() || !value.Equal(res.Upper["s"], ints(0, 3)) {
-			t.Errorf("budget %+v: s = %v certain, %v possible; want {} and {0, 3}", b, res.Lower["s"], res.Upper["s"])
+			t.Errorf("reference=%v: s = %v certain, %v possible; want {} and {0, 3}", i == 1, res.Lower["s"], res.Upper["s"])
 		}
 	}
 }

@@ -41,8 +41,9 @@ func (t Truth) String() string {
 type Result struct {
 	Lower, Upper map[string]value.Set
 
-	db     algebra.DB
-	budget algebra.Budget
+	db      algebra.DB
+	budget  algebra.Budget
+	newEval func(algebra.DB, algebra.Budget) *algebra.Evaluator
 }
 
 // Member returns the membership status MEM(v, name) in the valid
@@ -102,8 +103,8 @@ func (r *Result) Set(name string) value.Set { return r.Lower[name] }
 // subtracted positions and flips (algebra.Evaluator.Pos, Neg). With pos =
 // Lower and neg = Upper it computes a certain lower bound; with the
 // environments swapped, a possible upper bound.
-func evaluator(db algebra.DB, budget algebra.Budget, pos, neg map[string]value.Set) *algebra.Evaluator {
-	ev := algebra.NewEvaluator(db, budget)
+func (r *Result) evaluator(pos, neg map[string]value.Set) *algebra.Evaluator {
+	ev := r.newEval(r.db, r.budget)
 	ev.Pos, ev.Neg = pos, neg
 	return ev
 }
@@ -117,18 +118,18 @@ func evaluator(db algebra.DB, budget algebra.Budget, pos, neg map[string]value.S
 // possible sets, the result is the certain members. Its rounds are
 // Gauss-Seidel: each definition reads the sets the ones before it in the
 // round produced.
-func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.Budget, st *obsv.CoreEvalStats) (map[string]value.Set, error) {
+func (r *Result) gamma(p *Program, neg map[string]value.Set, st *obsv.CoreEvalStats) (map[string]value.Set, error) {
 	lower := map[string]value.Set{}
 	for _, d := range p.Defs {
 		lower[d.Name] = value.EmptySet
 	}
-	ev := evaluator(db, budget, lower, neg)
+	ev := r.evaluator(lower, neg)
 	st.Gammas++
 	for round := 0; ; round++ {
-		if round >= budget.MaxIFPIters {
-			return nil, fmt.Errorf("%w: defining equations did not reach a fixpoint within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
+		if round >= r.budget.MaxIFPIters {
+			return nil, fmt.Errorf("%w: defining equations did not reach a fixpoint within %d rounds", algebra.ErrBudget, r.budget.MaxIFPIters)
 		}
-		if err := budget.Stop(); err != nil {
+		if err := r.budget.Stop(); err != nil {
 			return nil, err
 		}
 		st.Rounds++
@@ -140,8 +141,8 @@ func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.B
 				return nil, err
 			}
 			next := lower[d.Name].Union(s)
-			if next.Len() > budget.MaxSetSize {
-				return nil, fmt.Errorf("%w: defined set %q grew past MaxSetSize %d (the fixed point may be infinite)", algebra.ErrBudget, d.Name, budget.MaxSetSize)
+			if next.Len() > r.budget.MaxSetSize {
+				return nil, fmt.Errorf("%w: defined set %q grew past MaxSetSize %d (the fixed point may be infinite)", algebra.ErrBudget, d.Name, r.budget.MaxSetSize)
 			}
 			if next.Len() != lower[d.Name].Len() {
 				lower[d.Name] = next
@@ -154,47 +155,31 @@ func gamma(p *Program, db algebra.DB, neg map[string]value.Set, budget algebra.B
 	}
 }
 
+// jacobi is one inflationary round: every definition reads the sets of the
+// round before, cur, at both polarities, and adds what it derives to its own.
+func (r *Result) jacobi(p *Program, cur map[string]value.Set, st *obsv.CoreEvalStats) (map[string]value.Set, error) {
+	ev := r.evaluator(cur, cur)
+	next := make(map[string]value.Set, len(cur))
+	st.Rounds++
+	st.Evals += len(p.Defs)
+	for _, d := range p.Defs {
+		s, err := ev.Eval(d.Body)
+		if err != nil {
+			return nil, err
+		}
+		if next[d.Name] = cur[d.Name].Union(s); next[d.Name].Len() > r.budget.MaxSetSize {
+			return nil, fmt.Errorf("%w: defined set %q grew past MaxSetSize %d", algebra.ErrBudget, d.Name, r.budget.MaxSetSize)
+		}
+	}
+	return next, nil
+}
+
 // EvalValid computes the valid interpretation of the program on the
 // database: the Section 2.2 alternating computation lifted to defined sets.
 // The program is inlined first; recursive parameterized definitions are
 // rejected (ErrRecursiveParams).
 func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error) {
-	q, err := p.Inline()
-	if err != nil {
-		return nil, err
-	}
-	budget = budget.WithDefaults()
-	obs := obsv.Default()
-	st := obsv.CoreEvalStats{Semantics: "valid", Defs: len(q.Defs)}
-	t := map[string]value.Set{}
-	for _, d := range q.Defs {
-		t[d.Name] = value.EmptySet
-	}
-	var u map[string]value.Set
-	for round := 0; ; round++ {
-		if round >= budget.MaxIFPIters {
-			return nil, fmt.Errorf("%w: valid-model alternation did not converge within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
-		}
-		if err := budget.Stop(); err != nil {
-			return nil, err
-		}
-		u, err = gamma(q, db, t, budget, &st)
-		if err != nil {
-			return nil, err
-		}
-		t2, err := gamma(q, db, u, budget, &st)
-		if err != nil {
-			return nil, err
-		}
-		if sameSets(t, t2) {
-			break
-		}
-		t = t2
-	}
-	if obs != nil {
-		obs.Collect(st)
-	}
-	return &Result{Lower: t, Upper: u, db: db, budget: budget}, nil
+	return Eval(algebra.NewEvaluator, p, db, budget, false)
 }
 
 // EvalInflationary evaluates the program under the inflationary reading of
@@ -207,63 +192,73 @@ func EvalValid(p *Program, db algebra.DB, budget algebra.Budget) (*Result, error
 // {1} − B; def B = {1} gives A = {1} under global rounds, ∅ under strata) —
 // so every round evaluates every definition.
 func EvalInflationary(p *Program, db algebra.DB, budget algebra.Budget) (map[string]value.Set, error) {
+	r, err := Eval(algebra.NewEvaluator, p, db, budget, true)
+	if err != nil {
+		return nil, err
+	}
+	return r.Lower, nil
+}
+
+// Eval is EvalValid, or EvalInflationary when inflationary is set (its
+// Result is two-valued: Lower = Upper), with every definition body and query
+// read through newEval: algebra.NewEvaluator on the production path,
+// algebra.NewReference on the reference, where the same rounds run over
+// materialized operators and naive IFP rounds.
+func Eval(newEval func(algebra.DB, algebra.Budget) *algebra.Evaluator, p *Program, db algebra.DB, budget algebra.Budget, inflationary bool) (*Result, error) {
 	q, err := p.Inline()
 	if err != nil {
 		return nil, err
 	}
-	budget = budget.WithDefaults()
+	r := &Result{db: db, budget: budget.WithDefaults(), newEval: newEval}
 	obs := obsv.Default()
-	st := obsv.CoreEvalStats{Semantics: "inflationary", Defs: len(q.Defs), Gammas: 1}
+	st, loop := obsv.CoreEvalStats{Semantics: "valid", Defs: len(q.Defs)}, "valid-model alternation"
+	if inflationary {
+		st.Semantics, st.Gammas, loop = "inflationary", 1, "inflationary evaluation"
+	}
 	cur := map[string]value.Set{}
 	for _, d := range q.Defs {
 		cur[d.Name] = value.EmptySet
 	}
 	for round := 0; ; round++ {
-		if round >= budget.MaxIFPIters {
-			return nil, fmt.Errorf("%w: inflationary evaluation did not converge within %d rounds", algebra.ErrBudget, budget.MaxIFPIters)
+		if round >= r.budget.MaxIFPIters {
+			return nil, fmt.Errorf("%w: %s did not converge within %d rounds", algebra.ErrBudget, loop, r.budget.MaxIFPIters)
 		}
-		if err := budget.Stop(); err != nil {
+		if err := r.budget.Stop(); err != nil {
 			return nil, err
 		}
-		ev := evaluator(db, budget, cur, cur)
-		next := map[string]value.Set{}
-		changed := false
-		st.Rounds++
-		st.Evals += len(q.Defs)
-		for _, d := range q.Defs {
-			s, err := ev.Eval(d.Body)
-			if err != nil {
-				return nil, err
-			}
-			ns := cur[d.Name].Union(s)
-			if ns.Len() > budget.MaxSetSize {
-				return nil, fmt.Errorf("%w: defined set %q grew past MaxSetSize %d", algebra.ErrBudget, d.Name, budget.MaxSetSize)
-			}
-			next[d.Name] = ns
-			if ns.Len() != cur[d.Name].Len() {
-				changed = true
-			}
+		// A valid round is two Γ passes: the possible sets from the certain
+		// ones, then the certain sets from the possible ones.
+		var next, upper map[string]value.Set
+		if inflationary {
+			next, err = r.jacobi(q, cur, &st)
+			upper = next
+		} else if upper, err = r.gamma(q, cur, &st); err == nil {
+			next, err = r.gamma(q, upper, &st)
 		}
-		cur = next
-		if !changed {
+		if err != nil {
+			return nil, err
+		}
+		if sameSets(cur, next) {
 			if obs != nil {
 				obs.Collect(st)
 			}
-			return cur, nil
+			r.Lower, r.Upper = next, upper
+			return r, nil
 		}
+		cur = next
 	}
 }
 
 // QueryLower evaluates an expression over the result's database and defined
 // sets, returning the certain (lower-bound) answer.
 func (r *Result) QueryLower(e algebra.Expr) (value.Set, error) {
-	return evaluator(r.db, r.budget, r.Lower, r.Upper).Eval(e)
+	return r.evaluator(r.Lower, r.Upper).Eval(e)
 }
 
 // QueryUpper evaluates an expression over the result's database and defined
 // sets, returning the possible (upper-bound) answer.
 func (r *Result) QueryUpper(e algebra.Expr) (value.Set, error) {
-	return evaluator(r.db, r.budget, r.Upper, r.Lower).Eval(e)
+	return r.evaluator(r.Upper, r.Lower).Eval(e)
 }
 
 func sameSets(a, b map[string]value.Set) bool {

@@ -30,9 +30,9 @@
 // evaluator, with its Pos/Neg overlays set to the current bounds; it brings
 // internal/algebra's streaming runtime — σ/MAP pipelines over products are
 // planned into lazy pushdown/hash-join iterators, differences probe, and
-// IFPs distributive in their variable run semi-naively — unless
-// Budget.NoStreaming selects the reference's materialized operators and
-// naive IFP rounds. Those operators are polarity-transparent, so the same
+// IFPs distributive in their variable run semi-naively. Eval with
+// algebra.NewReference runs the same loops on the reference's materialized
+// operators and naive IFP rounds. Those operators are polarity-transparent, so the same
 // pipeline serves both the lower- and upper-bound passes. internal/core is
 // the reference for algebra= and the engine for scripts outside the
 // relational kernel's fragment: query.Execute runs a script in the flat

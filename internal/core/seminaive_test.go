@@ -94,10 +94,8 @@ func TestPropertySemiNaiveValidEquivalence(t *testing.T) {
 		p := randEquationProgram(r)
 		db := algebra.DB{"base": ints(1, 2, 3)}
 		budget := algebra.Budget{MaxIFPIters: 1000, MaxSetSize: 10000}
-		naiveB := budget
-		naiveB.NoStreaming = true
 		sRes, sErr := EvalValid(p, db, budget)
-		nRes, nErr := EvalValid(p, db, naiveB)
+		nRes, nErr := Eval(algebra.NewReference, p, db, budget, false)
 		if sErr != nil || nErr != nil {
 			return true // budget blowups may strike the two engines at different rounds
 		}
@@ -121,14 +119,12 @@ func TestPropertySemiNaiveInflationaryEquivalence(t *testing.T) {
 		p := randEquationProgram(r)
 		db := algebra.DB{"base": ints(1, 2, 3)}
 		budget := algebra.Budget{MaxIFPIters: 1000, MaxSetSize: 10000}
-		naiveB := budget
-		naiveB.NoStreaming = true
 		s, sErr := EvalInflationary(p, db, budget)
-		n, nErr := EvalInflationary(p, db, naiveB)
+		n, nErr := Eval(algebra.NewReference, p, db, budget, true)
 		if sErr != nil || nErr != nil {
 			return true
 		}
-		if !sameSets(s, n) {
+		if !sameSets(s, n.Lower) {
 			t.Logf("seed %d: inflationary results differ: %v vs %v\nprogram:\n%s", seed, s, n, p)
 			return false
 		}
@@ -149,13 +145,13 @@ func TestInflationaryStratificationCounterexample(t *testing.T) {
 		{Name: "a", Body: algebra.Diff{L: algebra.Lit{Set: ints(1)}, R: rel("b")}},
 		{Name: "b", Body: algebra.Lit{Set: ints(1)}},
 	}}
-	for _, reference := range []bool{false, true} {
-		got, err := EvalInflationary(p, algebra.DB{}, algebra.Budget{NoStreaming: reference})
+	for i, newEval := range []func(algebra.DB, algebra.Budget) *algebra.Evaluator{algebra.NewEvaluator, algebra.NewReference} {
+		res, err := Eval(newEval, p, algebra.DB{}, algebra.Budget{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !value.Equal(got["a"], ints(1)) || !value.Equal(got["b"], ints(1)) {
-			t.Errorf("NoStreaming=%v: got a=%v b=%v, want a={1} b={1}", reference, got["a"], got["b"])
+		if got := res.Lower; !value.Equal(got["a"], ints(1)) || !value.Equal(got["b"], ints(1)) {
+			t.Errorf("reference=%v: got a=%v b=%v, want a={1} b={1}", i == 1, got["a"], got["b"])
 		}
 	}
 }
@@ -229,13 +225,11 @@ func TestFlippedSubtrahendRegression(t *testing.T) {
 	}}
 	db := algebra.DB{"base": ints(1, 2, 3)}
 	budget := algebra.Budget{MaxIFPIters: 1000, MaxSetSize: 10000}
-	naiveB := budget
-	naiveB.NoStreaming = true
 	sRes, err := EvalValid(p, db, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nRes, err := EvalValid(p, db, naiveB)
+	nRes, err := Eval(algebra.NewReference, p, db, budget, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //
 //   - expressions: the served path (query.Execute: the relational kernel, or
 //     the value evaluator's streaming pipelines, access paths and semi-naive
-//     IFP) vs the reference evaluator, Budget.NoStreaming's materialized
+//     IFP) vs the reference evaluator, algebra.NewReference's materialized
 //     operators and naive IFP rounds (expr-stream), the value evaluator's
 //     semi-naive IFP, kernel aside, vs the same reference (expr-seminaive),
 //     and the Theorem 3.5 constructive IFP elimination vs direct evaluation;
@@ -26,8 +26,8 @@
 //     path vs the reference (dlog-stream);
 //   - incremental view maintenance: replaying a random insert/delete
 //     schedule through the counting/DRed delta engine (internal/ivm) must
-//     match from-scratch recompute (the view Budget.NoStreaming selects)
-//     bit-for-bit, per-step deltas and outcomes alike (dlog-ivm);
+//     match from-scratch recompute (ivm.NewRecompute's view) bit-for-bit,
+//     per-step deltas and outcomes alike (dlog-ivm);
 //   - the engine choice inside query.Execute: a program over stored
 //     relations, evaluated relationally, must match the grounded reference
 //     bit-for-bit — stratified (dlog-relational) or with negation through
@@ -206,16 +206,6 @@ var ExprBudget = algebra.Budget{MaxIFPIters: 500, MaxSetSize: 100_000}
 
 // GroundBudget bounds grounding inside every deductive pipeline.
 var GroundBudget = ground.Budget{MaxAtoms: 60_000, MaxRules: 250_000}
-
-// noStreaming returns the budget selecting the reference evaluator
-// (Budget.NoStreaming) — the reference side of every production-vs-reference
-// oracle. The switch travels in the Budget, so the oracles need no lock;
-// when DefaultBudget.NoStreaming is set, both sides of a pair run the
-// reference and the oracle degrades to a (still sound) self-comparison.
-func noStreaming(b algebra.Budget) algebra.Budget {
-	b.NoStreaming = true
-	return b
-}
 
 // skippable reports whether the error is resource exhaustion (an algebra or
 // grounding budget) rather than a comparable outcome.

@@ -11,15 +11,15 @@ import (
 // checkCoreValid evaluates an algebra= program under the valid semantics as
 // it is served — query.Execute, which runs a program in the flat fragment on
 // the relational rule kernel's alternation and any other on internal/core's
-// streamed, probing operators — and on the reference, core.EvalValid under
-// Budget.NoStreaming: the naive Γ rounds over materialized operators. Every
+// streamed, probing operators — and on the reference, core.Eval with
+// algebra.NewReference: the naive Γ rounds over materialized operators. Every
 // def's certain elements (the lower bound) and undefined ones (upper − lower)
 // must be identical. The served side is where FaultDropMax plants its
 // corruption.
 func checkCoreValid(p *core.Program, db algebra.DB) error {
 	const oracle = "core-valid"
 	out, errS := query.Execute(query.ScriptPlan(p), db, query.Options{Budget: ExprBudget, Ground: GroundBudget})
-	ref, errR := core.EvalValid(p, db, noStreaming(ExprBudget))
+	ref, errR := core.Eval(algebra.NewReference, p, db, ExprBudget, false)
 	if done, err := pairErr(oracle, "served", "reference", errS, errR); done {
 		return err
 	}
@@ -40,12 +40,12 @@ func checkCoreValid(p *core.Program, db algebra.DB) error {
 // accumulate the same sets.
 func checkCoreInflationary(p *core.Program, db algebra.DB) error {
 	const oracle = "core-inflationary"
-	ref, errR := core.EvalInflationary(p, db, noStreaming(ExprBudget))
+	ref, errR := core.Eval(algebra.NewReference, p, db, ExprBudget, true)
 	opt, errO := core.EvalInflationary(p, db, ExprBudget)
 	if done, err := pairErr(oracle, "reference", "production", errR, errO); done {
 		return err
 	}
-	return diffSetMaps(oracle, "inflationary fixpoint", ref, opt)
+	return diffSetMaps(oracle, "inflationary fixpoint", ref.Lower, opt)
 }
 
 // checkCoreWellFounded compares the valid interpretation computed natively

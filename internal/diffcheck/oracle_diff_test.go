@@ -83,7 +83,7 @@ func TestDiffProbingInstances(t *testing.T) {
 					t.Error(err)
 				}
 				prod, errP := core.EvalValid(sc.Program, sc.DB, ExprBudget)
-				ref, errR := core.EvalValid(sc.Program, sc.DB, noStreaming(ExprBudget))
+				ref, errR := core.Eval(algebra.NewReference, sc.Program, sc.DB, ExprBudget, false)
 				if errP != nil || errR != nil {
 					t.Fatalf("production: %v, reference: %v", errP, errR)
 				}
@@ -145,7 +145,7 @@ func TestDiffLeafErrorsSurfaceOnBothPaths(t *testing.T) {
 		}
 		p := &core.Program{Defs: []core.Def{{Name: "d", Body: e}}}
 		_, errP := core.EvalValid(p, db, ExprBudget)
-		_, errR := core.EvalValid(p, db, noStreaming(ExprBudget))
+		_, errR := core.Eval(algebra.NewReference, p, db, ExprBudget, false)
 		if errP == nil || errR == nil || errP.Error() != errR.Error() {
 			t.Errorf("def d = %s:\n  production: %v\n  reference:  %v", src, errP, errR)
 		}
@@ -193,7 +193,7 @@ func TestProbingBudgetBoundary(t *testing.T) {
 	if err != nil || got.Len() != 1 {
 		t.Errorf("production: %v, %v; want the one pair outside the product", got, err)
 	}
-	if _, err := algebra.NewEvaluator(algebra.DB{}, noStreaming(ExprBudget)).Eval(e); !skippable(err) {
+	if _, err := algebra.NewReference(algebra.DB{}, ExprBudget).Eval(e); !skippable(err) {
 		t.Errorf("reference: %v, want a budget error", err)
 	}
 	if err := checkExprStream(e, algebra.DB{}); err != nil {

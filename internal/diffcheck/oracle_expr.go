@@ -14,7 +14,7 @@ import (
 // delta loop; that side is also where FaultDropMax plants its corruption.
 func checkExprSemiNaive(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-seminaive"
-	naive, errN := algebra.NewEvaluator(db, noStreaming(ExprBudget)).Eval(e)
+	naive, errN := algebra.NewReference(db, ExprBudget).Eval(e)
 	delta, errD := algebra.NewEvaluator(db, ExprBudget).Eval(e)
 	if done, err := pairErr(oracle, "naive", "semi-naive", errN, errD); done {
 		return err

@@ -15,15 +15,15 @@ import (
 // (internal/ivm): replaying an arbitrary insert/delete schedule through the
 // counting/DRed delta engine must leave the maintained outcome — and every
 // per-step ResultDelta — bit-for-bit identical to a view that re-executes
-// the plan from scratch on each batch (the view the Budget.NoStreaming
-// reference selects) and diffs the outcomes.
+// the plan from scratch on each batch (ivm.NewRecompute) and diffs the
+// outcomes.
 //
 // What it pins is maintained == from-scratch, deltas included — not that
 // from-scratch is right: the recompute side is query.Execute, which evaluates
 // these stratified programs on the same relational kernel the delta engine
-// maintains on — NoStreaming does not change datalog's engine — so a fault in
-// the kernel's joins would move both sides alike. The independent reference —
-// the grounded evaluation — is dlog-relational's side of the triangle.
+// maintains on, so a fault in the kernel's joins would move both sides
+// alike. The independent reference — the grounded evaluation — is
+// dlog-relational's side of the triangle.
 //
 // The A/B is per-view, so no process-wide flip or serialization lock is
 // involved.
@@ -44,7 +44,7 @@ func checkDlogIVM(p *datalog.Program, sched []randgen.FactBatch) error {
 		Program:   p,
 	}
 	inc, errI := ivm.New(plan, nil, query.Options{Budget: ExprBudget, Ground: GroundBudget})
-	rec, errR := ivm.New(plan, nil, query.Options{Budget: noStreaming(ExprBudget), Ground: GroundBudget})
+	rec, errR := ivm.NewRecompute(plan, nil, query.Options{Budget: ExprBudget, Ground: GroundBudget})
 	if done, err := pairErr(oracle, "incremental build", "recompute build", errI, errR); done {
 		return err
 	}

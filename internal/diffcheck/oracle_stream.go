@@ -9,9 +9,9 @@ import (
 )
 
 // The stream oracles pin the production path's contract: against the
-// reference evaluator the per-budget NoStreaming switch selects — materialized
-// operators, naive IFP rounds, internal/core instead of the rule kernel — it
-// changes cost only, never results.
+// reference evaluator (algebra.NewReference) — materialized operators, naive
+// IFP rounds, internal/core instead of the rule kernel — it changes cost
+// only, never results.
 
 // checkExprStream evaluates one expression as it is served — query.Execute,
 // which runs a flat join on the relational rule kernel and everything else on
@@ -23,7 +23,7 @@ import (
 func checkExprStream(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-stream"
 	out, errSt := query.Execute(query.ExprPlan(e), db, query.Options{Budget: ExprBudget})
-	ref, errRef := algebra.NewEvaluator(db, noStreaming(ExprBudget)).Eval(e)
+	ref, errRef := algebra.NewReference(db, ExprBudget).Eval(e)
 	if done, err := pairErr(oracle, "served", "reference", errSt, errRef); done {
 		return err
 	}
@@ -47,7 +47,7 @@ func checkDlogStream(p *datalog.Program) error {
 		return nil // translation gap: not comparable
 	}
 	st, errSt := core.EvalValid(cp, db, ExprBudget)
-	ref, errRef := core.EvalValid(cp, db, noStreaming(ExprBudget))
+	ref, errRef := core.Eval(algebra.NewReference, cp, db, ExprBudget, false)
 	if done, err := pairErr(oracle, "production valid", "reference valid", errSt, errRef); done {
 		return err
 	}

@@ -21,8 +21,8 @@
 //     negation through recursion (three-valued under valid and well-founded:
 //     each recompute is the kernel's alternation from scratch, but no batch is
 //     propagated into one), under the inflationary or stable semantics, or with
-//     a rule no join order exists for; and the Budget.NoStreaming reference —
-//     by re-executing the plan and diffing the outcomes.
+//     a rule no join order exists for — by re-executing the plan and diffing
+//     the outcomes (NewRecompute builds such a view of any plan).
 //
 // The delta engine owns no tables, rule compiler, plan executor or strategy
 // code: it is a client of the relational rule kernel (internal/datalog/rel),
@@ -64,8 +64,8 @@ const (
 	// ModeIncremental maintains the outcome by counting/DRed delta rules.
 	ModeIncremental Mode = "incremental"
 	// ModeRecompute re-executes the plan on every mutation batch and diffs
-	// the outcomes — the always-correct fallback, and the view the
-	// Budget.NoStreaming reference selects.
+	// the outcomes — the always-correct fallback, and every view
+	// NewRecompute builds.
 	ModeRecompute Mode = "recompute"
 )
 
@@ -73,7 +73,9 @@ const (
 // predicate, an algebra= defined constant ("def" entries are named directly,
 // query statements as "query:<src>"), or the single result set of an
 // expression plan (named "value"). Fact keys and set elements are rendered
-// exactly as the outcome renders them, in the outcome's order.
+// exactly as the outcome renders them, in the outcome's order. A delta the
+// server folds from several (internal/server's subscription coalescing)
+// lists them in byte order instead: tc(10, 1) before tc(9, 1).
 type PredDelta struct {
 	Pred         string   `json:"pred"`
 	Added        []string `json:"added,omitempty"`
@@ -119,39 +121,43 @@ type View struct {
 // incremental engine is used for datalog plans whose program is stratified
 // (negation-free for the minimal semantics), with every rule plannable,
 // under the stratified, valid, well-founded or minimal semantics — the
-// fragments where those semantics agree on the stratified model — provided
-// opts.Budget does not select the NoStreaming reference; every other plan, a
-// program with negation through recursion included, gets the recompute
-// fallback. The initial evaluation honors opts' budgets; its
+// fragments where those semantics agree on the stratified model; every other
+// plan, a program with negation through recursion included, gets the
+// recompute fallback. The initial evaluation honors opts' budgets; its
 // error is returned as-is (query.ErrorCode classifies it). A view reports one
 // obsv.IVMStats event per Apply to the collector that is the process default
 // when it is built.
 func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
-	v := &View{plan: plan, opts: opts, mode: ModeRecompute, obs: obsv.Default()}
-	if incrementalOK(plan, opts) {
-		eng, err := newEngine(plan, db, opts, v.obs != nil)
-		if err != nil {
-			return nil, err
-		}
-		v.mode, v.eng = ModeIncremental, eng
-		return v, nil
+	if !incrementalOK(plan) {
+		return NewRecompute(plan, db, opts)
 	}
+	v := &View{plan: plan, opts: opts, mode: ModeIncremental, obs: obsv.Default()}
+	eng, err := newEngine(plan, db, opts, v.obs != nil)
+	if err != nil {
+		return nil, err
+	}
+	v.eng = eng
+	return v, nil
+}
+
+// NewRecompute builds a View of plan over db that re-executes the plan on
+// every batch and diffs the outcomes, whatever the plan: the from-scratch
+// side the dlog-ivm oracle and the tests hold an incremental view to.
+func NewRecompute(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
 	out, err := query.Execute(plan, db, opts)
 	if err != nil {
 		return nil, err
 	}
-	v.db, v.out = db.Clone(), out
-	return v, nil
+	return &View{plan: plan, opts: opts, mode: ModeRecompute, db: db.Clone(), out: out, obs: obsv.Default()}, nil
 }
 
 // incrementalOK reports whether the plan is in the incrementally
-// maintainable fragment under the given options: a stratified program that
-// query.Execute would evaluate on the relational kernel, unless
-// Budget.NoStreaming asks for the reference. The kernel also evaluates
-// negation through recursion, three-valued; keeping such a model current
-// under mutation is not done here.
-func incrementalOK(plan *query.Plan, opts query.Options) bool {
-	return !opts.Budget.WithDefaults().NoStreaming && query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
+// maintainable fragment: a stratified program that query.Execute would
+// evaluate on the relational kernel. The kernel also evaluates negation
+// through recursion, three-valued; keeping such a model current under
+// mutation is not done here.
+func incrementalOK(plan *query.Plan) bool {
+	return query.RelationalOK(plan) && datalog.IsStratified(plan.Program)
 }
 
 // Mode returns the view's maintenance mode.

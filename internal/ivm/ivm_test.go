@@ -192,7 +192,7 @@ func TestRecomputeFallbackMatchesIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(incremental): %v", err)
 	}
-	rec, err := New(plan, db, query.Options{Budget: algebra.Budget{NoStreaming: true}})
+	rec, err := NewRecompute(plan, db, query.Options{})
 	if err != nil {
 		t.Fatalf("New(recompute): %v", err)
 	}
@@ -384,7 +384,7 @@ func TestSelfSupportingDerivationDeleted(t *testing.T) {
 // the other deltas, exactly as the incremental engine emits it.
 func TestVanishedPredicateDeltaOrder(t *testing.T) {
 	plan := mustPlan(t, query.SemStratified, `s(X, X) :- q(X).`)
-	v, err := New(plan, algebra.DB{}, query.Options{Budget: algebra.Budget{NoStreaming: true}})
+	v, err := NewRecompute(plan, algebra.DB{}, query.Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -78,8 +78,8 @@ type IFPStats struct {
 	// Mode is "seminaive" when the delta engine evaluated the body only on
 	// the per-round delta (the body is distributive over union in the
 	// fixpoint variable), "naive" when every round re-evaluated the body on
-	// the full accumulator (a non-distributive body, or the Budget.NoStreaming
-	// reference).
+	// the full accumulator (a non-distributive body, or the reference,
+	// algebra.NewReference).
 	Mode string
 	// Rounds counts body evaluations, including the final unchanged round
 	// that detects the fixpoint.
@@ -363,8 +363,7 @@ type AlgebraStats struct {
 	// the flat fragment), "flip" and "subtrahend" (a script with a flip, or
 	// with a diff inside a subtrahend), "shape" (a stored relation is absent
 	// or not of the width the plan reads), "stored-name" (the database
-	// stores a relation under a def's name), or "reference"
-	// (Budget.NoStreaming). Empty on the kernel.
+	// stores a relation under a def's name). Empty on the kernel.
 	Fallback string
 }
 

@@ -250,7 +250,7 @@ func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out 
 	var err error
 	switch plan.Semantics {
 	case SemValid:
-		reason := route(plan, merged, opts)
+		reason := route(plan, merged)
 		if obs := report("core", reason); reason == "" {
 			if base == nil || len(script.DB) > 0 {
 				base = rel.NewBase(merged)

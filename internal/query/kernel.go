@@ -912,14 +912,10 @@ func (s *survey) fn(f algebra.FExpr) {
 }
 
 // route says why the plan's kernel program does not answer it over db — ""
-// when it does: Budget.NoStreaming selects the reference, Compile found the
-// source outside the fragment (a plan built by hand is not compiled), or db
-// does not fit the program.
-func route(plan *Plan, db algebra.DB, opts Options) string {
-	switch {
-	case opts.Budget.WithDefaults().NoStreaming:
-		return "reference"
-	case plan.kernel == nil:
+// when it does: Compile found the source outside the fragment (a plan built
+// by hand is not compiled), or db does not fit the program.
+func route(plan *Plan, db algebra.DB) string {
+	if plan.kernel == nil {
 		return cmp.Or(plan.fallback, "outside-fragment")
 	}
 	return plan.kernel.fits(db)
@@ -939,11 +935,10 @@ func report(engine, reason string) obsv.Collector {
 }
 
 // executeAlgebra evaluates an expression on the kernel when the plan compiled
-// for it and the database fits, on the value evaluator otherwise — always
-// under Budget.NoStreaming, the reference. A kernel answer stays rows, in
-// their value order.
+// for it and the database fits, on the value evaluator otherwise. A kernel
+// answer stays rows, in their value order.
 func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (*exprAnswer, error) {
-	reason := route(plan, db, opts)
+	reason := route(plan, db)
 	obs := report("value", reason)
 	if reason != "" {
 		set, err := algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)

@@ -10,6 +10,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/algebra/parse"
+	"algrec/internal/core"
 	"algrec/internal/datalog/rel"
 	"algrec/internal/obsv"
 	"algrec/internal/value"
@@ -30,8 +31,39 @@ const (
 
 // reference evaluates e on the reference evaluator.
 func reference(e algebra.Expr, db algebra.DB, b algebra.Budget) (value.Set, error) {
-	b.NoStreaming = true
-	return algebra.NewEvaluator(db, b).Eval(e)
+	return algebra.NewReference(db, b).Eval(e)
+}
+
+// coreReference is an algebra= script's outcome on internal/core's reference
+// loops (core.Eval with algebra.NewReference), assembled as Execute assembles
+// a valid or inflationary one from internal/core.
+func coreReference(t *testing.T, plan *Plan, db algebra.DB) *Outcome {
+	t.Helper()
+	merged := db.Clone()
+	for k, v := range plan.Script.DB {
+		merged[k] = v
+	}
+	res, err := core.Eval(algebra.NewReference, plan.Script.Program, merged, algebra.Budget{}, plan.Semantics == SemInflationary)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	out := &Outcome{Language: plan.Language, Semantics: plan.Semantics, WellDefined: true}
+	out.Defs = defSets(plan.Script.Program, res.Lower, res.Upper)
+	for _, d := range out.Defs {
+		out.WellDefined = out.WellDefined && d.Undef.IsEmpty()
+	}
+	for _, q := range plan.Script.Queries {
+		lower, err := res.QueryLower(q.Expr)
+		if err != nil {
+			t.Fatalf("reference: %s: %v", q.Src, err)
+		}
+		upper, err := res.QueryUpper(q.Expr)
+		if err != nil {
+			t.Fatalf("reference: %s: %v", q.Src, err)
+		}
+		out.Queries = append(out.Queries, QueryAnswer{Src: q.Src, Set: lower, Undef: upper.Diff(lower)})
+	}
+	return out
 }
 
 // withStats installs a fresh counter collector as the process default for
@@ -43,74 +75,6 @@ func withStats(t *testing.T) *obsv.Stats {
 	obsv.SetDefault(stats)
 	t.Cleanup(func() { obsv.SetDefault(prev) })
 	return stats
-}
-
-// TestAlgebraEngineChoice: which engine answers an expression is a function of
-// the plan, the database's shapes and NoStreaming, and every evaluation says
-// which, and why.
-func TestAlgebraEngineChoice(t *testing.T) {
-	small := algebra.DB{"e": digraph(40, 120)}
-	mixed := algebra.DB{"e": small["e"].Insert(value.Int(3))}
-	var reference Options
-	reference.Budget.NoStreaming = true
-	for _, c := range []struct {
-		name, lang, src string
-		db              algebra.DB
-		opts            Options
-		engine, why     string
-	}{
-		{"ifp-reach4", "ifp-algebra", textReach4, small, Options{}, "kernel", ""},
-		{"alg-2hop", "algebra", textTwoHop, small, Options{}, "kernel", ""},
-		{"alg-triangle", "algebra", textTriangle, small, Options{}, "kernel", ""},
-		{"pt-out", "ifp-algebra", textPointOut, small, Options{}, "value", "point"},
-		{"pt-2hop", "ifp-algebra", textPoint2, small, Options{}, "value", "point"},
-		{"pt-ifp", "ifp-algebra", textPointIFP, small, Options{}, "value", "outside-fragment"},
-		{"alg-2hop over pairs and scalars", "algebra", textTwoHop, mixed, Options{}, "value", "shape"},
-		{"ifp-reach4 under NoStreaming", "ifp-algebra", textReach4, small, reference, "value", "reference"},
-		{"alg-2hop under NoStreaming", "algebra", textTwoHop, small, reference, "value", "reference"},
-		{"pt-out under NoStreaming", "ifp-algebra", textPointOut, small, reference, "value", "reference"},
-	} {
-		lang, _ := ParseLanguage(c.lang)
-		plan := mustCompile(t, lang, SemValid, c.src)
-		stats := withStats(t)
-		_, err := Execute(plan, c.db, c.opts)
-		snap := stats.Snapshot()
-		want := obsv.Snapshot{"algebra.engine." + c.engine: 1}
-		if c.why != "" {
-			want["algebra.fallback."+c.why] = 1
-		}
-		for k := range snap {
-			if len(k) < 8 || k[:8] != "algebra." {
-				delete(snap, k)
-			}
-		}
-		if (err != nil) != (c.why == "shape") || !reflect.DeepEqual(snap, want) {
-			t.Errorf("%s: %v, counters %v, want %v", c.name, err, snap, want)
-		}
-	}
-
-	// eq-win is algebra= under valid: the kernel's alternation answers it, and
-	// under NoStreaming internal/core, the reference.
-	eqWin := mustCompile(t, LangAlgebraEq, SemValid, textEqWin)
-	stats := withStats(t)
-	served, err := Execute(eqWin, small, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := stats.Snapshot(); snap["algebra.engine.kernel"] != 1 || snap["rel.units.alternating"] != 1 || snap["core.valid.calls"] != 0 {
-		t.Errorf("eq-win: counters %v", snap)
-	}
-	stats = withStats(t)
-	ref, err := Execute(eqWin, small, reference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := stats.Snapshot(); snap["algebra.engine.core"] != 1 || snap["algebra.fallback.reference"] != 1 || snap["core.valid.calls"] != 1 || snap["rel.evals.algebra"] != 0 {
-		t.Errorf("eq-win under NoStreaming: counters %v", snap)
-	}
-	if got, want := algqText(served), algqText(ref); got != want {
-		t.Errorf("eq-win: kernel\n%s\nreference\n%s", got, want)
-	}
 }
 
 // algqText renders an outcome as cmd/algq -defs prints it.
@@ -133,8 +97,6 @@ func TestScriptsOnTheKernel(t *testing.T) {
 		}
 		return s.DB
 	}
-	var reference Options
-	reference.Budget.NoStreaming = true
 	for _, c := range []struct {
 		name, src string
 		db        algebra.DB
@@ -162,10 +124,7 @@ func TestScriptsOnTheKernel(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		snap := stats.Snapshot()
-		ref, err := Execute(plan, c.db, reference)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", c.name, err)
-		}
+		ref := coreReference(t, plan, c.db)
 		engine := "kernel"
 		if c.why != "" {
 			engine = "core"
@@ -443,8 +402,9 @@ func BenchmarkAlgebraKernel(b *testing.B) {
 }
 
 // BenchmarkAlgebraValue: the same plans on the value evaluator — planned, as
-// before the kernel, and the NoStreaming reference where it fits the budget;
-// a reference leg that exceeds it is skipped with the budget's error.
+// before the kernel, and on the reference (algebra.NewReference) where it
+// fits the budget; a reference leg that exceeds it is skipped with the
+// budget's error.
 func BenchmarkAlgebraValue(b *testing.B) {
 	db := g20k().DB()
 	for _, c := range benchClasses {
@@ -453,9 +413,9 @@ func BenchmarkAlgebraValue(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, ref := range []bool{false, true} {
-			name := c.name + "/planned"
+			name, newEval := c.name+"/planned", algebra.NewEvaluator
 			if ref {
-				name = c.name + "/nostreaming"
+				name, newEval = c.name+"/reference", algebra.NewReference
 			}
 			b.Run(name, func(b *testing.B) {
 				if ref && c.name == "triangle" {
@@ -463,7 +423,7 @@ func BenchmarkAlgebraValue(b *testing.B) {
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s, err := algebra.NewEvaluator(db, algebra.Budget{NoStreaming: ref}).Eval(e)
+					s, err := newEval(db, algebra.Budget{}).Eval(e)
 					if ref && errors.Is(err, algebra.ErrBudget) {
 						b.Skipf("the materialized reference does not fit the budget: %v", err)
 					}

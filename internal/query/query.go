@@ -21,8 +21,7 @@
 //
 // docs/architecture.md walks the full lifecycle — parse, translate, plan,
 // ground, fixpoint, result — through this package's Compile/Execute split,
-// including where the streaming execution runtime and the reference switch
-// (Budget.NoStreaming) plug in.
+// including where the streaming execution runtime plugs in.
 package query
 
 import (

@@ -59,7 +59,7 @@ func TestAnswerTextMatchesReference(t *testing.T) {
 	} {
 		plan := mustCompile(t, LangAlgebra, SemValid, c.src)
 		db := algebra.DB{"e": c.e}
-		if why := route(plan, db, Options{}); why != "" {
+		if why := route(plan, db); why != "" {
 			t.Fatalf("%s: the kernel does not answer (%s)", c.name, why)
 		}
 		want, err := reference(plan.Expr, db, algebra.Budget{})

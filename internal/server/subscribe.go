@@ -218,6 +218,7 @@ func deltaEntries(preds []ivm.PredDelta) int {
 // mergePredDeltas folds delta b (later) over delta a (earlier) with set
 // semantics: a fact added then removed (or vice versa) cancels out. Both
 // inputs describe consistent consecutive transitions, so the fold is exact.
+// The folded keys come out in byte order, not in the outcome's order.
 func mergePredDeltas(a, b []ivm.PredDelta) []ivm.PredDelta {
 	type predState struct {
 		added, removed, uAdded, uRemoved map[string]bool

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"algrec/internal/ivm"
 )
 
 // tcProgram is the datalog subscription workload over the registered edge
@@ -347,8 +349,10 @@ func TestSubscribeSSE(t *testing.T) {
 }
 
 // TestSubscribeCoalescing holds the writer between events (via the test
-// hook) while two mutations land: the subscriber must fold them into one
-// delta event and count the fold.
+// hook) while two mutations land, twice: the subscriber must fold each pair
+// into one delta event and count the folds. A folded delta lists its keys
+// in byte order, not in the outcome's value order: tc(10, 1) comes before
+// tc(9, 1).
 func TestSubscribeCoalescing(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	gate := make(chan struct{})
@@ -378,11 +382,25 @@ func TestSubscribeCoalescing(t *testing.T) {
 		t.Fatalf("folded edge delta = %+v, want only edge(d, e) added", edge)
 	}
 
+	// The writer is parked again. Two inserts whose keys sort differently by
+	// bytes and by value fold into one delta.
+	postFacts(t, ts, "g", mutateRequest{Insert: []factJSON{jsonFact("edge", 10, 1)}})
+	postFacts(t, ts, "g", mutateRequest{Insert: []factJSON{jsonFact("edge", 9, 1)}})
+	gate <- struct{}{}
+	d = st.next(t)
+	want := []ivm.PredDelta{
+		{Pred: "edge", Added: []string{"edge(10, 1)", "edge(9, 1)"}},
+		{Pred: "tc", Added: []string{"tc(10, 1)", "tc(9, 1)"}},
+	}
+	if d.Event != "delta" || d.Version != 5 || !reflect.DeepEqual(d.Preds, want) {
+		t.Fatalf("folded event = %+v, want delta @v5 with %+v", d, want)
+	}
+
 	close(gate) // the writer is parked in the next iteration's hook; free it for good
 	st.resp.Body.Close()
 	waitCounter(t, s, "server.subscription.ends.client-gone", 1)
-	if got := s.Stats().Snapshot()["server.subscription.coalesced"]; got != 1 {
-		t.Fatalf("coalesced = %d, want 1", got)
+	if got := s.Stats().Snapshot()["server.subscription.coalesced"]; got != 2 {
+		t.Fatalf("coalesced = %d, want 2", got)
 	}
 }
 
