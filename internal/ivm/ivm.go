@@ -228,10 +228,11 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 // same fact↔element mapping as query.DBFacts (rel.ElemFact): a unary fact is a scalar
 // element, an n-ary fact a tuple. Deletions apply before insertions;
 // deleting from an unknown relation is a no-op, inserting into one creates
-// it. db itself is never mutated: relations are immutable sets, and a
-// relation the batch touches is copied once, however many facts the batch
-// holds: one value.Set.Update merges everything the batch deletes from it
-// and inserts into it (Diff, for a relation the batch only deletes from).
+// it. db itself is never mutated: relations are immutable sets, and one
+// value.Set.Update applies everything the batch deletes from a relation and
+// inserts into it (Diff, for a relation the batch only deletes from). On a
+// large relation that copies only the parts the batch changes and shares the
+// rest with db's version, so a batch costs O(batch), not O(relation).
 func ApplyDB(db algebra.DB, insert, del []datalog.Fact) algebra.DB {
 	out := make(algebra.DB, len(db)+1)
 	for k, s := range db {

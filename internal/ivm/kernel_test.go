@@ -567,9 +567,11 @@ func BenchmarkApplyDB(b *testing.B) {
 
 // TestApplyDBAllocs bounds what one write-stream batch allocates when
 // BenchmarkApplyDB's leaf-churn batch builds the database's next version:
-// each touched relation is copied once, whatever its size. The bound is
-// about 1.5 times what the batch took when it was set; a change that raises
-// it says so.
+// a touched relation shares every run the batch leaves alone, so the batch
+// copies the runs it edits and the spine, not the relation. The count bound
+// is about 1.5 times what the batch took when it was set, and the byte bound
+// is 16 KB where copying the 10^4-edge relation took 166 KB; a change that
+// raises either says so.
 func TestApplyDBAllocs(t *testing.T) {
 	leaves := func(i int) (fs []datalog.Fact) {
 		for k := 0; k < 4; k++ {
@@ -586,6 +588,9 @@ func TestApplyDBAllocs(t *testing.T) {
 	t.Logf("%.0f allocations", n)
 	if n > 90 {
 		t.Errorf("a leaf-churn batch's ApplyDB takes %.0f allocations, want at most 90", n)
+	}
+	if bytes := testing.Benchmark(BenchmarkApplyDB).AllocedBytesPerOp(); bytes > 16<<10 {
+		t.Errorf("a leaf-churn batch's ApplyDB allocates %d bytes, want at most 16 KB", bytes)
 	}
 }
 

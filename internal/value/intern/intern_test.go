@@ -175,6 +175,29 @@ func TestGlobalCachesIDs(t *testing.T) {
 	}
 }
 
+// TestUpdatedSetInternsAsFlat: a large set after a small Update (held in
+// runs inside package value) interns, privately and globally, to the ID of
+// the equal set built flat, and its cached global ID then certifies the
+// equality both ways.
+func TestUpdatedSetInternsAsFlat(t *testing.T) {
+	elems := make([]value.Value, 3000)
+	for i := range elems {
+		elems[i] = value.Pair(value.Int(int64(i/3)), value.String(fmt.Sprint("v", i)))
+	}
+	updated := value.NewSet(elems...).Update(value.NewSet(elems[7]), value.NewSet(value.Int(-5)))
+	flat := value.NewSet(updated.Elems()...)
+	in := New()
+	if a, b := in.Intern(updated), in.Intern(flat); a != b {
+		t.Errorf("private interner: updated set %d, equal flat set %d", a, b)
+	}
+	if a, b := Global().Intern(updated), Global().Intern(flat); a != b {
+		t.Errorf("global interner: updated set %d, equal flat set %d", a, b)
+	}
+	if value.InternID(updated) == 0 || updated.Compare(flat) != 0 || flat.Compare(updated) != 0 {
+		t.Error("the updated set did not cache its ID, or compares unequal to the flat one")
+	}
+}
+
 func TestPrivateInternerDoesNotTouchCache(t *testing.T) {
 	in := New()
 	v := value.NewTuple(value.Int(424242), value.Int(5))

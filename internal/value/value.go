@@ -359,7 +359,7 @@ func writeString(sb *strings.Builder, v Value) {
 			sb.WriteString(*vv.c.str.Load())
 			return
 		}
-		elems, left, right = vv.elems, '{', '}'
+		elems, left, right = vv.flat(), '{', '}'
 	default:
 		sb.WriteString(v.String())
 		return
