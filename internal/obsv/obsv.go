@@ -349,13 +349,15 @@ type RelUnit struct {
 }
 
 // AlgebraStats says which engine answered one algebra or ifp-algebra
-// expression, or one algebra= script under the valid semantics,
-// query.Execute evaluated: the relational rule kernel, or else the
-// value-space evaluator of internal/algebra (an expression) or internal/core
-// (a script) — and then why. One event per evaluation; a kernel evaluation
-// also reports a RelStats event (engine "algebra") with its join work.
+// expression, or one algebra= script, query.Execute evaluated: the
+// relational rule kernel, or else the value-space evaluator of
+// internal/algebra (an expression) or internal/core (a script under valid or
+// inflationary), or the grounded translation of internal/translate (a script
+// under wellfounded or stable) — and then why. One event per evaluation; a
+// kernel evaluation also reports a RelStats event (engine "algebra") with
+// its join work.
 type AlgebraStats struct {
-	// Engine is "kernel", "value" or "core".
+	// Engine is "kernel", "value", "core" or "grounded".
 	Engine string
 	// Fallback says why the kernel did not run: "point" (a recursion-free
 	// plan selecting a leaf by a constant, which the access paths answer),
@@ -363,7 +365,9 @@ type AlgebraStats struct {
 	// the flat fragment), "flip" and "subtrahend" (a script with a flip, or
 	// with a diff inside a subtrahend), "shape" (a stored relation is absent
 	// or not of the width the plan reads), "stored-name" (the database
-	// stores a relation under a def's name). Empty on the kernel.
+	// stores a relation under a def's name), "semantics" (a script under a
+	// semantics other than valid, which the kernel does not run). Empty on
+	// the kernel.
 	Fallback string
 }
 

@@ -262,14 +262,17 @@ func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out 
 		}
 		lower, upper = res.Lower, res.Upper
 	case SemInflationary:
+		report("core", "semantics")
 		if lower, err = core.EvalInflationary(script.Program, merged, opts.Budget); err != nil {
 			return nil, err
 		}
 	case SemWellFounded:
+		report("grounded", "semantics")
 		if lower, upper, err = translate.WellFoundedSetsBudget(script.Program, merged, opts.Ground); err != nil {
 			return nil, err
 		}
 	case SemStable:
+		report("grounded", "semantics")
 		models, err := translate.StableSetsBudget(script.Program, merged, opts.MaxUndef, opts.Ground)
 		if err != nil {
 			return nil, err

@@ -221,6 +221,7 @@ func TestEngineChoice(t *testing.T) {
 	const win = "e(1, 2). e(2, 1). e(2, 3). win(X) :- e(X, Y), not win(Y)."
 	small := algebra.DB{"e": digraph(40, 120)}
 	mixed := algebra.DB{"e": small["e"].Insert(value.Int(3))}
+	tiny := algebra.DB{"e": value.NewSet(value.NewTuple(ints(1, 2)...), value.NewTuple(ints(2, 3)...))}
 	for _, c := range []struct {
 		lang     Language
 		sem      Semantics
@@ -254,6 +255,9 @@ func TestEngineChoice(t *testing.T) {
 		{LangAlgebraEq, SemValid, "a projection into a nested component", `def firsts = map(e, \x -> x.1.1);`, algebra.DB{"e": value.NewSet(value.NewTuple(value.NewTuple(ints(1, 2)...), value.Int(3)))}, "core", "outside-fragment", ""},
 		{LangAlgebraEq, SemValid, "a flip", `def s = diff(e, flip(s));`, small, "core", "flip", ""},
 		{LangAlgebraEq, SemValid, "a diff inside a subtrahend", `def s = diff(e, diff(e, s));`, small, "core", "subtrahend", ""},
+		{LangAlgebraEq, SemInflationary, "any", textEqWin, tiny, "core", "semantics", ""},
+		{LangAlgebraEq, SemWellFounded, "any", textEqWin, tiny, "grounded", "semantics", ""},
+		{LangAlgebraEq, SemStable, "any", textEqWin, tiny, "grounded", "semantics", ""},
 	} {
 		name := fmt.Sprintf("%s %s over %s", c.lang, c.sem, c.fragment)
 		plan := mustCompile(t, c.lang, c.sem, c.src)

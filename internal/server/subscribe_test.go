@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"algrec/internal/ivm"
+	"algrec/internal/query"
 )
 
 // tcProgram is the datalog subscription workload over the registered edge
@@ -574,5 +576,51 @@ func TestSubscribeRecomputeMode(t *testing.T) {
 	waitCounter(t, s, "server.subscription.ends.client-gone", 1)
 	if got := s.Stats().Snapshot()["server.subscriptions"]; got != 1 {
 		t.Fatalf("subscriptions = %d", got)
+	}
+}
+
+// TestEventFramesMatchMarshal: the hand-written event frames are byte for
+// byte json.Marshal's, in both framings, for snapshot, delta and bye events
+// whose keys hold a quote, HTML's <, > and &, U+2028 and U+2029, control
+// characters and invalid UTF-8.
+func TestEventFramesMatchMarshal(t *testing.T) {
+	const odd = "q\"<>&\u2028\u2029\x01\x1f\xff\\"
+	plan, err := query.Compile(query.LangDatalog, query.SemStratified,
+		`p("`+strconv.Quote(odd)[1:len(strconv.Quote(odd))-1]+`"). p(b). q(X, Y) :- p(X), p(Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := query.Execute(plan, nil, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := appendResult(nil, out, nil)
+	if err != nil || !strings.Contains(string(res), `\u003c`) {
+		t.Fatalf("snapshot result %s (%v) does not hold the escaped key", res, err)
+	}
+	keys := []string{odd, "plain", "", " ", "<\xfe>"}
+	for _, e := range []*subEventJSON{
+		{Event: "snapshot", Version: 3, Result: res},
+		{Event: "delta", Version: 1 << 40, Preds: []ivm.PredDelta{
+			{Pred: odd, Added: keys, Removed: keys[1:2]},
+			{Pred: "q", UndefAdded: keys[:1], UndefRemoved: keys},
+			{Pred: "empty"},
+		}},
+		{Event: "bye", Reason: odd},
+		{Event: "bye"},
+	} {
+		payload, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sse := range []bool{false, true} {
+			want := string(payload) + "\n"
+			if sse {
+				want = fmt.Sprintf("event: %s\ndata: %s\n\n", e.Event, payload)
+			}
+			if got := string(appendEvent(nil, e, sse)); got != want {
+				t.Errorf("%s event (sse %v):\n got %q\nwant %q", e.Event, sse, got, want)
+			}
+		}
 	}
 }
