@@ -99,22 +99,24 @@ bench-runs:
 	go run -C benchmark algrec/benchmark -seed 1 -runs 5 -out ../BENCH_$(PR).json
 
 # bench-pair records a PR's point of the curve together with its own baseline:
-# the parent commit — HEAD while the change is uncommitted, HEAD^ once it is —
-# is checked out beside the change (a git clone in a temporary directory,
-# removed on every way out; a clone writes nothing into this repository's
-# .git, so TMPDIR alone decides where the run writes), both trees run the
-# benchmark — all five workloads
+# BASE, the commit the change starts from (required: a change may be several
+# commits, and the working tree may be dirty, so no guess from HEAD is
+# right), is checked out beside the working tree (a git clone in a temporary
+# directory, removed on every way out; a clone writes nothing into this
+# repository's .git, so TMPDIR alone decides where the run writes), both trees
+# run the benchmark — all five workloads
 # and the traced run — once per seed 1..5, alternately, whichever went first on
 # one seed going second on the next, and the runs are stored per side in
 # BENCH_<PR>_parent.json and BENCH_<PR>.json at the repository root
 # (tools/benchjoin), which -compare then judges: the pair shares a session, so
 # it resolves ~3 % where two sessions' files resolve ~15. `make bench-pair
-# PR=23`, about 35 minutes; commit both files.
+# PR=23 BASE=<rev>`, about 35 minutes; commit both files.
 bench-pair:
-	@test -n "$(PR)" || { echo "usage: make bench-pair PR=<number of the PR being measured>"; exit 2; }
+	@test -n "$(PR)" && test -n "$(BASE)" || { echo "usage: make bench-pair PR=<number of the PR being measured> BASE=<the commit the change starts from>"; exit 2; }
 	@tmp=$$(mktemp -d) || exit 1; parent="$$tmp/parent"; \
 	trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
-	rev=HEAD^; git diff --quiet HEAD || rev=HEAD; rev=$$(git rev-parse $$rev) || exit 1; \
+	rev=$$(git rev-parse --verify "$(BASE)^{commit}") || exit 1; \
+	echo "parent: $$rev ($(BASE)); change: the working tree"; \
 	git clone -q "$(CURDIR)" "$$parent" && git -C "$$parent" checkout -q --detach $$rev || exit 1; \
 	for seed in 1 2 3 4 5; do \
 		sides="parent change"; test $$((seed % 2)) = 1 || sides="change parent"; \

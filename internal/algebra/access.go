@@ -12,15 +12,15 @@ import (
 // value.Set is kept sorted with tuples in lexicographic order, so every set
 // is already a clustered index on its leading components
 // (value.Set.PrefixRange) and answers membership by binary search. Four places
-// read a set through that order instead of scanning, hashing or building all
+// read a set through that order instead of scanning, sorting or building all
 // of it:
 //
 //   - a selection whose test starts with conjuncts fixing .1, .2, … to
 //     constants (probeSelect);
 //   - a join leaf whose pushed conjuncts start that way (planLeaf.narrow);
-//   - a hash-join step whose build keys are exactly the leading components of
-//     an unfiltered leaf (planStep.probe, see planner.go): the leaf's range is
-//     probed per bound row and no index is built;
+//   - a keyed join step whose build keys are exactly the leading components
+//     of an unfiltered leaf (planStep.probe, see planner.go): the leaf's range
+//     is probed per bound row and no sorted copy is made;
 //   - a difference whose subtrahend is built from products (evalDiff): whether
 //     (x, y) lies in A × B is a lookup in A and one in B, so the minuend is
 //     filtered by lookups and the product is never built.
@@ -34,17 +34,35 @@ import (
 // order, may be consumed: whatever follows runs on the candidates as before.
 // Everything else — `p.2 = d and p.1 = c`, a set holding a scalar — falls
 // back to the scan and raises what it always raised. NewReference's
-// evaluator scans everything, so the stream oracles pin all of this.
+// evaluator scans everything, so the expr-stream oracle pins all of this.
 
 // evalSelect evaluates a selection; the Evaluator closes its environment
 // (database, local IFP bindings, polarity) into leaf. It picks, in order: the
-// streaming pipeline when the operator spine reaches a product
-// (streameval.go); a prefix probe when the test fixes leading components to
+// planned join when the operand is a product (join.go); the union of the
+// selection over each branch when the operand is a union whose spine reaches
+// a product; a prefix probe when the test fixes leading components to
 // constants; the element-by-element scan. On the reference only the scan is
 // left: a σ over a product builds the product first.
 func (ev *Evaluator) evalSelect(e Select, leaf leafEval) (value.Set, error) {
-	if !ev.ref && streamEligible(e) {
-		return streamEval(e, ev.Budget, ev.obs, leaf)
+	if !ev.ref {
+		switch of := e.Of.(type) {
+		case Product:
+			if plan, ok := planJoin(e.Var, e.Test, of); ok {
+				return ev.evalJoin(plan, leaf)
+			}
+		case Union:
+			if reachesProduct(of) {
+				l, err := ev.evalSelect(Select{Of: of.L, Var: e.Var, Test: e.Test}, leaf)
+				if err != nil {
+					return value.Set{}, err
+				}
+				r, err := ev.evalSelect(Select{Of: of.R, Var: e.Var, Test: e.Test}, leaf)
+				if err != nil {
+					return value.Set{}, err
+				}
+				return ev.checkSize(l.Union(r))
+			}
+		}
 	}
 	of, err := leaf(e.Of)
 	if err != nil {
@@ -64,12 +82,9 @@ func (ev *Evaluator) evalSelect(e Select, leaf leafEval) (value.Set, error) {
 	})
 }
 
-// evalMap is evalSelect's counterpart for MAP: the streaming pipeline when
-// the spine reaches a product, the element-by-element map otherwise.
+// evalMap maps its evaluated operand element by element. A MAP over a bare
+// product builds the product, bounded as the reference bounds it.
 func (ev *Evaluator) evalMap(e Map, leaf leafEval) (value.Set, error) {
-	if !ev.ref && streamEligible(e) {
-		return streamEval(e, ev.Budget, ev.obs, leaf)
-	}
 	of, err := leaf(e.Of)
 	if err != nil {
 		return value.Set{}, err
@@ -83,8 +98,8 @@ func (ev *Evaluator) evalMap(e Map, leaf leafEval) (value.Set, error) {
 	})
 }
 
-// pollEvery is how many elements a loop of an evaluation — a scan, a join
-// pipeline, a product or difference being built — handles between two looks at
+// pollEvery is how many elements a loop of an evaluation — a scan, a join, a
+// product or difference being built — handles between two looks at
 // Budget.Interrupt: the datalog kernel's interval (rel.pollEvery).
 const pollEvery = 1 << 12
 
@@ -392,7 +407,7 @@ func allTrue(atoms []FExpr, env FEnv) (bool, error) {
 
 // rows is a read-only run of one leaf's elements, as a join step iterates
 // it: a set — a whole leaf or a probed range of one, never copied — or a
-// list, for a filtered leaf or a hash bucket.
+// list, for a filtered leaf or a range of its sorted copy.
 type rows struct {
 	set  value.Set
 	list []value.Value

@@ -92,7 +92,7 @@ func DeltaDistributive(e Expr, name string) bool {
 //
 // With useDelta (the caller verified DeltaDistributive on the body),
 // varName is bound to the per-round delta instead of the whole accumulator;
-// results are identical, and the join pipelines inside step then probe only
+// results are identical, and the joins inside step then probe only
 // delta-sized inputs. The budget must already have defaults
 // applied. obs, when non-nil, receives one IFPStats event for the completed
 // fixpoint.

@@ -18,7 +18,7 @@ type Budget struct {
 	// Interrupt, when non-nil, is polled between fixpoint rounds and, inside
 	// one, every 4 096 elements of any loop over a set: the pairs of a product
 	// being built, the elements a difference probes, a σ or MAP scan, the rows
-	// a join pipeline tries. Once the channel is closed, evaluation stops with
+	// a join tries. Once the channel is closed, evaluation stops with
 	// an error wrapping ErrCanceled. Callers with a context map ctx.Done()
 	// here, which turns a deadline or client disconnect into a structured
 	// outcome instead of a wedged evaluation.
@@ -106,17 +106,16 @@ func NewEvaluator(db DB, budget Budget) *Evaluator {
 
 // NewReference returns the reference evaluator over db, the one every
 // production path is checked against:
-//   - operators are materialized one by one instead of planned into lazy
-//     join iterators (streameval.go): σ over a product builds the product
-//     and scans it, prefix probes are off (access.go), and a diff
+//   - operators are materialized one by one instead of planned into joins
+//     (join.go): σ over a product builds the product and scans it, prefix probes are off (access.go), and a diff
 //     materializes its subtrahend even where that means building the
 //     products it subtracts (evalDiff);
 //   - every IFP iterates naively, re-evaluating its body on the whole
 //     accumulator, instead of semi-naively on the last round's delta.
 //
 // Results are identical to NewEvaluator's on error-free evaluations, and for
-// diff on failing ones too; only budget boundaries differ (the materialized
-// path also bounds intermediate products). Only oracles and tests call it.
+// diff on failing ones too; only budget boundaries differ (the reference
+// also bounds intermediate products, a join only its output). Only oracles and tests call it.
 func NewReference(db DB, budget Budget) *Evaluator {
 	ev := NewEvaluator(db, budget)
 	ev.ref = true

@@ -7,8 +7,9 @@ import (
 	"algrec/internal/value"
 )
 
-// This file is the cost-based planner of the streaming runtime: it compiles
-// σ_test over a tree of products into a pushdown + hash-join pipeline. The
+// This file is the cost-based join planner: it compiles σ_test over a tree
+// of products into pushed filters and keyed steps that evalJoin (join.go)
+// walks eagerly. The
 // algebra has no join operator — the paper builds joins from ×, σ and MAP —
 // so every join arrives as a selection over a (possibly nested) product.
 // The planner
@@ -20,8 +21,8 @@ import (
 //     pushed conjuncts that fix leading components to constants narrow the
 //     leaf by prefix range, an edge on the leading components of an
 //     unfiltered leaf probes its range per bound row, and every other edge
-//     builds a hash index (keyed by interned IDs when interning is on,
-//     reusing the PR 6 fast path) on first use,
+//     sorts a copy of its filtered leaf by the join key on first use and
+//     reads it by binary search,
 //   - orders the leaves greedily by estimated cardinality plus what a step
 //     must build (exact leaf sizes × selectivity defaults — see
 //     docs/planner.md for the model),
@@ -31,10 +32,10 @@ import (
 // Pruning is conservative about errors: a pushed conjunct that errors on a
 // leaf element keeps the element (the final re-check surfaces whatever the
 // naive evaluation would have), and elements whose join key fails to apply
-// go to an always-probed overflow bucket instead of being dropped.
+// join every probe instead of being dropped.
 
 // maxPlanLeaves caps the flattened product width: beyond it the planner
-// refuses and the evaluator falls back to the materialized path. Translated
+// refuses and the evaluator builds the product and scans it. Translated
 // programs produce two-leaf joins; the cap only guards degenerate towers.
 const maxPlanLeaves = 8
 
@@ -56,7 +57,7 @@ type prodNode struct {
 	l, r *prodNode
 }
 
-// planLeaf is one scan of the join pipeline: an opaque subexpression and the
+// planLeaf is one scan of the join: an opaque subexpression and the
 // conjuncts pushed into its scan (rewritten onto the bare leaf element, in
 // conjunct order). bind adds what is known once the leaf is evaluated: the
 // set, what the leading constant conjuncts leave of it (narrowed.used of the
@@ -79,16 +80,16 @@ type leafPath struct {
 	path KeyPath
 }
 
-// joinEdge is one cross-leaf equality conjunct usable as a hash-join key.
+// joinEdge is one cross-leaf equality conjunct usable as a join key.
 type joinEdge struct {
 	a, b leafPath // a.leaf < b.leaf
 }
 
-// planStep binds one more leaf into the pipeline. With keys present the
-// step is a join: the values of probeKeys, computed over already-bound
-// leaves, select the new leaf's elements agreeing on buildKeys — from a hash
-// index built on first use or, when probe is set, straight from the leaf's
-// sorted order. Without keys it is a nested-loop cross step.
+// planStep binds one more leaf into the join. With keys present the step is
+// keyed: the values of probeKeys, computed over already-bound leaves, select
+// the new leaf's elements agreeing on buildKeys — from a copy of the filtered
+// leaf sorted by buildKeys on first use or, when probe is set, straight from
+// the leaf's own sorted order. Without keys it is a nested-loop cross step.
 type planStep struct {
 	leaf      int
 	probeKeys []leafPath
@@ -99,28 +100,25 @@ type planStep struct {
 	probe bool
 }
 
-// joinPlan is the compiled strategy for one σ-over-product pipeline.
+// joinPlan is the compiled strategy for one σ over a product.
 type joinPlan struct {
-	v      string // the selection's element variable ("" for a bare product)
-	test   FExpr  // the complete original test (nil for a bare product)
+	v      string // the selection's element variable
+	test   FExpr  // the complete original test
 	leaves []planLeaf
 	shape  *prodNode
 	edges  []joinEdge // cross-leaf equality conjuncts, in conjunct order
 	steps  []planStep // steps[0] is the driving scan (no keys)
 }
 
-// planJoin compiles σ_test(prod) — or, with v == "" and test == nil, a bare
-// product — into a joinPlan. ok=false means the shape is out of scope (too
-// many leaves) and the caller must materialize.
+// planJoin compiles σ_test(prod) into a joinPlan. ok=false means the shape
+// is out of scope (too many leaves) and the caller must materialize.
 func planJoin(v string, test FExpr, prod Product) (*joinPlan, bool) {
 	p := &joinPlan{v: v, test: test}
 	p.shape = p.flatten(prod)
 	if len(p.leaves) > maxPlanLeaves {
 		return nil, false
 	}
-	if test != nil {
-		p.edges = p.analyze(test)
-	}
+	p.edges = p.analyze(test)
 	return p, true
 }
 
@@ -341,7 +339,7 @@ func estimate(n int, filters []FExpr) float64 {
 // bind hands the plan its evaluated leaves and fixes every access path:
 // each leaf's leading constant filters are answered by prefix range
 // (narrow), then reorder picks the visit order and, per step, range probe or
-// hash index. It reports whether some leaf is empty — then so is the join,
+// sorted copy. It reports whether some leaf is empty — then so is the join,
 // and no order is needed.
 func (p *joinPlan) bind(sets []value.Set) (empty bool) {
 	for i := range p.leaves {
@@ -376,13 +374,13 @@ func (l *planLeaf) hasFields(m int) bool {
 }
 
 // probeable decides whether a keyed step can read its leaf through the sorted
-// order instead of a hash index, and if so puts the keys in component order.
+// order instead of a sorted copy, and if so puts the keys in component order.
 // The build keys must be exactly .1 … .m; the leaf must be unfiltered (a
-// filtered leaf is a short list, cheap to hash) and every element must have
-// all m components: the hash index joins an element whose key does not apply
-// with every bound row, to let the complete test raise what the materialized
-// path would, and a range can only stand in for the index when there is no
-// such element.
+// filtered leaf is a short list, cheap to sort) and every element must have
+// all m components: the sorted copy joins an element whose key does not apply
+// with every bound row, to let the complete test raise what the reference
+// would, and a range can only stand in for the copy when there is no such
+// element.
 func (p *joinPlan) probeable(st *planStep) bool {
 	l := &p.leaves[st.leaf]
 	m := len(st.buildKeys)
@@ -413,7 +411,7 @@ func (p *joinPlan) probeable(st *planStep) bool {
 // selectivities), then repeatedly bind the leaf with the lowest price — the
 // estimated intermediate size, joining over available edges when possible
 // (each key multiplies by selEq) and crossing otherwise, plus the rows a
-// hash step must index first; a step that probes the leaf's sorted order
+// keyed step must sort first; a step that probes the leaf's sorted order
 // builds nothing. Ties break on the lower leaf index, so plans are
 // deterministic.
 func (p *joinPlan) reorder() {
@@ -476,7 +474,7 @@ func (p *joinPlan) reorder() {
 
 // Explain renders the plan one step per line, for tests and docs: the
 // driving scan, then each step with its access path — a range probe of the
-// leaf's sorted order, a hash join, or a cross step — and how many pushed
+// leaf's sorted order, a join on a sorted copy, or a cross step — and how many pushed
 // filters the leaf carries, of which how many a prefix range answers.
 func (p *joinPlan) Explain() string {
 	var sb strings.Builder
@@ -491,7 +489,7 @@ func (p *joinPlan) Explain() string {
 				fmt.Fprintf(&sb, ",.%d", k)
 			}
 		case len(st.buildKeys) > 0:
-			fmt.Fprintf(&sb, "hash-join leaf %d on %d key(s)", st.leaf, len(st.buildKeys))
+			fmt.Fprintf(&sb, "sort-join leaf %d on %d key(s)", st.leaf, len(st.buildKeys))
 		default:
 			fmt.Fprintf(&sb, "cross leaf %d", st.leaf)
 		}

@@ -28,12 +28,12 @@
 // definitions — and EvalInflationary runs one loop of global Jacobi rounds.
 // Both read definition bodies through algebra.Evaluator, the one value
 // evaluator, with its Pos/Neg overlays set to the current bounds; it brings
-// internal/algebra's streaming runtime — σ/MAP pipelines over products are
-// planned into lazy pushdown/hash-join iterators, differences probe, and
-// IFPs distributive in their variable run semi-naively. Eval with
+// internal/algebra's planned runtime — a σ over a product is one eager join
+// with pushed filters and keyed steps, differences probe, and IFPs
+// distributive in their variable run semi-naively. Eval with
 // algebra.NewReference runs the same loops on the reference's materialized
 // operators and naive IFP rounds. Those operators are polarity-transparent, so the same
-// pipeline serves both the lower- and upper-bound passes. internal/core is
+// evaluator serves both the lower- and upper-bound passes. internal/core is
 // the reference for algebra= and the engine for scripts outside the
 // relational kernel's fragment: query.Execute runs a script in the flat
 // fragment under the valid semantics on the kernel's valid / well-founded

@@ -6,10 +6,11 @@
 // The oracle matrix pairs, per instance family:
 //
 //   - expressions: the served path (query.Execute: the relational kernel, or
-//     the value evaluator's streaming pipelines, access paths and semi-naive
-//     IFP) vs the reference evaluator, algebra.NewReference's materialized
+//     the value evaluator's planned joins, access paths and semi-naive IFP)
+//     vs the reference evaluator, algebra.NewReference's materialized
 //     operators and naive IFP rounds (expr-stream), the value evaluator's
-//     semi-naive IFP, kernel aside, vs the same reference (expr-seminaive),
+//     planned joins and semi-naive IFP, kernel aside, vs the same reference
+//     (expr-seminaive),
 //     and the Theorem 3.5 constructive IFP elimination vs direct evaluation;
 //   - algebra= programs: the served valid evaluation (the relational kernel's
 //     alternation, or internal/core) vs core's reference Γ rounds, core's
@@ -140,16 +141,16 @@ type Oracle struct {
 // Oracles is the oracle matrix, in stable presentation order.
 var Oracles = []*Oracle{
 	{Name: "expr-stream", Kind: KindExpr,
-		Doc:       "the served path (flat joins on the relational kernel; streaming, probing and semi-naive IFP otherwise) changes cost only: it agrees with the reference evaluator",
+		Doc:       "the served path (flat joins on the relational kernel; planned joins, probing and semi-naive IFP otherwise) changes cost only: it agrees with the reference evaluator",
 		checkExpr: checkExprStream},
 	{Name: "expr-seminaive", Kind: KindExpr,
-		Doc:       "the value evaluator's semi-naive delta IFP rounds compute the same sets as the reference's naive rounds",
+		Doc:       "the value evaluator, kernel aside — its planned joins and semi-naive delta IFP rounds — computes the same sets and text as the reference's built products and naive rounds",
 		checkExpr: checkExprSemiNaive},
 	{Name: "expr-ifp-elim", Kind: KindIFPExpr,
 		Doc:       "Theorem 3.5: eliminating IFP through the deductive pipeline preserves the value",
 		checkExpr: checkExprIFPElim},
 	{Name: "core-valid", Kind: KindCore,
-		Doc:       "served valid evaluation (the rule kernel's alternation in the flat fragment, core's streamed and probing operators outside it) matches the naive Γ alternation over materialized operators",
+		Doc:       "served valid evaluation (the rule kernel's alternation in the flat fragment, core's planned and probing operators outside it) matches the naive Γ alternation over materialized operators",
 		checkCore: checkCoreValid},
 	{Name: "core-inflationary", Kind: KindCore,
 		Doc:       "inflationary Jacobi rounds over core's production operators match them over the reference's",

@@ -11,7 +11,7 @@ import (
 // checkCoreValid evaluates an algebra= program under the valid semantics as
 // it is served — query.Execute, which runs a program in the flat fragment on
 // the relational rule kernel's alternation and any other on internal/core's
-// streamed, probing operators — and on the reference, core.Eval with
+// planned, probing operators — and on the reference, core.Eval with
 // algebra.NewReference: the naive Γ rounds over materialized operators. Every
 // def's certain elements (the lower bound) and undefined ones (upper − lower)
 // must be identical. The served side is where FaultDropMax plants its

@@ -7,11 +7,13 @@ import (
 )
 
 // checkExprSemiNaive runs one expression through the value evaluator, whose
-// IFP takes semi-naive delta rounds whenever the body is delta-distributive,
-// and through the reference evaluator's naive rounds, demanding identical
-// sets. Unlike expr-stream's served side, which hands flat joins and
-// closures to the relational kernel, every IFP here runs the value-space
-// delta loop; that side is also where FaultDropMax plants its corruption.
+// IFP takes semi-naive delta rounds whenever the body is delta-distributive
+// and whose σ over a product is one planned join, and through the reference
+// evaluator's naive rounds and built products, demanding identical sets and
+// text. Unlike expr-stream's served side, which hands flat joins and closures
+// to the relational kernel, every join and IFP here runs on the value
+// evaluator, so its joins are checked on the expressions the kernel takes
+// too; that side is also where FaultDropMax plants its corruption.
 func checkExprSemiNaive(e algebra.Expr, db algebra.DB) error {
 	const oracle = "expr-seminaive"
 	naive, errN := algebra.NewReference(db, ExprBudget).Eval(e)
@@ -19,7 +21,14 @@ func checkExprSemiNaive(e algebra.Expr, db algebra.DB) error {
 	if done, err := pairErr(oracle, "naive", "semi-naive", errN, errD); done {
 		return err
 	}
-	return diffSets(oracle, "IFP engine result", naive, applyDropMax(delta))
+	delta = applyDropMax(delta)
+	if err := diffSets(oracle, "IFP engine result", naive, delta); err != nil {
+		return err
+	}
+	if delta.String() != naive.String() {
+		return diverge(oracle, "semi-naive text %v, naive %v", delta, naive)
+	}
+	return nil
 }
 
 // checkExprIFPElim runs an IFP expression directly and through the Theorem

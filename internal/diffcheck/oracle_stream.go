@@ -15,9 +15,9 @@ import (
 
 // checkExprStream evaluates one expression as it is served — query.Execute,
 // which runs a flat join on the relational rule kernel and everything else on
-// the planned value runtime (streaming pipelines, access paths, semi-naive
-// IFP) — and on the reference: neither the kernel, nor the planned iterators,
-// nor the delta rounds may change the value, nor the text a response carries,
+// the planned value runtime (eager joins, access paths, semi-naive IFP) — and
+// on the reference: neither the kernel, nor the planned joins, nor the delta
+// rounds may change the value, nor the text a response carries,
 // which a kernel answer writes from its rows. The served side is also where
 // FaultDropMax plants its corruption.
 func checkExprStream(e algebra.Expr, db algebra.DB) error {

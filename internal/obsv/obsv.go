@@ -190,21 +190,20 @@ type SubscriptionStats struct {
 }
 
 // StreamStats describes one evaluation by the planned runtime of
-// internal/algebra: a σ/MAP pipeline over a product compiled into lazy
-// iterators, with pushdown, range-probe and hash-join steps, or a selection
-// answered by a prefix probe of its operand's sorted order. One event per pipeline, emitted after the result set is
-// collected.
+// internal/algebra: a σ over a product evaluated as one eager join, with
+// pushdown, range-probe and sorted-copy steps, or a selection answered by a
+// prefix probe of its operand's sorted order. One event per join or probed
+// selection, emitted after the result set is built.
 type StreamStats struct {
-	// Op names the pipeline's root operator: "select", "map", "union",
-	// "product".
+	// Op names the evaluated operator: always "select".
 	Op string
-	// Leaves counts the evaluated leaf sets feeding the pipeline.
+	// Leaves counts the evaluated leaf sets feeding the join.
 	Leaves int
 	// Scanned counts the elements actually read from the leaves: a leaf that
-	// is scanned, filtered or hash-indexed counts every candidate its pushed
-	// constant conjuncts left, once; a leaf read through its sorted order
-	// counts what each probe returned. A pipeline whose driving scan is empty
-	// reads nothing.
+	// is scanned, filtered or sorted by its join key counts every candidate
+	// its pushed constant conjuncts left, once; a leaf read through its
+	// sorted order counts what each probe returned. A join whose driving scan
+	// is empty reads nothing.
 	Scanned int
 	// Probes counts binary-search prefix-range probes (value.Set.PrefixRange)
 	// of a leaf's sorted order: one per constant key of a narrowed scan, one
@@ -214,10 +213,11 @@ type StreamStats struct {
 	// counts elements that passed.
 	Tested  int
 	Emitted int
-	// Result is the cardinality of the collected (deduplicated) output.
+	// Result is the cardinality of the result set.
 	Result int
-	// HashJoins counts hash-join indexes built (on first use — a step no row
-	// reaches builds none); Pushed counts conjuncts pushed into leaf scans.
+	// HashJoins counts keyed indexes built: the copies of a leaf sorted by
+	// its join key (on first use — a step no row reaches builds none);
+	// Pushed counts conjuncts pushed into leaf scans.
 	HashJoins int
 	Pushed    int
 }

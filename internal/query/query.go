@@ -21,7 +21,7 @@
 //
 // docs/architecture.md walks the full lifecycle — parse, translate, plan,
 // ground, fixpoint, result — through this package's Compile/Execute split,
-// including where the streaming execution runtime plugs in.
+// including where the value evaluator's planned joins plug in.
 package query
 
 import (

@@ -334,13 +334,13 @@ func (x *exprGen) pointJoin(depth int, scope []scopeEntry) algebra.Expr {
 	}}}
 }
 
-// joinPipeline emits the streaming runtime's target shape — σ over a
+// joinPipeline emits the join planner's target shape — σ over a
 // (possibly nested) product of integer-shaped leaves — with a test mixing
-// cross-leaf equalities (hash-join edges), single-leaf conjuncts (pushdown
+// cross-leaf equalities (join edges), single-leaf conjuncts (pushdown
 // candidates), and constant comparisons, so the differential oracles
 // exercise multi-leaf plans, not just whatever σ(×) falls out of the
 // generic recursion. Every projection path is integer-typed, so the test
-// never errors and the streamed and materialized pipelines stay comparable
+// never errors and the planned join and the reference stay comparable
 // beyond budget boundaries. The result shape is shPair.
 func (x *exprGen) joinPipeline(depth int, scope []scopeEntry) algebra.Expr {
 	v := x.fresh()
@@ -479,7 +479,7 @@ var flatJoins = []string{
 // components of two literals. One such join in four also finds a triple
 // planted among the pairs of the relation it reads first: a heterogeneous
 // leaf, which sends it back to the value evaluator — a triple, not a scalar,
-// because the projections apply to it, so no evaluator errs (the streamed and
+// because the projections apply to it, so no evaluator errs (the planned and
 // materialized joins agree on error-free evaluations only).
 func (g *Gen) FlatJoin(ei *ExprInstance) {
 	if !g.chance(8) {
