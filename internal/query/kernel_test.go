@@ -116,6 +116,8 @@ func TestScriptsOnTheKernel(t *testing.T) {
 		{"a stored name", win + ` query win;`, algebra.DB{"move": move(`{(a, b)}`)["move"], "win": value.EmptySet}, "stored-name", ""},
 		{"nested elements", `def firsts = map(move, \x -> x.1.1);`, move(`{((a, b), c)}`), "outside-fragment", "firsts = {a}\n"},
 		{"heterogeneous elements", win + ` query win;`, move(`{(a, b), (b, c, d)}`), "shape", "win = {b}\n"},
+		{"a scalar beside pairs", `def s = diff(move, select(move, \x -> x = (a, b)));`, move(`{(a, b), (b, c), c}`), "shape", "s = {c, (b, c)}\n"},
+		{"a scalar beside 1-tuples", `def s = diff(move, select(move, \x -> x = (a,)));`, move(`{(a,), (b,), c}`), "shape", "s = {c, (b)}\n"},
 	} {
 		plan := mustCompile(t, LangAlgebraEq, SemValid, c.src)
 		stats := withStats(t)

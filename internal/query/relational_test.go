@@ -246,6 +246,7 @@ func TestEngineChoice(t *testing.T) {
 		{LangAlgebra, SemValid, "flat join: alg-2hop", textTwoHop, small, "kernel", "", ""},
 		{LangAlgebra, SemValid, "flat join: alg-triangle", textTriangle, small, "kernel", "", ""},
 		{LangAlgebra, SemValid, "flat join over pairs and scalars", textTwoHop, mixed, "value", "shape", "eval-error"},
+		{LangAlgebra, SemValid, "flat join over an empty relation", textTwoHop, algebra.DB{"e": value.EmptySet}, "kernel", "", ""},
 		{LangIFPAlgebra, SemValid, "point: pt-out", textPointOut, small, "value", "point", ""},
 		{LangIFPAlgebra, SemValid, "point: pt-2hop", textPoint2, small, "value", "point", ""},
 		{LangIFPAlgebra, SemValid, "arithmetic: pt-ifp", textPointIFP, small, "value", "outside-fragment", ""},
