@@ -273,6 +273,29 @@ func BenchmarkSortedKeys(b *testing.B) {
 	}
 }
 
+// BenchmarkBaseKeys: a fresh base's keys of 2·10^4 distinct pairs of integers
+// below 10^4 — the read workload's edges, rendered once per database version
+// by the first request that reports them.
+func BenchmarkBaseKeys(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	seen := map[[2]int64]bool{}
+	var edges []value.Value
+	for len(edges) < 20000 {
+		p := [2]int64{rng.Int63n(10000), rng.Int63n(10000)}
+		if !seen[p] {
+			seen[p] = true
+			edges = append(edges, pair(p[0], p[1]))
+		}
+	}
+	db := algebra.DB{"e": value.NewSet(edges...)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var use BaseUse
+		NewBase(db).Keys("e", &use)
+	}
+}
+
 // TestBaseForms: what a base derives from a heterogeneous relation — scalars
 // beside tuples of several widths, a scalar beside its own 1-tuple — is the
 // sorted, duplicate-free fact list in all three forms; empty relations are
