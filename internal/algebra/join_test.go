@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +15,9 @@ import (
 	"algrec/internal/value/intern"
 )
 
+// TestEquiJoinKeys: the planner makes a join edge of each equality between
+// projection chains of the product's two sides, in either order, and of
+// nothing else.
 func TestEquiJoinKeys(t *testing.T) {
 	p := FVar{Name: "p"}
 	f := func(side int, idxs ...int) FExpr {
@@ -23,39 +27,48 @@ func TestEquiJoinKeys(t *testing.T) {
 		}
 		return e
 	}
+	plan := func(test FExpr) *joinPlan {
+		t.Helper()
+		plan, ok := planJoin("p", test, Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}})
+		if !ok {
+			t.Fatalf("planJoin refused %s", test)
+		}
+		return plan
+	}
 	// p.1.2 = p.2.1
 	test := FCmp{Op: OpEq, L: f(1, 2), R: f(2, 1)}
-	lks, rks, ok := EquiJoinKeys("p", test)
-	if !ok || len(lks) != 1 || len(rks) != 1 {
-		t.Fatalf("keys = %v %v %v", lks, rks, ok)
+	want := []joinEdge{{a: leafPath{leaf: 0, path: KeyPath{2}}, b: leafPath{leaf: 1, path: KeyPath{1}}}}
+	if edges := plan(test).edges; !reflect.DeepEqual(edges, want) {
+		t.Fatalf("edges = %v, want %v", edges, want)
 	}
-	if lks[0][0] != 2 || rks[0][0] != 1 {
-		t.Errorf("paths = %v %v", lks, rks)
+	// swapped sides: the same edge
+	if edges := plan(FCmp{Op: OpEq, L: f(2, 1), R: f(1, 2)}).edges; !reflect.DeepEqual(edges, want) {
+		t.Errorf("swapped sides: edges = %v, want %v", edges, want)
 	}
-	// swapped sides
-	if _, _, ok := EquiJoinKeys("p", FCmp{Op: OpEq, L: f(2, 1), R: f(1, 2)}); !ok {
-		t.Error("swapped sides not detected")
-	}
-	// conjunction with extra conditions
+	// conjunction with extra conditions: the other conjunct is pushed
 	and := FAnd{L: test, R: FCmp{Op: OpLt, L: f(1, 1), R: FConst{V: value.Int(5)}}}
-	if lks, _, ok := EquiJoinKeys("p", and); !ok || len(lks) != 1 {
-		t.Error("conjunct extraction failed")
+	if pl := plan(and); len(pl.edges) != 1 || len(pl.leaves[0].filters) != 1 {
+		t.Errorf("conjunct extraction failed: %d edges, %d filters on the left", len(pl.edges), len(pl.leaves[0].filters))
 	}
 	// two equi conjuncts
 	and2 := FAnd{L: test, R: FCmp{Op: OpEq, L: f(1, 1), R: f(2, 2)}}
-	if lks, rks, ok := EquiJoinKeys("p", and2); !ok || len(lks) != 2 || len(rks) != 2 {
-		t.Error("multi-key extraction failed")
+	if edges := plan(and2).edges; len(edges) != 2 {
+		t.Errorf("multi-key extraction failed: edges = %v", edges)
 	}
-	// no equi conjunct
-	for _, bad := range []FExpr{
-		FCmp{Op: OpNe, L: f(1, 1), R: f(2, 1)},
-		FCmp{Op: OpEq, L: f(1, 1), R: f(1, 2)}, // same side
-		FCmp{Op: OpEq, L: f(1, 1), R: FConst{V: value.Int(3)}},
-		FConst{V: value.True},
-		FCmp{Op: OpEq, L: FVar{Name: "other"}, R: f(2, 1)},
+	// no equi conjunct; one on a single side is a pushed filter instead
+	for _, c := range []struct {
+		bad    FExpr
+		pushed int
+	}{
+		{FCmp{Op: OpNe, L: f(1, 1), R: f(2, 1)}, 0},
+		{FCmp{Op: OpEq, L: f(1, 1), R: f(1, 2)}, 1}, // same side
+		{FCmp{Op: OpEq, L: f(1, 1), R: FConst{V: value.Int(3)}}, 1},
+		{FConst{V: value.True}, 0},
+		{FCmp{Op: OpEq, L: FVar{Name: "other"}, R: f(2, 1)}, 0},
 	} {
-		if _, _, ok := EquiJoinKeys("p", bad); ok {
-			t.Errorf("false positive on %s", bad)
+		pl := plan(c.bad)
+		if pushed := len(pl.leaves[0].filters) + len(pl.leaves[1].filters); len(pl.edges) != 0 || pushed != c.pushed {
+			t.Errorf("%s: %d edges and %d pushed filters, want none and %d", c.bad, len(pl.edges), pushed, c.pushed)
 		}
 	}
 }

@@ -25,8 +25,9 @@
 //     component in line with changed rows below it — ivm's mutation batch, or
 //     a three-valued component's other half (alternate);
 //   - Base (base.go): what a database version contributes — frozen tables of
-//     its relations, their sorted facts and rendered keys — derived lazily,
-//     once, and shared read-only by every engine built over that version.
+//     its relations, and the rendered keys and fact rules read off their
+//     rows — derived lazily, once, and shared read-only by every engine built
+//     over that version.
 //
 // Values are materialized only to evaluate interpreted functions and
 // comparisons and to render results (SortedKeys).

@@ -12,39 +12,48 @@ import (
 )
 
 // SortedKeys renders rows of one predicate as fact keys ("tc(1, 2)") in
-// CompareFacts order — argument-wise by the values behind the IDs, a shorter
-// row before its extensions — into one text (renderKeys). Outcomes and deltas
-// of both clients render their facts through it. each calls its argument on
-// every row, once or twice; the rows stay valid and are only read. Rows of
-// one width are read back to back into one slice and ordered by OrderRows;
-// rows of mixed widths, or none, are compare-sorted.
+// CompareFacts order (sortRows) into one text (renderKeys). Outcomes and
+// deltas of both clients, and the fact base, render their rows through it.
+// each calls its argument on every row, once or twice; the rows stay valid
+// and are only read.
 func SortedKeys(pred string, each func(f func(row []intern.ID))) (keys []string, text string) {
+	n, row := sortRows(each)
+	in := intern.Global()
+	return renderKeys(n, func(buf []byte, i int) []byte { return appendKey(buf, pred, row(i), in.AppendText) })
+}
+
+// sortRows orders the n rows each lists in CompareFacts order — argument-wise
+// by the values behind the IDs, a shorter row before its extensions — and
+// row(i) returns the ith. Rows of one width are read back to back into one
+// slice and ordered by OrderRows; rows of mixed widths, or none, are
+// compare-sorted.
+func sortRows(each func(f func(row []intern.ID))) (n int, row func(i int) []intern.ID) {
 	var ids []intern.ID
-	n, width := 0, -1
-	each(func(row []intern.ID) {
+	width := -1
+	each(func(r []intern.ID) {
 		if n == 0 {
-			width = len(row)
-		} else if len(row) != width {
+			width = len(r)
+		} else if len(r) != width {
 			width = 0
 		}
-		if len(ids)+len(row) > cap(ids) { // double, not append's quarter steps
+		if len(ids)+len(r) > cap(ids) { // double, not append's quarter steps
 			ids = slices.Grow(ids, max(len(ids), 64))
 		}
-		ids = append(ids, row...)
+		ids = append(ids, r...)
 		n++
 	})
-	in := intern.Global()
 	if width > 0 {
 		order := OrderRows(ids, width)
-		return renderKeys(n, func(buf []byte, i int) []byte {
+		return n, func(i int) []intern.ID {
 			r := int(order[i]) * width
-			return appendKey(buf, pred, ids[r:r+width], in.AppendText)
-		})
+			return ids[r : r+width]
+		}
 	}
 	rows := make([][]intern.ID, 0, n)
-	each(func(row []intern.ID) { rows = append(rows, row) })
+	each(func(r []intern.ID) { rows = append(rows, r) })
+	in := intern.Global()
 	slices.SortFunc(rows, func(a, b []intern.ID) int { return compareRows(in, a, b) })
-	return renderKeys(n, func(buf []byte, i int) []byte { return appendKey(buf, pred, rows[i], in.AppendText) })
+	return n, func(i int) []intern.ID { return rows[i] }
 }
 
 // FactKeys renders facts, in the order given, as renderKeys does.

@@ -123,6 +123,18 @@ func (rel *Relation) tableFor(arity int) *Table {
 	return t
 }
 
+// each calls f on every live row of the relation, table by table, in row
+// order — the walk SortedKeys wants. The row is the table's own storage.
+func (rel *Relation) each(f func(row []intern.ID)) {
+	for _, t := range rel.Tables {
+		for r := int32(0); r < t.Rows(); r++ {
+			if t.Flags[r]&FlagLive != 0 {
+				f(t.Row(r))
+			}
+		}
+	}
+}
+
 // Rows returns the number of row slots, free ones included.
 func (t *Table) Rows() int32 { return int32(len(t.Flags)) }
 

@@ -303,8 +303,8 @@ type RelStats struct {
 	Fallback string
 	// BaseHit reports that the fact base already held everything the request
 	// needed of it; otherwise BaseRows, BaseIndexes and BaseKeys count what
-	// this request derived first: database rows converted (into ID tables or
-	// sorted facts), column posting indexes built, fact keys rendered.
+	// this request derived first: database rows converted into ID tables,
+	// column posting indexes built, fact keys rendered.
 	BaseHit     bool
 	BaseRows    int
 	BaseIndexes int

@@ -188,10 +188,10 @@ func Execute(plan *Plan, db algebra.DB, opts Options) (*Outcome, error) {
 
 // ExecuteBase is Execute against the database a fact base describes (nil:
 // the empty database). What evaluation on the relational kernel derives from
-// the database before the first rule runs — ID tables, sorted facts, rendered
-// keys — is taken from the base, which derives each once and shares it with
-// every concurrent and later call; the value evaluator and internal/core only
-// read base.DB().
+// the database before the first rule runs — ID tables, and the rendered keys
+// and fact rules read off them — is taken from the base, which derives each
+// once and shares it with every concurrent and later call; the value
+// evaluator and internal/core only read base.DB().
 func ExecuteBase(plan *Plan, base *rel.Base, opts Options) (*Outcome, error) {
 	return execute(plan, base.DB(), base, opts, false)
 }
@@ -250,12 +250,13 @@ func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out 
 	var err error
 	switch plan.Semantics {
 	case SemValid:
-		reason := route(plan, merged)
+		if base == nil || len(script.DB) > 0 {
+			base = rel.NewBase(merged)
+		}
+		var use rel.BaseUse
+		reason := route(plan, base, &use)
 		if obs := report("core", reason); reason == "" {
-			if base == nil || len(script.DB) > 0 {
-				base = rel.NewBase(merged)
-			}
-			return executeValidKernel(plan, base, opts, obs, out)
+			return executeValidKernel(plan, base, use, opts, obs, out)
 		}
 		if res, err = core.EvalValid(script.Program, merged, opts.Budget); err != nil {
 			return nil, err

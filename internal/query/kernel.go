@@ -681,14 +681,16 @@ func compileScript(s *parse.Script) (*kernelPlan, string) {
 	return k, ""
 }
 
-// fits says why db does not hold what the program reads as the source does —
-// "" when it does: every relation it names, with every element a tuple of the
-// width the plan reads ("shape"), and nothing under a predicate the program
-// adds to ("stored-name": a def shadows what the database stores under its
-// name, while rules would add to it).
-func (k *kernelPlan) fits(db algebra.DB) string {
+// fits says why the base's database does not hold what the program reads as
+// the source does — "" when it does: every relation it names, with every
+// element a tuple of the width the plan reads ("shape", read off the base's
+// tables, whose rows it adds to use), and nothing under a predicate the
+// program adds to ("stored-name": a def shadows what the database stores
+// under its name, while rules would add to it).
+func (k *kernelPlan) fits(base *rel.Base, use *rel.BaseUse) string {
+	db := base.DB()
 	for name, w := range k.stored {
-		if s, ok := db[name]; !ok || !widthIs(s, w) {
+		if _, ok := db[name]; !ok || !base.TuplesOf(name, w, use) {
 			return "shape"
 		}
 	}
@@ -699,12 +701,14 @@ func (k *kernelPlan) fits(db algebra.DB) string {
 }
 
 // run evaluates the program over the base, reporting the join work to obs when
-// there is one.
-func (k *kernelPlan) run(base *rel.Base, opts Options, obs obsv.Collector) (*rel.Engine, error) {
+// there is one — with the base rows fits converted (use) among what the
+// request derived.
+func (k *kernelPlan) run(base *rel.Base, use rel.BaseUse, opts Options, obs obsv.Collector) (*rel.Engine, error) {
 	eng, err := rel.NewEngine(k.prog, rel.Config{Base: base, Limits: KernelLimits(opts), Observed: obs != nil})
 	if err != nil {
 		return nil, err
 	}
+	eng.Use.Rows += use.Rows
 	if obs != nil {
 		defer func() {
 			st := obsv.RelStats{Engine: "algebra", Units: eng.UnitStats, Steps: eng.Steps, Probes: eng.Probes, Scans: eng.Scans, Rows: eng.NumRows()}
@@ -911,14 +915,15 @@ func (s *survey) fn(f algebra.FExpr) {
 	}
 }
 
-// route says why the plan's kernel program does not answer it over db — ""
-// when it does: Compile found the source outside the fragment (a plan built
-// by hand is not compiled), or db does not fit the program.
-func route(plan *Plan, db algebra.DB) string {
+// route says why the plan's kernel program does not answer it over the base
+// — "" when it does: Compile found the source outside the fragment (a plan
+// built by hand is not compiled), or the base's database does not fit the
+// program (fits, which adds the rows it converts to use).
+func route(plan *Plan, base *rel.Base, use *rel.BaseUse) string {
 	if plan.kernel == nil {
 		return cmp.Or(plan.fallback, "outside-fragment")
 	}
-	return plan.kernel.fits(db)
+	return plan.kernel.fits(base, use)
 }
 
 // report tells the process-default collector, when there is one, which engine
@@ -938,16 +943,17 @@ func report(engine, reason string) obsv.Collector {
 // for it and the database fits, on the value evaluator otherwise. A kernel
 // answer stays rows, in their value order.
 func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (*exprAnswer, error) {
-	reason := route(plan, db)
+	if base == nil {
+		base = rel.NewBase(db)
+	}
+	var use rel.BaseUse
+	reason := route(plan, base, &use)
 	obs := report("value", reason)
 	if reason != "" {
 		set, err := algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)
 		return &exprAnswer{set: set}, err
 	}
-	if base == nil {
-		base = rel.NewBase(db)
-	}
-	eng, err := plan.kernel.run(base, opts, obs)
+	eng, err := plan.kernel.run(base, use, opts, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -963,8 +969,8 @@ func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (*e
 // kernel under the valid semantics over the base of its database: a def's or
 // query's certain elements are its true rows, its undefined ones the rows
 // possible but not true.
-func executeValidKernel(plan *Plan, base *rel.Base, opts Options, obs obsv.Collector, out *Outcome) (*Outcome, error) {
-	eng, err := plan.kernel.run(base, opts, obs)
+func executeValidKernel(plan *Plan, base *rel.Base, use rel.BaseUse, opts Options, obs obsv.Collector, out *Outcome) (*Outcome, error) {
+	eng, err := plan.kernel.run(base, use, opts, obs)
 	if err != nil {
 		return nil, err
 	}

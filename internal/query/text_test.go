@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
+	"algrec/internal/datalog/rel"
 	"algrec/internal/value"
 )
 
@@ -59,7 +60,7 @@ func TestAnswerTextMatchesReference(t *testing.T) {
 	} {
 		plan := mustCompile(t, LangAlgebra, SemValid, c.src)
 		db := algebra.DB{"e": c.e}
-		if why := route(plan, db); why != "" {
+		if why := route(plan, rel.NewBase(db), &rel.BaseUse{}); why != "" {
 			t.Fatalf("%s: the kernel does not answer (%s)", c.name, why)
 		}
 		want, err := reference(plan.Expr, db, algebra.Budget{})

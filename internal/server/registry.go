@@ -41,8 +41,8 @@ type registry struct {
 
 // dbState is one immutable (database, version) pair. The database is held as
 // its fact base: the database itself (base.DB()) plus what datalog evaluation
-// derives from it before the first rule runs (ID tables, sorted facts,
-// rendered keys), built lazily by the first request that needs it and shared
+// derives from it before the first rule runs (ID tables, and the rendered
+// keys and fact rules read off them), built lazily by the first request that needs it and shared
 // read-only by every request that loads this state. Nothing else refers to a
 // base, so it goes when its state is superseded and the last request on it
 // returns. A registered entry's base is never nil.
