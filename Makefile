@@ -130,15 +130,20 @@ bench-pair:
 	go run ./tools/benchjoin -out BENCH_$(PR).json "$$tmp"/change-*.json && \
 	go run -C benchmark algrec/benchmark -compare ../BENCH_$(PR)_parent.json ../BENCH_$(PR).json
 
-# fuzz-smoke gives every differential oracle (internal/diffcheck) a short
-# coverage-guided run; CI runs the same targets per-oracle in a matrix, and
-# plain `go test` already replays the committed corpora. The targets are
-# listed from the test binary itself, so the loop cannot drift from
-# internal/diffcheck/fuzz_test.go.
+# fuzz-smoke gives every differential oracle (internal/diffcheck) and both
+# parsers (FuzzParseProgram, FuzzParseScript: print ∘ parse is idempotent) a
+# short coverage-guided run; CI runs the same targets one per job in a
+# matrix, and plain `go test` already replays the committed corpora. The
+# targets are listed from each package's test binary, so the loop cannot
+# drift from the Fuzz functions.
+FUZZ_PKGS = ./internal/diffcheck ./internal/datalog ./internal/algebra/parse
+
 fuzz-smoke:
-	@targets=$$(go test -list '^Fuzz' ./internal/diffcheck | grep '^Fuzz') || exit 1; \
-	for t in $$targets; do \
-		go test ./internal/diffcheck -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s || exit 1; \
+	@for p in $(FUZZ_PKGS); do \
+		targets=$$(go test -list '^Fuzz' $$p | grep '^Fuzz') || exit 1; \
+		for t in $$targets; do \
+			go test $$p -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s || exit 1; \
+		done; \
 	done
 
 # bench-ivm measures incremental view maintenance alone, as Go benchmarks

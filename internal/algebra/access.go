@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 
+	"algrec/internal/builtin"
 	"algrec/internal/obsv"
 	"algrec/internal/value"
 )
@@ -255,7 +256,7 @@ func constProbe(a FExpr, v string) (field int, keys value.Set, ok bool) {
 	}
 	switch aa := a.(type) {
 	case FCmp:
-		if aa.Op != OpEq {
+		if aa.Op != builtin.Eq {
 			return 0, value.Set{}, false
 		}
 		l, r := aa.L, aa.R

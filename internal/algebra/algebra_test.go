@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -38,8 +39,8 @@ func TestEvalBasicOperators(t *testing.T) {
 		{Union{L: Rel{Name: "r"}, R: Rel{Name: "s"}}, ints(1, 2, 3, 4)},
 		{Diff{L: Rel{Name: "r"}, R: Rel{Name: "s"}}, ints(1, 2)},
 		{Diff{L: Rel{Name: "s"}, R: Rel{Name: "r"}}, ints(4)},
-		{Select{Of: Rel{Name: "r"}, Var: "x", Test: FCmp{Op: OpGe, L: x(), R: FConst{V: value.Int(2)}}}, ints(2, 3)},
-		{Map{Of: Rel{Name: "r"}, Var: "x", Out: FArith{Op: OpTimes, L: x(), R: FConst{V: value.Int(10)}}}, ints(10, 20, 30)},
+		{Select{Of: Rel{Name: "r"}, Var: "x", Test: FCmp{Op: builtin.Ge, L: x(), R: FConst{V: value.Int(2)}}}, ints(2, 3)},
+		{Map{Of: Rel{Name: "r"}, Var: "x", Out: FArith{Op: builtin.Times, L: x(), R: FConst{V: value.Int(10)}}}, ints(10, 20, 30)},
 	}
 	for _, c := range cases {
 		got, err := Eval(c.e, db)
@@ -86,7 +87,7 @@ func tcExpr(edges string) Expr {
 	join := Select{
 		Of:  Product{L: Rel{Name: "x"}, R: Rel{Name: edges}},
 		Var: "p",
-		Test: FCmp{Op: OpEq,
+		Test: FCmp{Op: builtin.Eq,
 			L: FField{Of: FField{Of: joinVar, Idx: 1}, Idx: 2},
 			R: FField{Of: FField{Of: joinVar, Idx: 2}, Idx: 1}},
 	}
@@ -140,10 +141,10 @@ func TestEvalIFPNonMonotone(t *testing.T) {
 // bound selection yields its finite prefix, and without a bound the budget
 // fires.
 func evenExpr(bound int64) Expr {
-	step := Map{Of: Rel{Name: "s"}, Var: "x", Out: FArith{Op: OpPlus, L: x(), R: FConst{V: value.Int(2)}}}
+	step := Map{Of: Rel{Name: "s"}, Var: "x", Out: FArith{Op: builtin.Plus, L: x(), R: FConst{V: value.Int(2)}}}
 	var body Expr = Union{L: Singleton(value.Int(0)), R: step}
 	if bound > 0 {
-		body = Select{Of: body, Var: "x", Test: FCmp{Op: OpLt, L: x(), R: FConst{V: value.Int(bound)}}}
+		body = Select{Of: body, Var: "x", Test: FCmp{Op: builtin.Lt, L: x(), R: FConst{V: value.Int(bound)}}}
 	}
 	return IFP{Var: "s", Body: body}
 }
@@ -189,9 +190,9 @@ func TestEvalErrors(t *testing.T) {
 	cases := []Expr{
 		Rel{Name: "nosuch"},
 		Call{Name: "f"},
-		Select{Of: Rel{Name: "r"}, Var: "x", Test: x()},                                        // non-boolean test
-		Map{Of: Rel{Name: "r"}, Var: "x", Out: FField{Of: x(), Idx: 1}},                        // project non-tuple
-		Select{Of: Rel{Name: "r"}, Var: "x", Test: FCmp{Op: OpEq, L: FVar{Name: "y"}, R: x()}}, // unbound var
+		Select{Of: Rel{Name: "r"}, Var: "x", Test: x()},                                              // non-boolean test
+		Map{Of: Rel{Name: "r"}, Var: "x", Out: FField{Of: x(), Idx: 1}},                              // project non-tuple
+		Select{Of: Rel{Name: "r"}, Var: "x", Test: FCmp{Op: builtin.Eq, L: FVar{Name: "y"}, R: x()}}, // unbound var
 	}
 	for _, e := range cases {
 		if _, err := Eval(e, db); err == nil {
@@ -206,10 +207,10 @@ func TestEvalFOperators(t *testing.T) {
 		e    FExpr
 		want value.Value
 	}{
-		{FArith{Op: OpPlus, L: x(), R: FConst{V: value.Int(2)}}, value.Int(8)},
-		{FArith{Op: OpMinus, L: x(), R: FConst{V: value.Int(2)}}, value.Int(4)},
-		{FArith{Op: OpTimes, L: x(), R: x()}, value.Int(36)},
-		{FArith{Op: OpMod, L: x(), R: FConst{V: value.Int(4)}}, value.Int(2)},
+		{FArith{Op: builtin.Plus, L: x(), R: FConst{V: value.Int(2)}}, value.Int(8)},
+		{FArith{Op: builtin.Minus, L: x(), R: FConst{V: value.Int(2)}}, value.Int(4)},
+		{FArith{Op: builtin.Times, L: x(), R: x()}, value.Int(36)},
+		{FArith{Op: builtin.Mod, L: x(), R: FConst{V: value.Int(4)}}, value.Int(2)},
 		{FAnd{L: FConst{V: value.True}, R: FConst{V: value.False}}, value.False},
 		{FOr{L: FConst{V: value.False}, R: FConst{V: value.True}}, value.True},
 		{FNot{E: FConst{V: value.False}}, value.True},
@@ -217,7 +218,7 @@ func TestEvalFOperators(t *testing.T) {
 		{FTuple{Elems: []FExpr{x(), x()}}, value.Pair(value.Int(6), value.Int(6))},
 		{FMem{Elem: FConst{V: value.Int(1)}, Set: FConst{V: ints(1, 2)}}, value.True},
 		{FMem{Elem: FConst{V: value.Int(9)}, Set: FConst{V: ints(1, 2)}}, value.False},
-		{FCmp{Op: OpNe, L: x(), R: FConst{V: value.Int(6)}}, value.False},
+		{FCmp{Op: builtin.Ne, L: x(), R: FConst{V: value.Int(6)}}, value.False},
 	}
 	for _, c := range cases {
 		got, err := EvalF(c.e, env)
@@ -247,8 +248,8 @@ func TestEvalFErrors(t *testing.T) {
 		FVar{Name: "unbound"},
 		FField{Of: FConst{V: value.Int(1)}, Idx: 1},
 		FField{Of: FConst{V: value.NewTuple(value.Int(1))}, Idx: 3},
-		FArith{Op: OpPlus, L: FConst{V: value.String("a")}, R: FConst{V: value.Int(1)}},
-		FArith{Op: OpMod, L: FConst{V: value.Int(1)}, R: FConst{V: value.Int(0)}},
+		FArith{Op: builtin.Plus, L: FConst{V: value.String("a")}, R: FConst{V: value.Int(1)}},
+		FArith{Op: builtin.Mod, L: FConst{V: value.Int(1)}, R: FConst{V: value.Int(0)}},
 		FAnd{L: FConst{V: value.Int(1)}, R: FConst{V: value.True}},
 		FNot{E: FConst{V: value.Int(0)}},
 		FMem{Elem: FConst{V: value.Int(1)}, Set: FConst{V: value.Int(2)}},
@@ -395,7 +396,7 @@ func TestExprStrings(t *testing.T) {
 		{Union{L: Rel{Name: "a"}, R: Rel{Name: "b"}}, "union(a, b)"},
 		{Diff{L: Rel{Name: "a"}, R: Rel{Name: "b"}}, "diff(a, b)"},
 		{Product{L: Rel{Name: "a"}, R: Rel{Name: "b"}}, "product(a, b)"},
-		{Select{Of: Rel{Name: "a"}, Var: "x", Test: FCmp{Op: OpLt, L: x(), R: FConst{V: value.Int(3)}}}, `select(a, \x -> x < 3)`},
+		{Select{Of: Rel{Name: "a"}, Var: "x", Test: FCmp{Op: builtin.Lt, L: x(), R: FConst{V: value.Int(3)}}}, `select(a, \x -> x < 3)`},
 		{Map{Of: Rel{Name: "a"}, Var: "x", Out: FField{Of: x(), Idx: 1}}, `map(a, \x -> x.1)`},
 		{IFP{Var: "x", Body: Union{L: Rel{Name: "e"}, R: Rel{Name: "x"}}}, "ifp(x, union(e, x))"},
 		{Call{Name: "f", Args: []Expr{Rel{Name: "a"}, Rel{Name: "b"}}}, "f(a, b)"},

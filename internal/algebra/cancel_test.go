@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -12,7 +13,7 @@ import (
 func divergentIFP() Expr {
 	return IFP{Var: "s", Body: Union{
 		L: Lit{Set: value.NewSet(value.Int(0))},
-		R: Map{Of: Rel{Name: "s"}, Var: "x", Out: FArith{Op: OpPlus, L: FVar{Name: "x"}, R: FConst{V: value.Int(1)}}},
+		R: Map{Of: Rel{Name: "s"}, Var: "x", Out: FArith{Op: builtin.Plus, L: FVar{Name: "x"}, R: FConst{V: value.Int(1)}}},
 	}}
 }
 
@@ -59,11 +60,11 @@ func TestTimeoutInsideOneScan(t *testing.T) {
 	}
 	x := FVar{Name: "x"}
 	// x·x·x·x mod 7 = 3 holds for no integer: every element is tested, none kept.
-	pow := FArith{Op: OpTimes, L: FArith{Op: OpTimes, L: x, R: x}, R: FArith{Op: OpTimes, L: x, R: x}}
-	expensive := Select{Of: Rel{Name: "a"}, Var: "x", Test: FCmp{Op: OpEq, L: FArith{Op: OpMod, L: pow, R: FConst{V: value.Int(7)}}, R: FConst{V: value.Int(3)}}}
+	pow := FArith{Op: builtin.Times, L: FArith{Op: builtin.Times, L: x, R: x}, R: FArith{Op: builtin.Times, L: x, R: x}}
+	expensive := Select{Of: Rel{Name: "a"}, Var: "x", Test: FCmp{Op: builtin.Eq, L: FArith{Op: builtin.Mod, L: pow, R: FConst{V: value.Int(7)}}, R: FConst{V: value.Int(3)}}}
 	p := FVar{Name: "p"}
 	rangeJoin := Select{Of: Product{L: Rel{Name: "b"}, R: Rel{Name: "b"}}, Var: "p",
-		Test: FCmp{Op: OpLt, L: FField{Of: p, Idx: 1}, R: FField{Of: p, Idx: 2}}}
+		Test: FCmp{Op: builtin.Lt, L: FField{Of: p, Idx: 1}, R: FField{Of: p, Idx: 2}}}
 	db := DB{"a": ints(1_000_000), "b": ints(3000)}
 	for name, e := range map[string]Expr{"a select over 10^6 elements": expensive, "a range join of 3000 x 3000": rangeJoin} {
 		stop := make(chan struct{})

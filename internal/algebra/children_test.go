@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/randgen"
 	"algrec/internal/value"
 )
@@ -21,7 +22,7 @@ func TestChildrenRoundTrip(t *testing.T) {
 		algebra.Union{L: r, R: s},
 		algebra.Diff{L: r, R: s},
 		algebra.Product{L: r, R: s},
-		algebra.Select{Of: r, Var: "x", Test: algebra.FCmp{Op: algebra.OpEq, L: x, R: algebra.FConst{V: value.Int(1)}}},
+		algebra.Select{Of: r, Var: "x", Test: algebra.FCmp{Op: builtin.Eq, L: x, R: algebra.FConst{V: value.Int(1)}}},
 		algebra.Map{Of: r, Var: "x", Out: algebra.FField{Of: x, Idx: 1}},
 		algebra.IFP{Var: "x", Body: algebra.Union{L: r, R: algebra.Rel{Name: "x"}}},
 		algebra.Flip{E: r},

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"algrec/internal/builtin"
 	"algrec/internal/obsv"
 	"algrec/internal/value"
 )
@@ -14,10 +15,10 @@ func rele() Expr { return Rel{Name: "e"} }
 
 func TestDeltaDistributive(t *testing.T) {
 	sel := func(of Expr) Expr {
-		return Select{Of: of, Var: "v", Test: FCmp{Op: OpLt, L: FVar{Name: "v"}, R: FConst{V: value.Int(100)}}}
+		return Select{Of: of, Var: "v", Test: FCmp{Op: builtin.Lt, L: FVar{Name: "v"}, R: FConst{V: value.Int(100)}}}
 	}
 	mp := func(of Expr) Expr {
-		return Map{Of: of, Var: "v", Out: FArith{Op: OpPlus, L: FVar{Name: "v"}, R: FConst{V: value.Int(1)}}}
+		return Map{Of: of, Var: "v", Out: FArith{Op: builtin.Plus, L: FVar{Name: "v"}, R: FConst{V: value.Int(1)}}}
 	}
 	cases := []struct {
 		name string
@@ -115,11 +116,11 @@ func randIFPBody(r *rand.Rand, depth int) Expr {
 		return Diff{L: randIFPBody(r, depth-1), R: randIFPBody(r, depth-1)}
 	case 2:
 		return Select{Of: randIFPBody(r, depth-1), Var: "v",
-			Test: FCmp{Op: OpLt, L: v, R: FConst{V: value.Int(int64(r.Intn(12)))}}}
+			Test: FCmp{Op: builtin.Lt, L: v, R: FConst{V: value.Int(int64(r.Intn(12)))}}}
 	case 3:
 		// +1 mod m keeps the fixpoint finite while forcing several rounds
 		return Map{Of: randIFPBody(r, depth-1), Var: "v",
-			Out: FArith{Op: OpMod, L: FArith{Op: OpPlus, L: v, R: FConst{V: value.Int(1)}}, R: FConst{V: value.Int(int64(2 + r.Intn(9)))}}}
+			Out: FArith{Op: builtin.Mod, L: FArith{Op: builtin.Plus, L: v, R: FConst{V: value.Int(1)}}, R: FConst{V: value.Int(int64(2 + r.Intn(9)))}}}
 	case 4:
 		return Product{L: randIFPBody(r, depth-1), R: randIFPBody(r, depth-1)}
 	case 5:
@@ -176,7 +177,7 @@ func chainTC(n int) (Expr, DB, []int) {
 	step := Select{
 		Of:  Product{L: Rel{Name: "x"}, R: Rel{Name: "e"}},
 		Var: "p",
-		Test: FCmp{Op: OpEq,
+		Test: FCmp{Op: builtin.Eq,
 			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
 			R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
 	}

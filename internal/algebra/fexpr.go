@@ -6,8 +6,9 @@
 // Two expression languages live here. FExpr is the first-order language of
 // element-level functions and tests that parameterizes σ and MAP — the
 // concrete counterpart of the paper's "a special specification must be
-// provided for every specific function". Expr is the language of set-valued
-// algebra expressions.
+// provided for every specific function"; its operators are defined in
+// internal/builtin's table, which datalog's function symbols share. Expr is
+// the language of set-valued algebra expressions.
 //
 // The package evaluates non-recursive expressions (plus IFP) against a
 // database of named finite sets. Recursive *definitions* — the algebra= of
@@ -22,72 +23,16 @@ import (
 	"strconv"
 	"strings"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
-// CmpOp is a comparison operator in tests.
-type CmpOp uint8
-
-// The comparison operators.
-const (
-	OpEq CmpOp = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// String returns the concrete syntax of the operator.
-func (op CmpOp) String() string {
-	switch op {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	default:
-		return fmt.Sprintf("CmpOp(%d)", uint8(op))
-	}
-}
-
-// ArithOp is an arithmetic operator on integers.
-type ArithOp uint8
-
-// The arithmetic operators.
-const (
-	OpPlus ArithOp = iota
-	OpMinus
-	OpTimes
-	OpMod
-)
-
-// String returns the concrete syntax of the operator.
-func (op ArithOp) String() string {
-	switch op {
-	case OpPlus:
-		return "+"
-	case OpMinus:
-		return "-"
-	case OpTimes:
-		return "*"
-	case OpMod:
-		return "%"
-	default:
-		return fmt.Sprintf("ArithOp(%d)", uint8(op))
-	}
-}
-
 // FExpr is an element-level expression: the body of a selection test or a
 // MAP restructuring function. It is evaluated against an environment binding
-// element variables to values. FExpr is a sealed interface.
+// element variables to values. Its operators — projection, comparison,
+// arithmetic, the connectives and membership — are entries of
+// internal/builtin's table, which datalog's function symbols share. FExpr is
+// a sealed interface.
 type FExpr interface {
 	String() string
 	isFExpr()
@@ -112,13 +57,13 @@ type FTuple struct{ Elems []FExpr }
 
 // FCmp compares two subexpressions under the total order on values.
 type FCmp struct {
-	Op   CmpOp
+	Op   builtin.Cmp
 	L, R FExpr
 }
 
 // FArith applies integer arithmetic.
 type FArith struct {
-	Op   ArithOp
+	Op   builtin.Arith
 	L, R FExpr
 }
 
@@ -222,14 +167,7 @@ func EvalF(e FExpr, env FEnv) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, ok := v.(value.Tuple)
-		if !ok {
-			return nil, fmt.Errorf("algebra: projection .%d applied to non-tuple %v", ee.Idx, v)
-		}
-		if ee.Idx < 1 || ee.Idx > t.Len() {
-			return nil, fmt.Errorf("algebra: projection .%d out of range for %v", ee.Idx, t)
-		}
-		return t.At(ee.Idx - 1), nil
+		return builtin.Field(v, ee.Idx)
 	case FTuple:
 		elems := make([]value.Value, len(ee.Elems))
 		for i, el := range ee.Elems {
@@ -241,131 +179,66 @@ func EvalF(e FExpr, env FEnv) (value.Value, error) {
 		}
 		return value.NewTuple(elems...), nil
 	case FCmp:
-		l, err := EvalF(ee.L, env)
+		l, r, err := evalPair(ee.L, ee.R, env)
 		if err != nil {
 			return nil, err
 		}
-		r, err := EvalF(ee.R, env)
-		if err != nil {
-			return nil, err
-		}
-		c := l.Compare(r)
-		var out bool
-		switch ee.Op {
-		case OpEq:
-			out = c == 0
-		case OpNe:
-			out = c != 0
-		case OpLt:
-			out = c < 0
-		case OpLe:
-			out = c <= 0
-		case OpGt:
-			out = c > 0
-		case OpGe:
-			out = c >= 0
-		default:
-			return nil, fmt.Errorf("algebra: unknown comparison %v", ee.Op)
-		}
-		return value.Bool(out), nil
+		return value.Bool(ee.Op.Holds(l.Compare(r))), nil
 	case FArith:
-		l, err := evalInt(ee.L, env)
+		l, r, err := evalPair(ee.L, ee.R, env)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalInt(ee.R, env)
-		if err != nil {
-			return nil, err
-		}
-		switch ee.Op {
-		case OpPlus:
-			return value.Int(l + r), nil
-		case OpMinus:
-			return value.Int(l - r), nil
-		case OpTimes:
-			return value.Int(l * r), nil
-		case OpMod:
-			if r == 0 {
-				return nil, fmt.Errorf("algebra: mod by zero")
-			}
-			return value.Int(l % r), nil
-		default:
-			return nil, fmt.Errorf("algebra: unknown arithmetic operator %v", ee.Op)
-		}
+		return ee.Op.Eval(l, r)
 	case FAnd:
-		l, err := evalBool(ee.L, env)
-		if err != nil {
-			return nil, err
-		}
-		if !l {
-			return value.False, nil
-		}
-		r, err := evalBool(ee.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return value.Bool(r), nil
+		return evalConnective(builtin.Band, ee.L, ee.R, env)
 	case FOr:
-		l, err := evalBool(ee.L, env)
-		if err != nil {
-			return nil, err
-		}
-		if l {
-			return value.True, nil
-		}
-		r, err := evalBool(ee.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return value.Bool(r), nil
+		return evalConnective(builtin.Bor, ee.L, ee.R, env)
 	case FNot:
-		b, err := evalBool(ee.E, env)
+		v, err := EvalF(ee.E, env)
 		if err != nil {
 			return nil, err
 		}
-		return value.Bool(!b), nil
+		return builtin.Bnot.Call1(v)
 	case FMem:
-		el, err := EvalF(ee.Elem, env)
+		el, s, err := evalPair(ee.Elem, ee.Set, env)
 		if err != nil {
 			return nil, err
 		}
-		sv, err := EvalF(ee.Set, env)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := sv.(value.Set)
-		if !ok {
-			return nil, fmt.Errorf("algebra: membership test against non-set %v", sv)
-		}
-		return value.Bool(s.Has(el)), nil
+		return builtin.Ismem.Call2(el, s)
 	default:
 		panic(fmt.Sprintf("algebra: unknown FExpr %T", e))
 	}
 }
 
-func evalInt(e FExpr, env FEnv) (int64, error) {
-	v, err := EvalF(e, env)
+func evalPair(l, r FExpr, env FEnv) (value.Value, value.Value, error) {
+	a, err := EvalF(l, env)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	i, ok := v.(value.Int)
-	if !ok {
-		return 0, fmt.Errorf("algebra: expected an integer, got %v", v)
-	}
-	return int64(i), nil
+	b, err := EvalF(r, env)
+	return a, b, err
 }
 
-func evalBool(e FExpr, env FEnv) (bool, error) {
+// evalConnective evaluates the second argument of and/or only when the first
+// does not decide the result, as datalog's band/bor do.
+func evalConnective(f *builtin.Func, l, r FExpr, env FEnv) (value.Value, error) {
+	a, err := EvalF(l, env)
+	if err != nil || f.Decides(a) {
+		return a, err
+	}
+	b, err := EvalF(r, env)
+	if err != nil {
+		return nil, err
+	}
+	return f.Call2(a, b)
+}
+
+// EvalTest evaluates a selection test to a boolean.
+func EvalTest(e FExpr, env FEnv) (bool, error) {
 	v, err := EvalF(e, env)
 	if err != nil {
 		return false, err
 	}
-	b, ok := v.(value.Bool)
-	if !ok {
-		return false, fmt.Errorf("algebra: expected a boolean, got %v", v)
-	}
-	return bool(b), nil
+	return builtin.Bool(v)
 }
-
-// EvalTest evaluates a selection test to a boolean.
-func EvalTest(e FExpr, env FEnv) (bool, error) { return evalBool(e, env) }

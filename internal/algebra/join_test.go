@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"algrec/internal/builtin"
 	"algrec/internal/obsv"
 	"algrec/internal/value"
 	"algrec/internal/value/intern"
@@ -36,22 +37,22 @@ func TestEquiJoinKeys(t *testing.T) {
 		return plan
 	}
 	// p.1.2 = p.2.1
-	test := FCmp{Op: OpEq, L: f(1, 2), R: f(2, 1)}
+	test := FCmp{Op: builtin.Eq, L: f(1, 2), R: f(2, 1)}
 	want := []joinEdge{{a: leafPath{leaf: 0, path: KeyPath{2}}, b: leafPath{leaf: 1, path: KeyPath{1}}}}
 	if edges := plan(test).edges; !reflect.DeepEqual(edges, want) {
 		t.Fatalf("edges = %v, want %v", edges, want)
 	}
 	// swapped sides: the same edge
-	if edges := plan(FCmp{Op: OpEq, L: f(2, 1), R: f(1, 2)}).edges; !reflect.DeepEqual(edges, want) {
+	if edges := plan(FCmp{Op: builtin.Eq, L: f(2, 1), R: f(1, 2)}).edges; !reflect.DeepEqual(edges, want) {
 		t.Errorf("swapped sides: edges = %v, want %v", edges, want)
 	}
 	// conjunction with extra conditions: the other conjunct is pushed
-	and := FAnd{L: test, R: FCmp{Op: OpLt, L: f(1, 1), R: FConst{V: value.Int(5)}}}
+	and := FAnd{L: test, R: FCmp{Op: builtin.Lt, L: f(1, 1), R: FConst{V: value.Int(5)}}}
 	if pl := plan(and); len(pl.edges) != 1 || len(pl.leaves[0].filters) != 1 {
 		t.Errorf("conjunct extraction failed: %d edges, %d filters on the left", len(pl.edges), len(pl.leaves[0].filters))
 	}
 	// two equi conjuncts
-	and2 := FAnd{L: test, R: FCmp{Op: OpEq, L: f(1, 1), R: f(2, 2)}}
+	and2 := FAnd{L: test, R: FCmp{Op: builtin.Eq, L: f(1, 1), R: f(2, 2)}}
 	if edges := plan(and2).edges; len(edges) != 2 {
 		t.Errorf("multi-key extraction failed: edges = %v", edges)
 	}
@@ -60,11 +61,11 @@ func TestEquiJoinKeys(t *testing.T) {
 		bad    FExpr
 		pushed int
 	}{
-		{FCmp{Op: OpNe, L: f(1, 1), R: f(2, 1)}, 0},
-		{FCmp{Op: OpEq, L: f(1, 1), R: f(1, 2)}, 1}, // same side
-		{FCmp{Op: OpEq, L: f(1, 1), R: FConst{V: value.Int(3)}}, 1},
+		{FCmp{Op: builtin.Ne, L: f(1, 1), R: f(2, 1)}, 0},
+		{FCmp{Op: builtin.Eq, L: f(1, 1), R: f(1, 2)}, 1}, // same side
+		{FCmp{Op: builtin.Eq, L: f(1, 1), R: FConst{V: value.Int(3)}}, 1},
 		{FConst{V: value.True}, 0},
-		{FCmp{Op: OpEq, L: FVar{Name: "other"}, R: f(2, 1)}, 0},
+		{FCmp{Op: builtin.Eq, L: FVar{Name: "other"}, R: f(2, 1)}, 0},
 	} {
 		pl := plan(c.bad)
 		if pushed := len(pl.leaves[0].filters) + len(pl.leaves[1].filters); len(pl.edges) != 0 || pushed != c.pushed {
@@ -86,10 +87,10 @@ func TestHashJoinEqualsNaive(t *testing.T) {
 	}
 	p := FVar{Name: "p"}
 	test := FAnd{
-		L: FCmp{Op: OpEq,
+		L: FCmp{Op: builtin.Eq,
 			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
 			R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
-		R: FCmp{Op: OpLe,
+		R: FCmp{Op: builtin.Le,
 			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 1},
 			R: FConst{V: value.Int(3)}},
 	}
@@ -110,7 +111,7 @@ func TestHashJoinFallback(t *testing.T) {
 	e := Select{
 		Of:  Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}},
 		Var: "p",
-		Test: FCmp{Op: OpEq,
+		Test: FCmp{Op: builtin.Eq,
 			L: FField{Of: FField{Of: p, Idx: 1}, Idx: 2},
 			R: FField{Of: FField{Of: p, Idx: 2}, Idx: 1}},
 	}
@@ -153,7 +154,7 @@ func TestReferenceBuildsTheProduct(t *testing.T) {
 	e := Select{
 		Of:   Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}},
 		Var:  "p",
-		Test: FCmp{Op: OpEq, L: fld("p", 1, 2), R: fld("p", 2, 1)},
+		Test: FCmp{Op: builtin.Eq, L: fld("p", 1, 2), R: fld("p", 2, 1)},
 	}
 	budget := Budget{MaxSetSize: 50}
 	if got, err := NewEvaluator(db, budget).Eval(e); err != nil || got.Len() != 9 {
@@ -191,8 +192,8 @@ func fld(v string, idx ...int) FExpr {
 }
 
 func parity(e FExpr) FExpr {
-	return FCmp{Op: OpEq,
-		L: FArith{Op: OpMod, L: e, R: FConst{V: value.Int(2)}},
+	return FCmp{Op: builtin.Eq,
+		L: FArith{Op: builtin.Mod, L: e, R: FConst{V: value.Int(2)}},
 		R: FConst{V: value.Int(0)}}
 }
 
@@ -203,7 +204,7 @@ func equiSelect() Expr {
 		Var: "p",
 		Test: FAnd{
 			L: parity(fld("p", 1)),
-			R: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)},
+			R: FCmp{Op: builtin.Eq, L: fld("p", 1), R: fld("p", 2)},
 		},
 	}
 }
@@ -216,7 +217,7 @@ func tcPipelineExpr() Expr {
 			Of: Select{
 				Of:   Product{L: Rel{Name: "t"}, R: Rel{Name: "E"}},
 				Var:  "u",
-				Test: FCmp{Op: OpEq, L: fld("u", 1, 2), R: fld("u", 2, 1)},
+				Test: FCmp{Op: builtin.Eq, L: fld("u", 1, 2), R: fld("u", 2, 1)},
 			},
 			Var: "w",
 			Out: FTuple{Elems: []FExpr{fld("w", 1, 1), fld("w", 2, 2)}},
@@ -306,23 +307,23 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		equiSelect(),
 		tcPipelineExpr(),
 		// no usable key: a cross join with a re-checked range test
-		Select{Of: prod, Var: "p", Test: FCmp{Op: OpLt, L: fld("p", 1), R: fld("p", 2)}},
+		Select{Of: prod, Var: "p", Test: FCmp{Op: builtin.Lt, L: fld("p", 1), R: fld("p", 2)}},
 		// σ over a union of a product and a pair relation
 		Select{Of: Union{L: prod, R: Rel{Name: "E"}}, Var: "p",
-			Test: FCmp{Op: OpGe, L: fld("p", 2), R: fld("p", 1)}},
+			Test: FCmp{Op: builtin.Ge, L: fld("p", 2), R: fld("p", 1)}},
 		// MAP directly over a product
 		Map{Of: prod, Var: "p",
-			Out: FArith{Op: OpPlus, L: fld("p", 1), R: fld("p", 2)}},
+			Out: FArith{Op: builtin.Plus, L: fld("p", 1), R: fld("p", 2)}},
 		// empty side
 		Select{Of: Product{L: Rel{Name: "A"}, R: Lit{Set: value.Set{}}}, Var: "p",
-			Test: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)}},
+			Test: FCmp{Op: builtin.Eq, L: fld("p", 1), R: fld("p", 2)}},
 		// three-leaf nested product with two keys
 		Select{
 			Of:  Product{L: Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}}, R: Rel{Name: "A"}},
 			Var: "p",
 			Test: FAnd{
-				L: FCmp{Op: OpEq, L: fld("p", 1, 1), R: fld("p", 2)},
-				R: FCmp{Op: OpEq, L: fld("p", 1, 2), R: fld("p", 2)},
+				L: FCmp{Op: builtin.Eq, L: fld("p", 1, 1), R: fld("p", 2)},
+				R: FCmp{Op: builtin.Eq, L: fld("p", 1, 2), R: fld("p", 2)},
 			},
 		},
 	}
@@ -346,7 +347,7 @@ func TestStreamingMatchesMaterializedOnErrors(t *testing.T) {
 		Var: "p",
 		Test: FAnd{
 			L: parity(fld("p", 2)),
-			R: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)},
+			R: FCmp{Op: builtin.Eq, L: fld("p", 1), R: fld("p", 2)},
 		},
 	}
 	_, errSt := NewEvaluator(db, Budget{}).Eval(e)
@@ -366,7 +367,7 @@ func TestStreamingBudgetBoundary(t *testing.T) {
 	e := Select{
 		Of:   Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}},
 		Var:  "p",
-		Test: FCmp{Op: OpLt, L: fld("p", 1), R: fld("p", 2)},
+		Test: FCmp{Op: builtin.Lt, L: fld("p", 1), R: fld("p", 2)},
 	}
 	budget := Budget{MaxSetSize: 50}
 	st, errSt := NewEvaluator(db, budget).Eval(e)
@@ -427,7 +428,7 @@ func TestStreamPushdownCounts(t *testing.T) {
 	bare := Select{
 		Of:   Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}},
 		Var:  "p",
-		Test: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)},
+		Test: FCmp{Op: builtin.Eq, L: fld("p", 1), R: fld("p", 2)},
 	}
 	snapBare := streamCounters(t, bare, db)
 	if snapBare["stream.tested"] != 10 || snapBare["stream.pushed"] != 0 {
@@ -444,7 +445,7 @@ func TestStreamPushdownCounts(t *testing.T) {
 	both := Select{
 		Of:   Union{L: Product{L: Rel{Name: "A"}, R: Rel{Name: "B"}}, R: Product{L: Rel{Name: "B"}, R: Rel{Name: "A"}}},
 		Var:  "p",
-		Test: FCmp{Op: OpEq, L: fld("p", 1), R: fld("p", 2)},
+		Test: FCmp{Op: builtin.Eq, L: fld("p", 1), R: fld("p", 2)},
 	}
 	assertStreamEq(t, both, db)
 	snapBoth := streamCounters(t, both, db)
@@ -483,7 +484,7 @@ func TestJoinInternsNothing(t *testing.T) {
 	e := Select{
 		Of:   Product{L: Rel{Name: "l"}, R: Rel{Name: "r"}},
 		Var:  "p",
-		Test: FCmp{Op: OpEq, L: fld("p", 1, 2), R: fld("p", 2, 2)},
+		Test: FCmp{Op: builtin.Eq, L: fld("p", 1, 2), R: fld("p", 2, 2)},
 	}
 	before := intern.Global().Len()
 	snap := streamCounters(t, e, db)

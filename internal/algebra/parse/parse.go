@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/value"
 )
@@ -177,7 +178,7 @@ const (
 	tRBrace
 	tComma
 	tSemi
-	tEq
+	tEq // tEq … tGe: the comparison operators
 	tNe
 	tLt
 	tLe
@@ -601,33 +602,20 @@ func (p *parser) parseFCmp() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	var op algebra.CmpOp
-	switch p.tok.kind {
-	case tEq:
-		op = algebra.OpEq
-	case tNe:
-		op = algebra.OpNe
-	case tLt:
-		op = algebra.OpLt
-	case tLe:
-		op = algebra.OpLe
-	case tGt:
-		op = algebra.OpGt
-	case tGe:
-		op = algebra.OpGe
-	default:
-		if p.tok.kind == tIdent && p.tok.text == "in" {
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			r, err := p.parseFAdd()
-			if err != nil {
-				return nil, err
-			}
-			return algebra.FMem{Elem: l, Set: r}, nil
+	if p.tok.kind == tIdent && p.tok.text == "in" {
+		if err := p.next(); err != nil {
+			return nil, err
 		}
+		r, err := p.parseFAdd()
+		if err != nil {
+			return nil, err
+		}
+		return algebra.FMem{Elem: l, Set: r}, nil
+	}
+	if p.tok.kind < tEq || p.tok.kind > tGe {
 		return l, nil
 	}
+	op, _ := builtin.CmpOf(p.tok.text)
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -644,10 +632,7 @@ func (p *parser) parseFAdd() (algebra.FExpr, error) {
 		return nil, err
 	}
 	for p.tok.kind == tPlus || p.tok.kind == tMinus {
-		op := algebra.OpPlus
-		if p.tok.kind == tMinus {
-			op = algebra.OpMinus
-		}
+		op, _ := builtin.ArithOf(p.tok.text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -666,10 +651,7 @@ func (p *parser) parseFMul() (algebra.FExpr, error) {
 		return nil, err
 	}
 	for p.tok.kind == tStar || (p.tok.kind == tIdent && p.tok.text == "mod") {
-		op := algebra.OpTimes
-		if p.tok.kind == tIdent {
-			op = algebra.OpMod
-		}
+		op, _ := builtin.ArithOf(p.tok.text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}

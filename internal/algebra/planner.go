@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -49,6 +50,9 @@ const (
 	selMember  = 0.3
 	selGeneric = 0.7
 )
+
+// selCmp is a pushed comparison's selectivity, by operator.
+var selCmp = [...]float64{builtin.Eq: selEq, builtin.Ne: selNe, builtin.Lt: selRange, builtin.Le: selRange, builtin.Gt: selRange, builtin.Ge: selRange}
 
 // prodNode is the shape of the flattened product tree: either a leaf index
 // or an internal pair node. It drives element reconstruction.
@@ -169,7 +173,7 @@ func (p *joinPlan) analyze(test FExpr) []joinEdge {
 			continue
 		}
 		cmp, isCmp := a.(FCmp)
-		if !isCmp || cmp.Op != OpEq {
+		if !isCmp || cmp.Op != builtin.Eq {
 			continue
 		}
 		lp, lok := p.chainPath(cmp.L)
@@ -309,14 +313,7 @@ func (p *joinPlan) rewriteAtom(a FExpr) (out FExpr, leaf int, ok bool) {
 func selectivity(f FExpr) float64 {
 	switch ff := f.(type) {
 	case FCmp:
-		switch ff.Op {
-		case OpEq:
-			return selEq
-		case OpNe:
-			return selNe
-		default:
-			return selRange
-		}
+		return selCmp[ff.Op]
 	case FMem:
 		return selMember
 	case FNot:

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -141,13 +142,13 @@ func TestWinGameCyclic(t *testing.T) {
 // for even numbers, false for odd ones.
 func evenProgram(bound int64) *Program {
 	x := algebra.FVar{Name: "x"}
-	step := algebra.Map{Of: rel("se"), Var: "x", Out: algebra.FArith{Op: algebra.OpPlus, L: x, R: algebra.FConst{V: value.Int(2)}}}
+	step := algebra.Map{Of: rel("se"), Var: "x", Out: algebra.FArith{Op: builtin.Plus, L: x, R: algebra.FConst{V: value.Int(2)}}}
 	var body algebra.Expr = algebra.Union{L: algebra.Singleton(value.Int(0)), R: step}
 	if bound > 0 {
 		body = algebra.Select{
 			Of:   body,
 			Var:  "x",
-			Test: algebra.FCmp{Op: algebra.OpLt, L: x, R: algebra.FConst{V: value.Int(bound)}},
+			Test: algebra.FCmp{Op: builtin.Lt, L: x, R: algebra.FConst{V: value.Int(bound)}},
 		}
 	}
 	return &Program{Defs: []Def{{Name: "se", Body: body}}}
@@ -190,7 +191,7 @@ func tcEquation(edges string) *Program {
 	join := algebra.Select{
 		Of:  algebra.Product{L: rel("tc"), R: rel(edges)},
 		Var: "p",
-		Test: algebra.FCmp{Op: algebra.OpEq,
+		Test: algebra.FCmp{Op: builtin.Eq,
 			L: algebra.FField{Of: algebra.FField{Of: p, Idx: 1}, Idx: 2},
 			R: algebra.FField{Of: algebra.FField{Of: p, Idx: 2}, Idx: 1}},
 	}
@@ -365,7 +366,7 @@ func TestMutualRecursion(t *testing.T) {
 		join := algebra.Select{
 			Of:  algebra.Product{L: rel(src), R: rel("e")},
 			Var: "p",
-			Test: algebra.FCmp{Op: algebra.OpEq,
+			Test: algebra.FCmp{Op: builtin.Eq,
 				L: algebra.FField{Of: p, Idx: 1},
 				R: algebra.FField{Of: algebra.FField{Of: p, Idx: 2}, Idx: 1}},
 		}
@@ -469,11 +470,11 @@ func TestPropertyPositiveIsWellDefined(t *testing.T) {
 			case 2:
 				x := algebra.FVar{Name: "x"}
 				return algebra.Select{Of: mkExpr(depth - 1), Var: "x",
-					Test: algebra.FCmp{Op: algebra.OpLt, L: x, R: algebra.FConst{V: value.Int(int64(r.Intn(6)))}}}
+					Test: algebra.FCmp{Op: builtin.Lt, L: x, R: algebra.FConst{V: value.Int(int64(r.Intn(6)))}}}
 			default:
 				x := algebra.FVar{Name: "x"}
 				return algebra.Map{Of: mkExpr(depth - 1), Var: "x",
-					Out: algebra.FArith{Op: algebra.OpMod, L: x, R: algebra.FConst{V: value.Int(7)}}}
+					Out: algebra.FArith{Op: builtin.Mod, L: x, R: algebra.FConst{V: value.Int(7)}}}
 			}
 		}
 		p := &Program{}
@@ -547,7 +548,7 @@ func TestPropertyQueryBounds(t *testing.T) {
 		q := algebra.Union{
 			L: algebra.Diff{L: algebra.Proj(rel("move"), 2), R: rel("win")},
 			R: algebra.Select{Of: rel("win"), Var: "x",
-				Test: algebra.FCmp{Op: algebra.OpLt, L: algebra.FVar{Name: "x"}, R: algebra.FConst{V: value.Int(int64(n / 2))}}},
+				Test: algebra.FCmp{Op: builtin.Lt, L: algebra.FVar{Name: "x"}, R: algebra.FConst{V: value.Int(int64(n / 2))}}},
 		}
 		lo, err := res.QueryLower(q)
 		if err != nil {

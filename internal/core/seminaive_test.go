@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/obsv"
 	"algrec/internal/value"
 )
@@ -28,7 +29,7 @@ func tcDef(name string) Def {
 	join := algebra.Select{
 		Of:  algebra.Product{L: rel(name), R: rel("e")},
 		Var: "p",
-		Test: algebra.FCmp{Op: algebra.OpEq,
+		Test: algebra.FCmp{Op: builtin.Eq,
 			L: algebra.FField{Of: algebra.FField{Of: p, Idx: 1}, Idx: 2},
 			R: algebra.FField{Of: algebra.FField{Of: p, Idx: 2}, Idx: 1}},
 	}
@@ -65,11 +66,11 @@ func randEquationProgram(r *rand.Rand) *Program {
 			return algebra.Diff{L: mkExpr(depth - 1), R: mkExpr(depth - 1)}
 		case 2:
 			return algebra.Select{Of: mkExpr(depth - 1), Var: "x",
-				Test: algebra.FCmp{Op: algebra.OpLt, L: x, R: algebra.FConst{V: value.Int(int64(r.Intn(6)))}}}
+				Test: algebra.FCmp{Op: builtin.Lt, L: x, R: algebra.FConst{V: value.Int(int64(r.Intn(6)))}}}
 		case 3:
 			return algebra.Map{Of: mkExpr(depth - 1), Var: "x",
-				Out: algebra.FArith{Op: algebra.OpMod,
-					L: algebra.FArith{Op: algebra.OpPlus, L: x, R: algebra.FConst{V: value.Int(1)}},
+				Out: algebra.FArith{Op: builtin.Mod,
+					L: algebra.FArith{Op: builtin.Plus, L: x, R: algebra.FConst{V: value.Int(1)}},
 					R: algebra.FConst{V: value.Int(7)}}}
 		case 4:
 			return algebra.Flip{E: mkExpr(depth - 1)}
@@ -214,7 +215,7 @@ func TestFlippedSubtrahendRegression(t *testing.T) {
 	p := &Program{Defs: []Def{
 		{Name: "s0", Body: algebra.Flip{E: algebra.Diff{
 			L: algebra.Select{Of: rel("s1"), Var: "x",
-				Test: algebra.FCmp{Op: algebra.OpLt, L: x, R: algebra.FConst{V: value.Int(3)}}},
+				Test: algebra.FCmp{Op: builtin.Lt, L: x, R: algebra.FConst{V: value.Int(3)}}},
 			R: algebra.IFP{Var: "acc", Body: algebra.Union{L: rel("acc"), R: rel("s2")}},
 		}}},
 		{Name: "s1", Body: algebra.Union{L: algebra.Lit{Set: ints(3)}, R: rel("s2")}},

@@ -1,6 +1,8 @@
 // Package datalog implements the paper's deductive language (Section 4):
 // Horn clauses with negated atoms, equality and comparison literals, and
-// interpreted function symbols over the complex-object value universe.
+// interpreted function symbols over the complex-object value universe. The
+// function symbols and the comparisons are defined in internal/builtin's
+// table, which the algebra's λ-bodies share.
 //
 // A program is a set of rules Q1, ..., Qn -> R(x̄), written in the concrete
 // syntax R(x̄) :- Q1, ..., Qn. Facts are rules with an empty body and a ground
@@ -18,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -91,40 +94,6 @@ func (a Atom) String() string {
 	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
 }
 
-// CmpOp is a comparison operator usable in rule bodies.
-type CmpOp uint8
-
-// The comparison operators. OpEq doubles as assignment when its left side is
-// an unbound variable (the safety checker's rule 4 of Definition 4.1).
-const (
-	OpEq CmpOp = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// String returns the concrete syntax of the operator.
-func (op CmpOp) String() string {
-	switch op {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	default:
-		return fmt.Sprintf("CmpOp(%d)", uint8(op))
-	}
-}
-
 // Literal is a body literal: a possibly negated atom, or a comparison between
 // terms. It is a sealed interface.
 type Literal interface {
@@ -138,9 +107,11 @@ type LitAtom struct {
 	Atom Atom
 }
 
-// LitCmp is a comparison literal between two terms.
+// LitCmp is a comparison literal between two terms. Eq doubles as
+// assignment when one side is an unbound variable (the safety checker's rule
+// 4 of Definition 4.1).
 type LitCmp struct {
-	Op   CmpOp
+	Op   builtin.Cmp
 	L, R Term
 }
 
@@ -171,7 +142,7 @@ func Neg(pred string, args ...Term) LitAtom {
 }
 
 // Cmp returns a comparison literal.
-func Cmp(op CmpOp, l, r Term) LitCmp { return LitCmp{Op: op, L: l, R: r} }
+func Cmp(op builtin.Cmp, l, r Term) LitCmp { return LitCmp{Op: op, L: l, R: r} }
 
 // Rule is a Horn clause with (possibly negated) body literals.
 type Rule struct {

@@ -141,7 +141,7 @@ func enumerate(t *testing.T, r Rule, facts map[string]bool) []Binding {
 				if err1 != nil || err2 != nil {
 					continue
 				}
-				if ok, _ := EvalCmp(st.Cmp.Op, lv, rv); ok {
+				if st.Cmp.Op.Holds(lv.Compare(rv)) {
 					next = append(next, b)
 				}
 			}

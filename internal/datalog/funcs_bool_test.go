@@ -33,6 +33,10 @@ func TestBooleanBuiltins(t *testing.T) {
 		// comparisons apply to any kinds via the total order
 		{Apply{Fn: "eq", Args: []Term{CSym("a"), CSym("a")}}, value.True},
 		{Apply{Fn: "lt", Args: []Term{tr, one}}, value.True}, // bool < int by kind
+		// a connective's deciding first argument is its result: the second,
+		// ill-kinded here, is not evaluated, as in an algebra λ-body
+		{Apply{Fn: "band", Args: []Term{fa, Apply{Fn: "plus", Args: []Term{one, tr}}}}, value.False},
+		{Apply{Fn: "bor", Args: []Term{tr, Apply{Fn: "plus", Args: []Term{one, tr}}}}, value.True},
 	}
 	for _, c := range cases {
 		got, err := EvalTerm(c.t, Binding{})

@@ -19,6 +19,7 @@ func FuzzParseProgram(f *testing.F) {
 		"bad(((((",
 		"p(X) :- .",
 		"{}({})",
+		"p(Y) :- r(X), Y = plus(X).", // a wrong argument count: rejected
 	}
 	for _, s := range seeds {
 		f.Add(s)

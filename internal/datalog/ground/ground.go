@@ -369,8 +369,8 @@ func (g *grounder) enumerate(pr plannedRule, si int, w window) error {
 		if err != nil {
 			return err
 		}
-		if ok, err := datalog.EvalCmp(st.Cmp.Op, l, r); err != nil || !ok {
-			return err
+		if !st.Cmp.Op.Holds(l.Compare(r)) {
+			return nil
 		}
 		return g.enumerate(pr, si+1, w)
 	}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -20,7 +21,8 @@ import (
 // Variables are uppercase identifiers, symbols are lowercase identifiers,
 // integers and double-quoted strings are constants, and lowercase identifiers
 // applied to arguments in term position are interpreted function symbols
-// (see funcs.go). `not` negates a body atom.
+// (internal/builtin's table, which also fixes their argument counts). `not`
+// negates a body atom.
 func ParseProgram(src string) (*Program, error) {
 	p := &parser{lex: newLexer(src)}
 	if err := p.next(); err != nil {
@@ -438,7 +440,7 @@ func (p *parser) parseTerm() (Term, error) {
 		}
 		return Const{V: value.String(s)}, nil
 	case tokIdent:
-		name := p.tok.text
+		name, line, col := p.tok.text, p.tok.line, p.tok.col
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -450,9 +452,6 @@ func (p *parser) parseTerm() (Term, error) {
 		}
 		if p.tok.kind != tokLParen {
 			return Const{V: value.String(name)}, nil
-		}
-		if !IsBuiltin(name) {
-			return nil, p.errf("unknown function symbol %q in term position", name)
 		}
 		if err := p.next(); err != nil {
 			return nil, err
@@ -475,10 +474,20 @@ func (p *parser) parseTerm() (Term, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return app, nil
+		return app, checkApply(app, line, col)
 	default:
 		return nil, p.errf("expected a term, got %s %q", p.tok.kind, p.tok.text)
 	}
+}
+
+// checkApply checks a function application against internal/builtin's
+// table — the symbol is known and takes that many arguments — and positions
+// the error at the symbol.
+func checkApply(app Apply, line, col int) error {
+	if _, err := builtin.Check(app.Fn, len(app.Args)); err != nil {
+		return fmt.Errorf("%d:%d: %v", line, col, err)
+	}
+	return nil
 }
 
 // parseLiteral parses one body literal: `not atom`, an atom, or a comparison
@@ -518,10 +527,11 @@ func (p *parser) parseLiteral() (Literal, error) {
 					l = Const{V: value.String(name)}
 				}
 			} else {
-				if !IsBuiltin(name) {
-					return nil, fmt.Errorf("%d:%d: unknown function symbol %q on left of comparison", line, col, name)
+				app := Apply{Fn: name, Args: a.Args}
+				if err := checkApply(app, line, col); err != nil {
+					return nil, err
 				}
-				l = Apply{Fn: name, Args: a.Args}
+				l = app
 			}
 			if err := p.next(); err != nil {
 				return nil, err
@@ -554,21 +564,11 @@ func (p *parser) parseLiteral() (Literal, error) {
 	return LitCmp{Op: op, L: l, R: r}, nil
 }
 
-func (p *parser) cmpOp() (CmpOp, bool) {
-	switch p.tok.kind {
-	case tokEq:
-		return OpEq, true
-	case tokNe:
-		return OpNe, true
-	case tokLt:
-		return OpLt, true
-	case tokLe:
-		return OpLe, true
-	case tokGt:
-		return OpGt, true
-	case tokGe:
-		return OpGe, true
-	default:
+// cmpOp returns the comparison the current token spells, if it is one: the
+// comparison tokens are the last kinds.
+func (p *parser) cmpOp() (builtin.Cmp, bool) {
+	if p.tok.kind < tokEq {
 		return 0, false
 	}
+	return builtin.CmpOf(p.tok.text)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -96,6 +97,9 @@ func TestParseErrors(t *testing.T) {
 		{"p(X :- q(X).", "expected ')'"},
 		{"p(X) :- unknownfn(X) = Y.", "unknown function symbol"},
 		{"p(X) :- Y = unknownfn(X).", "unknown function symbol"},
+		{"p(Y) :- r(X), Y = plus(X).", "1:19: plus expects 2 arguments, got 1"},
+		{"p(Y) :- r(X), succ(X, X) = Y.", "1:15: succ expects 1 argument, got 2"},
+		{"p(bnot(1, 2)).", "1:3: bnot expects 1 argument, got 2"},
 		{`p("unterminated`, "unterminated string"},
 		{"p(-).", "expected digit after '-'"},
 		{"p(X) : q(X).", "unexpected ':'"},
@@ -242,31 +246,6 @@ func TestEvalTermErrors(t *testing.T) {
 	}
 }
 
-func TestEvalCmp(t *testing.T) {
-	one, two := value.Int(1), value.Int(2)
-	cases := []struct {
-		op   CmpOp
-		l, r value.Value
-		want bool
-	}{
-		{OpEq, one, one, true}, {OpEq, one, two, false},
-		{OpNe, one, two, true}, {OpNe, one, one, false},
-		{OpLt, one, two, true}, {OpLt, two, one, false},
-		{OpLe, one, one, true}, {OpLe, two, one, false},
-		{OpGt, two, one, true}, {OpGt, one, one, false},
-		{OpGe, one, one, true}, {OpGe, one, two, false},
-	}
-	for _, c := range cases {
-		got, err := EvalCmp(c.op, c.l, c.r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("EvalCmp(%v, %v, %v) = %v, want %v", c.op, c.l, c.r, got, c.want)
-		}
-	}
-}
-
 func TestProgramPredSets(t *testing.T) {
 	p := MustParse(`
 edge(1, 2).
@@ -306,7 +285,7 @@ func TestSubst(t *testing.T) {
 	b := map[Var]Term{"X": CInt(1)}
 	r := Rule{
 		Head: Atom{Pred: "p", Args: []Term{Var("X"), Var("Y")}},
-		Body: []Literal{Pos("q", Apply{Fn: "succ", Args: []Term{Var("X")}}), Cmp(OpNe, Var("X"), Var("Y"))},
+		Body: []Literal{Pos("q", Apply{Fn: "succ", Args: []Term{Var("X")}}), Cmp(builtin.Ne, Var("X"), Var("Y"))},
 	}
 	h := SubstAtom(r.Head, b)
 	if h.String() != "p(1, Y)" {

@@ -1,6 +1,10 @@
 package datalog
 
-import "fmt"
+import (
+	"fmt"
+
+	"algrec/internal/builtin"
+)
 
 // PlanStepKind discriminates the steps of a BodyPlan.
 type PlanStepKind uint8
@@ -322,9 +326,9 @@ func cmpStep(l LitCmp, known map[Var]bool, evaluable func(Term) bool) (st PlanSt
 	switch {
 	case evaluable(l.L) && evaluable(l.R):
 		return PlanStep{Kind: StepTest, Cmp: l}, true
-	case l.Op == OpEq && lIsVar && !known[lv] && evaluable(l.R):
+	case l.Op == builtin.Eq && lIsVar && !known[lv] && evaluable(l.R):
 		return PlanStep{Kind: StepAssign, AssignVar: lv, Term: l.R}, true
-	case l.Op == OpEq && rIsVar && !known[rv] && evaluable(l.L):
+	case l.Op == builtin.Eq && rIsVar && !known[rv] && evaluable(l.L):
 		return PlanStep{Kind: StepAssign, AssignVar: rv, Term: l.L}, true
 	}
 	return PlanStep{}, false

@@ -62,7 +62,9 @@ type Limits struct {
 // Config says what an engine is built over and for.
 type Config struct {
 	// Base is the database version the program reads; nil means every
-	// relation is private to the engine and loaded with LoadSet.
+	// relation is private to the engine and loaded with LoadSet. A stored
+	// relation the program derives into is copied from the base's frozen
+	// rows.
 	Base   *Base
 	Limits Limits
 	// Maintain also compiles the entry patterns mutation batches need — a
@@ -187,12 +189,14 @@ func NewEngine(prog *datalog.Program, cfg Config) (*Engine, error) {
 			t.Flags[r] |= FlagProg
 		}
 	}
-	// The private copies of what the database stores under a derived name. A
-	// name first met later (a mutation's) has no stored content to copy.
+	// The private copies of what the database stores under a derived name,
+	// copied from the base's frozen rows. A name first met later (a
+	// mutation's) has no stored content to copy.
 	for pred := range e.derives {
 		if br := e.base.relation(pred); br != nil {
+			shared := br.tables(&e.Use)
 			for _, half := range e.halves(pred) {
-				e.LoadSet(half, br.set)
+				e.copyRows(half, shared)
 			}
 		}
 	}
@@ -437,10 +441,17 @@ func (e *Engine) LoadSet(pred string, s value.Set) {
 	rel := e.relFor(pred)
 	for i := 0; i < s.Len(); i++ {
 		e.rowBuf = elemIDs(e.in, e.rowBuf, s.At(i))
-		t := rel.tableFor(len(e.rowBuf))
-		if r := t.Intern(e.rowBuf); t.Flags[r]&FlagDB == 0 {
-			t.Flags[r] |= FlagDB
-			rel.NDB++
+		rel.addDB(e.rowBuf)
+	}
+}
+
+// copyRows stores the rows of a base relation's frozen tables as database
+// facts of the predicate, in the engine's own tables.
+func (e *Engine) copyRows(pred string, from *Relation) {
+	rel := e.relFor(pred)
+	for _, t := range from.Tables {
+		for r := int32(0); r < t.Rows(); r++ {
+			rel.addDB(t.Row(r))
 		}
 	}
 }

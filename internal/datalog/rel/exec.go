@@ -187,9 +187,8 @@ func (x *run) step(i int) error {
 		if err != nil {
 			return err
 		}
-		ok, err := datalog.EvalCmp(o.cmp.Op, l, r)
-		if err != nil || !ok {
-			return err
+		if !o.cmp.Op.Holds(l.Compare(r)) {
+			return nil
 		}
 		return x.step(i + 1)
 	case opCheck:

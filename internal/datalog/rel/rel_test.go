@@ -396,6 +396,18 @@ func TestEngineLayersOverBase(t *testing.T) {
 			t.Fatalf("round %d: base use %+v", round, e.Use)
 		}
 	}
+	// The private copy is made from the base's frozen rows: the first engine
+	// over a base converts a stored relation it derives into once, even
+	// into both halves of a three-valued predicate, and a later one not at
+	// all.
+	for _, src := range []string{`r(1).`, `r(X) :- q(X), not r(X). q(2).`} {
+		fresh := NewBase(algebra.DB{"r": value.NewSet(value.Int(9), pair(9, 9))})
+		for round, want := range []int{2, 0} {
+			if _, e := evaluate(t, src, fresh); e.Use.Rows != want {
+				t.Errorf("%s, engine %d: converted %d rows, want %d", src, round, e.Use.Rows, want)
+			}
+		}
+	}
 	var use BaseUse
 	if got, _ := base.Keys("r", &use); !reflect.DeepEqual(got, []string{"r(9)", "r(9, 9)"}) {
 		t.Fatalf("the base's r after two evaluations = %v, want [r(9) r(9, 9)]", got)

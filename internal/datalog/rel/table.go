@@ -123,6 +123,16 @@ func (rel *Relation) tableFor(arity int) *Table {
 	return t
 }
 
+// addDB makes row a database fact of the relation, in the table of its
+// arity; a row added twice counts once.
+func (rel *Relation) addDB(row []intern.ID) {
+	t := rel.tableFor(len(row))
+	if r := t.Intern(row); t.Flags[r]&FlagDB == 0 {
+		t.Flags[r] |= FlagDB
+		rel.NDB++
+	}
+}
+
 // each calls f on every live row of the relation, table by table, in row
 // order — the walk SortedKeys wants. The row is the table's own storage.
 func (rel *Relation) each(f func(row []intern.ID)) {

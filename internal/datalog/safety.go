@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"algrec/internal/builtin"
 	"algrec/internal/value"
 )
 
@@ -57,7 +58,7 @@ func RestrictedVars(body []Literal) map[Var]bool {
 					}
 				}
 			case LitCmp:
-				if ll.Op != OpEq {
+				if ll.Op != builtin.Eq {
 					continue
 				}
 				if v, ok := ll.L.(Var); ok && !restricted[v] && allBound(ll.R) {

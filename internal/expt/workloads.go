@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/value"
@@ -155,7 +156,7 @@ func tcStep(acc, rel string) algebra.Expr {
 	join := algebra.Select{
 		Of:  algebra.Product{L: algebra.Rel{Name: acc}, R: algebra.Rel{Name: rel}},
 		Var: "p",
-		Test: algebra.FCmp{Op: algebra.OpEq,
+		Test: algebra.FCmp{Op: builtin.Eq,
 			L: algebra.FField{Of: algebra.FField{Of: p, Idx: 1}, Idx: 2},
 			R: algebra.FField{Of: algebra.FField{Of: p, Idx: 2}, Idx: 1}},
 	}
@@ -182,11 +183,11 @@ func WinCoreProgram() *core.Program {
 func EvenSetProgram(bound int64) *core.Program {
 	x := algebra.FVar{Name: "x"}
 	step := algebra.Map{Of: algebra.Rel{Name: "se"}, Var: "x",
-		Out: algebra.FArith{Op: algebra.OpPlus, L: x, R: algebra.FConst{V: value.Int(2)}}}
+		Out: algebra.FArith{Op: builtin.Plus, L: x, R: algebra.FConst{V: value.Int(2)}}}
 	body := algebra.Select{
 		Of:   algebra.Union{L: algebra.Singleton(value.Int(0)), R: step},
 		Var:  "x",
-		Test: algebra.FCmp{Op: algebra.OpLt, L: x, R: algebra.FConst{V: value.Int(bound)}},
+		Test: algebra.FCmp{Op: builtin.Lt, L: x, R: algebra.FConst{V: value.Int(bound)}},
 	}
 	return &core.Program{Defs: []core.Def{{Name: "se", Body: body}}}
 }

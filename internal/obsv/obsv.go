@@ -369,6 +369,11 @@ type AlgebraStats struct {
 	// semantics other than valid, which the kernel does not run). Empty on
 	// the kernel.
 	Fallback string
+	// BaseRows counts the database rows a fallback had the fact base
+	// convert into ID tables while checking the plan's shapes: rel.base.rows
+	// counts them as it counts a kernel run's, which its RelStats event
+	// reports. Zero on the kernel.
+	BaseRows int
 }
 
 // ExperimentStats describes one experiment run by the internal/expt harness.

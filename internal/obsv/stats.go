@@ -177,6 +177,9 @@ func (s *Stats) Collect(e Event) {
 		if v.Fallback != "" {
 			kvs = append(kvs, "algebra.fallback."+v.Fallback, int64(1))
 		}
+		if v.BaseRows > 0 {
+			kvs = append(kvs, "rel.base.rows", int64(v.BaseRows))
+		}
 		s.add(kvs...)
 	}
 }

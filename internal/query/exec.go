@@ -255,7 +255,7 @@ func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out 
 		}
 		var use rel.BaseUse
 		reason := route(plan, base, &use)
-		if obs := report("core", reason); reason == "" {
+		if obs := report("core", reason, use); reason == "" {
 			return executeValidKernel(plan, base, use, opts, obs, out)
 		}
 		if res, err = core.EvalValid(script.Program, merged, opts.Budget); err != nil {
@@ -263,17 +263,17 @@ func executeScript(plan *Plan, db algebra.DB, base *rel.Base, opts Options, out 
 		}
 		lower, upper = res.Lower, res.Upper
 	case SemInflationary:
-		report("core", "semantics")
+		report("core", "semantics", rel.BaseUse{})
 		if lower, err = core.EvalInflationary(script.Program, merged, opts.Budget); err != nil {
 			return nil, err
 		}
 	case SemWellFounded:
-		report("grounded", "semantics")
+		report("grounded", "semantics", rel.BaseUse{})
 		if lower, upper, err = translate.WellFoundedSetsBudget(script.Program, merged, opts.Ground); err != nil {
 			return nil, err
 		}
 	case SemStable:
-		report("grounded", "semantics")
+		report("grounded", "semantics", rel.BaseUse{})
 		models, err := translate.StableSetsBudget(script.Program, merged, opts.MaxUndef, opts.Ground)
 		if err != nil {
 			return nil, err

@@ -9,6 +9,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/algebra/parse"
+	"algrec/internal/builtin"
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/rel"
 	"algrec/internal/obsv"
@@ -250,7 +251,7 @@ func (x *compiler) inferFn(f algebra.FExpr, v string, t *elemType, test bool) *e
 			return x.inferFn(ff.R, v, t, true)
 		}
 	case algebra.FCmp:
-		if test && ff.Op == algebra.OpEq {
+		if test && ff.Op == builtin.Eq {
 			x.unify(x.inferFn(ff.L, v, t, false), x.inferFn(ff.R, v, t, false))
 			return nil
 		}
@@ -902,8 +903,8 @@ func (s *survey) fn(f algebra.FExpr) {
 	case algebra.FCmp:
 		_, l := ff.L.(algebra.FConst)
 		_, r := ff.R.(algebra.FConst)
-		s.byConst = s.byConst || ff.Op == algebra.OpEq && l != r
-		s.outside = s.outside || ff.Op != algebra.OpEq
+		s.byConst = s.byConst || ff.Op == builtin.Eq && l != r
+		s.outside = s.outside || ff.Op != builtin.Eq
 		s.fn(ff.L)
 		s.fn(ff.R)
 	case algebra.FTuple:
@@ -927,14 +928,17 @@ func route(plan *Plan, base *rel.Base, use *rel.BaseUse) string {
 }
 
 // report tells the process-default collector, when there is one, which engine
-// answers — the kernel, or else the one named — and why, and returns it.
-func report(engine, reason string) obsv.Collector {
+// answers — the kernel, or else the one named — and why, and returns it. use
+// is what route had the base derive: a fallback reports its rows here, a
+// kernel run on its RelStats event.
+func report(engine, reason string, use rel.BaseUse) obsv.Collector {
 	obs := obsv.Default()
 	if obs != nil {
-		if reason == "" {
-			engine = "kernel"
+		st := obsv.AlgebraStats{Engine: "kernel"}
+		if reason != "" {
+			st = obsv.AlgebraStats{Engine: engine, Fallback: reason, BaseRows: use.Rows}
 		}
-		obs.Collect(obsv.AlgebraStats{Engine: engine, Fallback: reason})
+		obs.Collect(st)
 	}
 	return obs
 }
@@ -948,7 +952,7 @@ func executeAlgebra(plan *Plan, db algebra.DB, base *rel.Base, opts Options) (*e
 	}
 	var use rel.BaseUse
 	reason := route(plan, base, &use)
-	obs := report("value", reason)
+	obs := report("value", reason, use)
 	if reason != "" {
 		set, err := algebra.NewEvaluator(db, opts.Budget).Eval(plan.Expr)
 		return &exprAnswer{set: set}, err

@@ -1,6 +1,7 @@
 package randgen
 
 import (
+	"algrec/internal/builtin"
 	"algrec/internal/datalog"
 	"algrec/internal/value"
 )
@@ -129,7 +130,7 @@ func (g *Gen) Datalog(kind DatalogKind) *datalog.Program {
 		}
 		if g.chance(3) {
 			v := boundList[g.intn(len(boundList))]
-			body = append(body, datalog.Cmp(datalog.CmpOp(g.intn(6)), v, datalog.CInt(int64(g.intn(nConst)))))
+			body = append(body, datalog.Cmp(builtin.Cmp(g.intn(6)), v, datalog.CInt(int64(g.intn(nConst)))))
 		}
 		if g.chance(4) {
 			// W = plus(V, 1), W < bound: an interpreted-function assignment
@@ -138,8 +139,8 @@ func (g *Gen) Datalog(kind DatalogKind) *datalog.Program {
 			w := datalog.Var("W")
 			if !bound[w] {
 				body = append(body,
-					datalog.Cmp(datalog.OpEq, w, datalog.Apply{Fn: "plus", Args: []datalog.Term{src, datalog.CInt(1)}}),
-					datalog.Cmp(datalog.OpLt, w, datalog.CInt(int64(nConst+2))))
+					datalog.Cmp(builtin.Eq, w, datalog.Apply{Fn: "plus", Args: []datalog.Term{src, datalog.CInt(1)}}),
+					datalog.Cmp(builtin.Lt, w, datalog.CInt(int64(nConst+2))))
 				bound[w] = true
 				boundList = append(boundList, w)
 			}

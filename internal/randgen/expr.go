@@ -6,6 +6,7 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/algebra/parse"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/value"
 )
@@ -111,13 +112,13 @@ func (x *exprGen) test(sh shape, v string, depth int) algebra.FExpr {
 		return algebra.FVar{Name: v}
 	}
 	atom := func() algebra.FExpr {
-		op := algebra.CmpOp(x.g.intn(6))
+		op := builtin.Cmp(x.g.intn(6))
 		switch x.g.intn(3) {
 		case 0: // compare against a constant
 			return algebra.FCmp{Op: op, L: elem(), R: algebra.FConst{V: x.randInt()}}
 		case 1: // parity test: elem % 2 = 0
-			return algebra.FCmp{Op: algebra.OpEq,
-				L: algebra.FArith{Op: algebra.OpMod, L: elem(), R: algebra.FConst{V: value.Int(2)}},
+			return algebra.FCmp{Op: builtin.Eq,
+				L: algebra.FArith{Op: builtin.Mod, L: elem(), R: algebra.FConst{V: value.Int(2)}},
 				R: algebra.FConst{V: value.Int(0)}}
 		default: // compare two projections (or the variable against itself)
 			return algebra.FCmp{Op: op, L: elem(), R: elem()}
@@ -143,7 +144,7 @@ func (x *exprGen) test(sh shape, v string, depth int) algebra.FExpr {
 func (x *exprGen) out(from, to shape, v string) algebra.FExpr {
 	c := algebra.FConst{V: value.Int(int64(1 + x.g.intn(x.n)))}
 	modc := func(e algebra.FExpr) algebra.FExpr {
-		return algebra.FArith{Op: algebra.OpMod, L: e, R: algebra.FConst{V: value.Int(int64(x.n))}}
+		return algebra.FArith{Op: builtin.Mod, L: e, R: algebra.FConst{V: value.Int(int64(x.n))}}
 	}
 	var fst, snd algebra.FExpr
 	if from == shPair {
@@ -159,9 +160,9 @@ func (x *exprGen) out(from, to shape, v string) algebra.FExpr {
 		case 1:
 			return snd
 		case 2:
-			return modc(algebra.FArith{Op: algebra.OpPlus, L: fst, R: c})
+			return modc(algebra.FArith{Op: builtin.Plus, L: fst, R: c})
 		default:
-			return modc(algebra.FArith{Op: algebra.OpPlus, L: fst, R: snd})
+			return modc(algebra.FArith{Op: builtin.Plus, L: fst, R: snd})
 		}
 	}
 	if to == shPair {
@@ -250,9 +251,9 @@ func (x *exprGen) pointAtom(field algebra.FExpr) algebra.FExpr {
 	c := algebra.FConst{V: x.randInt()}
 	switch x.g.intn(3) {
 	case 0:
-		return algebra.FCmp{Op: algebra.OpEq, L: field, R: c}
+		return algebra.FCmp{Op: builtin.Eq, L: field, R: c}
 	case 1:
-		return algebra.FCmp{Op: algebra.OpEq, L: c, R: field}
+		return algebra.FCmp{Op: builtin.Eq, L: c, R: field}
 	default:
 		return algebra.FMem{Elem: field, Set: algebra.FConst{V: x.randSet(shInt)}}
 	}
@@ -302,13 +303,13 @@ func (x *exprGen) pointJoin(depth int, scope []scopeEntry) algebra.Expr {
 	var atoms []algebra.FExpr
 	switch x.g.intn(4) {
 	case 0:
-		atoms = append(atoms, algebra.FCmp{Op: algebra.OpEq, L: path(1, 1), R: path(2, 2)})
+		atoms = append(atoms, algebra.FCmp{Op: builtin.Eq, L: path(1, 1), R: path(2, 2)})
 	case 1:
 		atoms = append(atoms,
-			algebra.FCmp{Op: algebra.OpEq, L: path(1, 1), R: path(2, 1)},
-			algebra.FCmp{Op: algebra.OpEq, L: path(2, 2), R: path(1, 2)})
+			algebra.FCmp{Op: builtin.Eq, L: path(1, 1), R: path(2, 1)},
+			algebra.FCmp{Op: builtin.Eq, L: path(2, 2), R: path(1, 2)})
 	default:
-		atoms = append(atoms, algebra.FCmp{Op: algebra.OpEq, L: path(1, 2), R: path(2, 1)})
+		atoms = append(atoms, algebra.FCmp{Op: builtin.Eq, L: path(1, 2), R: path(2, 1)})
 	}
 	if x.g.chance(2) {
 		a := x.pointAtom(path(1+x.g.intn(2), 1+x.g.intn(2)))
@@ -353,19 +354,19 @@ func (x *exprGen) joinPipeline(depth int, scope []scopeEntry) algebra.Expr {
 	}
 	atom := func(e algebra.FExpr) algebra.FExpr {
 		if x.g.chance(2) {
-			return algebra.FCmp{Op: algebra.CmpOp(x.g.intn(6)), L: e, R: algebra.FConst{V: x.randInt()}}
+			return algebra.FCmp{Op: builtin.Cmp(x.g.intn(6)), L: e, R: algebra.FConst{V: x.randInt()}}
 		}
-		return algebra.FCmp{Op: algebra.OpEq,
-			L: algebra.FArith{Op: algebra.OpMod, L: e, R: algebra.FConst{V: value.Int(2)}},
+		return algebra.FCmp{Op: builtin.Eq,
+			L: algebra.FArith{Op: builtin.Mod, L: e, R: algebra.FConst{V: value.Int(2)}},
 			R: algebra.FConst{V: value.Int(0)}}
 	}
 	leaf := func() algebra.Expr { return x.expr(shInt, depth-1, scope) }
 	if depth >= 1 && x.g.chance(3) {
 		// Three leaves: σ over a nested product, then MAP projects the
 		// triple back onto a pair of integers so the result is well-kinded.
-		atoms := []algebra.FExpr{algebra.FCmp{Op: algebra.OpEq, L: path(1, 2), R: path(2)}}
+		atoms := []algebra.FExpr{algebra.FCmp{Op: builtin.Eq, L: path(1, 2), R: path(2)}}
 		if x.g.chance(2) {
-			atoms = append(atoms, algebra.FCmp{Op: algebra.OpEq, L: path(1, 1), R: path(2)})
+			atoms = append(atoms, algebra.FCmp{Op: builtin.Eq, L: path(1, 1), R: path(2)})
 		}
 		for _, pp := range [][]int{{1, 1}, {1, 2}, {2}} {
 			if x.g.chance(2) {
@@ -385,9 +386,9 @@ func (x *exprGen) joinPipeline(depth int, scope []scopeEntry) algebra.Expr {
 	}
 	var atoms []algebra.FExpr
 	if x.g.chance(4) {
-		atoms = append(atoms, algebra.FCmp{Op: algebra.OpLe, L: path(1), R: path(2)})
+		atoms = append(atoms, algebra.FCmp{Op: builtin.Le, L: path(1), R: path(2)})
 	} else {
-		atoms = append(atoms, algebra.FCmp{Op: algebra.OpEq, L: path(1), R: path(2)})
+		atoms = append(atoms, algebra.FCmp{Op: builtin.Eq, L: path(1), R: path(2)})
 	}
 	for _, pp := range [][]int{{1}, {2}} {
 		if x.g.chance(2) {

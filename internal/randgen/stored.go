@@ -2,6 +2,7 @@ package randgen
 
 import (
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/datalog"
 	"algrec/internal/value"
 )
@@ -123,7 +124,7 @@ func (g *Gen) stored(p *datalog.Program) *StoredInstance {
 			v := r.Head.Args[k]
 			args := append([]datalog.Term{}, r.Head.Args...)
 			args[k] = datalog.Apply{Fn: "plus", Args: []datalog.Term{v, datalog.CInt(1)}}
-			body := append(append([]datalog.Literal{}, r.Body...), datalog.Cmp(datalog.OpLt, v, datalog.CInt(8)))
+			body := append(append([]datalog.Literal{}, r.Body...), datalog.Cmp(builtin.Lt, v, datalog.CInt(8)))
 			in.Prog.Rules[i] = datalog.Rule{Head: datalog.Atom{Pred: r.Head.Pred, Args: args}, Body: body}
 		}
 	}

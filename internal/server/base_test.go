@@ -283,6 +283,34 @@ func TestServedReachCounts(t *testing.T) {
 	}
 }
 
+// TestServedFallbackCounts: a request that falls back because a stored
+// relation is not of the width the plan reads had the fact base convert that
+// relation's rows to find so, and counts them in rel.base.rows as a kernel
+// run would; the next request on the version converts nothing.
+func TestServedFallbackCounts(t *testing.T) {
+	s, ts := statsServer(t, Config{})
+	db := graphDB(50)
+	db["e"] = db["e"].Insert(value.NewTuple(value.Int(1), value.Int(2), value.Int(3)))
+	n := int64(db["e"].Len())
+	if err := s.RegisterDB("g", db); err != nil {
+		t.Fatal(err)
+	}
+	const join = `map(select(product(e, e), \p -> p.1.2 = p.2.1), \p -> (p.1.1, p.2.2))`
+	for round, want := range []int64{n, 0} {
+		before := s.Stats().Snapshot()
+		if status, _, bad := postQuery(t, ts, queryRequest{DB: "g", Language: "algebra", Query: join}); status != http.StatusOK {
+			t.Fatalf("request %d: %d %+v", round, status, bad)
+		}
+		moved := s.Stats().Snapshot().Sub(before)
+		if moved["algebra.fallback.shape"] != 1 || moved["rel.evals.algebra"] != 0 {
+			t.Fatalf("request %d: %v, want a fallback on shape", round, moved)
+		}
+		if moved["rel.base.rows"] != want {
+			t.Errorf("request %d: rel.base.rows %d, want %d", round, moved["rel.base.rows"], want)
+		}
+	}
+}
+
 // TestTimeoutInsideOneDatalogRule: a three-way product rule over 10^3 facts is
 // one rule execution of some 10^8 join steps — no round, unit or worklist
 // boundary in it. Under a 20 ms deadline the server answers "timeout", and

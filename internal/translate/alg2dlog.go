@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/value"
@@ -247,7 +248,7 @@ func (t *algTranslator) translate(e algebra.Expr, env map[string]string) (string
 			return "", err
 		}
 		p := t.freshAt()
-		t.chainRule(p, x, t.pos(of, x), datalog.Cmp(datalog.OpEq, test, datalog.C(value.True)))
+		t.chainRule(p, x, t.pos(of, x), datalog.Cmp(builtin.Eq, test, datalog.C(value.True)))
 		return p, nil
 	case algebra.Map:
 		of, err := t.translate(ee.Of, env)
@@ -259,7 +260,7 @@ func (t *algTranslator) translate(e algebra.Expr, env map[string]string) (string
 			return "", err
 		}
 		p := t.freshAt()
-		t.chainRule(p, y, t.pos(of, x), datalog.Cmp(datalog.OpEq, y, out))
+		t.chainRule(p, y, t.pos(of, x), datalog.Cmp(builtin.Eq, y, out))
 		return p, nil
 	case algebra.IFP:
 		if t.staged {
@@ -315,8 +316,8 @@ func (t *algTranslator) translateIFPStaged(ee algebra.IFP, env map[string]string
 	if err != nil {
 		return "", err
 	}
-	succ := datalog.Apply{Fn: "plus", Args: []datalog.Term{iv, datalog.CInt(1)}}
-	guard := datalog.Cmp(datalog.OpLt, iv, datalog.CInt(t.bound))
+	succ := datalog.Apply{Fn: builtin.Plus.Name(), Args: []datalog.Term{iv, datalog.CInt(1)}}
+	guard := datalog.Cmp(builtin.Lt, iv, datalog.CInt(t.bound))
 	outer := make([]datalog.Term, 0, len(t.idx)+1)
 	for _, v := range t.idx[:len(t.idx)-1] {
 		outer = append(outer, v)
@@ -396,51 +397,21 @@ func fexprToTerm(e algebra.FExpr, vars map[string]datalog.Term) (datalog.Term, e
 		}
 		return datalog.Apply{Fn: "tup", Args: args}, nil
 	case algebra.FCmp:
-		var fn string
-		switch ee.Op {
-		case algebra.OpEq:
-			fn = "eq"
-		case algebra.OpNe:
-			fn = "ne"
-		case algebra.OpLt:
-			fn = "lt"
-		case algebra.OpLe:
-			fn = "le"
-		case algebra.OpGt:
-			fn = "gt"
-		case algebra.OpGe:
-			fn = "ge"
-		default:
-			return nil, fmt.Errorf("translate: unknown comparison %v", ee.Op)
-		}
-		return apply2(fn, ee.L, ee.R, vars)
+		return apply2(ee.Op.Name(), ee.L, ee.R, vars)
 	case algebra.FArith:
-		var fn string
-		switch ee.Op {
-		case algebra.OpPlus:
-			fn = "plus"
-		case algebra.OpMinus:
-			fn = "minus"
-		case algebra.OpTimes:
-			fn = "times"
-		case algebra.OpMod:
-			fn = "mod"
-		default:
-			return nil, fmt.Errorf("translate: unknown arithmetic operator %v", ee.Op)
-		}
-		return apply2(fn, ee.L, ee.R, vars)
+		return apply2(ee.Op.Name(), ee.L, ee.R, vars)
 	case algebra.FAnd:
-		return apply2("band", ee.L, ee.R, vars)
+		return apply2(builtin.Band.Name(), ee.L, ee.R, vars)
 	case algebra.FOr:
-		return apply2("bor", ee.L, ee.R, vars)
+		return apply2(builtin.Bor.Name(), ee.L, ee.R, vars)
 	case algebra.FNot:
 		a, err := fexprToTerm(ee.E, vars)
 		if err != nil {
 			return nil, err
 		}
-		return datalog.Apply{Fn: "bnot", Args: []datalog.Term{a}}, nil
+		return datalog.Apply{Fn: builtin.Bnot.Name(), Args: []datalog.Term{a}}, nil
 	case algebra.FMem:
-		return apply2("ismem", ee.Elem, ee.Set, vars)
+		return apply2(builtin.Ismem.Name(), ee.Elem, ee.Set, vars)
 	default:
 		panic(fmt.Sprintf("translate: unknown FExpr %T", e))
 	}

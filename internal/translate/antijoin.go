@@ -2,6 +2,7 @@ package translate
 
 import (
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 )
 
 // antiJoinElemVar is the element-variable name used in the reconstructed row
@@ -67,7 +68,7 @@ func reconstructRow(v string, test algebra.FExpr) (algebra.FExpr, bool) {
 			return flatten(and.L) && flatten(and.R)
 		}
 		cmp, isCmp := e.(algebra.FCmp)
-		if !isCmp || cmp.Op != algebra.OpEq {
+		if !isCmp || cmp.Op != builtin.Eq {
 			return false
 		}
 		conds = append(conds, cmp)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/value"
@@ -147,7 +148,7 @@ func StratifiedToPositiveIFP(p *datalog.Program) (*core.Program, algebra.DB, err
 			sel := algebra.Select{
 				Of:  of,
 				Var: "t",
-				Test: algebra.FCmp{Op: algebra.OpEq,
+				Test: algebra.FCmp{Op: builtin.Eq,
 					L: algebra.FField{Of: algebra.FVar{Name: "t"}, Idx: 1},
 					R: algebra.FConst{V: value.String(pred)}},
 			}
@@ -238,7 +239,7 @@ func ruleExpr(r datalog.Rule, arities map[string]int, relOf func(pred string) (a
 			if err != nil {
 				return nil, err
 			}
-			env.cur = algebra.Select{Of: env.cur, Var: "x", Test: algebra.FCmp{Op: cmpOp(st.Cmp.Op), L: l, R: rt}}
+			env.cur = algebra.Select{Of: env.cur, Var: "x", Test: algebra.FCmp{Op: st.Cmp.Op, L: l, R: rt}}
 		default:
 			panic("translate: unknown plan step")
 		}
@@ -333,13 +334,13 @@ func (env *ruleEnv) match(a datalog.Atom, arities map[string]int, relOf func(str
 				if err != nil {
 					return err
 				}
-				conds = append(conds, algebra.FCmp{Op: algebra.OpEq, L: rowField(i + 1), R: ef})
+				conds = append(conds, algebra.FCmp{Op: builtin.Eq, L: rowField(i + 1), R: ef})
 				continue
 			}
 			if prev, dup := seenNew[v]; dup {
 				// Repeated fresh variable within the atom: equality between
 				// the two row positions.
-				conds = append(conds, algebra.FCmp{Op: algebra.OpEq, L: rowField(i + 1), R: rowField(prev + 1)})
+				conds = append(conds, algebra.FCmp{Op: builtin.Eq, L: rowField(i + 1), R: rowField(prev + 1)})
 				continue
 			}
 			if negated {
@@ -353,7 +354,7 @@ func (env *ruleEnv) match(a datalog.Atom, arities map[string]int, relOf func(str
 		if err != nil {
 			return err
 		}
-		conds = append(conds, algebra.FCmp{Op: algebra.OpEq, L: rowField(i + 1), R: fe})
+		conds = append(conds, algebra.FCmp{Op: builtin.Eq, L: rowField(i + 1), R: fe})
 	}
 	left := env.cur
 	if negated {
@@ -426,55 +427,31 @@ func (env *ruleEnv) termFExprWith(t datalog.Term, envTuple algebra.FExpr) (algeb
 }
 
 // applyFExpr maps an interpreted function symbol to its element-level
-// counterpart.
+// counterpart: a comparison or arithmetic symbol to its operator, and the
+// functions the algebra writes otherwise to their own forms.
 func applyFExpr(fn string, args []algebra.FExpr, orig datalog.Apply) (algebra.FExpr, error) {
-	arith := func(op algebra.ArithOp) (algebra.FExpr, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("translate: %s expects 2 arguments in %s", fn, orig)
-		}
-		return algebra.FArith{Op: op, L: args[0], R: args[1]}, nil
+	if _, err := builtin.Check(fn, len(args)); err != nil {
+		return nil, fmt.Errorf("translate: %v in %s", err, orig)
 	}
-	cmp := func(op algebra.CmpOp) (algebra.FExpr, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("translate: %s expects 2 arguments in %s", fn, orig)
-		}
+	if op, ok := builtin.CmpOf(fn); ok {
 		return algebra.FCmp{Op: op, L: args[0], R: args[1]}, nil
 	}
+	if op, ok := builtin.ArithOf(fn); ok {
+		return algebra.FArith{Op: op, L: args[0], R: args[1]}, nil
+	}
+	one := algebra.FConst{V: value.Int(1)}
 	switch fn {
-	case "plus":
-		return arith(algebra.OpPlus)
-	case "minus":
-		return arith(algebra.OpMinus)
-	case "times":
-		return arith(algebra.OpTimes)
-	case "mod":
-		return arith(algebra.OpMod)
 	case "succ":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("translate: succ expects 1 argument in %s", orig)
-		}
-		return algebra.FArith{Op: algebra.OpPlus, L: args[0], R: algebra.FConst{V: value.Int(1)}}, nil
+		return algebra.FArith{Op: builtin.Plus, L: args[0], R: one}, nil
 	case "pred":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("translate: pred expects 1 argument in %s", orig)
-		}
-		return algebra.FArith{Op: algebra.OpMinus, L: args[0], R: algebra.FConst{V: value.Int(1)}}, nil
+		return algebra.FArith{Op: builtin.Minus, L: args[0], R: one}, nil
 	case "tup":
 		return algebra.FTuple{Elems: args}, nil
 	case "fst":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("translate: fst expects 1 argument in %s", orig)
-		}
 		return algebra.FField{Of: args[0], Idx: 1}, nil
 	case "snd":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("translate: snd expects 1 argument in %s", orig)
-		}
 		return algebra.FField{Of: args[0], Idx: 2}, nil
 	case "field":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("translate: field expects 2 arguments in %s", orig)
-		}
 		idxConst, ok := orig.Args[1].(datalog.Const)
 		if !ok {
 			return nil, fmt.Errorf("translate: field index must be a constant in %s", orig)
@@ -484,58 +461,14 @@ func applyFExpr(fn string, args []algebra.FExpr, orig datalog.Apply) (algebra.FE
 			return nil, fmt.Errorf("translate: field index must be an integer in %s", orig)
 		}
 		return algebra.FField{Of: args[0], Idx: int(idx)}, nil
-	case "eq":
-		return cmp(algebra.OpEq)
-	case "ne":
-		return cmp(algebra.OpNe)
-	case "lt":
-		return cmp(algebra.OpLt)
-	case "le":
-		return cmp(algebra.OpLe)
-	case "gt":
-		return cmp(algebra.OpGt)
-	case "ge":
-		return cmp(algebra.OpGe)
-	case "band":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("translate: band expects 2 arguments in %s", orig)
-		}
+	case builtin.Band.Name():
 		return algebra.FAnd{L: args[0], R: args[1]}, nil
-	case "bor":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("translate: bor expects 2 arguments in %s", orig)
-		}
+	case builtin.Bor.Name():
 		return algebra.FOr{L: args[0], R: args[1]}, nil
-	case "bnot":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("translate: bnot expects 1 argument in %s", orig)
-		}
+	case builtin.Bnot.Name():
 		return algebra.FNot{E: args[0]}, nil
-	case "ismem":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("translate: ismem expects 2 arguments in %s", orig)
-		}
+	case builtin.Ismem.Name():
 		return algebra.FMem{Elem: args[0], Set: args[1]}, nil
-	default:
-		return nil, fmt.Errorf("translate: function %q has no algebraic counterpart (set constructors are not translatable)", fn)
 	}
-}
-
-func cmpOp(op datalog.CmpOp) algebra.CmpOp {
-	switch op {
-	case datalog.OpEq:
-		return algebra.OpEq
-	case datalog.OpNe:
-		return algebra.OpNe
-	case datalog.OpLt:
-		return algebra.OpLt
-	case datalog.OpLe:
-		return algebra.OpLe
-	case datalog.OpGt:
-		return algebra.OpGt
-	case datalog.OpGe:
-		return algebra.OpGe
-	default:
-		panic(fmt.Sprintf("translate: unknown comparison %v", op))
-	}
+	return nil, fmt.Errorf("translate: function %q has no algebraic counterpart (set constructors are not translatable)", fn)
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/ground"
@@ -67,7 +68,7 @@ func randomSafeProgram(r *rand.Rand) *datalog.Program {
 		// optional comparison over bound variables
 		if r.Intn(3) == 0 && len(boundList) > 0 {
 			v := boundList[r.Intn(len(boundList))]
-			body = append(body, datalog.Cmp(datalog.CmpOp(r.Intn(6)), v, datalog.CInt(int64(r.Intn(nConst)))))
+			body = append(body, datalog.Cmp(builtin.Cmp(r.Intn(6)), v, datalog.CInt(int64(r.Intn(nConst)))))
 		}
 		// optional bounded arithmetic assignment: W = plus(V, 1), W < c —
 		// exercises interpreted functions through every translation while
@@ -77,8 +78,8 @@ func randomSafeProgram(r *rand.Rand) *datalog.Program {
 			w := datalog.Var("W")
 			if !bound[w] {
 				body = append(body,
-					datalog.Cmp(datalog.OpEq, w, datalog.Apply{Fn: "plus", Args: []datalog.Term{src, datalog.CInt(1)}}),
-					datalog.Cmp(datalog.OpLt, w, datalog.CInt(int64(nConst+2))))
+					datalog.Cmp(builtin.Eq, w, datalog.Apply{Fn: "plus", Args: []datalog.Term{src, datalog.CInt(1)}}),
+					datalog.Cmp(builtin.Lt, w, datalog.CInt(int64(nConst+2))))
 				bound[w] = true
 				boundList = append(boundList, w)
 			}
@@ -341,7 +342,7 @@ func TestProposition32Construction(t *testing.T) {
 		sel := algebra.Select{
 			Of:  algebra.Rel{Name: "win"},
 			Var: "x",
-			Test: algebra.FCmp{Op: algebra.OpEq,
+			Test: algebra.FCmp{Op: builtin.Eq,
 				L: algebra.FVar{Name: "x"}, R: algebra.FConst{V: value.String(probe)}},
 		}
 		cp.Defs = append(cp.Defs, core.Def{Name: "sprime",

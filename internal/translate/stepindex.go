@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"algrec/internal/builtin"
 	"algrec/internal/datalog"
 )
 
@@ -34,8 +35,8 @@ func StepIndex(p *datalog.Program, bound int64) *datalog.Program {
 		args = append(args, a.Args...)
 		return datalog.Atom{Pred: primed(a.Pred), Args: args}
 	}
-	succI := datalog.Apply{Fn: "plus", Args: []datalog.Term{iv, datalog.CInt(1)}}
-	guard := datalog.Cmp(datalog.OpLt, iv, datalog.CInt(bound))
+	succI := datalog.Apply{Fn: builtin.Plus.Name(), Args: []datalog.Term{iv, datalog.CInt(1)}}
+	guard := datalog.Cmp(builtin.Lt, iv, datalog.CInt(bound))
 
 	preds := map[string]int{}
 	for _, r := range p.Rules {
@@ -72,7 +73,7 @@ func StepIndex(p *datalog.Program, bound int64) *datalog.Program {
 			// positive atom can only ever fire at the first inflationary
 			// step (every negation holds against the empty step-0 state), so
 			// pin the index to 0.
-			body = append([]datalog.Literal{datalog.Cmp(datalog.OpEq, iv, datalog.CInt(0))}, body...)
+			body = append([]datalog.Literal{datalog.Cmp(builtin.Eq, iv, datalog.CInt(0))}, body...)
 		}
 		body = append(body, guard)
 		out.Rules = append(out.Rules, datalog.Rule{Head: primedAtom(r.Head, succI), Body: body})

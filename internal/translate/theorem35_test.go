@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/value"
 )
@@ -70,13 +71,13 @@ func TestTheorem35NonMonotone(t *testing.T) {
 func TestTheorem35Nested(t *testing.T) {
 	// inner: powers of two up to 4; outer: accumulate +10 images, bounded.
 	inner := algebra.IFP{Var: "x", Body: algebra.Select{
-		Of:   algebra.Union{L: algebra.Singleton(value.Int(1)), R: algebra.Map{Of: algebra.Rel{Name: "x"}, Var: "y", Out: algebra.FArith{Op: algebra.OpTimes, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(2)}}}},
+		Of:   algebra.Union{L: algebra.Singleton(value.Int(1)), R: algebra.Map{Of: algebra.Rel{Name: "x"}, Var: "y", Out: algebra.FArith{Op: builtin.Times, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(2)}}}},
 		Var:  "y",
-		Test: algebra.FCmp{Op: algebra.OpLe, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(4)}},
+		Test: algebra.FCmp{Op: builtin.Le, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(4)}},
 	}}
 	bounded := algebra.IFP{Var: "z", Body: algebra.Select{
-		Of:  algebra.Union{L: inner, R: algebra.Map{Of: algebra.Rel{Name: "z"}, Var: "y", Out: algebra.FArith{Op: algebra.OpPlus, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(10)}}}},
-		Var: "y", Test: algebra.FCmp{Op: algebra.OpLt, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(30)}},
+		Of:  algebra.Union{L: inner, R: algebra.Map{Of: algebra.Rel{Name: "z"}, Var: "y", Out: algebra.FArith{Op: builtin.Plus, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(10)}}}},
+		Var: "y", Test: algebra.FCmp{Op: builtin.Lt, L: algebra.FVar{Name: "y"}, R: algebra.FConst{V: value.Int(30)}},
 	}}
 	want, err := algebra.Eval(bounded, algebra.DB{})
 	if err != nil {

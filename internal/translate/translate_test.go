@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"algrec/internal/algebra"
+	"algrec/internal/builtin"
 	"algrec/internal/core"
 	"algrec/internal/datalog"
 	"algrec/internal/datalog/ground"
@@ -35,7 +36,7 @@ func tcIFP() algebra.Expr {
 	join := algebra.Select{
 		Of:  algebra.Product{L: algebra.Rel{Name: "x"}, R: algebra.Rel{Name: "move"}},
 		Var: "p",
-		Test: algebra.FCmp{Op: algebra.OpEq,
+		Test: algebra.FCmp{Op: builtin.Eq,
 			L: algebra.FField{Of: algebra.FField{Of: p, Idx: 1}, Idx: 2},
 			R: algebra.FField{Of: algebra.FField{Of: p, Idx: 2}, Idx: 1}},
 	}
