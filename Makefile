@@ -156,10 +156,11 @@ bench-ivm:
 # bench-load measures what a PUT and a recovery cost in parsing and
 # interning, as Go benchmarks with allocation counts: parsing a script of 10^5
 # distinct random integer pairs over 5·10^4 nodes into its database, the
-# PUT's eager intern of such pairs already consed (InternReload), and a fresh
-# interner consing them from their IDs as recovery does (InternBulk).
+# PUT's eager intern of such pairs already consed (InternReload), a fresh
+# interner consing them from their IDs as recovery does (InternBulk), and the
+# ID-row table loading, probing and churning such pairs (RowTable).
 bench-load:
-	go test ./internal/server ./internal/value/intern -run '^$$' -bench 'LoadDBScript|InternBulk|InternReload' -benchmem
+	go test ./internal/server ./internal/value/intern -run '^$$' -bench 'LoadDBScript|InternBulk|InternReload|RowTable' -benchmem
 
 # bench-answer measures what turns a served answer into its text, as Go
 # benchmarks with allocation counts: a datalog answer's keys (3·10^4 integer

@@ -157,3 +157,72 @@ func BenchmarkInternReload(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRowTable measures the ID-row table over bulkPairs random integer
+// pairs, one sub-benchmark per way the tree uses it, each op a pass over all
+// the pairs: load inserts them into a fresh table (storage's StoreDB, a fact
+// base's table build); probe finds each once and misses once (the rule
+// kernel's lookups); churn slides a window of half of them along, deleting
+// the oldest row and inserting the next (a write batch's deletes and inserts
+// at a constant live size). It uses only the exported API.
+func BenchmarkRowTable(b *testing.B) {
+	pairs := randomPairs()
+	in := New()
+	flat := make([]ID, 0, 2*len(pairs))
+	for _, p := range pairs {
+		flat = append(flat, in.InternInt(p[0]), in.InternInt(p[1]))
+	}
+	rows := make([][]ID, len(pairs))
+	for k := range rows {
+		rows[k] = flat[2*k : 2*k+2 : 2*k+2]
+	}
+	load := func(rows [][]ID) *Relation {
+		r := NewRelation(2)
+		for _, row := range rows {
+			r.Insert(row)
+		}
+		return r
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			load(rows)
+		}
+	})
+	b.Run("probe", func(b *testing.B) {
+		r := load(rows)
+		miss := []ID{0, in.InternInt(bulkNodes)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, row := range rows {
+				miss[0] = row[0]
+				if _, ok := r.Find(row); !ok {
+					b.Fatal("missing row")
+				}
+				if _, ok := r.Find(miss); ok {
+					b.Fatal("found an absent row")
+				}
+			}
+		}
+	})
+	b.Run("churn", func(b *testing.B) {
+		half := len(rows) / 2
+		r := load(rows[:half])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r.Len() > 4*len(rows) {
+				// Deleted rows keep their storage: start over before the
+				// appended history dwarfs the live rows.
+				b.StopTimer()
+				r = load(rows[:half])
+				b.StartTimer()
+			}
+			for k := range rows {
+				r.Delete(rows[k])
+				r.Insert(rows[(k+half)%len(rows)])
+			}
+		}
+	})
+}
