@@ -224,6 +224,19 @@ def win = map(diff(move, product(map(move, \x -> x.1), win)), \x -> x.1);
 	}
 }
 
+// TestModRoundTrip: a printed program with mod parses back to itself — mod
+// once printed as %, which the lexer reads as the start of a comment.
+func TestModRoundTrip(t *testing.T) {
+	printed := MustParseScript(`def q = select({1, 2}, \x -> x mod 2 = 0);`).Program.String()
+	again, err := ParseScript(printed)
+	if err != nil {
+		t.Fatalf("printed program does not re-parse: %v\nprinted: %s", err, printed)
+	}
+	if got := again.Program.String(); got != printed {
+		t.Errorf("round trip changed the program:\nfirst:  %s\nsecond: %s", printed, got)
+	}
+}
+
 func TestParseExprTrailing(t *testing.T) {
 	if _, err := ParseExpr("union({1}, {2}) junk"); err == nil {
 		t.Error("expected trailing-input error")

@@ -80,7 +80,7 @@ const (
 )
 
 var (
-	arithSyms  = [...]string{"+", "-", "*", "%"}
+	arithSyms  = [...]string{"+", "-", "*", "mod"}
 	arithNames = [...]string{"plus", "minus", "times", "mod"}
 )
 

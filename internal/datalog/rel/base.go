@@ -156,7 +156,7 @@ func (b *Base) TuplesOf(name string, width int, use *BaseUse) bool {
 		return true
 	}
 	rel := br.tables(use)
-	return !br.scalar && len(rel.Tables) == 1 && rel.Tables[0].Arity == width
+	return !br.scalar && len(rel.Tables) == 1 && rel.Tables[0].Arity() == width
 }
 
 // tables returns the relation's frozen tables, loading them on first use.
@@ -205,22 +205,12 @@ func FactElem(f datalog.Fact) value.Value {
 	return value.NewTuple(f.Args...)
 }
 
-// elemIDs is ElemFact in ID space: the element's row, built in buf. An
-// element the interner has already seen whole gives up its component IDs
-// without a lookup per component.
+// elemIDs is ElemFact in ID space: the element's row, built in buf.
 func elemIDs(in *intern.Interner, buf []intern.ID, elem value.Value) []intern.ID {
-	tup, ok := elem.(value.Tuple)
-	if !ok {
-		return append(buf[:0], in.Intern(elem))
+	if tup, ok := elem.(value.Tuple); ok {
+		return in.TupleIDs(buf[:0], tup)
 	}
-	if id := value.InternID(elem); id != 0 {
-		return append(buf[:0], in.Elems(intern.ID(id))...)
-	}
-	buf = buf[:0]
-	for i := 0; i < tup.Len(); i++ {
-		buf = append(buf, in.Intern(tup.At(i)))
-	}
-	return buf
+	return append(buf[:0], in.Intern(elem))
 }
 
 // radixRows is the number of rows from which OrderRows orders rows of

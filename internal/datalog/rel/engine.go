@@ -432,7 +432,10 @@ func (e *Engine) FactRow(f datalog.Fact, create bool) (*Table, int32) {
 	if t == nil {
 		return nil, NoRow
 	}
-	return t, t.Find(e.rowBuf)
+	if r, ok := t.Find(e.rowBuf); ok {
+		return t, r
+	}
+	return t, NoRow
 }
 
 // LoadSet stores a database relation's elements as database facts of the
@@ -795,14 +798,14 @@ func (e *Engine) EachMember(pred string, undef bool, f func(row []intern.ID)) {
 	for _, t := range rel.Tables {
 		var not *Table
 		if except != nil {
-			not = except.table(t.Arity)
+			not = except.table(t.Arity())
 		}
 		for r := int32(0); r < t.Rows(); r++ {
 			if t.Flags[r]&FlagLive == 0 {
 				continue
 			}
 			if not != nil {
-				if nr := not.Find(t.Row(r)); nr != NoRow && not.Has(nr, false) {
+				if nr, ok := not.Find(t.Row(r)); ok && not.Has(nr, false) {
 					continue
 				}
 			}

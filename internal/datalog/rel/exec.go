@@ -167,7 +167,7 @@ func (x *run) step(i int) error {
 			return err
 		}
 		x.e.Probes++
-		if r := o.t.Find(o.buf); r != NoRow && o.t.Has(r, x.old(o.lit)) {
+		if r, ok := o.t.Find(o.buf); ok && o.t.Has(r, x.old(o.lit)) {
 			return nil
 		}
 		return x.step(i + 1)
@@ -220,7 +220,7 @@ func (x *run) match(i int, o *op) error {
 		if err := x.e.charge(); err != nil {
 			return err
 		}
-		if r := t.Find(o.buf); r != NoRow && t.Has(r, old) {
+		if r, ok := t.Find(o.buf); ok && t.Has(r, old) {
 			return x.step(i + 1)
 		}
 		return nil

@@ -131,8 +131,8 @@ func (e *Engine) applyDRed(u *Unit) (overDeleted, rederived int, err error) {
 
 	// Phase 1: over-delete. All non-pivot literals read the old state.
 	overDelete := func(t *Table, row []intern.ID) error {
-		r := t.Find(row)
-		if r == NoRow || t.Flags[r]&FlagDerived == 0 {
+		r, ok := t.Find(row)
+		if !ok || t.Flags[r]&FlagDerived == 0 {
 			return nil
 		}
 		t.Flags[r] &^= FlagDerived

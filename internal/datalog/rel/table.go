@@ -19,7 +19,6 @@ const (
 	FlagAdded                        // became a member during this batch
 	FlagRemoved                      // stopped being a member during this batch
 	FlagTouched                      // on the table's touched list
-	FlagFree                         // the slot is on the free list
 )
 
 // Kind says what supports a derived row's membership.
@@ -42,16 +41,18 @@ type Relation struct {
 	NDB    int      // rows carrying FlagDB, over all tables
 }
 
-// Table is the flat store of one (predicate, arity): rows are ID tuples
-// stored back to back in one arity-strided slice, with per-row flags and
-// counters beside them, an open-addressed hash over whole rows for
-// membership, and a posting chain per probed column for joins. Nothing in it
-// is a value: equality is ID equality, and no row is ever interned as a
-// tuple, so evaluating or maintaining a program leaves nothing behind in the
-// process-global arena beyond the scalars its facts mention.
+// Table is the store of one (predicate, arity): its rows and their hash are
+// an embedded intern.Relation, the same row table the storage backends keep
+// a stored relation's rows in, and beside them the table keeps the kernel's
+// per-row flags and counters and a posting chain per probed column for
+// joins. Nothing in it is a value: equality is ID equality, and no row is
+// ever interned as a tuple, so evaluating or maintaining a program leaves
+// nothing behind in the process-global arena beyond the scalars its facts
+// mention.
 //
 // Row slots are stable for the life of a row and reused after it: a row
-// released between batches goes to the free list, so a table's size follows
+// released between batches is deleted from the relation and its slot goes to
+// the free list, which the next new row refills, so a table's size follows
 // its live content, not its history. Rows removed during a batch keep their
 // slot — and their index entries — until the batch ends, which is what keeps
 // the pre-batch state probeable.
@@ -60,16 +61,12 @@ type Relation struct {
 // are all live database facts, it may be read by any number of engines at
 // once, and its column postings are built on first demand, once.
 type Table struct {
+	intern.Relation // the rows and their hash; a released slot is deleted
+
 	Rel   *Relation
-	Arity int
-
-	ids   []intern.ID // arity-strided: row r is ids[r*Arity : (r+1)*Arity]
-	Flags []RowFlags  // per row slot
-	Count []int32     // KindCounting: derivations per row; nil otherwise
-	free  []int32     // released slots
-
-	slots []int32 // open-addressed row hash: slot+1, 0 empty, slotTomb deleted
-	used  int     // occupied and deleted entries of slots
+	Flags []RowFlags // per row slot
+	Count []int32    // KindCounting: derivations per row; nil otherwise
+	free  []int32    // released slots
 
 	cols   []*colIndex // per column; nil unless a compiled plan probes it (frozen: all, built lazily)
 	frozen bool
@@ -78,12 +75,8 @@ type Table struct {
 	Pending []int32 // rows whose base membership moved this batch
 }
 
-const (
-	slotTomb = -1
-	minSlots = 16 // initial hash size; sizes are powers of two
-	// NoRow is the row index of a row a table does not hold.
-	NoRow = int32(-1)
-)
+// NoRow is the row index of a row a table does not hold.
+const NoRow = int32(-1)
 
 // colIndex is one column's postings: for every ID occurring in the column,
 // the doubly linked chain of the rows holding it. Chains cover every
@@ -106,7 +99,7 @@ type posting struct {
 // table returns the relation's table of the given arity, or nil.
 func (rel *Relation) table(arity int) *Table {
 	for _, t := range rel.Tables {
-		if t.Arity == arity {
+		if t.Arity() == arity {
 			return t
 		}
 	}
@@ -118,7 +111,7 @@ func (rel *Relation) tableFor(arity int) *Table {
 	if t := rel.table(arity); t != nil {
 		return t
 	}
-	t := &Table{Rel: rel, Arity: arity, slots: make([]int32, minSlots), cols: make([]*colIndex, arity)}
+	t := &Table{Relation: *intern.NewRelation(arity), Rel: rel, cols: make([]*colIndex, arity)}
 	rel.Tables = append(rel.Tables, t)
 	return t
 }
@@ -147,12 +140,6 @@ func (rel *Relation) each(f func(row []intern.ID)) {
 
 // Rows returns the number of row slots, free ones included.
 func (t *Table) Rows() int32 { return int32(len(t.Flags)) }
-
-// Row returns row r as a view into the table's storage, valid until the
-// next insert.
-func (t *Table) Row(r int32) []intern.ID {
-	return t.ids[int(r)*t.Arity : int(r+1)*t.Arity : int(r+1)*t.Arity]
-}
 
 // Has reports whether row r is a member in the given view: right now, or —
 // old — at the start of the batch.
@@ -186,65 +173,16 @@ func (t *Table) Touch(r int32) {
 	}
 }
 
-// probe walks the hash from row's home slot: it returns the slot holding the
-// row and the row's index, or the slot an insert should claim and NoRow.
-func (t *Table) probe(row []intern.ID) (slot int, r int32) {
-	mask := len(t.slots) - 1
-	slot = int(intern.HashRow(row)) & mask
-	reuse := -1
-	for {
-		switch s := t.slots[slot]; {
-		case s == 0:
-			if reuse >= 0 {
-				slot = reuse
-			}
-			return slot, NoRow
-		case s == slotTomb:
-			if reuse < 0 {
-				reuse = slot
-			}
-		default:
-			if rowsEqual(t.Row(s-1), row) {
-				return slot, s - 1
-			}
-		}
-		slot = (slot + 1) & mask
-	}
-}
-
-func rowsEqual(a, b []intern.ID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Find returns the slot of the row with these IDs, or NoRow.
-func (t *Table) Find(row []intern.ID) int32 {
-	_, r := t.probe(row)
-	return r
-}
-
 // Intern returns the slot of the row with these IDs, allocating one — with
 // no flags set — when the table does not hold it. The IDs are copied.
 func (t *Table) Intern(row []intern.ID) int32 {
-	slot, r := t.probe(row)
-	if r != NoRow {
-		return r
-	}
-	if t.frozen {
-		panic("rel: insert into a frozen table")
-	}
+	var r int32
+	var added bool
 	if n := len(t.free); n > 0 {
-		r = t.free[n-1]
-		t.free = t.free[:n-1]
-		copy(t.Row(r), row)
-		t.Flags[r] = 0
-	} else {
-		r = t.Rows()
-		t.ids = append(t.ids, row...)
+		if r, added = t.Refill(t.free[n-1], row); added {
+			t.free = t.free[:n-1]
+		}
+	} else if r, added = t.Insert(row); added {
 		t.Flags = append(t.Flags, 0)
 		if t.Rel.Kind == KindCounting {
 			t.Count = append(t.Count, 0)
@@ -256,12 +194,11 @@ func (t *Table) Intern(row []intern.ID) int32 {
 			}
 		}
 	}
-	if t.slots[slot] == 0 {
-		t.used++
+	if !added {
+		return r
 	}
-	t.slots[slot] = r + 1
-	if t.used*4 > len(t.slots)*3 {
-		t.rehash()
+	if t.frozen {
+		panic("rel: insert into a frozen table")
 	}
 	for k, c := range t.cols {
 		if c != nil {
@@ -271,19 +208,17 @@ func (t *Table) Intern(row []intern.ID) int32 {
 	return r
 }
 
-// Release returns row r's slot to the free list and unlinks it from the
-// hash and the column chains. Only rows with no flags left are released, and
-// only between batches: nothing enumerates the table then.
+// Release deletes row r from the relation, unlinks it from the column
+// chains and returns its slot to the free list. Only rows with no flags left
+// are released, and only between batches: nothing enumerates the table then.
 func (t *Table) Release(r int32) {
 	row := t.Row(r)
-	slot, _ := t.probe(row)
-	t.slots[slot] = slotTomb
 	for k, c := range t.cols {
 		if c != nil {
 			c.unlink(row[k], r)
 		}
 	}
-	t.Flags[r] = FlagFree
+	t.Delete(row)
 	t.free = append(t.free, r)
 }
 
@@ -300,33 +235,6 @@ func (t *Table) EndBatch() {
 	t.Touched = t.Touched[:0]
 }
 
-// allocated returns the number of row slots in use.
-func (t *Table) allocated() int { return len(t.Flags) - len(t.free) }
-
-// rehash rebuilds the hash over the allocated rows, doubling it when they
-// fill more than half of it — under churn most of the load is deleted
-// entries, and rebuilding in place clears them.
-func (t *Table) rehash() {
-	size := len(t.slots)
-	if t.allocated()*2 > size {
-		size *= 2
-	}
-	t.slots = make([]int32, size)
-	t.used = 0
-	mask := size - 1
-	for r := int32(0); r < t.Rows(); r++ {
-		if t.Flags[r]&FlagFree != 0 {
-			continue
-		}
-		slot := int(intern.HashRow(t.Row(r))) & mask
-		for t.slots[slot] != 0 {
-			slot = (slot + 1) & mask
-		}
-		t.slots[slot] = r + 1
-		t.used++
-	}
-}
-
 // index makes column k probeable and reports whether this call built the
 // postings of a frozen table. On a private table it is called while plans
 // are compiled, before the table holds a row, and the postings follow every
@@ -339,7 +247,7 @@ func (t *Table) index(k int) (built bool) {
 			c.head = make(map[intern.ID]posting)
 			c.next = make([]int32, t.Rows())
 			for r := t.Rows() - 1; r >= 0; r-- {
-				id := t.ids[int(r)*t.Arity+k]
+				id := t.Row(r)[k]
 				p := c.head[id]
 				c.next[r] = NoRow
 				if p.n > 0 {

@@ -142,10 +142,10 @@ func (e *engine) reset() {
 	for _, r := range e.Rels {
 		for _, t := range r.Tables {
 			for row := int32(0); row < t.Rows(); row++ {
-				f := t.Flags[row]
-				if f&rel.FlagFree != 0 {
-					continue
+				if !t.Live(row) {
+					continue // a released slot
 				}
+				f := t.Flags[row]
 				was := t.Has(row, true)
 				f &^= rel.FlagLive | rel.FlagDerived | rel.FlagAdded | rel.FlagRemoved
 				if was {

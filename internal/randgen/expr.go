@@ -116,7 +116,7 @@ func (x *exprGen) test(sh shape, v string, depth int) algebra.FExpr {
 		switch x.g.intn(3) {
 		case 0: // compare against a constant
 			return algebra.FCmp{Op: op, L: elem(), R: algebra.FConst{V: x.randInt()}}
-		case 1: // parity test: elem % 2 = 0
+		case 1: // parity test: elem mod 2 = 0
 			return algebra.FCmp{Op: builtin.Eq,
 				L: algebra.FArith{Op: builtin.Mod, L: elem(), R: algebra.FConst{V: value.Int(2)}},
 				R: algebra.FConst{V: value.Int(0)}}

@@ -260,7 +260,7 @@ func (ds *DiskStore) snapshotLocked() error {
 		payload = putUvarint(payload, uint64(r.Arity()))
 		payload = putUvarint(payload, uint64(r.LiveLen()))
 		var scanErr error
-		r.Scan(func(_ int, row []intern.ID) bool {
+		r.Scan(func(_ int32, row []intern.ID) bool {
 			for _, id := range row {
 				vid, err := ensure(id)
 				if err != nil {

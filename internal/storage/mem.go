@@ -10,8 +10,9 @@ import (
 // Mem is the in-memory backend: flat ID rows (intern.Relation, with
 // tombstone deletion) behind the Store interface. It is the reference
 // implementation the disk backend's conformance is checked against, and the
-// disk backend's resident state. (The rule kernel keeps its own rows in
-// rel.Table; nothing reads a served database through a Store.)
+// disk backend's resident state. (The rule kernel's rel.Table embeds the same
+// row table, but refills deleted rows where Mem appends; nothing reads a
+// served database through a Store.)
 type Mem struct {
 	in   *intern.Interner
 	mu   sync.RWMutex
@@ -134,7 +135,7 @@ func (m *Mem) compact() {
 			continue
 		}
 		fresh := intern.NewRelation(r.r.Arity())
-		r.r.Scan(func(_ int, row []intern.ID) bool {
+		r.r.Scan(func(_ int32, row []intern.ID) bool {
 			fresh.Insert(row)
 			return true
 		})
@@ -167,6 +168,6 @@ func (r *memRel) Len() int {
 func (r *memRel) Scan(yield func(row []intern.ID) bool) error {
 	r.st.mu.RLock()
 	defer r.st.mu.RUnlock()
-	r.r.Scan(func(_ int, row []intern.ID) bool { return yield(row) })
+	r.r.Scan(func(_ int32, row []intern.ID) bool { return yield(row) })
 	return nil
 }

@@ -5,7 +5,8 @@
 // over relations of interned ID tuples, with two stdlib-only backends:
 //
 //   - Memory (NewMem): intern.Relation flat ID rows behind the interface,
-//     with tombstone deletion;
+//     with tombstone deletion — the same row table the rule kernel's
+//     tables (rel.Table) embed;
 //   - Disk (OpenDisk): the memory backend's resident rows plus a value
 //     dictionary and an append-only log of ID-tuple segments, with
 //     generation snapshots written from the resident rows, compaction, and

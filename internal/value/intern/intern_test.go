@@ -309,7 +309,7 @@ func TestRelation(t *testing.T) {
 		t.Fatalf("fresh relation: arity %d len %d", r.Arity(), r.Len())
 	}
 	rows := [][]ID{{1, 2}, {2, 3}, {1, 2}, {3, 1}}
-	wantIdx := []int{0, 1, 0, 2}
+	wantIdx := []int32{0, 1, 0, 2}
 	wantAdd := []bool{true, true, false, true}
 	for i, row := range rows {
 		idx, added := r.Insert(row)

@@ -1,18 +1,28 @@
 package intern
 
-// Relation is a compact fixed-arity relation over interned values: rows are
-// ID tuples stored back-to-back in one flat []ID, with an open-addressed
-// integer hash index for O(1) membership and insert-if-absent — no per-row
-// bucket allocations, so inserting n rows costs O(n) words total. Row
-// indices are dense from 0 in insertion order.
+import "algrec/internal/value"
+
+// Relation is a fixed-arity table of ID rows, the one row table of the tree:
+// the storage backends keep a stored relation's resident rows in one, and
+// the rule kernel's tables (rel.Table) embed one. Rows are stored
+// back-to-back in one flat []ID, with an open-addressed integer hash over
+// whole rows for O(1) membership and insert-if-absent — no per-row
+// allocations, so inserting n rows costs O(n) words total. Row indices are
+// dense from 0 and stable for the life of a row.
 //
-// Deletion (used by the storage layer's in-memory backend) is by tombstone:
-// Delete unlinks the row from the index and marks its slot dead, but the
-// flat storage is never compacted, so row indices stay dense and stable. Len counts every row ever appended; LiveLen counts
-// the surviving ones; Scan enumerates survivors in insertion order. A row
-// re-inserted after deletion is appended anew, so it re-enters the scan
-// order at its latest insertion position — the same contract the on-disk
-// log-structured backend recovers from its segments.
+// Delete tombstones a row: it unlinks it from the hash and marks its index
+// dead, but keeps its storage. What becomes of a dead index is the caller's
+// choice. Insert always appends a new index, so a row re-inserted after
+// deletion re-enters the insertion-ordered Scan at its latest position — the
+// contract the storage backends keep, the on-disk one recovering it from its
+// segments. Refill puts a new row into a dead index instead, which is how
+// the rule kernel keeps a table's size following its live content. Len
+// counts every index ever appended; LiveLen the live ones.
+//
+// The hash follows the live rows, not the history: at 3/4 load (live rows
+// plus the tombstones deletes leave in it) it is rebuilt, and doubled only
+// when the live rows fill half of it, so churn at a constant size clears its
+// tombstones in place.
 //
 // A Relation is not safe for concurrent mutation; each grounding or fixpoint
 // run owns its relations. (The shared structure — the Interner the IDs come
@@ -21,7 +31,7 @@ type Relation struct {
 	arity   int
 	rows    []ID     // len = Len()*arity; flat row-major storage
 	n       int      // appended row count, explicit so arity-0 relations work
-	live    int      // rows not tombstoned (== n until the first Delete)
+	live    int      // rows not tombstoned
 	deleted []uint64 // tombstone bitmap over row indices; nil until first Delete
 	table   []int32  // open-addressed slots: row index + 1, 0 = empty, -1 = tombstone
 	used    uint32   // occupied slots (live entries + slot tombstones)
@@ -37,7 +47,7 @@ const slotTomb = -1
 
 // NewRelation returns an empty relation of the given arity. Arity 0 models
 // propositional predicates: the relation is either empty or holds the single
-// empty row.
+// empty row, always at index 0.
 func NewRelation(arity int) *Relation {
 	return &Relation{arity: arity, table: make([]int32, relationMinTable), mask: relationMinTable - 1}
 }
@@ -56,58 +66,39 @@ func (r *Relation) LiveLen() int { return r.live }
 // must not be modified and is only valid until the next Insert (growth may
 // move the backing array). Deleted rows keep their storage; check Live when
 // the relation may have seen deletions.
-func (r *Relation) Row(i int) []ID {
-	if r.arity == 0 {
-		return nil
-	}
-	return r.rows[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
+func (r *Relation) Row(i int32) []ID {
+	return r.rows[int(i)*r.arity : int(i+1)*r.arity : int(i+1)*r.arity]
 }
 
 // Live reports whether the i-th row has not been deleted.
-func (r *Relation) Live(i int) bool {
+func (r *Relation) Live(i int32) bool {
 	// The bitmap only grows as far as the highest tombstoned index; rows
 	// appended after the last Delete lie beyond it and are live.
-	if i>>6 >= len(r.deleted) {
+	if int(i>>6) >= len(r.deleted) {
 		return true
 	}
 	return r.deleted[i>>6]&(1<<(uint(i)&63)) == 0
 }
 
-// markDeleted sets row i's tombstone bit.
-func (r *Relation) markDeleted(i int) {
-	if r.deleted == nil {
-		r.deleted = make([]uint64, (r.n+63)/64)
-	}
-	for len(r.deleted)*64 <= i {
-		r.deleted = append(r.deleted, 0)
-	}
-	r.deleted[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// Scan calls yield for every live row in insertion order, stopping early if
-// yield returns false. The row slice is a view (see Row); arity-0 relations
-// yield one nil row when non-empty.
-func (r *Relation) Scan(yield func(i int, row []ID) bool) {
-	if r.arity == 0 {
-		if r.live > 0 {
-			yield(0, nil)
-		}
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if !r.Live(i) {
-			continue
-		}
-		if !yield(i, r.Row(i)) {
+// Scan calls yield for every live row in index order — insertion order
+// unless rows were refilled — stopping early if yield returns false. The
+// row slice is a view (see Row); arity-0 relations yield one nil row when
+// non-empty.
+func (r *Relation) Scan(yield func(i int32, row []ID) bool) {
+	for i := int32(0); int(i) < r.n; i++ {
+		if r.Live(i) && !yield(i, r.Row(i)) {
 			return
 		}
 	}
 }
 
 // probe linearly scans the table from row's hash slot; it returns the slot
-// holding the row (idx >= 0) or the slot an insert should claim (idx == -1:
+// holding the row (i >= 0) or the slot an insert should claim (i == -1:
 // the first tombstone on the probe path, else the terminating empty slot).
-func (r *Relation) probe(row []ID) (slot uint32, idx int) {
+func (r *Relation) probe(row []ID) (slot uint32, i int32) {
+	if len(row) != r.arity {
+		panic("intern: Relation row arity mismatch")
+	}
 	slot = uint32(hashRow(row)) & r.mask
 	reuse := int64(-1)
 	for {
@@ -122,99 +113,100 @@ func (r *Relation) probe(row []ID) (slot uint32, idx int) {
 			if reuse < 0 {
 				reuse = int64(slot)
 			}
-		} else if idsEqual(r.Row(int(ri-1)), row) {
-			return slot, int(ri - 1)
+		} else if idsEqual(r.Row(ri-1), row) {
+			return slot, ri - 1
 		}
 		slot = (slot + 1) & r.mask
 	}
 }
 
-// Find returns the index of row and true if present (and not deleted).
-func (r *Relation) Find(row []ID) (int, bool) {
-	if len(row) != r.arity {
-		panic("intern: Relation row arity mismatch")
-	}
-	if r.arity == 0 {
-		if r.live > 0 {
-			return 0, true
-		}
-		return -1, false
-	}
-	if _, idx := r.probe(row); idx >= 0 {
-		return idx, true
-	}
-	return -1, false
+// Find returns the index of row and true if present (and not deleted), or
+// -1 and false.
+func (r *Relation) Find(row []ID) (int32, bool) {
+	_, i := r.probe(row)
+	return i, i >= 0
 }
 
-// Insert adds row if absent. It returns the row's index and whether it was
-// newly added. The input slice is copied into the flat storage.
-func (r *Relation) Insert(row []ID) (idx int, added bool) {
-	if len(row) != r.arity {
-		panic("intern: Relation row arity mismatch")
+// Insert adds row if absent, at a new index. It returns the row's index and
+// whether it was newly added. The input slice is copied into the flat
+// storage.
+func (r *Relation) Insert(row []ID) (int32, bool) {
+	if r.arity == 0 && r.n > 0 {
+		return r.Refill(0, row) // the one propositional row keeps index 0
 	}
-	if r.arity == 0 {
-		if r.live > 0 {
-			return 0, false
-		}
-		r.n, r.live = 1, 1
-		if r.deleted != nil {
-			r.deleted[0] &^= 1 // revive the single propositional row
-		}
-		return 0, true
+	slot, i := r.probe(row)
+	if i >= 0 {
+		return i, false
 	}
-	slot, ri := r.probe(row)
-	if ri >= 0 {
-		return ri, false
-	}
-	idx = r.n
+	i = int32(r.n)
 	r.rows = append(r.rows, row...)
 	r.n++
+	r.link(slot, i)
+	return i, true
+}
+
+// Refill adds row if absent, as Insert does, but into the deleted index i
+// rather than a new one. It returns the row's index and whether it was
+// newly added; when it was not, i stays deleted.
+func (r *Relation) Refill(i int32, row []ID) (int32, bool) {
+	slot, j := r.probe(row)
+	if j >= 0 {
+		return j, false
+	}
+	if r.Live(i) {
+		panic("intern: Refill of a live row")
+	}
+	copy(r.Row(i), row)
+	r.deleted[i>>6] &^= 1 << (uint(i) & 63)
+	r.link(slot, i)
+	return i, true
+}
+
+// link enters row i, just stored, into the hash at slot, the one its failed
+// probe found, and rehashes at 3/4 load.
+func (r *Relation) link(slot uint32, i int32) {
 	r.live++
 	if r.table[slot] == 0 {
 		r.used++
 	}
-	// Grow at 3/4 load (live entries plus slot tombstones) so probe chains
-	// stay short; otherwise claim the slot the failed probe found.
+	r.table[slot] = i + 1
 	if r.used*4 > (r.mask+1)*3 {
-		r.grow()
-	} else {
-		r.table[slot] = int32(idx + 1)
+		r.rehash()
 	}
-	return idx, true
 }
 
-// Delete removes row if present, returning the former row index and whether
-// a row was removed. The flat storage keeps the tombstoned row (indices are
-// never reused); a later Insert of the same row appends a fresh copy.
-func (r *Relation) Delete(row []ID) (idx int, removed bool) {
-	if len(row) != r.arity {
-		panic("intern: Relation row arity mismatch")
-	}
-	if r.arity == 0 {
-		if r.live == 0 {
-			return -1, false
-		}
-		r.live = 0
-		r.markDeleted(0)
-		return 0, true
-	}
-	slot, ri := r.probe(row)
-	if ri < 0 {
+// Delete removes row if present, returning its index and whether a row was
+// removed. The flat storage keeps the tombstoned row; the index stays dead
+// until a Refill.
+func (r *Relation) Delete(row []ID) (int32, bool) {
+	slot, i := r.probe(row)
+	if i < 0 {
 		return -1, false
 	}
 	r.table[slot] = slotTomb
-	r.markDeleted(ri)
+	if r.deleted == nil {
+		r.deleted = make([]uint64, (r.n+63)/64)
+	}
+	for len(r.deleted)*64 <= int(i) {
+		r.deleted = append(r.deleted, 0)
+	}
+	r.deleted[i>>6] |= 1 << (uint(i) & 63)
 	r.live--
-	return ri, true
+	return i, true
 }
 
-// grow doubles the table and rehashes every live row into it.
-func (r *Relation) grow() {
-	size := (r.mask + 1) * 2
+// rehash rebuilds the hash over the live rows, doubling it when they fill
+// more than half of it — under churn most of the load is tombstones, and
+// rebuilding in place clears them.
+func (r *Relation) rehash() {
+	size := r.mask + 1
+	if uint32(r.live)*2 > size {
+		size *= 2
+	}
 	r.table = make([]int32, size)
 	r.mask = size - 1
 	r.used = 0
-	for i := 0; i < r.n; i++ {
+	for i := int32(0); int(i) < r.n; i++ {
 		if !r.Live(i) {
 			continue
 		}
@@ -222,14 +214,10 @@ func (r *Relation) grow() {
 		for r.table[slot] != 0 {
 			slot = (slot + 1) & r.mask
 		}
-		r.table[slot] = int32(i + 1)
+		r.table[slot] = i + 1
 		r.used++
 	}
 }
-
-// HashRow returns the row hash the relation index uses — exported so other
-// row tables (the rule kernel's) agree with it on row identity.
-func HashRow(row []ID) uint64 { return hashRow(row) }
 
 // hashRow hashes an ID row with the same mixer as the interner's node hash
 // (no kind seed: rows are not values and live in their own table).
@@ -239,4 +227,22 @@ func hashRow(row []ID) uint64 {
 		h = mix64(h ^ uint64(id))
 	}
 	return mix64(h ^ uint64(len(row)))
+}
+
+// TupleIDs appends the IDs of t's components to buf and returns it: the row
+// a relation of t's width stores for t. The tuple itself is never interned
+// whole — a fact batch's tuples would otherwise stay in the append-only
+// arena long after the facts are deleted — but one the process-global
+// interner has already seen gives up its component IDs without a lookup
+// per component.
+func (in *Interner) TupleIDs(buf []ID, t value.Tuple) []ID {
+	if in.global {
+		if id := value.InternID(t); id != 0 {
+			return append(buf, in.Elems(ID(id))...)
+		}
+	}
+	for i := 0; i < t.Len(); i++ {
+		buf = append(buf, in.Intern(t.At(i)))
+	}
+	return buf
 }

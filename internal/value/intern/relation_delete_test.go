@@ -1,6 +1,7 @@
 package intern
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -15,7 +16,7 @@ func irow(xs ...int) []ID {
 
 func scanRows(r *Relation) [][]ID {
 	var out [][]ID
-	r.Scan(func(_ int, row []ID) bool {
+	r.Scan(func(_ int32, row []ID) bool {
 		cp := make([]ID, len(row))
 		copy(cp, row)
 		out = append(out, cp)
@@ -125,71 +126,117 @@ func TestRelationDeleteTombstoneReuse(t *testing.T) {
 	}
 }
 
-// TestRelationDeleteModel compares random insert/delete churn against a
-// map+order model, including growth with many tombstones.
+// TestRelationDeleteModel compares random insert/delete/refill churn against
+// a model of the rows by index, at arity 2 and at arity 0, including growth
+// with many tombstones: Refill puts a row into a deleted index, Insert
+// appends one (at arity 0 it revives index 0), and after every few steps
+// Find, Live, Len, LiveLen and Scan must agree with the model.
 func TestRelationDeleteModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	r := NewRelation(2)
-	type key [2]ID
-	present := map[key]bool{}
-	var order []key
-	for step := 0; step < 5000; step++ {
-		row := irow(rng.Intn(60), rng.Intn(60))
-		k := key{row[0], row[1]}
-		if rng.Intn(3) == 0 {
-			_, removed := r.Delete(row)
-			if removed != present[k] {
-				t.Fatalf("step %d: Delete(%v) = %v, model %v", step, row, removed, present[k])
+	for _, arity := range []int{2, 0} {
+		rng := rand.New(rand.NewSource(21))
+		r := NewRelation(arity)
+		var rows [][]ID // by row index
+		var dead []bool
+		index := map[string]int32{} // the live rows' indices, by content
+		for step := 0; step < 5000; step++ {
+			row := make([]ID, arity)
+			for k := range row {
+				row[k] = ID(rng.Intn(60) + 1)
 			}
-			if present[k] {
-				delete(present, k)
-				for i, o := range order {
-					if o == k {
-						order = append(order[:i], order[i+1:]...)
-						break
-					}
+			key := fmt.Sprint(row)
+			want, present := index[key]
+			var free []int32
+			for i, d := range dead {
+				if d {
+					free = append(free, int32(i))
 				}
 			}
-		} else {
-			_, added := r.Insert(row)
-			if added == present[k] {
-				t.Fatalf("step %d: Insert(%v) = %v, model has %v", step, row, added, present[k])
+			switch op := rng.Intn(3); {
+			case op == 0:
+				i, removed := r.Delete(row)
+				if removed != present || present && i != want {
+					t.Fatalf("arity %d step %d: Delete(%v) = (%d, %v), model (%d, %v)", arity, step, row, i, removed, want, present)
+				}
+				if present {
+					delete(index, key)
+					dead[i] = true
+				}
+			case op == 1 && len(free) > 0:
+				at := free[rng.Intn(len(free))]
+				i, added := r.Refill(at, row)
+				if added == present || present && i != want || !present && i != at {
+					t.Fatalf("arity %d step %d: Refill(%d, %v) = (%d, %v), model has %v at %d", arity, step, at, row, i, added, present, want)
+				}
+				if added {
+					rows[i], dead[i], index[key] = row, false, i
+				}
+			default:
+				at := int32(len(rows))
+				if arity == 0 && len(rows) > 0 {
+					at = 0
+				}
+				i, added := r.Insert(row)
+				if added == present || present && i != want || !present && i != at {
+					t.Fatalf("arity %d step %d: Insert(%v) = (%d, %v), model has %v at %d", arity, step, row, i, added, present, want)
+				}
+				if added && int(i) == len(rows) {
+					rows, dead = append(rows, nil), append(dead, false)
+				}
+				if added {
+					rows[i], dead[i], index[key] = row, false, i
+				}
 			}
-			if !present[k] {
-				present[k] = true
-				order = append(order, k)
+			if step%250 == 0 || step == 4999 {
+				checkModel(t, r, rows, dead, index)
 			}
 		}
 	}
-	if r.LiveLen() != len(present) {
-		t.Fatalf("LiveLen = %d, model %d", r.LiveLen(), len(present))
+}
+
+// checkModel compares r with a model of its rows by index.
+func checkModel(t *testing.T, r *Relation, rows [][]ID, dead []bool, index map[string]int32) {
+	t.Helper()
+	if r.Len() != len(rows) || r.LiveLen() != len(index) {
+		t.Fatalf("Len, LiveLen = %d, %d, model %d, %d", r.Len(), r.LiveLen(), len(rows), len(index))
 	}
-	got := scanRows(r)
-	if len(got) != len(order) {
-		t.Fatalf("scan %d rows, model %d", len(got), len(order))
-	}
-	for i, k := range order {
-		if got[i][0] != k[0] || got[i][1] != k[1] {
-			t.Fatalf("scan order at %d: %v, model %v", i, got[i], k)
+	var want [][]ID
+	for i, row := range rows {
+		if r.Live(int32(i)) == dead[i] {
+			t.Fatalf("Live(%d) = %v, model dead %v", i, !dead[i], dead[i])
 		}
-	}
-	for k := range present {
-		if !has(r, []ID{k[0], k[1]}) {
-			t.Fatalf("model row %v missing", k)
-		}
-	}
-	// Find agrees with Has and reports live indices only.
-	for i := 0; i < 60; i++ {
-		for j := 0; j < 60; j++ {
-			row := []ID{ID(i + 1), ID(j + 1)}
-			idx, ok := r.Find(row)
-			if ok != present[key{row[0], row[1]}] {
-				t.Fatalf("Find(%v) = %v", row, ok)
+		if !dead[i] {
+			want = append(want, row)
+			if j, ok := r.Find(row); !ok || j != int32(i) {
+				t.Fatalf("Find(%v) = (%d, %v), model %d", row, j, ok, i)
 			}
-			if ok && !r.Live(idx) {
-				t.Fatalf("Find returned dead index %d for %v", idx, row)
-			}
+		} else if _, live := index[fmt.Sprint(row)]; !live && has(r, row) {
+			t.Fatalf("deleted row %v still found", row)
 		}
+	}
+	if got := scanRows(r); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan %v, model %v", got, want)
+	}
+}
+
+// TestRelationHashBoundedUnderChurn deletes and inserts distinct rows at a
+// constant live size, as a sliding window of writes does to a stored
+// relation: the hash must clear the tombstones the deletes leave in place,
+// so it stays within a constant factor of the live rows, not of the history.
+func TestRelationHashBoundedUnderChurn(t *testing.T) {
+	const live, pairs = 1000, 200_000
+	r := NewRelation(2)
+	for i := 0; i < live; i++ {
+		r.Insert(irow(i, i))
+	}
+	for i := live; i < live+pairs; i++ {
+		r.Delete(irow(i-live, i-live))
+		r.Insert(irow(i, i))
+	}
+	if r.LiveLen() != live || !has(r, irow(live+pairs-1, live+pairs-1)) || has(r, irow(pairs-1, pairs-1)) {
+		t.Fatalf("LiveLen = %d after churn, want %d and the last window", r.LiveLen(), live)
+	}
+	if n := len(r.table); n > 4*live {
+		t.Fatalf("a hash of %d slots for %d live rows after %d delete/insert pairs", n, live, pairs)
 	}
 }
 
