@@ -61,11 +61,11 @@ docs-fresh:
 # clients in its tests), the storage engine's concurrent materialization and
 # background compaction, and what concurrent requests share — compiled plans and the
 # per-version fact base (query, datalog/rel), the intern arena and the
-# observability collectors. The algebra's interrupt tests cancel from a
-# timer goroutine, and diffcheck's clean sweep drives every engine from
-# parallel subtests.
+# observability collectors. The algebra's and ivm's interrupt tests cancel
+# from a timer goroutine, and diffcheck's clean sweep drives every engine
+# from parallel subtests.
 race:
-	go test -race ./internal/server ./internal/storage ./internal/query ./internal/datalog/rel ./internal/value/intern ./internal/obsv ./internal/algebra ./internal/diffcheck
+	go test -race ./internal/server ./internal/storage ./internal/query ./internal/datalog/rel ./internal/value/intern ./internal/obsv ./internal/algebra ./internal/ivm ./internal/diffcheck
 
 # bench runs the full benchmark suite once per target (see also cmd/bench).
 bench:

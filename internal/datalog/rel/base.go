@@ -49,7 +49,7 @@ type baseRel struct {
 	set  value.Set
 
 	tabOnce sync.Once
-	rel     *Relation // frozen tables
+	rel     *relation // frozen tables
 	scalar  bool      // an element is not a tuple
 
 	ruleOnce sync.Once
@@ -156,31 +156,31 @@ func (b *Base) TuplesOf(name string, width int, use *BaseUse) bool {
 		return true
 	}
 	rel := br.tables(use)
-	return !br.scalar && len(rel.Tables) == 1 && rel.Tables[0].Arity() == width
+	return !br.scalar && len(rel.tables) == 1 && rel.tables[0].Arity() == width
 }
 
 // tables returns the relation's frozen tables, loading them on first use.
-func (br *baseRel) tables(use *BaseUse) *Relation {
+func (br *baseRel) tables(use *BaseUse) *relation {
 	br.tabOnce.Do(func() {
-		rel := &Relation{Name: br.name}
+		rel := &relation{name: br.name}
 		in := intern.Global()
 		var buf []intern.ID
-		for i := 0; i < br.set.Len(); i++ {
-			elem := br.set.At(i)
+		br.set.Scan(func(elem value.Value) bool {
 			_, tup := elem.(value.Tuple)
 			br.scalar = br.scalar || !tup
 			buf = elemIDs(in, buf, elem)
 			t := rel.tableFor(len(buf))
-			if r := t.Intern(buf); t.Flags[r] == 0 {
-				t.Flags[r] = FlagLive | FlagDB
-				rel.NDB++
+			if r := t.internRow(buf); t.flags[r] == 0 {
+				t.flags[r] = flagLive | flagDB
+				rel.ndb++
 			}
-		}
-		for _, t := range rel.Tables {
+			return true
+		})
+		for _, t := range rel.tables {
 			t.freeze()
 		}
 		br.rel = rel
-		use.Rows += rel.NDB
+		use.Rows += rel.ndb
 	})
 	return br.rel
 }

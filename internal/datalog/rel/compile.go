@@ -59,8 +59,8 @@ type op struct {
 	kind opKind
 
 	// opMatch, opNeg
-	lit  int // index into Rule.Lits: selects the view
-	t    *Table
+	lit  int // index into compiledRule.lits: selects the view
+	t    *table
 	args []argSpec
 	keys []int       // opMatch: columns determined before the row is read
 	buf  []intern.ID // the determined columns' IDs (opNeg: the whole instance)
@@ -71,45 +71,45 @@ type op struct {
 	cmp  datalog.LitCmp // opTest
 }
 
-// EntryPlan is the compiled plan of one entry pattern: how the entry atom
-// (nil for the from-scratch entry) binds the frame, then the steps. It is
-// opaque outside the package: a client hands one back to Engine.Exec.
-type EntryPlan struct {
+// entryPlan is the compiled plan of one entry pattern: how the entry atom
+// (nil for the from-scratch entry) binds the frame, then the steps, which
+// exec runs.
+type entryPlan struct {
 	entry []argSpec
 	ops   []op
 }
 
-// Lit is one atom literal of a rule body, in textual order.
-type Lit struct {
-	Neg   bool
-	T     *Table
-	Pivot *EntryPlan // the plan entered from a delta row of this literal
+// literal is one atom literal of a rule body, in textual order.
+type literal struct {
+	neg   bool
+	t     *table
+	pivot *entryPlan // the plan entered from a delta row of this literal
 }
 
-// Rule is one compiled non-fact rule: its head, its atom literals, and a
-// plan per entry pattern.
-type Rule struct {
+// compiledRule is one compiled non-fact rule: its head, its atom literals,
+// and a plan per entry pattern.
+type compiledRule struct {
 	rule     datalog.Rule
-	Head     *Table
+	head     *table
 	headArgs []argSpec
 	headBuf  []intern.ID
-	Lits     []Lit
+	lits     []literal
 	slots    map[datalog.Var]int
 	frame    []intern.ID
 
-	scratch *EntryPlan // from scratch
-	Bound   *EntryPlan // head-bound
+	scratch *entryPlan // from scratch
+	bound   *entryPlan // head-bound
 }
 
 // compileRule compiles r. Tables for every (predicate, arity) the rule
 // mentions are created on the way, and the columns its plans probe indexed.
-func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
-	cr := &Rule{rule: r, slots: map[datalog.Var]int{}}
+func (e *Engine) compileRule(r datalog.Rule) (*compiledRule, error) {
+	cr := &compiledRule{rule: r, slots: map[datalog.Var]int{}}
 	for v := range datalog.VarsOfRule(r) {
 		cr.slots[v] = len(cr.slots)
 	}
 	cr.frame = make([]intern.ID, len(cr.slots))
-	cr.Head = e.tableOf(r.Head)
+	cr.head = e.tableOf(r.Head)
 	cr.headBuf = make([]intern.ID, len(r.Head.Args))
 
 	// litOf maps a body index to the literal's index among the atoms.
@@ -117,8 +117,8 @@ func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
 	for i, l := range r.Body {
 		litOf[i] = -1
 		if la, ok := l.(datalog.LitAtom); ok {
-			litOf[i] = len(cr.Lits)
-			cr.Lits = append(cr.Lits, Lit{Neg: la.Neg, T: e.tableOf(la.Atom)})
+			litOf[i] = len(cr.lits)
+			cr.lits = append(cr.lits, literal{neg: la.Neg, t: e.tableOf(la.Atom)})
 		}
 	}
 
@@ -127,12 +127,12 @@ func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
 		return nil, err
 	}
 	// A build only ever pivots on a positive literal of the rule's own
-	// recursive unit (Propagate) — and, in half of an alternating component,
+	// recursive unit (propagate) — and, in half of an alternating component,
 	// on every literal of the component, re-deriving head-bound what a
 	// recursive half over-deletes; maintenance pivots on every literal.
-	unit := e.UnitOf[r.Head.Pred]
-	if e.maintain || (unit.group != nil && unit.Recursive) {
-		if cr.Bound, err = e.compileEntry(cr, &r.Head, -1, litOf); err != nil {
+	unit := e.unitOf[r.Head.Pred]
+	if e.maintain || (unit.group != nil && unit.recursive) {
+		if cr.bound, err = e.compileEntry(cr, &r.Head, -1, litOf); err != nil {
 			return nil, err
 		}
 	}
@@ -142,10 +142,10 @@ func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
 			continue
 		}
 		p := la.Atom.Pred
-		if !(e.maintain || (!la.Neg && unit.Preds[p]) || (unit.group != nil && unit.group.Preds[p])) {
+		if !(e.maintain || (!la.Neg && unit.preds[p]) || (unit.group != nil && unit.group.preds[p])) {
 			continue
 		}
-		if cr.Lits[litOf[i]].Pivot, err = e.compileEntry(cr, &la.Atom, i, litOf); err != nil {
+		if cr.lits[litOf[i]].pivot, err = e.compileEntry(cr, &la.Atom, i, litOf); err != nil {
 			return nil, err
 		}
 	}
@@ -160,8 +160,8 @@ func (e *Engine) compileRule(r datalog.Rule) (*Rule, error) {
 
 // compileEntry compiles the plan entered by unifying atom (nil: nothing)
 // with a row, with body literal skip left out.
-func (e *Engine) compileEntry(cr *Rule, atom *datalog.Atom, skip int, litOf []int) (*EntryPlan, error) {
-	p := &EntryPlan{}
+func (e *Engine) compileEntry(cr *compiledRule, atom *datalog.Atom, skip int, litOf []int) (*entryPlan, error) {
+	p := &entryPlan{}
 	bound := make([]bool, len(cr.slots))
 	// Computed arguments of the entry atom cannot bind anything; each becomes
 	// a check against the entry row, run once its variables are bound.
@@ -198,7 +198,7 @@ func (e *Engine) compileEntry(cr *Rule, atom *datalog.Atom, skip int, litOf []in
 	for _, st := range bp.Steps {
 		switch st.Kind {
 		case datalog.StepMatch:
-			o := op{kind: opMatch, lit: litOf[st.Lit], t: cr.Lits[litOf[st.Lit]].T}
+			o := op{kind: opMatch, lit: litOf[st.Lit], t: cr.lits[litOf[st.Lit]].t}
 			for k, b := range st.Bound {
 				if b {
 					o.keys = append(o.keys, k)
@@ -229,7 +229,7 @@ func (e *Engine) compileEntry(cr *Rule, atom *datalog.Atom, skip int, litOf []in
 	}
 	for i, na := range bp.Negs {
 		li := litOf[bp.NegLits[i]]
-		o := op{kind: opNeg, lit: li, t: cr.Lits[li].T, args: e.compileArgs(cr, na.Args, bound)}
+		o := op{kind: opNeg, lit: li, t: cr.lits[li].t, args: e.compileArgs(cr, na.Args, bound)}
 		o.buf = make([]intern.ID, len(o.args))
 		p.ops = append(p.ops, o)
 	}
@@ -241,7 +241,7 @@ func (e *Engine) compileEntry(cr *Rule, atom *datalog.Atom, skip int, litOf []in
 
 // compileArgs compiles an atom's argument positions against the slots bound
 // so far, marking the variables the atom binds.
-func (e *Engine) compileArgs(cr *Rule, args []datalog.Term, bound []bool) []argSpec {
+func (e *Engine) compileArgs(cr *compiledRule, args []datalog.Term, bound []bool) []argSpec {
 	out := make([]argSpec, len(args))
 	for k, t := range args {
 		switch tt := t.(type) {
@@ -263,7 +263,7 @@ func (e *Engine) compileArgs(cr *Rule, args []datalog.Term, bound []bool) []argS
 }
 
 // termBound reports whether every variable of t has a bound slot.
-func termBound(cr *Rule, t datalog.Term, bound []bool) bool {
+func termBound(cr *compiledRule, t datalog.Term, bound []bool) bool {
 	for v := range datalog.VarsOfTerm(t) {
 		if !bound[cr.slots[v]] {
 			return false
@@ -273,6 +273,6 @@ func termBound(cr *Rule, t datalog.Term, bound []bool) bool {
 }
 
 // tableOf returns the table an atom's instances live in.
-func (e *Engine) tableOf(a datalog.Atom) *Table {
+func (e *Engine) tableOf(a datalog.Atom) *table {
 	return e.relFor(a.Pred).tableFor(len(a.Args))
 }

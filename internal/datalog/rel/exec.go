@@ -10,25 +10,25 @@ import (
 	"algrec/internal/value/intern"
 )
 
-// ViewMode assigns each body literal the state of its relation it reads.
-type ViewMode uint8
+// viewMode assigns each body literal the state of its relation it reads.
+type viewMode uint8
 
 // The view modes.
 const (
-	// ViewCur: every literal reads the membership right now (mid-phase
+	// viewCur: every literal reads the membership right now (mid-phase
 	// working state for same-unit predicates, final state for lower ones).
-	ViewCur ViewMode = iota
-	// ViewOld: every literal reads the membership at the start of the batch:
+	viewCur viewMode = iota
+	// viewOld: every literal reads the membership at the start of the batch:
 	// current rows minus this batch's additions, plus its removals.
-	ViewOld
-	// ViewSplit is the counting strategy's exactly-once discipline: literals
+	viewOld
+	// viewSplit is the counting strategy's exactly-once discipline: literals
 	// before the pivot read the new state, literals after it the old state.
-	ViewSplit
+	viewSplit
 )
 
-// Emit consumes the instantiated head of one satisfying binding. The row is
+// emitFunc consumes the instantiated head of one satisfying binding. The row is
 // a scratch buffer: a consumer that keeps it interns it.
-type Emit func(t *Table, row []intern.ID) error
+type emitFunc func(t *table, row []intern.ID) error
 
 // errStop aborts a rule execution early (re-derivation found its target).
 var errStop = errors.New("rel: stop")
@@ -37,33 +37,33 @@ var errStop = errors.New("rel: stop")
 // entry row, the view assignment and the consumer of completed bodies.
 type run struct {
 	e     *Engine
-	cr    *Rule
-	plan  *EntryPlan
+	cr    *compiledRule
+	plan  *entryPlan
 	entry []intern.ID // the row the entry atom was unified with
-	mode  ViewMode
-	pivot int // index into cr.Lits of the skipped literal; -1 when none
+	mode  viewMode
+	pivot int // index into cr.lits of the skipped literal; -1 when none
 	// emit receives the instantiated head of every satisfying binding; nil
 	// for a head-bound run, where reaching the end is the answer.
-	emit Emit
+	emit emitFunc
 }
 
 // old reports whether literal lit reads the pre-batch state.
 func (x *run) old(lit int) bool {
 	switch x.mode {
-	case ViewOld:
+	case viewOld:
 		return true
-	case ViewSplit:
+	case viewSplit:
 		return lit > x.pivot
 	}
 	return false
 }
 
-// Exec runs plan over cr's frame, entered from row (nil for the from-scratch
-// entry): mode and pivot (the index into cr.Lits of the literal row was taken
+// exec runs plan over cr's frame, entered from row (nil for the from-scratch
+// entry): mode and pivot (the index into cr.lits of the literal row was taken
 // from, -1 for none) say which state each literal reads, and emit receives
 // every derived head. With a nil emit the run is an existence test, and found
 // reports that the body has a solution.
-func (e *Engine) Exec(cr *Rule, plan *EntryPlan, row []intern.ID, mode ViewMode, pivot int, emit Emit) (found bool, err error) {
+func (e *Engine) exec(cr *compiledRule, plan *entryPlan, row []intern.ID, mode viewMode, pivot int, emit emitFunc) (found bool, err error) {
 	x := &e.run
 	*x = run{e: e, cr: cr, plan: plan, entry: row, mode: mode, pivot: pivot, emit: emit}
 	for k, a := range plan.entry {
@@ -102,7 +102,7 @@ func (e *Engine) charge() error {
 	if e.Steps > e.lim.MaxSteps {
 		return fmt.Errorf("%w: evaluation exceeds %d join steps", algebra.ErrBudget, e.lim.MaxSteps)
 	}
-	return e.Stop()
+	return e.stop()
 }
 
 // lookup resolves a variable for datalog.EvalTermFn — the one place a frame
@@ -156,7 +156,7 @@ func (x *run) step(i int) error {
 		if err := x.instantiate(x.cr.headArgs, x.cr.headBuf); err != nil {
 			return err
 		}
-		return x.emit(x.cr.Head, x.cr.headBuf)
+		return x.emit(x.cr.head, x.cr.headBuf)
 	}
 	o := &x.plan.ops[i]
 	switch o.kind {
@@ -167,7 +167,7 @@ func (x *run) step(i int) error {
 			return err
 		}
 		x.e.Probes++
-		if r, ok := o.t.Find(o.buf); ok && o.t.Has(r, x.old(o.lit)) {
+		if r, ok := o.t.Find(o.buf); ok && o.t.has(r, x.old(o.lit)) {
 			return nil
 		}
 		return x.step(i + 1)
@@ -220,7 +220,7 @@ func (x *run) match(i int, o *op) error {
 		if err := x.e.charge(); err != nil {
 			return err
 		}
-		if r, ok := t.Find(o.buf); ok && t.Has(r, old) {
+		if r, ok := t.Find(o.buf); ok && t.has(r, old) {
 			return x.step(i + 1)
 		}
 		return nil
@@ -249,12 +249,12 @@ func (x *run) match(i int, o *op) error {
 		return nil
 	default:
 		x.e.Scans++
-		if x.e.Observed {
-			x.e.scanned[t.Rel.Name] = true
+		if x.e.observed {
+			x.e.scanned[t.rel.name] = true
 		}
 		// Rows appended while the scan runs are the consumer's own output;
 		// delta propagation reaches them through its worklist.
-		for r, n := int32(0), t.Rows(); r < n; r++ {
+		for r, n := int32(0), t.slots(); r < n; r++ {
 			if err := x.try(i, o, r, old); err != nil {
 				return err
 			}
@@ -269,7 +269,7 @@ func (x *run) try(i int, o *op, r int32, old bool) error {
 	if err := x.e.charge(); err != nil {
 		return err
 	}
-	if !o.t.Has(r, old) {
+	if !o.t.has(r, old) {
 		return nil
 	}
 	row := o.t.Row(r)

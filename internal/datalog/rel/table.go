@@ -6,42 +6,36 @@ import (
 	"algrec/internal/value/intern"
 )
 
-// RowFlags is the per-row state of a table: current membership, what
+// rowFlags is the per-row state of a table: current membership, what
 // supports it, and the in-flight batch's bookkeeping.
-type RowFlags uint8
+type rowFlags uint8
 
 // The row flags.
 const (
-	FlagLive    RowFlags = 1 << iota // a member right now
-	FlagDB                           // a database fact
-	FlagProg                         // a fact rule of the program
-	FlagDerived                      // KindDRed: derivable from the current facts
-	FlagAdded                        // became a member during this batch
-	FlagRemoved                      // stopped being a member during this batch
-	FlagTouched                      // on the table's touched list
+	flagLive    rowFlags = 1 << iota // a member right now
+	flagDB                           // a database fact
+	flagProg                         // a fact rule of the program
+	flagDerived                      // recursive: derivable from the current facts
+	flagAdded                        // became a member during this batch
+	flagRemoved                      // stopped being a member during this batch
+	flagTouched                      // on the table's touched list
 )
 
-// Kind says what supports a derived row's membership.
-type Kind uint8
-
-// The relation kinds.
-const (
-	KindBase     Kind = iota // no rules: membership is base membership
-	KindCounting             // non-recursive: support counts
-	KindDRed                 // recursive: derivable flag (DRed-maintained under mutation)
-)
-
-// Relation is the stored state of one predicate: one table per arity its
+// relation is the stored state of one predicate: one table per arity its
 // rows come in (a heterogeneous database set maps scalars to unary and
 // tuples to n-ary facts of the same predicate), all supported the same way.
-type Relation struct {
-	Name   string
-	Kind   Kind
-	Tables []*Table // by first use; a predicate rarely has more than one
-	NDB    int      // rows carrying FlagDB, over all tables
+type relation struct {
+	name string
+	// counted: a rule derives into the relation outside recursion, so a
+	// row's derivations are counted. Otherwise a derived row is supported by
+	// its derivable flag (recursive: DRed-maintained under mutation), and a
+	// relation no rule derives into has none.
+	counted bool
+	tables  []*table // by first use; a predicate rarely has more than one
+	ndb     int      // rows carrying flagDB, over all tables
 }
 
-// Table is the store of one (predicate, arity): its rows and their hash are
+// table is the store of one (predicate, arity): its rows and their hash are
 // an embedded intern.Relation, the same row table the storage backends keep
 // a stored relation's rows in, and beside them the table keeps the kernel's
 // per-row flags and counters and a posting chain per probed column for
@@ -60,23 +54,23 @@ type Relation struct {
 // A frozen table (a fact base's, see Base) is never written again: its rows
 // are all live database facts, it may be read by any number of engines at
 // once, and its column postings are built on first demand, once.
-type Table struct {
+type table struct {
 	intern.Relation // the rows and their hash; a released slot is deleted
 
-	Rel   *Relation
-	Flags []RowFlags // per row slot
-	Count []int32    // KindCounting: derivations per row; nil otherwise
+	rel   *relation
+	flags []rowFlags // per row slot
+	count []int32    // counted: derivations per row; nil otherwise
 	free  []int32    // released slots
 
 	cols   []*colIndex // per column; nil unless a compiled plan probes it (frozen: all, built lazily)
 	frozen bool
 
-	Touched []int32 // rows whose flags or counters moved this batch
-	Pending []int32 // rows whose base membership moved this batch
+	touched []int32 // rows whose flags or counters moved this batch
+	pending []int32 // rows whose base membership moved this batch
 }
 
-// NoRow is the row index of a row a table does not hold.
-const NoRow = int32(-1)
+// noRow is the row index of a row a table does not hold.
+const noRow = int32(-1)
 
 // colIndex is one column's postings: for every ID occurring in the column,
 // the doubly linked chain of the rows holding it. Chains cover every
@@ -87,7 +81,7 @@ const NoRow = int32(-1)
 type colIndex struct {
 	once       sync.Once // frozen tables only
 	head       map[intern.ID]posting
-	next, prev []int32 // per row slot; NoRow ends a chain
+	next, prev []int32 // per row slot; noRow ends a chain
 }
 
 // posting is a chain's first row and its length (the planner's run-time
@@ -97,8 +91,8 @@ type posting struct {
 }
 
 // table returns the relation's table of the given arity, or nil.
-func (rel *Relation) table(arity int) *Table {
-	for _, t := range rel.Tables {
+func (rel *relation) table(arity int) *table {
+	for _, t := range rel.tables {
 		if t.Arity() == arity {
 			return t
 		}
@@ -107,75 +101,75 @@ func (rel *Relation) table(arity int) *Table {
 }
 
 // tableFor returns the relation's table of the given arity, creating it.
-func (rel *Relation) tableFor(arity int) *Table {
+func (rel *relation) tableFor(arity int) *table {
 	if t := rel.table(arity); t != nil {
 		return t
 	}
-	t := &Table{Relation: *intern.NewRelation(arity), Rel: rel, cols: make([]*colIndex, arity)}
-	rel.Tables = append(rel.Tables, t)
+	t := &table{Relation: *intern.NewRelation(arity), rel: rel, cols: make([]*colIndex, arity)}
+	rel.tables = append(rel.tables, t)
 	return t
 }
 
 // addDB makes row a database fact of the relation, in the table of its
 // arity; a row added twice counts once.
-func (rel *Relation) addDB(row []intern.ID) {
+func (rel *relation) addDB(row []intern.ID) {
 	t := rel.tableFor(len(row))
-	if r := t.Intern(row); t.Flags[r]&FlagDB == 0 {
-		t.Flags[r] |= FlagDB
-		rel.NDB++
+	if r := t.internRow(row); t.flags[r]&flagDB == 0 {
+		t.flags[r] |= flagDB
+		rel.ndb++
 	}
 }
 
 // each calls f on every live row of the relation, table by table, in row
 // order — the walk SortedKeys wants. The row is the table's own storage.
-func (rel *Relation) each(f func(row []intern.ID)) {
-	for _, t := range rel.Tables {
-		for r := int32(0); r < t.Rows(); r++ {
-			if t.Flags[r]&FlagLive != 0 {
+func (rel *relation) each(f func(row []intern.ID)) {
+	for _, t := range rel.tables {
+		for r := int32(0); r < t.slots(); r++ {
+			if t.flags[r]&flagLive != 0 {
 				f(t.Row(r))
 			}
 		}
 	}
 }
 
-// Rows returns the number of row slots, free ones included.
-func (t *Table) Rows() int32 { return int32(len(t.Flags)) }
+// slots returns the number of row slots, free ones included.
+func (t *table) slots() int32 { return int32(len(t.flags)) }
 
-// Has reports whether row r is a member in the given view: right now, or —
+// has reports whether row r is a member in the given view: right now, or —
 // old — at the start of the batch.
-func (t *Table) Has(r int32, old bool) bool {
-	f := t.Flags[r]
+func (t *table) has(r int32, old bool) bool {
+	f := t.flags[r]
 	if old {
-		return (f&FlagLive != 0) != (f&(FlagAdded|FlagRemoved) != 0)
+		return (f&flagLive != 0) != (f&(flagAdded|flagRemoved) != 0)
 	}
-	return f&FlagLive != 0
+	return f&flagLive != 0
 }
 
-// Supported reports membership as the row's support implies it; FlagLive is
+// supported reports membership as the row's support implies it; flagLive is
 // brought in line with it at unit boundaries.
-func (t *Table) Supported(r int32) bool {
-	f := t.Flags[r]
+func (t *table) supported(r int32) bool {
+	f := t.flags[r]
 	switch {
-	case f&(FlagDB|FlagProg) != 0:
+	case f&(flagDB|flagProg) != 0:
 		return true
-	case t.Rel.Kind == KindCounting:
-		return t.Count[r] > 0
+	case t.rel.counted:
+		return t.count[r] > 0
 	default:
-		return f&FlagDerived != 0
+		return f&flagDerived != 0
 	}
 }
 
-// Touch puts row r on the list of rows to settle when the batch ends.
-func (t *Table) Touch(r int32) {
-	if t.Flags[r]&FlagTouched == 0 {
-		t.Flags[r] |= FlagTouched
-		t.Touched = append(t.Touched, r)
+// touch puts row r on the list of rows to settle when the batch ends.
+func (t *table) touch(r int32) {
+	if t.flags[r]&flagTouched == 0 {
+		t.flags[r] |= flagTouched
+		t.touched = append(t.touched, r)
 	}
 }
 
-// Intern returns the slot of the row with these IDs, allocating one — with
+// internRow returns the slot of the row with these IDs, allocating one — with
 // no flags set — when the table does not hold it. The IDs are copied.
-func (t *Table) Intern(row []intern.ID) int32 {
+func (t *table) internRow(row []intern.ID) int32 {
 	var r int32
 	var added bool
 	if n := len(t.free); n > 0 {
@@ -183,14 +177,14 @@ func (t *Table) Intern(row []intern.ID) int32 {
 			t.free = t.free[:n-1]
 		}
 	} else if r, added = t.Insert(row); added {
-		t.Flags = append(t.Flags, 0)
-		if t.Rel.Kind == KindCounting {
-			t.Count = append(t.Count, 0)
+		t.flags = append(t.flags, 0)
+		if t.rel.counted {
+			t.count = append(t.count, 0)
 		}
 		for _, c := range t.cols {
 			if c != nil {
-				c.next = append(c.next, NoRow)
-				c.prev = append(c.prev, NoRow)
+				c.next = append(c.next, noRow)
+				c.prev = append(c.prev, noRow)
 			}
 		}
 	}
@@ -208,10 +202,10 @@ func (t *Table) Intern(row []intern.ID) int32 {
 	return r
 }
 
-// Release deletes row r from the relation, unlinks it from the column
+// release deletes row r from the relation, unlinks it from the column
 // chains and returns its slot to the free list. Only rows with no flags left
 // are released, and only between batches: nothing enumerates the table then.
-func (t *Table) Release(r int32) {
+func (t *table) release(r int32) {
 	row := t.Row(r)
 	for k, c := range t.cols {
 		if c != nil {
@@ -222,17 +216,17 @@ func (t *Table) Release(r int32) {
 	t.free = append(t.free, r)
 }
 
-// EndBatch makes the current state the old state: the batch bookkeeping of
+// endBatch makes the current state the old state: the batch bookkeeping of
 // every touched row is dropped, and a row the batch left with no membership
 // and no support gives its slot back.
-func (t *Table) EndBatch() {
-	for _, r := range t.Touched {
-		t.Flags[r] &^= FlagAdded | FlagRemoved | FlagTouched
-		if t.Flags[r] == 0 && (t.Count == nil || t.Count[r] == 0) {
-			t.Release(r)
+func (t *table) endBatch() {
+	for _, r := range t.touched {
+		t.flags[r] &^= flagAdded | flagRemoved | flagTouched
+		if t.flags[r] == 0 && (t.count == nil || t.count[r] == 0) {
+			t.release(r)
 		}
 	}
-	t.Touched = t.Touched[:0]
+	t.touched = t.touched[:0]
 }
 
 // index makes column k probeable and reports whether this call built the
@@ -240,16 +234,16 @@ func (t *Table) EndBatch() {
 // are compiled, before the table holds a row, and the postings follow every
 // insert; on a frozen table the first caller builds them from the rows, once
 // — a concurrent caller waits, and every later one finds them.
-func (t *Table) index(k int) (built bool) {
+func (t *table) index(k int) (built bool) {
 	if t.frozen {
 		c := t.cols[k]
 		c.once.Do(func() {
 			c.head = make(map[intern.ID]posting)
-			c.next = make([]int32, t.Rows())
-			for r := t.Rows() - 1; r >= 0; r-- {
+			c.next = make([]int32, t.slots())
+			for r := t.slots() - 1; r >= 0; r-- {
 				id := t.Row(r)[k]
 				p := c.head[id]
-				c.next[r] = NoRow
+				c.next[r] = noRow
 				if p.n > 0 {
 					c.next[r] = p.first
 				}
@@ -267,7 +261,7 @@ func (t *Table) index(k int) (built bool) {
 
 // freeze ends a base table's loading: every row is a live database fact
 // from here on, and the table is read-only.
-func (t *Table) freeze() {
+func (t *table) freeze() {
 	t.frozen = true
 	for k := range t.cols {
 		t.cols[k] = &colIndex{}
@@ -276,7 +270,7 @@ func (t *Table) freeze() {
 
 func (c *colIndex) link(id intern.ID, r int32) {
 	p := c.head[id]
-	c.next[r], c.prev[r] = NoRow, NoRow
+	c.next[r], c.prev[r] = noRow, noRow
 	if p.n > 0 {
 		c.next[r] = p.first
 		c.prev[p.first] = r
@@ -287,10 +281,10 @@ func (c *colIndex) link(id intern.ID, r int32) {
 func (c *colIndex) unlink(id intern.ID, r int32) {
 	p := c.head[id]
 	next, prev := c.next[r], c.prev[r]
-	if next != NoRow {
+	if next != noRow {
 		c.prev[next] = prev
 	}
-	if prev != NoRow {
+	if prev != noRow {
 		c.next[prev] = next
 	} else {
 		p.first = next

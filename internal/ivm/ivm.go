@@ -4,9 +4,10 @@
 //
 // A View binds a compiled query plan (internal/query) to a database and keeps
 // its Outcome current as the database mutates. Datalog plans over stratified
-// programs are maintained by a delta engine (engine.go) that splits the
-// predicate dependency graph into strongly connected components and picks a
-// maintenance strategy per component:
+// programs are maintained by the relational rule kernel
+// (internal/datalog/rel), which splits the predicate dependency graph into
+// strongly connected components and picks a maintenance strategy per
+// component:
 //
 //   - counting for non-recursive components: every derivation of a fact
 //     contributes one support count, and a mutation batch adjusts counts by
@@ -24,18 +25,19 @@
 //     a rule no join order exists for — by re-executing the plan and diffing
 //     the outcomes (NewRecompute builds such a view of any plan).
 //
-// The delta engine owns no tables, rule compiler, plan executor or strategy
-// code: it is a client of the relational rule kernel (internal/datalog/rel),
-// the same one query.Execute evaluates programs from scratch on. Facts are
-// rows of interned IDs in flat per-(predicate, arity) tables, every rule is
-// compiled once into one join plan per entry pattern — from scratch, pivoted
-// on a delta literal, head-bound for re-derivation — a view's initial state,
-// and its rebuild when a batch outruns its work budget, are the kernel's own
-// from-scratch Build, and counting and DRed are the kernel's too
-// (rel.Engine.Maintain), because a three-valued evaluation maintains its two
-// halves against each other with them. What lives here is what only mutation
-// needs: the batch's intake and its bookkeeping on the kernel's row flags,
-// the walk over the components, the rebuild fallback, and the ResultDelta.
+// A view owns no tables, rule compiler, plan executor, strategy or batch
+// code: its incremental state is one maintained kernel engine
+// (rel.Config.Maintain), the same kernel query.Execute evaluates programs
+// from scratch on, built over a fact base of the view's database whose
+// stored relations it copies. Facts are rows of interned IDs in flat
+// per-(predicate, arity) tables, every rule is compiled once into one join
+// plan per entry pattern — from scratch, pivoted on a delta literal,
+// head-bound for re-derivation — a view's initial state is the kernel's
+// from-scratch Build, and a mutation batch is one rel.Engine.Apply: the
+// batch's intake, counting and DRed per component, the rebuild when the
+// batch outruns its work budget, and the rows it changed. What lives here is
+// the View: its modes and version, the recompute path, ApplyDB, and the
+// rendering of deltas and outcomes from what the kernel returns.
 //
 // Either way a successful Apply returns the ResultDelta between the previous
 // and the new Outcome, and the maintained Outcome is bit-for-bit the outcome
@@ -46,6 +48,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"algrec/internal/algebra"
@@ -54,6 +57,7 @@ import (
 	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
+	"algrec/internal/value/intern"
 )
 
 // Mode says how a View is maintained.
@@ -107,7 +111,7 @@ type View struct {
 	mode    Mode
 	version uint64
 
-	eng *engine // ModeIncremental
+	eng *rel.Engine // ModeIncremental
 
 	db  algebra.DB     // ModeRecompute: current database snapshot
 	out *query.Outcome // ModeRecompute: last outcome
@@ -132,8 +136,13 @@ func New(plan *query.Plan, db algebra.DB, opts query.Options) (*View, error) {
 		return NewRecompute(plan, db, opts)
 	}
 	v := &View{plan: plan, opts: opts, mode: ModeIncremental, obs: obsv.Default()}
-	eng, err := newEngine(plan, db, opts, v.obs != nil)
+	eng, err := rel.NewEngine(plan.Program, rel.Config{
+		Base: rel.NewBase(db), Limits: query.KernelLimits(opts), Maintain: true, Observed: v.obs != nil,
+	})
 	if err != nil {
+		return nil, err // query.RelationalOK pre-checked; defensive
+	}
+	if err := eng.Build(); err != nil {
 		return nil, err
 	}
 	v.eng = eng
@@ -173,9 +182,30 @@ func (v *View) Outcome() (*query.Outcome, error) {
 		return nil, v.broken
 	}
 	if v.mode == ModeIncremental {
-		return v.eng.outcome(), nil
+		return v.outcome(), nil
 	}
 	return v.out, nil
+}
+
+// outcome renders the maintained state exactly as query.Execute renders a
+// from-scratch evaluation: every program predicate plus every predicate with
+// database facts, sorted, with CompareFacts-ordered fact keys.
+func (v *View) outcome() *query.Outcome {
+	preds := append(v.plan.Program.Preds(), v.eng.StoredPreds()...)
+	sort.Strings(preds)
+	m := &query.DatalogModel{}
+	for _, p := range slices.Compact(preds) {
+		pf := query.PredFacts{Pred: p}
+		pf.True, pf.TrueJSON = v.eng.Keys(p, false)
+		m.Preds = append(m.Preds, pf)
+	}
+	return &query.Outcome{
+		Language:    v.plan.Language,
+		Semantics:   v.plan.Semantics,
+		WellDefined: true,
+		IDB:         v.plan.Program.IDB(),
+		Datalog:     m,
+	}
 }
 
 // Apply applies one mutation batch — deletions first, then insertions, so a
@@ -194,12 +224,12 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 	}
 	var d *ResultDelta
 	if v.mode == ModeIncremental {
-		var err error
-		d, err = v.eng.apply(insert, del)
+		changes, err := v.eng.Apply(insert, del)
 		if err != nil {
 			v.broken = fmt.Errorf("ivm: view poisoned by failed incremental batch: %w", err)
 			return nil, err
 		}
+		d = renderChanges(changes)
 	} else {
 		db := ApplyDB(v.db, insert, del)
 		out, err := query.Execute(v.plan, db, v.opts)
@@ -214,14 +244,37 @@ func (v *View) Apply(insert, del []datalog.Fact) (*ResultDelta, error) {
 		for _, p := range d.Preds {
 			st.DeltaFacts += len(p.Added) + len(p.Removed) + len(p.UndefAdded) + len(p.UndefRemoved)
 		}
-		if v.eng != nil {
-			v.eng.fillStats(&st)
+		if e := v.eng; e != nil {
+			st.Units = append([]obsv.IVMUnit(nil), e.BatchUnits...)
+			st.Steps, st.Probes, st.Scans, st.Rebuilt = e.Steps, e.Probes, e.Scans, e.Rebuilt
 		}
 		v.obs.Collect(st)
 	}
 	v.version++
 	d.Version = v.version
 	return d, nil
+}
+
+// renderChanges renders a maintained batch's changes as the outcome renders
+// its facts.
+func renderChanges(changes []rel.Change) *ResultDelta {
+	d := &ResultDelta{}
+	for _, c := range changes {
+		p := PredDelta{Pred: c.Pred}
+		p.Added, _ = rel.SortedKeys(c.Pred, eachRow(c.Added))
+		p.Removed, _ = rel.SortedKeys(c.Pred, eachRow(c.Removed))
+		d.Preds = append(d.Preds, p)
+	}
+	return d
+}
+
+// eachRow walks rows, as rel.SortedKeys wants them.
+func eachRow(rows [][]intern.ID) func(f func(row []intern.ID)) {
+	return func(f func(row []intern.ID)) {
+		for _, row := range rows {
+			f(row)
+		}
+	}
 }
 
 // ApplyDB returns a copy of db with the mutation batch applied, under the

@@ -14,7 +14,6 @@ import (
 	"algrec/internal/obsv"
 	"algrec/internal/query"
 	"algrec/internal/value"
-	"algrec/internal/value/intern"
 )
 
 // reachProgram is the write workload's recursive view: what node 0 reaches.
@@ -162,75 +161,6 @@ func TestInteriorDeleteInsideDefaultBudget(t *testing.T) {
 		t.Fatalf("over-deleted %d rows in %d join steps", moved["ivm.overDeleted"], moved["ivm.steps"])
 	}
 	checkAgainstExecute(t, v, plan, ApplyDB(db, nil, del))
-}
-
-// freshNodes hands out node ids no earlier test run in this process has
-// mentioned (-count=2 runs a test twice against the same global interner).
-var freshNodes int64 = 10_000_000
-
-// TestChurnLeavesNothingBehind replays 2 000 leaf-churn batches with fresh
-// node ids over a view of every strategy and expects the process-global
-// arena not to grow at all — the fresh ids are integers that are their own
-// ID, and no row, base or derived, is ever interned — and the engine's
-// tables to stay at their warm size.
-func TestChurnLeavesNothingBehind(t *testing.T) {
-	plan := mustPlan(t, query.SemStratified, reachProgram+`
-		orphan(Y) :- e(X, Y), not r(X).
-		gp(X, Z) :- e(X, Y), e(Y, Z).
-	`)
-	v, err := New(plan, hierarchy(500), query.Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	const lag, perBatch, batches = 8, 4, 2_000
-	base := freshNodes
-	freshNodes += (2*lag + batches) * perBatch
-	batch := func(i int) (ins, del []datalog.Fact) {
-		for k := 0; k < perBatch; k++ {
-			// Half the leaves hang under reached nodes, half under an
-			// unreached one (an orphan appears and goes).
-			parent := int64(3 + k)
-			if k%2 == 1 {
-				parent = 5_000_000
-			}
-			ins = append(ins, fact("e", parent, base+int64(i*perBatch+k)))
-			if i >= lag {
-				del = append(del, fact("e", parent, base+int64((i-lag)*perBatch+k)))
-			}
-		}
-		return ins, del
-	}
-	slots := func() (n int) {
-		for _, rel := range v.eng.Rels {
-			for _, tab := range rel.Tables {
-				n += int(tab.Rows())
-			}
-		}
-		return n
-	}
-	i := 0
-	for ; i < 2*lag; i++ {
-		if _, err := v.Apply(batch(i)); err != nil {
-			t.Fatalf("warm-up batch %d: %v", i, err)
-		}
-	}
-	warmIDs, warmSlots := intern.Global().Len(), slots()
-	for ; i < 2*lag+batches; i++ {
-		ins, del := batch(i)
-		d, err := v.Apply(ins, del)
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		if d.Empty() {
-			t.Fatalf("batch %d changed nothing", i)
-		}
-	}
-	if grew := intern.Global().Len() - warmIDs; grew != 0 {
-		t.Errorf("arena grew by %d IDs over %d batches of fresh integers, want 0", grew, batches)
-	}
-	if now := slots(); now > warmSlots+4*perBatch {
-		t.Errorf("tables grew from %d to %d row slots under steady churn", warmSlots, now)
-	}
 }
 
 // TestBudgetOverrunRebuilds: a batch that outruns its work budget is

@@ -561,9 +561,10 @@ func executeGrounded(plan *Plan, base *rel.Base, opts Options, out *Outcome, use
 func DBFacts(db algebra.DB) []datalog.Fact {
 	var out []datalog.Fact
 	for name, s := range db {
-		for i := 0; i < s.Len(); i++ {
-			out = append(out, rel.ElemFact(name, s.At(i)))
-		}
+		s.Scan(func(elem value.Value) bool {
+			out = append(out, rel.ElemFact(name, elem))
+			return true
+		})
 	}
 	datalog.SortFacts(out)
 	return out

@@ -50,24 +50,27 @@ func RowsOfSet(in *intern.Interner, s value.Set) (rows [][]intern.ID, arity int)
 	if s.Len() > 0 {
 		k := -1
 		uniform := true
-		for i := 0; i < s.Len(); i++ {
-			t, ok := s.At(i).(value.Tuple)
+		s.Scan(func(v value.Value) bool {
+			t, ok := v.(value.Tuple)
 			if !ok || t.Len() < 2 || (k >= 0 && t.Len() != k) {
 				uniform = false
-				break
+				return false
 			}
 			k = t.Len()
-		}
+			return true
+		})
 		if uniform {
 			arity = k
 		}
 	}
 	flat := make([]intern.ID, s.Len()*arity)
-	rows = make([][]intern.ID, s.Len())
-	for i := range rows {
-		rows[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
-		elemRow(in, rows[i], s.At(i))
-	}
+	rows = make([][]intern.ID, 0, s.Len())
+	s.Scan(func(v value.Value) bool {
+		row := flat[len(rows)*arity : (len(rows)+1)*arity : (len(rows)+1)*arity]
+		elemRow(in, row, v)
+		rows = append(rows, row)
+		return true
+	})
 	return rows, arity
 }
 

@@ -10,8 +10,8 @@ import (
 // Mem is the in-memory backend: flat ID rows (intern.Relation, with
 // tombstone deletion) behind the Store interface. It is the reference
 // implementation the disk backend's conformance is checked against, and the
-// disk backend's resident state. (The rule kernel's rel.Table embeds the same
-// row table, but refills deleted rows where Mem appends; nothing reads a
+// disk backend's resident state. (The rule kernel's tables embed the same
+// row table, but refill deleted rows where Mem appends; nothing reads a
 // served database through a Store.)
 type Mem struct {
 	in   *intern.Interner

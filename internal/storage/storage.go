@@ -6,7 +6,7 @@
 //
 //   - Memory (NewMem): intern.Relation flat ID rows behind the interface,
 //     with tombstone deletion — the same row table the rule kernel's
-//     tables (rel.Table) embed;
+//     tables (internal/datalog/rel) embed;
 //   - Disk (OpenDisk): the memory backend's resident rows plus a value
 //     dictionary and an append-only log of ID-tuple segments, with
 //     generation snapshots written from the resident rows, compaction, and

@@ -4,7 +4,7 @@ import "algrec/internal/value"
 
 // Relation is a fixed-arity table of ID rows, the one row table of the tree:
 // the storage backends keep a stored relation's resident rows in one, and
-// the rule kernel's tables (rel.Table) embed one. Rows are stored
+// the rule kernel's tables (internal/datalog/rel) embed one. Rows are stored
 // back-to-back in one flat []ID, with an open-addressed integer hash over
 // whole rows for O(1) membership and insert-if-absent — no per-row
 // allocations, so inserting n rows costs O(n) words total. Row indices are
@@ -141,7 +141,9 @@ func (r *Relation) Insert(row []ID) (int32, bool) {
 	i = int32(r.n)
 	r.rows = append(r.rows, row...)
 	r.n++
-	r.link(slot, i)
+	if r.link(slot, i) {
+		r.rehash()
+	}
 	return i, true
 }
 
@@ -158,21 +160,23 @@ func (r *Relation) Refill(i int32, row []ID) (int32, bool) {
 	}
 	copy(r.Row(i), row)
 	r.deleted[i>>6] &^= 1 << (uint(i) & 63)
-	r.link(slot, i)
+	if r.link(slot, i) {
+		r.rehash()
+	}
 	return i, true
 }
 
 // link enters row i, just stored, into the hash at slot, the one its failed
-// probe found, and rehashes at 3/4 load.
-func (r *Relation) link(slot uint32, i int32) {
+// probe found, and reports whether that took the hash past 3/4 load: then
+// the caller rehashes. (The call stays out of link, which the compiler
+// inlines into both callers.)
+func (r *Relation) link(slot uint32, i int32) (crowded bool) {
 	r.live++
 	if r.table[slot] == 0 {
 		r.used++
 	}
 	r.table[slot] = i + 1
-	if r.used*4 > (r.mask+1)*3 {
-		r.rehash()
-	}
+	return r.used*4 > (r.mask+1)*3
 }
 
 // Delete removes row if present, returning its index and whether a row was

@@ -126,6 +126,24 @@ func (r *runs) run(i int) int {
 	return k
 }
 
+// Scan calls yield on every element in sorted order, stopping early if yield
+// returns false. It walks the flat array, or the runs one after the other:
+// a loop over every element of a set held in runs, which At would find one
+// run at a time, costs what it costs on a flat set.
+func (s Set) Scan(yield func(Value) bool) {
+	parts := [][]Value{s.elems}
+	if r := s.chunked(); r != nil {
+		parts = r.parts
+	}
+	for _, p := range parts {
+		for _, v := range p {
+			if !yield(v) {
+				return
+			}
+		}
+	}
+}
+
 // IsEmpty reports whether the set has no elements.
 func (s Set) IsEmpty() bool { return s.Len() == 0 }
 

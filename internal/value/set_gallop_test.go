@@ -211,6 +211,21 @@ func checkChained(t *testing.T, step string, got, want Set, probes []Value) {
 	if got.Compare(want) != 0 || got.String() != want.String() {
 		t.Fatalf("%s: Compare = %d or String differs", step, got.Compare(want))
 	}
+	// Scan walks every element in order, and stops where yield says.
+	scanned, stop := 0, len(probes)%(want.Len()+1)
+	got.Scan(func(v Value) bool {
+		if !Equal(v, want.At(scanned)) {
+			t.Fatalf("%s: Scan's element %d = %v, want %v", step, scanned, v, want.At(scanned))
+		}
+		scanned++
+		return scanned != stop
+	})
+	if stop == 0 {
+		stop = want.Len()
+	}
+	if scanned != stop {
+		t.Fatalf("%s: Scan yielded %d elements, want %d", step, scanned, stop)
+	}
 	for _, v := range probes {
 		if got.Has(v) != want.Has(v) {
 			t.Fatalf("%s: Has(%v) = %v, want %v", step, v, got.Has(v), want.Has(v))
