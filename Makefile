@@ -158,9 +158,10 @@ bench-ivm:
 # distinct random integer pairs over 5·10^4 nodes into its database, the
 # PUT's eager intern of such pairs already consed (InternReload), a fresh
 # interner consing them from their IDs as recovery does (InternBulk), and the
-# ID-row table loading, probing and churning such pairs (RowTable).
+# ID-row table loading, probing and churning such pairs (RowTable), and
+# parsing a datalog program of 10^4 facts and a few rules (ParseProgram).
 bench-load:
-	go test ./internal/server ./internal/value/intern -run '^$$' -bench 'LoadDBScript|InternBulk|InternReload|RowTable' -benchmem
+	go test ./internal/server ./internal/value/intern ./internal/datalog -run '^$$' -bench 'LoadDBScript|InternBulk|InternReload|RowTable|ParseProgram' -benchmem
 
 # bench-answer measures what turns a served answer into its text, as Go
 # benchmarks with allocation counts: a datalog answer's keys (3·10^4 integer
