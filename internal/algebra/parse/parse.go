@@ -15,11 +15,11 @@
 // Element expressions (after a \x -> binder) support tuple projection x.1,
 // arithmetic + - * mod, comparisons = != < <= > >=, boolean and/or/not,
 // membership `in` against a set literal, tuple construction (e1, e2), and
-// constants.
+// constants. The tokens come from internal/lex, which the datalog parser
+// reads too; the grammar and its errors are this package's own.
 package parse
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -27,6 +27,7 @@ import (
 	"algrec/internal/algebra"
 	"algrec/internal/builtin"
 	"algrec/internal/core"
+	"algrec/internal/lex"
 	"algrec/internal/value"
 )
 
@@ -45,23 +46,23 @@ type Query struct {
 
 // ParseScript parses a full script.
 func ParseScript(src string) (*Script, error) {
-	p := &parser{lex: newLexer(src)}
+	p := &parser{lx: lex.New(src)}
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	out := &Script{DB: algebra.DB{}, Program: &core.Program{}}
-	for p.tok.kind != tEOF {
-		kw, err := p.expect(tIdent)
+	for p.tok.Kind != lex.EOF {
+		kw, err := p.expect(lex.Ident)
 		if err != nil {
 			return nil, err
 		}
-		switch kw.text {
+		switch kw.Text {
 		case "rel":
-			name, err := p.expect(tIdent)
+			name, err := p.expect(lex.Ident)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tEq); err != nil {
+			if _, err := p.expect(lex.Eq); err != nil {
 				return nil, err
 			}
 			v, err := p.parseValue()
@@ -70,32 +71,32 @@ func ParseScript(src string) (*Script, error) {
 			}
 			s, ok := v.(value.Set)
 			if !ok {
-				return nil, p.errf("relation %s must be bound to a set literal", name.text)
+				return nil, p.tok.Errorf("relation %s must be bound to a set literal", name.Text)
 			}
-			if _, dup := out.DB[name.text]; dup {
-				return nil, p.errf("relation %s defined twice", name.text)
+			if _, dup := out.DB[name.Text]; dup {
+				return nil, p.tok.Errorf("relation %s defined twice", name.Text)
 			}
-			out.DB[strings.Clone(name.text)] = s
-			if _, err := p.expect(tSemi); err != nil {
+			out.DB[strings.Clone(name.Text)] = s
+			if _, err := p.expect(lex.Semi); err != nil {
 				return nil, err
 			}
 		case "def":
-			name, err := p.expect(tIdent)
+			name, err := p.expect(lex.Ident)
 			if err != nil {
 				return nil, err
 			}
-			d := core.Def{Name: strings.Clone(name.text)}
-			if p.tok.kind == tLParen {
+			d := core.Def{Name: strings.Clone(name.Text)}
+			if p.tok.Kind == lex.LParen {
 				if err := p.next(); err != nil {
 					return nil, err
 				}
 				for {
-					param, err := p.expect(tIdent)
+					param, err := p.expect(lex.Ident)
 					if err != nil {
 						return nil, err
 					}
-					d.Params = append(d.Params, strings.Clone(param.text))
-					if p.tok.kind == tComma {
+					d.Params = append(d.Params, strings.Clone(param.Text))
+					if p.tok.Kind == lex.Comma {
 						if err := p.next(); err != nil {
 							return nil, err
 						}
@@ -103,11 +104,11 @@ func ParseScript(src string) (*Script, error) {
 					}
 					break
 				}
-				if _, err := p.expect(tRParen); err != nil {
+				if _, err := p.expect(lex.RParen); err != nil {
 					return nil, err
 				}
 			}
-			if _, err := p.expect(tEq); err != nil {
+			if _, err := p.expect(lex.Eq); err != nil {
 				return nil, err
 			}
 			body, err := p.parseExpr()
@@ -116,7 +117,7 @@ func ParseScript(src string) (*Script, error) {
 			}
 			d.Body = body
 			out.Program.Defs = append(out.Program.Defs, d)
-			if _, err := p.expect(tSemi); err != nil {
+			if _, err := p.expect(lex.Semi); err != nil {
 				return nil, err
 			}
 		case "query":
@@ -125,12 +126,12 @@ func ParseScript(src string) (*Script, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Queries = append(out.Queries, Query{Expr: e, Src: fmt.Sprintf("query at %d:%d", start.line, start.col)})
-			if _, err := p.expect(tSemi); err != nil {
+			out.Queries = append(out.Queries, Query{Expr: e, Src: fmt.Sprintf("query at %d:%d", start.Line, start.Col)})
+			if _, err := p.expect(lex.Semi); err != nil {
 				return nil, err
 			}
 		default:
-			return nil, fmt.Errorf("%d:%d: expected 'rel', 'def' or 'query', got %q", kw.line, kw.col, kw.text)
+			return nil, kw.Errorf("expected 'rel', 'def' or 'query', got %q", kw.Text)
 		}
 	}
 	if err := out.Program.Validate(); err != nil {
@@ -141,7 +142,7 @@ func ParseScript(src string) (*Script, error) {
 
 // ParseExpr parses a single set expression.
 func ParseExpr(src string) (algebra.Expr, error) {
-	p := &parser{lex: newLexer(src)}
+	p := &parser{lx: lex.New(src)}
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -149,8 +150,8 @@ func ParseExpr(src string) (algebra.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind != tEOF {
-		return nil, p.errf("unexpected trailing input %q", p.tok.text)
+	if p.tok.Kind != lex.EOF {
+		return nil, p.tok.Errorf("unexpected trailing input %q", p.tok.Text)
 	}
 	return e, nil
 }
@@ -165,216 +166,15 @@ func MustParseScript(src string) *Script {
 	return s
 }
 
-type tokKind uint8
-
-const (
-	tEOF tokKind = iota
-	tIdent
-	tInt
-	tString
-	tLParen
-	tRParen
-	tLBrace
-	tRBrace
-	tComma
-	tSemi
-	tEq // tEq … tGe: the comparison operators
-	tNe
-	tLt
-	tLe
-	tGt
-	tGe
-	tPlus
-	tMinus
-	tStar
-	tDot
-	tLambda // \
-	tArrow  // ->
-)
-
-// token is one lexeme. Its text is a substring of the source (a string
-// literal's is unquoted), so lexing allocates nothing per token; what a parse
-// result keeps of a name or a string it copies first (strings.Clone), so
-// that no parsed value pins the whole script.
-type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
-
-// lex returns the next token. Blanks and comments are the only input that
-// spans lines: a token never holds a newline (a string literal with one is
-// an error), so its width is its column count.
-func (l *lexer) lex() (token, error) {
-	l.skipBlanks()
-	start, line, col := l.pos, l.line, l.col
-	if start == len(l.src) {
-		return token{kind: tEOF, line: line, col: col}, nil
-	}
-	kind, err := l.scan()
-	if err != nil {
-		return token{}, fmt.Errorf("%d:%d: %s", line, col, err)
-	}
-	l.col += l.pos - start
-	text := l.src[start:l.pos]
-	if kind == tString {
-		// strconv.Unquote is the exact inverse of the strconv.Quote used
-		// when printing string values.
-		if text, err = strconv.Unquote(text); err != nil {
-			return token{}, fmt.Errorf("%d:%d: bad string literal %s: %v", line, col, l.src[start:l.pos], err)
-		}
-	}
-	return token{kind, text, line, col}, nil
-}
-
-// skipBlanks moves past white space and %-comments, counting lines.
-func (l *lexer) skipBlanks() {
-	for l.pos < len(l.src) {
-		switch l.src[l.pos] {
-		case '\n':
-			l.pos++
-			l.line, l.col = l.line+1, 1
-		case ' ', '\t', '\r':
-			l.pos++
-			l.col++
-		case '%':
-			n := strings.IndexByte(l.src[l.pos:], '\n')
-			if n < 0 {
-				n = len(l.src) - l.pos
-			}
-			l.pos += n
-			l.col += n
-		default:
-			return
-		}
-	}
-}
-
-// scan moves past the token at l.pos and returns its kind.
-func (l *lexer) scan() (tokKind, error) {
-	b := l.src[l.pos]
-	l.pos++
-	switch b {
-	case '(':
-		return tLParen, nil
-	case ')':
-		return tRParen, nil
-	case '{':
-		return tLBrace, nil
-	case '}':
-		return tRBrace, nil
-	case ',':
-		return tComma, nil
-	case ';':
-		return tSemi, nil
-	case '=':
-		return tEq, nil
-	case '+':
-		return tPlus, nil
-	case '*':
-		return tStar, nil
-	case '.':
-		return tDot, nil
-	case '\\':
-		return tLambda, nil
-	case '!':
-		if l.skip('=') {
-			return tNe, nil
-		}
-		return 0, errors.New("unexpected '!'")
-	case '<':
-		if l.skip('=') {
-			return tLe, nil
-		}
-		return tLt, nil
-	case '>':
-		if l.skip('=') {
-			return tGe, nil
-		}
-		return tGt, nil
-	case '-':
-		if l.skip('>') {
-			return tArrow, nil
-		}
-		if l.digits() > 0 {
-			return tInt, nil
-		}
-		return tMinus, nil
-	case '"':
-		for ; l.pos < len(l.src) && l.src[l.pos] != '\n'; l.pos++ {
-			switch l.src[l.pos] {
-			case '\\':
-				if l.pos++; l.pos == len(l.src) {
-					return 0, errors.New("unterminated escape")
-				}
-			case '"':
-				l.pos++
-				return tString, nil
-			}
-		}
-		return 0, errors.New("unterminated string")
-	}
-	switch {
-	case b >= '0' && b <= '9':
-		l.digits()
-		return tInt, nil
-	case isIdentByte(b, true):
-		for l.pos < len(l.src) && isIdentByte(l.src[l.pos], false) {
-			l.pos++
-		}
-		return tIdent, nil
-	}
-	return 0, fmt.Errorf("unexpected character %q", string(b))
-}
-
-// skip moves past the next byte if it is b, and reports whether it was.
-func (l *lexer) skip(b byte) bool {
-	if l.pos < len(l.src) && l.src[l.pos] == b {
-		l.pos++
-		return true
-	}
-	return false
-}
-
-// digits moves past a run of decimal digits and returns its length.
-func (l *lexer) digits() int {
-	start := l.pos
-	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-		l.pos++
-	}
-	return l.pos - start
-}
-
-func isIdentByte(b byte, start bool) bool {
-	switch {
-	case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b == '_':
-		return true
-	case b >= '0' && b <= '9':
-		return !start
-	default:
-		return false
-	}
-}
-
 type parser struct {
-	lex *lexer
-	tok token
+	lx  *lex.Lexer
+	tok lex.Token
 	// element variables currently in scope (lambda binders)
 	scope []string
 }
 
 func (p *parser) next() error {
-	t, err := p.lex.lex()
+	t, err := p.lx.Next()
 	if err != nil {
 		return err
 	}
@@ -382,17 +182,13 @@ func (p *parser) next() error {
 	return nil
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) expect(k tokKind) (token, error) {
-	if p.tok.kind != k {
-		return token{}, p.errf("unexpected token %q", p.tok.text)
+func (p *parser) expect(k lex.Kind) (lex.Token, error) {
+	if p.tok.Kind != k {
+		return lex.Token{}, p.tok.Errorf("unexpected token %q", p.tok.Text)
 	}
 	t := p.tok
 	if err := p.next(); err != nil {
-		return token{}, err
+		return lex.Token{}, err
 	}
 	return t, nil
 }
@@ -408,22 +204,22 @@ func (p *parser) inScope(name string) bool {
 
 // parseExpr parses a set expression.
 func (p *parser) parseExpr() (algebra.Expr, error) {
-	switch p.tok.kind {
-	case tLBrace:
+	switch p.tok.Kind {
+	case lex.LBrace:
 		v, err := p.parseValue()
 		if err != nil {
 			return nil, err
 		}
 		return algebra.Lit{Set: v.(value.Set)}, nil
-	case tIdent:
-		name := p.tok.text
+	case lex.Ident:
+		name := p.tok.Text
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		if name == "empty" {
 			return algebra.EmptyLit, nil
 		}
-		if p.tok.kind != tLParen {
+		if p.tok.Kind != lex.LParen {
 			return algebra.Rel{Name: strings.Clone(name)}, nil
 		}
 		if err := p.next(); err != nil {
@@ -435,14 +231,14 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tComma); err != nil {
+			if _, err := p.expect(lex.Comma); err != nil {
 				return nil, err
 			}
 			r, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tRParen); err != nil {
+			if _, err := p.expect(lex.RParen); err != nil {
 				return nil, err
 			}
 			switch name {
@@ -458,14 +254,14 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tComma); err != nil {
+			if _, err := p.expect(lex.Comma); err != nil {
 				return nil, err
 			}
 			v, body, err := p.parseLambda()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tRParen); err != nil {
+			if _, err := p.expect(lex.RParen); err != nil {
 				return nil, err
 			}
 			if name == "select" {
@@ -477,26 +273,26 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tRParen); err != nil {
+			if _, err := p.expect(lex.RParen); err != nil {
 				return nil, err
 			}
 			return algebra.Flip{E: inner}, nil
 		case "ifp":
-			v, err := p.expect(tIdent)
+			v, err := p.expect(lex.Ident)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tComma); err != nil {
+			if _, err := p.expect(lex.Comma); err != nil {
 				return nil, err
 			}
 			body, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tRParen); err != nil {
+			if _, err := p.expect(lex.RParen); err != nil {
 				return nil, err
 			}
-			return algebra.IFP{Var: strings.Clone(v.text), Body: body}, nil
+			return algebra.IFP{Var: strings.Clone(v.Text), Body: body}, nil
 		default:
 			call := algebra.Call{Name: strings.Clone(name)}
 			for {
@@ -505,7 +301,7 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 					return nil, err
 				}
 				call.Args = append(call.Args, a)
-				if p.tok.kind == tComma {
+				if p.tok.Kind == lex.Comma {
 					if err := p.next(); err != nil {
 						return nil, err
 					}
@@ -513,29 +309,29 @@ func (p *parser) parseExpr() (algebra.Expr, error) {
 				}
 				break
 			}
-			if _, err := p.expect(tRParen); err != nil {
+			if _, err := p.expect(lex.RParen); err != nil {
 				return nil, err
 			}
 			return call, nil
 		}
 	default:
-		return nil, p.errf("expected a set expression, got %q", p.tok.text)
+		return nil, p.tok.Errorf("expected a set expression, got %q", p.tok.Text)
 	}
 }
 
 // parseLambda parses \x -> fexpr.
 func (p *parser) parseLambda() (string, algebra.FExpr, error) {
-	if _, err := p.expect(tLambda); err != nil {
+	if _, err := p.expect(lex.Backslash); err != nil {
 		return "", nil, err
 	}
-	v, err := p.expect(tIdent)
+	v, err := p.expect(lex.Ident)
 	if err != nil {
 		return "", nil, err
 	}
-	if _, err := p.expect(tArrow); err != nil {
+	if _, err := p.expect(lex.Arrow); err != nil {
 		return "", nil, err
 	}
-	name := strings.Clone(v.text)
+	name := strings.Clone(v.Text)
 	p.scope = append(p.scope, name)
 	body, err := p.parseFOr()
 	p.scope = p.scope[:len(p.scope)-1]
@@ -552,7 +348,7 @@ func (p *parser) parseFOr() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tIdent && p.tok.text == "or" {
+	for p.tok.Kind == lex.Ident && p.tok.Text == "or" {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -570,7 +366,7 @@ func (p *parser) parseFAnd() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tIdent && p.tok.text == "and" {
+	for p.tok.Kind == lex.Ident && p.tok.Text == "and" {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -584,7 +380,7 @@ func (p *parser) parseFAnd() (algebra.FExpr, error) {
 }
 
 func (p *parser) parseFNot() (algebra.FExpr, error) {
-	if p.tok.kind == tIdent && p.tok.text == "not" {
+	if p.tok.Kind == lex.Ident && p.tok.Text == "not" {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -602,7 +398,7 @@ func (p *parser) parseFCmp() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind == tIdent && p.tok.text == "in" {
+	if p.tok.Kind == lex.Ident && p.tok.Text == "in" {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -612,10 +408,10 @@ func (p *parser) parseFCmp() (algebra.FExpr, error) {
 		}
 		return algebra.FMem{Elem: l, Set: r}, nil
 	}
-	if p.tok.kind < tEq || p.tok.kind > tGe {
+	if !p.tok.Kind.IsCmp() {
 		return l, nil
 	}
-	op, _ := builtin.CmpOf(p.tok.text)
+	op, _ := builtin.CmpOf(p.tok.Text)
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -631,8 +427,8 @@ func (p *parser) parseFAdd() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tPlus || p.tok.kind == tMinus {
-		op, _ := builtin.ArithOf(p.tok.text)
+	for p.tok.Kind == lex.Plus || p.tok.Kind == lex.Minus {
+		op, _ := builtin.ArithOf(p.tok.Text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -650,8 +446,8 @@ func (p *parser) parseFMul() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tStar || (p.tok.kind == tIdent && p.tok.text == "mod") {
-		op, _ := builtin.ArithOf(p.tok.text)
+	for p.tok.Kind == lex.Star || (p.tok.Kind == lex.Ident && p.tok.Text == "mod") {
+		op, _ := builtin.ArithOf(p.tok.Text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -669,17 +465,17 @@ func (p *parser) parseFPostfix() (algebra.FExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tDot {
+	for p.tok.Kind == lex.Dot {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		idx, err := p.expect(tInt)
+		idx, err := p.expect(lex.Int)
 		if err != nil {
 			return nil, err
 		}
-		n, err := strconv.Atoi(idx.text)
+		n, err := strconv.Atoi(idx.Text)
 		if err != nil || n < 1 {
-			return nil, p.errf("bad projection index %q", idx.text)
+			return nil, p.tok.Errorf("bad projection index %q", idx.Text)
 		}
 		e = algebra.FField{Of: e, Idx: n}
 	}
@@ -687,30 +483,30 @@ func (p *parser) parseFPostfix() (algebra.FExpr, error) {
 }
 
 func (p *parser) parseFPrimary() (algebra.FExpr, error) {
-	switch p.tok.kind {
-	case tInt:
-		n, err := strconv.ParseInt(p.tok.text, 10, 64)
+	switch p.tok.Kind {
+	case lex.Int:
+		n, err := strconv.ParseInt(p.tok.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad integer %q", p.tok.text)
+			return nil, p.tok.Errorf("bad integer %q", p.tok.Text)
 		}
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return algebra.FConst{V: value.Int(n)}, nil
-	case tString:
-		s := strings.Clone(p.tok.text)
+	case lex.String:
+		s := strings.Clone(p.tok.Text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return algebra.FConst{V: value.String(s)}, nil
-	case tLBrace:
+	case lex.LBrace:
 		v, err := p.parseValue()
 		if err != nil {
 			return nil, err
 		}
 		return algebra.FConst{V: v}, nil
-	case tIdent:
-		name := p.tok.text
+	case lex.Ident:
+		name := p.tok.Text
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -724,11 +520,11 @@ func (p *parser) parseFPrimary() (algebra.FExpr, error) {
 			return algebra.FVar{Name: strings.Clone(name)}, nil
 		}
 		return algebra.FConst{V: value.String(strings.Clone(name))}, nil
-	case tLParen:
+	case lex.LParen:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if p.tok.kind == tRParen { // () is the empty tuple
+		if p.tok.Kind == lex.RParen { // () is the empty tuple
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -738,18 +534,18 @@ func (p *parser) parseFPrimary() (algebra.FExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.tok.kind == tRParen {
+		if p.tok.Kind == lex.RParen {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
 			return first, nil // grouping
 		}
 		elems := []algebra.FExpr{first}
-		for p.tok.kind == tComma {
+		for p.tok.Kind == lex.Comma {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			if p.tok.kind == tRParen {
+			if p.tok.Kind == lex.RParen {
 				break // trailing comma: explicit tuple, e.g. the 1-tuple (e,)
 			}
 			e, err := p.parseFOr()
@@ -758,36 +554,36 @@ func (p *parser) parseFPrimary() (algebra.FExpr, error) {
 			}
 			elems = append(elems, e)
 		}
-		if _, err := p.expect(tRParen); err != nil {
+		if _, err := p.expect(lex.RParen); err != nil {
 			return nil, err
 		}
 		return algebra.FTuple{Elems: elems}, nil
 	default:
-		return nil, p.errf("expected an element expression, got %q", p.tok.text)
+		return nil, p.tok.Errorf("expected an element expression, got %q", p.tok.Text)
 	}
 }
 
 // parseValue parses a ground value literal: int, symbol, string, boolean,
 // tuple (v1, v2, ...), or set {v1, ..., vn}.
 func (p *parser) parseValue() (value.Value, error) {
-	switch p.tok.kind {
-	case tInt:
-		n, err := strconv.ParseInt(p.tok.text, 10, 64)
+	switch p.tok.Kind {
+	case lex.Int:
+		n, err := strconv.ParseInt(p.tok.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad integer %q", p.tok.text)
+			return nil, p.tok.Errorf("bad integer %q", p.tok.Text)
 		}
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return value.Int(n), nil
-	case tString:
-		s := strings.Clone(p.tok.text)
+	case lex.String:
+		s := strings.Clone(p.tok.Text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return value.String(s), nil
-	case tIdent:
-		name := p.tok.text
+	case lex.Ident:
+		name := p.tok.Text
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -799,19 +595,19 @@ func (p *parser) parseValue() (value.Value, error) {
 		default:
 			return value.String(strings.Clone(name)), nil
 		}
-	case tLParen:
+	case lex.LParen:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		var buf [8]value.Value
 		elems := buf[:0]
-		for p.tok.kind != tRParen {
+		for p.tok.Kind != lex.RParen {
 			v, err := p.parseValue()
 			if err != nil {
 				return nil, err
 			}
 			elems = append(elems, v)
-			if p.tok.kind == tComma {
+			if p.tok.Kind == lex.Comma {
 				if err := p.next(); err != nil {
 					return nil, err
 				}
@@ -819,23 +615,23 @@ func (p *parser) parseValue() (value.Value, error) {
 			}
 			break
 		}
-		if _, err := p.expect(tRParen); err != nil {
+		if _, err := p.expect(lex.RParen); err != nil {
 			return nil, err
 		}
 		return value.NewTuple(elems...), nil
-	case tLBrace:
+	case lex.LBrace:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		var b value.SetBuilder
-		if p.tok.kind != tRBrace {
+		if p.tok.Kind != lex.RBrace {
 			for {
 				v, err := p.parseValue()
 				if err != nil {
 					return nil, err
 				}
 				b.Add(v)
-				if p.tok.kind == tComma {
+				if p.tok.Kind == lex.Comma {
 					if err := p.next(); err != nil {
 						return nil, err
 					}
@@ -844,11 +640,11 @@ func (p *parser) parseValue() (value.Value, error) {
 				break
 			}
 		}
-		if _, err := p.expect(tRBrace); err != nil {
+		if _, err := p.expect(lex.RBrace); err != nil {
 			return nil, err
 		}
 		return b.Set(), nil
 	default:
-		return nil, p.errf("expected a value, got %q", p.tok.text)
+		return nil, p.tok.Errorf("expected a value, got %q", p.tok.Text)
 	}
 }

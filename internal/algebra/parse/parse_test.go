@@ -159,6 +159,10 @@ func TestParseErrors(t *testing.T) {
 		{`def f = map({1}, \x -> x.0);`, "bad projection index"},
 		{`def dup = {1}; def dup = {2};`, "duplicate definition"},
 		{`def f = undefcall({1});`, "undefined operation"},
+		// The datalog's :- is a token of the shared lexer, which the
+		// algebra parser refuses where it stands; a lone ':' is no token.
+		{"rel r = {1};\ndef f = r :- r;", `2:11: unexpected token ":-"`},
+		{`rel r = {1} : {2};`, `1:13: unexpected ':'`},
 	}
 	for _, c := range cases {
 		_, err := ParseScript(c.src)

@@ -10,9 +10,10 @@
 // define infinite relations; every evaluation path in this repository is
 // therefore budgeted (see package ground).
 //
-// The package provides the AST, a parser for the concrete syntax, the safety
-// checker of Definition 4.1 (range formulas), the Proposition 4.2 make-safe
-// transformation, and predicate-level stratification analysis.
+// The package provides the AST, a parser for the concrete syntax (over the
+// tokens of internal/lex, the tokenizer the algebra's parser reads too), the
+// safety checker of Definition 4.1 (range formulas), the Proposition 4.2
+// make-safe transformation, and predicate-level stratification analysis.
 package datalog
 
 import (

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"algrec/internal/builtin"
+	"algrec/internal/lex"
 	"algrec/internal/value"
 )
 
@@ -24,12 +25,12 @@ import (
 // (internal/builtin's table, which also fixes their argument counts). `not`
 // negates a body atom.
 func ParseProgram(src string) (*Program, error) {
-	p := &parser{lex: newLexer(src)}
+	p := &parser{lx: lex.New(src)}
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	prog := &Program{}
-	for p.tok.kind != tokEOF {
+	for p.tok.Kind != lex.EOF {
 		r, err := p.parseRule()
 		if err != nil {
 			return nil, err
@@ -48,248 +49,52 @@ func MustParse(src string) *Program {
 	return p
 }
 
-type tokKind uint8
-
-const (
-	tokEOF tokKind = iota
-	tokIdent
-	tokVar
-	tokInt
-	tokString
-	tokLParen
-	tokRParen
-	tokLBrace
-	tokRBrace
-	tokComma
-	tokPeriod
-	tokImplies // :-
-	tokEq
-	tokNe
-	tokLt
-	tokLe
-	tokGt
-	tokGe
-)
-
-// tokNames holds what parse errors call each token kind.
-var tokNames = [...]string{
-	tokEOF: "end of input", tokIdent: "identifier", tokVar: "variable", tokInt: "integer", tokString: "string",
-	tokLParen: "'('", tokRParen: "')'", tokLBrace: "'{'", tokRBrace: "'}'", tokComma: "','", tokPeriod: "'.'",
-	tokImplies: "':-'", tokEq: "'='", tokNe: "'!='", tokLt: "'<'", tokLe: "'<='", tokGt: "'>'", tokGe: "'>='",
-}
-
-// String names the token kind as parse errors quote it: "identifier",
-// "end of input", or the punctuation itself in quotes.
-func (k tokKind) String() string {
-	if int(k) < len(tokNames) {
-		return tokNames[k]
-	}
-	return fmt.Sprintf("token(%d)", uint8(k))
-}
-
-type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
-
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
-	}
-	return l.src[l.pos], true
-}
-
-func (l *lexer) nextByte() byte {
-	b := l.src[l.pos]
-	l.pos++
-	if b == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return b
-}
-
-func (l *lexer) errf(line, col int, format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
-}
-
-func (l *lexer) lex() (token, error) {
-	for {
-		b, ok := l.peekByte()
-		if !ok {
-			return token{kind: tokEOF, line: l.line, col: l.col}, nil
-		}
-		switch {
-		case b == ' ' || b == '\t' || b == '\r' || b == '\n':
-			l.nextByte()
-			continue
-		case b == '%':
-			for {
-				c, ok := l.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				l.nextByte()
-			}
-			continue
-		}
-		break
-	}
-	line, col := l.line, l.col
-	b := l.nextByte()
-	switch {
-	case b == '(':
-		return token{tokLParen, "(", line, col}, nil
-	case b == ')':
-		return token{tokRParen, ")", line, col}, nil
-	case b == '{':
-		return token{tokLBrace, "{", line, col}, nil
-	case b == '}':
-		return token{tokRBrace, "}", line, col}, nil
-	case b == ',':
-		return token{tokComma, ",", line, col}, nil
-	case b == '.':
-		return token{tokPeriod, ".", line, col}, nil
-	case b == '=':
-		return token{tokEq, "=", line, col}, nil
-	case b == '!':
-		if c, ok := l.peekByte(); ok && c == '=' {
-			l.nextByte()
-			return token{tokNe, "!=", line, col}, nil
-		}
-		return token{}, l.errf(line, col, "unexpected '!'")
-	case b == '<':
-		if c, ok := l.peekByte(); ok && c == '=' {
-			l.nextByte()
-			return token{tokLe, "<=", line, col}, nil
-		}
-		return token{tokLt, "<", line, col}, nil
-	case b == '>':
-		if c, ok := l.peekByte(); ok && c == '=' {
-			l.nextByte()
-			return token{tokGe, ">=", line, col}, nil
-		}
-		return token{tokGt, ">", line, col}, nil
-	case b == ':':
-		if c, ok := l.peekByte(); ok && c == '-' {
-			l.nextByte()
-			return token{tokImplies, ":-", line, col}, nil
-		}
-		return token{}, l.errf(line, col, "unexpected ':'")
-	case b == '"':
-		// Collect the raw quoted literal and delegate unescaping to
-		// strconv.Unquote, the exact inverse of the strconv.Quote used when
-		// printing string values — whatever the printer emits, the lexer
-		// reads back.
-		var raw strings.Builder
-		raw.WriteByte('"')
-		for {
-			c, ok := l.peekByte()
-			if !ok || c == '\n' {
-				return token{}, l.errf(line, col, "unterminated string literal")
-			}
-			l.nextByte()
-			raw.WriteByte(c)
-			if c == '\\' {
-				e, ok := l.peekByte()
-				if !ok {
-					return token{}, l.errf(line, col, "unterminated string escape")
-				}
-				l.nextByte()
-				raw.WriteByte(e)
-				continue
-			}
-			if c == '"' {
-				s, err := strconv.Unquote(raw.String())
-				if err != nil {
-					return token{}, l.errf(line, col, "bad string literal %s: %v", raw.String(), err)
-				}
-				return token{tokString, s, line, col}, nil
-			}
-		}
-	case b == '-' || (b >= '0' && b <= '9'):
-		var sb strings.Builder
-		sb.WriteByte(b)
-		if b == '-' {
-			c, ok := l.peekByte()
-			if !ok || c < '0' || c > '9' {
-				return token{}, l.errf(line, col, "expected digit after '-'")
-			}
-		}
-		for {
-			c, ok := l.peekByte()
-			if !ok || c < '0' || c > '9' {
-				break
-			}
-			sb.WriteByte(l.nextByte())
-		}
-		return token{tokInt, sb.String(), line, col}, nil
-	case isIdentStart(b):
-		var sb strings.Builder
-		sb.WriteByte(b)
-		for {
-			c, ok := l.peekByte()
-			if !ok || !isIdentPart(c) {
-				break
-			}
-			sb.WriteByte(l.nextByte())
-		}
-		text := sb.String()
-		if b >= 'A' && b <= 'Z' {
-			return token{tokVar, text, line, col}, nil
-		}
-		return token{tokIdent, text, line, col}, nil
-	default:
-		return token{}, l.errf(line, col, "unexpected character %q", string(b))
-	}
-}
-
-func isIdentStart(b byte) bool {
-	return (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b == '_'
-}
-
-func isIdentPart(b byte) bool {
-	return isIdentStart(b) || (b >= '0' && b <= '9')
-}
-
 type parser struct {
-	lex *lexer
-	tok token
+	lx  *lex.Lexer
+	tok lex.Token
 }
 
+// next reads the next token. The algebra's operators, which no program
+// has, are refused where they start: a '-' that no digit follows with
+// "expected digit after '-'", the rest as unexpected characters.
 func (p *parser) next() error {
-	t, err := p.lex.lex()
+	t, err := p.lx.Next()
 	if err != nil {
 		return err
+	}
+	switch t.Kind {
+	case lex.Minus, lex.Arrow:
+		return t.Errorf("expected digit after '-'")
+	case lex.Semi, lex.Plus, lex.Star, lex.Backslash:
+		return t.Errorf("unexpected character %q", t.Text)
 	}
 	p.tok = t
 	return nil
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+// variable reports whether the current token is a variable: an identifier
+// with a capital first letter.
+func (p *parser) variable() bool {
+	return p.tok.Kind == lex.Ident && p.tok.Text[0] >= 'A' && p.tok.Text[0] <= 'Z'
 }
 
-func (p *parser) expect(k tokKind) (token, error) {
-	if p.tok.kind != k {
-		return token{}, p.errf("expected %s, got %s %q", k, p.tok.kind, p.tok.text)
+// got names the current token for an error: its kind and its text.
+func (p *parser) got() string {
+	if p.variable() {
+		return fmt.Sprintf("variable %q", p.tok.Text)
+	}
+	return fmt.Sprintf("%s %q", p.tok.Kind, p.tok.Text)
+}
+
+// expect moves past a token of kind k, where an identifier must not be a
+// variable.
+func (p *parser) expect(k lex.Kind) (lex.Token, error) {
+	if p.tok.Kind != k || p.variable() {
+		return lex.Token{}, p.tok.Errorf("expected %s, got %s", k, p.got())
 	}
 	t := p.tok
 	if err := p.next(); err != nil {
-		return token{}, err
+		return lex.Token{}, err
 	}
 	return t, nil
 }
@@ -300,13 +105,13 @@ func (p *parser) parseRule() (Rule, error) {
 		return Rule{}, err
 	}
 	r := Rule{Head: head}
-	switch p.tok.kind {
-	case tokPeriod:
+	switch p.tok.Kind {
+	case lex.Dot:
 		if err := p.next(); err != nil {
 			return Rule{}, err
 		}
 		return r, nil
-	case tokImplies:
+	case lex.Implies:
 		if err := p.next(); err != nil {
 			return Rule{}, err
 		}
@@ -316,7 +121,7 @@ func (p *parser) parseRule() (Rule, error) {
 				return Rule{}, err
 			}
 			r.Body = append(r.Body, lit)
-			if p.tok.kind == tokComma {
+			if p.tok.Kind == lex.Comma {
 				if err := p.next(); err != nil {
 					return Rule{}, err
 				}
@@ -324,123 +129,98 @@ func (p *parser) parseRule() (Rule, error) {
 			}
 			break
 		}
-		if _, err := p.expect(tokPeriod); err != nil {
+		if _, err := p.expect(lex.Dot); err != nil {
 			return Rule{}, err
 		}
 		return r, nil
 	default:
-		return Rule{}, p.errf("expected '.' or ':-' after rule head, got %s %q", p.tok.kind, p.tok.text)
+		return Rule{}, p.tok.Errorf("expected '.' or ':-' after rule head, got %s", p.got())
 	}
 }
 
 // parseAtom parses pred or pred(t1, ..., tn) where pred is a lowercase
 // identifier.
 func (p *parser) parseAtom() (Atom, error) {
-	name, err := p.expect(tokIdent)
+	name, err := p.expect(lex.Ident)
 	if err != nil {
 		return Atom{}, err
 	}
-	a := Atom{Pred: name.text}
-	if p.tok.kind != tokLParen {
-		return a, nil
+	a := Atom{Pred: strings.Clone(name.Text)}
+	if p.tok.Kind == lex.LParen {
+		a.Args, err = p.parseTerms(lex.RParen, false)
 	}
+	return a, err
+}
+
+// parseTerms moves past the opening bracket and parses a comma-separated
+// list of terms up to and past close. The list of a tuple or set literal may
+// be empty or end in a comma; an argument list may not.
+func (p *parser) parseTerms(close lex.Kind, literal bool) ([]Term, error) {
 	if err := p.next(); err != nil {
-		return Atom{}, err
+		return nil, err
 	}
-	for {
+	var buf [8]Term
+	ts := buf[:0]
+	for !literal || p.tok.Kind != close {
 		t, err := p.parseTerm()
 		if err != nil {
-			return Atom{}, err
+			return nil, err
 		}
-		a.Args = append(a.Args, t)
-		if p.tok.kind == tokComma {
-			if err := p.next(); err != nil {
-				return Atom{}, err
-			}
-			continue
+		ts = append(ts, t)
+		if p.tok.Kind != lex.Comma {
+			break
 		}
-		break
+		if err := p.next(); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := p.expect(tokRParen); err != nil {
-		return Atom{}, err
+	if _, err := p.expect(close); err != nil {
+		return nil, err
 	}
-	return a, nil
+	return append([]Term(nil), ts...), nil // one allocation, of the list's length
 }
 
 func (p *parser) parseTerm() (Term, error) {
-	switch p.tok.kind {
-	case tokLParen:
-		// Tuple literal (t1, ..., tn) — sugar for tup(t1, ..., tn), needed
-		// so printed tuple constants re-parse.
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		app := Apply{Fn: "tup"}
-		for p.tok.kind != tokRParen {
-			t, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			app.Args = append(app.Args, t)
-			if p.tok.kind == tokComma {
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		return app, nil
-	case tokLBrace:
-		// Set literal {t1, ..., tn} — sugar for set(t1, ..., tn).
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		app := Apply{Fn: "set"}
-		for p.tok.kind != tokRBrace {
-			t, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			app.Args = append(app.Args, t)
-			if p.tok.kind == tokComma {
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokRBrace); err != nil {
-			return nil, err
-		}
-		return app, nil
-	case tokVar:
-		v := Var(p.tok.text)
+	if p.variable() {
+		v := Var(strings.Clone(p.tok.Text))
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return v, nil
-	case tokInt:
-		n, err := strconv.ParseInt(p.tok.text, 10, 64)
+	}
+	switch p.tok.Kind {
+	case lex.LParen:
+		// Tuple literal (t1, ..., tn) — sugar for tup(t1, ..., tn), needed
+		// so printed tuple constants re-parse.
+		args, err := p.parseTerms(lex.RParen, true)
 		if err != nil {
-			return nil, p.errf("bad integer %q: %v", p.tok.text, err)
+			return nil, err
+		}
+		return Apply{Fn: "tup", Args: args}, nil
+	case lex.LBrace:
+		// Set literal {t1, ..., tn} — sugar for set(t1, ..., tn).
+		args, err := p.parseTerms(lex.RBrace, true)
+		if err != nil {
+			return nil, err
+		}
+		return Apply{Fn: "set", Args: args}, nil
+	case lex.Int:
+		n, err := strconv.ParseInt(p.tok.Text, 10, 64)
+		if err != nil {
+			return nil, p.tok.Errorf("bad integer %q: %v", p.tok.Text, err)
 		}
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return Const{V: value.Int(n)}, nil
-	case tokString:
-		s := p.tok.text
+	case lex.String:
+		s := strings.Clone(p.tok.Text)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
 		return Const{V: value.String(s)}, nil
-	case tokIdent:
-		name, line, col := p.tok.text, p.tok.line, p.tok.col
+	case lex.Ident:
+		name, pos := strings.Clone(p.tok.Text), p.tok.Pos
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -450,42 +230,26 @@ func (p *parser) parseTerm() (Term, error) {
 		case "false":
 			return Const{V: value.False}, nil
 		}
-		if p.tok.kind != tokLParen {
+		if p.tok.Kind != lex.LParen {
 			return Const{V: value.String(name)}, nil
 		}
-		if err := p.next(); err != nil {
+		args, err := p.parseTerms(lex.RParen, false)
+		if err != nil {
 			return nil, err
 		}
-		app := Apply{Fn: name}
-		for {
-			t, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			app.Args = append(app.Args, t)
-			if p.tok.kind == tokComma {
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		return app, checkApply(app, line, col)
+		app := Apply{Fn: name, Args: args}
+		return app, checkApply(app, pos)
 	default:
-		return nil, p.errf("expected a term, got %s %q", p.tok.kind, p.tok.text)
+		return nil, p.tok.Errorf("expected a term, got %s", p.got())
 	}
 }
 
 // checkApply checks a function application against internal/builtin's
 // table — the symbol is known and takes that many arguments — and positions
 // the error at the symbol.
-func checkApply(app Apply, line, col int) error {
+func checkApply(app Apply, pos lex.Pos) error {
 	if _, err := builtin.Check(app.Fn, len(app.Args)); err != nil {
-		return fmt.Errorf("%d:%d: %v", line, col, err)
+		return pos.Errorf("%v", err)
 	}
 	return nil
 }
@@ -495,7 +259,7 @@ func checkApply(app Apply, line, col int) error {
 // term is resolved by lookahead: an identifier application followed by a
 // comparison operator is a term, otherwise it is an atom.
 func (p *parser) parseLiteral() (Literal, error) {
-	if p.tok.kind == tokIdent && p.tok.text == "not" {
+	if p.tok.Kind == lex.Ident && p.tok.Text == "not" {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -507,9 +271,8 @@ func (p *parser) parseLiteral() (Literal, error) {
 	}
 	// Lowercase identifier: could be an atom or a term on the left of a
 	// comparison. Parse the application generically and decide afterwards.
-	if p.tok.kind == tokIdent {
-		name := p.tok.text
-		line, col := p.tok.line, p.tok.col
+	if p.tok.Kind == lex.Ident && !p.variable() {
+		pos := p.tok.Pos
 		a, err := p.parseAtom()
 		if err != nil {
 			return nil, err
@@ -518,17 +281,17 @@ func (p *parser) parseLiteral() (Literal, error) {
 			// It was really a term.
 			var l Term
 			if len(a.Args) == 0 {
-				switch name {
+				switch a.Pred {
 				case "true":
 					l = Const{V: value.True}
 				case "false":
 					l = Const{V: value.False}
 				default:
-					l = Const{V: value.String(name)}
+					l = Const{V: value.String(a.Pred)}
 				}
 			} else {
-				app := Apply{Fn: name, Args: a.Args}
-				if err := checkApply(app, line, col); err != nil {
+				app := Apply{Fn: a.Pred, Args: a.Args}
+				if err := checkApply(app, pos); err != nil {
 					return nil, err
 				}
 				l = app
@@ -552,7 +315,7 @@ func (p *parser) parseLiteral() (Literal, error) {
 	}
 	op, isCmp := p.cmpOp()
 	if !isCmp {
-		return nil, p.errf("expected comparison operator after term %s", l)
+		return nil, p.tok.Errorf("expected comparison operator after term %s", l)
 	}
 	if err := p.next(); err != nil {
 		return nil, err
@@ -564,11 +327,10 @@ func (p *parser) parseLiteral() (Literal, error) {
 	return LitCmp{Op: op, L: l, R: r}, nil
 }
 
-// cmpOp returns the comparison the current token spells, if it is one: the
-// comparison tokens are the last kinds.
+// cmpOp returns the comparison the current token spells, if it is one.
 func (p *parser) cmpOp() (builtin.Cmp, bool) {
-	if p.tok.kind < tokEq {
+	if !p.tok.Kind.IsCmp() {
 		return 0, false
 	}
-	return builtin.CmpOf(p.tok.text)
+	return builtin.CmpOf(p.tok.Text)
 }
