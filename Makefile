@@ -153,15 +153,17 @@ fuzz-smoke:
 bench-ivm:
 	go test ./internal/ivm -run '^$$' -bench 'LeafChurn|InteriorDelete|ApplyDB' -benchmem
 
-# bench-load measures what a PUT and a recovery cost in parsing and
-# interning, as Go benchmarks with allocation counts: parsing a script of 10^5
-# distinct random integer pairs over 5·10^4 nodes into its database, the
-# PUT's eager intern of such pairs already consed (InternReload), a fresh
-# interner consing them from their IDs as recovery does (InternBulk), and the
-# ID-row table loading, probing and churning such pairs (RowTable), and
-# parsing a datalog program of 10^4 facts and a few rules (ParseProgram).
+# bench-load measures what a PUT and a recovery cost in parsing, interning
+# and materializing, as Go benchmarks with allocation counts: parsing a
+# script of 10^5 distinct random integer pairs over 5·10^4 nodes into its
+# database, a disk store of such pairs reopened and materialized on a fresh
+# interner as a recovery does (LoadDB), the interner consing and re-interning
+# such pairs as tuples whole, which no load path does any more (InternBulk,
+# InternReload), the ID-row table loading, probing and churning them
+# (RowTable), and parsing a datalog program of 10^4 facts and a few rules
+# (ParseProgram).
 bench-load:
-	go test ./internal/server ./internal/value/intern ./internal/datalog -run '^$$' -bench 'LoadDBScript|InternBulk|InternReload|RowTable|ParseProgram' -benchmem
+	go test ./internal/server ./internal/storage ./internal/value/intern ./internal/datalog -run '^$$' -bench 'LoadDB|InternBulk|InternReload|RowTable|ParseProgram' -benchmem
 
 # bench-answer measures what turns a served answer into its text, as Go
 # benchmarks with allocation counts: a datalog answer's keys (3·10^4 integer

@@ -292,6 +292,7 @@ func TestErrorPositionsAfterTokens(t *testing.T) {
 		{`rel r = {ab 7};`, `1:13: unexpected token "7"`},
 		{`rel r = {ab_9"s"};`, `1:14: unexpected token "s"`},
 		{`rel r = {ab@};`, `1:12: unexpected character "@"`},
+		{`rel r = {(1, é)};`, `1:14: unexpected character "é"`},
 		{`rel r = {"s\"t" 7};`, `1:17: unexpected token "7"`},
 		{`rel r = {"s"x};`, `1:13: unexpected token "x"`},
 		{`rel r = {"\q"};`, `1:10: bad string literal "\q": invalid syntax`},

@@ -25,7 +25,7 @@ import (
 // (internal/builtin's table, which also fixes their argument counts). `not`
 // negates a body atom.
 func ParseProgram(src string) (*Program, error) {
-	p := &parser{lx: lex.New(src)}
+	p := &parser{lx: lex.New(src), preds: map[string]string{}}
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -50,8 +50,9 @@ func MustParse(src string) *Program {
 }
 
 type parser struct {
-	lx  *lex.Lexer
-	tok lex.Token
+	lx    *lex.Lexer
+	tok   lex.Token
+	preds map[string]string // each predicate name, cloned once per parse
 }
 
 // next reads the next token. The algebra's operators, which no program
@@ -145,7 +146,12 @@ func (p *parser) parseAtom() (Atom, error) {
 	if err != nil {
 		return Atom{}, err
 	}
-	a := Atom{Pred: strings.Clone(name.Text)}
+	pred, ok := p.preds[name.Text]
+	if !ok {
+		pred = strings.Clone(name.Text)
+		p.preds[pred] = pred
+	}
+	a := Atom{Pred: pred}
 	if p.tok.Kind == lex.LParen {
 		a.Args, err = p.parseTerms(lex.RParen, false)
 	}

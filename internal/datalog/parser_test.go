@@ -118,6 +118,7 @@ func TestParseErrors(t *testing.T) {
 		{"p(X) :- q(X), X + 1 = 2.", `1:17: unexpected character "+"`},
 		{"p(X) :- q(X), X = 2 * X.", `1:21: unexpected character "*"`},
 		{"p(X) :- \\x.", `1:9: unexpected character "\\"`},
+		{"p(é).", `1:3: unexpected character "é"`},
 	}
 	for _, c := range cases {
 		_, err := ParseProgram(c.src)

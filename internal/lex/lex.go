@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind is what a token is.
@@ -217,7 +218,8 @@ func (l *Lexer) scan() (Kind, error) {
 		}
 		return Ident, nil
 	}
-	return 0, fmt.Errorf("unexpected character %q", string(b))
+	_, n := utf8.DecodeRuneInString(l.src[l.pos-1:])
+	return 0, fmt.Errorf("unexpected character %q", l.src[l.pos-1:l.pos-1+n])
 }
 
 // skip moves past the next byte if it is b, and reports whether it was.

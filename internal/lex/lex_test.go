@@ -51,6 +51,8 @@ func TestErrors(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{"a #", `1:3: unexpected character "#"`},
 		{"a\r\n\t@b", `2:2: unexpected character "@"`},
+		{"p(é)", `1:3: unexpected character "é"`},
+		{"p(\xff)", `1:3: unexpected character "\xff"`},
 		{"a ! b", "1:3: unexpected '!'"},
 		{"p(X) : q", "1:6: unexpected ':'"},
 		{`x = "open`, "1:5: unterminated string"},

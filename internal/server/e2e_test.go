@@ -353,8 +353,8 @@ func TestE2EErrorPaths(t *testing.T) {
 }
 
 // TestDBRegistryEndpoints exercises GET /v1/dbs, PUT /v1/dbs/{name},
-// /healthz and /metrics, whose internedValues gauge grows across a PUT of
-// values the process has not seen, and which reports the collector's work.
+// /healthz and /metrics, whose internedValues gauge counts no tuple for a
+// PUT's facts, and which reports the collector's work.
 func TestDBRegistryEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -415,15 +415,21 @@ func TestDBRegistryEndpoints(t *testing.T) {
 		t.Fatalf("PUT program as db = %d, want 422", code)
 	}
 
-	// The PUT interns its values eagerly: two symbols, their pair and the
-	// set, new to the process because they are named after the gauge.
+	// A stored fact is a row of scalar IDs, never a tuple ID: a PUT of a
+	// pair of symbols new to the process (named after the gauge), and a
+	// datalog read of it, intern the two symbols at most — not the pair,
+	// not the set.
 	before := interned(t)
 	script := fmt.Sprintf("rel r = {(gauge%.0fleft, gauge%.0fright)};", before, before)
 	if code := put(t, "fresh", script); code != http.StatusOK {
 		t.Fatalf("PUT /v1/dbs/fresh = %d", code)
 	}
-	if after := interned(t); after < before+4 {
-		t.Fatalf("internedValues %v -> %v across a PUT of 4 new values", before, after)
+	status, ok, bad = postQuery(t, ts, queryRequest{DB: "fresh", Language: "datalog", Query: "s(X) :- r(X, Y)."})
+	if status != http.StatusOK || len(ok.Result.Preds) != 2 || len(ok.Result.Preds[1].True) != 1 {
+		t.Fatalf("datalog over the fresh db = %d %+v (%+v)", status, ok.Result, bad)
+	}
+	if after := interned(t); after > before+2 {
+		t.Fatalf("internedValues %v -> %v across a PUT and a read of one new pair", before, after)
 	}
 
 	// The collector's work, after at least one cycle.

@@ -9,7 +9,6 @@ import (
 
 	"algrec/internal/algebra"
 	"algrec/internal/datalog/rel"
-	"algrec/internal/value/intern"
 )
 
 // registry is the store of named databases. Each entry carries a version
@@ -114,21 +113,10 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 	return e.cur.Load().base, true
 }
 
-// set registers (or replaces) a database under name. The database's values
-// are interned eagerly (outside any lock): the process-global interner is
-// shared by every named database and every concurrent execution, so warming
-// it at registration means each fact is hash-consed once per database load
-// rather than on some request's critical path.
-//
-// The eager intern is not dead work, though only reads show it. Measured
-// with the open-addressed interner, three alternating pairs per workload on
-// a 2-CPU container: without it the benchmark's bulk-cycle p50 fell 36–46 ms
-// (462–494 to 426–449 ms), but adhoc-point's peak RSS shrank from ~22 to
-// ~17 MB and its server_cpu_ms_per_op rose 7–18 % on three of three pairs
-// (0.133–0.144 to 0.154–0.161 ms). An earlier measurement, on the
-// map-indexed interner, traced the loss to the smaller heap: the collector
-// ran about three times as often. Drop it only with a pair of adhoc-point
-// runs that shows no such loss.
+// set registers (or replaces) a database under name. It interns nothing: a
+// stored fact is a row of its components' IDs, never a tuple ID, and the
+// store's encoding (storage.StoreDB) and the version's first reader intern
+// those components.
 //
 // Replacing an existing entry closes its live subscriptions with reason
 // "db-replaced" — their incremental views were built against the old
@@ -137,10 +125,6 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 // readers keep seeing the pre-replacement state until the new one is
 // published.
 func (r *registry) set(name string, db algebra.DB) error {
-	in := intern.Global()
-	for _, set := range db {
-		in.Intern(set)
-	}
 	r.mu.Lock()
 	e, existed := r.dbs[name]
 	if !existed {

@@ -30,11 +30,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime/metrics"
 	"strconv"
@@ -553,9 +553,12 @@ func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request, ev *obsv.Se
 		return
 	}
 	name := r.PathValue("name")
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	src, err := io.ReadAll(body)
-	if err != nil {
+	// One buffer of a known length's size, and MinRead free for the EOF read.
+	var src bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		src.Grow(int(min(n, s.cfg.MaxBodyBytes)) + bytes.MinRead)
+	}
+	if _, err := src.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			fail(codeOversized, fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
@@ -564,7 +567,7 @@ func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request, ev *obsv.Se
 		}
 		return
 	}
-	db, err := LoadDBScript(string(src))
+	db, err := LoadDBScript(src.String())
 	if err != nil {
 		fail(codeParseError, err.Error())
 		return

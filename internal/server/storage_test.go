@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"algrec/internal/algebra"
 	"algrec/internal/storage"
 	"algrec/internal/value"
+	"algrec/internal/value/intern"
 )
 
 // chainScript builds a database script with an n-edge chain relation.
@@ -216,6 +218,40 @@ func TestDiskServerRecovery(t *testing.T) {
 	_, r, _ := postQuery(t, ts2, queryRequest{DB: "other db!", Language: "algebra", Query: "r"})
 	if r.Result.Value != "{1, 2, 3}" {
 		t.Fatalf("recovered r = %q", r.Result.Value)
+	}
+}
+
+// TestRecoveryInternsNoTuples: a recovery builds each stored pair from its
+// components and interns no tuple, so OpenStorage over a disk store of pairs
+// the process has not seen grows the global arena by their scalars at most,
+// not by the number of facts.
+func TestRecoveryInternsNoTuples(t *testing.T) {
+	const nodes = 40
+	dir := t.TempDir()
+	st, err := storage.OpenDisk(filepath.Join(dir, dbDirName("pairs")), storage.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := func(k int) value.Value { return value.String(fmt.Sprintf("recovered-%d", k)) }
+	b := value.NewSetBuilder(nodes * nodes)
+	for i := 0; i < nodes*nodes; i++ {
+		b.Add(value.NewTuple(node(i/nodes), node(i%nodes)))
+	}
+	edge := b.Set()
+	if err := storage.StoreDB(st, intern.Global(), algebra.DB{"edge": edge}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := intern.Global().Len()
+	s, _ := newDiskServer(t, dir)
+	if grown := intern.Global().Len() - before; grown > nodes {
+		t.Fatalf("recovering %d pairs of %d scalars interned %d values", edge.Len(), nodes, grown)
+	}
+	if base, ok := s.reg.base("pairs"); !ok || !value.Equal(base.DB()["edge"], edge) {
+		t.Fatalf("recovered pairs differ from the stored ones")
 	}
 }
 

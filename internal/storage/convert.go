@@ -74,16 +74,19 @@ func RowsOfSet(in *intern.Interner, s value.Set) (rows [][]intern.ID, arity int)
 	return rows, arity
 }
 
-// RowElem decodes one stored row back to the set element it encodes.
-func RowElem(in *intern.Interner, row []intern.ID, arity int) value.Value {
-	switch arity {
-	case 0:
-		return value.NewTuple()
-	case 1:
+// RowElem decodes one stored row back to the set element it encodes: an
+// arity-1 row's value, or the tuple of a k-ary row's component values carved
+// from slab (nil: the heap). The tuple is built, never interned.
+func RowElem(in *intern.Interner, row []intern.ID, slab *value.TupleSlab) value.Value {
+	if len(row) == 1 {
 		return in.Lookup(row[0])
-	default:
-		return in.Lookup(in.InternTuple(row...))
 	}
+	var buf [8]value.Value
+	parts := buf[:0]
+	for _, id := range row {
+		parts = append(parts, in.Lookup(id))
+	}
+	return slab.Tuple(parts...)
 }
 
 // materializeChunk is the fewest rows MaterializeSet hands one of several
@@ -92,20 +95,19 @@ const materializeChunk = 2048
 
 // MaterializeSet builds the value.Set a stored relation encodes. One scan
 // copies the rows; then up to workers goroutines (workers <= 0 means
-// GOMAXPROCS) convert contiguous ranges of them into one element slice, which
-// stays in scan order. A relation stored in its set's canonical order —
-// StoreDB's, and a snapshot's after reopen — therefore needs no sort. The
-// result is canonical and deterministic regardless of worker count.
+// GOMAXPROCS) convert contiguous ranges of them, each from a slab of its own,
+// into one element slice in scan order, which the set takes over: a relation
+// stored in its set's canonical order — StoreDB's, and a snapshot's after
+// reopen — needs no sort. The result is canonical and deterministic
+// regardless of worker count, and nothing is interned.
 func MaterializeSet(in *intern.Interner, r Relation, workers int) (value.Set, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var (
-		arity, n int
-		flat     []intern.ID
-	)
+	arity := r.Arity()
+	flat := make([]intern.ID, 0, r.Len()*arity)
+	n := 0
 	err := r.Scan(func(row []intern.ID) bool {
-		arity = len(row)
 		flat = append(flat, row...)
 		n++
 		return true
@@ -114,22 +116,23 @@ func MaterializeSet(in *intern.Interner, r Relation, workers int) (value.Set, er
 		return value.Set{}, err
 	}
 	elems := make([]value.Value, n)
-	convert := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			elems[i] = RowElem(in, flat[i*arity:(i+1)*arity], arity)
-		}
-	}
 	workers = max(1, min(workers, n/materializeChunk))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			convert(lo, hi)
+			var slab *value.TupleSlab
+			if arity > 1 {
+				slab = value.NewTupleSlab(hi-lo, (hi-lo)*arity)
+			}
+			for i := lo; i < hi; i++ {
+				elems[i] = RowElem(in, flat[i*arity:(i+1)*arity], slab)
+			}
 		}(n*w/workers, n*(w+1)/workers)
 	}
 	wg.Wait()
-	return value.NewSet(elems...), nil
+	return value.SetOf(elems), nil
 }
 
 // StoreDB replaces the store's contents with a database in one atomic

@@ -34,7 +34,7 @@ func TestRowsOfSetRoundTrip(t *testing.T) {
 				if len(row) != arity {
 					t.Fatalf("seed %d: row width %d, arity %d", seed, len(row), arity)
 				}
-				back[i] = storage.RowElem(in, row, arity)
+				back[i] = storage.RowElem(in, row, nil)
 			}
 			if got := value.NewSet(back...); !value.Equal(got, s) {
 				t.Fatalf("seed %d: round-trip %v -> %v", seed, s, got)
@@ -134,6 +134,37 @@ func TestStoreLoadDB(t *testing.T) {
 		defer st.Close()
 		check(t, st)
 	})
+}
+
+// TestLoadDBInternsNoTuples: a stored fact is a row of scalar IDs, and
+// loading it builds its tuple without interning it. Over stored integer
+// pairs (some below the interner's own-ID range, so they are arena entries),
+// a load on a private interner leaves its size as the store left it — the
+// pairs' scalars and nothing more — and still gives the stored set back.
+func TestLoadDBInternsNoTuples(t *testing.T) {
+	in := intern.New()
+	pairs := make([]value.Value, 3*2048)
+	for i := range pairs {
+		pairs[i] = value.NewTuple(value.Int(int64(i%1000)), value.Int(int64(i)*7919))
+	}
+	db := map[string]value.Set{"edge": value.NewSet(pairs...)}
+	st := storage.NewMem(in)
+	if err := storage.StoreDB(st, in, db); err != nil {
+		t.Fatal(err)
+	}
+	scalars := in.Len()
+	for _, workers := range []int{1, 3} {
+		got, err := storage.LoadDB(st, in, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := in.Len(); n != scalars {
+			t.Fatalf("workers=%d: the interner grew %d -> %d over a load of %d pairs", workers, scalars, n, len(pairs))
+		}
+		if !value.Equal(got["edge"], db["edge"]) {
+			t.Fatalf("workers=%d: loaded %d pairs, not the %d stored", workers, got["edge"].Len(), db["edge"].Len())
+		}
+	}
 }
 
 // TestMaterializeSetParallel: with 1 to 4 converting workers, on both

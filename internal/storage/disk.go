@@ -79,11 +79,16 @@ func segName(kind string, gen uint64) string {
 // a damaged snapshot or an undecodable record before the tail returns
 // ErrCorrupt.
 func OpenDisk(dir string, opt DiskOptions) (*DiskStore, error) {
+	return openDisk(dir, opt, intern.Global())
+}
+
+// openDisk is OpenDisk on the given interner (a new process's is fresh).
+func openDisk(dir string, opt DiskOptions, in *intern.Interner) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	ds := &DiskStore{dir: dir, opt: opt, vidOf: map[intern.ID]uint32{}}
-	ds.mem.in, ds.mem.rels = intern.Global(), map[string]*memRel{}
+	ds.mem.in, ds.mem.rels = in, map[string]*memRel{}
 	cur, err := os.ReadFile(filepath.Join(dir, currentName))
 	switch {
 	case errors.Is(err, fs.ErrNotExist):

@@ -34,12 +34,9 @@ func (b *SetBuilder) Len() int { return len(b.elems) }
 // performs no copy beyond the canonicalization itself.
 func (b *SetBuilder) Set() Set {
 	b.done = true
-	if len(b.elems) == 0 {
-		return Set{}
-	}
-	out := canonical(b.elems)
+	s := SetOf(b.elems)
 	b.elems = nil
-	return setFromSorted(out)
+	return s
 }
 
 // SetFromSorted returns the set of elems, which the caller has already sorted
@@ -67,12 +64,12 @@ func NewTupleSlab(tuples, elems int) *TupleSlab {
 }
 
 // Tuple returns the tuple of the given elements, copied into the slab (onto
-// the heap once the slab is full).
+// the heap once the slab is full, or when it is nil).
 func (s *TupleSlab) Tuple(elems ...Value) Tuple {
-	at := len(s.elems)
-	if at+len(elems) > cap(s.elems) || len(s.cells) == cap(s.cells) {
+	if s == nil || len(s.elems)+len(elems) > cap(s.elems) || len(s.cells) == cap(s.cells) {
 		return NewTuple(elems...)
 	}
+	at := len(s.elems)
 	s.elems = append(s.elems, elems...)
 	s.cells = s.cells[:len(s.cells)+1]
 	return Tuple{elems: s.elems[at:len(s.elems):len(s.elems)], c: &s.cells[len(s.cells)-1]}

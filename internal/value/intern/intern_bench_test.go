@@ -110,9 +110,11 @@ func randomPairs() [][2]int64 {
 	return out
 }
 
-// BenchmarkInternBulk is a recovery's interning: a fresh interner conses
-// every node's Int, then each random pair from its two IDs, as
-// MaterializeSet does per stored row. It uses only the exported API.
+// BenchmarkInternBulk measures consing tuples whole: a fresh interner conses
+// every node's Int, then each random pair from its two IDs. A recovery did
+// this per stored row until stored facts stopped being tuple IDs; no load
+// path does it any more (BenchmarkLoadDB in internal/storage is a recovery's
+// work). It uses only the exported API.
 func BenchmarkInternBulk(b *testing.B) {
 	pairs := randomPairs()
 	ids := make([]ID, bulkNodes)
@@ -129,10 +131,11 @@ func BenchmarkInternBulk(b *testing.B) {
 	}
 }
 
-// BenchmarkInternReload is a PUT's eager intern of a database the global
-// interner has already seen: each freshly parsed pair tuple carries no
-// cached ID, so every one probes the table and hits. Building the tuples
-// is not timed. It uses only the exported API.
+// BenchmarkInternReload measures re-interning tuples the global interner has
+// already seen: each freshly built pair tuple carries no cached ID, so every
+// one probes the table and hits. A PUT's eager intern did this until stored
+// facts stopped being tuple IDs; no load path does it any more. Building the
+// tuples is not timed. It uses only the exported API.
 func BenchmarkInternReload(b *testing.B) {
 	pairs := randomPairs()
 	build := func() []value.Value {

@@ -70,13 +70,15 @@ func (Set) Kind() Kind { return KindSet }
 // duplicates (so INS is idempotent and commutative by construction, the two
 // SET(nat) equations of the paper's Section 2.1). Elements already strictly
 // increasing are wrapped as given, without sorting.
-func NewSet(elems ...Value) Set {
+func NewSet(elems ...Value) Set { return SetOf(slices.Clone(elems)) }
+
+// SetOf is NewSet taking ownership of elems: they are sorted and freed of
+// duplicates in place, without a copy. Callers must not retain the slice.
+func SetOf(elems []Value) Set {
 	if len(elems) == 0 {
 		return Set{}
 	}
-	cp := make([]Value, len(elems))
-	copy(cp, elems)
-	return setFromSorted(canonical(cp))
+	return setFromSorted(canonical(elems))
 }
 
 // setFromSorted wraps an already-sorted, already-deduplicated slice without
