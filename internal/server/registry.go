@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"algrec/internal/algebra"
+	"algrec/internal/algebra/parse"
 	"algrec/internal/datalog/rel"
 )
 
@@ -113,10 +114,11 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 	return e.cur.Load().base, true
 }
 
-// set registers (or replaces) a database under name. It interns nothing: a
-// stored fact is a row of its components' IDs, never a tuple ID, and the
-// store's encoding (storage.StoreDB) and the version's first reader intern
-// those components.
+// set registers (or replaces) a database under name. rels, when not nil,
+// are db's relations as a PUT read them (readDB), which the entry's store
+// takes as they are; otherwise the store encodes db (storage.StoreDB). The
+// version's first reader interns what else it needs; no stored fact is ever
+// a tuple ID.
 //
 // Replacing an existing entry closes its live subscriptions with reason
 // "db-replaced" — their incremental views were built against the old
@@ -124,7 +126,7 @@ func (r *registry) base(name string) (base *rel.Base, ok bool) {
 // the load is written through to the entry's store first; concurrent
 // readers keep seeing the pre-replacement state until the new one is
 // published.
-func (r *registry) set(name string, db algebra.DB) error {
+func (r *registry) set(name string, db algebra.DB, rels map[string]parse.Rows) error {
 	r.mu.Lock()
 	e, existed := r.dbs[name]
 	if !existed {
@@ -147,7 +149,13 @@ func (r *registry) set(name string, db algebra.DB) error {
 		}
 		e.store = st
 	}
-	if err := e.store.replace(db); err != nil {
+	var err error
+	if rels != nil {
+		err = e.store.load(rels)
+	} else {
+		err = e.store.replace(db)
+	}
+	if err != nil {
 		return err
 	}
 	e.cur.Store(newDBState(db, e.cur.Load().version+1))

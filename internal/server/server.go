@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"algrec/internal/algebra"
 	"algrec/internal/algebra/parse"
@@ -48,6 +49,7 @@ import (
 	"algrec/internal/datalog/rel"
 	"algrec/internal/obsv"
 	"algrec/internal/query"
+	"algrec/internal/storage"
 	"algrec/internal/value"
 	"algrec/internal/value/intern"
 )
@@ -179,7 +181,7 @@ func (s *Server) Stats() *obsv.Stats { return s.stats }
 // configured the load is written through to the database's on-disk store,
 // which can fail; without it the error is always nil.
 func (s *Server) RegisterDB(name string, db algebra.DB) error {
-	return s.reg.set(name, db)
+	return s.reg.set(name, db, nil)
 }
 
 // OpenStorage recovers the databases persisted under Config.Storage.Dir by
@@ -567,12 +569,15 @@ func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request, ev *obsv.Se
 		}
 		return
 	}
-	db, err := LoadDBScript(src.String())
+	// The parse reads the buffer in place: nothing it keeps shares the
+	// source's bytes.
+	body := src.Bytes()
+	db, rels, err := readDB(unsafe.String(unsafe.SliceData(body), len(body)))
 	if err != nil {
 		fail(codeParseError, err.Error())
 		return
 	}
-	if err := s.reg.set(name, db); err != nil {
+	if err := s.reg.set(name, db, rels); err != nil {
 		fail(codeStorage, err.Error())
 		return
 	}
@@ -586,16 +591,29 @@ func (s *Server) handlePutDB(w http.ResponseWriter, r *http.Request, ev *obsv.Se
 // LoadDBScript parses src as an algebra= script and returns its relation
 // declarations as a database — the on-disk and over-the-wire database
 // format of the service (definitions and queries are rejected: a database
-// is data, not a program).
+// is data, not a program). It reads the script as a PUT does (readDB).
 func LoadDBScript(src string) (algebra.DB, error) {
-	script, err := parse.ParseScript(src)
+	db, _, err := readDB(src)
+	return db, err
+}
+
+// readDB reads a database script straight into ID rows of the global
+// interner (parse.ParseScriptRows), in the encoding the disk store keeps,
+// and builds the database's sets from them as a recovery does
+// (storage.MaterializeRows). A PUT hands the rows to the entry's store.
+func readDB(src string) (algebra.DB, map[string]parse.Rows, error) {
+	script, err := parse.ParseScriptRows(src, intern.Global())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(script.Program.Defs) > 0 || len(script.Queries) > 0 {
-		return nil, fmt.Errorf("server: a database script may contain only rel statements")
+		return nil, nil, fmt.Errorf("server: a database script may contain only rel statements")
 	}
-	return script.DB, nil
+	db := make(algebra.DB, len(script.Rows))
+	for name, r := range script.Rows {
+		db[name] = storage.MaterializeRows(intern.Global(), r.Arity, r.IDs, 0)
+	}
+	return db, script.Rows, nil
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 once draining,

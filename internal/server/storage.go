@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"algrec/internal/algebra"
+	"algrec/internal/algebra/parse"
 	"algrec/internal/datalog"
 	"algrec/internal/ivm"
 	"algrec/internal/storage"
@@ -142,6 +143,19 @@ func (es *entryStore) replace(db algebra.DB) error {
 		return nil
 	}
 	return storage.StoreDB(es.st, es.in, db)
+}
+
+// load swaps the store's entire contents for a PUT's rows in one atomic
+// batch (storage.Replace).
+func (es *entryStore) load(rels map[string]parse.Rows) error {
+	if es == nil {
+		return nil
+	}
+	resets := make(storage.Batch, 0, len(rels))
+	for name, r := range rels {
+		resets = append(resets, storage.Mutation{Rel: name, Arity: r.Arity, Reset: true, Insert: storage.RowsOf(r.IDs, r.Arity)})
+	}
+	return storage.Replace(es.st, resets)
 }
 
 // applyFacts writes a fact batch through to the store: after is the database

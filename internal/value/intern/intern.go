@@ -34,6 +34,7 @@ package intern
 import (
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -305,6 +306,29 @@ func (in *Interner) InternInt(i int64) ID {
 		return id
 	}
 	return in.internInt(i)
+}
+
+// IntOf returns the integer id stands for, and whether it stands for one,
+// without boxing it.
+func (in *Interner) IntOf(id ID) (int64, bool) {
+	if id&intTag != 0 {
+		return int64(id &^ intTag), true
+	}
+	x, ok := in.entryOf(id).v.(value.Int)
+	return int64(x), ok
+}
+
+// InternString returns the canonical ID of the string s without boxing it
+// first. A miss stores a copy of s, so the arena never shares the caller's
+// bytes (a parser's source text, say).
+func (in *Interner) InternString(s string) ID {
+	match := func(c ID) bool {
+		t, ok := in.entryOf(c).v.(value.String)
+		return ok && string(t) == s
+	}
+	return in.cons(hashString(s), value.KindString, match, func(*shard) entry {
+		return entry{v: value.String(strings.Clone(s))}
+	})
 }
 
 // internInt interns i. Its hash and kind identify it, so a probe reads no
