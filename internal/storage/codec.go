@@ -63,12 +63,24 @@ const maxFrameLen = 64 << 20
 // memory and write whole batches with a single file write, so a crash tears
 // at most the last write's worth of frames.
 func appendFrame(b []byte, kind byte, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	b = append(b, hdr[:]...)
-	return append(b, payload...)
+	b, at := beginFrame(b, kind)
+	return endFrame(append(b, payload...), at)
+}
+
+// beginFrame appends the header of a frame of the given kind to b, leaving
+// its length and checksum to endFrame, and returns where the frame starts:
+// the payload is then appended in place, with no copy of its own.
+func beginFrame(b []byte, kind byte) ([]byte, int) {
+	return append(b, kind, 0, 0, 0, 0, 0, 0, 0, 0), len(b)
+}
+
+// endFrame fills in the length and checksum of the frame beginFrame started
+// at b[at], whose payload is the rest of b.
+func endFrame(b []byte, at int) []byte {
+	payload := b[at+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(b[at+1:at+5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[at+5:at+9], crc32.ChecksumIEEE(payload))
+	return b
 }
 
 // readFrame reads the next frame from r. It returns io.EOF at a clean end of

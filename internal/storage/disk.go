@@ -54,8 +54,7 @@ type DiskStore struct {
 	logF   *os.File
 	logOff int64 // append position == durable+buffered length of logF
 
-	vids  []intern.ID          // store-vid -> process intern ID
-	vidOf map[intern.ID]uint32 // process intern ID -> store-vid
+	dictionary // the values the current generation's segments define
 
 	deadRows   int // log rows no longer reachable (deleted, superseded, reset away)
 	compacting bool
@@ -87,7 +86,7 @@ func openDisk(dir string, opt DiskOptions, in *intern.Interner) (*DiskStore, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ds := &DiskStore{dir: dir, opt: opt, vidOf: map[intern.ID]uint32{}}
+	ds := &DiskStore{dir: dir, opt: opt, dictionary: dictionary{vidOf: map[intern.ID]uint32{}}}
 	ds.mem.in, ds.mem.rels = in, map[string]*memRel{}
 	cur, err := os.ReadFile(filepath.Join(dir, currentName))
 	switch {
