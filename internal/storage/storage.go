@@ -23,9 +23,12 @@
 //     mutation's deletes precede its inserts.
 //
 // The package also owns the write-through encoding of values as rows
-// (convert.go): RowsOfSet for whole relations (StoreDB, the server's PUT and
-// restore) and FactBatch for fact batches, so the server and the
-// dlog-storage oracle write through the same encoder.
+// (convert.go), so the server and the dlog-storage oracle write through the
+// same encoder: RowsOfSet for whole relations (StoreDB, for a registered
+// database and a restore), FactBatch for fact batches, and Replace for a
+// store's whole contents, StoreDB's or those of a PUT, whose rows the script
+// parser reads in this encoding. MaterializeRows builds a set back from its
+// rows, for a PUT's version and a recovery's (MaterializeSet) alike.
 //
 // The disk backend's recovery contract is the classic log-structured one:
 // reopening a store after a crash yields exactly the state of the last
